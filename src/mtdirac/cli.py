@@ -20,9 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-import tempfile
 from typing import Sequence
 
 import numpy as np
@@ -33,13 +31,12 @@ from .clifford import build_dirac_rep, build_weyl_rep, commutator_table, \
 from .consistency import (
     VERDICT_CONSISTENT,
     VERDICT_INCONSISTENT,
-    CoefficientFormError,
     cc_residuals,
     check_consistency,
-    to_coefficient_form,
 )
 from .dsl import DslEvaluationError, DslParseError
 from .potential import (
+    CoefficientFormError,
     DomainError,
     MultiTimeSystem,
     Region,
@@ -47,6 +44,8 @@ from .potential import (
     load_system,
     make_builtin,
     sample_configs,
+    to_coefficient_form,
+    write_text_atomic,
 )
 from .solver import (
     Grid,
@@ -176,20 +175,6 @@ _ECHO_KEYS = ("spec", "builtin", "param", "region", "nsamples", "tol",
 def _config_echo(args: argparse.Namespace) -> dict:
     return _jsonify({key: getattr(args, key)
                      for key in _ECHO_KEYS if hasattr(args, key)})
-
-
-def _write_text(path: str, text: str) -> None:
-    """Atomic file write: stage to a temp file, then rename into place."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-report-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
 
 
 def _format_csv(rows: Sequence[Sequence]) -> str:
@@ -339,7 +324,7 @@ def _cmd_simulate(args: argparse.Namespace):
         csv_rows += list(result.rows)
     report["grid"] = {"length": grid.length, "points": grid.points}
     if args.csv:
-        _write_text(args.csv, _format_csv(csv_rows))
+        write_text_atomic(args.csv, _format_csv(csv_rows))
     return report, None
 
 
@@ -460,7 +445,7 @@ def entry(argv: Sequence[str] | None = None) -> int:
         envelope["verdict"] = verdict
     text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
     if args.out:
-        _write_text(args.out, text)
+        write_text_atomic(args.out, text)
     else:
         sys.stdout.write(text)
 

@@ -10,7 +10,7 @@ and products of such factors form an orthogonal basis of the full
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
 
@@ -59,13 +59,22 @@ class GammaRep:
 
     ``gammas`` stacks gamma^0..gamma^3 along the first axis; ``alphas``
     stacks alpha^mu = gamma^0 gamma^mu (so alpha^0 is the identity) and
-    ``gamma5`` is i gamma^0 gamma^1 gamma^2 gamma^3.
+    ``gamma5`` is i gamma^0 gamma^1 gamma^2 gamma^3.  ``basis`` holds
+    the 16 single-particle basis matrices, derived from these and indexed
+    ``[class, mu]`` in BasisClass order.
     """
 
     name: str
     gammas: np.ndarray
     gamma5: np.ndarray
     alphas: np.ndarray
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        g5 = self.gamma5
+        basis = np.stack([*self.alphas, *(g5 @ a for a in self.alphas),
+                          *self.gammas, *(g5 @ g for g in self.gammas)])
+        object.__setattr__(self, "basis", basis.reshape(4, 4, 4, 4))
 
     def gamma(self, mu: int) -> np.ndarray:
         return self.gammas[mu]
@@ -172,26 +181,18 @@ IDENTITY_ELEMENT = BasisElement(BasisClass.ALPHA, 0)
 GAMMA5_ELEMENT = BasisElement(BasisClass.G5ALPHA, 0)
 
 
+_CLASS_INDEX = {cls: i for i, cls in enumerate(BasisClass)}
+_ELEMENTS = tuple(BasisElement(cls, mu) for cls in BasisClass for mu in range(4))
+
+
 def single_matrix(element: BasisElement, rep: GammaRep) -> np.ndarray:
     """Realize a basis element as a 4x4 matrix in the given representation."""
-    mu = element.mu
-    if element.cls is BasisClass.ALPHA:
-        return rep.alphas[mu]
-    if element.cls is BasisClass.G5ALPHA:
-        return rep.gamma5 @ rep.alphas[mu]
-    if element.cls is BasisClass.GAMMA:
-        return rep.gammas[mu]
-    return rep.gamma5 @ rep.gammas[mu]
+    return rep.basis[_CLASS_INDEX[element.cls], element.mu]
 
 
 def basis16(rep: GammaRep) -> list[tuple[BasisElement, np.ndarray]]:
     """The 16 basis elements with their matrices, in canonical order."""
-    out = []
-    for cls in BasisClass:
-        for mu in range(4):
-            element = BasisElement(cls, mu)
-            out.append((element, single_matrix(element, rep)))
-    return out
+    return list(zip(_ELEMENTS, rep.basis.reshape(16, 4, 4)))
 
 
 @dataclass(frozen=True)
@@ -227,32 +228,19 @@ def embed(matrix: np.ndarray, k: int, n_particles: int) -> np.ndarray:
     return np.kron(np.kron(left, matrix), right)
 
 
-# Stacked product bases are memoized per representation object so that
-# repeated decompose/reconstruct calls avoid rebuilding 16^N Kronecker
-# products.  Keys use id(rep) — GammaRep is frozen and the cached entry
-# keeps the rep alive, so ids stay valid.  Only N <= 2 is stacked; the
-# N >= 3 arrays would be too large to keep around.
-_STACK_CACHE: dict = {}
+def _per_factor(tensor: np.ndarray, op: np.ndarray, n: int) -> np.ndarray:
+    """Apply the 16x16 matrix op to each of the n axes of a (16,)*n tensor."""
+    for _ in range(n):
+        # contracts the last axis and puts the result first, so after n
+        # passes the axes are back in particle order
+        tensor = np.tensordot(op, tensor, axes=([1], [n - 1]))
+    return tensor
 
 
-def _stacked_basis(rep: GammaRep, n_particles: int):
-    key = (id(rep), n_particles)
-    hit = _STACK_CACHE.get(key)
-    if hit is not None:
-        return hit[1], hit[2], hit[3]
-    single = basis16(rep)
-    elements = []
-    mats = []
-    for combo in itertools.product(single, repeat=n_particles):
-        elements.append(TensorBasisElement(tuple(be for be, _ in combo)))
-        mats.append(reduce(np.kron, [m for _, m in combo]))
-    elements = tuple(elements)
-    stacked = np.stack(mats)
-    index = {element: i for i, element in enumerate(elements)}
-    if len(_STACK_CACHE) >= 8:
-        _STACK_CACHE.clear()
-    _STACK_CACHE[key] = (rep, elements, stacked, index)
-    return elements, stacked, index
+def _factor_pairs(n_particles: int) -> list[int]:
+    """Axis order (i1, j1, ..., iN, jN) of a (4,)*2N reshaped matrix."""
+    return [axis for k in range(n_particles)
+            for axis in (k, n_particles + k)]
 
 
 def decompose(
@@ -267,41 +255,31 @@ def decompose(
     matrix = np.asarray(matrix)
     if matrix.shape != (dim, dim):
         raise ValueError(f"expected {(dim, dim)} matrix, got {matrix.shape}")
-    if n_particles > 2:
-        single = basis16(rep)
-        coeffs: dict[TensorBasisElement, complex] = {}
-        for combo in itertools.product(single, repeat=n_particles):
-            element = TensorBasisElement(tuple(be for be, _ in combo))
-            mat = reduce(np.kron, [m for _, m in combo])
-            coeffs[element] = complex(np.trace(mat.conj().T @ matrix) / dim)
-        return coeffs
-    elements, stacked, _ = _stacked_basis(rep, n_particles)
-    values = np.einsum("kji,ji->k", stacked.conj(), matrix) / dim
-    return {element: complex(value)
-            for element, value in zip(elements, values)}
+    pairs = matrix.reshape((4,) * (2 * n_particles)).transpose(
+        _factor_pairs(n_particles)).reshape((16,) * n_particles)
+    values = _per_factor(pairs, rep.basis.reshape(16, 16).conj(),
+                         n_particles).ravel() / dim
+    elements = itertools.product(_ELEMENTS, repeat=n_particles)
+    return {TensorBasisElement(factors): complex(value)
+            for factors, value in zip(elements, values)}
 
 
 def reconstruct(
     coeffs: dict[TensorBasisElement, complex], n_particles: int, rep: GammaRep
 ) -> np.ndarray:
+    """Inverse of decompose: sum of coefficient times basis matrix."""
     dim = 4**n_particles
-    if n_particles > 2:
-        out = np.zeros((dim, dim), dtype=complex)
-        for element, value in coeffs.items():
-            if value != 0:
-                out += value * realize(element, rep)
-        return out
-    _, stacked, index = _stacked_basis(rep, n_particles)
-    values = np.zeros(len(stacked), dtype=complex)
-    out = np.zeros((dim, dim), dtype=complex)
+    values = np.zeros((4,) * (2 * n_particles), dtype=complex)
     for element, value in coeffs.items():
-        position = index.get(element)
-        if position is not None:
-            values[position] = value
-        elif value != 0:  # hand-built key outside the cached ordering
-            out += value * realize(element, rep)
-    out += np.tensordot(values, stacked, axes=1)
-    return out
+        if element.n_particles != n_particles:
+            raise ValueError(f"{element.label()} has {element.n_particles} "
+                             f"factors, expected {n_particles}")
+        values[tuple(index for f in element.factors
+                     for index in (_CLASS_INDEX[f.cls], f.mu))] = value
+    pairs = _per_factor(values.reshape((16,) * n_particles),
+                        rep.basis.reshape(16, 16).T, n_particles)
+    return pairs.reshape((4,) * (2 * n_particles)).transpose(
+        np.argsort(_factor_pairs(n_particles))).reshape(dim, dim)
 
 
 def basis_gram(rep: GammaRep) -> np.ndarray:

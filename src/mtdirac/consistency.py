@@ -9,49 +9,37 @@ curvature
 vanishes identically.  For first-order Hamiltonians the curvature
 splits into first-order pieces, proportional to the commutators
 [alpha^a_j, V_k] (j != k), and a zeroth-order matrix residual.  This
-module computes both, extracts the sixteen-field coefficient form of a
-two-particle potential pair when it exists, and evaluates the scalar
-compatibility conditions (cc1..cc16) that characterize consistency in
-that form.
+module computes both and evaluates the scalar compatibility conditions
+(cc1..cc16) that characterize consistency in the sixteen-field
+coefficient form of a two-particle pair (see potential.COEFFICIENT_LAYOUT).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
-from .clifford import (
-    GAMMA5_ELEMENT,
-    IDENTITY_ELEMENT,
-    BasisClass,
-    BasisElement,
-    GammaRep,
-    TensorBasisElement,
-    embed,
-    tensor_element,
-)
-from .dsl import Add, Const, Expr, differentiate, evaluate, is_zero
+from .clifford import GammaRep, commutator, embed
+from .dsl import Expr, differentiate, evaluate
 from .potential import (
     COEFFICIENT_FIELDS_1,
     COEFFICIENT_FIELDS_2,
+    FIELD_NAMES,
+    CoefficientFormError,
+    CoefficientSet,
     MultiTimeSystem,
     Potential,
-    PotentialTerm,
     Region,
     SpecError,
     differentiate_potential,
     evaluate_potential,
     sample_configs,
+    to_coefficient_form,
 )
 
 VERDICT_CONSISTENT = "CONSISTENT"
 VERDICT_INCONSISTENT = "INCONSISTENT"
-
-
-class CoefficientFormError(Exception):
-    """The potential pair does not satisfy the coefficient-form shape."""
 
 
 # ---------------------------------------------------------------------------
@@ -67,10 +55,6 @@ def _batched_potential(potential: Potential, samples: np.ndarray,
     if out.ndim == 2:
         out = np.broadcast_to(out, (samples.shape[0], *out.shape))
     return out
-
-
-def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
 
 
 def zeroth_order_residual(system: MultiTimeSystem, coords: np.ndarray,
@@ -93,9 +77,9 @@ def zeroth_order_residual(system: MultiTimeSystem, coords: np.ndarray,
     g0_j = embed(rep.gamma(0), j, n)
     g0_k = embed(rep.gamma(0), k, n)
 
-    residual = (_commutator(v_k, v_j)
-                + system.mass(k) * _commutator(g0_k, v_j)
-                - system.mass(j) * _commutator(g0_j, v_k))
+    residual = (commutator(v_k, v_j)
+                + system.mass(k) * commutator(g0_k, v_j)
+                - system.mass(j) * commutator(g0_j, v_k))
     for mu in range(4):
         dv_j = _batched_potential(differentiate_potential(pot_j, k, mu),
                                   samples, rep)
@@ -127,165 +111,13 @@ def derivative_coefficient_matrices(
             v_k = _batched_potential(system.potential(k), samples, rep)
             for a in (1, 2, 3):
                 alpha = embed(rep.alpha(a), j, n)
-                value = _commutator(alpha, v_k)
+                value = commutator(alpha, v_k)
                 out[(j, a)] = value[0] if single else value
     return out
 
 
 def _sup_frobenius(batch: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(batch, axis=(-2, -1))))
-
-
-# ---------------------------------------------------------------------------
-# Coefficient form
-# ---------------------------------------------------------------------------
-
-_FIELDS_BY_SECTOR_1 = {
-    (BasisClass.ALPHA, 0): "W1", (BasisClass.G5ALPHA, 0): "Y1",
-    (BasisClass.GAMMA, 0): "A", (BasisClass.G5GAMMA, 0): "B",
-    (BasisClass.ALPHA, 1): "X1", (BasisClass.G5ALPHA, 1): "Z1",
-    (BasisClass.GAMMA, 1): "C", (BasisClass.G5GAMMA, 1): "D",
-}
-_FIELDS_BY_SECTOR_2 = {
-    (BasisClass.ALPHA, 0): "W2", (BasisClass.G5ALPHA, 0): "X2",
-    (BasisClass.GAMMA, 0): "E", (BasisClass.G5GAMMA, 0): "F",
-    (BasisClass.ALPHA, 1): "Y2", (BasisClass.G5ALPHA, 1): "Z2",
-    (BasisClass.GAMMA, 1): "G", (BasisClass.G5GAMMA, 1): "H",
-}
-
-FIELD_NAMES = COEFFICIENT_FIELDS_1 + COEFFICIENT_FIELDS_2
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    """The sixteen 4-component coefficient fields of a two-particle pair.
-
-    Particle-1 potential fields (indexed by mu): W1, X1, Y1, Z1 multiply
-    alpha-type structures; A, B, C, D multiply gamma-type structures.
-    Particle-2 potential fields (indexed by nu): W2, X2, Y2, Z2 and
-    E, F, G, H correspondingly.  Mass shifts are NOT folded in here;
-    the compatibility conditions apply them where required.
-    """
-
-    W1: tuple[Expr, ...]
-    X1: tuple[Expr, ...]
-    Y1: tuple[Expr, ...]
-    Z1: tuple[Expr, ...]
-    A: tuple[Expr, ...]
-    B: tuple[Expr, ...]
-    C: tuple[Expr, ...]
-    D: tuple[Expr, ...]
-    W2: tuple[Expr, ...]
-    X2: tuple[Expr, ...]
-    Y2: tuple[Expr, ...]
-    Z2: tuple[Expr, ...]
-    E: tuple[Expr, ...]
-    F: tuple[Expr, ...]
-    G: tuple[Expr, ...]
-    H: tuple[Expr, ...]
-
-    def field(self, name: str) -> tuple[Expr, ...]:
-        if name not in FIELD_NAMES:
-            raise KeyError(name)
-        return getattr(self, name)
-
-
-def _accumulate(a: Expr, b: Expr) -> Expr:
-    if is_zero(a):
-        return b
-    if is_zero(b):
-        return a
-    return Add(a, b)
-
-
-def to_coefficient_form(system: MultiTimeSystem) -> CoefficientSet:
-    """Extract the sixteen coefficient fields of a two-particle pair.
-
-    Requires every V_1 term to act on particle 2 only through 1 or
-    gamma5, and every V_2 term to act on particle 1 only through 1 or
-    gamma5; raises CoefficientFormError otherwise.
-    """
-    if system.n_particles != 2:
-        raise CoefficientFormError("coefficient form requires two particles")
-    fields: dict[str, list[Expr]] = {
-        name: [Const(0j)] * 4 for name in FIELD_NAMES}
-
-    for term in system.potential(1).terms:
-        own, other = term.structure.factors
-        if other == IDENTITY_ELEMENT:
-            sector = 0
-        elif other == GAMMA5_ELEMENT:
-            sector = 1
-        else:
-            raise CoefficientFormError(
-                f"V_1 term acts on particle 2 through {other.label()}")
-        name = _FIELDS_BY_SECTOR_1[(own.cls, sector)]
-        fields[name][own.mu] = _accumulate(fields[name][own.mu],
-                                           term.coefficient)
-
-    for term in system.potential(2).terms:
-        other, own = term.structure.factors
-        if other == IDENTITY_ELEMENT:
-            sector = 0
-        elif other == GAMMA5_ELEMENT:
-            sector = 1
-        else:
-            raise CoefficientFormError(
-                f"V_2 term acts on particle 1 through {other.label()}")
-        name = _FIELDS_BY_SECTOR_2[(own.cls, sector)]
-        fields[name][own.mu] = _accumulate(fields[name][own.mu],
-                                           term.coefficient)
-
-    return CoefficientSet(**{name: tuple(values)
-                             for name, values in fields.items()})
-
-
-_STRUCTURE_1 = {
-    "W1": (BasisClass.ALPHA, IDENTITY_ELEMENT),
-    "Y1": (BasisClass.G5ALPHA, IDENTITY_ELEMENT),
-    "A": (BasisClass.GAMMA, IDENTITY_ELEMENT),
-    "B": (BasisClass.G5GAMMA, IDENTITY_ELEMENT),
-    "X1": (BasisClass.ALPHA, GAMMA5_ELEMENT),
-    "Z1": (BasisClass.G5ALPHA, GAMMA5_ELEMENT),
-    "C": (BasisClass.GAMMA, GAMMA5_ELEMENT),
-    "D": (BasisClass.G5GAMMA, GAMMA5_ELEMENT),
-}
-_STRUCTURE_2 = {
-    "W2": (BasisClass.ALPHA, IDENTITY_ELEMENT),
-    "X2": (BasisClass.G5ALPHA, IDENTITY_ELEMENT),
-    "E": (BasisClass.GAMMA, IDENTITY_ELEMENT),
-    "F": (BasisClass.G5GAMMA, IDENTITY_ELEMENT),
-    "Y2": (BasisClass.ALPHA, GAMMA5_ELEMENT),
-    "Z2": (BasisClass.G5ALPHA, GAMMA5_ELEMENT),
-    "G": (BasisClass.GAMMA, GAMMA5_ELEMENT),
-    "H": (BasisClass.G5GAMMA, GAMMA5_ELEMENT),
-}
-
-
-def coefficient_set_to_system(coefficients: CoefficientSet,
-                              masses: tuple[float, float] = (1.0, 1.0),
-                              name: str = "coefficient_form",
-                              hermitian: bool = False) -> MultiTimeSystem:
-    """Rebuild the potential pair encoded by a coefficient set."""
-    terms_1 = []
-    for field_name in COEFFICIENT_FIELDS_1:
-        cls, sector = _STRUCTURE_1[field_name]
-        for mu, expr in enumerate(coefficients.field(field_name)):
-            if not is_zero(expr):
-                terms_1.append(PotentialTerm(
-                    tensor_element(BasisElement(cls, mu), sector), expr))
-    terms_2 = []
-    for field_name in COEFFICIENT_FIELDS_2:
-        cls, sector = _STRUCTURE_2[field_name]
-        for nu, expr in enumerate(coefficients.field(field_name)):
-            if not is_zero(expr):
-                terms_2.append(PotentialTerm(
-                    tensor_element(sector, BasisElement(cls, nu)), expr))
-    return MultiTimeSystem(
-        name=name, n_particles=2, masses=masses,
-        potentials=(Potential(1, 2, tuple(terms_1)),
-                    Potential(2, 2, tuple(terms_2))),
-        hermitian=hermitian)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +153,10 @@ def cc_residuals(coefficients: CoefficientSet,
 
     d1 = {name: [[ev_d(coefficients.field(name)[comp], 1, mu)
                   for comp in range(4)] for mu in range(4)]
-          for name in ("W2", "X2", "Y2", "Z2", "E", "F", "G", "H")}
+          for name in COEFFICIENT_FIELDS_2}
     d2 = {name: [[ev_d(coefficients.field(name)[comp], 2, nu)
                   for comp in range(4)] for nu in range(4)]
-          for name in ("W1", "X1", "Y1", "Z1", "A", "B", "C", "D")}
+          for name in COEFFICIENT_FIELDS_1}
 
     half_i = 0.5j
 
@@ -508,9 +340,9 @@ def curvature_operator(system: MultiTimeSystem, coords: np.ndarray,
 
     # -i [H_1, H_2]: cross terms of kinetic, mass, and potential parts.
     commutator_zeroth = (
-        _commutator(v_1, v_2)
-        + m_1 * _commutator(embed(rep.gamma(0), 1, n), v_2)
-        - m_2 * _commutator(embed(rep.gamma(0), 2, n), v_1))
+        commutator(v_1, v_2)
+        + m_1 * commutator(embed(rep.gamma(0), 1, n), v_2)
+        - m_2 * commutator(embed(rep.gamma(0), 2, n), v_1))
     for a in (1, 2, 3):
         commutator_zeroth = (
             commutator_zeroth
@@ -520,6 +352,6 @@ def curvature_operator(system: MultiTimeSystem, coords: np.ndarray,
 
     first = {}
     for a in (1, 2, 3):
-        first[(1, a)] = -_commutator(embed(rep.alpha(a), 1, n), v_2)
-        first[(2, a)] = _commutator(embed(rep.alpha(a), 2, n), v_1)
+        first[(1, a)] = -commutator(embed(rep.alpha(a), 1, n), v_2)
+        first[(2, a)] = commutator(embed(rep.alpha(a), 2, n), v_1)
     return CurvatureOperator(zeroth=zeroth, first=first)

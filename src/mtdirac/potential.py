@@ -3,7 +3,9 @@
 A system couples N Dirac particles, each with its own time.  Particle k
 evolves under H_k = -i sum_a alpha^a_k d/dx_{k,a} + m_k gamma0_k + V_k,
 where V_k is a sum of tensor-product spinor structures weighted by
-scalar coefficient expressions of all N spacetime coordinates.
+scalar coefficient expressions of all N spacetime coordinates.  The
+sixteen-field coefficient form of two-particle pairs is laid out once,
+in COEFFICIENT_LAYOUT.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -225,6 +228,140 @@ def sample_configs(n_samples: int, rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
+# Coefficient form
+# ---------------------------------------------------------------------------
+
+#: The coefficient-form layout, the one place it is written down: each of
+#: the sixteen 4-component fields maps to (the particle whose potential it
+#: enters, the class of that particle's factor, the other particle's
+#: factor).  Component mu of the field multiplies the class element mu.
+COEFFICIENT_LAYOUT = {
+    "W1": (1, BasisClass.ALPHA, IDENTITY_ELEMENT),
+    "X1": (1, BasisClass.ALPHA, GAMMA5_ELEMENT),
+    "Y1": (1, BasisClass.G5ALPHA, IDENTITY_ELEMENT),
+    "Z1": (1, BasisClass.G5ALPHA, GAMMA5_ELEMENT),
+    "A": (1, BasisClass.GAMMA, IDENTITY_ELEMENT),
+    "B": (1, BasisClass.G5GAMMA, IDENTITY_ELEMENT),
+    "C": (1, BasisClass.GAMMA, GAMMA5_ELEMENT),
+    "D": (1, BasisClass.G5GAMMA, GAMMA5_ELEMENT),
+    "W2": (2, BasisClass.ALPHA, IDENTITY_ELEMENT),
+    "X2": (2, BasisClass.G5ALPHA, IDENTITY_ELEMENT),
+    "Y2": (2, BasisClass.ALPHA, GAMMA5_ELEMENT),
+    "Z2": (2, BasisClass.G5ALPHA, GAMMA5_ELEMENT),
+    "E": (2, BasisClass.GAMMA, IDENTITY_ELEMENT),
+    "F": (2, BasisClass.G5GAMMA, IDENTITY_ELEMENT),
+    "G": (2, BasisClass.GAMMA, GAMMA5_ELEMENT),
+    "H": (2, BasisClass.G5GAMMA, GAMMA5_ELEMENT),
+}
+FIELD_NAMES = tuple(COEFFICIENT_LAYOUT)
+COEFFICIENT_FIELDS_1, COEFFICIENT_FIELDS_2 = (
+    tuple(name for name, (k, _, _) in COEFFICIENT_LAYOUT.items() if k == j)
+    for j in (1, 2))
+_FIELD_BY_STRUCTURE = {structure: name
+                       for name, structure in COEFFICIENT_LAYOUT.items()}
+
+
+def coefficient_field(particle: int, cls: BasisClass,
+                      other: BasisElement) -> str:
+    """Name of the field with the given layout entry (inverse lookup)."""
+    return _FIELD_BY_STRUCTURE[(particle, cls, other)]
+
+
+class CoefficientFormError(Exception):
+    """The potential pair does not satisfy the coefficient-form shape."""
+
+
+@dataclass(frozen=True)
+class CoefficientSet:
+    """The sixteen 4-component coefficient fields of a two-particle pair.
+
+    Particle-1 potential fields (indexed by mu): W1, X1, Y1, Z1 multiply
+    alpha-type structures; A, B, C, D multiply gamma-type structures.
+    Particle-2 potential fields (indexed by nu): W2, X2, Y2, Z2 and
+    E, F, G, H correspondingly.  Mass shifts are NOT folded in here;
+    the compatibility conditions apply them where required.
+    """
+
+    W1: tuple[Expr, ...]
+    X1: tuple[Expr, ...]
+    Y1: tuple[Expr, ...]
+    Z1: tuple[Expr, ...]
+    A: tuple[Expr, ...]
+    B: tuple[Expr, ...]
+    C: tuple[Expr, ...]
+    D: tuple[Expr, ...]
+    W2: tuple[Expr, ...]
+    X2: tuple[Expr, ...]
+    Y2: tuple[Expr, ...]
+    Z2: tuple[Expr, ...]
+    E: tuple[Expr, ...]
+    F: tuple[Expr, ...]
+    G: tuple[Expr, ...]
+    H: tuple[Expr, ...]
+
+    def field(self, name: str) -> tuple[Expr, ...]:
+        if name not in COEFFICIENT_LAYOUT:
+            raise KeyError(name)
+        return getattr(self, name)
+
+
+def _accumulate(a: Expr, b: Expr) -> Expr:
+    if is_zero(a):
+        return b
+    if is_zero(b):
+        return a
+    return Add(a, b)
+
+
+def to_coefficient_form(system: MultiTimeSystem) -> CoefficientSet:
+    """Extract the sixteen coefficient fields of a two-particle pair.
+
+    Requires every V_1 term to act on particle 2 only through 1 or
+    gamma5, and every V_2 term to act on particle 1 only through 1 or
+    gamma5; raises CoefficientFormError otherwise.
+    """
+    if system.n_particles != 2:
+        raise CoefficientFormError("coefficient form requires two particles")
+    fields: dict[str, list[Expr]] = {
+        name: [Const(0j)] * 4 for name in FIELD_NAMES}
+    for potential in system.potentials:
+        j = potential.particle
+        for term in potential.terms:
+            own = term.structure.factors[j - 1]
+            other = term.structure.factors[2 - j]
+            try:
+                name = coefficient_field(j, own.cls, other)
+            except KeyError:
+                raise CoefficientFormError(
+                    f"V_{j} term acts on particle {3 - j} through "
+                    f"{other.label()}") from None
+            fields[name][own.mu] = _accumulate(fields[name][own.mu],
+                                               term.coefficient)
+    return CoefficientSet(**{name: tuple(values)
+                             for name, values in fields.items()})
+
+
+def coefficient_set_to_system(coefficients: CoefficientSet,
+                              masses: tuple[float, float] = (1.0, 1.0),
+                              name: str = "coefficient_form",
+                              hermitian: bool = False) -> MultiTimeSystem:
+    """Rebuild the potential pair encoded by a coefficient set."""
+    terms: dict[int, list[PotentialTerm]] = {1: [], 2: []}
+    for field_name, (particle, cls, other) in COEFFICIENT_LAYOUT.items():
+        for mu, expr in enumerate(coefficients.field(field_name)):
+            if is_zero(expr):
+                continue
+            own = BasisElement(cls, mu)
+            factors = (own, other) if particle == 1 else (other, own)
+            terms[particle].append(
+                PotentialTerm(tensor_element(*factors), expr))
+    return MultiTimeSystem(
+        name=name, n_particles=2, masses=masses,
+        potentials=tuple(Potential(k, 2, tuple(terms[k])) for k in (1, 2)),
+        hermitian=hermitian)
+
+
+# ---------------------------------------------------------------------------
 # Builtin systems
 # ---------------------------------------------------------------------------
 
@@ -359,33 +496,6 @@ def build_hoho(params: Mapping | None = None) -> MultiTimeSystem:
         | {f"c{mu}": small_c[mu] for mu in range(4)})
 
 
-COEFFICIENT_FIELDS_1 = ("W1", "X1", "Y1", "Z1", "A", "B", "C", "D")
-COEFFICIENT_FIELDS_2 = ("W2", "X2", "Y2", "Z2", "E", "F", "G", "H")
-
-_SECTOR_1 = {
-    # (particle-1 class, particle-2 sector element) per field of V_1
-    "W1": (BasisClass.ALPHA, IDENTITY_ELEMENT),
-    "Y1": (BasisClass.G5ALPHA, IDENTITY_ELEMENT),
-    "A": (BasisClass.GAMMA, IDENTITY_ELEMENT),
-    "B": (BasisClass.G5GAMMA, IDENTITY_ELEMENT),
-    "X1": (BasisClass.ALPHA, GAMMA5_ELEMENT),
-    "Z1": (BasisClass.G5ALPHA, GAMMA5_ELEMENT),
-    "C": (BasisClass.GAMMA, GAMMA5_ELEMENT),
-    "D": (BasisClass.G5GAMMA, GAMMA5_ELEMENT),
-}
-_SECTOR_2 = {
-    # (particle-2 class, particle-1 sector element) per field of V_2
-    "W2": (BasisClass.ALPHA, IDENTITY_ELEMENT),
-    "X2": (BasisClass.G5ALPHA, IDENTITY_ELEMENT),
-    "E": (BasisClass.GAMMA, IDENTITY_ELEMENT),
-    "F": (BasisClass.G5GAMMA, IDENTITY_ELEMENT),
-    "Y2": (BasisClass.ALPHA, GAMMA5_ELEMENT),
-    "Z2": (BasisClass.G5ALPHA, GAMMA5_ELEMENT),
-    "G": (BasisClass.GAMMA, GAMMA5_ELEMENT),
-    "H": (BasisClass.G5GAMMA, GAMMA5_ELEMENT),
-}
-
-
 def _parse_field(value, name: str, params: Mapping[str, complex]) -> tuple[Expr, ...]:
     if value is None:
         return (Const(0j),) * 4
@@ -419,34 +529,16 @@ def build_coefficient_form(params: Mapping | None = None) -> MultiTimeSystem:
     strings.
     """
     params = dict(params or {})
-    allowed = (set(COEFFICIENT_FIELDS_1) | set(COEFFICIENT_FIELDS_2)
-               | {"m1", "m2", "hermitian", "name"})
+    allowed = set(FIELD_NAMES) | {"m1", "m2", "hermitian", "name"}
     _only_keys(params, allowed, "coefficient_form")
     masses = (float(params.get("m1", 1.0)), float(params.get("m2", 1.0)))
     dsl_params = {"m1": complex(masses[0]), "m2": complex(masses[1])}
-
-    terms_1: list[PotentialTerm] = []
-    for name in COEFFICIENT_FIELDS_1:
-        cls, sector = _SECTOR_1[name]
-        for mu, expr in enumerate(_parse_field(params.get(name), name, dsl_params)):
-            if is_zero(expr):
-                continue
-            terms_1.append(PotentialTerm(
-                tensor_element(BasisElement(cls, mu), sector), expr))
-    terms_2: list[PotentialTerm] = []
-    for name in COEFFICIENT_FIELDS_2:
-        cls, sector = _SECTOR_2[name]
-        for nu, expr in enumerate(_parse_field(params.get(name), name, dsl_params)):
-            if is_zero(expr):
-                continue
-            terms_2.append(PotentialTerm(
-                tensor_element(sector, BasisElement(cls, nu)), expr))
-
-    return MultiTimeSystem(
-        name=str(params.get("name", "coefficient_form")), n_particles=2,
-        masses=masses,
-        potentials=(Potential(1, 2, tuple(terms_1)),
-                    Potential(2, 2, tuple(terms_2))),
+    coefficients = CoefficientSet(**{
+        name: _parse_field(params.get(name), name, dsl_params)
+        for name in FIELD_NAMES})
+    return coefficient_set_to_system(
+        coefficients, masses,
+        name=str(params.get("name", "coefficient_form")),
         hermitian=bool(params.get("hermitian", False)))
 
 
@@ -529,6 +621,7 @@ def system_from_dict(data: Mapping) -> MultiTimeSystem:
         try:
             particle = int(entry["particle"])
             raw_terms = list(entry.get("terms", []))
+            raw_guards = list(entry.get("guards", []))
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"malformed potential entry: {exc}") from exc
         if particle in potentials:
@@ -559,7 +652,19 @@ def system_from_dict(data: Mapping) -> MultiTimeSystem:
             else:
                 coeff = Const(complex(coeff_src))
             terms.append(PotentialTerm(tensor_element(*elements), coeff))
-        potentials[particle] = Potential(particle, n_particles, tuple(terms))
+        guards = []
+        for raw in raw_guards:
+            if not isinstance(raw, Mapping) or not isinstance(
+                    raw.get("expr"), str):
+                raise SpecError("each guard needs an expression string 'expr'")
+            try:
+                threshold = float(raw.get("threshold", Guard.threshold))
+            except (TypeError, ValueError) as exc:
+                raise SpecError(f"malformed guard threshold: {exc}") from exc
+            guards.append(Guard(parse(raw["expr"], n_particles, params),
+                                threshold, str(raw.get("description", ""))))
+        potentials[particle] = Potential(particle, n_particles, tuple(terms),
+                                         tuple(guards))
 
     ordered = tuple(
         potentials.get(k, zero_potential(k, n_particles))
@@ -585,7 +690,12 @@ def system_to_dict(system: MultiTimeSystem) -> dict:
                         {"cls": element.cls.value, "mu": element.mu})
             terms.append({"factors": factors,
                           "coeff": to_source(term.coefficient)})
-        potentials.append({"particle": potential.particle, "terms": terms})
+        guards = [{"expr": to_source(guard.expr),
+                   "threshold": guard.threshold,
+                   "description": guard.description}
+                  for guard in potential.guards]
+        potentials.append({"particle": potential.particle, "terms": terms,
+                           "guards": guards})
     return {
         "name": system.name,
         "N": system.n_particles,
@@ -608,7 +718,21 @@ def load_system(path: str | os.PathLike) -> MultiTimeSystem:
     return system_from_dict(data)
 
 
+def write_text_atomic(path: str | os.PathLike, text: str) -> None:
+    """Atomic file write: stage to a temp file, then rename into place."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-mtdirac-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise
+
+
 def save_system(system: MultiTimeSystem, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(system_to_dict(system), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_text_atomic(
+        path, json.dumps(system_to_dict(system), indent=2, sort_keys=True)
+        + "\n")

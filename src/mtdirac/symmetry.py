@@ -26,10 +26,25 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .clifford import GammaRep, frobenius
-from .consistency import CoefficientFormError, CoefficientSet, to_coefficient_form
+from .clifford import (
+    EPSILON3,
+    GAMMA5_ELEMENT,
+    IDENTITY_ELEMENT,
+    BasisClass,
+    GammaRep,
+    frobenius,
+)
 from .dsl import Expr, differentiate, evaluate, is_constant
-from .potential import MultiTimeSystem, SpecError, evaluate_potential
+from .potential import (
+    COEFFICIENT_LAYOUT,
+    CoefficientFormError,
+    CoefficientSet,
+    MultiTimeSystem,
+    SpecError,
+    coefficient_field,
+    evaluate_potential,
+    to_coefficient_form,
+)
 
 GAUGE_REMOVABLE = "GAUGE_REMOVABLE"
 INTERACTING = "INTERACTING"
@@ -110,16 +125,7 @@ def make_rotation(axis: Sequence[float], angle: float,
     """Spatial rotation by `angle` about a spatial axis."""
     n = _unit(axis)
     generator = np.zeros((4, 4))
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                if (a, b, c) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-                    sign = 1.0
-                elif (a, b, c) in ((0, 2, 1), (2, 1, 0), (1, 0, 2)):
-                    sign = -1.0
-                else:
-                    continue
-                generator[1 + a, 1 + b] += -sign * n[c]
+    generator[1:, 1:] = -EPSILON3 @ n
     lorentz = expm(angle * generator)
     sigma_n = rep.gamma5 @ sum(n[a - 1] * rep.alpha(a) for a in (1, 2, 3))
     candidates = [expm(-0.5j * angle * sigma_n), expm(0.5j * angle * sigma_n)]
@@ -184,6 +190,13 @@ def translation_residual(system: MultiTimeSystem, offset: Sequence[float],
 # Exponential-family structure: coefficient ODEs
 # ---------------------------------------------------------------------------
 
+_GAMMA_FIELDS = tuple(
+    name for name, (_, cls, _) in COEFFICIENT_LAYOUT.items()
+    if cls in (BasisClass.GAMMA, BasisClass.G5GAMMA))
+_ALPHA_FIELDS = tuple(
+    name for name in COEFFICIENT_LAYOUT if name not in _GAMMA_FIELDS)
+
+
 def exponential_form_residual(coefficients: CoefficientSet,
                               masses: tuple[float, float],
                               samples: np.ndarray) -> dict[str, float]:
@@ -202,60 +215,43 @@ def exponential_form_residual(coefficients: CoefficientSet,
     Raises CoefficientFormError when an alpha-sector field is not
     constant.
     """
-    for name in ("W1", "X1", "Y1", "Z1", "W2", "X2", "Y2", "Z2"):
+    for name in _ALPHA_FIELDS:
         for component in coefficients.field(name):
             if not is_constant(component):
                 raise CoefficientFormError(
                     f"field {name} is not constant")
     samples = np.asarray(samples, float)
     coords = [[samples[:, k, mu] for mu in range(4)] for k in range(2)]
-    m1, m2 = masses
 
     def ev(expr: Expr) -> np.ndarray:
         return np.asarray(evaluate(expr, coords))
 
-    x1 = [ev(e) for e in coefficients.X1]
-    z1 = [ev(e) for e in coefficients.Z1]
-    y2 = [ev(e) for e in coefficients.Y2]
-    z2 = [ev(e) for e in coefficients.Z2]
-
     out: dict[str, float] = {}
-    for label, exprs, shift in (("A", coefficients.A, m1),
-                                ("B", coefficients.B, 0.0),
-                                ("C", coefficients.C, 0.0),
-                                ("D", coefficients.D, 0.0)):
-        worst = 0.0
-        for mu in range(4):
-            base_value = ev(exprs[mu]) + (shift if mu == 0 else 0.0)
-            for nu in range(4):
-                first = differentiate(exprs[mu], 2, nu)
-                for lam in range(4):
-                    second = ev(differentiate(first, 2, lam))
-                    rhs = 4.0 * (z2[lam] * z2[nu] - y2[lam] * y2[nu]) * base_value
-                    worst = max(worst, float(np.max(np.abs(second - rhs))))
-        out[f"ode_{label}"] = worst
-
-    for label, exprs, shift in (("E", coefficients.E, m2),
-                                ("F", coefficients.F, 0.0),
-                                ("G", coefficients.G, 0.0),
-                                ("H", coefficients.H, 0.0)):
-        worst = 0.0
-        for nu in range(4):
-            base_value = ev(exprs[nu]) + (shift if nu == 0 else 0.0)
+    for particle, partner in ((1, 2), (2, 1)):
+        # the partner's alpha-sector fields that carry gamma5 of `particle`
+        y, z = ([ev(e) for e in coefficients.field(
+                    coefficient_field(partner, cls, GAMMA5_ELEMENT))]
+                for cls in (BasisClass.ALPHA, BasisClass.G5ALPHA))
+        for name in _GAMMA_FIELDS:
+            owner, cls, other = COEFFICIENT_LAYOUT[name]
+            if owner != particle:
+                continue
+            exprs = coefficients.field(name)
+            is_mass_field = (cls, other) == (BasisClass.GAMMA, IDENTITY_ELEMENT)
+            shift = masses[particle - 1] if is_mass_field else 0.0
+            worst = 0.0
             for mu in range(4):
-                first = differentiate(exprs[nu], 1, mu)
-                for lam in range(4):
-                    second = ev(differentiate(first, 1, lam))
-                    rhs = 4.0 * (z1[lam] * z1[mu] - x1[lam] * x1[mu]) * base_value
-                    worst = max(worst, float(np.max(np.abs(second - rhs))))
-        out[f"ode_{label}"] = worst
-
-    out["branch_1"] = max(
-        float(np.max(np.abs(x1[mu] * z1[lam] - x1[lam] * z1[mu])))
-        for mu in range(4) for lam in range(4))
-    out["branch_2"] = max(
-        float(np.max(np.abs(y2[nu] * z2[lam] - y2[lam] * z2[nu])))
-        for nu in range(4) for lam in range(4))
+                base_value = ev(exprs[mu]) + (shift if mu == 0 else 0.0)
+                for nu in range(4):
+                    first = differentiate(exprs[mu], partner, nu)
+                    for lam in range(4):
+                        second = ev(differentiate(first, partner, lam))
+                        rhs = 4.0 * (z[lam] * z[nu] - y[lam] * y[nu]) * base_value
+                        worst = max(worst, float(np.max(np.abs(second - rhs))))
+            out[f"ode_{name}"] = worst
+        out[f"branch_{partner}"] = max(
+            float(np.max(np.abs(y[a] * z[b] - y[b] * z[a])))
+            for a in range(4) for b in range(4))
     return out
 
 
@@ -444,7 +440,10 @@ def classify_gauge(system: MultiTimeSystem | CoefficientSet,
                 if np.all(step == 0):
                     continue
                 integrand = integrand + h_value(sector, j, mu, path) * step
-        return np.trapezoid(integrand, s_nodes, axis=0)
+        # trapezoid rule along the path; numpy.trapezoid needs numpy 2 and
+        # importing scipy.integrate costs more start-up than the whole rule
+        steps = np.diff(s_nodes).reshape((-1,) + (1,) * (integrand.ndim - 1))
+        return (steps * (integrand[1:] + integrand[:-1]) / 2.0).sum(axis=0)
 
     gauge_components = {
         sector: path_integral(sector, base, configs)
@@ -529,7 +528,7 @@ def classify_interaction(system: MultiTimeSystem, rep: GammaRep,
     coefficients = to_coefficient_form(system)
     configs = grid.configs()
     gamma_sup = 0.0
-    for name in ("A", "B", "C", "D", "E", "F", "G", "H"):
+    for name in _GAMMA_FIELDS:
         for expr in coefficients.field(name):
             value = _eval_field(expr, configs)
             gamma_sup = max(gamma_sup, float(np.max(np.abs(value))))

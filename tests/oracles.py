@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+from functools import reduce
+
 import numpy as np
+
+from mtdirac.clifford import BasisClass, BasisElement, TensorBasisElement
 
 
 def fd_partial(f, coords: np.ndarray, k: int, mu: int, h: float = 1e-5):
@@ -35,3 +40,26 @@ def fd_matrix_partial(f, coords: np.ndarray, k: int, mu: int, h: float = 1e-5):
     coarse = central(h)
     fine = central(h / 2)
     return (4 * fine - coarse) / 3
+
+
+def _basis_matrix(element: BasisElement, rep) -> np.ndarray:
+    """A single-particle basis matrix straight from its definition."""
+    if element.cls in (BasisClass.ALPHA, BasisClass.G5ALPHA):
+        matrix = rep.alphas[element.mu]
+    else:
+        matrix = rep.gammas[element.mu]
+    if element.cls in (BasisClass.G5ALPHA, BasisClass.G5GAMMA):
+        matrix = rep.gamma5 @ matrix
+    return matrix
+
+
+def dense_decompose(matrix: np.ndarray, n_particles: int, rep) -> dict:
+    """Product-basis coefficients, one trace tr(B^dag M) / 4^N per element B."""
+    dim = 4**n_particles
+    singles = [BasisElement(cls, mu) for cls in BasisClass for mu in range(4)]
+    out = {}
+    for factors in itertools.product(singles, repeat=n_particles):
+        basis = reduce(np.kron, [_basis_matrix(f, rep) for f in factors])
+        out[TensorBasisElement(factors)] = complex(
+            np.trace(basis.conj().T @ matrix) / dim)
+    return out

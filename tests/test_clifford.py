@@ -25,6 +25,7 @@ from mtdirac.clifford import (
     tensor_element,
     verify_clifford,
 )
+from oracles import dense_decompose
 
 REPS = [build_dirac_rep(), build_weyl_rep()]
 
@@ -138,6 +139,23 @@ def test_decompose_roundtrip_random(dirac, rng):
         assert len(coeffs) == 256
         back = reconstruct(coeffs, 2, dirac)
         assert frobenius(back - m) < 1e-12
+
+
+@pytest.mark.parametrize("n_particles", [1, 2, 3])
+def test_decompose_and_reconstruct_match_dense_oracle(n_particles, weyl, rng):
+    dim = 4**n_particles
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    expected = dense_decompose(m, n_particles, weyl)
+    coeffs = decompose(m, n_particles, weyl)
+    assert list(coeffs) == list(expected)
+    assert max(abs(coeffs[k] - expected[k]) for k in expected) < 1e-14
+    assert frobenius(reconstruct(expected, n_particles, weyl) - m) < 1e-12
+
+
+def test_reconstruct_rejects_wrong_factor_count(dirac):
+    one_factor = tensor_element(BasisElement(BasisClass.GAMMA, 1))
+    with pytest.raises(ValueError):
+        reconstruct({one_factor: 1.0}, 2, dirac)
 
 
 def test_decompose_single_particle(dirac, rng):

@@ -19,7 +19,6 @@ from mtdirac.consistency import (
     CoefficientFormError,
     cc_residuals,
     check_consistency,
-    coefficient_set_to_system,
     curvature_operator,
     derivative_coefficient_matrices,
     to_coefficient_form,
@@ -31,6 +30,7 @@ from mtdirac.potential import (
     Potential,
     PotentialTerm,
     Region,
+    coefficient_set_to_system,
     evaluate_potential,
     make_builtin,
     sample_configs,

@@ -12,7 +12,7 @@ from mtdirac.clifford import (
     realize,
     tensor_element,
 )
-from mtdirac.dsl import Const, DslEvaluationError, DslParseError, parse
+from mtdirac.dsl import Const, DslParseError, parse, to_source
 from mtdirac.potential import (
     COEFFICIENT_FIELDS_1,
     COEFFICIENT_FIELDS_2,
@@ -398,11 +398,27 @@ def test_system_from_dict_propagates_parse_position():
     assert err.value.position == 4
 
 
-def test_guard_is_serializable_only_implicitly(dirac):
-    """Guards come from builtins; plain descriptions omit them."""
+def test_guards_survive_save_and_load(tmp_path, dirac):
     system = make_builtin("coulomb_like")
-    data = system_to_dict(system)
-    rebuilt = system_from_dict(data)
-    coords = np.zeros((2, 4))
-    with pytest.raises(DslEvaluationError):
-        evaluate_potential(rebuilt.potential(1), coords, dirac)
+    path = tmp_path / "coulomb.json"
+    save_system(system, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["coulomb.json"]
+    rebuilt = load_system(path)
+    for k in (1, 2):
+        before, after = system.potential(k).guards, rebuilt.potential(k).guards
+        assert len(after) == len(before) == 1
+        assert to_source(after[0].expr) == to_source(before[0].expr)
+        assert after[0].threshold == before[0].threshold
+        assert after[0].description == before[0].description
+    with pytest.raises(DomainError, match="interparticle distance"):
+        evaluate_potential(rebuilt.potential(1), np.zeros((2, 4)), dirac)
+
+
+@pytest.mark.parametrize("guard", [
+    "x1_1", {"threshold": 1e-6}, {"expr": 3}, {"expr": "x1_1", "threshold": "low"},
+])
+def test_system_from_dict_rejects_malformed_guard(guard):
+    data = {"N": 2, "masses": [1, 1],
+            "potentials": [{"particle": 1, "terms": [], "guards": [guard]}]}
+    with pytest.raises(SpecError):
+        system_from_dict(data)
