@@ -12,8 +12,9 @@ Exit codes:
     2   malformed input: unknown builtin, bad flags, coefficient
         expressions that fail to parse (message carries the source
         position), systems outside the required form
-    3   numerical-domain failure: a coefficient guard tripped or an
-        expression hit an evaluation singularity
+    3   numerical-domain failure: a coefficient guard tripped, an
+        expression hit an evaluation singularity, or a potential or
+        residual is not finite (reports are strict JSON)
 """
 from __future__ import annotations
 
@@ -130,7 +131,36 @@ def _float_list(text: str) -> tuple[float, ...]:
             f"expected comma-separated numbers, got {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError("expected at least one number")
+    if not all(math.isfinite(value) for value in values):
+        raise argparse.ArgumentTypeError(
+            f"expected finite numbers, got {text!r}")
     return values
+
+
+def _int_at_least(lower: int):
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < lower:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {lower}, got {value}")
+        return value
+    return convert
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number, got {text!r}")
+    return value
 
 
 def _load_cmd_system(args: argparse.Namespace) -> MultiTimeSystem:
@@ -352,9 +382,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=_int_at_least(0), default=0,
                         help="sampling seed; fixes the report bytes")
-    common.add_argument("--tol", type=float, default=1e-9,
+    common.add_argument("--tol", type=_positive_float, default=1e-9,
                         help="verdict tolerance (default 1e-9)")
     common.add_argument("--out", metavar="PATH",
                         help="write the JSON report here (default: stdout)")
@@ -372,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "coefficient expressions")
 
     sampling = argparse.ArgumentParser(add_help=False)
-    sampling.add_argument("--nsamples", type=int, default=100,
+    sampling.add_argument("--nsamples", type=_int_at_least(1), default=100,
                           help="number of sampled configurations")
 
     region = argparse.ArgumentParser(add_help=False)
@@ -443,7 +473,13 @@ def entry(argv: Sequence[str] | None = None) -> int:
     }
     if verdict is not None:
         envelope["verdict"] = verdict
-    text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(envelope, indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
+    except ValueError as exc:
+        print(f"mtdirac: error: report is not strict JSON: {exc}",
+              file=sys.stderr)
+        return EXIT_DOMAIN
     if args.out:
         write_text_atomic(args.out, text)
     else:

@@ -28,6 +28,7 @@ from .potential import (
     FIELD_NAMES,
     CoefficientFormError,
     CoefficientSet,
+    DomainError,
     MultiTimeSystem,
     Potential,
     Region,
@@ -120,6 +121,15 @@ def _sup_frobenius(batch: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(batch, axis=(-2, -1))))
 
 
+def _require_finite(sups: dict[str, float]) -> None:
+    """No verdict from non-finite numbers: raise DomainError on any."""
+    bad = sorted(name for name, sup in sups.items() if not np.isfinite(sup))
+    if bad:
+        raise DomainError(
+            f"non-finite residual in {', '.join(bad)} at the sampled "
+            "configurations")
+
+
 # ---------------------------------------------------------------------------
 # Scalar compatibility conditions
 # ---------------------------------------------------------------------------
@@ -140,7 +150,8 @@ def cc_residuals(coefficients: CoefficientSet,
     m1, m2 = masses
 
     def ev(expr: Expr) -> np.ndarray:
-        return np.asarray(evaluate(expr, coords))
+        with np.errstate(all="ignore"):
+            return np.asarray(evaluate(expr, coords))
 
     def ev_d(expr: Expr, k: int, mu: int) -> np.ndarray:
         return ev(differentiate(expr, k, mu))
@@ -205,14 +216,13 @@ def cc_residuals(coefficients: CoefficientSet,
         raise KeyError(family)
 
     out = {}
-    for index in range(1, 17):
-        family = f"cc{index}"
-        worst = 0.0
-        for mu in range(4):
-            for nu in range(4):
-                worst = max(worst,
-                            float(np.max(np.abs(residual(mu, nu, family)))))
-        out[family] = worst
+    with np.errstate(all="ignore"):
+        for index in range(1, 17):
+            family = f"cc{index}"
+            out[family] = float(np.max(
+                [np.max(np.abs(residual(mu, nu, family)))
+                 for mu in range(4) for nu in range(4)]))
+    _require_finite(out)
     return out
 
 
@@ -273,12 +283,16 @@ def check_consistency(system: MultiTimeSystem, rep: GammaRep, *,
     else:
         samples = np.asarray(samples, float)
 
-    matrices = derivative_coefficient_matrices(system, samples, rep)
-    deriv_sup = tuple(
-        _sup_frobenius(matrices[(j, a)])
-        for j in (1, 2) for a in (1, 2, 3))
-    zeroth_sup = _sup_frobenius(
-        zeroth_order_residual(system, samples, rep))
+    with np.errstate(all="ignore"):
+        matrices = derivative_coefficient_matrices(system, samples, rep)
+        deriv_sup = tuple(
+            _sup_frobenius(matrices[(j, a)])
+            for j in (1, 2) for a in (1, 2, 3))
+        zeroth_sup = _sup_frobenius(
+            zeroth_order_residual(system, samples, rep))
+    _require_finite({"zeroth_sup": zeroth_sup} | {
+        f"deriv_coeff_sup[{index}]": sup
+        for index, sup in enumerate(deriv_sup)})
 
     cc: dict[str, float] | None = None
     if include_cc:

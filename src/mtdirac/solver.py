@@ -7,6 +7,16 @@ variable t_k uses Strang splitting: an exact matrix exponential of the
 potential V_k at the midpoint time wrapped around a spectral free step
 exp(-i dt (alpha3_k kappa + gamma0_k m_k)) per Fourier mode kappa.
 
+The free step acts on particle k's spin factor only; lifted to the
+16-component spin index (Kronecker product with the identity on the
+other factor) it is one 16x16 kernel K(kappa) per mode, applied as a
+batched matmul between one FFT and one inverse FFT along z_k.  When
+V_k depends only on the times, its half-step phase P is a single 16x16
+matrix that commutes with the FFT, so it is folded into the kernel as
+P K(kappa) P and the step touches the grid only through the FFTs and
+the matmul.  A phase that varies over the grid is applied pointwise
+before the FFT and after the inverse FFT.
+
 Two experiments probe the compatibility of the pair of evolutions:
 
 * path independence — evolve in t_1 then t_2 and in the reverse order;
@@ -28,7 +38,12 @@ import scipy.linalg
 
 from .clifford import GammaRep
 from .consistency import curvature_operator
-from .potential import MultiTimeSystem, SpecError, evaluate_potential
+from .potential import (
+    DomainError,
+    MultiTimeSystem,
+    SpecError,
+    evaluate_potential,
+)
 
 _HERMITIAN_TOL = 1e-10
 
@@ -41,8 +56,8 @@ class Grid:
     points: int = 128
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise SpecError("grid length must be positive")
+        if not (np.isfinite(self.length) and self.length > 0):
+            raise SpecError("grid length must be positive and finite")
         if self.points < 16:
             raise SpecError("grid needs at least 16 points")
 
@@ -137,17 +152,30 @@ def _step_coords(grid: Grid, t1: float, t2: float) -> list:
             [t2, 0.0, 0.0, zs[None, :]]]
 
 
+def _pointwise(matrices: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Apply a (..., 16, 16) matrix field to (n, n, 16) values pointwise."""
+    return np.matmul(matrices, values[..., None])[..., 0]
+
+
 def _potential_phase(system: MultiTimeSystem, particle: int,
                      times: Sequence[float], dt: float, grid: Grid,
                      rep: GammaRep) -> np.ndarray | None:
-    """exp(-i (dt/2) V_k) at the midpoint time, or None when V_k = 0."""
+    """exp(-i (dt/2) V_k) at the midpoint time, or None when V_k = 0.
+
+    The result is one (16, 16) matrix when V_k depends only on the
+    times, else a (..., 16, 16) field broadcastable over the grid.
+    Raises DomainError when V_k or the phase is not finite.
+    """
     potential = system.potential(particle)
     if potential.is_zero():
         return None
     mid = list(times)
     mid[particle - 1] += dt / 2
     coords = _step_coords(grid, mid[0], mid[1])
-    v = evaluate_potential(potential, coords, rep)
+    with np.errstate(all="ignore"):
+        v = evaluate_potential(potential, coords, rep)
+    if not np.all(np.isfinite(v)):
+        raise DomainError(f"potential V_{particle} is not finite on the grid")
     if v.ndim == 2 and not np.any(v):
         return None
     if system.hermitian:
@@ -158,9 +186,14 @@ def _potential_phase(system: MultiTimeSystem, particle: int,
                 f"{float(defect):.3e}")
         eigenvalues, basis = np.linalg.eigh(v)
         phases = np.exp(-0.5j * dt * eigenvalues)
-        return np.einsum("...ab,...b,...cb->...ac",
-                         basis, phases, np.conj(basis))
-    return scipy.linalg.expm(-0.5j * dt * v)
+        return (basis * phases[..., None, :]) @ np.conj(
+            np.swapaxes(basis, -1, -2))
+    with np.errstate(all="ignore"):
+        phase = scipy.linalg.expm(-0.5j * dt * v)
+    if not np.all(np.isfinite(phase)):
+        raise DomainError(
+            f"exp(-i dt V_{particle} / 2) is not finite on the grid")
+    return phase
 
 
 def _free_multiplier(grid: Grid, mass: float, dt: float,
@@ -190,22 +223,27 @@ def step(psi: WaveFunction, particle: int, dt: float,
             f"|dt| = {abs(dt):g} exceeds the grid spacing {grid.spacing:g}")
 
     phase = _potential_phase(system, particle, psi.times, dt, grid, rep)
-    values = psi.values
-    if phase is not None:
-        values = np.einsum("...ij,...j->...i", phase, values)
-
-    n = grid.points
-    axis = particle - 1
-    spectral = np.fft.fft(values.reshape(n, n, 4, 4), axis=axis)
     multiplier = _free_multiplier(grid, system.mass(particle), dt, rep)
-    if particle == 1:
-        spectral = np.einsum("xab,xybs->xyas", multiplier, spectral)
-    else:
-        spectral = np.einsum("yab,xysb->xysa", multiplier, spectral)
-    values = np.fft.ifft(spectral, axis=axis).reshape(n, n, 16)
+    eye = np.eye(4)
+    # (n, 16, 16): the free propagator on particle k's spin factor
+    kernel = (np.kron(multiplier, eye) if particle == 1
+              else np.kron(eye, multiplier))
+    if phase is not None and phase.ndim == 2:
+        kernel = phase @ kernel @ phase
+        phase = None
 
+    # particle k's grid axis leads, so kernel row x acts on values[x]
+    values = psi.values if particle == 1 else psi.values.swapaxes(0, 1)
     if phase is not None:
-        values = np.einsum("...ij,...j->...i", phase, values)
+        phase = phase if particle == 1 else phase.swapaxes(0, 1)
+        values = _pointwise(phase, values)
+    spectral = np.fft.fft(values, axis=0)
+    spectral = spectral @ kernel.swapaxes(-1, -2)
+    values = np.fft.ifft(spectral, axis=0)
+    if phase is not None:
+        values = _pointwise(phase, values)
+    if particle == 2:
+        values = values.swapaxes(0, 1)
 
     t1, t2 = psi.times
     times = (t1 + dt, t2) if particle == 1 else (t1, t2 + dt)
@@ -228,10 +266,10 @@ class Leg:
     def __post_init__(self):
         if self.particle not in (1, 2):
             raise SpecError("leg particle must be 1 or 2")
-        if self.duration < 0:
-            raise SpecError("leg duration must be nonnegative")
-        if self.dt <= 0:
-            raise SpecError("leg dt must be positive")
+        if not (np.isfinite(self.duration) and self.duration >= 0):
+            raise SpecError("leg duration must be nonnegative and finite")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise SpecError("leg dt must be positive and finite")
         if self.direction not in (1, -1):
             raise SpecError("leg direction must be +1 or -1")
 
@@ -255,10 +293,15 @@ def evolve_path(psi: WaveFunction, path: Sequence[Leg],
 
 
 def _fitted_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    ys = np.asarray(ys, float)
-    if len(xs) < 2 or np.any(ys <= 0):
-        return float("nan")
-    return float(np.polyfit(np.log(np.asarray(xs, float)), np.log(ys), 1)[0])
+    xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+    if len(np.unique(xs)) < 2 or np.any(ys <= 0):
+        return float("nan")  # a slope needs two distinct steps
+    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+
+
+def _finite_or_none(value: float) -> float | None:
+    """Report an undefined fit (NaN) as null, keeping reports strict JSON."""
+    return value if np.isfinite(value) else None
 
 
 @dataclass(frozen=True)
@@ -271,7 +314,7 @@ class PathIndependenceResult:
     def as_dict(self) -> dict:
         return {
             "rows": [{"dt": dt, "discrepancy": disc} for dt, disc in self.rows],
-            "fitted_order": self.fitted_order,
+            "fitted_order": _finite_or_none(self.fitted_order),
         }
 
 
@@ -331,7 +374,7 @@ class HolonomyResult:
             "rows": [{"delta": d, "deviation": dev,
                       "deviation_per_delta2": ratio}
                      for d, dev, ratio in self.rows],
-            "fitted_slope": self.fitted_slope,
+            "fitted_slope": _finite_or_none(self.fitted_slope),
         }
 
 
@@ -369,13 +412,13 @@ def apply_curvature(system: MultiTimeSystem, psi: WaveFunction,
     grid = psi.grid
     coords = _grid_coords(grid, *psi.times)
     operator = curvature_operator(system, coords, rep)
-    out = np.einsum("...ij,...j->...i", operator.zeroth, psi.values)
+    out = _pointwise(operator.zeroth, psi.values)
     for particle in (1, 2):
         matrix = operator.first[(particle, 3)]
         if not np.any(matrix):
             continue
         derivative = _spectral_derivative(psi.values, grid, particle - 1)
-        out = out + np.einsum("...ij,...j->...i", matrix, derivative)
+        out = out + _pointwise(matrix, derivative)
     return out
 
 

@@ -6,8 +6,10 @@ import itertools
 from functools import reduce
 
 import numpy as np
+import scipy.linalg
 
 from mtdirac.clifford import BasisClass, BasisElement, TensorBasisElement
+from mtdirac.potential import evaluate_potential
 
 
 def fd_partial(f, coords: np.ndarray, k: int, mu: int, h: float = 1e-5):
@@ -63,3 +65,36 @@ def dense_decompose(matrix: np.ndarray, n_particles: int, rep) -> dict:
         out[TensorBasisElement(factors)] = complex(
             np.trace(basis.conj().T @ matrix) / dim)
     return out
+
+
+def reference_step(psi, particle: int, dt: float, system, rep) -> np.ndarray:
+    """One Strang step as the einsum sandwich phase . free . phase.
+
+    The half-step phase is expm(-i (dt/2) V_k) at the midpoint time,
+    broadcast over the grid, and the free step is expm(-i dt (alpha3 kappa +
+    gamma0 m)) per Fourier mode acting on particle k's 4-component spin
+    factor of the (n, n, 4, 4) state; returns the (n, n, 16) values.
+    """
+    grid = psi.grid
+    n = grid.points
+    zs = grid.positions()
+    mid = list(psi.times)
+    mid[particle - 1] += dt / 2
+    coords = [[mid[0], 0.0, 0.0, zs[:, None]], [mid[1], 0.0, 0.0, zs[None, :]]]
+    potential = evaluate_potential(system.potential(particle), coords, rep)
+    phase = scipy.linalg.expm(-0.5j * dt * potential)
+
+    kappa = grid.momenta()
+    hamiltonian = (rep.alpha(3)[None] * kappa[:, None, None]
+                   + rep.gamma(0)[None] * system.mass(particle))
+    multiplier = scipy.linalg.expm(-1j * dt * hamiltonian)
+
+    values = np.einsum("...ij,...j->...i", phase, psi.values)
+    axis = particle - 1
+    spectral = np.fft.fft(values.reshape(n, n, 4, 4), axis=axis)
+    if particle == 1:
+        spectral = np.einsum("xab,xybs->xyas", multiplier, spectral)
+    else:
+        spectral = np.einsum("yab,xysb->xysa", multiplier, spectral)
+    values = np.fft.ifft(spectral, axis=axis).reshape(n, n, 16)
+    return np.einsum("...ij,...j->...i", phase, values)

@@ -5,12 +5,17 @@ subprocess test confirms `python -m mtdirac` works as installed.
 """
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtdirac import (
     BasisClass,
@@ -411,3 +416,128 @@ def test_python_dash_m_runs(tmp_path):
     assert result.returncode == 0
     envelope = json.loads(result.stdout)
     assert envelope["report"]["zeroth_sup"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# non-finite numbers and flag validation
+# ---------------------------------------------------------------------------
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite value {token} in report")
+
+
+def strict_json(text):
+    """Parse a report as strict JSON: NaN and Infinity raise ValueError."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--builtin", "coefficient_form",
+     "--param", "E=exp(100*x1_3),0,0,0", "--grid-n", "32",
+     "--delta", "0.1,0.05"],
+    ["check", "--builtin", "coefficient_form",
+     "--param", "W1=exp(1000*x2_0),0,0,0", "--expect", "consistent"],
+    ["cc", "--builtin", "coefficient_form",
+     "--param", "W1=exp(1000*x2_0),0,0,0"],
+], ids=["simulate", "check", "cc"])
+def test_non_finite_numbers_exit_three_without_warnings(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = entry(argv)
+    assert code == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err or "non-finite" in captured.err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_nonpositive_nsamples_is_usage_error(count):
+    with pytest.raises(SystemExit) as excinfo:
+        entry(["check", "--builtin", "hoho", "--nsamples", count])
+    assert excinfo.value.code == EXIT_SPEC
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_report_value_exits_three(capsys):
+    # classify's translation residual overflows to infinity here
+    code = entry(["classify", "--builtin", "coefficient_form",
+                  "--param", "W1=exp(1000*x2_0),0,0,0", "--nsamples", "5"])
+    assert code == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not strict JSON" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--builtin", "hoho", "--seed", "-1"],
+    ["check", "--builtin", "hoho", "--tol", "nan"],
+    ["check", "--builtin", "hoho", "--tol", "0"],
+    ["simulate", "--builtin", "free", "--grid-n", "16", "--dt", "0.1,nan"],
+    ["simulate", "--builtin", "free", "--grid-n", "16", "--dt", "0.1",
+     "--T", "nan"],
+    ["simulate", "--builtin", "free", "--grid-n", "16", "--dt", "0.1",
+     "--box-L", "inf"],
+])
+def test_out_of_range_flags_exit_two(argv):
+    assert _exit_code(argv) == (EXIT_SPEC, None)
+
+
+def test_undefined_fit_is_reported_as_null(capsys):
+    code = entry(["simulate", "--builtin", "free", "--grid-n", "16",
+                  "--dt", "0.25"])
+    assert code == EXIT_OK
+    envelope = strict_json(capsys.readouterr().out)
+    assert envelope["report"]["fitted_order"] is None
+
+
+def _exit_code(argv):
+    """Exit code of one in-process run, output discarded."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = entry(argv)
+        except SystemExit as exc:  # argparse usage errors
+            return exc.code, None
+    return code, sink.getvalue() if code == EXIT_OK else None
+
+
+def _assert_documented_exit(argv, code, text):
+    expected = {EXIT_OK, EXIT_SPEC, EXIT_DOMAIN}
+    if "--expect" in argv:
+        expected.add(EXIT_EXPECT)
+    assert code in expected, argv
+    if text is not None:
+        strict_json(text)
+
+
+_NUMBERS = ["0", "-1", "1e-300", "1e-9", "0.05", "0.1", "0.25", "0.5",
+            "2", "1e300", "nan", "inf", "-inf", "x"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(nsamples=st.sampled_from(["-3", "0", "1", "2", "7", "x"]),
+       tol=st.sampled_from(_NUMBERS),
+       builtin=st.sampled_from(["free", "hoho", "example1_vector"]),
+       expect=st.sampled_from([None, "consistent", "inconsistent"]))
+def test_check_exit_codes_are_documented(nsamples, tol, builtin, expect):
+    argv = ["check", "--builtin", builtin, "--nsamples", nsamples,
+            "--tol", tol]
+    if expect is not None:
+        argv += ["--expect", expect]
+    _assert_documented_exit(argv, *_exit_code(argv))
+
+
+_STEPS = st.lists(st.sampled_from(["-0.1", "0", "0.05", "0.1", "0.25",
+                                   "2", "nan", "inf", "x"]),
+                  min_size=1, max_size=2).map(",".join)
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid_n=st.integers(-2, 32).map(str),
+       series=st.sampled_from(["--dt", "--delta"]),
+       steps=_STEPS,
+       builtin=st.sampled_from(["free", "hoho"]))
+def test_simulate_exit_codes_are_documented(grid_n, series, steps, builtin):
+    argv = ["simulate", "--builtin", builtin, "--grid-n", grid_n,
+            series, steps]
+    _assert_documented_exit(argv, *_exit_code(argv))

@@ -22,6 +22,7 @@ from mtdirac.solver import (
     spacelike_mask,
     step,
 )
+from oracles import reference_step
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +163,46 @@ def test_coulomb_singularity_raises_domain_error(grid, psi0, dirac):
         step(psi0, 1, 0.1, system, dirac)
 
 
+def test_non_finite_potential_raises_domain_error(grid, psi0, dirac):
+    system = make_builtin("coefficient_form", {"E": ("exp(100*x1_3)", 0, 0, 0)})
+    with pytest.raises(DomainError, match="not finite"):
+        step(psi0, 2, 0.1, system, dirac)
+    # a finite potential whose exponential overflows
+    system = make_builtin("coefficient_form", {"E": ("1e4*i*x1_3", 0, 0, 0)})
+    with pytest.raises(DomainError, match="not finite"):
+        step(psi0, 2, 0.1, system, dirac)
+
+
+_ORACLE_SYSTEMS = {
+    "time-only hermitian phase": ("hoho", {}),
+    "grid hermitian phase": ("hoho", {"c": (1.0, 0.0, 0.0, 0.5)}),
+    # V_2 varies over the grid unevenly in z_1 and z_2
+    "grid hermitian phase on V_2": ("coefficient_form", {
+        "E": ("0.5*sin(x1_3 + 2*x2_3)", 0, 0, 0), "hermitian": True}),
+    "grid expm phase": ("coefficient_form", {
+        "W1": (0, 0, 0, "0.5*cos(x1_3 - x2_3)"),
+        "E": ("0.5*sin(x1_3 + 2*x2_3)", 0, 0, 0)}),
+    "zero potential": ("free", {}),
+}
+
+
+@pytest.mark.parametrize("dt", [0.1, -0.1])
+@pytest.mark.parametrize("particle", [1, 2])
+@pytest.mark.parametrize("label", sorted(_ORACLE_SYSTEMS))
+def test_step_matches_einsum_reference(label, particle, dt, dirac):
+    name, params = _ORACLE_SYSTEMS[label]
+    system = make_builtin(name, params)
+    small = Grid(points=16)
+    psi = product_state(small, spinor1=(0.6, 0.2j, -0.5, 0.3),
+                        spinor2=(0.1, 0.7, 0.4j, -0.2),
+                        momenta=(0.8, -0.5), times=(0.3, -0.2))
+    out = step(psi, particle, dt, system, dirac)
+    expected = reference_step(psi, particle, dt, system, dirac)
+    deviation = np.sqrt(np.sum(np.abs(out.values - expected) ** 2)) \
+        * small.spacing
+    assert deviation <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # Paths
 # ---------------------------------------------------------------------------
@@ -278,6 +319,8 @@ def test_apply_curvature_uses_first_order_parts(grid, psi0, dirac):
 def test_fitted_slope_handles_degenerate_rows():
     result = HolonomyResult(((0.1, 0.0, 0.0), (0.05, 0.0, 0.0)))
     assert np.isnan(result.fitted_slope)
+    repeated = HolonomyResult(((0.1, 1e-3, 0.1), (0.1, 2e-3, 0.2)))
+    assert np.isnan(repeated.fitted_slope)
 
 
 # ---------------------------------------------------------------------------
