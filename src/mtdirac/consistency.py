@@ -9,9 +9,11 @@ curvature
 vanishes identically.  For first-order Hamiltonians the curvature
 splits into first-order pieces, proportional to the commutators
 [alpha^a_j, V_k] (j != k), and a zeroth-order matrix residual.  This
-module computes both and evaluates the scalar compatibility conditions
-(cc1..cc16) that characterize consistency in the sixteen-field
-coefficient form of a two-particle pair (see potential.COEFFICIENT_LAYOUT).
+module computes both, each on a whole configuration stack (..., N, 4)
+in one call, assembles the curvature from them, and evaluates the
+scalar compatibility conditions (cc1..cc16) that characterize
+consistency in the sixteen-field coefficient form of a two-particle
+pair (see potential.COEFFICIENT_LAYOUT).
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ from .potential import (
     CoefficientSet,
     DomainError,
     MultiTimeSystem,
-    Potential,
     Region,
     SpecError,
     differentiate_potential,
-    evaluate_potential,
+    evaluate_stack,
     sample_configs,
+    stack_coords,
     to_coefficient_form,
 )
 
@@ -47,14 +49,48 @@ VERDICT_INCONSISTENT = "INCONSISTENT"
 # Matrix-level residuals
 # ---------------------------------------------------------------------------
 
-def _batched_potential(potential: Potential, samples: np.ndarray,
-                       rep: GammaRep) -> np.ndarray:
-    """Evaluate a potential at a stack of configurations -> (S, D, D)."""
-    coords = [[samples[:, k, mu] for mu in range(4)]
-              for k in range(potential.n_particles)]
-    out = evaluate_potential(potential, coords, rep)
-    if out.ndim == 2:
-        out = np.broadcast_to(out, (samples.shape[0], *out.shape))
+def _over_stack(matrices: np.ndarray, coords) -> np.ndarray:
+    """Broadcast (..., D, D) to the stack's leading shape (a view)."""
+    return np.broadcast_to(
+        matrices, np.shape(coords)[:-2] + matrices.shape[-2:])
+
+
+def _zeroth_order(system: MultiTimeSystem, coords, rep: GammaRep,
+                  j: int, k: int) -> np.ndarray:
+    """E(j,k), broadcastable against the stack like evaluate_stack."""
+    n = system.n_particles
+    pot_j, pot_k = system.potential(j), system.potential(k)
+    v_j = evaluate_stack(pot_j, coords, rep)
+    v_k = evaluate_stack(pot_k, coords, rep)
+    g0_j = embed(rep.gamma(0), j, n)
+    g0_k = embed(rep.gamma(0), k, n)
+
+    residual = (commutator(v_k, v_j)
+                + system.mass(k) * commutator(g0_k, v_j)
+                - system.mass(j) * commutator(g0_j, v_k))
+    for mu in range(4):
+        dv_j = evaluate_stack(differentiate_potential(pot_j, k, mu),
+                              coords, rep)
+        dv_k = evaluate_stack(differentiate_potential(pot_k, j, mu),
+                              coords, rep)
+        residual = (residual
+                    - 1j * embed(rep.alpha(mu), k, n) @ dv_j
+                    + 1j * embed(rep.alpha(mu), j, n) @ dv_k)
+    return residual
+
+
+def _first_order(system: MultiTimeSystem, coords,
+                 rep: GammaRep) -> dict[tuple[int, int], np.ndarray]:
+    """[alpha^a_j, V_k] by (j, a), broadcastable like evaluate_stack."""
+    n = system.n_particles
+    out: dict[tuple[int, int], np.ndarray] = {}
+    for j in range(1, n + 1):
+        for k in range(1, n + 1):
+            if j == k:
+                continue
+            v_k = evaluate_stack(system.potential(k), coords, rep)
+            for a in (1, 2, 3):
+                out[(j, a)] = commutator(embed(rep.alpha(a), j, n), v_k)
     return out
 
 
@@ -65,31 +101,10 @@ def zeroth_order_residual(system: MultiTimeSystem, coords: np.ndarray,
     E(j,k) = [V_k, V_j] + m_k [gamma0_k, V_j] - m_j [gamma0_j, V_k]
              - i alpha^mu_k (d_{k,mu} V_j) + i alpha^nu_j (d_{j,nu} V_k)
 
-    coords may be a single (N, 4) configuration or a stack (S, N, 4);
-    the result is (D, D) or (S, D, D) accordingly.
+    coords is a configuration stack (..., N, 4), a single configuration
+    being the stack (N, 4); the result is (..., D, D).
     """
-    coords = np.asarray(coords, float)
-    single = coords.ndim == 2
-    samples = coords[None] if single else coords
-    n = system.n_particles
-    pot_j, pot_k = system.potential(j), system.potential(k)
-    v_j = _batched_potential(pot_j, samples, rep)
-    v_k = _batched_potential(pot_k, samples, rep)
-    g0_j = embed(rep.gamma(0), j, n)
-    g0_k = embed(rep.gamma(0), k, n)
-
-    residual = (commutator(v_k, v_j)
-                + system.mass(k) * commutator(g0_k, v_j)
-                - system.mass(j) * commutator(g0_j, v_k))
-    for mu in range(4):
-        dv_j = _batched_potential(differentiate_potential(pot_j, k, mu),
-                                  samples, rep)
-        dv_k = _batched_potential(differentiate_potential(pot_k, j, mu),
-                                  samples, rep)
-        residual = (residual
-                    - 1j * embed(rep.alpha(mu), k, n) @ dv_j
-                    + 1j * embed(rep.alpha(mu), j, n) @ dv_k)
-    return residual[0] if single else residual
+    return _over_stack(_zeroth_order(system, coords, rep, j, k), coords)
 
 
 def derivative_coefficient_matrices(
@@ -98,23 +113,11 @@ def derivative_coefficient_matrices(
     """First-order obstruction matrices [alpha^a_j, V_other(j)].
 
     Keyed by (j, a) for particles j and spatial directions a in 1..3;
-    every one of them must vanish identically for consistency.
+    every one of them must vanish identically for consistency.  Each is
+    (..., D, D) for a configuration stack (..., N, 4).
     """
-    coords = np.asarray(coords, float)
-    single = coords.ndim == 2
-    samples = coords[None] if single else coords
-    n = system.n_particles
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            if j == k:
-                continue
-            v_k = _batched_potential(system.potential(k), samples, rep)
-            for a in (1, 2, 3):
-                alpha = embed(rep.alpha(a), j, n)
-                value = commutator(alpha, v_k)
-                out[(j, a)] = value[0] if single else value
-    return out
+    return {key: _over_stack(matrices, coords)
+            for key, matrices in _first_order(system, coords, rep).items()}
 
 
 def _sup_frobenius(batch: np.ndarray) -> float:
@@ -134,6 +137,7 @@ def _require_finite(sups: dict[str, float]) -> None:
 # Scalar compatibility conditions
 # ---------------------------------------------------------------------------
 
+@np.errstate(all="ignore")
 def cc_residuals(coefficients: CoefficientSet,
                  masses: tuple[float, float],
                  samples: np.ndarray) -> dict[str, float]:
@@ -145,13 +149,11 @@ def cc_residuals(coefficients: CoefficientSet,
     configurations.  Mass shifts m1 delta_{0 mu} and m2 delta_{0 nu}
     enter through the shifted fields A and E.
     """
-    samples = np.asarray(samples, float)
-    coords = [[samples[:, k, mu] for mu in range(4)] for k in range(2)]
+    coords = stack_coords(samples)
     m1, m2 = masses
 
     def ev(expr: Expr) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            return np.asarray(evaluate(expr, coords))
+        return np.asarray(evaluate(expr, coords))
 
     def ev_d(expr: Expr, k: int, mu: int) -> np.ndarray:
         return ev(differentiate(expr, k, mu))
@@ -216,12 +218,11 @@ def cc_residuals(coefficients: CoefficientSet,
         raise KeyError(family)
 
     out = {}
-    with np.errstate(all="ignore"):
-        for index in range(1, 17):
-            family = f"cc{index}"
-            out[family] = float(np.max(
-                [np.max(np.abs(residual(mu, nu, family)))
-                 for mu in range(4) for nu in range(4)]))
+    for index in range(1, 17):
+        family = f"cc{index}"
+        out[family] = float(np.max(
+            [np.max(np.abs(residual(mu, nu, family)))
+             for mu in range(4) for nu in range(4)]))
     _require_finite(out)
     return out
 
@@ -317,7 +318,7 @@ def check_consistency(system: MultiTimeSystem, rep: GammaRep, *,
 
 @dataclass(frozen=True)
 class CurvatureOperator:
-    """First-order differential operator F_12 at one configuration.
+    """First-order differential operator F_12 at one or more configurations.
 
     F_12 = zeroth + sum_{k,a} first[(k, a)] d/dx_{k,a}; consistency of
     the pair is exactly F_12 = 0 for all configurations.
@@ -329,43 +330,21 @@ class CurvatureOperator:
 
 def curvature_operator(system: MultiTimeSystem, coords: np.ndarray,
                        rep: GammaRep) -> CurvatureOperator:
-    """Assemble F_12 directly from the commutator of the Hamiltonians.
+    """F_12 at a configuration or at each configuration of a stack.
 
-    Independent of zeroth_order_residual: expands
-    F_12 = dH_1/dt_2 - dH_2/dt_1 - i [H_1, H_2] term by term.  The
-    zeroth-order part must equal i * E(1,2) and the first-order
-    coefficients -[alpha^a_1, V_2] and +[alpha^a_2, V_1].
+    F_12 = dH_1/dt_2 - dH_2/dt_1 - i [H_1, H_2] has the zeroth-order part
+    i E(1,2) (zeroth_order_residual) and the first-order coefficients
+    -[alpha^a_1, V_2], +[alpha^a_2, V_1] (derivative_coefficient_matrices);
+    parts constant over the stack stay single (D, D) matrices.
     """
     if system.n_particles != 2:
         raise SpecError("curvature requires exactly two particles")
-    coords = np.asarray(coords, float)
-    n = 2
-    pot_1, pot_2 = system.potential(1), system.potential(2)
-    v_1 = evaluate_potential(pot_1, coords, rep)
-    v_2 = evaluate_potential(pot_2, coords, rep)
-    m_1, m_2 = system.masses
-
-    def d_pot(potential, k, mu):
-        return evaluate_potential(
-            differentiate_potential(potential, k, mu), coords, rep)
-
-    # dH_1/dt_2 - dH_2/dt_1 (only the potentials depend on the times)
-    zeroth = d_pot(pot_1, 2, 0) - d_pot(pot_2, 1, 0)
-
-    # -i [H_1, H_2]: cross terms of kinetic, mass, and potential parts.
-    commutator_zeroth = (
-        commutator(v_1, v_2)
-        + m_1 * commutator(embed(rep.gamma(0), 1, n), v_2)
-        - m_2 * commutator(embed(rep.gamma(0), 2, n), v_1))
+    # each part may be a whole grid of 16x16 matrices: the zeroth-order
+    # temporaries are freed before the first-order parts are held, and the
+    # signs and the factor i are applied in place
+    zeroth = _zeroth_order(system, coords, rep, 1, 2)
+    zeroth *= 1j
+    first = _first_order(system, coords, rep)
     for a in (1, 2, 3):
-        commutator_zeroth = (
-            commutator_zeroth
-            - 1j * embed(rep.alpha(a), 1, n) @ d_pot(pot_2, 1, a)
-            + 1j * embed(rep.alpha(a), 2, n) @ d_pot(pot_1, 2, a))
-    zeroth = zeroth + (-1j) * commutator_zeroth
-
-    first = {}
-    for a in (1, 2, 3):
-        first[(1, a)] = -commutator(embed(rep.alpha(a), 1, n), v_2)
-        first[(2, a)] = commutator(embed(rep.alpha(a), 2, n), v_1)
+        np.negative(first[(1, a)], out=first[(1, a)])
     return CurvatureOperator(zeroth=zeroth, first=first)

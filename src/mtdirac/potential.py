@@ -127,6 +127,19 @@ def evaluate_potential(potential: Potential, coords,
     return total
 
 
+def stack_coords(configs) -> list[list[np.ndarray]]:
+    """coords[k-1][mu] of a configuration stack (..., N, 4)."""
+    configs = np.asarray(configs, float)
+    return [[configs[..., k, mu] for mu in range(4)]
+            for k in range(configs.shape[-2])]
+
+
+def evaluate_stack(potential: Potential, configs,
+                   rep: GammaRep) -> np.ndarray:
+    """Potential on a configuration stack (..., N, 4), as evaluate_potential."""
+    return evaluate_potential(potential, stack_coords(configs), rep)
+
+
 def differentiate_potential(potential: Potential, k: int, mu: int) -> Potential:
     """Coefficient-wise partial derivative with respect to x_{k,mu}."""
     terms = []
@@ -175,10 +188,11 @@ def hermiticity_residual(system: MultiTimeSystem, configs: np.ndarray,
                          rep: GammaRep) -> float:
     """sup over samples and particles of ||V_k - V_k^dagger||_F."""
     worst = 0.0
-    for coords in configs:
-        for k in range(1, system.n_particles + 1):
-            matrix = evaluate_potential(system.potential(k), coords, rep)
-            worst = max(worst, frobenius(matrix - matrix.conj().T))
+    for potential in system.potentials:
+        matrices = evaluate_stack(potential, configs, rep)
+        defects = matrices - np.conj(np.swapaxes(matrices, -1, -2))
+        for defect in defects.reshape(-1, *defects.shape[-2:]):
+            worst = max(worst, frobenius(defect))
     return worst
 
 

@@ -25,7 +25,8 @@ Two experiments probe the compatibility of the pair of evolutions:
 * loop holonomy — run a small square loop in the (t_1, t_2) plane; the
   deviation divided by delta^2 estimates the norm of the curvature
   operator applied to the initial state, which apply_curvature
-  evaluates independently on the grid.
+  evaluates without stepping: consistency.curvature_operator on the
+  grid's (n, n, 2, 4) configuration stack.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .potential import (
     SpecError,
     evaluate_potential,
 )
+from .symmetry import ConfigGrid
 
 _HERMITIAN_TOL = 1e-10
 
@@ -129,15 +131,9 @@ def product_state(grid: Grid, *,
 # ---------------------------------------------------------------------------
 
 def _grid_coords(grid: Grid, t1: float, t2: float) -> np.ndarray:
-    """Stacked coordinates (2, 4, n, n): x_k = (t_k, 0, 0, z_k)."""
-    n = grid.points
-    zs = grid.positions()
-    coords = np.zeros((2, 4, n, n))
-    coords[0, 0] = t1
-    coords[1, 0] = t2
-    coords[0, 3] = zs[:, None]
-    coords[1, 3] = zs[None, :]
-    return coords
+    """Configuration stack (n, n, 2, 4) of the grid: x_k = (t_k, 0, 0, z_k)."""
+    return ConfigGrid(axes=((1, 3), (2, 3)), values=tuple(grid.positions()),
+                      base=((t1, 0.0, 0.0, 0.0), (t2, 0.0, 0.0, 0.0))).configs()
 
 
 def _step_coords(grid: Grid, t1: float, t2: float) -> list:

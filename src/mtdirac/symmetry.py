@@ -32,9 +32,12 @@ from .clifford import (
     IDENTITY_ELEMENT,
     BasisClass,
     GammaRep,
+    commutator,
+    embed,
     frobenius,
 )
-from .dsl import Expr, differentiate, evaluate, is_constant
+from .consistency import _require_finite
+from .dsl import Expr, differentiate, evaluate, is_constant, is_zero
 from .potential import (
     COEFFICIENT_LAYOUT,
     CoefficientFormError,
@@ -42,7 +45,8 @@ from .potential import (
     MultiTimeSystem,
     SpecError,
     coefficient_field,
-    evaluate_potential,
+    evaluate_stack,
+    stack_coords,
     to_coefficient_form,
 )
 
@@ -159,25 +163,29 @@ def _tensor_power(matrix: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+@np.errstate(all="ignore")
 def poincare_residual(system: MultiTimeSystem,
                       transform: PoincareTransform,
                       samples: np.ndarray, rep: GammaRep) -> float:
     """sup over samples and particles of the covariance defect
 
         || V_k(X) - (S x..x S) V_k(Lambda^-1(x_1 - a), ...) (S^-1 x..x S^-1) ||_F
+
+    Raises DomainError when the sup is not finite.
     """
     samples = np.asarray(samples, float)
     lam_inv = np.linalg.inv(transform.lorentz)
     big_s = _tensor_power(transform.spinor, system.n_particles)
     big_s_inv = np.linalg.inv(big_s)
-    worst = 0.0
-    for coords in samples:
-        pulled_back = (coords - transform.translation) @ lam_inv.T
-        for k in range(1, system.n_particles + 1):
-            v_here = evaluate_potential(system.potential(k), coords, rep)
-            v_there = evaluate_potential(system.potential(k), pulled_back, rep)
-            worst = max(worst,
-                        frobenius(v_here - big_s @ v_there @ big_s_inv))
+    pulled_back = (samples - transform.translation) @ lam_inv.T
+    defects = [0.0]
+    for potential in system.potentials:
+        v_here = evaluate_stack(potential, samples, rep)
+        v_there = evaluate_stack(potential, pulled_back, rep)
+        defect = v_here - big_s @ v_there @ big_s_inv
+        defects += map(frobenius, defect.reshape(-1, *big_s.shape))
+    worst = float(np.max(defects))
+    _require_finite({f"poincare_residual({transform.name})": worst})
     return worst
 
 
@@ -197,6 +205,7 @@ _ALPHA_FIELDS = tuple(
     name for name in COEFFICIENT_LAYOUT if name not in _GAMMA_FIELDS)
 
 
+@np.errstate(all="ignore")
 def exponential_form_residual(coefficients: CoefficientSet,
                               masses: tuple[float, float],
                               samples: np.ndarray) -> dict[str, float]:
@@ -213,15 +222,14 @@ def exponential_form_residual(coefficients: CoefficientSet,
     (branch_2) and X1_mu Z1_lam = X1_lam Z1_mu (branch_1).
 
     Raises CoefficientFormError when an alpha-sector field is not
-    constant.
+    constant, DomainError when a residual is not finite.
     """
     for name in _ALPHA_FIELDS:
         for component in coefficients.field(name):
             if not is_constant(component):
                 raise CoefficientFormError(
                     f"field {name} is not constant")
-    samples = np.asarray(samples, float)
-    coords = [[samples[:, k, mu] for mu in range(4)] for k in range(2)]
+    coords = stack_coords(samples)
 
     def ev(expr: Expr) -> np.ndarray:
         return np.asarray(evaluate(expr, coords))
@@ -239,7 +247,7 @@ def exponential_form_residual(coefficients: CoefficientSet,
             exprs = coefficients.field(name)
             is_mass_field = (cls, other) == (BasisClass.GAMMA, IDENTITY_ELEMENT)
             shift = masses[particle - 1] if is_mass_field else 0.0
-            worst = 0.0
+            defects = []
             for mu in range(4):
                 base_value = ev(exprs[mu]) + (shift if mu == 0 else 0.0)
                 for nu in range(4):
@@ -247,11 +255,12 @@ def exponential_form_residual(coefficients: CoefficientSet,
                     for lam in range(4):
                         second = ev(differentiate(first, partner, lam))
                         rhs = 4.0 * (z[lam] * z[nu] - y[lam] * y[nu]) * base_value
-                        worst = max(worst, float(np.max(np.abs(second - rhs))))
-            out[f"ode_{name}"] = worst
-        out[f"branch_{partner}"] = max(
-            float(np.max(np.abs(y[a] * z[b] - y[b] * z[a])))
-            for a in range(4) for b in range(4))
+                        defects.append(np.max(np.abs(second - rhs)))
+            out[f"ode_{name}"] = float(np.max(defects))
+        out[f"branch_{partner}"] = float(np.max(
+            [np.max(np.abs(y[a] * z[b] - y[b] * z[a]))
+             for a in range(4) for b in range(4)]))
+    _require_finite(out)
     return out
 
 
@@ -259,28 +268,30 @@ def interaction_witness_hoho(
         system: MultiTimeSystem, rep: GammaRep,
         relatives: Sequence[Sequence[float]] = ((0.0, 0.0, 0.0, 0.0),),
 ) -> float:
-    """Pointwise obstruction certifying the exponential pair interacts.
+    """Pointwise obstruction certifying that an exponential pair interacts.
 
-    || (c . alpha_2) * 2i gamma5_1 (C . gamma_1) exp(2i gamma5_1 c.x) ||_F
-    evaluated at relative separations x = x_2 - x_1; returns the inf
-    over the given separations.  A value bounded away from zero rules
-    out gauge removal of the gamma-sector coupling.
+    The inf over the given separations x of ||[V_2, V_1 + m_1 gamma0_1]||_F
+    at x_1 = 0, x_2 = x; on hoho it is ||(c . alpha_2) 2i gamma5_1
+    (C . gamma_1) exp(2i gamma5_1 c.x)||_F.  A value bounded away from
+    zero rules out gauge removal of the gamma-sector coupling.  Raises
+    SpecError outside the exponential family or without a gamma sector.
     """
-    if system.name != "hoho":
-        raise SpecError("the interaction witness applies to the exponential pair")
-    params = dict(system.params)
-    big_c = np.array([params[f"C{mu}"] for mu in range(4)])
-    small_c = np.array([params[f"c{mu}"] for mu in range(4)])
-    c_gamma = sum(big_c[mu] * rep.gamma(mu) for mu in range(4))
-    particle_2 = sum(small_c[nu] * rep.alpha(nu) for nu in range(4))
-    worst = np.inf
-    for relative in relatives:
-        phase = complex(2.0 * (small_c @ np.asarray(relative, float)))
-        rotor = (np.cos(phase) * np.eye(4, dtype=complex)
-                 + 1j * np.sin(phase) * rep.gamma5)
-        particle_1 = 2j * rep.gamma5 @ c_gamma @ rotor
-        worst = min(worst, frobenius(np.kron(particle_1, particle_2)))
-    return float(worst)
+    configs = np.zeros((len(relatives), 2, 4))
+    configs[:, 1] = relatives
+    try:
+        coefficients = to_coefficient_form(system)
+        exponential_form_residual(coefficients, system.masses, configs)
+    except CoefficientFormError as exc:
+        raise SpecError("the interaction witness applies to the exponential "
+                        f"family: {exc}") from None
+    if all(is_zero(expr) for name in _GAMMA_FIELDS
+           for expr in coefficients.field(name)):
+        raise SpecError("the interaction witness needs a gamma sector")
+    v_1 = (evaluate_stack(system.potential(1), configs, rep)
+           + system.mass(1) * embed(rep.gamma(0), 1, 2))
+    v_2 = evaluate_stack(system.potential(2), configs, rep)
+    return min(map(frobenius, commutator(v_2, v_1).reshape(-1, 16, 16)),
+               default=np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -317,22 +328,26 @@ class ConfigGrid:
         return out
 
 
-# sector label -> (particle-1 field, particle-2 field) of the alpha-part
-_SECTOR_FIELDS = (
-    ("unit", "W1", "W2"),
-    ("gamma5_2", "X1", "X2"),
-    ("gamma5_1", "Y1", "Y2"),
-    ("gamma5_12", "Z1", "Z2"),
-)
+def _gamma5_sector(name: str) -> str:
+    """An alpha-sector field's sector: the particles whose factor has gamma5."""
+    particle, cls, other = COEFFICIENT_LAYOUT[name]
+    own, partner = cls is BasisClass.G5ALPHA, other == GAMMA5_ELEMENT
+    on_1, on_2 = (own, partner) if particle == 1 else (partner, own)
+    return "gamma5_" + "1" * on_1 + "2" * on_2 if on_1 or on_2 else "unit"
+
+
+# sector label -> (particle-1 field, particle-2 field) of the alpha part
+_SECTOR_FIELDS = {
+    _gamma5_sector(name1): (name1, name2)
+    for name1 in _ALPHA_FIELDS for name2 in _ALPHA_FIELDS
+    if COEFFICIENT_LAYOUT[name1][0] < COEFFICIENT_LAYOUT[name2][0]
+    and _gamma5_sector(name1) == _gamma5_sector(name2)}
 
 
 def _eval_field(expr: Expr, points: np.ndarray) -> np.ndarray:
     """Evaluate on stacked configurations (..., 2, 4) -> (...) array."""
-    coords = [[points[..., k, mu] for mu in range(4)] for k in range(2)]
-    value = evaluate(expr, coords)
-    if not isinstance(value, np.ndarray) or value.shape != points.shape[:-2]:
-        value = np.broadcast_to(np.asarray(value), points.shape[:-2])
-    return value
+    value = np.asarray(evaluate(expr, stack_coords(points)))
+    return np.broadcast_to(value, points.shape[:-2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,6 +377,7 @@ class GaugeReport:
         }
 
 
+@np.errstate(all="ignore")
 def classify_gauge(system: MultiTimeSystem | CoefficientSet,
                    rep: GammaRep | None = None,
                    grid: ConfigGrid | None = None,
@@ -380,7 +396,8 @@ def classify_gauge(system: MultiTimeSystem | CoefficientSet,
     paths and a finite-difference gradient match, both below fd_tol
     (the line integral itself carries O(nodes^-2) error, so these
     cannot resolve tol).  Integrability defects inside [tol, 10*tol)
-    are reported UNDECIDED rather than interacting.
+    are reported UNDECIDED rather than interacting.  Raises DomainError
+    when a sup is not finite.
     """
     del rep  # the analysis is representation-independent
     grid = grid or ConfigGrid()
@@ -394,9 +411,10 @@ def classify_gauge(system: MultiTimeSystem | CoefficientSet,
 
     sectors: dict[str, tuple[tuple[Expr, ...], tuple[Expr, ...]]] = {
         label: (coefficients.field(name1), coefficients.field(name2))
-        for label, name1, name2 in _SECTOR_FIELDS}
+        for label, (name1, name2) in _SECTOR_FIELDS.items()}
 
     # --- exactness conditions -------------------------------------------
+    # np.maximum keeps a NaN that max() would drop
     cross_curl = 0.0
     locality = 0.0
     for f1, f2 in sectors.values():
@@ -404,7 +422,7 @@ def classify_gauge(system: MultiTimeSystem | CoefficientSet,
             for nu in range(4):
                 defect = _eval_field(differentiate(f2[nu], 1, mu), configs) \
                     - _eval_field(differentiate(f1[mu], 2, nu), configs)
-                cross_curl = max(cross_curl, float(np.max(np.abs(defect))))
+                cross_curl = np.maximum(cross_curl, np.max(np.abs(defect)))
         for exprs, own, other in ((f1, 1, 2), (f2, 2, 1)):
             for mu in range(4):
                 for nu in range(mu + 1, 4):
@@ -415,8 +433,8 @@ def classify_gauge(system: MultiTimeSystem | CoefficientSet,
                             differentiate(curl, other, lam), configs) \
                             - _eval_field(
                                 differentiate(curl_swapped, other, lam), configs)
-                        locality = max(locality, float(np.max(np.abs(moved))))
-    integrability = max(cross_curl, locality)
+                        locality = np.maximum(locality, np.max(np.abs(moved)))
+    integrability = np.maximum(cross_curl, locality)
 
     # --- cross-only part h and its path integral -------------------------
     def h_value(sector: str, j: int, mu: int, points: np.ndarray) -> np.ndarray:
@@ -460,7 +478,7 @@ def classify_gauge(system: MultiTimeSystem | CoefficientSet,
             straight = path_integral(sector, base, target)
             bent = (path_integral(sector, base, corner)
                     + path_integral(sector, corner, target))
-            triangle = max(triangle, float(abs(straight - bent)))
+            triangle = np.maximum(triangle, abs(straight - bent))
 
     # --- finite-difference gradient match --------------------------------
     fd_step = 1e-2
@@ -477,8 +495,10 @@ def classify_gauge(system: MultiTimeSystem | CoefficientSet,
                     slope = (path_integral(sector, base, up)
                              - path_integral(sector, base, dn)) / (2 * fd_step)
                     here = h_value(sector, j, mu, point[None])[0]
-                    gradient_match = max(gradient_match,
-                                         float(abs(slope - here)))
+                    gradient_match = np.maximum(gradient_match,
+                                                abs(slope - here))
+    _require_finite({"integrability_sup": integrability, "triangle_sup":
+                     triangle, "gradient_match_sup": gradient_match})
 
     if integrability < tol and triangle < fd_tol and gradient_match < fd_tol:
         verdict = GAUGE_REMOVABLE
@@ -487,9 +507,9 @@ def classify_gauge(system: MultiTimeSystem | CoefficientSet,
     else:
         verdict = INTERACTING
     return GaugeReport(
-        verdict=verdict, integrability_sup=integrability,
-        cross_curl_sup=cross_curl, locality_sup=locality,
-        triangle_sup=triangle, gradient_match_sup=gradient_match,
+        verdict=verdict, integrability_sup=float(integrability),
+        cross_curl_sup=float(cross_curl), locality_sup=float(locality),
+        triangle_sup=float(triangle), gradient_match_sup=float(gradient_match),
         tol=tol, fd_tol=fd_tol, gauge_components=gauge_components)
 
 
@@ -513,6 +533,7 @@ class ClassificationReport:
         }
 
 
+@np.errstate(all="ignore")
 def classify_interaction(system: MultiTimeSystem, rep: GammaRep,
                          grid: ConfigGrid | None = None,
                          tol: float = 1e-9,
@@ -521,27 +542,32 @@ def classify_interaction(system: MultiTimeSystem, rep: GammaRep,
 
     When the gamma-sector fields (A..H) vanish on the probe grid the
     alpha-sector gauge analysis decides.  A nonzero gamma sector is
-    beyond the gradient argument: the exponential pair is then settled
-    by its interaction witness, anything else stays UNDECIDED.
+    beyond the gradient argument: a pair of the exponential family
+    (every exponential_form_residual below tol on the probe grid) is
+    then settled by its interaction witness, anything else stays
+    UNDECIDED.  Raises DomainError when a sup is not finite.
     """
     grid = grid or ConfigGrid()
     coefficients = to_coefficient_form(system)
     configs = grid.configs()
-    gamma_sup = 0.0
-    for name in _GAMMA_FIELDS:
-        for expr in coefficients.field(name):
-            value = _eval_field(expr, configs)
-            gamma_sup = max(gamma_sup, float(np.max(np.abs(value))))
+    gamma_sup = float(np.max(
+        [np.max(np.abs(_eval_field(expr, configs)))
+         for name in _GAMMA_FIELDS for expr in coefficients.field(name)]))
+    _require_finite({"gamma_sector_sup": gamma_sup})
 
     gauge = classify_gauge(system, rep, grid=grid, tol=tol, fd_tol=fd_tol)
     witness: float | None = None
-    if gamma_sup < tol:
-        verdict = gauge.verdict
-    elif system.name == "hoho":
-        witness = interaction_witness_hoho(system, rep)
-        verdict = INTERACTING if witness > tol else UNDECIDED
-    else:
+    verdict = gauge.verdict
+    if gamma_sup >= tol:
         verdict = UNDECIDED
+        try:
+            structure = exponential_form_residual(
+                coefficients, system.masses, configs)
+        except CoefficientFormError:  # alpha-sector fields not constant
+            structure = None
+        if structure is not None and max(structure.values()) < tol:
+            witness = interaction_witness_hoho(system, rep)
+            verdict = INTERACTING if witness > tol else UNDECIDED
     return ClassificationReport(
         verdict=verdict, gamma_sector_sup=gamma_sup, gauge=gauge,
         witness=witness, tol=tol)

@@ -8,8 +8,14 @@ from functools import reduce
 import numpy as np
 import scipy.linalg
 
-from mtdirac.clifford import BasisClass, BasisElement, TensorBasisElement
-from mtdirac.potential import evaluate_potential
+from mtdirac.clifford import (
+    BasisClass,
+    BasisElement,
+    TensorBasisElement,
+    commutator,
+    embed,
+)
+from mtdirac.potential import differentiate_potential, evaluate_potential
 
 
 def fd_partial(f, coords: np.ndarray, k: int, mu: int, h: float = 1e-5):
@@ -98,3 +104,39 @@ def reference_step(psi, particle: int, dt: float, system, rep) -> np.ndarray:
         spectral = np.einsum("yab,xysb->xysa", multiplier, spectral)
     values = np.fft.ifft(spectral, axis=axis).reshape(n, n, 16)
     return np.einsum("...ij,...j->...i", phase, values)
+
+
+def reference_curvature(system, configs: np.ndarray, rep):
+    """F_12 expanded term by term from dH_1/dt_2 - dH_2/dt_1 - i [H_1, H_2].
+
+    configs is one (2, 4) configuration or a stack (..., 2, 4); returns
+    (zeroth, first) with first keyed by (particle, spatial direction),
+    so that F_12 = zeroth + sum first[(k, a)] d/dx_{k,a}.
+    """
+    configs = np.asarray(configs, float)
+    coords = [[configs[..., k, mu] for mu in range(4)] for k in range(2)]
+    pot_1, pot_2 = system.potential(1), system.potential(2)
+    v_1 = evaluate_potential(pot_1, coords, rep)
+    v_2 = evaluate_potential(pot_2, coords, rep)
+    m_1, m_2 = system.masses
+
+    def d_pot(potential, k, mu):
+        return evaluate_potential(
+            differentiate_potential(potential, k, mu), coords, rep)
+
+    # dH_1/dt_2 - dH_2/dt_1 (only the potentials depend on the times)
+    zeroth = d_pot(pot_1, 2, 0) - d_pot(pot_2, 1, 0)
+    # -i [H_1, H_2]: cross terms of kinetic, mass, and potential parts
+    cross = (commutator(v_1, v_2)
+             + m_1 * commutator(embed(rep.gamma(0), 1, 2), v_2)
+             - m_2 * commutator(embed(rep.gamma(0), 2, 2), v_1))
+    for a in (1, 2, 3):
+        cross = (cross
+                 - 1j * embed(rep.alpha(a), 1, 2) @ d_pot(pot_2, 1, a)
+                 + 1j * embed(rep.alpha(a), 2, 2) @ d_pot(pot_1, 2, a))
+    zeroth = zeroth - 1j * cross
+    first = {}
+    for a in (1, 2, 3):
+        first[(1, a)] = -commutator(embed(rep.alpha(a), 1, 2), v_2)
+        first[(2, a)] = commutator(embed(rep.alpha(a), 2, 2), v_1)
+    return zeroth, first

@@ -26,9 +26,11 @@ from mtdirac import (
     make_builtin,
     parse,
     save_system,
+    system_to_dict,
     tensor_element,
     zero_potential,
 )
+from mtdirac import cli
 from mtdirac.cli import EXIT_DOMAIN, EXIT_EXPECT, EXIT_OK, EXIT_SPEC, entry
 
 
@@ -265,6 +267,40 @@ def test_classify_undecided_fails_every_expectation(tmp_path):
     assert read_json(tmp_path / "r.json")["verdict"] == "UNDECIDED"
 
 
+def test_classify_spec_named_hoho_without_hoho_params(tmp_path):
+    # the name "hoho" does not select the witness: V_1 = 0.5 gamma0 x 1
+    # has a gamma sector but commutes with V_2 = 0, so the witness is 0
+    system = MultiTimeSystem(
+        name="hoho", n_particles=2, masses=(1.0, 1.0),
+        potentials=(Potential(1, 2, (PotentialTerm(
+            tensor_element(BasisElement(BasisClass.GAMMA, 0),
+                           BasisElement(BasisClass.ALPHA, 0)),  # alpha^0 = 1
+            parse("0.5")),)), zero_potential(2)),
+        hermitian=True)
+    save_system(system, tmp_path / "hoho.json")
+    out = tmp_path / "r.json"
+    code = entry(["classify", "--spec", str(tmp_path / "hoho.json"),
+                  "--out", str(out)])
+    assert code == EXIT_OK
+    report = read_json(out)["report"]
+    assert report["verdict"] == "UNDECIDED"
+    assert report["witness"] == 0.0
+
+
+def test_classify_renamed_hoho_interacting(tmp_path):
+    system = make_builtin("hoho")
+    data = system_to_dict(system) | {"name": "exponential_pair"}
+    (tmp_path / "pair.json").write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "r.json"
+    code = entry(["classify", "--spec", str(tmp_path / "pair.json"),
+                  "--expect", "interacting", "--out", str(out)])
+    assert code == EXIT_OK
+    report = read_json(out)["report"]
+    assert report["system"] == "exponential_pair"
+    assert report["verdict"] == "INTERACTING"
+    assert report["witness"] == pytest.approx(8.0, abs=1e-9)
+
+
 def test_expression_rejected_for_constant_vector_builtin(capsys):
     code = entry(["check", "--builtin", "example1_vector",
                   "--param", "A=0,0,0,x2_3"])
@@ -457,11 +493,26 @@ def test_nonpositive_nsamples_is_usage_error(count):
     assert excinfo.value.code == EXIT_SPEC
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_report_value_exits_three(capsys):
-    # classify's translation residual overflows to infinity here
-    code = entry(["classify", "--builtin", "coefficient_form",
-                  "--param", "W1=exp(1000*x2_0),0,0,0", "--nsamples", "5"])
+@pytest.mark.parametrize("argv,residual", [
+    (["classify", "--nsamples", "5"], "poincare_residual(translation)"),
+    (["poincare"], "poincare_residual(boost(1,0,0);chi=0.5)"),
+], ids=["classify", "poincare"])
+def test_non_finite_residual_is_named(capsys, argv, residual):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = entry([*argv, "--builtin", "coefficient_form",
+                      "--param", "W1=exp(1000*x2_0),0,0,0"])
+    assert code == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"non-finite residual in {residual}" in captured.err
+
+
+def test_non_finite_report_value_exits_three(capsys, monkeypatch):
+    # the serialisation backstop, for a value no residual guard caught
+    monkeypatch.setitem(cli._HANDLERS, "poincare",
+                        lambda args: ({"residuals": {"x": np.inf}}, None))
+    code = entry(["poincare", "--builtin", "hoho"])
     assert code == EXIT_DOMAIN
     captured = capsys.readouterr()
     assert captured.out == ""

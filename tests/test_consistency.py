@@ -35,6 +35,8 @@ from mtdirac.potential import (
     make_builtin,
     sample_configs,
 )
+from mtdirac.solver import Grid, _grid_coords
+from oracles import reference_curvature
 
 
 def random_config(rng):
@@ -365,6 +367,10 @@ def test_weyl_representation_agrees(weyl, dirac, rng):
 # Curvature operator
 # ---------------------------------------------------------------------------
 
+def _sup_frobenius(matrices):
+    return float(np.max(np.linalg.norm(matrices, axis=(-2, -1))))
+
+
 @pytest.mark.parametrize("name,params", [
     ("hoho", {"C": (1.0, 0.5j, 0, 2j), "c": (1.0, 0.25, -0.5, 0.75)}),
     ("example1_vector", {"A": (0, 1, 0, 1), "B": (0, 0, 0.5, 0)}),
@@ -373,15 +379,14 @@ def test_weyl_representation_agrees(weyl, dirac, rng):
 ])
 def test_curvature_decomposition_matches_residuals(name, params, dirac, rng):
     system = make_builtin(name, params)
-    for _ in range(5):
-        coords = random_config(rng)
+    grid_stack = _grid_coords(Grid(points=16), 0.3, -0.2)
+    for coords in [random_config(rng) for _ in range(5)] + [grid_stack]:
         curvature = curvature_operator(system, coords, dirac)
-        zeroth = zeroth_order_residual(system, coords, dirac)
-        assert frobenius(curvature.zeroth - 1j * zeroth) < 1e-12
-        matrices = derivative_coefficient_matrices(system, coords, dirac)
-        for a in (1, 2, 3):
-            assert frobenius(curvature.first[(1, a)] + matrices[(1, a)]) < 1e-12
-            assert frobenius(curvature.first[(2, a)] - matrices[(2, a)]) < 1e-12
+        zeroth, first = reference_curvature(system, coords, dirac)
+        assert _sup_frobenius(curvature.zeroth - zeroth) < 1e-12
+        assert curvature.first.keys() == first.keys()
+        for key, matrices in first.items():
+            assert _sup_frobenius(curvature.first[key] - matrices) < 1e-12
 
 
 def test_curvature_vanishes_for_consistent_systems(dirac, rng):

@@ -32,6 +32,10 @@ COMMANDS = (
      "--param", "m1=2", "--region", "spacelike"),
     ("cc", "--builtin", "hoho"),
     ("classify", "--builtin", "hoho", "--expect", "interacting"),
+    ("classify", "--builtin", "coefficient_form",
+     "--param", "W1=x2_0,0,0,0", "--param", "W2=x1_0,0,0,0"),
+    ("poincare", "--builtin", "hoho"),
+    ("poincare", "--builtin", "coulomb_like"),
     ("simulate", "--builtin", "example1_vector",
      "--delta", "0.08,0.04,0.02"),
 )

@@ -190,6 +190,24 @@ def test_hoho_breaks_boost_covariance(dirac, rng):
     assert poincare_residual(system, transform, samples, dirac) > 0.1
 
 
+@pytest.mark.parametrize("name,params", [
+    ("hoho", {"c": (1.0, 0.3, 0, -0.5)}),
+    ("coulomb_like", {}),
+    ("example1_vector", {}),
+])
+def test_stacked_residual_is_max_of_single_configurations(name, params,
+                                                          dirac, rng):
+    system = make_builtin(name, params)
+    samples = sample_configs(12, rng)
+    transform = compose(make_boost((0.2, 0, 1), 0.5, dirac),
+                        make_translation((0.1, -0.4, 0.3, 0.2)))
+    stacked = poincare_residual(system, transform, samples, dirac)
+    singles = [poincare_residual(system, transform, samples[i:i + 1], dirac)
+               for i in range(len(samples))]
+    assert stacked == max(singles)
+    assert stacked > 0.1
+
+
 # ---------------------------------------------------------------------------
 # Interaction witness
 # ---------------------------------------------------------------------------
@@ -316,6 +334,27 @@ def test_gradient_pair_recovers_phase_function(gradient_report):
         assert np.max(np.abs(gradient_report.gauge_components[sector])) < 1e-12
 
 
+@pytest.mark.parametrize("sector,fields", [
+    ("unit", ("W1", "W2")),
+    ("gamma5_2", ("X1", "X2")),
+    ("gamma5_1", ("Y1", "Y2")),
+    ("gamma5_12", ("Z1", "Z2")),
+])
+def test_gradient_pair_lands_in_its_gamma5_sector(sector, fields, dirac):
+    # a sector is the gamma5 content of both factors; a gradient split
+    # across two sectors would fail the cross-curl condition
+    field1, field2 = fields
+    system = make_builtin("coefficient_form", {
+        field1: ("cos(x1_0 + x2_3)", 0, 0, 0),
+        field2: (0, 0, 0, "cos(x1_0 + x2_3)")})
+    report = classify_gauge(system, dirac)
+    assert report.verdict == GAUGE_REMOVABLE
+    assert set(report.gauge_components) == {
+        "unit", "gamma5_1", "gamma5_2", "gamma5_12"}
+    for label, component in report.gauge_components.items():
+        assert (np.max(np.abs(component)) > 0.1) == (label == sector)
+
+
 def test_zero_fields_gauge_removable(dirac):
     report = classify_gauge(make_builtin("free"), dirac)
     assert report.verdict == GAUGE_REMOVABLE
@@ -404,6 +443,18 @@ def test_classify_unknown_gamma_sector_undecided(dirac):
     report = classify_interaction(system, dirac)
     assert report.verdict == UNDECIDED
     assert report.gamma_sector_sup == pytest.approx(1.0)
+
+
+def test_classify_skips_witness_outside_exponential_family(dirac):
+    # the witness would be ||[0.5 gamma5_1, m1 gamma0_1]|| > 0, but
+    # d_{2,0}^2 A_3 = 0 != 4 (Z2_0^2 - Y2_0^2) A_3 = -x2_3 rules the pair
+    # out of the exponential family
+    system = make_builtin("coefficient_form",
+                          {"A": (0, 0, 0, "x2_3"), "Y2": (0.5, 0, 0, 0)})
+    report = classify_interaction(system, dirac)
+    assert report.verdict == UNDECIDED
+    assert report.witness is None
+    assert interaction_witness_hoho(system, dirac) > 1.0
 
 
 def test_classify_verdicts_rep_independent(dirac, weyl):
