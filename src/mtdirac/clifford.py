@@ -10,6 +10,7 @@ and products of such factors form an orthogonal basis of the full
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
@@ -62,6 +63,13 @@ class GammaRep:
     ``gamma5`` is i gamma^0 gamma^1 gamma^2 gamma^3.  ``basis`` holds
     the 16 single-particle basis matrices, derived from these and indexed
     ``[class, mu]`` in BasisClass order.
+
+    The sign table, flat-indexed 4 * class + mu like ``basis``, records
+    the algebra's structure constants, which do not depend on the
+    representation: each basis element B_i squares to ``squares[i]``
+    times the identity, and B_i B_j = B_j B_i where ``commutes[i, j]``,
+    else B_i B_j = -B_j B_i.  In a unitary representation B_i^dag is
+    B_i^-1 = ``squares[i]`` B_i, so the squares are also the adjoint signs.
     """
 
     name: str
@@ -69,12 +77,20 @@ class GammaRep:
     gamma5: np.ndarray
     alphas: np.ndarray
     basis: np.ndarray = field(init=False, repr=False, compare=False)
+    squares: np.ndarray = field(init=False, repr=False, compare=False)
+    commutes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g5 = self.gamma5
         basis = np.stack([*self.alphas, *(g5 @ a for a in self.alphas),
                           *self.gammas, *(g5 @ g for g in self.gammas)])
+        products = basis[:, None] @ basis[None, :]
         object.__setattr__(self, "basis", basis.reshape(4, 4, 4, 4))
+        object.__setattr__(self, "squares", np.rint(
+            products[np.arange(16), np.arange(16), 0, 0].real))
+        object.__setattr__(self, "commutes", np.all(
+            np.abs(products - products.swapaxes(0, 1)) < ALGEBRA_TOL,
+            axis=(-2, -1)))
 
     def gamma(self, mu: int) -> np.ndarray:
         return self.gammas[mu]
@@ -213,10 +229,36 @@ def tensor_element(*factors: BasisElement) -> TensorBasisElement:
     return TensorBasisElement(tuple(factors))
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two square matrices, without its general-shape overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        len(a) * len(b), -1)
+
+
 def realize(element: TensorBasisElement, rep: GammaRep) -> np.ndarray:
     """Kronecker-product realization of a tensor-basis element."""
     mats = [single_matrix(f, rep) for f in element.factors]
-    return reduce(np.kron, mats)
+    return reduce(_kron, mats)
+
+
+def _flat_index(element: BasisElement) -> int:
+    return 4 * _CLASS_INDEX[element.cls] + element.mu
+
+
+def square_sign(element: TensorBasisElement, rep: GammaRep) -> float:
+    """The sign s of B^2 = s 1 for a tensor-basis element B.
+
+    In a unitary representation it is also the sign of B^dag = s B.
+    """
+    return math.prod(rep.squares[_flat_index(f)] for f in element.factors)
+
+
+def anticommute(a: TensorBasisElement, b: TensorBasisElement,
+                rep: GammaRep) -> bool:
+    """True when a b = -b a; tensor-basis elements otherwise commute."""
+    flips = sum(not rep.commutes[_flat_index(x), _flat_index(y)]
+                for x, y in zip(a.factors, b.factors))
+    return flips % 2 == 1
 
 
 def embed(matrix: np.ndarray, k: int, n_particles: int) -> np.ndarray:

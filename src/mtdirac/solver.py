@@ -7,6 +7,16 @@ variable t_k uses Strang splitting: an exact matrix exponential of the
 potential V_k at the midpoint time wrapped around a spectral free step
 exp(-i dt (alpha3_k kappa + gamma0_k m_k)) per Fourier mode kappa.
 
+The half-step phase exp(-i (dt/2) V_k) is taken in closed form when the
+structures of V_k (its tensor-basis elements) split into classes that
+commute with each other and anticommute pairwise inside each class,
+which the algebra's sign table on GammaRep decides from the structures
+alone.  Each class then squares to a scalar field, V_g^2 = s_g, and
+contributes the factor cos(tau sqrt(s_g)) - i tau sinc(tau sqrt(s_g)) V_g
+with tau = dt/2, the identity the free step uses for alpha3 kappa +
+gamma0 m.  Any other V_k is assembled point by point and exponentiated
+with eigh (declared hermitian) or expm.
+
 The free step acts on particle k's spin factor only; lifted to the
 16-component spin index (Kronecker product with the identity on the
 other factor) it is one 16x16 kernel K(kappa) per mode, applied as a
@@ -15,7 +25,8 @@ V_k depends only on the times, its half-step phase P is a single 16x16
 matrix that commutes with the FFT, so it is folded into the kernel as
 P K(kappa) P and the step touches the grid only through the FFTs and
 the matmul.  A phase that varies over the grid is applied pointwise
-before the FFT and after the inverse FFT.
+before the FFT and after the inverse FFT; in closed form it acts as
+sum_i a_i (B_i psi) over the structures B_i, with no matrix per point.
 
 Two experiments probe the compatibility of the pair of evolutions:
 
@@ -32,17 +43,27 @@ Two experiments probe the compatibility of the pair of evolutions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .clifford import GammaRep
+from .clifford import (
+    GammaRep,
+    TensorBasisElement,
+    anticommute,
+    realize,
+    square_sign,
+)
 from .consistency import curvature_operator
+from .dsl import evaluate, is_zero
 from .potential import (
     DomainError,
     MultiTimeSystem,
+    Potential,
     SpecError,
+    check_guards,
     evaluate_potential,
 )
 from .symmetry import ConfigGrid
@@ -153,14 +174,116 @@ def _pointwise(matrices: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.matmul(matrices, values[..., None])[..., 0]
 
 
+def _exp_factors(square, t: float):
+    """cos(t r) and -i t sinc(t r), r = sqrt(square).
+
+    For a matrix M with M^2 = square (times the identity),
+    exp(-i t M) = cos(t r) - i t sinc(t r) M, whichever root r is taken.
+    """
+    root = np.sqrt(square)
+    return np.cos(t * root), -1j * t * np.sinc(t * root / np.pi)
+
+
+def _anticommuting_classes(structures: Sequence[TensorBasisElement],
+                           rep: GammaRep) -> list[list[int]] | None:
+    """Split structures into commuting classes of anticommuting ones.
+
+    Returns the classes as index lists, or None when no such split
+    exists, i.e. when a connected component of the anticommutation
+    graph is not complete.
+    """
+    classes: list[list[int]] = []
+    for i, structure in enumerate(structures):
+        for members in classes:
+            if anticommute(structure, structures[members[0]], rep):
+                members.append(i)
+                break
+        else:
+            classes.append([i])
+    same_class = {(i, j) for members in classes
+                  for i in members for j in members}
+    for i, a in enumerate(structures):
+        for j in range(i + 1, len(structures)):
+            if anticommute(a, structures[j], rep) != ((i, j) in same_class):
+                return None
+    return classes
+
+
+def _coefficient_fields(potential: Potential,
+                        structures: Sequence[TensorBasisElement],
+                        coords) -> list[np.ndarray]:
+    """Coefficient of each structure, repeated structures summed in order."""
+    slot = {structure: i for i, structure in enumerate(structures)}
+    fields = [0] * len(structures)
+    for term in potential.terms:
+        if not is_zero(term.coefficient):
+            i = slot[term.structure]
+            fields[i] = fields[i] + np.asarray(
+                evaluate(term.coefficient, coords))
+    return [np.asarray(field) for field in fields]
+
+
+def _hermitian_defect(coefficients: Sequence[np.ndarray],
+                      matrices: np.ndarray, signs: Sequence[float]) -> float:
+    """max |entry| of V - V^dag for V = sum_i a_i B_i, B_i^dag = h_i B_i.
+
+    V - V^dag = sum_i (a_i - h_i conj(a_i)) B_i, so only the entries on
+    the union of the supports of the B_i with a nonzero defect count.
+    """
+    defects = [a - h * np.conj(a) for a, h in zip(coefficients, signs)]
+    if not any(np.any(d) for d in defects):
+        return 0.0
+    flat = matrices.reshape(len(matrices), -1)
+    support = flat[:, np.any(flat != 0, axis=0)]
+    return float(np.max(np.abs(
+        np.stack(np.broadcast_arrays(*defects), axis=-1) @ support)))
+
+
+def _check_hermitian(defect: float) -> None:
+    if defect > _HERMITIAN_TOL:
+        raise SpecError(
+            f"potential declared hermitian but deviates by {defect:.3e}")
+
+
+def _dense_phase(system: MultiTimeSystem, particle: int, coords, dt: float,
+                 rep: GammaRep):
+    """exp(-i (dt/2) V_k) from the assembled matrices (eigh or expm)."""
+    with np.errstate(all="ignore"):
+        v = evaluate_potential(system.potential(particle), coords, rep)
+    if not np.all(np.isfinite(v)):
+        raise DomainError(f"potential V_{particle} is not finite on the grid")
+    if v.ndim == 2 and not np.any(v):
+        return None
+    if system.hermitian:
+        _check_hermitian(float(np.max(np.abs(
+            v - np.conj(np.swapaxes(v, -1, -2))))))
+        eigenvalues, basis = np.linalg.eigh(v)
+        phases = np.exp(-0.5j * dt * eigenvalues)
+        phase = (basis * phases[..., None, :]) @ np.conj(
+            np.swapaxes(basis, -1, -2))
+    else:
+        with np.errstate(all="ignore"):
+            phase = scipy.linalg.expm(-0.5j * dt * v)
+        if not np.all(np.isfinite(phase)):
+            raise DomainError(
+                f"exp(-i dt V_{particle} / 2) is not finite on the grid")
+    if phase.ndim == 2:
+        return phase
+    return lambda values: _pointwise(phase, values)
+
+
 def _potential_phase(system: MultiTimeSystem, particle: int,
                      times: Sequence[float], dt: float, grid: Grid,
-                     rep: GammaRep) -> np.ndarray | None:
+                     rep: GammaRep):
     """exp(-i (dt/2) V_k) at the midpoint time, or None when V_k = 0.
 
     The result is one (16, 16) matrix when V_k depends only on the
-    times, else a (..., 16, 16) field broadcastable over the grid.
-    Raises DomainError when V_k or the phase is not finite.
+    times, else a function applying the phase to (n, n, 16) values
+    pointwise.  It is the product over the classes g of
+    cos(tau sqrt(s_g)) - i tau sinc(tau sqrt(s_g)) V_g, tau = dt/2,
+    s_g = sum_{i in g} B_i^2 a_i^2, when the structures B_i split into
+    such classes, and _dense_phase otherwise.  Raises DomainError when
+    V_k or the phase is not finite.
     """
     potential = system.potential(particle)
     if potential.is_zero():
@@ -168,40 +291,66 @@ def _potential_phase(system: MultiTimeSystem, particle: int,
     mid = list(times)
     mid[particle - 1] += dt / 2
     coords = _step_coords(grid, mid[0], mid[1])
+    structures = list(dict.fromkeys(
+        term.structure for term in potential.terms
+        if not is_zero(term.coefficient)))
+    classes = _anticommuting_classes(structures, rep)
+    if classes is None:
+        return _dense_phase(system, particle, coords, dt, rep)
+
     with np.errstate(all="ignore"):
-        v = evaluate_potential(potential, coords, rep)
-    if not np.all(np.isfinite(v)):
+        check_guards(potential, coords)
+        coefficients = _coefficient_fields(potential, structures, coords)
+    if not all(np.all(np.isfinite(a)) for a in coefficients):
         raise DomainError(f"potential V_{particle} is not finite on the grid")
-    if v.ndim == 2 and not np.any(v):
+    time_only = all(a.ndim == 0 for a in coefficients)
+    if time_only and not any(coefficients):
         return None
+    matrices = np.stack([realize(structure, rep) for structure in structures])
+    # B_i^2 = s_i and, the representation being unitary, B_i^dag = s_i B_i
+    signs = [square_sign(structure, rep) for structure in structures]
     if system.hermitian:
-        defect = np.max(np.abs(v - np.conj(np.swapaxes(v, -1, -2))))
-        if defect > _HERMITIAN_TOL:
-            raise SpecError(
-                "potential declared hermitian but deviates by "
-                f"{float(defect):.3e}")
-        eigenvalues, basis = np.linalg.eigh(v)
-        phases = np.exp(-0.5j * dt * eigenvalues)
-        return (basis * phases[..., None, :]) @ np.conj(
-            np.swapaxes(basis, -1, -2))
+        _check_hermitian(_hermitian_defect(coefficients, matrices, signs))
+
+    tau = dt / 2
+    factors = []  # per class: (cos, [(weight field, structure matrix)])
     with np.errstate(all="ignore"):
-        phase = scipy.linalg.expm(-0.5j * dt * v)
-    if not np.all(np.isfinite(phase)):
+        for members in classes:
+            square = sum(signs[i] * coefficients[i] ** 2 for i in members)
+            cos, weight = _exp_factors(square + 0j, tau)
+            factors.append((cos, [(weight * coefficients[i], matrices[i])
+                                  for i in members]))
+    if not all(np.all(np.isfinite(field)) for cos, terms in factors
+               for field in (cos, *(weight for weight, _ in terms))):
         raise DomainError(
             f"exp(-i dt V_{particle} / 2) is not finite on the grid")
-    return phase
+
+    if time_only:
+        eye = np.eye(len(matrices[0]))
+        return reduce(np.matmul, [
+            cos * eye + sum(weight * matrix for weight, matrix in terms)
+            for cos, terms in factors])
+
+    def apply(values: np.ndarray) -> np.ndarray:
+        for cos, terms in factors:
+            out = values * cos[..., None]
+            for weight, matrix in terms:
+                out += weight[..., None] * (values @ matrix.T)
+            values = out
+        return values
+
+    return apply
 
 
 def _free_multiplier(grid: Grid, mass: float, dt: float,
                      rep: GammaRep) -> np.ndarray:
     """exp(-i dt (alpha3 kappa + gamma0 m)) per Fourier mode, (n, 4, 4)."""
     kappa = grid.momenta()
-    energy = np.sqrt(kappa ** 2 + mass ** 2)
+    cos, weight = _exp_factors(kappa ** 2 + mass ** 2, dt)
     hamiltonian = (rep.alpha(3)[None] * kappa[:, None, None]
                    + rep.gamma(0)[None] * mass)
-    return (np.cos(energy * dt)[:, None, None] * np.eye(4)
-            - 1j * dt * np.sinc(energy * dt / np.pi)[:, None, None]
-            * hamiltonian)
+    return (cos[:, None, None] * np.eye(4)
+            + weight[:, None, None] * hamiltonian)
 
 
 def step(psi: WaveFunction, particle: int, dt: float,
@@ -224,22 +373,21 @@ def step(psi: WaveFunction, particle: int, dt: float,
     # (n, 16, 16): the free propagator on particle k's spin factor
     kernel = (np.kron(multiplier, eye) if particle == 1
               else np.kron(eye, multiplier))
-    if phase is not None and phase.ndim == 2:
+    if isinstance(phase, np.ndarray):
         kernel = phase @ kernel @ phase
         phase = None
 
+    values = psi.values if phase is None else phase(psi.values)
     # particle k's grid axis leads, so kernel row x acts on values[x]
-    values = psi.values if particle == 1 else psi.values.swapaxes(0, 1)
-    if phase is not None:
-        phase = phase if particle == 1 else phase.swapaxes(0, 1)
-        values = _pointwise(phase, values)
+    if particle == 2:
+        values = values.swapaxes(0, 1)
     spectral = np.fft.fft(values, axis=0)
     spectral = spectral @ kernel.swapaxes(-1, -2)
     values = np.fft.ifft(spectral, axis=0)
-    if phase is not None:
-        values = _pointwise(phase, values)
     if particle == 2:
         values = values.swapaxes(0, 1)
+    if phase is not None:
+        values = phase(values)
 
     t1, t2 = psi.times
     times = (t1 + dt, t2) if particle == 1 else (t1, t2 + dt)

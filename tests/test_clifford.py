@@ -9,6 +9,7 @@ from mtdirac.clifford import (
     BasisClass,
     BasisElement,
     anticommutator,
+    anticommute,
     basis16,
     basis_gram,
     build_dirac_rep,
@@ -22,6 +23,7 @@ from mtdirac.clifford import (
     realize,
     reconstruct,
     single_matrix,
+    square_sign,
     tensor_element,
     verify_clifford,
 )
@@ -191,6 +193,32 @@ def test_conjugated_rep_keeps_identities(dirac, rng):
     w, v = np.linalg.eigh(h)
     rep = conjugate_rep(dirac, v)
     assert max(verify_clifford(rep).values()) < 1e-12
+
+
+def test_sign_table_does_not_depend_on_representation(dirac, rng):
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    _, unitary = np.linalg.eigh(h + h.conj().T)
+    for rep in (build_weyl_rep(), conjugate_rep(dirac, unitary)):
+        for table in ("squares", "commutes"):
+            assert np.array_equal(getattr(rep, table), getattr(dirac, table))
+    assert np.all(np.abs(dirac.squares) == 1)
+    assert np.array_equal(dirac.commutes, dirac.commutes.T)
+
+
+@pytest.mark.parametrize("rep", REPS, ids=lambda r: r.name)
+def test_tensor_signs_match_matrices(rep, rng):
+    singles = [BasisElement(cls, mu) for cls in BasisClass for mu in range(4)]
+    elements = [tensor_element(*(singles[i] for i in rng.integers(16, size=2)))
+                for _ in range(40)]
+    eye = np.eye(16)
+    for a in elements:
+        ma = realize(a, rep)
+        assert frobenius(ma @ ma - square_sign(a, rep) * eye) < ALGEBRA_TOL
+        assert frobenius(ma.conj().T - square_sign(a, rep) * ma) < ALGEBRA_TOL
+        for b in elements:
+            mb = realize(b, rep)
+            sign = -1.0 if anticommute(a, b, rep) else 1.0
+            assert frobenius(ma @ mb - sign * mb @ ma) < ALGEBRA_TOL
 
 
 def test_single_matrix_identity_and_gamma5(dirac):

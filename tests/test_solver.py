@@ -2,10 +2,31 @@
 
 from __future__ import annotations
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from mtdirac.potential import DomainError, SpecError, make_builtin
+from mtdirac import solver
+from mtdirac.clifford import (
+    IDENTITY_ELEMENT,
+    BasisClass,
+    BasisElement,
+    realize,
+    tensor_element,
+)
+from mtdirac.dsl import Const
+from mtdirac.potential import (
+    DomainError,
+    MultiTimeSystem,
+    Potential,
+    PotentialTerm,
+    SpecError,
+    make_builtin,
+    zero_potential,
+)
 from mtdirac.solver import (
     Grid,
     HolonomyResult,
@@ -163,14 +184,75 @@ def test_coulomb_singularity_raises_domain_error(grid, psi0, dirac):
         step(psi0, 1, 0.1, system, dirac)
 
 
+def test_grid_antihermitian_coefficient_rejected(grid, psi0, dirac):
+    system = make_builtin("coefficient_form", {
+        "W1": (0, 0, 0, "i*cos(x1_3 - x2_3)"), "hermitian": True})
+    with pytest.raises(SpecError, match="hermitian"):
+        step(psi0, 1, 0.1, system, dirac)
+
+
 def test_non_finite_potential_raises_domain_error(grid, psi0, dirac):
-    system = make_builtin("coefficient_form", {"E": ("exp(100*x1_3)", 0, 0, 0)})
-    with pytest.raises(DomainError, match="not finite"):
-        step(psi0, 2, 0.1, system, dirac)
-    # a finite potential whose exponential overflows
-    system = make_builtin("coefficient_form", {"E": ("1e4*i*x1_3", 0, 0, 0)})
-    with pytest.raises(DomainError, match="not finite"):
-        step(psi0, 2, 0.1, system, dirac)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        system = make_builtin("coefficient_form",
+                              {"E": ("exp(100*x1_3)", 0, 0, 0)})
+        with pytest.raises(DomainError, match="not finite"):
+            step(psi0, 2, 0.1, system, dirac)
+        # a finite potential whose exponential overflows
+        system = make_builtin("coefficient_form",
+                              {"E": ("1e4*i*x1_3", 0, 0, 0)})
+        with pytest.raises(DomainError, match="not finite"):
+            step(psi0, 2, 0.1, system, dirac)
+
+
+_SINGLE_ELEMENTS = [BasisElement(cls, mu) for cls in BasisClass
+                    for mu in range(4)]
+
+
+@pytest.mark.parametrize("particle", [1, 2])
+def test_closed_form_phase_matches_expm(particle, dirac):
+    """Every pair of single-particle elements, commuting or not."""
+    rng = np.random.default_rng(7)
+    grid = Grid(points=16)
+
+    def on_particle(element):
+        factors = [IDENTITY_ELEMENT, IDENTITY_ELEMENT]
+        factors[particle - 1] = element
+        return tensor_element(*factors)
+
+    for first, second in itertools.combinations_with_replacement(
+            _SINGLE_ELEMENTS, 2):
+        weights = rng.normal(size=2) + 1j * rng.normal(size=2)
+        terms = tuple(PotentialTerm(on_particle(element), Const(weight))
+                      for element, weight in zip((first, second), weights))
+        potentials = [zero_potential(1), zero_potential(2)]
+        potentials[particle - 1] = Potential(particle, 2, terms)
+        system = MultiTimeSystem("pair", 2, (1.0, 1.0), tuple(potentials),
+                                 hermitian=False)
+        phase = solver._potential_phase(system, particle, (0.0, 0.0), 0.1,
+                                        grid, dirac)
+        v = sum(weight * realize(term.structure, dirac)
+                for weight, term in zip(weights, terms))
+        expected = scipy.linalg.expm(-0.05j * v)
+        assert np.max(np.abs(phase - expected)) <= 1e-13, (first, second)
+
+
+@pytest.mark.parametrize("argv", [
+    ("hoho", {"c": (1.0, 0.0, 0.0, 0.5)}),
+    ("coefficient_form", {"W1": (0, 0, 0, "0.5*cos(x1_3 - x2_3)"),
+                          "E": ("0.5*sin(x1_3 + x2_3)", 0, 0, 0)}),
+], ids=["hoho", "coefficient_form"])
+def test_grid_phase_workloads_take_closed_form(argv, dirac, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense phase used")
+
+    monkeypatch.setattr(solver.np.linalg, "eigh", refuse)
+    monkeypatch.setattr(solver.scipy.linalg, "expm", refuse)
+    system = make_builtin(*argv)
+    psi = product_state(Grid(points=64))
+    for particle in (1, 2, 1, 2):
+        psi = step(psi, particle, 0.05, system, dirac)
+    assert abs(psi.norm() - 1.0) < 1e-10
 
 
 _ORACLE_SYSTEMS = {
@@ -182,6 +264,17 @@ _ORACLE_SYSTEMS = {
     "grid expm phase": ("coefficient_form", {
         "W1": (0, 0, 0, "0.5*cos(x1_3 - x2_3)"),
         "E": ("0.5*sin(x1_3 + 2*x2_3)", 0, 0, 0)}),
+    # alpha3 x 1 and alpha3 x gamma5 commute: two classes, both on the grid
+    "two commuting classes": ("coefficient_form", {
+        "W1": (0, 0, 0, "0.5*cos(x1_3 - x2_3)"),
+        "X1": (0, 0, 0, "0.2*cos(x2_3)")}),
+    # gamma0 x 1 anticommutes with both: not a union of cliques
+    "dense phase, not a union of cliques": ("coefficient_form", {
+        "W1": (0, 0, 0, "0.5*cos(x1_3 - x2_3)"),
+        "X1": (0, 0, 0, "0.2*cos(x2_3)"),
+        "A": ("0.3*sin(x1_3)", 0, 0, 0)}),
+    "non-hermitian grid phase": ("hoho", {
+        "C": (1.0, 0.3, 0.0, 0.0), "c": (1.0, 0.0, 0.0, 0.5)}),
     "zero potential": ("free", {}),
 }
 
