@@ -5,12 +5,14 @@ spinor factors.  Every 4x4 matrix expands uniquely over the 16-element
 basis alpha^mu, gamma5*alpha^mu, gamma^mu, gamma5*gamma^mu (mu = 0..3),
 and products of such factors form an orthogonal basis of the full
 16^N-dimensional operator space under the Hilbert-Schmidt pairing.
+The product of two basis elements is a phase in {1, -1, i, -i} times one
+basis element, so operator fields (coefficient arrays over basis
+elements) multiply and commute without forming matrices.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
@@ -64,12 +66,13 @@ class GammaRep:
     the 16 single-particle basis matrices, derived from these and indexed
     ``[class, mu]`` in BasisClass order.
 
-    The sign table, flat-indexed 4 * class + mu like ``basis``, records
-    the algebra's structure constants, which do not depend on the
-    representation: each basis element B_i squares to ``squares[i]``
-    times the identity, and B_i B_j = B_j B_i where ``commutes[i, j]``,
-    else B_i B_j = -B_j B_i.  In a unitary representation B_i^dag is
-    B_i^-1 = ``squares[i]`` B_i, so the squares are also the adjoint signs.
+    The product table, flat-indexed 4 * class + mu like ``basis``,
+    records the algebra's structure constants, which do not depend on the
+    representation: B_i B_j = ``product_phase[i, j]`` B_k with
+    k = ``product_index[i, j]`` and a phase in {1, -1, i, -i}.  So B_i
+    squares to the phase [i, i] times the identity, and B_i, B_j commute
+    when the phases [i, j] and [j, i] agree, else they anticommute.  In a
+    unitary representation B_i^dag is B_i^-1 = phase[i, i] B_i.
     """
 
     name: str
@@ -77,20 +80,21 @@ class GammaRep:
     gamma5: np.ndarray
     alphas: np.ndarray
     basis: np.ndarray = field(init=False, repr=False, compare=False)
-    squares: np.ndarray = field(init=False, repr=False, compare=False)
-    commutes: np.ndarray = field(init=False, repr=False, compare=False)
+    product_index: np.ndarray = field(init=False, repr=False, compare=False)
+    product_phase: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g5 = self.gamma5
         basis = np.stack([*self.alphas, *(g5 @ a for a in self.alphas),
                           *self.gammas, *(g5 @ g for g in self.gammas)])
-        products = basis[:, None] @ basis[None, :]
+        # the coefficient of B_k in B_i B_j is tr(B_k^dag B_i B_j) / 4
+        coefficients = np.einsum("kab,ijab->ijk", basis.conj(),
+                                 basis[:, None] @ basis[None, :]) / 4
+        index = np.argmax(np.abs(coefficients), axis=-1)
+        phase = np.take_along_axis(coefficients, index[..., None], -1)
         object.__setattr__(self, "basis", basis.reshape(4, 4, 4, 4))
-        object.__setattr__(self, "squares", np.rint(
-            products[np.arange(16), np.arange(16), 0, 0].real))
-        object.__setattr__(self, "commutes", np.all(
-            np.abs(products - products.swapaxes(0, 1)) < ALGEBRA_TOL,
-            axis=(-2, -1)))
+        object.__setattr__(self, "product_index", index)
+        object.__setattr__(self, "product_phase", np.round(phase[..., 0]))
 
     def gamma(self, mu: int) -> np.ndarray:
         return self.gammas[mu]
@@ -245,20 +249,85 @@ def _flat_index(element: BasisElement) -> int:
     return 4 * _CLASS_INDEX[element.cls] + element.mu
 
 
+def element_product(a: TensorBasisElement, b: TensorBasisElement,
+                    rep: GammaRep) -> tuple[complex, TensorBasisElement]:
+    """(phase, c) with a b = phase c, factor by factor from the table."""
+    phase = 1
+    factors = []
+    for x, y in zip(a.factors, b.factors):
+        i, j = _flat_index(x), _flat_index(y)
+        phase *= rep.product_phase[i, j]
+        factors.append(_ELEMENTS[rep.product_index[i, j]])
+    return phase, TensorBasisElement(tuple(factors))
+
+
 def square_sign(element: TensorBasisElement, rep: GammaRep) -> float:
     """The sign s of B^2 = s 1 for a tensor-basis element B.
 
     In a unitary representation it is also the sign of B^dag = s B.
     """
-    return math.prod(rep.squares[_flat_index(f)] for f in element.factors)
+    return float(element_product(element, element, rep)[0].real)
 
 
 def anticommute(a: TensorBasisElement, b: TensorBasisElement,
                 rep: GammaRep) -> bool:
     """True when a b = -b a; tensor-basis elements otherwise commute."""
-    flips = sum(not rep.commutes[_flat_index(x), _flat_index(y)]
-                for x, y in zip(a.factors, b.factors))
-    return flips % 2 == 1
+    return element_product(a, b, rep)[0] == -element_product(b, a, rep)[0]
+
+
+# ---------------------------------------------------------------------------
+# Operator fields
+# ---------------------------------------------------------------------------
+
+#: The operator sum_m c_m B_m at every point of a configuration stack, kept
+#: as {tensor-basis element B_m: coefficient array c_m}; the arrays
+#: broadcast against each other and against the stack's leading shape.
+OperatorField = dict[TensorBasisElement, np.ndarray]
+
+
+def field_sum(*terms: tuple[complex, OperatorField]) -> OperatorField:
+    """sum_t w_t a_t of weighted fields (w_t, a_t), added in order."""
+    out: OperatorField = {}
+    for weight, operand in terms:
+        for element, value in operand.items():
+            value = weight * value
+            out[element] = out[element] + value if element in out else value
+    return out
+
+
+def field_product(a: OperatorField, b: OperatorField,
+                  rep: GammaRep) -> OperatorField:
+    """The pointwise product a b, one table lookup per pair of terms."""
+    products = (element_product(element_a, element_b, rep)
+                + (value_a * value_b,)
+                for element_a, value_a in a.items()
+                for element_b, value_b in b.items())
+    return field_sum(*((phase, {element: value})
+                       for phase, element, value in products))
+
+
+def field_commutator(a: OperatorField, b: OperatorField,
+                     rep: GammaRep) -> OperatorField:
+    """[a, b] pair by pair: B_a B_b - B_b B_a is 0 or 2 B_a B_b.
+
+    A commuting pair still adds 0 * c_a c_b, so a non-finite coefficient
+    makes the commutator non-finite, as it makes a b - b a.
+    """
+    return field_sum(*(
+        (2 * anticommute(element_a, element_b, rep),
+         field_product({element_a: value_a}, {element_b: value_b}, rep))
+        for element_a, value_a in a.items()
+        for element_b, value_b in b.items()))
+
+
+def field_norm(operand: OperatorField, n_particles: int) -> np.ndarray:
+    """Pointwise Frobenius norm sqrt(4^N sum_m |c_m|^2) of sum_m c_m B_m.
+
+    The basis is orthogonal with tr(B_m^dag B_m) = 4^N (basis_gram).
+    """
+    squares = sum(np.real(value) ** 2 + np.imag(value) ** 2
+                  for value in operand.values())
+    return np.sqrt(4 ** n_particles * squares)
 
 
 def embed(matrix: np.ndarray, k: int, n_particles: int) -> np.ndarray:
@@ -306,22 +375,23 @@ def decompose(
             for factors, value in zip(elements, values)}
 
 
-def reconstruct(
-    coeffs: dict[TensorBasisElement, complex], n_particles: int, rep: GammaRep
-) -> np.ndarray:
-    """Inverse of decompose: sum of coefficient times basis matrix."""
-    dim = 4**n_particles
-    values = np.zeros((4,) * (2 * n_particles), dtype=complex)
+def reconstruct(coeffs: OperatorField, n_particles: int, rep: GammaRep,
+                shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Inverse of decompose: sum of coefficient times basis matrix.
+
+    The one assembly of matrices from coefficients: for an operator field
+    the result is (..., 4^N, 4^N), its leading shape broadcast from
+    `shape` and the coefficient arrays' shapes.
+    """
+    dim = 4 ** n_particles
+    shape = np.broadcast_shapes(shape, *map(np.shape, coeffs.values()))
+    total = np.zeros(shape + (dim, dim), complex)
     for element, value in coeffs.items():
         if element.n_particles != n_particles:
             raise ValueError(f"{element.label()} has {element.n_particles} "
                              f"factors, expected {n_particles}")
-        values[tuple(index for f in element.factors
-                     for index in (_CLASS_INDEX[f.cls], f.mu))] = value
-    pairs = _per_factor(values.reshape((16,) * n_particles),
-                        rep.basis.reshape(16, 16).T, n_particles)
-    return pairs.reshape((4,) * (2 * n_particles)).transpose(
-        np.argsort(_factor_pairs(n_particles))).reshape(dim, dim)
+        total += np.asarray(value)[..., None, None] * realize(element, rep)
+    return total
 
 
 def basis_gram(rep: GammaRep) -> np.ndarray:

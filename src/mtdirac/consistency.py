@@ -10,10 +10,15 @@ vanishes identically.  For first-order Hamiltonians the curvature
 splits into first-order pieces, proportional to the commutators
 [alpha^a_j, V_k] (j != k), and a zeroth-order matrix residual.  This
 module computes both, each on a whole configuration stack (..., N, 4)
-in one call, assembles the curvature from them, and evaluates the
-scalar compatibility conditions (cc1..cc16) that characterize
-consistency in the sixteen-field coefficient form of a two-particle
-pair (see potential.COEFFICIENT_LAYOUT).
+in one call, in coefficient space: the potentials are operator fields
+sum_m c_m B_m over tensor-basis elements, every product of two basis
+elements is a phase times one basis element (GammaRep's product
+table), and ||sum_m c_m B_m||_F = sqrt(4^N sum_m |c_m|^2), so no
+matrix is formed unless a caller asks for one.  The curvature is built
+from the same fields.  The module also evaluates the scalar
+compatibility conditions (cc1..cc16) that characterize consistency in
+the sixteen-field coefficient form of a two-particle pair (see
+potential.COEFFICIENT_LAYOUT).
 """
 
 from __future__ import annotations
@@ -22,7 +27,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import GammaRep, commutator, embed
+from .clifford import (
+    IDENTITY_ELEMENT,
+    BasisClass,
+    BasisElement,
+    GammaRep,
+    OperatorField,
+    field_commutator,
+    field_norm,
+    field_product,
+    field_sum,
+    reconstruct,
+    tensor_element,
+)
 from .dsl import Expr, differentiate, evaluate
 from .potential import (
     COEFFICIENT_FIELDS_1,
@@ -34,8 +51,9 @@ from .potential import (
     MultiTimeSystem,
     Region,
     SpecError,
+    _require_finite,
     differentiate_potential,
-    evaluate_stack,
+    operator_field,
     sample_configs,
     stack_coords,
     to_coefficient_form,
@@ -44,53 +62,54 @@ from .potential import (
 VERDICT_CONSISTENT = "CONSISTENT"
 VERDICT_INCONSISTENT = "INCONSISTENT"
 
+_GAMMA0 = BasisElement(BasisClass.GAMMA, 0)
+_ALPHA = tuple(BasisElement(BasisClass.ALPHA, mu) for mu in range(4))
+
 
 # ---------------------------------------------------------------------------
-# Matrix-level residuals
+# Residuals as operator fields
 # ---------------------------------------------------------------------------
 
-def _over_stack(matrices: np.ndarray, coords) -> np.ndarray:
-    """Broadcast (..., D, D) to the stack's leading shape (a view)."""
-    return np.broadcast_to(
-        matrices, np.shape(coords)[:-2] + matrices.shape[-2:])
+def _unit(element: BasisElement, k: int, n_particles: int) -> OperatorField:
+    """{element on factor k, identity on the others: 1}."""
+    return {tensor_element(*(element if i == k else IDENTITY_ELEMENT
+                             for i in range(1, n_particles + 1))): 1.0}
 
 
-def _zeroth_order(system: MultiTimeSystem, coords, rep: GammaRep,
-                  j: int, k: int) -> np.ndarray:
-    """E(j,k), broadcastable against the stack like evaluate_stack."""
+def _zeroth_order(system: MultiTimeSystem, configs, rep: GammaRep,
+                  j: int, k: int) -> OperatorField:
+    """E(j,k) as an operator field over the configuration stack."""
     n = system.n_particles
+    coords = stack_coords(configs)
     pot_j, pot_k = system.potential(j), system.potential(k)
-    v_j = evaluate_stack(pot_j, coords, rep)
-    v_k = evaluate_stack(pot_k, coords, rep)
-    g0_j = embed(rep.gamma(0), j, n)
-    g0_k = embed(rep.gamma(0), k, n)
-
-    residual = (commutator(v_k, v_j)
-                + system.mass(k) * commutator(g0_k, v_j)
-                - system.mass(j) * commutator(g0_j, v_k))
+    v_j = operator_field(pot_j, coords)
+    v_k = operator_field(pot_k, coords)
+    g0_j, g0_k = _unit(_GAMMA0, j, n), _unit(_GAMMA0, k, n)
+    terms = [(1, field_commutator(v_k, v_j, rep)),
+             (system.mass(k), field_commutator(g0_k, v_j, rep)),
+             (-system.mass(j), field_commutator(g0_j, v_k, rep))]
     for mu in range(4):
-        dv_j = evaluate_stack(differentiate_potential(pot_j, k, mu),
-                              coords, rep)
-        dv_k = evaluate_stack(differentiate_potential(pot_k, j, mu),
-                              coords, rep)
-        residual = (residual
-                    - 1j * embed(rep.alpha(mu), k, n) @ dv_j
-                    + 1j * embed(rep.alpha(mu), j, n) @ dv_k)
-    return residual
+        dv_j = operator_field(differentiate_potential(pot_j, k, mu), coords)
+        dv_k = operator_field(differentiate_potential(pot_k, j, mu), coords)
+        terms += [(-1j, field_product(_unit(_ALPHA[mu], k, n), dv_j, rep)),
+                  (1j, field_product(_unit(_ALPHA[mu], j, n), dv_k, rep))]
+    return field_sum(*terms)
 
 
-def _first_order(system: MultiTimeSystem, coords,
-                 rep: GammaRep) -> dict[tuple[int, int], np.ndarray]:
-    """[alpha^a_j, V_k] by (j, a), broadcastable like evaluate_stack."""
+def _first_order(system: MultiTimeSystem, configs,
+                 rep: GammaRep) -> dict[tuple[int, int], OperatorField]:
+    """[alpha^a_j, V_k] by (j, a) as operator fields over the stack."""
     n = system.n_particles
-    out: dict[tuple[int, int], np.ndarray] = {}
+    coords = stack_coords(configs)
+    out: dict[tuple[int, int], OperatorField] = {}
     for j in range(1, n + 1):
         for k in range(1, n + 1):
             if j == k:
                 continue
-            v_k = evaluate_stack(system.potential(k), coords, rep)
+            v_k = operator_field(system.potential(k), coords)
             for a in (1, 2, 3):
-                out[(j, a)] = commutator(embed(rep.alpha(a), j, n), v_k)
+                out[(j, a)] = field_commutator(_unit(_ALPHA[a], j, n), v_k,
+                                               rep)
     return out
 
 
@@ -104,7 +123,8 @@ def zeroth_order_residual(system: MultiTimeSystem, coords: np.ndarray,
     coords is a configuration stack (..., N, 4), a single configuration
     being the stack (N, 4); the result is (..., D, D).
     """
-    return _over_stack(_zeroth_order(system, coords, rep, j, k), coords)
+    return reconstruct(_zeroth_order(system, coords, rep, j, k),
+                       system.n_particles, rep, np.shape(coords)[:-2])
 
 
 def derivative_coefficient_matrices(
@@ -116,21 +136,13 @@ def derivative_coefficient_matrices(
     every one of them must vanish identically for consistency.  Each is
     (..., D, D) for a configuration stack (..., N, 4).
     """
-    return {key: _over_stack(matrices, coords)
-            for key, matrices in _first_order(system, coords, rep).items()}
+    return {key: reconstruct(operand, system.n_particles, rep,
+                             np.shape(coords)[:-2])
+            for key, operand in _first_order(system, coords, rep).items()}
 
 
-def _sup_frobenius(batch: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(batch, axis=(-2, -1))))
-
-
-def _require_finite(sups: dict[str, float]) -> None:
-    """No verdict from non-finite numbers: raise DomainError on any."""
-    bad = sorted(name for name, sup in sups.items() if not np.isfinite(sup))
-    if bad:
-        raise DomainError(
-            f"non-finite residual in {', '.join(bad)} at the sampled "
-            "configurations")
+def _sup_norm(operand: OperatorField) -> float:
+    return float(np.max(field_norm(operand, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +297,10 @@ def check_consistency(system: MultiTimeSystem, rep: GammaRep, *,
         samples = np.asarray(samples, float)
 
     with np.errstate(all="ignore"):
-        matrices = derivative_coefficient_matrices(system, samples, rep)
-        deriv_sup = tuple(
-            _sup_frobenius(matrices[(j, a)])
-            for j in (1, 2) for a in (1, 2, 3))
-        zeroth_sup = _sup_frobenius(
-            zeroth_order_residual(system, samples, rep))
+        first = _first_order(system, samples, rep)
+        deriv_sup = tuple(_sup_norm(first[(j, a)])
+                          for j in (1, 2) for a in (1, 2, 3))
+        zeroth_sup = _sup_norm(_zeroth_order(system, samples, rep, 1, 2))
     _require_finite({"zeroth_sup": zeroth_sup} | {
         f"deriv_coeff_sup[{index}]": sup
         for index, sup in enumerate(deriv_sup)})
@@ -318,14 +328,16 @@ def check_consistency(system: MultiTimeSystem, rep: GammaRep, *,
 
 @dataclass(frozen=True)
 class CurvatureOperator:
-    """First-order differential operator F_12 at one or more configurations.
+    """First-order differential operator F_12 as operator fields.
 
     F_12 = zeroth + sum_{k,a} first[(k, a)] d/dx_{k,a}; consistency of
-    the pair is exactly F_12 = 0 for all configurations.
+    the pair is exactly F_12 = 0 for all configurations.  Each part is an
+    OperatorField over the configuration stack (clifford.reconstruct
+    gives its matrices).
     """
 
-    zeroth: np.ndarray
-    first: dict[tuple[int, int], np.ndarray]
+    zeroth: OperatorField
+    first: dict[tuple[int, int], OperatorField]
 
 
 def curvature_operator(system: MultiTimeSystem, coords: np.ndarray,
@@ -334,17 +346,12 @@ def curvature_operator(system: MultiTimeSystem, coords: np.ndarray,
 
     F_12 = dH_1/dt_2 - dH_2/dt_1 - i [H_1, H_2] has the zeroth-order part
     i E(1,2) (zeroth_order_residual) and the first-order coefficients
-    -[alpha^a_1, V_2], +[alpha^a_2, V_1] (derivative_coefficient_matrices);
-    parts constant over the stack stay single (D, D) matrices.
+    -[alpha^a_1, V_2], +[alpha^a_2, V_1] (derivative_coefficient_matrices).
     """
     if system.n_particles != 2:
         raise SpecError("curvature requires exactly two particles")
-    # each part may be a whole grid of 16x16 matrices: the zeroth-order
-    # temporaries are freed before the first-order parts are held, and the
-    # signs and the factor i are applied in place
-    zeroth = _zeroth_order(system, coords, rep, 1, 2)
-    zeroth *= 1j
     first = _first_order(system, coords, rep)
-    for a in (1, 2, 3):
-        np.negative(first[(1, a)], out=first[(1, a)])
-    return CurvatureOperator(zeroth=zeroth, first=first)
+    return CurvatureOperator(
+        zeroth=field_sum((1j, _zeroth_order(system, coords, rep, 1, 2))),
+        first={(j, a): field_sum((1 if j == 2 else -1, operand))
+               for (j, a), operand in first.items()})

@@ -285,7 +285,10 @@ def _as_complex(value):
 
 _UFUNC = {
     "exp": np.exp, "sin": np.sin, "cos": np.cos,
-    "sinh": np.sinh, "cosh": np.cosh, "sqrt": np.sqrt,
+    "sinh": np.sinh, "cosh": np.cosh,
+    # + 0j turns the -0.0 imaginary part that negation or division leaves
+    # on a negative real into +0.0, so it takes the documented i*sqrt(|x|)
+    "sqrt": lambda value: np.sqrt(value + 0j),
 }
 
 
@@ -314,7 +317,8 @@ def _eval(expr: Expr, coords) -> complex | np.ndarray:
                 raise DslEvaluationError("division by zero")
             return _eval(left, coords) / denominator
         case Pow(base, exponent):
-            return _eval(base, coords) ** exponent
+            # np.power overflows to inf where complex ** int would raise
+            return np.power(_eval(base, coords), exponent)
         case Call(func, arg):
             return _UFUNC[func](_eval(arg, coords))
     raise TypeError(f"not an expression node: {expr!r}")

@@ -25,9 +25,12 @@ from .clifford import (
     BasisClass,
     BasisElement,
     GammaRep,
+    OperatorField,
     TensorBasisElement,
-    frobenius,
-    realize,
+    field_norm,
+    field_sum,
+    reconstruct,
+    square_sign,
     tensor_element,
 )
 from .dsl import (
@@ -53,6 +56,15 @@ class DomainError(Exception):
 
 class SpecError(Exception):
     """Malformed system description."""
+
+
+def _require_finite(sups: dict[str, float]) -> None:
+    """No verdict from non-finite numbers: raise DomainError on any."""
+    bad = sorted(name for name, sup in sups.items() if not np.isfinite(sup))
+    if bad:
+        raise DomainError(
+            f"non-finite residual in {', '.join(bad)} at the sampled "
+            "configurations")
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +120,19 @@ def check_guards(potential: Potential, coords) -> None:
                 f"guard violated: |{what}| < {guard.threshold}")
 
 
+def operator_field(potential: Potential, coords) -> OperatorField:
+    """The potential as an operator field {structure: coefficient array}.
+
+    Runs the guards first.  Zero terms are dropped and the coefficients of
+    a repeated structure are summed in term order, so the keys are the
+    structures in order of first appearance; coords as evaluate_potential.
+    """
+    check_guards(potential, coords)
+    return field_sum(*(
+        (1, {term.structure: np.asarray(evaluate(term.coefficient, coords))})
+        for term in potential.terms if not is_zero(term.coefficient)))
+
+
 def evaluate_potential(potential: Potential, coords,
                        rep: GammaRep) -> np.ndarray:
     """Potential matrix at a configuration; coords indexed coords[k-1][mu].
@@ -115,16 +140,8 @@ def evaluate_potential(potential: Potential, coords,
     Coordinate entries may be arrays, in which case the result has the
     broadcast shape as leading axes followed by the (4^N, 4^N) matrix.
     """
-    check_guards(potential, coords)
-    dim = 4 ** potential.n_particles
-    total = np.zeros((dim, dim), complex)
-    for term in potential.terms:
-        if is_zero(term.coefficient):
-            continue
-        coeff = np.asarray(evaluate(term.coefficient, coords))
-        matrix = realize(term.structure, rep)
-        total = total + coeff[..., None, None] * matrix
-    return total
+    return reconstruct(operator_field(potential, coords),
+                       potential.n_particles, rep)
 
 
 def stack_coords(configs) -> list[list[np.ndarray]]:
@@ -184,16 +201,30 @@ class MultiTimeSystem:
         return self.masses[k - 1]
 
 
+def hermitian_defect(potential: OperatorField, n_particles: int,
+                     rep: GammaRep) -> np.ndarray:
+    """Pointwise ||V - V^dagger||_F of an operator field V = sum_m a_m B_m.
+
+    V - V^dag = sum_m (a_m - s_m conj(a_m)) B_m, as B_m^dag = s_m B_m.
+    """
+    defect = {structure: value - square_sign(structure, rep) * np.conj(value)
+              for structure, value in potential.items()}
+    return field_norm(defect, n_particles)
+
+
+@np.errstate(all="ignore")
 def hermiticity_residual(system: MultiTimeSystem, configs: np.ndarray,
                          rep: GammaRep) -> float:
-    """sup over samples and particles of ||V_k - V_k^dagger||_F."""
-    worst = 0.0
-    for potential in system.potentials:
-        matrices = evaluate_stack(potential, configs, rep)
-        defects = matrices - np.conj(np.swapaxes(matrices, -1, -2))
-        for defect in defects.reshape(-1, *defects.shape[-2:]):
-            worst = max(worst, frobenius(defect))
-    return worst
+    """sup over samples and particles of ||V_k - V_k^dagger||_F.
+
+    Raises DomainError when the sup is not finite.
+    """
+    coords = stack_coords(configs)
+    worst = np.max([np.max(hermitian_defect(operator_field(potential, coords),
+                                            system.n_particles, rep))
+                    for potential in system.potentials], initial=0.0)
+    _require_finite({"hermiticity_residual": worst})
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,9 @@ Two experiments probe the compatibility of the pair of evolutions:
 * loop holonomy — run a small square loop in the (t_1, t_2) plane; the
   deviation divided by delta^2 estimates the norm of the curvature
   operator applied to the initial state, which apply_curvature
-  evaluates without stepping: consistency.curvature_operator on the
-  grid's (n, n, 2, 4) configuration stack.
+  evaluates without stepping: consistency.curvature_operator gives
+  F_12 on the grid's (n, n, 2, 4) configuration stack as operator
+  fields, applied like the grid phase as sum_m c_m(x) (B_m psi).
 """
 
 from __future__ import annotations
@@ -51,20 +52,20 @@ import scipy.linalg
 
 from .clifford import (
     GammaRep,
+    OperatorField,
     TensorBasisElement,
     anticommute,
     realize,
+    reconstruct,
     square_sign,
 )
 from .consistency import curvature_operator
-from .dsl import evaluate, is_zero
 from .potential import (
     DomainError,
     MultiTimeSystem,
-    Potential,
     SpecError,
-    check_guards,
-    evaluate_potential,
+    hermitian_defect,
+    operator_field,
 )
 from .symmetry import ConfigGrid
 
@@ -169,9 +170,11 @@ def _step_coords(grid: Grid, t1: float, t2: float) -> list:
             [t2, 0.0, 0.0, zs[None, :]]]
 
 
-def _pointwise(matrices: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Apply a (..., 16, 16) matrix field to (n, n, 16) values pointwise."""
-    return np.matmul(matrices, values[..., None])[..., 0]
+def _add_terms(out: np.ndarray, terms, values: np.ndarray) -> np.ndarray:
+    """out += sum_i a_i (B_i values) over terms (a_i, B_i), pointwise."""
+    for weight, matrix in terms:
+        out += np.asarray(weight)[..., None] * (values @ matrix.T)
+    return out
 
 
 def _exp_factors(square, t: float):
@@ -209,54 +212,14 @@ def _anticommuting_classes(structures: Sequence[TensorBasisElement],
     return classes
 
 
-def _coefficient_fields(potential: Potential,
-                        structures: Sequence[TensorBasisElement],
-                        coords) -> list[np.ndarray]:
-    """Coefficient of each structure, repeated structures summed in order."""
-    slot = {structure: i for i, structure in enumerate(structures)}
-    fields = [0] * len(structures)
-    for term in potential.terms:
-        if not is_zero(term.coefficient):
-            i = slot[term.structure]
-            fields[i] = fields[i] + np.asarray(
-                evaluate(term.coefficient, coords))
-    return [np.asarray(field) for field in fields]
-
-
-def _hermitian_defect(coefficients: Sequence[np.ndarray],
-                      matrices: np.ndarray, signs: Sequence[float]) -> float:
-    """max |entry| of V - V^dag for V = sum_i a_i B_i, B_i^dag = h_i B_i.
-
-    V - V^dag = sum_i (a_i - h_i conj(a_i)) B_i, so only the entries on
-    the union of the supports of the B_i with a nonzero defect count.
-    """
-    defects = [a - h * np.conj(a) for a, h in zip(coefficients, signs)]
-    if not any(np.any(d) for d in defects):
-        return 0.0
-    flat = matrices.reshape(len(matrices), -1)
-    support = flat[:, np.any(flat != 0, axis=0)]
-    return float(np.max(np.abs(
-        np.stack(np.broadcast_arrays(*defects), axis=-1) @ support)))
-
-
-def _check_hermitian(defect: float) -> None:
-    if defect > _HERMITIAN_TOL:
-        raise SpecError(
-            f"potential declared hermitian but deviates by {defect:.3e}")
-
-
-def _dense_phase(system: MultiTimeSystem, particle: int, coords, dt: float,
-                 rep: GammaRep):
+def _dense_phase(system: MultiTimeSystem, particle: int,
+                 potential: OperatorField, dt: float, rep: GammaRep):
     """exp(-i (dt/2) V_k) from the assembled matrices (eigh or expm)."""
     with np.errstate(all="ignore"):
-        v = evaluate_potential(system.potential(particle), coords, rep)
+        v = reconstruct(potential, system.n_particles, rep)
     if not np.all(np.isfinite(v)):
         raise DomainError(f"potential V_{particle} is not finite on the grid")
-    if v.ndim == 2 and not np.any(v):
-        return None
     if system.hermitian:
-        _check_hermitian(float(np.max(np.abs(
-            v - np.conj(np.swapaxes(v, -1, -2))))))
         eigenvalues, basis = np.linalg.eigh(v)
         phases = np.exp(-0.5j * dt * eigenvalues)
         phase = (basis * phases[..., None, :]) @ np.conj(
@@ -269,7 +232,7 @@ def _dense_phase(system: MultiTimeSystem, particle: int, coords, dt: float,
                 f"exp(-i dt V_{particle} / 2) is not finite on the grid")
     if phase.ndim == 2:
         return phase
-    return lambda values: _pointwise(phase, values)
+    return lambda values: np.matmul(phase, values[..., None])[..., 0]
 
 
 def _potential_phase(system: MultiTimeSystem, particle: int,
@@ -285,32 +248,31 @@ def _potential_phase(system: MultiTimeSystem, particle: int,
     such classes, and _dense_phase otherwise.  Raises DomainError when
     V_k or the phase is not finite.
     """
-    potential = system.potential(particle)
-    if potential.is_zero():
+    if system.potential(particle).is_zero():
         return None
     mid = list(times)
     mid[particle - 1] += dt / 2
-    coords = _step_coords(grid, mid[0], mid[1])
-    structures = list(dict.fromkeys(
-        term.structure for term in potential.terms
-        if not is_zero(term.coefficient)))
-    classes = _anticommuting_classes(structures, rep)
-    if classes is None:
-        return _dense_phase(system, particle, coords, dt, rep)
-
     with np.errstate(all="ignore"):
-        check_guards(potential, coords)
-        coefficients = _coefficient_fields(potential, structures, coords)
+        potential = operator_field(system.potential(particle),
+                                   _step_coords(grid, mid[0], mid[1]))
+    coefficients = list(potential.values())
     if not all(np.all(np.isfinite(a)) for a in coefficients):
         raise DomainError(f"potential V_{particle} is not finite on the grid")
     time_only = all(a.ndim == 0 for a in coefficients)
     if time_only and not any(coefficients):
         return None
-    matrices = np.stack([realize(structure, rep) for structure in structures])
-    # B_i^2 = s_i and, the representation being unitary, B_i^dag = s_i B_i
-    signs = [square_sign(structure, rep) for structure in structures]
     if system.hermitian:
-        _check_hermitian(_hermitian_defect(coefficients, matrices, signs))
+        defect = np.max(hermitian_defect(potential, system.n_particles, rep))
+        if defect > _HERMITIAN_TOL:
+            raise SpecError("potential declared hermitian but deviates by "
+                            f"{defect:.3e}")
+    structures = list(potential)
+    classes = _anticommuting_classes(structures, rep)
+    if classes is None:
+        return _dense_phase(system, particle, potential, dt, rep)
+
+    matrices = [realize(structure, rep) for structure in structures]
+    signs = [square_sign(structure, rep) for structure in structures]
 
     tau = dt / 2
     factors = []  # per class: (cos, [(weight field, structure matrix)])
@@ -333,10 +295,7 @@ def _potential_phase(system: MultiTimeSystem, particle: int,
 
     def apply(values: np.ndarray) -> np.ndarray:
         for cos, terms in factors:
-            out = values * cos[..., None]
-            for weight, matrix in terms:
-                out += weight[..., None] * (values @ matrix.T)
-            values = out
+            values = _add_terms(values * cos[..., None], terms, values)
         return values
 
     return apply
@@ -554,15 +513,19 @@ def apply_curvature(system: MultiTimeSystem, psi: WaveFunction,
     does not carry.
     """
     grid = psi.grid
-    coords = _grid_coords(grid, *psi.times)
-    operator = curvature_operator(system, coords, rep)
-    out = _pointwise(operator.zeroth, psi.values)
+    operator = curvature_operator(system, _grid_coords(grid, *psi.times), rep)
+
+    def terms(operand: OperatorField):
+        return [(value, realize(structure, rep))
+                for structure, value in operand.items()]
+
+    out = _add_terms(np.zeros_like(psi.values), terms(operator.zeroth),
+                     psi.values)
     for particle in (1, 2):
-        matrix = operator.first[(particle, 3)]
-        if not np.any(matrix):
-            continue
-        derivative = _spectral_derivative(psi.values, grid, particle - 1)
-        out = out + _pointwise(matrix, derivative)
+        first = operator.first[(particle, 3)]
+        if any(np.any(value) for value in first.values()):
+            derivative = _spectral_derivative(psi.values, grid, particle - 1)
+            out = _add_terms(out, terms(first), derivative)
     return out
 
 

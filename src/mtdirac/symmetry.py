@@ -31,12 +31,14 @@ from .clifford import (
     GAMMA5_ELEMENT,
     IDENTITY_ELEMENT,
     BasisClass,
+    BasisElement,
     GammaRep,
-    commutator,
-    embed,
+    field_commutator,
+    field_norm,
+    field_sum,
     frobenius,
+    tensor_element,
 )
-from .consistency import _require_finite
 from .dsl import Expr, differentiate, evaluate, is_constant, is_zero
 from .potential import (
     COEFFICIENT_LAYOUT,
@@ -44,8 +46,10 @@ from .potential import (
     CoefficientSet,
     MultiTimeSystem,
     SpecError,
+    _require_finite,
     coefficient_field,
     evaluate_stack,
+    operator_field,
     stack_coords,
     to_coefficient_form,
 )
@@ -287,11 +291,14 @@ def interaction_witness_hoho(
     if all(is_zero(expr) for name in _GAMMA_FIELDS
            for expr in coefficients.field(name)):
         raise SpecError("the interaction witness needs a gamma sector")
-    v_1 = (evaluate_stack(system.potential(1), configs, rep)
-           + system.mass(1) * embed(rep.gamma(0), 1, 2))
-    v_2 = evaluate_stack(system.potential(2), configs, rep)
-    return min(map(frobenius, commutator(v_2, v_1).reshape(-1, 16, 16)),
-               default=np.inf)
+    coords = stack_coords(configs)
+    mass_term = {tensor_element(BasisElement(BasisClass.GAMMA, 0),
+                                IDENTITY_ELEMENT): 1.0}
+    v_1 = field_sum((1, operator_field(system.potential(1), coords)),
+                    (system.mass(1), mass_term))
+    v_2 = operator_field(system.potential(2), coords)
+    norms = field_norm(field_commutator(v_2, v_1, rep), 2)
+    return float(np.min(np.broadcast_to(norms, len(configs)), initial=np.inf))
 
 
 # ---------------------------------------------------------------------------

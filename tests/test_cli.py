@@ -475,7 +475,8 @@ def strict_json(text):
      "--param", "W1=exp(1000*x2_0),0,0,0", "--expect", "consistent"],
     ["cc", "--builtin", "coefficient_form",
      "--param", "W1=exp(1000*x2_0),0,0,0"],
-], ids=["simulate", "check", "cc"])
+    ["check", "--builtin", "coefficient_form", "--param", "A=1e200^2,0,0,0"],
+], ids=["simulate", "check", "cc", "check overflowing power"])
 def test_non_finite_numbers_exit_three_without_warnings(capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -195,14 +195,37 @@ def test_conjugated_rep_keeps_identities(dirac, rng):
     assert max(verify_clifford(rep).values()) < 1e-12
 
 
-def test_sign_table_does_not_depend_on_representation(dirac, rng):
+def _random_unitary_rep(dirac, rng):
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     _, unitary = np.linalg.eigh(h + h.conj().T)
-    for rep in (build_weyl_rep(), conjugate_rep(dirac, unitary)):
-        for table in ("squares", "commutes"):
+    return conjugate_rep(dirac, unitary)
+
+
+def test_sign_table_does_not_depend_on_representation(dirac, rng):
+    for rep in (build_weyl_rep(), _random_unitary_rep(dirac, rng)):
+        for table in ("product_index", "product_phase"):
             assert np.array_equal(getattr(rep, table), getattr(dirac, table))
-    assert np.all(np.abs(dirac.squares) == 1)
-    assert np.array_equal(dirac.commutes, dirac.commutes.T)
+    # B_i B_j = +-B_j B_i: the index table is symmetric, the phases agree
+    # up to sign, and every element squares to +-1
+    assert np.array_equal(dirac.product_index, dirac.product_index.T)
+    assert np.all(np.isin(dirac.product_phase / dirac.product_phase.T,
+                          [1, -1]))
+    assert set(np.diag(dirac.product_phase)) <= {1, -1}
+
+
+@pytest.mark.parametrize("which", ["dirac", "weyl", "unitary conjugate"])
+def test_product_table_holds_for_all_products(which, dirac, rng):
+    rep = {"dirac": dirac, "weyl": build_weyl_rep(),
+           "unitary conjugate": _random_unitary_rep(dirac, rng)}[which]
+    basis = rep.basis.reshape(16, 4, 4)
+    for i in range(16):
+        for j in range(16):
+            phase = rep.product_phase[i, j]
+            assert phase in (1, -1, 1j, -1j)
+            expected = phase * basis[rep.product_index[i, j]]
+            assert frobenius(basis[i] @ basis[j] - expected) < ALGEBRA_TOL
+    assert np.array_equal(rep.product_index, dirac.product_index)
+    assert np.array_equal(rep.product_phase, dirac.product_phase)
 
 
 @pytest.mark.parametrize("rep", REPS, ids=lambda r: r.name)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from mtdirac.clifford import (
     embed,
     frobenius,
     realize,
+    reconstruct,
     tensor_element,
 )
 from mtdirac.consistency import (
@@ -24,8 +27,10 @@ from mtdirac.consistency import (
     to_coefficient_form,
     zeroth_order_residual,
 )
-from mtdirac.dsl import Const, evaluate
+from mtdirac.dsl import Const, evaluate, parse
 from mtdirac.potential import (
+    BUILTIN_SYSTEMS,
+    DomainError,
     MultiTimeSystem,
     Potential,
     PotentialTerm,
@@ -34,9 +39,11 @@ from mtdirac.potential import (
     evaluate_potential,
     make_builtin,
     sample_configs,
+    zero_potential,
 )
 from mtdirac.solver import Grid, _grid_coords
 from oracles import reference_curvature
+from test_solver import _ORACLE_SYSTEMS
 
 
 def random_config(rng):
@@ -90,6 +97,26 @@ def test_residual_batch_matches_loop(dirac, rng):
     for i in range(7):
         single = zeroth_order_residual(system, samples[i], dirac)
         assert frobenius(batch[i] - single) < 1e-13
+
+
+def test_non_finite_potential_reaches_no_verdict(dirac):
+    # exp(1000 x1_0) overflows on about half the samples.  It multiplies
+    # gamma0 x 1, which commutes with every structure it meets, and the
+    # alpha3 on particle 2 keeps the pair outside the coefficient form, so
+    # no cc sup catches it either.
+    v_1 = Potential(1, 2, (
+        PotentialTerm(tensor_element(BasisElement(BasisClass.GAMMA, 0),
+                                     IDENTITY_ELEMENT),
+                      parse("exp(1000*x1_0)")),
+        PotentialTerm(tensor_element(IDENTITY_ELEMENT,
+                                     BasisElement(BasisClass.ALPHA, 3)),
+                      Const(1.0 + 0j))))
+    system = MultiTimeSystem("overflow", 2, (1.0, 1.0),
+                             (v_1, zero_potential(2)), hermitian=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-finite residual"):
+            check_consistency(system, dirac, nsamples=50)
 
 
 # ---------------------------------------------------------------------------
@@ -371,26 +398,44 @@ def _sup_frobenius(matrices):
     return float(np.max(np.linalg.norm(matrices, axis=(-2, -1))))
 
 
+def _matrices(operand, coords, rep):
+    """A curvature part's operator field as matrices over the stack."""
+    return reconstruct(operand, 2, rep, np.shape(coords)[:-2])
+
+
 @pytest.mark.parametrize("name,params", [
     ("hoho", {"C": (1.0, 0.5j, 0, 2j), "c": (1.0, 0.25, -0.5, 0.75)}),
     ("example1_vector", {"A": (0, 1, 0, 1), "B": (0, 0, 0.5, 0)}),
     ("coefficient_form", {"A": ("cos(x2_0 - x1_0)", 0, 0, "x2_3*x1_0"),
                           "Y2": (0.5, 0, 0, "sin(x1_3)")}),
+    *(pytest.param(name, {}, id=f"builtin {name}")
+      for name in BUILTIN_SYSTEMS),
+    *(pytest.param(*system, id=f"solver oracle: {label}")
+      for label, system in _ORACLE_SYSTEMS.items()),
 ])
-def test_curvature_decomposition_matches_residuals(name, params, dirac, rng):
+def test_curvature_decomposition_matches_residuals(name, params, dirac, weyl,
+                                                   rng):
     system = make_builtin(name, params)
-    grid_stack = _grid_coords(Grid(points=16), 0.3, -0.2)
-    for coords in [random_config(rng) for _ in range(5)] + [grid_stack]:
-        curvature = curvature_operator(system, coords, dirac)
-        zeroth, first = reference_curvature(system, coords, dirac)
-        assert _sup_frobenius(curvature.zeroth - zeroth) < 1e-12
-        assert curvature.first.keys() == first.keys()
-        for key, matrices in first.items():
-            assert _sup_frobenius(curvature.first[key] - matrices) < 1e-12
+    grid = Grid(points=16)
+    grid_stack = _grid_coords(grid, 0.3, -0.2)
+    # half a spacing apart, so no grid point has coincident particles
+    grid_stack[..., 1, 3] += grid.spacing / 2
+    for rep in (dirac, weyl):
+        for coords in [random_config(rng) for _ in range(5)] + [grid_stack]:
+            curvature = curvature_operator(system, coords, rep)
+            zeroth, first = reference_curvature(system, coords, rep)
+            assert _sup_frobenius(
+                _matrices(curvature.zeroth, coords, rep) - zeroth) < 1e-12
+            assert curvature.first.keys() == first.keys()
+            for key, matrices in first.items():
+                assert _sup_frobenius(_matrices(curvature.first[key], coords,
+                                                rep) - matrices) < 1e-12
 
 
 def test_curvature_vanishes_for_consistent_systems(dirac, rng):
     system = make_builtin("hoho", {"c": (1.0, 0, 0.5, 0)})
-    curvature = curvature_operator(system, random_config(rng), dirac)
-    assert frobenius(curvature.zeroth) < 1e-10
-    assert all(frobenius(m) < 1e-12 for m in curvature.first.values())
+    coords = random_config(rng)
+    curvature = curvature_operator(system, coords, dirac)
+    assert frobenius(_matrices(curvature.zeroth, coords, dirac)) < 1e-10
+    assert all(frobenius(_matrices(m, coords, dirac)) < 1e-12
+               for m in curvature.first.values())

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mtdirac.dsl import (
+    FUNCTIONS,
     Add,
     Call,
     Const,
     Coord,
+    Div,
     DslEvaluationError,
     DslParseError,
     Mul,
@@ -69,6 +74,15 @@ def test_sqrt_of_negative_real_is_positive_imaginary():
     coords = np.zeros((2, 4))
     coords[0, 0] = -4.0
     assert abs(evaluate(parse("sqrt(x1_0)"), coords) - 2j) < 1e-12
+
+
+@pytest.mark.parametrize("source", ["sqrt(-x2_0)", "sqrt(-4)",
+                                    "sqrt(16/x1_0)"])
+def test_sqrt_of_negated_or_divided_real_is_positive_imaginary(source):
+    # negation and complex division leave -0.0 as the imaginary part
+    coords = np.zeros((2, 4))
+    coords[0, 0], coords[1, 0] = -4.0, 4.0
+    assert evaluate(parse(source), coords) == 2j
 
 
 def test_evaluate_broadcasts_arrays():
@@ -206,3 +220,123 @@ def test_complex_constant_roundtrip():
     expr = Pow(Const(1 + 2j), 2)
     printed = to_source(expr)
     assert evaluate(parse(printed), np.zeros((2, 4))) == (1 + 2j) ** 2
+
+
+# ---------------------------------------------------------------------------
+# Property tests against sympy
+# ---------------------------------------------------------------------------
+
+_SYMBOLS = {(k, mu): sympy.Symbol(f"x{k}_{mu}", real=True)
+            for k in (1, 2) for mu in range(4)}
+_PARAMS = {"a": 0.75 + 0.5j, "b": -1.25 + 0j}
+
+_LEAVES = st.one_of(
+    st.sampled_from([Const(value) for value in
+                     (0j, 1 + 0j, 2 + 0j, -1.5 + 0j, 0.5j, 0.25 - 0.75j)]),
+    st.builds(Coord, st.sampled_from((1, 2)), st.integers(0, 3)),
+    st.sampled_from([Param(name, value) for name, value in _PARAMS.items()]),
+)
+
+
+def _branches(children):
+    return st.one_of(
+        st.builds(Neg, children),
+        *(st.builds(node, children, children)
+          for node in (Add, Sub, Mul, Div)),
+        st.builds(Pow, children, st.integers(0, 3)),
+        st.builds(Call, st.sampled_from(FUNCTIONS), children))
+
+
+# a function or operator at the root of every tree, over subtrees that
+# are themselves mostly composite
+_EXPRESSIONS = _branches(_branches(st.recursive(_LEAVES, _branches,
+                                                max_leaves=4)))
+_POINTS = st.lists(st.floats(-1.5, 1.5), min_size=8, max_size=8).map(
+    lambda values: np.reshape(values, (2, 4)))
+
+
+def _to_sympy(expr):
+    match expr:
+        case Const(value) | Param(_, value):
+            return sympy.Float(value.real) + sympy.I * sympy.Float(value.imag)
+        case Coord(k, mu):
+            return _SYMBOLS[(k, mu)]
+        case Neg(arg):
+            return -_to_sympy(arg)
+        case Add(left, right):
+            return _to_sympy(left) + _to_sympy(right)
+        case Sub(left, right):
+            return _to_sympy(left) - _to_sympy(right)
+        case Mul(left, right):
+            return _to_sympy(left) * _to_sympy(right)
+        case Div(left, right):
+            return _to_sympy(left) / _to_sympy(right)
+        case Pow(base, exponent):
+            return _to_sympy(base) ** exponent
+        case Call(func, arg):
+            return getattr(sympy, func)(_to_sympy(arg))
+    raise TypeError(expr)
+
+
+def _children(expr):
+    return [getattr(expr, name) for name in ("arg", "left", "right", "base")
+            if hasattr(expr, name)]
+
+
+def _coordinates(expr) -> set:
+    if isinstance(expr, Coord):
+        return {expr}
+    return set().union(*map(_coordinates, _children(expr)))
+
+
+def _well_conditioned(expr, coords) -> bool:
+    """Every denominator and sqrt argument is away from its singularity."""
+    match expr:
+        case Div(_, right):
+            if abs(evaluate(right, coords)) < 0.1:
+                return False
+        case Call("sqrt", arg):
+            value = evaluate(arg, coords)
+            # the branch cut: an argument only rounding off the negative
+            # real axis may land on either side
+            if abs(value) < 0.1 or (value.real < 0
+                                    and 0 < abs(value.imag) < 1e-6):
+                return False
+    return all(_well_conditioned(child, coords) for child in _children(expr))
+
+
+def _finite_value(expr, coords) -> complex:
+    with np.errstate(all="ignore"):
+        try:
+            value = complex(evaluate(expr, coords))
+        except DslEvaluationError:
+            value = complex("nan")
+    assume(np.isfinite(value) and abs(value) < 1e6)
+    return value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(expr=_EXPRESSIONS, coords=_POINTS, data=st.data())
+def test_differentiate_matches_sympy(expr, coords, data):
+    direction = data.draw(st.sampled_from(
+        sorted(_coordinates(expr), key=lambda c: (c.k, c.mu))
+        or [Coord(1, 0)]))
+    _finite_value(expr, coords)
+    with np.errstate(all="ignore"):
+        assume(_well_conditioned(expr, coords))
+    got = _finite_value(differentiate(expr, direction.k, direction.mu), coords)
+    symbolic = sympy.diff(_to_sympy(expr),
+                          _SYMBOLS[(direction.k, direction.mu)])
+    subs = {_SYMBOLS[(j, nu)]: float(coords[j - 1, nu])
+            for j in (1, 2) for nu in range(4)}
+    expected = complex(symbolic.evalf(subs=subs))
+    assert abs(got - expected) <= 1e-8 * (1 + abs(expected))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(expr=_EXPRESSIONS, coords=_POINTS)
+def test_source_roundtrip_evaluates_identically(expr, coords):
+    value = _finite_value(expr, coords)
+    reparsed = parse(to_source(expr), params=_PARAMS)
+    with np.errstate(all="ignore"):  # a finite value may pass through inf
+        assert evaluate(reparsed, coords) == value

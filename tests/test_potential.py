@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -124,6 +126,17 @@ def test_hoho_imaginary_spatial_components_stay_hermitian(dirac, rng):
     assert system.hermitian
     configs = np.array([random_config(rng) for _ in range(10)])
     assert hermiticity_residual(system, configs, dirac) < 1e-12
+
+
+def test_hermiticity_residual_rejects_non_finite_potential(dirac, rng):
+    # exp(1000 x2_0) overflows on about half the samples; the sup over
+    # them must not drop the NaN of inf - conj(inf)
+    system = make_builtin("coefficient_form",
+                          {"W1": ("exp(1000*x2_0)", 0, 0, 0)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="hermiticity_residual"):
+            hermiticity_residual(system, sample_configs(50, rng), dirac)
 
 
 @pytest.mark.parametrize("field_name", COEFFICIENT_FIELDS_1)

@@ -397,6 +397,7 @@ def test_holonomy_stable_under_grid_refinement(dirac):
 def test_apply_curvature_uses_first_order_parts(grid, psi0, dirac):
     # V_1 = alpha2^1 does not commute with alpha2^3, so the curvature
     # picks up a d/dz_2 term on top of its constant part.
+    from mtdirac.clifford import reconstruct
     from mtdirac.consistency import curvature_operator
 
     system = make_builtin("example1_vector", {"A": (0, 1.0, 0, 0)})
@@ -404,8 +405,10 @@ def test_apply_curvature_uses_first_order_parts(grid, psi0, dirac):
     assert image.shape == (128, 128, 16)
     operator = curvature_operator(
         system, np.array([[0.0, 0, 0, 0], [0.0, 0, 0, 0]]), dirac)
-    assert np.max(np.abs(operator.first[(2, 3)])) > 1.0
-    zeroth_only = np.einsum("ij,...j->...i", operator.zeroth, psi0.values)
+    first = reconstruct(operator.first[(2, 3)], 2, dirac)
+    assert np.max(np.abs(first)) > 1.0
+    zeroth_only = np.einsum("ij,...j->...i",
+                            reconstruct(operator.zeroth, 2, dirac), psi0.values)
     assert np.max(np.abs(image - zeroth_only)) > 0.01
 
 

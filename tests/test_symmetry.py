@@ -231,6 +231,23 @@ def test_witness_scales_linearly_in_c(dirac):
     assert abs(interaction_witness_hoho(system, dirac) - 4.0) < 1e-9
 
 
+@pytest.mark.parametrize("params", [
+    {"C": (1.0, 0.5j, 0, 2j), "c": (1.0, 0.25, -0.5, 0.75)},
+    {"C": (2.5, 0, 0, 0)},
+    {"C": (1, 0.2, 0, 0), "m1": 2},
+])
+def test_witness_is_product_of_coupling_norms(params, dirac, weyl):
+    # ||(c.alpha_2) 2i gamma5_1 (C.gamma_1) U||_F for a unitary U is
+    # 2 * ||c.alpha||_F * ||C.gamma||_F = 2 * 2|c| * 2|C|
+    system = make_builtin("hoho", params)
+    expected = 8 * (np.linalg.norm(params.get("C", (1, 0, 0, 0)))
+                    * np.linalg.norm(params.get("c", (1, 0, 0, 0))))
+    relatives = [(0, 0, 0, 0), (0.3, -0.2, 0.5, 1.1)]
+    for rep in (dirac, weyl):
+        value = interaction_witness_hoho(system, rep, relatives)
+        assert abs(value - expected) < 1e-12
+
+
 def test_witness_rep_independent(dirac, weyl):
     system = make_builtin("hoho", {"C": (1.0, 0.5j, 0, 0)})
     assert np.isclose(interaction_witness_hoho(system, dirac),
