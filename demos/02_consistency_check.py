@@ -16,8 +16,9 @@ on three builtin pairs:
                        Frobenius norm 8.
 
 For the coefficient-form pairs the sixteen scalar compatibility families
-cc1..cc16 are printed as well; their verdict always matches the matrix
-verdict on the same samples.
+cc1..cc16 are printed as well.  They are the basis coefficients of the
+zeroth-order residual E(1,2) grouped by sector, read off the same field
+as the residual sup, so they vanish exactly where the residual does.
 """
 import numpy as np
 

@@ -9,9 +9,11 @@ a rerun with the same arguments produces byte-identical output.
 Exit codes:
     0   success (and the verdict matched --expect, when given)
     1   the verdict did not match any --expect value
-    2   malformed input: unknown builtin, bad flags, coefficient
-        expressions that fail to parse (message carries the source
-        position), systems outside the required form
+    2   malformed input: unknown builtin, bad flags, parameters or
+        system-file fields of the wrong type or out of range (masses must
+        be real and finite), coefficient expressions that fail to parse
+        (message carries the source position), systems outside the
+        required form
     3   numerical-domain failure: a coefficient guard tripped, an
         expression hit an evaluation singularity, or a potential or
         residual is not finite (reports are strict JSON)

@@ -15,10 +15,10 @@ sum_m c_m B_m over tensor-basis elements, every product of two basis
 elements is a phase times one basis element (GammaRep's product
 table), and ||sum_m c_m B_m||_F = sqrt(4^N sum_m |c_m|^2), so no
 matrix is formed unless a caller asks for one.  The curvature is built
-from the same fields.  The module also evaluates the scalar
-compatibility conditions (cc1..cc16) that characterize consistency in
-the sixteen-field coefficient form of a two-particle pair (see
-potential.COEFFICIENT_LAYOUT).
+from the same fields.  In the sixteen-field coefficient form of a
+two-particle pair (potential.COEFFICIENT_LAYOUT) the first-order part
+vanishes identically, and the scalar compatibility conditions cc1..cc16
+are E(1,2)'s basis coefficients read by sector (CC_SECTORS).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .clifford import (
     BasisElement,
     GammaRep,
     OperatorField,
+    build_dirac_rep,
     field_commutator,
     field_norm,
     field_product,
@@ -40,11 +41,7 @@ from .clifford import (
     reconstruct,
     tensor_element,
 )
-from .dsl import Expr, differentiate, evaluate
 from .potential import (
-    COEFFICIENT_FIELDS_1,
-    COEFFICIENT_FIELDS_2,
-    FIELD_NAMES,
     CoefficientFormError,
     CoefficientSet,
     DomainError,
@@ -52,6 +49,7 @@ from .potential import (
     Region,
     SpecError,
     _require_finite,
+    coefficient_set_to_system,
     differentiate_potential,
     operator_field,
     sample_configs,
@@ -149,94 +147,53 @@ def _sup_norm(operand: OperatorField) -> float:
 # Scalar compatibility conditions
 # ---------------------------------------------------------------------------
 
-@np.errstate(all="ignore")
+_A, _A5, _G, _G5 = BasisClass  # alpha, g5alpha, gamma, g5gamma
+
+#: The sectors of E(1,2) read as cc1..cc16, in report order: (class of the
+#: particle-1 factor, class of the particle-2 factor).  Component (mu, nu)
+#: of a family is the coefficient of (cls_1 mu) x (cls_2 nu); the sixteen
+#: families cover all 256 elements of the two-particle basis.
+CC_SECTORS = ((_A, _A), (_A, _A5), (_A5, _A), (_A5, _A5),
+              (_G, _A), (_G5, _A), (_G, _A5), (_G5, _A5),
+              (_A, _G), (_A, _G5), (_A5, _G), (_A5, _G5),
+              (_G, _G), (_G, _G5), (_G5, _G), (_G5, _G5))
+
+
+def _cc_sups(zeroth: OperatorField) -> dict[str, float]:
+    """sup |c| / unit over each family's sector of the E(1,2) field.
+
+    The unit is 2 when either factor is gamma-class: there the products
+    enter E through a commutator of anticommuting elements, 2 B_a B_b.
+    """
+    out = {}
+    for index, (cls_1, cls_2) in enumerate(CC_SECTORS, start=1):
+        unit = 1 if {cls_1, cls_2} <= {_A, _A5} else 2
+        sup = 0.0
+        for mu in range(4):
+            for nu in range(4):
+                element = tensor_element(BasisElement(cls_1, mu),
+                                         BasisElement(cls_2, nu))
+                sup = np.maximum(sup, np.max(np.abs(zeroth.get(element, 0))))
+        out[f"cc{index}"] = float(sup / unit)
+    _require_finite(out)
+    return out
+
+
 def cc_residuals(coefficients: CoefficientSet,
                  masses: tuple[float, float],
                  samples: np.ndarray) -> dict[str, float]:
     """Sup of each scalar compatibility condition over the samples.
 
-    Sixteen families cc1..cc16, each a 4x4 grid over the component
-    indices (mu for particle-1 fields, nu for particle-2 fields); the
-    reported value is the sup of |residual| over components and sample
-    configurations.  Mass shifts m1 delta_{0 mu} and m2 delta_{0 nu}
-    enter through the shifted fields A and E.
+    The families cc1..cc16 are E(1,2)'s basis coefficients by sector
+    (CC_SECTORS), each a 4x4 grid over (mu, nu); the value is the sup of
+    |coefficient| / unit over the grid and the samples.  The masses enter
+    through E's gamma0 terms.  The product table does not depend on the
+    representation, so the Dirac one is used.
     """
-    coords = stack_coords(samples)
-    m1, m2 = masses
-
-    def ev(expr: Expr) -> np.ndarray:
-        return np.asarray(evaluate(expr, coords))
-
-    def ev_d(expr: Expr, k: int, mu: int) -> np.ndarray:
-        return ev(differentiate(expr, k, mu))
-
-    val = {name: [ev(expr) for expr in coefficients.field(name)]
-           for name in FIELD_NAMES}
-    # shifted time components: the mass term joins the gamma0 coefficient
-    shifted_a = [val["A"][mu] + (m1 if mu == 0 else 0.0) for mu in range(4)]
-    shifted_e = [val["E"][nu] + (m2 if nu == 0 else 0.0) for nu in range(4)]
-
-    d1 = {name: [[ev_d(coefficients.field(name)[comp], 1, mu)
-                  for comp in range(4)] for mu in range(4)]
-          for name in COEFFICIENT_FIELDS_2}
-    d2 = {name: [[ev_d(coefficients.field(name)[comp], 2, nu)
-                  for comp in range(4)] for nu in range(4)]
-          for name in COEFFICIENT_FIELDS_1}
-
-    half_i = 0.5j
-
-    def residual(mu: int, nu: int, family: str):
-        v = val
-        if family == "cc1":
-            return d1["W2"][mu][nu] - d2["W1"][nu][mu]
-        if family == "cc2":
-            return d1["X2"][mu][nu] - d2["X1"][nu][mu]
-        if family == "cc3":
-            return d1["Y2"][mu][nu] - d2["Y1"][nu][mu]
-        if family == "cc4":
-            return d1["Z2"][mu][nu] - d2["Z1"][nu][mu]
-        if family == "cc5":
-            return (v["B"][mu] * v["Y2"][nu] + v["D"][mu] * v["Z2"][nu]
-                    - half_i * d2["A"][nu][mu])
-        if family == "cc6":
-            return (shifted_a[mu] * v["Y2"][nu] + v["C"][mu] * v["Z2"][nu]
-                    - half_i * d2["B"][nu][mu])
-        if family == "cc7":
-            return (-v["B"][mu] * v["Z2"][nu] - v["D"][mu] * v["Y2"][nu]
-                    - half_i * d2["C"][nu][mu])
-        if family == "cc8":
-            return (-shifted_a[mu] * v["Z2"][nu] - v["C"][mu] * v["Y2"][nu]
-                    - half_i * d2["D"][nu][mu])
-        if family == "cc9":
-            return (v["F"][nu] * v["X1"][mu] + v["H"][nu] * v["Z1"][mu]
-                    - half_i * d1["E"][mu][nu])
-        if family == "cc10":
-            return (shifted_e[nu] * v["X1"][mu] + v["G"][nu] * v["Z1"][mu]
-                    - half_i * d1["F"][mu][nu])
-        if family == "cc11":
-            return (-v["F"][nu] * v["Z1"][mu] - v["H"][nu] * v["X1"][mu]
-                    - half_i * d1["G"][mu][nu])
-        if family == "cc12":
-            return (-shifted_e[nu] * v["Z1"][mu] - v["G"][nu] * v["X1"][mu]
-                    - half_i * d1["H"][mu][nu])
-        if family == "cc13":
-            return v["B"][mu] * v["G"][nu] - v["C"][mu] * v["F"][nu]
-        if family == "cc14":
-            return v["B"][mu] * v["H"][nu] - v["C"][mu] * shifted_e[nu]
-        if family == "cc15":
-            return shifted_a[mu] * v["G"][nu] - v["D"][mu] * v["F"][nu]
-        if family == "cc16":
-            return shifted_a[mu] * v["H"][nu] - v["D"][mu] * shifted_e[nu]
-        raise KeyError(family)
-
-    out = {}
-    for index in range(1, 17):
-        family = f"cc{index}"
-        out[family] = float(np.max(
-            [np.max(np.abs(residual(mu, nu, family)))
-             for mu in range(4) for nu in range(4)]))
-    _require_finite(out)
-    return out
+    system = coefficient_set_to_system(coefficients, masses)
+    with np.errstate(all="ignore"):
+        return _cc_sups(_zeroth_order(system, samples, build_dirac_rep(),
+                                      1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +243,7 @@ def check_consistency(system: MultiTimeSystem, rep: GammaRep, *,
     The verdict is CONSISTENT when every first-order obstruction and
     the zeroth-order residual stay below tol in Frobenius norm at all
     sampled configurations.  When the pair admits the coefficient form,
-    the scalar condition sups are attached as a cross-check.
+    the cc1..cc16 sups, read off the same E(1,2) field, are attached.
     """
     if system.n_particles != 2:
         raise SpecError("consistency checking requires exactly two particles")
@@ -300,7 +257,8 @@ def check_consistency(system: MultiTimeSystem, rep: GammaRep, *,
         first = _first_order(system, samples, rep)
         deriv_sup = tuple(_sup_norm(first[(j, a)])
                           for j in (1, 2) for a in (1, 2, 3))
-        zeroth_sup = _sup_norm(_zeroth_order(system, samples, rep, 1, 2))
+        zeroth = _zeroth_order(system, samples, rep, 1, 2)
+        zeroth_sup = _sup_norm(zeroth)
     _require_finite({"zeroth_sup": zeroth_sup} | {
         f"deriv_coeff_sup[{index}]": sup
         for index, sup in enumerate(deriv_sup)})
@@ -308,11 +266,11 @@ def check_consistency(system: MultiTimeSystem, rep: GammaRep, *,
     cc: dict[str, float] | None = None
     if include_cc:
         try:
-            coefficients = to_coefficient_form(system)
+            to_coefficient_form(system)
         except CoefficientFormError:
             cc = None
         else:
-            cc = cc_residuals(coefficients, system.masses, samples)
+            cc = _cc_sups(zeroth)
 
     worst = max([*deriv_sup, zeroth_sup])
     verdict = VERDICT_CONSISTENT if worst < tol else VERDICT_INCONSISTENT

@@ -10,8 +10,10 @@ in COEFFICIENT_LAYOUT.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import json
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -412,13 +414,13 @@ def coefficient_set_to_system(coefficients: CoefficientSet,
 
 def _as_fourvector(value, name: str) -> tuple[complex, complex, complex, complex]:
     try:
-        items = tuple(complex(v) for v in value)
-    except (TypeError, ValueError) as exc:
+        items = tuple(value)
+    except TypeError as exc:
         raise SpecError(
             f"{name} must be a 4-component numeric sequence") from exc
     if len(items) != 4:
         raise SpecError(f"{name} must have exactly 4 components")
-    return items
+    return tuple(_number(item, name) for item in items)
 
 
 def _only_keys(params: Mapping, allowed: set[str], builtin: str) -> None:
@@ -426,6 +428,32 @@ def _only_keys(params: Mapping, allowed: set[str], builtin: str) -> None:
     if unknown:
         raise SpecError(
             f"unknown parameters for {builtin}: {sorted(unknown)}")
+
+
+def _number(value, what: str) -> complex:
+    """A finite numeric input value as complex; SpecError for anything
+    else (text, lists and booleans included)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Number)
+            or not cmath.isfinite(value)):
+        raise SpecError(f"{what} must be numeric and finite, got {value!r}")
+    return complex(value)
+
+
+def _real(value, what: str) -> float:
+    """A real finite input value; SpecError for anything else."""
+    if not isinstance(value, numbers.Real):
+        raise SpecError(f"{what} must be a real number, got {value!r}")
+    return _number(value, what).real
+
+
+def _boolean(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise SpecError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _masses(params: Mapping) -> tuple[float, float]:
+    return tuple(_real(params.get(name, 1.0), name) for name in ("m1", "m2"))
 
 
 def _particle1(element: BasisElement) -> TensorBasisElement:
@@ -440,7 +468,7 @@ def build_free(params: Mapping | None = None) -> MultiTimeSystem:
     """Two non-interacting Dirac particles."""
     params = dict(params or {})
     _only_keys(params, {"m1", "m2"}, "free")
-    masses = (float(params.get("m1", 1.0)), float(params.get("m2", 1.0)))
+    masses = _masses(params)
     return MultiTimeSystem(
         name="free", n_particles=2, masses=masses,
         potentials=(zero_potential(1), zero_potential(2)),
@@ -458,7 +486,7 @@ def build_example1_vector(params: Mapping | None = None) -> MultiTimeSystem:
     _only_keys(params, {"A", "B", "m1", "m2"}, "example1_vector")
     vec_a = _as_fourvector(params.get("A", (0, 0, 0, 1)), "A")
     vec_b = _as_fourvector(params.get("B", (0, 0, 0, 0)), "B")
-    masses = (float(params.get("m1", 1.0)), float(params.get("m2", 1.0)))
+    masses = _masses(params)
 
     terms_1 = tuple(
         PotentialTerm(_particle2(BasisElement(BasisClass.ALPHA, mu)),
@@ -503,7 +531,7 @@ def build_hoho(params: Mapping | None = None) -> MultiTimeSystem:
     _only_keys(params, {"C", "c", "m1", "m2"}, "hoho")
     big_c = _as_fourvector(params.get("C", (1, 0, 0, 0)), "C")
     small_c = _as_fourvector(params.get("c", (1, 0, 0, 0)), "c")
-    masses = (float(params.get("m1", 1.0)), float(params.get("m2", 1.0)))
+    masses = _masses(params)
 
     phase = _relative_phase(small_c)
     cos_phase = Call("cos", phase)
@@ -555,7 +583,7 @@ def _parse_field(value, name: str, params: Mapping[str, complex]) -> tuple[Expr,
         if isinstance(item, str):
             out.append(parse(item, n_particles=2, params=params))
         else:
-            out.append(Const(complex(item)))
+            out.append(Const(_number(item, name)))
     return tuple(out)
 
 
@@ -576,7 +604,7 @@ def build_coefficient_form(params: Mapping | None = None) -> MultiTimeSystem:
     params = dict(params or {})
     allowed = set(FIELD_NAMES) | {"m1", "m2", "hermitian", "name"}
     _only_keys(params, allowed, "coefficient_form")
-    masses = (float(params.get("m1", 1.0)), float(params.get("m2", 1.0)))
+    masses = _masses(params)
     dsl_params = {"m1": complex(masses[0]), "m2": complex(masses[1])}
     coefficients = CoefficientSet(**{
         name: _parse_field(params.get(name), name, dsl_params)
@@ -584,15 +612,15 @@ def build_coefficient_form(params: Mapping | None = None) -> MultiTimeSystem:
     return coefficient_set_to_system(
         coefficients, masses,
         name=str(params.get("name", "coefficient_form")),
-        hermitian=bool(params.get("hermitian", False)))
+        hermitian=_boolean(params.get("hermitian", False), "hermitian"))
 
 
 def build_coulomb_like(params: Mapping | None = None) -> MultiTimeSystem:
     """Scalar 1/r pair coupling; singular at coincident spatial points."""
     params = dict(params or {})
     _only_keys(params, {"q", "m1", "m2"}, "coulomb_like")
-    charge = complex(params.get("q", 1.0))
-    masses = (float(params.get("m1", 1.0)), float(params.get("m2", 1.0)))
+    charge = _number(params.get("q", 1.0), "q")
+    masses = _masses(params)
     distance = parse(
         "sqrt((x1_1 - x2_1)^2 + (x1_2 - x2_2)^2 + (x1_3 - x2_3)^2)")
     coeff = Div(Const(charge), distance)
@@ -643,23 +671,29 @@ def system_from_dict(data: Mapping) -> MultiTimeSystem:
     """Build a system from its JSON-object description."""
     try:
         n_particles = int(data["N"])
-        masses = tuple(float(m) for m in data["masses"])
-        hermitian = bool(data.get("hermitian", False))
+        raw_masses = data["masses"]
         raw_potentials = list(data["potentials"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"malformed system description: {exc}") from exc
     if n_particles < 1:
         raise SpecError("N must be at least 1")
+    if isinstance(raw_masses, str) or not isinstance(raw_masses, Sequence):
+        raise SpecError("masses must be a list of numbers")
+    masses = tuple(_real(m, "mass") for m in raw_masses)
     if len(masses) != n_particles:
         raise SpecError("masses must list one mass per particle")
+    hermitian = _boolean(data.get("hermitian", False), "hermitian")
 
+    raw_params = data.get("params", {})
+    if not isinstance(raw_params, Mapping):
+        raise SpecError("params must be an object")
     params: dict[str, complex] = {}
-    for name, value in dict(data.get("params", {})).items():
+    for name, value in raw_params.items():
         if isinstance(value, Mapping):
-            params[name] = complex(float(value.get("re", 0.0)),
-                                   float(value.get("im", 0.0)))
+            params[name] = complex(_real(value.get("re", 0.0), f"{name}.re"),
+                                   _real(value.get("im", 0.0), f"{name}.im"))
         else:
-            params[name] = complex(value)
+            params[name] = _number(value, f"parameter {name}")
 
     potentials: dict[int, Potential] = {}
     for entry in raw_potentials:
@@ -673,6 +707,8 @@ def system_from_dict(data: Mapping) -> MultiTimeSystem:
             raise SpecError(f"duplicate potential for particle {particle}")
         terms = []
         for raw in raw_terms:
+            if not isinstance(raw, Mapping):
+                raise SpecError("each term must be an object")
             factors = raw.get("factors")
             if (isinstance(factors, str) or not isinstance(factors, Sequence)
                     or len(factors) != n_particles):
@@ -687,25 +723,25 @@ def system_from_dict(data: Mapping) -> MultiTimeSystem:
                     continue
                 if cls_name not in _CLASS_NAMES:
                     raise SpecError(f"unknown factor class {cls_name!r}")
-                mu = int(factor.get("mu", 0))
-                if not 0 <= mu <= 3:
+                mu = factor.get("mu", 0)
+                if isinstance(mu, bool) or mu not in range(4):
                     raise SpecError("factor component must be in 0..3")
-                elements.append(BasisElement(_CLASS_NAMES[cls_name], mu))
+                elements.append(BasisElement(_CLASS_NAMES[cls_name], int(mu)))
             coeff_src = raw.get("coeff", "0")
             if isinstance(coeff_src, str):
                 coeff = parse(coeff_src, n_particles, params)
             else:
-                coeff = Const(complex(coeff_src))
+                coeff = Const(_number(coeff_src, "coeff"))
             terms.append(PotentialTerm(tensor_element(*elements), coeff))
         guards = []
         for raw in raw_guards:
             if not isinstance(raw, Mapping) or not isinstance(
                     raw.get("expr"), str):
                 raise SpecError("each guard needs an expression string 'expr'")
-            try:
-                threshold = float(raw.get("threshold", Guard.threshold))
-            except (TypeError, ValueError) as exc:
-                raise SpecError(f"malformed guard threshold: {exc}") from exc
+            threshold = _real(raw.get("threshold", Guard.threshold),
+                              "guard threshold")
+            if threshold < 0:
+                raise SpecError("guard threshold must be >= 0")
             guards.append(Guard(parse(raw["expr"], n_particles, params),
                                 threshold, str(raw.get("description", ""))))
         potentials[particle] = Potential(particle, n_particles, tuple(terms),

@@ -15,7 +15,12 @@ from mtdirac.clifford import (
     commutator,
     embed,
 )
-from mtdirac.potential import differentiate_potential, evaluate_potential
+from mtdirac.dsl import differentiate, evaluate
+from mtdirac.potential import (
+    FIELD_NAMES,
+    differentiate_potential,
+    evaluate_potential,
+)
 
 
 def fd_partial(f, coords: np.ndarray, k: int, mu: int, h: float = 1e-5):
@@ -140,3 +145,69 @@ def reference_curvature(system, configs: np.ndarray, rep):
         first[(1, a)] = -commutator(embed(rep.alpha(a), 1, 2), v_2)
         first[(2, a)] = commutator(embed(rep.alpha(a), 2, 2), v_1)
     return zeroth, first
+
+
+def reference_cc(coefficients, masses, samples) -> dict[str, float]:
+    """cc1..cc16 written out field by field from the coefficient form.
+
+    Each family is a 4x4 grid over (mu, nu), mu indexing particle-1 fields
+    and nu particle-2 fields; the value is the sup of |residual| over the
+    grid and the samples.  The masses join the time components of A and E.
+    """
+    samples = np.asarray(samples, float)
+    coords = [[samples[..., k, mu] for mu in range(4)] for k in range(2)]
+    m1, m2 = masses
+
+    def ev(expr):
+        return np.asarray(evaluate(expr, coords))
+
+    v = {name: [ev(expr) for expr in coefficients.field(name)]
+         for name in FIELD_NAMES}
+    a = [v["A"][mu] + (m1 if mu == 0 else 0.0) for mu in range(4)]
+    e = [v["E"][nu] + (m2 if nu == 0 else 0.0) for nu in range(4)]
+
+    def d(name, k, comp, var):
+        """d_{k,var} of component comp of field name."""
+        return ev(differentiate(coefficients.field(name)[comp], k, var))
+
+    def d1(name, mu, nu):  # a particle-2 field, differentiated on particle 1
+        return d(name, 1, nu, mu)
+
+    def d2(name, mu, nu):  # a particle-1 field, differentiated on particle 2
+        return d(name, 2, mu, nu)
+
+    half_i = 0.5j
+    families = {
+        "cc1": lambda mu, nu: d1("W2", mu, nu) - d2("W1", mu, nu),
+        "cc2": lambda mu, nu: d1("X2", mu, nu) - d2("X1", mu, nu),
+        "cc3": lambda mu, nu: d1("Y2", mu, nu) - d2("Y1", mu, nu),
+        "cc4": lambda mu, nu: d1("Z2", mu, nu) - d2("Z1", mu, nu),
+        "cc5": lambda mu, nu: (v["B"][mu] * v["Y2"][nu]
+                               + v["D"][mu] * v["Z2"][nu]
+                               - half_i * d2("A", mu, nu)),
+        "cc6": lambda mu, nu: (a[mu] * v["Y2"][nu] + v["C"][mu] * v["Z2"][nu]
+                               - half_i * d2("B", mu, nu)),
+        "cc7": lambda mu, nu: (v["B"][mu] * v["Z2"][nu]
+                               + v["D"][mu] * v["Y2"][nu]
+                               - half_i * d2("C", mu, nu)),
+        "cc8": lambda mu, nu: (a[mu] * v["Z2"][nu] + v["C"][mu] * v["Y2"][nu]
+                               - half_i * d2("D", mu, nu)),
+        "cc9": lambda mu, nu: (v["F"][nu] * v["X1"][mu]
+                               + v["H"][nu] * v["Z1"][mu]
+                               - half_i * d1("E", mu, nu)),
+        "cc10": lambda mu, nu: (e[nu] * v["X1"][mu] + v["G"][nu] * v["Z1"][mu]
+                                - half_i * d1("F", mu, nu)),
+        "cc11": lambda mu, nu: (v["F"][nu] * v["Z1"][mu]
+                                + v["H"][nu] * v["X1"][mu]
+                                - half_i * d1("G", mu, nu)),
+        "cc12": lambda mu, nu: (e[nu] * v["Z1"][mu] + v["G"][nu] * v["X1"][mu]
+                                - half_i * d1("H", mu, nu)),
+        "cc13": lambda mu, nu: (v["B"][mu] * v["G"][nu]
+                                - v["C"][mu] * v["F"][nu]),
+        "cc14": lambda mu, nu: v["B"][mu] * v["H"][nu] - v["C"][mu] * e[nu],
+        "cc15": lambda mu, nu: a[mu] * v["G"][nu] - v["D"][mu] * v["F"][nu],
+        "cc16": lambda mu, nu: a[mu] * v["H"][nu] - v["D"][mu] * e[nu],
+    }
+    return {name: float(max(np.max(np.abs(residual(mu, nu)))
+                            for mu in range(4) for nu in range(4)))
+            for name, residual in families.items()}

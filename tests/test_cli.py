@@ -32,6 +32,7 @@ from mtdirac import (
 )
 from mtdirac import cli
 from mtdirac.cli import EXIT_DOMAIN, EXIT_EXPECT, EXIT_OK, EXIT_SPEC, entry
+from oracles import reference_curvature
 
 
 def run_json(capsys, argv):
@@ -168,6 +169,60 @@ def test_malformed_param_exits_two(capsys):
     assert code == EXIT_SPEC
 
 
+@pytest.mark.parametrize("builtin,param", [
+    ("hoho", "m1=x"), ("hoho", "m1=1,2,3,4"), ("hoho", "m1=1+2j"),
+    ("hoho", "m1=nan"), ("hoho", "m2=inf"), ("hoho", "m1=true"),
+    ("coulomb_like", "q=x"), ("coulomb_like", "q=inf"),
+    ("coefficient_form", "hermitian=x"), ("hoho", "C=true,0,0,0"),
+    ("coefficient_form", "W1=true,0,0,0"), ("example1_vector", "A=0,0,0,nan"),
+])
+def test_malformed_builtin_param_exits_two(capsys, builtin, param):
+    code = entry(["check", "--builtin", builtin, "--param", param])
+    assert code == EXIT_SPEC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert param.partition("=")[0] in captured.err
+
+
+def _spec_with(edit):
+    """coulomb_like's description (one term and one guard per particle),
+    changed in place by edit."""
+    data = system_to_dict(make_builtin("coulomb_like"))
+    edit(data)
+    return data
+
+
+def _set_factor_mu(data):
+    data["potentials"][0]["terms"][0]["factors"][0] = {"cls": "gamma",
+                                                      "mu": "x"}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: data.update(params={"a": [1, 2]}),
+    lambda data: data.update(params={"a": {"re": "x"}}),
+    lambda data: data.update(params=[1]),
+    _set_factor_mu,
+    lambda data: data["potentials"][0]["terms"][0].update(coeff=[1]),
+    lambda data: data["potentials"][0]["terms"].append("term"),
+    lambda data: data.update(masses="12"),
+    lambda data: data.update(hermitian="false"),
+    lambda data: data["potentials"][0]["guards"][0].update(threshold="nan"),
+    lambda data: data["potentials"][0]["guards"][0].update(
+        threshold=float("nan")),
+    lambda data: data["potentials"][0]["guards"][0].update(threshold=-1.0),
+], ids=["param list", "param re text", "params list", "factor mu text",
+        "coeff list", "term text", "masses text", "hermitian text",
+        "threshold text", "threshold NaN", "threshold negative"])
+def test_malformed_spec_exits_two(tmp_path, capsys, edit):
+    spec = tmp_path / "sys.json"
+    spec.write_text(json.dumps(_spec_with(edit)), encoding="utf-8")
+    code = entry(["check", "--spec", str(spec)])
+    assert code == EXIT_SPEC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
 def test_bad_expect_token_rejected():
     with pytest.raises(SystemExit) as excinfo:
         entry(["check", "--builtin", "hoho", "--expect", "bogus"])
@@ -222,6 +277,47 @@ def test_cc_rejects_non_coefficient_form(tmp_path, capsys):
     save_system(system, spec)
     code = entry(["cc", "--spec", str(spec)])
     assert code == EXIT_SPEC
+
+
+def _sector_repro(c_sign):
+    """(argv, system) of B = cos(phi), C = c_sign i sin(phi) with
+    phi = 2 (x2_0 - x1_0), Z2 = 1 and A = E = -1 cancelling the masses.
+    With c_sign = "-" the product term B Z2 cancels the derivative term of
+    C in cc7."""
+    fields = {"B": "cos(2*(x2_0-x1_0))", "C": f"{c_sign}i*sin(2*(x2_0-x1_0))",
+              "Z2": "1", "A": "-1", "E": "-1"}
+    argv = ["--builtin", "coefficient_form"]
+    for name, value in fields.items():
+        argv += ["--param", f"{name}={value},0,0,0"]
+    system = make_builtin("coefficient_form", {
+        name: (value, 0, 0, 0) for name, value in fields.items()})
+    return argv, system
+
+
+def test_cc_and_check_agree_on_a_consistent_sector_system(capsys, dirac,
+                                                          weyl):
+    argv, system = _sector_repro("-")
+    code, checked = run_json(capsys, ["check", *argv])
+    assert code == EXIT_OK
+    assert checked["verdict"] == "CONSISTENT"
+    assert checked["report"]["zeroth_sup"] < 1e-12
+    code, conditions = run_json(capsys, ["cc", *argv])
+    assert code == EXIT_OK
+    assert conditions["verdict"] == "CONSISTENT"
+    for report in (checked["report"], conditions["report"]):
+        assert max(report["cc"].values()) < 1e-12
+    samples = np.random.default_rng(0).uniform(-2, 2, (50, 2, 4))
+    for rep in (dirac, weyl):
+        zeroth, first = reference_curvature(system, samples, rep)
+        for operand in (zeroth, *first.values()):
+            assert np.max(np.abs(operand)) <= 1e-14
+
+
+def test_cc_sees_the_mirrored_sector_obstruction(capsys):
+    code, envelope = run_json(capsys, ["cc", *_sector_repro("")[0]])
+    assert code == EXIT_OK
+    assert envelope["verdict"] == "INCONSISTENT"
+    assert envelope["report"]["cc"]["cc7"] > 1
 
 
 # ---------------------------------------------------------------------------
@@ -569,13 +665,20 @@ _NUMBERS = ["0", "-1", "1e-300", "1e-9", "0.05", "0.1", "0.25", "0.5",
 @settings(max_examples=25, deadline=None)
 @given(nsamples=st.sampled_from(["-3", "0", "1", "2", "7", "x"]),
        tol=st.sampled_from(_NUMBERS),
-       builtin=st.sampled_from(["free", "hoho", "example1_vector"]),
-       expect=st.sampled_from([None, "consistent", "inconsistent"]))
-def test_check_exit_codes_are_documented(nsamples, tol, builtin, expect):
+       builtin=st.sampled_from(["free", "hoho", "example1_vector",
+                                "coulomb_like"]),
+       expect=st.sampled_from([None, "consistent", "inconsistent"]),
+       param=st.one_of(st.none(), st.tuples(
+           st.sampled_from(["m1", "m2", "q"]),
+           st.sampled_from([*_NUMBERS, "1,2,3,4", "1+2j"])).map("=".join)))
+def test_check_exit_codes_are_documented(nsamples, tol, builtin, expect,
+                                         param):
     argv = ["check", "--builtin", builtin, "--nsamples", nsamples,
             "--tol", tol]
     if expect is not None:
         argv += ["--expect", expect]
+    if param is not None:
+        argv += ["--param", param]
     _assert_documented_exit(argv, *_exit_code(argv))
 
 

@@ -30,6 +30,7 @@ from mtdirac.consistency import (
 from mtdirac.dsl import Const, evaluate, parse
 from mtdirac.potential import (
     BUILTIN_SYSTEMS,
+    FIELD_NAMES,
     DomainError,
     MultiTimeSystem,
     Potential,
@@ -42,7 +43,7 @@ from mtdirac.potential import (
     zero_potential,
 )
 from mtdirac.solver import Grid, _grid_coords
-from oracles import reference_curvature
+from oracles import reference_cc, reference_curvature
 from test_solver import _ORACLE_SYSTEMS
 
 
@@ -300,6 +301,40 @@ def test_mass_shift_enters_cc16(rng):
     residuals = cc_residuals(cs, system.masses, samples)
     # cc16 at mu=0, nu any: (m1 + A_0) H_nu - D_mu (m2 + E_nu) = m1 * H_0
     assert abs(residuals["cc16"] - 0.5) < 1e-12
+
+
+def _wave(rng) -> str:
+    """amp cos(k1.x1 + k2.x2 + phase): depends on all eight coordinates.
+
+    The amplitude is complex: with real fields every product term is real
+    and every derivative term imaginary, so a wrong relative sign between
+    them would not change any |residual|.
+    """
+    re, im = rng.uniform(0.5, 1.0, 2) * rng.choice([-1, 1], 2)
+    phase = rng.uniform(-np.pi, np.pi)
+    waves = [f"({k:.3f})*x{particle}_{mu}"
+             for particle in (1, 2) for mu, k in
+             enumerate(rng.uniform(-1.0, 1.0, 4))]
+    return (f"(({re:.3f}) + ({im:.3f})*i)"
+            f"*cos({' + '.join(waves)} + ({phase:.3f}))")
+
+
+def test_cc_residuals_match_reference_on_random_systems(rng):
+    """Every family read off E(1,2) agrees with the field-by-field formulas
+    on systems where all sixteen fields depend on both particles."""
+    for _ in range(10):
+        system = make_builtin("coefficient_form", {
+            name: tuple(_wave(rng) for _ in range(4))
+            for name in FIELD_NAMES} | {"m1": rng.uniform(0.5, 2.0),
+                                        "m2": rng.uniform(0.5, 2.0)})
+        cs = to_coefficient_form(system)
+        samples = sample_configs(20, rng)
+        residuals = cc_residuals(cs, system.masses, samples)
+        expected = reference_cc(cs, system.masses, samples)
+        assert residuals.keys() == expected.keys()
+        for name, value in expected.items():
+            assert value >= 0.1, name
+            assert abs(residuals[name] - value) <= 1e-12 * value, name
 
 
 def test_verdicts_agree_between_matrix_and_scalar_paths(dirac, rng):
