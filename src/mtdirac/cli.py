@@ -11,11 +11,14 @@ Exit codes:
     1   the verdict did not match any --expect value
     2   malformed input: unknown builtin, bad flags, parameters or
         system-file fields of the wrong type or out of range (masses must
-        be real and finite), coefficient expressions that fail to parse
-        (message carries the source position), systems outside the
-        required form
-    3   numerical-domain failure: a coefficient guard tripped, an
-        expression hit an evaluation singularity, or a potential or
+        be real and finite, N and particle JSON integers), coefficient
+        expressions that fail to parse (message carries the source
+        position), systems outside the required form (cc: the
+        coefficient form), a loop delta whose square underflows, or a
+        request too large for memory (say, --nsamples)
+    3   numerical-domain failure: a coefficient guard tripped (every
+        command that evaluates the potentials runs them, cc included),
+        an expression hit an evaluation singularity, or a potential or
         residual is not finite (reports are strict JSON)
 """
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .clifford import build_dirac_rep, build_weyl_rep, commutator_table, \
 from .consistency import (
     VERDICT_CONSISTENT,
     VERDICT_INCONSISTENT,
-    cc_residuals,
     check_consistency,
 )
 from .dsl import DslEvaluationError, DslParseError
@@ -253,16 +255,16 @@ def _cmd_check(args: argparse.Namespace):
 
 def _cmd_cc(args: argparse.Namespace):
     system = _load_cmd_system(args)
-    coefficients = to_coefficient_form(system)
-    rng = np.random.default_rng(args.seed)
-    samples = sample_configs(args.nsamples, rng, system.n_particles,
-                             Region(args.region))
-    residuals = cc_residuals(coefficients, system.masses, samples)
-    sup = max(residuals.values())
+    to_coefficient_form(system)  # CoefficientFormError outside the form
+    result = check_consistency(
+        system, build_dirac_rep(), nsamples=args.nsamples,
+        region=Region(args.region), tol=args.tol,
+        rng=np.random.default_rng(args.seed))
+    sup = max(result.cc.values())
     verdict = VERDICT_CONSISTENT if sup < args.tol else VERDICT_INCONSISTENT
     report = {
         "system": system.name,
-        "cc": residuals,
+        "cc": result.cc,
         "sup": sup,
         "verdict": verdict,
         "tol": args.tol,
@@ -461,6 +463,10 @@ def entry(argv: Sequence[str] | None = None) -> int:
     except (SpecError, CoefficientFormError, DslParseError,
             OSError) as exc:
         print(f"mtdirac: error: {exc}", file=sys.stderr)
+        return EXIT_SPEC
+    except MemoryError as exc:
+        print(f"mtdirac: error: out of memory. {exc}".rstrip(),
+              file=sys.stderr)
         return EXIT_SPEC
     except (DomainError, DslEvaluationError) as exc:
         print(f"mtdirac: error: {exc}", file=sys.stderr)

@@ -44,7 +44,6 @@ from .clifford import (
 from .potential import (
     CoefficientFormError,
     CoefficientSet,
-    DomainError,
     MultiTimeSystem,
     Region,
     SpecError,
@@ -175,25 +174,23 @@ def _cc_sups(zeroth: OperatorField) -> dict[str, float]:
                                          BasisElement(cls_2, nu))
                 sup = np.maximum(sup, np.max(np.abs(zeroth.get(element, 0))))
         out[f"cc{index}"] = float(sup / unit)
-    _require_finite(out)
     return out
 
 
 def cc_residuals(coefficients: CoefficientSet,
                  masses: tuple[float, float],
                  samples: np.ndarray) -> dict[str, float]:
-    """Sup of each scalar compatibility condition over the samples.
+    """Sup of each scalar compatibility condition of a bare coefficient set.
 
     The families cc1..cc16 are E(1,2)'s basis coefficients by sector
     (CC_SECTORS), each a 4x4 grid over (mu, nu); the value is the sup of
     |coefficient| / unit over the grid and the samples.  The masses enter
-    through E's gamma0 terms.  The product table does not depend on the
-    representation, so the Dirac one is used.
+    through E's gamma0 terms.  This is check_consistency's report.cc for
+    the set's system; a set carries no guards, so a system's guards apply
+    only when check_consistency is given the system itself.
     """
     system = coefficient_set_to_system(coefficients, masses)
-    with np.errstate(all="ignore"):
-        return _cc_sups(_zeroth_order(system, samples, build_dirac_rep(),
-                                      1, 2))
+    return check_consistency(system, build_dirac_rep(), samples=samples).cc
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +233,16 @@ def check_consistency(system: MultiTimeSystem, rep: GammaRep, *,
                       region: Region = Region.ALL,
                       tol: float = 1e-9,
                       rng: np.random.Generator | None = None,
-                      samples: np.ndarray | None = None,
-                      include_cc: bool = True) -> ConsistencyReport:
+                      samples: np.ndarray | None = None) -> ConsistencyReport:
     """Sample-based compatibility verdict for a two-particle system.
 
     The verdict is CONSISTENT when every first-order obstruction and
     the zeroth-order residual stay below tol in Frobenius norm at all
     sampled configurations.  When the pair admits the coefficient form,
-    the cc1..cc16 sups, read off the same E(1,2) field, are attached.
+    the cc1..cc16 sups, read off the same E(1,2) field, are always
+    attached; this is the one path from a system to its cc sups, so the
+    system's guards apply to them.  Raises SpecError unless N = 2, and
+    DomainError when a guard trips or a sup is not finite.
     """
     if system.n_particles != 2:
         raise SpecError("consistency checking requires exactly two particles")
@@ -263,14 +262,12 @@ def check_consistency(system: MultiTimeSystem, rep: GammaRep, *,
         f"deriv_coeff_sup[{index}]": sup
         for index, sup in enumerate(deriv_sup)})
 
-    cc: dict[str, float] | None = None
-    if include_cc:
-        try:
-            to_coefficient_form(system)
-        except CoefficientFormError:
-            cc = None
-        else:
-            cc = _cc_sups(zeroth)
+    try:
+        to_coefficient_form(system)
+    except CoefficientFormError:
+        cc = None
+    else:  # finite: every coefficient is bounded by the finite zeroth_sup
+        cc = _cc_sups(zeroth)
 
     worst = max([*deriv_sup, zeroth_sup])
     verdict = VERDICT_CONSISTENT if worst < tol else VERDICT_INCONSISTENT

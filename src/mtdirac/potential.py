@@ -16,7 +16,7 @@ import json
 import numbers
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -318,38 +318,20 @@ class CoefficientFormError(Exception):
     """The potential pair does not satisfy the coefficient-form shape."""
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
-    """The sixteen 4-component coefficient fields of a two-particle pair.
+def _named_field(self, name: str) -> tuple[Expr, ...]:
+    if name not in COEFFICIENT_LAYOUT:
+        raise KeyError(name)
+    return getattr(self, name)
 
-    Particle-1 potential fields (indexed by mu): W1, X1, Y1, Z1 multiply
-    alpha-type structures; A, B, C, D multiply gamma-type structures.
-    Particle-2 potential fields (indexed by nu): W2, X2, Y2, Z2 and
-    E, F, G, H correspondingly.  Mass shifts are NOT folded in here;
-    the compatibility conditions apply them where required.
-    """
 
-    W1: tuple[Expr, ...]
-    X1: tuple[Expr, ...]
-    Y1: tuple[Expr, ...]
-    Z1: tuple[Expr, ...]
-    A: tuple[Expr, ...]
-    B: tuple[Expr, ...]
-    C: tuple[Expr, ...]
-    D: tuple[Expr, ...]
-    W2: tuple[Expr, ...]
-    X2: tuple[Expr, ...]
-    Y2: tuple[Expr, ...]
-    Z2: tuple[Expr, ...]
-    E: tuple[Expr, ...]
-    F: tuple[Expr, ...]
-    G: tuple[Expr, ...]
-    H: tuple[Expr, ...]
-
-    def field(self, name: str) -> tuple[Expr, ...]:
-        if name not in COEFFICIENT_LAYOUT:
-            raise KeyError(name)
-        return getattr(self, name)
+CoefficientSet = make_dataclass(
+    "CoefficientSet",
+    [(name, tuple[Expr, ...]) for name in COEFFICIENT_LAYOUT],
+    namespace={"field": _named_field, "__module__": __name__, "__doc__": (
+        "The sixteen 4-component coefficient fields of a two-particle pair, "
+        "one attribute per COEFFICIENT_LAYOUT entry.  Mass shifts are not "
+        "folded in; the compatibility conditions apply them.")},
+    frozen=True)
 
 
 def _accumulate(a: Expr, b: Expr) -> Expr:
@@ -444,6 +426,13 @@ def _real(value, what: str) -> float:
     if not isinstance(value, numbers.Real):
         raise SpecError(f"{what} must be a real number, got {value!r}")
     return _number(value, what).real
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer; SpecError for anything else (booleans included)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _boolean(value, what: str) -> bool:
@@ -670,7 +659,7 @@ _CLASS_NAMES = {
 def system_from_dict(data: Mapping) -> MultiTimeSystem:
     """Build a system from its JSON-object description."""
     try:
-        n_particles = int(data["N"])
+        n_particles = _integer(data["N"], "N")
         raw_masses = data["masses"]
         raw_potentials = list(data["potentials"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -698,7 +687,7 @@ def system_from_dict(data: Mapping) -> MultiTimeSystem:
     potentials: dict[int, Potential] = {}
     for entry in raw_potentials:
         try:
-            particle = int(entry["particle"])
+            particle = _integer(entry["particle"], "particle")
             raw_terms = list(entry.get("terms", []))
             raw_guards = list(entry.get("guards", []))
         except (KeyError, TypeError, ValueError) as exc:

@@ -454,6 +454,9 @@ def loop_holonomy(system: MultiTimeSystem, psi0: WaveFunction, delta: float,
     """
     if delta <= 0:
         raise SpecError("loop delta must be positive")
+    if delta ** 2 < np.finfo(float).tiny:
+        raise SpecError(f"loop delta {delta!r} is too small: delta^2 "
+                        "underflows")
     psi = psi0
     for particle, sign in ((1, 1), (2, 1), (1, -1), (2, -1)):
         psi = step(psi, particle, sign * delta, system, rep)

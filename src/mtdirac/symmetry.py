@@ -33,12 +33,14 @@ from .clifford import (
     BasisClass,
     BasisElement,
     GammaRep,
+    build_dirac_rep,
     field_commutator,
     field_norm,
     field_sum,
     frobenius,
     tensor_element,
 )
+from .consistency import _cc_sups, _zeroth_order
 from .dsl import Expr, differentiate, evaluate, is_constant, is_zero
 from .potential import (
     COEFFICIENT_LAYOUT,
@@ -48,6 +50,7 @@ from .potential import (
     SpecError,
     _require_finite,
     coefficient_field,
+    coefficient_set_to_system,
     evaluate_stack,
     operator_field,
     stack_coords,
@@ -403,15 +406,19 @@ def classify_gauge(system: MultiTimeSystem | CoefficientSet,
     paths and a finite-difference gradient match, both below fd_tol
     (the line integral itself carries O(nodes^-2) error, so these
     cannot resolve tol).  Integrability defects inside [tol, 10*tol)
-    are reported UNDECIDED rather than interacting.  Raises DomainError
-    when a sup is not finite.
+    are reported UNDECIDED rather than interacting.
+
+    The cross curls d_{1,mu} f_{2,nu} - d_{2,nu} f_{1,mu} are, up to a
+    unit phase, E(1,2)'s alpha sectors cc1..cc4, read off the system's
+    own field, so its guards apply (masses reach only gamma-class
+    sectors; rep, default Dirac, changes no number).  Raises DomainError
+    when a guard trips or a sup is not finite.
     """
-    del rep  # the analysis is representation-independent
     grid = grid or ConfigGrid()
     if isinstance(system, CoefficientSet):
-        coefficients = system
+        coefficients, pair = system, coefficient_set_to_system(system)
     else:
-        coefficients = to_coefficient_form(system)
+        coefficients, pair = to_coefficient_form(system), system
     base = grid.base_array()
     configs = grid.configs()
     n = len(grid.values)
@@ -421,15 +428,11 @@ def classify_gauge(system: MultiTimeSystem | CoefficientSet,
         for label, (name1, name2) in _SECTOR_FIELDS.items()}
 
     # --- exactness conditions -------------------------------------------
-    # np.maximum keeps a NaN that max() would drop
-    cross_curl = 0.0
+    # np.max and np.maximum keep a NaN that max() would drop
+    cc = _cc_sups(_zeroth_order(pair, configs, rep or build_dirac_rep(), 1, 2))
+    cross_curl = np.max([cc[f"cc{index}"] for index in range(1, 5)])
     locality = 0.0
     for f1, f2 in sectors.values():
-        for mu in range(4):
-            for nu in range(4):
-                defect = _eval_field(differentiate(f2[nu], 1, mu), configs) \
-                    - _eval_field(differentiate(f1[mu], 2, nu), configs)
-                cross_curl = np.maximum(cross_curl, np.max(np.abs(defect)))
         for exprs, own, other in ((f1, 1, 2), (f2, 2, 1)):
             for mu in range(4):
                 for nu in range(mu + 1, 4):

@@ -211,3 +211,24 @@ def reference_cc(coefficients, masses, samples) -> dict[str, float]:
     return {name: float(max(np.max(np.abs(residual(mu, nu)))
                             for mu in range(4) for nu in range(4)))
             for name, residual in families.items()}
+
+
+def reference_cross_curl(coefficients, configs) -> float:
+    """sup |d_{1,mu} f_{2,nu} - d_{2,nu} f_{1,mu}| over the configurations.
+
+    The alpha-sector fields are paired by their gamma5 content, (W1, W2),
+    (X1, X2), (Y1, Y2) and (Z1, Z2), and each cross curl is written out
+    from the derivatives of the expressions.
+    """
+    configs = np.asarray(configs, float)
+    coords = [[configs[..., k, mu] for mu in range(4)] for k in range(2)]
+    sup = 0.0
+    for name1, name2 in (("W1", "W2"), ("X1", "X2"), ("Y1", "Y2"),
+                         ("Z1", "Z2")):
+        f1, f2 = coefficients.field(name1), coefficients.field(name2)
+        for mu in range(4):
+            for nu in range(4):
+                defect = (evaluate(differentiate(f2[nu], 1, mu), coords)
+                          - evaluate(differentiate(f1[mu], 2, nu), coords))
+                sup = max(sup, float(np.max(np.abs(defect))))
+    return sup

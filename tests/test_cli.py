@@ -30,7 +30,7 @@ from mtdirac import (
     tensor_element,
     zero_potential,
 )
-from mtdirac import cli
+from mtdirac import cli, consistency
 from mtdirac.cli import EXIT_DOMAIN, EXIT_EXPECT, EXIT_OK, EXIT_SPEC, entry
 from oracles import reference_curvature
 
@@ -210,9 +210,14 @@ def _set_factor_mu(data):
     lambda data: data["potentials"][0]["guards"][0].update(
         threshold=float("nan")),
     lambda data: data["potentials"][0]["guards"][0].update(threshold=-1.0),
+    lambda data: data.update(N=2.7),
+    lambda data: data.update(N=True),
+    lambda data: data.update(N="2"),
+    lambda data: data["potentials"][0].update(particle=1.9),
 ], ids=["param list", "param re text", "params list", "factor mu text",
         "coeff list", "term text", "masses text", "hermitian text",
-        "threshold text", "threshold NaN", "threshold negative"])
+        "threshold text", "threshold NaN", "threshold negative", "N float",
+        "N bool", "N text", "particle float"])
 def test_malformed_spec_exits_two(tmp_path, capsys, edit):
     spec = tmp_path / "sys.json"
     spec.write_text(json.dumps(_spec_with(edit)), encoding="utf-8")
@@ -478,6 +483,35 @@ def test_simulate_requires_exactly_one_series(capsys):
                   "--dt", "0.1", "--delta", "0.1"]) == EXIT_SPEC
 
 
+def test_cc_runs_the_guards_as_check_does(tmp_path, capsys):
+    data = system_to_dict(make_builtin("coefficient_form",
+                                       {"W1": ("cos(x2_0)", 0, 0, 0)}))
+    data["potentials"][0]["guards"] = [
+        {"expr": "1", "threshold": 2.0, "description": "always"}]
+    spec = tmp_path / "guarded.json"
+    spec.write_text(json.dumps(data), encoding="utf-8")
+    for command in ("check", "cc"):
+        assert entry([command, "--spec", str(spec)]) == EXIT_DOMAIN, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "guard violated: |always| < 2.0" in captured.err
+
+
+def test_out_of_memory_exits_two(capsys, monkeypatch):
+    # the sampler stands in for an allocation that does not fit
+    # (say, --nsamples 100000000000); nothing that large is attempted
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 5.82 TiB for an array")
+
+    monkeypatch.setattr(consistency, "sample_configs", exhausted)
+    code = entry(["check", "--builtin", "hoho", "--nsamples", "100000000000"])
+    assert code == EXIT_SPEC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("mtdirac: error: out of memory. Unable to "
+                            "allocate 5.82 TiB for an array\n")
+
+
 def test_simulate_guard_violation_exits_three(capsys):
     code = entry(["simulate", "--builtin", "coulomb_like",
                   "--grid-n", "32", "--delta", "0.05"])
@@ -625,6 +659,9 @@ def test_non_finite_report_value_exits_three(capsys, monkeypatch):
      "--T", "nan"],
     ["simulate", "--builtin", "free", "--grid-n", "16", "--dt", "0.1",
      "--box-L", "inf"],
+    # delta^2 underflows to zero or a subnormal: no deviation / delta^2
+    ["simulate", "--builtin", "free", "--grid-n", "16", "--delta", "1e-300"],
+    ["simulate", "--builtin", "free", "--grid-n", "16", "--delta", "1e-160"],
 ])
 def test_out_of_range_flags_exit_two(argv):
     assert _exit_code(argv) == (EXIT_SPEC, None)

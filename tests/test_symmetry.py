@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -14,6 +16,9 @@ from mtdirac.consistency import (
 )
 from mtdirac.dsl import Const, Mul
 from mtdirac.potential import (
+    FIELD_NAMES,
+    DomainError,
+    Guard,
     MultiTimeSystem,
     Potential,
     PotentialTerm,
@@ -39,6 +44,7 @@ from mtdirac.symmetry import (
     poincare_residual,
     translation_residual,
 )
+from oracles import reference_cross_curl
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +399,58 @@ def test_cross_curl_violation_is_interacting(dirac):
     assert report.cross_curl_sup == pytest.approx(np.sin(1.0), abs=1e-10)
 
 
+_ALPHA_FIELDS = ("W1", "X1", "Y1", "Z1", "W2", "X2", "Y2", "Z2")
+
+
+def _random_field(rng, count: int) -> tuple:
+    """count random components amp cos(k1 x1_a + k2 x2_b + phase), each
+    depending on both particles; the amplitude is complex."""
+    out: list = [0] * 4
+    for mu in rng.choice(4, count, replace=False):
+        re, im = rng.uniform(0.5, 1.0, 2) * rng.choice([-1, 1], 2)
+        (k1, k2), (a, b) = rng.uniform(-1, 1, 2), rng.integers(4, size=2)
+        out[mu] = (f"(({re:.3f}) + ({im:.3f})*i)*cos(({k1:.3f})*x1_{a}"
+                   f" + ({k2:.3f})*x2_{b} + ({rng.uniform(-3, 3):.3f}))")
+    return tuple(out)
+
+
+@pytest.mark.parametrize("rep_name", ["dirac", "weyl"])
+def test_cross_curl_matches_reference_on_random_systems(request, rng,
+                                                        rep_name):
+    """The cross curls read off E(1,2) equal the derivatives written out.
+
+    Every alpha field depends on both particles; every other system adds
+    gamma fields and masses, which never reach cc1..cc4.  The fixture's
+    seed draws the same systems for both representations.
+    """
+    rep = request.getfixturevalue(rep_name)
+    grid = ConfigGrid(values=(-0.8, 0.1, 0.9))
+    for index in range(20):
+        params = {name: _random_field(rng, 2) for name in _ALPHA_FIELDS}
+        if index % 2:
+            params |= {name: _random_field(rng, 1) for name in FIELD_NAMES
+                       if name not in _ALPHA_FIELDS}
+            params |= {"m1": rng.uniform(0.5, 2.0), "m2": rng.uniform(0.5, 2.0)}
+        system = make_builtin("coefficient_form", params)
+        report = classify_gauge(system, rep, grid=grid, nodes=8)
+        expected = reference_cross_curl(to_coefficient_form(system),
+                                        grid.configs())
+        assert expected >= 0.1, index
+        assert report.cross_curl_sup == expected, index
+
+
+def test_gauge_analysis_runs_the_guards(dirac):
+    system = _gradient_pair()
+    guarded = replace(system, potentials=(
+        replace(system.potential(1), guards=(Guard(Const(1.0), 2.0, "one"),)),
+        system.potential(2)))
+    with pytest.raises(DomainError, match="guard violated"):
+        classify_gauge(guarded, dirac)
+    # a bare coefficient set carries no guards
+    assert classify_gauge(to_coefficient_form(guarded), dirac).verdict \
+        == GAUGE_REMOVABLE
+
+
 def test_marginal_violation_is_undecided(dirac):
     system = make_builtin("coefficient_form", {
         "W1": ("0.000000005*cos(x2_3)", 0, 0, 0), "name": "marginal"})
@@ -525,9 +583,8 @@ def test_constant_gauge_preserves_consistency_verdict(dirac, rng, name):
     system = make_builtin(name)
     gauged = _conjugate_system(system, 0.4, dirac)
     samples = sample_configs(20, rng)
-    report = check_consistency(system, dirac, samples=samples, include_cc=False)
-    gauged_report = check_consistency(gauged, dirac, samples=samples,
-                                      include_cc=False)
+    report = check_consistency(system, dirac, samples=samples)
+    gauged_report = check_consistency(gauged, dirac, samples=samples)
     assert report.verdict == gauged_report.verdict
     assert np.isclose(report.zeroth_sup, gauged_report.zeroth_sup, atol=1e-9)
     assert np.allclose(report.deriv_coeff_sup, gauged_report.deriv_coeff_sup,
