@@ -20,13 +20,18 @@ with eigh (declared hermitian) or expm.
 The free step acts on particle k's spin factor only; lifted to the
 16-component spin index (Kronecker product with the identity on the
 other factor) it is one 16x16 kernel K(kappa) per mode, applied as a
-batched matmul between one FFT and one inverse FFT along z_k.  When
-V_k depends only on the times, its half-step phase P is a single 16x16
-matrix that commutes with the FFT, so it is folded into the kernel as
-P K(kappa) P and the step touches the grid only through the FFTs and
-the matmul.  A phase that varies over the grid is applied pointwise
-before the FFT and after the inverse FFT; in closed form it acts as
-sum_i a_i (B_i psi) over the structures B_i, with no matrix per point.
+batched matmul between one FFT and one inverse FFT along z_k.  A phase
+that varies over the grid is applied pointwise before the FFT and after
+the inverse FFT; in closed form it acts as sum_i a_i (B_i psi) over the
+structures B_i, with no matrix per point.
+
+When V_k depends only on the times, its half-step phase P is a single
+16x16 matrix that commutes with the FFT, so a step is the kernel
+P K(kappa) P.  A run of such steps is fused into one FFT, the per-mode
+product P_m K P_m ... P_1 K P_1 and one inverse FFT: the same Strang
+steps, regrouped.  Each step still builds its phase at its own midpoint
+time, so the guards and the finiteness and hermiticity checks run on
+every step; a step with a grid phase ends the run.
 
 Two experiments probe the compatibility of the pair of evolutions:
 
@@ -312,45 +317,62 @@ def _free_multiplier(grid: Grid, mass: float, dt: float,
             + weight[:, None, None] * hamiltonian)
 
 
-def step(psi: WaveFunction, particle: int, dt: float,
-         system: MultiTimeSystem, rep: GammaRep) -> WaveFunction:
-    """One Strang step of the particle's time variable by dt (signed)."""
+def _check_steps(system: MultiTimeSystem, grid: Grid,
+                 dts: Sequence[float]) -> None:
+    """Reject a system that is not a pair, and any |dt| above the spacing."""
     if system.n_particles != 2:
         raise SpecError("the line solver handles exactly two particles")
-    if particle not in (1, 2):
-        raise SpecError("particle must be 1 or 2")
-    grid = psi.grid
-    if dt == 0:
-        return WaveFunction(grid, psi.times, psi.values.copy())
-    if abs(dt) > grid.spacing + 1e-12:
-        raise SpecError(
-            f"|dt| = {abs(dt):g} exceeds the grid spacing {grid.spacing:g}")
+    for dt in dts:
+        if abs(dt) > grid.spacing + 1e-12:
+            raise SpecError(f"|dt| = {abs(dt):g} exceeds the grid spacing "
+                            f"{grid.spacing:g}")
 
-    phase = _potential_phase(system, particle, psi.times, dt, grid, rep)
-    multiplier = _free_multiplier(grid, system.mass(particle), dt, rep)
-    eye = np.eye(4)
-    # (n, 16, 16): the free propagator on particle k's spin factor
-    kernel = (np.kron(multiplier, eye) if particle == 1
-              else np.kron(eye, multiplier))
-    if isinstance(phase, np.ndarray):
-        kernel = phase @ kernel @ phase
-        phase = None
 
-    values = psi.values if phase is None else phase(psi.values)
+def _apply_kernel(values: np.ndarray, particle: int,
+                  kernel: np.ndarray) -> np.ndarray:
+    """FFT along z_k, the (n, 16, 16) kernel per mode, inverse FFT."""
     # particle k's grid axis leads, so kernel row x acts on values[x]
     if particle == 2:
         values = values.swapaxes(0, 1)
-    spectral = np.fft.fft(values, axis=0)
-    spectral = spectral @ kernel.swapaxes(-1, -2)
+    spectral = np.fft.fft(values, axis=0) @ kernel.swapaxes(-1, -2)
     values = np.fft.ifft(spectral, axis=0)
-    if particle == 2:
-        values = values.swapaxes(0, 1)
-    if phase is not None:
-        values = phase(values)
+    return values.swapaxes(0, 1) if particle == 2 else values
 
-    t1, t2 = psi.times
-    times = (t1 + dt, t2) if particle == 1 else (t1, t2 + dt)
-    return WaveFunction(grid, times, values)
+
+def _advance(psi: WaveFunction, particle: int, dt: float, count: int,
+             system: MultiTimeSystem, rep: GammaRep) -> WaveFunction:
+    """count Strang steps of t_k by dt; runs of time-only steps are fused."""
+    grid = psi.grid
+    multiplier = _free_multiplier(grid, system.mass(particle), dt, rep)
+    eye = np.eye(4)
+    # (n, 16, 16): the free propagator on particle k's spin factor
+    free = (np.kron(multiplier, eye) if particle == 1
+            else np.kron(eye, multiplier))
+    values, times, run = psi.values, list(psi.times), None
+    for _ in range(count):
+        phase = _potential_phase(system, particle, times, dt, grid, rep)
+        if callable(phase):
+            if run is not None:
+                values, run = _apply_kernel(values, particle, run), None
+            values = phase(_apply_kernel(phase(values), particle, free))
+        else:
+            kernel = free if phase is None else phase @ free @ phase
+            run = kernel if run is None else kernel @ run
+        times[particle - 1] += dt
+    if run is not None:
+        values = _apply_kernel(values, particle, run)
+    return WaveFunction(grid, tuple(times), values)
+
+
+def step(psi: WaveFunction, particle: int, dt: float,
+         system: MultiTimeSystem, rep: GammaRep) -> WaveFunction:
+    """One Strang step of the particle's time variable by dt (signed)."""
+    _check_steps(system, psi.grid, [dt])
+    if particle not in (1, 2):
+        raise SpecError("particle must be 1 or 2")
+    if dt == 0:
+        return WaveFunction(psi.grid, psi.times, psi.values.copy())
+    return _advance(psi, particle, dt, 1, system, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +409,17 @@ class Leg:
 
 def evolve_path(psi: WaveFunction, path: Sequence[Leg],
                 system: MultiTimeSystem, rep: GammaRep) -> WaveFunction:
-    """Apply the legs in order; an empty path returns the state unchanged."""
-    for leg in path:
-        signed = leg.direction * leg.dt
-        for _ in range(leg.steps()):
-            psi = step(psi, leg.particle, signed, system, rep)
+    """Apply the legs in order; an empty path returns the state unchanged.
+
+    Every leg is checked before the first step.  A leg's steps are the
+    Strang steps `step` takes, with runs of time-only steps fused.
+    """
+    counts = [leg.steps() for leg in path]
+    _check_steps(system, psi.grid, [leg.dt for leg in path])
+    for leg, count in zip(path, counts):
+        if count:
+            psi = _advance(psi, leg.particle, leg.direction * leg.dt, count,
+                           system, rep)
     return psi
 
 
@@ -432,15 +460,16 @@ def path_independence_experiment(
     """
     if not dt_list:
         raise SpecError("dt_list must not be empty")
+    paths = [[Leg(1, total_time, dt), Leg(2, total_time, dt)]
+             for dt in dt_list]
+    for path in paths:
+        path[0].steps()  # both legs take the same steps
+    _check_steps(system, psi0.grid, dt_list)
     rows = []
-    for dt in dt_list:
-        forward = evolve_path(
-            psi0, [Leg(1, total_time, dt), Leg(2, total_time, dt)],
-            system, rep)
-        reverse = evolve_path(
-            psi0, [Leg(2, total_time, dt), Leg(1, total_time, dt)],
-            system, rep)
-        rows.append((float(dt), forward.distance(reverse)))
+    for path in paths:
+        forward = evolve_path(psi0, path, system, rep)
+        reverse = evolve_path(psi0, path[::-1], system, rep)
+        rows.append((float(path[0].dt), forward.distance(reverse)))
     order = _fitted_loglog_slope([r[0] for r in rows], [r[1] for r in rows])
     return PathIndependenceResult(tuple(rows), order)
 
@@ -486,6 +515,7 @@ class HolonomyResult:
 
 def holonomy_series(system: MultiTimeSystem, psi0: WaveFunction,
                     deltas: Sequence[float], rep: GammaRep) -> HolonomyResult:
+    _check_steps(system, psi0.grid, deltas)
     rows = []
     for delta in deltas:
         deviation = loop_holonomy(system, psi0, delta, rep)

@@ -30,7 +30,7 @@ from mtdirac import (
     tensor_element,
     zero_potential,
 )
-from mtdirac import cli, consistency
+from mtdirac import cli, consistency, solver
 from mtdirac.cli import EXIT_DOMAIN, EXIT_EXPECT, EXIT_OK, EXIT_SPEC, entry
 from oracles import reference_curvature
 
@@ -517,6 +517,76 @@ def test_simulate_guard_violation_exits_three(capsys):
                   "--grid-n", "32", "--delta", "0.05"])
     assert code == EXIT_DOMAIN
     assert "guard" in capsys.readouterr().err
+
+
+def _particle1_spec(tmp_path, coefficient, guards=(), hermitian=False):
+    data = system_to_dict(make_builtin("coefficient_form", {
+        "A": (coefficient, 0, 0, 0), "hermitian": hermitian}))
+    data["potentials"][0]["guards"] = list(guards)
+    spec = tmp_path / "sys.json"
+    spec.write_text(json.dumps(data), encoding="utf-8")
+    return str(spec)
+
+
+_LATE_GUARD = {"expr": "0.75 - x1_0", "threshold": 0.01}
+
+
+@pytest.mark.parametrize("coefficient, guards, hermitian, T, code, text", [
+    # V_1^2 overflows at the fifth midpoint time, t_1 = 0.45
+    ("exp(1000*x1_0)", (), False, "1", EXIT_DOMAIN,
+     "exp(-i dt V_1 / 2) is not finite"),
+    # the guard trips at the eighth midpoint time, t_1 = 0.75
+    ("x1_0", (_LATE_GUARD,), False, "1", EXIT_DOMAIN, "guard violated"),
+    ("x1_0", (_LATE_GUARD,), False, "0.7", EXIT_OK, ""),
+    # the defect is 0 at the first midpoint time and 0.8 at the second
+    ("i*(x1_0 - 0.05)", (), True, "1", EXIT_SPEC,
+     "declared hermitian but deviates"),
+], ids=["phase overflow", "guard", "guard never reached", "hermitian"])
+def test_per_step_checks_fire_mid_leg(tmp_path, capsys, coefficient, guards,
+                                      hermitian, T, code, text):
+    spec = _particle1_spec(tmp_path, coefficient, guards, hermitian)
+    assert entry(["simulate", "--spec", spec, "--grid-n", "32",
+                  "--T", T, "--dt", "0.1"]) == code
+    assert text in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("series", [["--T", "0", "--dt", "0.1"],
+                                    ["--delta", "0.05"]])
+def test_simulate_rejects_other_than_two_particles(tmp_path, capsys, n,
+                                                   series):
+    spec = tmp_path / "sys.json"
+    spec.write_text(json.dumps({"N": n, "masses": [1] * n,
+                                "potentials": []}), encoding="utf-8")
+    assert entry(["simulate", "--spec", str(spec), *series]) == EXIT_SPEC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exactly two particles" in captured.err
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["--dt", "0.1,0.3", "--T", "0.6"], "exceeds the grid spacing"),
+    (["--dt", "0.1,0.25", "--T", "0.6", "--grid-n", "32"],
+     "not a whole number of steps"),
+    (["--delta", "0.05,0.3"], "exceeds the grid spacing"),
+], ids=["dt above spacing", "dt not dividing T", "delta above spacing"])
+def test_bad_later_step_rejected_before_any_evolution(capsys, monkeypatch,
+                                                      argv, text):
+    calls = []
+
+    def record(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver.np.fft, "fft",
+                        record("fft", solver.np.fft.fft))
+    monkeypatch.setattr(solver, "_potential_phase",
+                        record("phase", solver._potential_phase))
+    assert entry(["simulate", "--builtin", "hoho", *argv]) == EXIT_SPEC
+    assert text in capsys.readouterr().err
+    assert calls == []
 
 
 def test_bad_dt_list_rejected():

@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 
 from mtdirac import solver
+from mtdirac.cli import EXIT_OK, entry
 from mtdirac.clifford import (
     IDENTITY_ELEMENT,
     BasisClass,
@@ -302,6 +303,85 @@ def test_step_matches_einsum_reference(label, particle, dt, dirac):
 
 def test_empty_path_returns_state(grid, psi0, dirac):
     assert evolve_path(psi0, [], make_builtin("free"), dirac) is psi0
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("particle", [1, 2])
+@pytest.mark.parametrize("label", sorted(_ORACLE_SYSTEMS))
+def test_leg_matches_chained_reference_steps(label, particle, direction,
+                                             dirac):
+    """A fused leg is the same Strang steps: time-only, grid and mixed."""
+    name, params = _ORACLE_SYSTEMS[label]
+    system = make_builtin(name, params)
+    small = Grid(points=16)
+    psi = product_state(small, spinor1=(0.6, 0.2j, -0.5, 0.3),
+                        spinor2=(0.1, 0.7, 0.4j, -0.2),
+                        momenta=(0.8, -0.5), times=(0.3, -0.2))
+    out = evolve_path(psi, [Leg(particle, 0.6, 0.1, direction)], system,
+                      dirac)
+    expected = psi
+    for _ in range(6):
+        dt = direction * 0.1
+        values = reference_step(expected, particle, dt, system, dirac)
+        times = list(expected.times)
+        times[particle - 1] += dt
+        expected = WaveFunction(small, tuple(times), values)
+    assert out.times == expected.times
+    assert out.distance(expected) <= 1e-13
+
+
+def test_hoho_path_matches_chained_steps(grid, psi0, dirac):
+    system = make_builtin("hoho")
+    fused = evolve_path(psi0, [Leg(1, 0.5, 0.025), Leg(2, 0.5, 0.025)],
+                        system, dirac)
+    chained = psi0
+    for particle in (1, 2):
+        for _ in range(20):
+            chained = step(chained, particle, 0.025, system, dirac)
+    assert fused.times == chained.times
+    assert fused.distance(chained) <= 1e-13
+
+
+def test_grid_step_inside_a_leg_ends_the_fused_run(dirac, monkeypatch):
+    """Every third step gets its 16x16 phase as a pointwise one."""
+    original = solver._potential_phase
+    calls = []
+
+    def mixed(*args):
+        phase = original(*args)
+        calls.append(phase)
+        if len(calls) % 3 == 2:
+            return lambda values: values @ phase.T
+        return phase
+
+    monkeypatch.setattr(solver, "_potential_phase", mixed)
+    system = make_builtin("hoho")
+    psi = product_state(Grid(points=16), spinor1=(0.6, 0.2j, -0.5, 0.3),
+                        momenta=(0.8, -0.5))
+    fused = evolve_path(psi, [Leg(1, 0.7, 0.1), Leg(2, 0.7, 0.1)], system,
+                        dirac)
+    calls.clear()
+    chained = psi
+    for particle in (1, 2):
+        for _ in range(7):
+            chained = step(chained, particle, 0.1, system, dirac)
+    assert len(calls) == 14
+    assert fused.distance(chained) <= 1e-13
+    assert fused.distance(psi) > 0.1
+
+
+def test_time_only_legs_take_no_single_steps(monkeypatch):
+    calls = []
+    original = solver.step
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", counting)
+    assert entry(["simulate", "--builtin", "hoho",
+                  "--dt", "0.1,0.05,0.025"]) == EXIT_OK
+    assert calls == []
 
 
 def test_leg_validation():
