@@ -15,7 +15,8 @@ alone.  Each class then squares to a scalar field, V_g^2 = s_g, and
 contributes the factor cos(tau sqrt(s_g)) - i tau sinc(tau sqrt(s_g)) V_g
 with tau = dt/2, the identity the free step uses for alpha3 kappa +
 gamma0 m.  Any other V_k is assembled point by point and exponentiated
-with eigh (declared hermitian) or expm.
+with eigh (declared hermitian) or scipy's expm, which is imported only
+when such a non-hermitian phase is first built.
 
 The free step acts on particle k's spin factor only; lifted to the
 16-component spin index (Kronecker product with the identity on the
@@ -53,7 +54,6 @@ from functools import reduce
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .clifford import (
     GammaRep,
@@ -219,7 +219,12 @@ def _anticommuting_classes(structures: Sequence[TensorBasisElement],
 
 def _dense_phase(system: MultiTimeSystem, particle: int,
                  potential: OperatorField, dt: float, rep: GammaRep):
-    """exp(-i (dt/2) V_k) from the assembled matrices (eigh or expm)."""
+    """exp(-i (dt/2) V_k) from the assembled matrices.
+
+    A declared-hermitian V_k is diagonalised with numpy's eigh; any other
+    goes through scipy.linalg.expm, imported here so that scipy is loaded
+    only by non-hermitian potentials that are not a union of classes.
+    """
     with np.errstate(all="ignore"):
         v = reconstruct(potential, system.n_particles, rep)
     if not np.all(np.isfinite(v)):
@@ -230,6 +235,8 @@ def _dense_phase(system: MultiTimeSystem, particle: int,
         phase = (basis * phases[..., None, :]) @ np.conj(
             np.swapaxes(basis, -1, -2))
     else:
+        import scipy.linalg
+
         with np.errstate(all="ignore"):
             phase = scipy.linalg.expm(-0.5j * dt * v)
         if not np.all(np.isfinite(phase)):

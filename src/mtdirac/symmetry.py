@@ -20,11 +20,11 @@ Three services for two-particle multi-time systems:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .clifford import (
     EPSILON3,
@@ -115,32 +115,59 @@ def make_translation(offset: Sequence[float]) -> PoincareTransform:
                              np.eye(4, dtype=complex), offset.copy())
 
 
+def _finite(name: str, value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def make_boost(axis: Sequence[float], rapidity: float,
                rep: GammaRep) -> PoincareTransform:
-    """Pure boost with the given rapidity along a spatial axis."""
+    """Pure boost with the given rapidity along a spatial axis.
+
+    The generator K has K^3 = K, so exp(chi K) = 1 + sinh(chi) K +
+    (cosh(chi) - 1) K^2, and alpha_n^2 = 1 gives the spinor candidates
+    exp(+-chi alpha_n / 2) = cosh(chi/2) +- sinh(chi/2) alpha_n.  Raises
+    ValueError for a non-finite rapidity or one whose cosh overflows.
+    """
     n = _unit(axis)
+    rapidity = _finite("rapidity", rapidity)
+    try:
+        cosh, sinh = math.cosh(rapidity), math.sinh(rapidity)
+    except OverflowError:
+        raise ValueError(f"cosh of rapidity {rapidity:g} overflows") from None
     generator = np.zeros((4, 4))
     generator[0, 1:] = n
     generator[1:, 0] = n
-    lorentz = expm(rapidity * generator)
+    lorentz = np.eye(4) + sinh * generator + (cosh - 1) * generator @ generator
     alpha_n = sum(n[a - 1] * rep.alpha(a) for a in (1, 2, 3))
-    candidates = [expm(0.5 * rapidity * alpha_n),
-                  expm(-0.5 * rapidity * alpha_n)]
-    spinor = _match_spinor(lorentz, candidates, rep)
+    half = math.cosh(0.5 * rapidity) * np.eye(4)
+    odd = math.sinh(0.5 * rapidity) * alpha_n
+    spinor = _match_spinor(lorentz, [half + odd, half - odd], rep)
     return PoincareTransform(f"boost({n[0]:g},{n[1]:g},{n[2]:g});chi={rapidity:g}",
                              lorentz, spinor, np.zeros(4))
 
 
 def make_rotation(axis: Sequence[float], angle: float,
                   rep: GammaRep) -> PoincareTransform:
-    """Spatial rotation by `angle` about a spatial axis."""
+    """Spatial rotation by `angle` about a spatial axis.
+
+    The generator J has J^3 = -J, so exp(theta J) = 1 + sin(theta) J +
+    (1 - cos(theta)) J^2, and Sigma_n^2 = 1 gives the spinor candidates
+    exp(-+i theta Sigma_n / 2) = cos(theta/2) -+ i sin(theta/2) Sigma_n.
+    Raises ValueError for a non-finite angle.
+    """
     n = _unit(axis)
+    angle = _finite("angle", angle)
     generator = np.zeros((4, 4))
     generator[1:, 1:] = -EPSILON3 @ n
-    lorentz = expm(angle * generator)
+    lorentz = (np.eye(4) + math.sin(angle) * generator
+               + (1 - math.cos(angle)) * generator @ generator)
     sigma_n = rep.gamma5 @ sum(n[a - 1] * rep.alpha(a) for a in (1, 2, 3))
-    candidates = [expm(-0.5j * angle * sigma_n), expm(0.5j * angle * sigma_n)]
-    spinor = _match_spinor(lorentz, candidates, rep)
+    half = math.cos(0.5 * angle) * np.eye(4)
+    odd = 1j * math.sin(0.5 * angle) * sigma_n
+    spinor = _match_spinor(lorentz, [half - odd, half + odd], rep)
     return PoincareTransform(f"rotation({n[0]:g},{n[1]:g},{n[2]:g});theta={angle:g}",
                              lorentz, spinor, np.zeros(4))
 

@@ -78,6 +78,41 @@ def dense_decompose(matrix: np.ndarray, n_particles: int, rep) -> dict:
     return out
 
 
+def reference_lorentz_lift(kind: str, axis, parameter: float, rep):
+    """Boost ("boost") or rotation ("rotation") by scipy's expm.
+
+    Returns (Lambda, S): Lambda = expm(parameter G) for the 4x4 generator
+    G, and S the first of expm(parameter X / 2), expm(-parameter X / 2)
+    that intertwines Lambda, X = alpha_n for a boost and -i Sigma_n for a
+    rotation.  Where both do (S and -S at a rotation by +-pi), the first
+    is the sign convention of make_boost and make_rotation.
+    """
+    n = np.asarray(axis, float) / np.linalg.norm(axis)
+    alpha_n = sum(n[a] * rep.alphas[a + 1] for a in range(3))
+    generator = np.zeros((4, 4))
+    if kind == "boost":
+        generator[0, 1:] = n
+        generator[1:, 0] = n
+        spin = alpha_n
+    else:
+        for a, b, c in itertools.permutations(range(3)):
+            sign = np.linalg.det(np.eye(3)[[a, b, c]])
+            generator[a + 1, b + 1] -= sign * n[c]
+        spin = -1j * rep.gamma5 @ alpha_n
+    lorentz = scipy.linalg.expm(parameter * generator)
+
+    def defect(s):
+        s_inv = np.linalg.inv(s)
+        return max(np.linalg.norm(
+            s @ rep.gammas[mu] @ s_inv
+            - sum(lorentz[mu, nu] * rep.gammas[nu] for nu in range(4)))
+            for mu in range(4))
+
+    candidates = [scipy.linalg.expm(sign * 0.5 * parameter * spin)
+                  for sign in (1, -1)]
+    return lorentz, next(s for s in candidates if defect(s) < 1e-10)
+
+
 def reference_step(psi, particle: int, dt: float, system, rep) -> np.ndarray:
     """One Strang step as the einsum sandwich phase . free . phase.
 

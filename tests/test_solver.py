@@ -248,7 +248,7 @@ def test_grid_phase_workloads_take_closed_form(argv, dirac, monkeypatch):
         raise AssertionError("dense phase used")
 
     monkeypatch.setattr(solver.np.linalg, "eigh", refuse)
-    monkeypatch.setattr(solver.scipy.linalg, "expm", refuse)
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
     system = make_builtin(*argv)
     psi = product_state(Grid(points=64))
     for particle in (1, 2, 1, 2):

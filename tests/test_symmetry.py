@@ -44,7 +44,7 @@ from mtdirac.symmetry import (
     poincare_residual,
     translation_residual,
 )
-from oracles import reference_cross_curl
+from oracles import reference_cross_curl, reference_lorentz_lift
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +144,53 @@ def test_translation_applies_offset():
 def test_zero_axis_rejected(dirac):
     with pytest.raises(ValueError):
         make_boost((0, 0, 0), 0.5, dirac)
+
+
+_RAPIDITIES = (-4.0, -1.3, 0.0, 0.25, 2.0, 4.0)
+_ANGLES = (0.0, 0.7, -2.2, np.pi, 2 * np.pi, -np.pi)
+
+
+@pytest.mark.parametrize("rapidity", _RAPIDITIES)
+def test_closed_form_boost_matches_expm(dirac, weyl, rng, rapidity):
+    eta = MINKOWSKI_METRIC
+    tol = 1e-12 * np.cosh(rapidity)
+    for rep in (dirac, weyl):
+        for axis in [(0, 0, 1), *rng.normal(size=(4, 3))]:
+            transform = make_boost(axis, rapidity, rep)
+            lorentz, spinor = reference_lorentz_lift("boost", axis, rapidity,
+                                                     rep)
+            lam = transform.lorentz
+            assert np.max(np.abs(lam - lorentz)) <= tol
+            assert np.max(np.abs(transform.spinor - spinor)) <= tol
+            assert np.max(np.abs(lam.T @ eta @ lam - eta)) <= 1e-12
+
+
+@pytest.mark.parametrize("angle", _ANGLES)
+def test_closed_form_rotation_matches_expm(dirac, weyl, rng, angle):
+    eta = MINKOWSKI_METRIC
+    for rep in (dirac, weyl):
+        for axis in [(1, 0, 0), *rng.normal(size=(4, 3))]:
+            transform = make_rotation(axis, angle, rep)
+            lorentz, spinor = reference_lorentz_lift("rotation", axis, angle,
+                                                     rep)
+            lam = transform.lorentz
+            assert np.max(np.abs(lam - lorentz)) <= 1e-12
+            assert np.max(np.abs(transform.spinor - spinor)) <= 1e-12
+            assert np.max(np.abs(lam.T @ eta @ lam - eta)) <= 1e-12
+            assert np.max(np.abs(lam.T @ lam - np.eye(4))) <= 1e-12
+            assert abs(np.linalg.det(lam) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("rapidity", [np.nan, np.inf, -np.inf, 711.0, -1e4])
+def test_boost_rejects_nonfinite_rapidity(dirac, rapidity):
+    with pytest.raises(ValueError, match="rapidity"):
+        make_boost((0, 0, 1), rapidity, dirac)
+
+
+@pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+def test_rotation_rejects_nonfinite_angle(dirac, angle):
+    with pytest.raises(ValueError, match="angle"):
+        make_rotation((0, 0, 1), angle, dirac)
 
 
 # ---------------------------------------------------------------------------
