@@ -396,12 +396,8 @@ def reconstruct(coeffs: OperatorField, n_particles: int, rep: GammaRep,
 
 def basis_gram(rep: GammaRep) -> np.ndarray:
     """Gram matrix tr(B_i^dag B_j) of the 16-element single-particle basis."""
-    mats = [m for _, m in basis16(rep)]
-    gram = np.empty((16, 16), dtype=complex)
-    for i, a in enumerate(mats):
-        for j, b in enumerate(mats):
-            gram[i, j] = np.trace(a.conj().T @ b)
-    return gram
+    basis = rep.basis.reshape(16, 4, 4)
+    return np.einsum("iab,jab->ij", basis.conj(), basis)
 
 
 # ---------------------------------------------------------------------------

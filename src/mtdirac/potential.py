@@ -153,12 +153,6 @@ def stack_coords(configs) -> list[list[np.ndarray]]:
             for k in range(configs.shape[-2])]
 
 
-def evaluate_stack(potential: Potential, configs,
-                   rep: GammaRep) -> np.ndarray:
-    """Potential on a configuration stack (..., N, 4), as evaluate_potential."""
-    return evaluate_potential(potential, stack_coords(configs), rep)
-
-
 def differentiate_potential(potential: Potential, k: int, mu: int) -> Potential:
     """Coefficient-wise partial derivative with respect to x_{k,mu}."""
     terms = []

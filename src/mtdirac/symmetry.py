@@ -4,7 +4,8 @@ Three services for two-particle multi-time systems:
 
 * Poincare transforms (boosts, rotations, translations) with their
   spinor lifts, and sampled residuals measuring how far a potential
-  pair is from covariant under a given transform.
+  pair is from covariant under a given transform, taken on operator
+  fields through the matrix R with S B_m S^-1 = sum_n R[n, m] B_n.
 
 * A gauge classifier for the alpha-sector coefficient fields: decides
   whether the cross-particle part of the first-order couplings is the
@@ -21,23 +22,26 @@ Three services for two-particle multi-time systems:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
 from .clifford import (
+    _ELEMENTS,
+    ALGEBRA_TOL,
     EPSILON3,
     GAMMA5_ELEMENT,
     IDENTITY_ELEMENT,
     BasisClass,
     BasisElement,
     GammaRep,
+    TensorBasisElement,
     build_dirac_rep,
     field_commutator,
     field_norm,
     field_sum,
-    frobenius,
     tensor_element,
 )
 from .consistency import _cc_sups, _zeroth_order
@@ -51,7 +55,6 @@ from .potential import (
     _require_finite,
     coefficient_field,
     coefficient_set_to_system,
-    evaluate_stack,
     operator_field,
     stack_coords,
     to_coefficient_form,
@@ -88,16 +91,27 @@ def _unit(axis: Sequence[float]) -> np.ndarray:
     return axis / norm
 
 
+def _conjugation(spinor: np.ndarray, rep: GammaRep) -> np.ndarray:
+    """The 16x16 R with S B_m S^-1 = sum_n R[n, m] B_n for a Lorentz lift S.
+
+    R[n, m] = tr(B_n^-1 S B_m S^-1) / 4, with B_n^-1 = phase[n, n] B_n and
+    the exact inverse S^-1 = gamma0 S^dag gamma0 of a Lorentz lift.
+    """
+    basis = rep.basis.reshape(16, 4, 4)
+    inverses = np.diagonal(rep.product_phase)[:, None, None] * basis
+    s_inv = rep.gamma(0) @ spinor.conj().T @ rep.gamma(0)
+    return np.einsum("nab,mba->nm", inverses, spinor @ basis @ s_inv) / 4
+
+
 def _match_spinor(lorentz: np.ndarray, candidates: Sequence[np.ndarray],
-                  rep: GammaRep, tol: float = 1e-10) -> np.ndarray:
+                  rep: GammaRep) -> np.ndarray:
+    """The first candidate whose R maps gamma^mu to Lambda^mu_nu gamma^nu,
+    to ALGEBRA_TOL relative to max |Lambda|, a norm that cannot overflow."""
+    expected = np.zeros((16, 4))
+    expected[8:12] = lorentz.T  # the gamma class, flat indices 8..11
     for s in candidates:
-        s_inv = np.linalg.inv(s)
-        worst = max(
-            frobenius(s @ rep.gamma(mu) @ s_inv
-                      - sum(lorentz[mu, nu] * rep.gamma(nu)
-                            for nu in range(4)))
-            for mu in range(4))
-        if worst < tol:
+        defect = np.abs(_conjugation(s, rep)[:, 8:12] - expected)
+        if np.max(defect) <= ALGEBRA_TOL * np.max(np.abs(lorentz)):
             return s
     raise RuntimeError("no spinor lift reproduced the vector transform")
 
@@ -190,13 +204,6 @@ def inverse(transform: PoincareTransform) -> PoincareTransform:
         -lam_inv @ transform.translation)
 
 
-def _tensor_power(matrix: np.ndarray, n: int) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for _ in range(n):
-        out = np.kron(out, matrix)
-    return out
-
-
 @np.errstate(all="ignore")
 def poincare_residual(system: MultiTimeSystem,
                       transform: PoincareTransform,
@@ -205,22 +212,32 @@ def poincare_residual(system: MultiTimeSystem,
 
         || V_k(X) - (S x..x S) V_k(Lambda^-1(x_1 - a), ...) (S^-1 x..x S^-1) ||_F
 
-    Raises DomainError when the sup is not finite.
+    on operator fields: each factor B_m of the pulled-back field maps to
+    sum_n R[n, m] B_n (_conjugation), over the entries of R above its
+    round-off, and field_norm measures the difference.  Raises
+    DomainError when the sup is not finite.
     """
-    samples = np.asarray(samples, float)
-    lam_inv = np.linalg.inv(transform.lorentz)
-    big_s = _tensor_power(transform.spinor, system.n_particles)
-    big_s_inv = np.linalg.inv(big_s)
-    pulled_back = (samples - transform.translation) @ lam_inv.T
-    defects = [0.0]
+    pulled_back = inverse(transform).apply(samples)
+    r = _conjugation(transform.spinor, rep)
+    cutoff = 16 * np.finfo(float).eps * np.max(np.abs(r))  # R's round-off
+    _require_finite({f"poincare_residual({transform.name})": cutoff})
+    images = {source: [(_ELEMENTS[n], r[n, m])
+                       for n in np.flatnonzero(np.abs(r[:, m]) > cutoff)]
+              for m, source in enumerate(_ELEMENTS)}
+    worst = 0.0
     for potential in system.potentials:
-        v_here = evaluate_stack(potential, samples, rep)
-        v_there = evaluate_stack(potential, pulled_back, rep)
-        defect = v_here - big_s @ v_there @ big_s_inv
-        defects += map(frobenius, defect.reshape(-1, *big_s.shape))
-    worst = float(np.max(defects))
+        here = operator_field(potential, stack_coords(samples))
+        there = operator_field(potential, stack_coords(pulled_back))
+        conjugated = field_sum(*(
+            (math.prod(w for _, w in choice),
+             {TensorBasisElement(tuple(e for e, _ in choice)): value})
+            for element, value in there.items()
+            for choice in product(*map(images.get, element.factors))))
+        defect = field_sum((1, here), (-1, conjugated))
+        worst = np.maximum(worst, np.max(
+            field_norm(defect, system.n_particles), initial=0.0))
     _require_finite({f"poincare_residual({transform.name})": worst})
-    return worst
+    return float(worst)
 
 
 def translation_residual(system: MultiTimeSystem, offset: Sequence[float],
@@ -335,21 +352,14 @@ def interaction_witness_hoho(
 # Gauge classification of the alpha-sector
 # ---------------------------------------------------------------------------
 
-def _default_values() -> tuple[float, ...]:
-    return tuple(np.linspace(-1.0, 1.0, 9))
-
-
-def _default_base() -> tuple[tuple[float, ...], ...]:
-    return ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
-
-
 @dataclass(frozen=True)
 class ConfigGrid:
     """Rectangular probe grid varying two coordinates around a base point."""
 
     axes: tuple[tuple[int, int], tuple[int, int]] = ((1, 0), (2, 3))
-    values: tuple[float, ...] = field(default_factory=_default_values)
-    base: tuple[tuple[float, ...], ...] = field(default_factory=_default_base)
+    values: tuple[float, ...] = tuple(np.linspace(-1.0, 1.0, 9))
+    base: tuple[tuple[float, ...], ...] = ((0.0, 0.0, 0.0, 0.0),
+                                           (0.0, 0.0, 0.0, 0.0))
 
     def base_array(self) -> np.ndarray:
         return np.asarray(self.base, float)

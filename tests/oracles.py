@@ -20,6 +20,7 @@ from mtdirac.potential import (
     FIELD_NAMES,
     differentiate_potential,
     evaluate_potential,
+    stack_coords,
 )
 
 
@@ -111,6 +112,31 @@ def reference_lorentz_lift(kind: str, axis, parameter: float, rep):
     candidates = [scipy.linalg.expm(sign * 0.5 * parameter * spin)
                   for sign in (1, -1)]
     return lorentz, next(s for s in candidates if defect(s) < 1e-10)
+
+
+def reference_poincare_residual(system, transform, samples, rep) -> float:
+    """sup over samples and particles of the dense covariance defect
+
+        || V_k(X) - (S x..x S) V_k(Lambda^-1(x_1 - a), ...) (S^-1 x..x S^-1) ||_F
+
+    with the potentials assembled as (S, 4^N, 4^N) matrices, S x..x S
+    built by np.kron and inverted numerically, one Frobenius norm per
+    sample.
+    """
+    samples = np.asarray(samples, float)
+    lam_inv = np.linalg.inv(transform.lorentz)
+    big_s = reduce(np.kron, [transform.spinor] * system.n_particles)
+    big_s_inv = np.linalg.inv(big_s)
+    pulled_back = (samples - transform.translation) @ lam_inv.T
+    worst = 0.0
+    for potential in system.potentials:
+        v_here = evaluate_potential(potential, stack_coords(samples), rep)
+        v_there = evaluate_potential(potential, stack_coords(pulled_back),
+                                     rep)
+        defect = v_here - big_s @ v_there @ big_s_inv
+        norms = np.linalg.norm(defect.reshape(-1, *big_s.shape), axis=(1, 2))
+        worst = max(worst, float(np.max(norms, initial=0.0)))
+    return worst
 
 
 def reference_step(psi, particle: int, dt: float, system, rep) -> np.ndarray:

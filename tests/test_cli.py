@@ -30,7 +30,7 @@ from mtdirac import (
     tensor_element,
     zero_potential,
 )
-from mtdirac import cli, consistency, solver
+from mtdirac import cli, clifford, consistency, potential, solver
 from mtdirac.cli import EXIT_DOMAIN, EXIT_EXPECT, EXIT_OK, EXIT_SPEC, entry
 from oracles import reference_curvature
 
@@ -412,6 +412,24 @@ def test_expression_rejected_for_constant_vector_builtin(capsys):
 # ---------------------------------------------------------------------------
 # poincare
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["poincare", "--builtin", "hoho"],
+    ["poincare", "--builtin", "coulomb_like"],
+    ["classify", "--builtin", "hoho"],
+    ["check", "--builtin", "hoho"],
+    ["cc", "--builtin", "hoho"],
+], ids=" ".join)
+def test_verdict_commands_assemble_no_dense_matrices(argv, monkeypatch,
+                                                     capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrices assembled")
+
+    for module in (clifford, potential, consistency, solver):
+        monkeypatch.setattr(module, "reconstruct", refuse)
+    code, _ = run_json(capsys, argv)
+    assert code == EXIT_OK
+
 
 def test_poincare_sweep_hoho(capsys):
     code, envelope = run_json(

@@ -262,7 +262,8 @@ _ORACLE_SYSTEMS = {
     # V_2 varies over the grid unevenly in z_1 and z_2
     "grid hermitian phase on V_2": ("coefficient_form", {
         "E": ("0.5*sin(x1_3 + 2*x2_3)", 0, 0, 0), "hermitian": True}),
-    "grid expm phase": ("coefficient_form", {
+    # one structure per potential: the closed form, never expm
+    "closed-form non-hermitian grid phase": ("coefficient_form", {
         "W1": (0, 0, 0, "0.5*cos(x1_3 - x2_3)"),
         "E": ("0.5*sin(x1_3 + 2*x2_3)", 0, 0, 0)}),
     # alpha3 x 1 and alpha3 x gamma5 commute: two classes, both on the grid
@@ -278,6 +279,21 @@ _ORACLE_SYSTEMS = {
         "C": (1.0, 0.3, 0.0, 0.0), "c": (1.0, 0.0, 0.0, 0.5)}),
     "zero potential": ("free", {}),
 }
+
+
+def test_dense_phase_oracle_system_reaches_expm(dirac, monkeypatch):
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return expm(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    name, params = _ORACLE_SYSTEMS["dense phase, not a union of cliques"]
+    step(product_state(Grid(points=16)), 1, 0.1, make_builtin(name, params),
+         dirac)
+    assert len(calls) >= 1
 
 
 @pytest.mark.parametrize("dt", [0.1, -0.1])

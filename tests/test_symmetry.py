@@ -25,12 +25,15 @@ from mtdirac.potential import (
     SpecError,
     make_builtin,
     sample_configs,
+    system_from_dict,
 )
 from mtdirac.symmetry import (
     GAUGE_REMOVABLE,
     INTERACTING,
     UNDECIDED,
     ConfigGrid,
+    PoincareTransform,
+    _match_spinor,
     classify_gauge,
     classify_interaction,
     compose,
@@ -44,7 +47,11 @@ from mtdirac.symmetry import (
     poincare_residual,
     translation_residual,
 )
-from oracles import reference_cross_curl, reference_lorentz_lift
+from oracles import (
+    reference_cross_curl,
+    reference_lorentz_lift,
+    reference_poincare_residual,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +200,30 @@ def test_rotation_rejects_nonfinite_angle(dirac, angle):
         make_rotation((0, 0, 1), angle, dirac)
 
 
+@pytest.mark.parametrize("rapidity", [8.0, -8.0, 15.0, -15.0, 30.0, -30.0])
+def test_large_rapidity_boost_lifts(dirac, weyl, rng, rapidity):
+    eta = MINKOWSKI_METRIC
+    for rep in (dirac, weyl):
+        for axis in [(0, 0, 1), *rng.normal(size=(3, 3))]:
+            transform = make_boost(axis, rapidity, rep)
+            lam, s = transform.lorentz, transform.spinor
+            assert (np.max(np.abs(lam.T @ eta @ lam - eta))
+                    <= 1e-12 * np.cosh(rapidity) ** 2)
+            # the exact inverse of a Lorentz lift; np.linalg.inv would lose
+            # about log10(cosh(rapidity)) digits
+            s_inv = rep.gamma(0) @ s.conj().T @ rep.gamma(0)
+            assert (np.linalg.norm(s @ s_inv - np.eye(4))
+                    <= 1e-12 * np.linalg.norm(s) ** 2)
+            for mu in range(4):
+                expected = sum(lam[mu, nu] * rep.gamma(nu) for nu in range(4))
+                assert (frobenius(s @ rep.gamma(mu) @ s_inv - expected)
+                        <= 1e-12 * np.linalg.norm(lam))
+            # the other candidate lifts the opposite boost
+            wrong = make_boost(axis, -rapidity, rep).spinor
+            with pytest.raises(RuntimeError, match="no spinor lift"):
+                _match_spinor(lam, [wrong], rep)
+
+
 # ---------------------------------------------------------------------------
 # Covariance residuals
 # ---------------------------------------------------------------------------
@@ -259,6 +290,73 @@ def test_stacked_residual_is_max_of_single_configurations(name, params,
                for i in range(len(samples))]
     assert stacked == max(singles)
     assert stacked > 0.1
+
+
+def test_non_finite_spinor_lift_raises_domain_error(dirac, rng):
+    transform = PoincareTransform("broken", np.eye(4),
+                                  np.full((4, 4), np.nan), np.zeros(4))
+    with pytest.raises(DomainError, match="broken"):
+        poincare_residual(make_builtin("hoho"), transform,
+                          sample_configs(5, rng), dirac)
+
+
+def _cli_and_composite_transforms(rep, rng):
+    """The poincare command's eight transforms and general-axis composites."""
+    boost_z = make_boost((0, 0, 1), 0.5, rep)
+    transforms = [make_boost((1, 0, 0), 0.5, rep),
+                  make_boost((0, 1, 0), 0.5, rep), boost_z,
+                  *(make_rotation(axis, np.pi / 3, rep)
+                    for axis in ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+                  make_translation((0.4, -0.3, 0.2, 0.7)),
+                  compose(boost_z, inverse(boost_z))]
+    for _ in range(2):
+        axes = rng.normal(size=(2, 3))
+        transforms.append(compose(
+            make_boost(axes[0], rng.uniform(-1.5, 1.5), rep),
+            compose(make_rotation(axes[1], rng.uniform(-np.pi, np.pi), rep),
+                    make_translation(rng.uniform(-1, 1, size=4)))))
+    return transforms
+
+
+_THREE_PARTICLES = {
+    "N": 3, "masses": [1.0, 0.5, 2.0],
+    "potentials": [
+        {"particle": 1, "terms": [
+            {"factors": [{"cls": "gamma", "mu": 0}, {"cls": "alpha", "mu": 2},
+                         {"cls": "id"}],
+             "coeff": "cos(x2_0 - x1_0) + x3_1"},
+            {"factors": [{"cls": "id"}, {"cls": "g5gamma", "mu": 3},
+                         {"cls": "g5alpha", "mu": 1}],
+             "coeff": "0.3*x1_2*x2_3"}]},
+        {"particle": 3, "terms": [
+            {"factors": [{"cls": "alpha", "mu": 1}, {"cls": "id"},
+                         {"cls": "gamma", "mu": 2}],
+             "coeff": "exp(-(x1_3 - x3_3)^2)"}]},
+    ],
+}
+
+
+@pytest.mark.parametrize("system", [
+    make_builtin("free"),
+    make_builtin("hoho"),
+    make_builtin("hoho", {"c": (1, 0.3, 0, -0.5)}),
+    make_builtin("example1_vector"),
+    make_builtin("coulomb_like"),
+    make_builtin("coefficient_form", {"W1": ("x2_0*cos(x1_3)", 0.2, 0,
+                                              "x1_1 - x2_2"),
+                                      "B": (0, "sin(x1_0 + x2_0)", 0, 0.4)}),
+    system_from_dict(_THREE_PARTICLES),
+], ids=["free", "hoho", "hoho_c", "example1_vector", "coulomb_like",
+        "coefficient_form", "three_particles"])
+def test_field_residual_matches_dense_oracle(system, dirac, weyl, rng):
+    samples = sample_configs(15, rng, system.n_particles)
+    for rep in (dirac, weyl):
+        for transform in _cli_and_composite_transforms(rep, rng):
+            oracle = reference_poincare_residual(system, transform, samples,
+                                                 rep)
+            got = poincare_residual(system, transform, samples, rep)
+            assert abs(got - oracle) <= 1e-12 * max(1.0, oracle), \
+                transform.name
 
 
 # ---------------------------------------------------------------------------
