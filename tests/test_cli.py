@@ -30,7 +30,7 @@ from mtdirac import (
     tensor_element,
     zero_potential,
 )
-from mtdirac import cli, clifford, consistency, potential, solver
+from mtdirac import cli, clifford, consistency, potential, solver, symmetry
 from mtdirac.cli import EXIT_DOMAIN, EXIT_EXPECT, EXIT_OK, EXIT_SPEC, entry
 from oracles import reference_curvature
 
@@ -400,6 +400,23 @@ def test_classify_renamed_hoho_interacting(tmp_path):
     assert report["system"] == "exponential_pair"
     assert report["verdict"] == "INTERACTING"
     assert report["witness"] == pytest.approx(8.0, abs=1e-9)
+
+
+def test_classify_hoho_runs_the_exponential_form_twice(capsys, monkeypatch):
+    # once on the probe grid for the verdict, once on the samples for the
+    # report; the witness checks the constant alpha sector without it
+    calls = []
+    for module in (symmetry, cli):
+        original = module.exponential_form_residual
+
+        def counted(*args, original=original, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "exponential_form_residual", counted)
+    code, _ = run_json(capsys, ["classify", "--builtin", "hoho"])
+    assert code == EXIT_OK
+    assert len(calls) == 2
 
 
 def test_expression_rejected_for_constant_vector_builtin(capsys):

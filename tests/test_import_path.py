@@ -1,4 +1,5 @@
-"""scipy stays off the import path of the CLI and its hermitian runs.
+"""scipy stays off the import path of the CLI and its hermitian runs,
+and numpy.polynomial off every CLI run but `classify`.
 
 Each check runs in a fresh interpreter, because the test session itself
 has scipy loaded through the oracles.
@@ -13,6 +14,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import mtdirac
 from mtdirac.potential import make_builtin
@@ -21,30 +23,37 @@ from oracles import reference_step
 
 _SRC = str(Path(mtdirac.__file__).resolve().parents[1])
 
+# classify runs last: the runs share one interpreter, and it alone imports
+# numpy.polynomial (for Gauss-Legendre nodes)
 _CLI_RUNS = {
     "check": ["check", "--builtin", "hoho", "--nsamples", "50"],
     "poincare": ["poincare", "--builtin", "hoho", "--nsamples", "20"],
-    "classify": ["classify", "--builtin", "hoho", "--nsamples", "20"],
     "cc": ["cc", "--builtin", "hoho", "--nsamples", "20"],
     "simulate time-only": ["simulate", "--builtin", "hoho", "--grid-n", "16",
                            "--T", "0.2", "--dt", "0.1"],
     "simulate grid phase": ["simulate", "--builtin", "hoho",
                             "--param", "c=1,0,0,0.5", "--grid-n", "16",
                             "--T", "0.2", "--dt", "0.1"],
+    "classify": ["classify", "--builtin", "hoho", "--nsamples", "20"],
 }
 
+# each entry: [exit code, scipy modules, numpy.polynomial modules]; numpy 1.x
+# imports numpy.polynomial itself, so "import numpy" records that baseline
 _CLI_SCRIPT = """
 import contextlib, io, json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def modules():
+    return [sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+            sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))]
 
+import numpy
+loaded = {"import numpy": [0, *modules()]}
 import mtdirac.cli
-loaded = {"import mtdirac.cli": [0, scipy_modules()]}
+loaded["import mtdirac.cli"] = [0, *modules()]
 for label, argv in json.loads(sys.argv[1]).items():
     with contextlib.redirect_stdout(io.StringIO()):
         code = mtdirac.cli.entry(argv)
-    loaded[label] = [code, scipy_modules()]
+    loaded[label] = [code, *modules()]
 print(json.dumps(loaded))
 """
 
@@ -80,12 +89,27 @@ def _run(script: str, *args: str) -> object:
     return json.loads(done.stdout)
 
 
-def test_cli_runs_never_load_scipy():
+@pytest.fixture(scope="module")
+def cli_modules():
+    """The modules loaded after each CLI run, in one fresh interpreter."""
     loaded = _run(_CLI_SCRIPT, json.dumps(_CLI_RUNS))
-    assert list(loaded) == ["import mtdirac.cli", *_CLI_RUNS]
-    for label, (code, modules) in loaded.items():
+    assert list(loaded) == ["import numpy", "import mtdirac.cli", *_CLI_RUNS]
+    return loaded
+
+
+def test_cli_runs_never_load_scipy(cli_modules):
+    for label, (code, scipy, _) in cli_modules.items():
         assert code == 0, label
-        assert modules == [], label
+        assert scipy == [], label
+
+
+def test_only_classify_loads_numpy_polynomial(cli_modules):
+    _, _, baseline = cli_modules["import numpy"]
+    for label, (_, _, polynomial) in cli_modules.items():
+        if label == "classify":
+            assert "numpy.polynomial.legendre" in polynomial
+        else:
+            assert polynomial == baseline, label
 
 
 def test_non_hermitian_dense_phase_loads_scipy(dirac, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -410,6 +411,14 @@ def test_witness_rejects_other_systems(dirac):
         interaction_witness_hoho(make_builtin("free"), dirac)
 
 
+def test_witness_raises_domain_error_when_not_finite(dirac):
+    # A overflows at x2_0 = 0, where the witness is taken
+    system = make_builtin("coefficient_form", {
+        "A": ("exp(1000*(x2_0+1))", 0, 0, 0), "Y2": (0.5, 0, 0, 0)})
+    with pytest.raises(DomainError, match="interaction_witness"):
+        interaction_witness_hoho(system, dirac)
+
+
 # ---------------------------------------------------------------------------
 # Exponential-family coefficient ODEs
 # ---------------------------------------------------------------------------
@@ -496,10 +505,79 @@ def test_gradient_pair_recovers_phase_function(gradient_report):
                 - np.sin(values)[None, :])
     recovered = gradient_report.gauge_components["unit"]
     assert np.max(np.abs(recovered.imag)) < 1e-12
-    drift = recovered.real - expected
-    assert np.max(np.abs(drift - drift.mean())) < 1e-5
+    # Phi(b) = 0 exactly, so the closed form needs no constant shift
+    assert np.max(np.abs(recovered.real - expected)) < 1e-12
     for sector in ("gamma5_1", "gamma5_2", "gamma5_12"):
         assert np.max(np.abs(gradient_report.gauge_components[sector])) < 1e-12
+
+
+# exact gauges in x2_0, which the default grid holds at 0 and the gradient
+# check moves
+_EXACT_GAUGES = {
+    "cos": {"W1": ("cos(x1_0 + x2_0)", 0, 0, 0),
+            "W2": ("cos(x1_0 + x2_0)", 0, 0, 0)},
+    "exp": {"W1": ("exp(x2_0)", 0, 0, 0), "W2": ("x1_0*exp(x2_0)", 0, 0, 0)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_GAUGES))
+def test_exact_gauge_checks_read_round_off(name, dirac):
+    report = classify_gauge(
+        make_builtin("coefficient_form", _EXACT_GAUGES[name]), dirac)
+    assert report.verdict == GAUGE_REMOVABLE
+    assert report.triangle_sup <= 1e-12
+    assert report.gradient_match_sup <= 1e-12
+
+
+def _sin_sum_phase(x):
+    """Phi of the cos pair: sin(x1_0 + x2_0) - sin(x1_0) - sin(x2_0)."""
+    a, t = x[..., 0, 0], x[..., 1, 0]
+    return np.sin(a + t) - np.sin(a) - np.sin(t)
+
+
+def _crossed_phase(x):
+    """Phi of W1 = cos(x2_3): x1_0 (sin(x2_3)/x2_3 - 1), 0 at x2_3 = 0."""
+    return x[..., 0, 0] * (np.sinc(x[..., 1, 3] / np.pi) - 1)
+
+
+@pytest.mark.parametrize("params,axes,phase", [
+    (_EXACT_GAUGES["cos"], ((1, 0), (2, 3)), _sin_sum_phase),
+    (_EXACT_GAUGES["cos"], ((1, 0), (2, 0)), _sin_sum_phase),
+    ({"W1": ("cos(x2_3)", 0, 0, 0)}, ((1, 0), (2, 3)), _crossed_phase),
+], ids=["cos pair", "cos pair on time axes", "crossed"])
+def test_gauge_components_match_closed_forms(params, axes, phase, dirac):
+    grid = ConfigGrid(axes=axes)
+    report = classify_gauge(make_builtin("coefficient_form", params), dirac,
+                            grid=grid)
+    recovered = report.gauge_components["unit"]
+    assert np.max(np.abs(recovered - phase(grid.configs()))) < 1e-12
+    for sector in ("gamma5_1", "gamma5_2", "gamma5_12"):
+        assert np.max(np.abs(report.gauge_components[sector])) == 0.0
+
+
+def test_gauge_components_match_mpmath_quadrature(dirac):
+    # no closed form: Phi(x) = int_0^1 h(s x) . x ds by tanh-sinh quadrature,
+    # on the default grid, which moves a = x1_0 and z = x2_3 away from b = 0
+    system = make_builtin("coefficient_form", {
+        "W1": ("exp(0.5*x2_3)*cos(x1_0*x2_3)", 0, 0, 0),
+        "W2": (0, 0, 0, "(1 + 0.5*i)*sin(x1_0 - x2_3)^2")})
+
+    def f1(a, z):
+        return mpmath.exp(z / 2) * mpmath.cos(a * z)
+
+    def f2(a, z):
+        return (1 + 0.5j) * mpmath.sin(a - z) ** 2
+
+    def phase(a, z):
+        return complex(mpmath.quad(
+            lambda s: (f1(s * a, s * z) - f1(s * a, 0)) * a
+            + (f2(s * a, s * z) - f2(0, s * z)) * z, [0, 1]))
+
+    configs = ConfigGrid().configs()
+    expected = np.vectorize(phase)(configs[..., 0, 0], configs[..., 1, 3])
+    report = classify_gauge(system, dirac)
+    assert report.verdict == INTERACTING
+    assert np.max(np.abs(report.gauge_components["unit"] - expected)) < 1e-12
 
 
 @pytest.mark.parametrize("sector,fields", [
@@ -577,7 +655,7 @@ def test_cross_curl_matches_reference_on_random_systems(request, rng,
                        if name not in _ALPHA_FIELDS}
             params |= {"m1": rng.uniform(0.5, 2.0), "m2": rng.uniform(0.5, 2.0)}
         system = make_builtin("coefficient_form", params)
-        report = classify_gauge(system, rep, grid=grid, nodes=8)
+        report = classify_gauge(system, rep, grid=grid)
         expected = reference_cross_curl(to_coefficient_form(system),
                                         grid.configs())
         assert expected >= 0.1, index
