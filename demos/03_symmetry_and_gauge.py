@@ -87,8 +87,8 @@ print(f"    recovery error     : {np.max(np.abs(difference)):.3e} (9x9 grid)")
 # 3. The exponential coupling is a genuine interaction
 # =============================================================================
 
-witness = interaction_witness_hoho(hoho, rep)
-classification = classify_interaction(hoho, rep)
+witness = interaction_witness_hoho(hoho)
+classification = classify_interaction(hoho)
 print()
 print("=" * 72)
 print("Interaction classification of hoho")

@@ -243,10 +243,9 @@ def _cmd_verify_clifford(args: argparse.Namespace):
 
 def _cmd_check(args: argparse.Namespace):
     system = _load_cmd_system(args)
-    rep = build_dirac_rep()
     rng = np.random.default_rng(args.seed)
     result = check_consistency(
-        system, rep, nsamples=args.nsamples, region=Region(args.region),
+        system, nsamples=args.nsamples, region=Region(args.region),
         tol=args.tol, rng=rng)
     report = {"system": system.name,
               "masses": list(system.masses)} | result.as_dict()
@@ -257,9 +256,8 @@ def _cmd_cc(args: argparse.Namespace):
     system = _load_cmd_system(args)
     to_coefficient_form(system)  # CoefficientFormError outside the form
     result = check_consistency(
-        system, build_dirac_rep(), nsamples=args.nsamples,
-        region=Region(args.region), tol=args.tol,
-        rng=np.random.default_rng(args.seed))
+        system, nsamples=args.nsamples, region=Region(args.region),
+        tol=args.tol, rng=np.random.default_rng(args.seed))
     sup = max(result.cc.values())
     verdict = VERDICT_CONSISTENT if sup < args.tol else VERDICT_INCONSISTENT
     report = {
@@ -277,7 +275,7 @@ def _cmd_cc(args: argparse.Namespace):
 def _cmd_classify(args: argparse.Namespace):
     system = _load_cmd_system(args)
     rep = build_dirac_rep()
-    classification = classify_interaction(system, rep, tol=args.tol)
+    classification = classify_interaction(system, tol=args.tol)
     rng = np.random.default_rng(args.seed)
     samples = sample_configs(args.nsamples, rng, system.n_particles)
     offsets = rng.uniform(-2.0, 2.0, size=(5, 4))

@@ -6,8 +6,10 @@ basis alpha^mu, gamma5*alpha^mu, gamma^mu, gamma5*gamma^mu (mu = 0..3),
 and products of such factors form an orthogonal basis of the full
 16^N-dimensional operator space under the Hilbert-Schmidt pairing.
 The product of two basis elements is a phase in {1, -1, i, -i} times one
-basis element, so operator fields (coefficient arrays over basis
-elements) multiply and commute without forming matrices.
+basis element, the same in every representation (PRODUCT_INDEX,
+PRODUCT_PHASE), so operator fields (coefficient arrays over basis
+elements) multiply and commute without forming matrices: a representation
+(GammaRep) is an argument only of code that forms matrices.
 """
 
 from __future__ import annotations
@@ -65,14 +67,6 @@ class GammaRep:
     ``gamma5`` is i gamma^0 gamma^1 gamma^2 gamma^3.  ``basis`` holds
     the 16 single-particle basis matrices, derived from these and indexed
     ``[class, mu]`` in BasisClass order.
-
-    The product table, flat-indexed 4 * class + mu like ``basis``,
-    records the algebra's structure constants, which do not depend on the
-    representation: B_i B_j = ``product_phase[i, j]`` B_k with
-    k = ``product_index[i, j]`` and a phase in {1, -1, i, -i}.  So B_i
-    squares to the phase [i, i] times the identity, and B_i, B_j commute
-    when the phases [i, j] and [j, i] agree, else they anticommute.  In a
-    unitary representation B_i^dag is B_i^-1 = phase[i, i] B_i.
     """
 
     name: str
@@ -80,21 +74,12 @@ class GammaRep:
     gamma5: np.ndarray
     alphas: np.ndarray
     basis: np.ndarray = field(init=False, repr=False, compare=False)
-    product_index: np.ndarray = field(init=False, repr=False, compare=False)
-    product_phase: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g5 = self.gamma5
         basis = np.stack([*self.alphas, *(g5 @ a for a in self.alphas),
                           *self.gammas, *(g5 @ g for g in self.gammas)])
-        # the coefficient of B_k in B_i B_j is tr(B_k^dag B_i B_j) / 4
-        coefficients = np.einsum("kab,ijab->ijk", basis.conj(),
-                                 basis[:, None] @ basis[None, :]) / 4
-        index = np.argmax(np.abs(coefficients), axis=-1)
-        phase = np.take_along_axis(coefficients, index[..., None], -1)
         object.__setattr__(self, "basis", basis.reshape(4, 4, 4, 4))
-        object.__setattr__(self, "product_index", index)
-        object.__setattr__(self, "product_phase", np.round(phase[..., 0]))
 
     def gamma(self, mu: int) -> np.ndarray:
         return self.gammas[mu]
@@ -130,6 +115,21 @@ def build_weyl_rep() -> GammaRep:
         np.block([[zero2, _SIGMA[a]], [-_SIGMA[a], zero2]]) for a in range(3)
     ]
     return _finalize_rep("weyl", [gamma0] + spatial)
+
+
+# The structure constants, shared by every representation (Pauli's theorem)
+# and read off the Dirac matrices, flat-indexed 4 * class + mu like
+# GammaRep.basis: B_i B_j = PRODUCT_PHASE[i, j] B_k, k = PRODUCT_INDEX[i, j].
+# B_i squares to phase[i, i]; B_i, B_j anticommute unless phase[i, j] =
+# phase[j, i]; a unitary representation has B_i^dag = phase[i, i] B_i.
+_BASIS = build_dirac_rep().basis.reshape(16, 4, 4)
+# the coefficient of B_k in B_i B_j is tr(B_k^dag B_i B_j) / 4
+_COEFFICIENTS = np.einsum("kab,ijab->ijk", _BASIS.conj(),
+                          _BASIS[:, None] @ _BASIS[None, :]) / 4
+PRODUCT_INDEX = np.argmax(np.abs(_COEFFICIENTS), axis=-1)
+PRODUCT_PHASE = np.round(np.take_along_axis(
+    _COEFFICIENTS, PRODUCT_INDEX[..., None], -1)[..., 0])
+PRODUCT_INDEX.flags.writeable = PRODUCT_PHASE.flags.writeable = False
 
 
 def conjugate_rep(rep: GammaRep, u: np.ndarray, name: str = "") -> GammaRep:
@@ -249,30 +249,30 @@ def _flat_index(element: BasisElement) -> int:
     return 4 * _CLASS_INDEX[element.cls] + element.mu
 
 
-def element_product(a: TensorBasisElement, b: TensorBasisElement,
-                    rep: GammaRep) -> tuple[complex, TensorBasisElement]:
+def element_product(
+        a: TensorBasisElement,
+        b: TensorBasisElement) -> tuple[complex, TensorBasisElement]:
     """(phase, c) with a b = phase c, factor by factor from the table."""
     phase = 1
     factors = []
     for x, y in zip(a.factors, b.factors):
         i, j = _flat_index(x), _flat_index(y)
-        phase *= rep.product_phase[i, j]
-        factors.append(_ELEMENTS[rep.product_index[i, j]])
+        phase *= PRODUCT_PHASE[i, j]
+        factors.append(_ELEMENTS[PRODUCT_INDEX[i, j]])
     return phase, TensorBasisElement(tuple(factors))
 
 
-def square_sign(element: TensorBasisElement, rep: GammaRep) -> float:
+def square_sign(element: TensorBasisElement) -> float:
     """The sign s of B^2 = s 1 for a tensor-basis element B.
 
     In a unitary representation it is also the sign of B^dag = s B.
     """
-    return float(element_product(element, element, rep)[0].real)
+    return float(element_product(element, element)[0].real)
 
 
-def anticommute(a: TensorBasisElement, b: TensorBasisElement,
-                rep: GammaRep) -> bool:
+def anticommute(a: TensorBasisElement, b: TensorBasisElement) -> bool:
     """True when a b = -b a; tensor-basis elements otherwise commute."""
-    return element_product(a, b, rep)[0] == -element_product(b, a, rep)[0]
+    return element_product(a, b)[0] == -element_product(b, a)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +295,9 @@ def field_sum(*terms: tuple[complex, OperatorField]) -> OperatorField:
     return out
 
 
-def field_product(a: OperatorField, b: OperatorField,
-                  rep: GammaRep) -> OperatorField:
+def field_product(a: OperatorField, b: OperatorField) -> OperatorField:
     """The pointwise product a b, one table lookup per pair of terms."""
-    products = (element_product(element_a, element_b, rep)
+    products = (element_product(element_a, element_b)
                 + (value_a * value_b,)
                 for element_a, value_a in a.items()
                 for element_b, value_b in b.items())
@@ -306,16 +305,15 @@ def field_product(a: OperatorField, b: OperatorField,
                        for phase, element, value in products))
 
 
-def field_commutator(a: OperatorField, b: OperatorField,
-                     rep: GammaRep) -> OperatorField:
+def field_commutator(a: OperatorField, b: OperatorField) -> OperatorField:
     """[a, b] pair by pair: B_a B_b - B_b B_a is 0 or 2 B_a B_b.
 
     A commuting pair still adds 0 * c_a c_b, so a non-finite coefficient
     makes the commutator non-finite, as it makes a b - b a.
     """
     return field_sum(*(
-        (2 * anticommute(element_a, element_b, rep),
-         field_product({element_a: value_a}, {element_b: value_b}, rep))
+        (2 * anticommute(element_a, element_b),
+         field_product({element_a: value_a}, {element_b: value_b}))
         for element_a, value_a in a.items()
         for element_b, value_b in b.items()))
 

@@ -12,10 +12,11 @@ splits into first-order pieces, proportional to the commutators
 module computes both, each on a whole configuration stack (..., N, 4)
 in one call, in coefficient space: the potentials are operator fields
 sum_m c_m B_m over tensor-basis elements, every product of two basis
-elements is a phase times one basis element (GammaRep's product
-table), and ||sum_m c_m B_m||_F = sqrt(4^N sum_m |c_m|^2), so no
-matrix is formed unless a caller asks for one.  The curvature is built
-from the same fields.  In the sixteen-field coefficient form of a
+elements is a phase times one basis element (clifford.PRODUCT_INDEX
+and PRODUCT_PHASE), and ||sum_m c_m B_m||_F = sqrt(4^N sum_m |c_m|^2).
+So the verdicts, the cc sups and the curvature take no representation;
+only zeroth_order_residual and derivative_coefficient_matrices, which
+return matrices, take one.  In the sixteen-field coefficient form of a
 two-particle pair (potential.COEFFICIENT_LAYOUT) the first-order part
 vanishes identically, and the scalar compatibility conditions cc1..cc16
 are E(1,2)'s basis coefficients read by sector (CC_SECTORS).
@@ -33,7 +34,6 @@ from .clifford import (
     BasisElement,
     GammaRep,
     OperatorField,
-    build_dirac_rep,
     field_commutator,
     field_norm,
     field_product,
@@ -73,7 +73,7 @@ def _unit(element: BasisElement, k: int, n_particles: int) -> OperatorField:
                              for i in range(1, n_particles + 1))): 1.0}
 
 
-def _zeroth_order(system: MultiTimeSystem, configs, rep: GammaRep,
+def _zeroth_order(system: MultiTimeSystem, configs,
                   j: int, k: int) -> OperatorField:
     """E(j,k) as an operator field over the configuration stack."""
     n = system.n_particles
@@ -82,19 +82,19 @@ def _zeroth_order(system: MultiTimeSystem, configs, rep: GammaRep,
     v_j = operator_field(pot_j, coords)
     v_k = operator_field(pot_k, coords)
     g0_j, g0_k = _unit(_GAMMA0, j, n), _unit(_GAMMA0, k, n)
-    terms = [(1, field_commutator(v_k, v_j, rep)),
-             (system.mass(k), field_commutator(g0_k, v_j, rep)),
-             (-system.mass(j), field_commutator(g0_j, v_k, rep))]
+    terms = [(1, field_commutator(v_k, v_j)),
+             (system.mass(k), field_commutator(g0_k, v_j)),
+             (-system.mass(j), field_commutator(g0_j, v_k))]
     for mu in range(4):
         dv_j = operator_field(differentiate_potential(pot_j, k, mu), coords)
         dv_k = operator_field(differentiate_potential(pot_k, j, mu), coords)
-        terms += [(-1j, field_product(_unit(_ALPHA[mu], k, n), dv_j, rep)),
-                  (1j, field_product(_unit(_ALPHA[mu], j, n), dv_k, rep))]
+        terms += [(-1j, field_product(_unit(_ALPHA[mu], k, n), dv_j)),
+                  (1j, field_product(_unit(_ALPHA[mu], j, n), dv_k))]
     return field_sum(*terms)
 
 
-def _first_order(system: MultiTimeSystem, configs,
-                 rep: GammaRep) -> dict[tuple[int, int], OperatorField]:
+def _first_order(system: MultiTimeSystem,
+                 configs) -> dict[tuple[int, int], OperatorField]:
     """[alpha^a_j, V_k] by (j, a) as operator fields over the stack."""
     n = system.n_particles
     coords = stack_coords(configs)
@@ -105,8 +105,7 @@ def _first_order(system: MultiTimeSystem, configs,
                 continue
             v_k = operator_field(system.potential(k), coords)
             for a in (1, 2, 3):
-                out[(j, a)] = field_commutator(_unit(_ALPHA[a], j, n), v_k,
-                                               rep)
+                out[(j, a)] = field_commutator(_unit(_ALPHA[a], j, n), v_k)
     return out
 
 
@@ -120,7 +119,7 @@ def zeroth_order_residual(system: MultiTimeSystem, coords: np.ndarray,
     coords is a configuration stack (..., N, 4), a single configuration
     being the stack (N, 4); the result is (..., D, D).
     """
-    return reconstruct(_zeroth_order(system, coords, rep, j, k),
+    return reconstruct(_zeroth_order(system, coords, j, k),
                        system.n_particles, rep, np.shape(coords)[:-2])
 
 
@@ -135,7 +134,7 @@ def derivative_coefficient_matrices(
     """
     return {key: reconstruct(operand, system.n_particles, rep,
                              np.shape(coords)[:-2])
-            for key, operand in _first_order(system, coords, rep).items()}
+            for key, operand in _first_order(system, coords).items()}
 
 
 def _sup_norm(operand: OperatorField) -> float:
@@ -190,7 +189,7 @@ def cc_residuals(coefficients: CoefficientSet,
     only when check_consistency is given the system itself.
     """
     system = coefficient_set_to_system(coefficients, masses)
-    return check_consistency(system, build_dirac_rep(), samples=samples).cc
+    return check_consistency(system, samples=samples).cc
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +227,7 @@ class ConsistencyReport:
         }
 
 
-def check_consistency(system: MultiTimeSystem, rep: GammaRep, *,
+def check_consistency(system: MultiTimeSystem, *,
                       nsamples: int = 100,
                       region: Region = Region.ALL,
                       tol: float = 1e-9,
@@ -253,10 +252,10 @@ def check_consistency(system: MultiTimeSystem, rep: GammaRep, *,
         samples = np.asarray(samples, float)
 
     with np.errstate(all="ignore"):
-        first = _first_order(system, samples, rep)
+        first = _first_order(system, samples)
         deriv_sup = tuple(_sup_norm(first[(j, a)])
                           for j in (1, 2) for a in (1, 2, 3))
-        zeroth = _zeroth_order(system, samples, rep, 1, 2)
+        zeroth = _zeroth_order(system, samples, 1, 2)
         zeroth_sup = _sup_norm(zeroth)
     _require_finite({"zeroth_sup": zeroth_sup} | {
         f"deriv_coeff_sup[{index}]": sup
@@ -295,8 +294,8 @@ class CurvatureOperator:
     first: dict[tuple[int, int], OperatorField]
 
 
-def curvature_operator(system: MultiTimeSystem, coords: np.ndarray,
-                       rep: GammaRep) -> CurvatureOperator:
+def curvature_operator(system: MultiTimeSystem,
+                       coords: np.ndarray) -> CurvatureOperator:
     """F_12 at a configuration or at each configuration of a stack.
 
     F_12 = dH_1/dt_2 - dH_2/dt_1 - i [H_1, H_2] has the zeroth-order part
@@ -305,8 +304,8 @@ def curvature_operator(system: MultiTimeSystem, coords: np.ndarray,
     """
     if system.n_particles != 2:
         raise SpecError("curvature requires exactly two particles")
-    first = _first_order(system, coords, rep)
+    first = _first_order(system, coords)
     return CurvatureOperator(
-        zeroth=field_sum((1j, _zeroth_order(system, coords, rep, 1, 2))),
+        zeroth=field_sum((1j, _zeroth_order(system, coords, 1, 2))),
         first={(j, a): field_sum((1 if j == 2 else -1, operand))
                for (j, a), operand in first.items()})

@@ -197,27 +197,26 @@ class MultiTimeSystem:
         return self.masses[k - 1]
 
 
-def hermitian_defect(potential: OperatorField, n_particles: int,
-                     rep: GammaRep) -> np.ndarray:
+def hermitian_defect(potential: OperatorField, n_particles: int) -> np.ndarray:
     """Pointwise ||V - V^dagger||_F of an operator field V = sum_m a_m B_m.
 
     V - V^dag = sum_m (a_m - s_m conj(a_m)) B_m, as B_m^dag = s_m B_m.
     """
-    defect = {structure: value - square_sign(structure, rep) * np.conj(value)
+    defect = {structure: value - square_sign(structure) * np.conj(value)
               for structure, value in potential.items()}
     return field_norm(defect, n_particles)
 
 
 @np.errstate(all="ignore")
-def hermiticity_residual(system: MultiTimeSystem, configs: np.ndarray,
-                         rep: GammaRep) -> float:
+def hermiticity_residual(system: MultiTimeSystem,
+                         configs: np.ndarray) -> float:
     """sup over samples and particles of ||V_k - V_k^dagger||_F.
 
     Raises DomainError when the sup is not finite.
     """
     coords = stack_coords(configs)
     worst = np.max([np.max(hermitian_defect(operator_field(potential, coords),
-                                            system.n_particles, rep))
+                                            system.n_particles))
                     for potential in system.potentials], initial=0.0)
     _require_finite({"hermiticity_residual": worst})
     return float(worst)

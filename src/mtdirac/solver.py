@@ -10,13 +10,13 @@ exp(-i dt (alpha3_k kappa + gamma0_k m_k)) per Fourier mode kappa.
 The half-step phase exp(-i (dt/2) V_k) is taken in closed form when the
 structures of V_k (its tensor-basis elements) split into classes that
 commute with each other and anticommute pairwise inside each class,
-which the algebra's sign table on GammaRep decides from the structures
-alone.  Each class then squares to a scalar field, V_g^2 = s_g, and
-contributes the factor cos(tau sqrt(s_g)) - i tau sinc(tau sqrt(s_g)) V_g
-with tau = dt/2, the identity the free step uses for alpha3 kappa +
-gamma0 m.  Any other V_k is assembled point by point and exponentiated
-with eigh (declared hermitian) or scipy's expm, which is imported only
-when such a non-hermitian phase is first built.
+which the algebra's product table decides from the structures alone.
+Each class then squares to a scalar field, V_g^2 = s_g, and contributes
+the factor cos(tau sqrt(s_g)) - i tau sinc(tau sqrt(s_g)) V_g with
+tau = dt/2, the identity the free step uses for alpha3 kappa + gamma0 m.
+Any other V_k is assembled point by point and exponentiated with eigh
+(declared hermitian) or scipy's expm, which is imported only when such a
+non-hermitian phase is first built.
 
 The free step acts on particle k's spin factor only; lifted to the
 16-component spin index (Kronecker product with the identity on the
@@ -192,8 +192,8 @@ def _exp_factors(square, t: float):
     return np.cos(t * root), -1j * t * np.sinc(t * root / np.pi)
 
 
-def _anticommuting_classes(structures: Sequence[TensorBasisElement],
-                           rep: GammaRep) -> list[list[int]] | None:
+def _anticommuting_classes(
+        structures: Sequence[TensorBasisElement]) -> list[list[int]] | None:
     """Split structures into commuting classes of anticommuting ones.
 
     Returns the classes as index lists, or None when no such split
@@ -203,7 +203,7 @@ def _anticommuting_classes(structures: Sequence[TensorBasisElement],
     classes: list[list[int]] = []
     for i, structure in enumerate(structures):
         for members in classes:
-            if anticommute(structure, structures[members[0]], rep):
+            if anticommute(structure, structures[members[0]]):
                 members.append(i)
                 break
         else:
@@ -212,7 +212,7 @@ def _anticommuting_classes(structures: Sequence[TensorBasisElement],
                   for i in members for j in members}
     for i, a in enumerate(structures):
         for j in range(i + 1, len(structures)):
-            if anticommute(a, structures[j], rep) != ((i, j) in same_class):
+            if anticommute(a, structures[j]) != ((i, j) in same_class):
                 return None
     return classes
 
@@ -274,17 +274,17 @@ def _potential_phase(system: MultiTimeSystem, particle: int,
     if time_only and not any(coefficients):
         return None
     if system.hermitian:
-        defect = np.max(hermitian_defect(potential, system.n_particles, rep))
+        defect = np.max(hermitian_defect(potential, system.n_particles))
         if defect > _HERMITIAN_TOL:
             raise SpecError("potential declared hermitian but deviates by "
                             f"{defect:.3e}")
     structures = list(potential)
-    classes = _anticommuting_classes(structures, rep)
+    classes = _anticommuting_classes(structures)
     if classes is None:
         return _dense_phase(system, particle, potential, dt, rep)
 
     matrices = [realize(structure, rep) for structure in structures]
-    signs = [square_sign(structure, rep) for structure in structures]
+    signs = [square_sign(structure) for structure in structures]
 
     tau = dt / 2
     factors = []  # per class: (cos, [(weight field, structure matrix)])
@@ -488,15 +488,7 @@ def loop_holonomy(system: MultiTimeSystem, psi0: WaveFunction, delta: float,
     For small delta, deviation / delta^2 estimates ||F psi0|| with F the
     curvature of the pair of time evolutions.
     """
-    if delta <= 0:
-        raise SpecError("loop delta must be positive")
-    if delta ** 2 < np.finfo(float).tiny:
-        raise SpecError(f"loop delta {delta!r} is too small: delta^2 "
-                        "underflows")
-    psi = psi0
-    for particle, sign in ((1, 1), (2, 1), (1, -1), (2, -1)):
-        psi = step(psi, particle, sign * delta, system, rep)
-    return psi.distance(psi0)
+    return holonomy_series(system, psi0, [delta], rep).rows[0][1]
 
 
 @dataclass(frozen=True)
@@ -522,10 +514,20 @@ class HolonomyResult:
 
 def holonomy_series(system: MultiTimeSystem, psi0: WaveFunction,
                     deltas: Sequence[float], rep: GammaRep) -> HolonomyResult:
+    """loop_holonomy for each delta; every delta is checked first."""
     _check_steps(system, psi0.grid, deltas)
+    for delta in deltas:
+        if delta <= 0:
+            raise SpecError("loop delta must be positive")
+        if delta ** 2 < np.finfo(float).tiny:
+            raise SpecError(f"loop delta {delta!r} is too small: delta^2 "
+                            "underflows")
     rows = []
     for delta in deltas:
-        deviation = loop_holonomy(system, psi0, delta, rep)
+        psi = psi0
+        for particle, sign in ((1, 1), (2, 1), (1, -1), (2, -1)):
+            psi = step(psi, particle, sign * delta, system, rep)
+        deviation = psi.distance(psi0)
         rows.append((float(delta), deviation, deviation / delta ** 2))
     return HolonomyResult(tuple(rows))
 
@@ -553,7 +555,7 @@ def apply_curvature(system: MultiTimeSystem, psi: WaveFunction,
     does not carry.
     """
     grid = psi.grid
-    operator = curvature_operator(system, _grid_coords(grid, *psi.times), rep)
+    operator = curvature_operator(system, _grid_coords(grid, *psi.times))
 
     def terms(operand: OperatorField):
         return [(value, realize(structure, rep))

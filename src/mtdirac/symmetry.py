@@ -35,10 +35,10 @@ from .clifford import (
     GAMMA5_ELEMENT,
     IDENTITY_ELEMENT,
     BasisClass,
+    PRODUCT_PHASE,
     BasisElement,
     GammaRep,
     TensorBasisElement,
-    build_dirac_rep,
     field_commutator,
     field_norm,
     field_sum,
@@ -94,11 +94,11 @@ def _unit(axis: Sequence[float]) -> np.ndarray:
 def _conjugation(spinor: np.ndarray, rep: GammaRep) -> np.ndarray:
     """The 16x16 R with S B_m S^-1 = sum_n R[n, m] B_n for a Lorentz lift S.
 
-    R[n, m] = tr(B_n^-1 S B_m S^-1) / 4, with B_n^-1 = phase[n, n] B_n and
-    the exact inverse S^-1 = gamma0 S^dag gamma0 of a Lorentz lift.
+    R[n, m] = tr(B_n^-1 S B_m S^-1) / 4, with B_n^-1 = PRODUCT_PHASE[n, n] B_n
+    and the exact inverse S^-1 = gamma0 S^dag gamma0 of a Lorentz lift.
     """
     basis = rep.basis.reshape(16, 4, 4)
-    inverses = np.diagonal(rep.product_phase)[:, None, None] * basis
+    inverses = np.diagonal(PRODUCT_PHASE)[:, None, None] * basis
     s_inv = rep.gamma(0) @ spinor.conj().T @ rep.gamma(0)
     return np.einsum("nab,mba->nm", inverses, spinor @ basis @ s_inv) / 4
 
@@ -323,21 +323,17 @@ def exponential_form_residual(coefficients: CoefficientSet,
 
 
 @np.errstate(all="ignore")
-def interaction_witness_hoho(
-        system: MultiTimeSystem, rep: GammaRep,
-        relatives: Sequence[Sequence[float]] = ((0.0, 0.0, 0.0, 0.0),),
-) -> float:
+def interaction_witness_hoho(system: MultiTimeSystem) -> float:
     """Pointwise obstruction certifying that an exponential pair interacts.
 
-    The inf over the given separations x of ||[V_2, V_1 + m_1 gamma0_1]||_F
-    at x_1 = 0, x_2 = x; on hoho it is ||(c . alpha_2) 2i gamma5_1
-    (C . gamma_1) exp(2i gamma5_1 c.x)||_F.  A value bounded away from
-    zero rules out gauge removal of the gamma-sector coupling.  Raises
-    SpecError outside the exponential family (any non-constant alpha-sector
-    field) or without a gamma sector, DomainError for a non-finite value.
+    ||[V_2, V_1 + m_1 gamma0_1]||_F at the coincident configuration
+    x_1 = x_2 = 0; on hoho it is ||(c . alpha_2) 2i gamma5_1 (C . gamma_1)
+    exp(2i gamma5_1 c.x)||_F at any separation x, since the exponential
+    is unitary.  A value bounded away from zero rules out gauge removal of
+    the gamma-sector coupling.  Raises SpecError outside the exponential
+    family (any non-constant alpha-sector field) or without a gamma
+    sector, DomainError for a non-finite value.
     """
-    configs = np.zeros((len(relatives), 2, 4))
-    configs[:, 1] = relatives
     try:
         coefficients = to_coefficient_form(system)
         _require_constant_alpha(coefficients)
@@ -347,14 +343,13 @@ def interaction_witness_hoho(
     if all(is_zero(expr) for name in _GAMMA_FIELDS
            for expr in coefficients.field(name)):
         raise SpecError("the interaction witness needs a gamma sector")
-    coords = stack_coords(configs)
+    coords = stack_coords(np.zeros((2, 4)))
     mass_term = {tensor_element(BasisElement(BasisClass.GAMMA, 0),
                                 IDENTITY_ELEMENT): 1.0}
     v_1 = field_sum((1, operator_field(system.potential(1), coords)),
                     (system.mass(1), mass_term))
     v_2 = operator_field(system.potential(2), coords)
-    norms = field_norm(field_commutator(v_2, v_1, rep), 2)
-    value = float(np.min(np.broadcast_to(norms, len(configs)), initial=np.inf))
+    value = float(field_norm(field_commutator(v_2, v_1), 2))
     _require_finite({"interaction_witness": value})
     return value
 
@@ -385,6 +380,16 @@ class ConfigGrid:
         out[:, :, k2 - 1, mu2] = values[None, :]
         return out
 
+    def probes(self) -> np.ndarray:
+        """The grid configurations, then 64 that vary all eight coordinates,
+        base + u with u drawn with seed 0 from [min(values), max(values)];
+        shape (n * n + 64, 2, 4)."""
+        values = np.asarray(self.values, float)
+        offsets = np.random.default_rng(0).uniform(
+            values.min(), values.max(), size=(64, 2, 4))
+        return np.concatenate([self.configs().reshape(-1, 2, 4),
+                               self.base_array() + offsets])
+
 
 def _gamma5_sector(name: str) -> str:
     """An alpha-sector field's sector: the particles whose factor has gamma5."""
@@ -410,8 +415,8 @@ def _eval_field(expr: Expr, points: np.ndarray) -> np.ndarray:
 
 # Gauss-Legendre node counts, tried until the reconstruction moves by at most
 # _GAUSS_ULPS ulps of its largest magnitude; if none does, the checks judge
-# the last, so stopping there is no error
-_GAUSS_NODES, _GAUSS_ULPS = (8, 16, 32, 64, 128, 256), 4
+# the last, so stopping there is no error.  _FD_TOL bounds both checks.
+_GAUSS_NODES, _GAUSS_ULPS, _FD_TOL = (8, 16, 32, 64, 128, 256), 4, 2e-2
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,9 +440,8 @@ class GaugeReport:
 
 @np.errstate(all="ignore")
 def classify_gauge(system: MultiTimeSystem | CoefficientSet,
-                   rep: GammaRep | None = None,
                    grid: ConfigGrid | None = None,
-                   tol: float = 1e-9, fd_tol: float = 2e-2) -> GaugeReport:
+                   tol: float = 1e-9) -> GaugeReport:
     """Decide whether the cross-particle alpha-sector is a pure gauge.
 
     The four commuting sectors (1, gamma5_2, gamma5_1, gamma5_1 gamma5_2)
@@ -446,21 +450,20 @@ def classify_gauge(system: MultiTimeSystem | CoefficientSet,
     h = f - f_ext, where f_ext freezes the other particle at the grid
     base point b.  GAUGE_REMOVABLE requires the exactness conditions
     (cross curls of f, and base-point independence of the in-particle
-    curls) below tol, and two checks of the potential
+    curls) below tol at grid.probes(), and two checks on the grid of
     Phi(x) = int_0^1 h(b + s (x - b)) . (x - b) ds, integrated with
-    Gauss-Legendre nodes to round-off, below fd_tol: path independence
+    Gauss-Legendre nodes to round-off, below _FD_TOL: path independence
     across a triangle of paths, and h against grad Phi taken under the
     integral with exact DSL derivatives.  Both read round-off on an exact
     gauge and follow from integrability on the star-shaped grid (Poincare
-    lemma); they stay as independent tests, under the loose fd_tol that
+    lemma); they stay as independent tests, under the loose bound that
     reports pin.  Integrability defects inside [tol, 10*tol) are reported
     UNDECIDED rather than interacting.
 
     The cross curls d_{1,mu} f_{2,nu} - d_{2,nu} f_{1,mu} are, up to a
     unit phase, E(1,2)'s alpha sectors cc1..cc4, read off the system's
     own field, so its guards apply (masses reach only gamma-class
-    sectors; rep, default Dirac, changes no number).  Raises DomainError
-    when a guard trips or a sup is not finite.
+    sectors).  Raises DomainError when a guard trips or a sup is not finite.
     """
     from numpy.polynomial.legendre import leggauss  # off the import path
 
@@ -470,12 +473,13 @@ def classify_gauge(system: MultiTimeSystem | CoefficientSet,
     else:
         coefficients, pair = to_coefficient_form(system), system
     base, configs, n = grid.base_array(), grid.configs(), len(grid.values)
+    probes = grid.probes()
     sectors = {label: (coefficients.field(name1), coefficients.field(name2))
                for label, (name1, name2) in _SECTOR_FIELDS.items()}
 
     # --- exactness conditions -------------------------------------------
     # np.max and np.maximum keep a NaN that max() would drop
-    cc = _cc_sups(_zeroth_order(pair, configs, rep or build_dirac_rep(), 1, 2))
+    cc = _cc_sups(_zeroth_order(pair, probes, 1, 2))
     cross_curl = np.max([cc[f"cc{index}"] for index in range(1, 5)])
     locality = 0.0
     for f in sectors.values():
@@ -483,7 +487,7 @@ def classify_gauge(system: MultiTimeSystem | CoefficientSet,
             for mu, nu in combinations(range(4), 2):
                 curl = Sub(differentiate(exprs[nu], own, mu),
                            differentiate(exprs[mu], own, nu))
-                moved = [_eval_field(differentiate(curl, other, lam), configs)
+                moved = [_eval_field(differentiate(curl, other, lam), probes)
                          for lam in range(4)]
                 locality = np.maximum(locality, np.max(np.abs(moved)))
     integrability = np.maximum(cross_curl, locality)
@@ -517,12 +521,12 @@ def classify_gauge(system: MultiTimeSystem | CoefficientSet,
     gauge_components = dict(zip(sectors, stacked))
 
     # --- path independence (straight vs corner polyline) -----------------
-    probes = configs[[0, 0, -1, -1, n // 2], [0, -1, 0, -1, n // 2]]
-    corners = np.array(probes, copy=True)
+    ends = configs[[0, 0, -1, -1, n // 2], [0, -1, 0, -1, n // 2]]
+    corners = np.array(ends, copy=True)
     corners[:, 1] = base[1]
     triangle = np.max([np.abs(
-        line_integral(f, base, probes) - line_integral(f, base, corners)
-        - line_integral(f, corners, probes)) for f in sectors.values()])
+        line_integral(f, base, ends) - line_integral(f, base, corners)
+        - line_integral(f, corners, ends)) for f in sectors.values()])
 
     # --- gradient of the reconstruction, taken under the integral --------
     # grad Phi(x) = int_0^1 [h + grad h . s (x - b)](b + s (x - b)) ds; the
@@ -546,7 +550,7 @@ def classify_gauge(system: MultiTimeSystem | CoefficientSet,
     _require_finite({"integrability_sup": integrability, "triangle_sup":
                      triangle, "gradient_match_sup": gradient_match})
 
-    if integrability < tol and triangle < fd_tol and gradient_match < fd_tol:
+    if integrability < tol and triangle < _FD_TOL and gradient_match < _FD_TOL:
         verdict = GAUGE_REMOVABLE
     elif tol <= integrability < 10 * tol:
         verdict = UNDECIDED
@@ -556,7 +560,7 @@ def classify_gauge(system: MultiTimeSystem | CoefficientSet,
         verdict=verdict, integrability_sup=float(integrability),
         cross_curl_sup=float(cross_curl), locality_sup=float(locality),
         triangle_sup=float(triangle), gradient_match_sup=float(gradient_match),
-        tol=tol, fd_tol=fd_tol, gauge_components=gauge_components)
+        tol=tol, fd_tol=_FD_TOL, gauge_components=gauge_components)
 
 
 @dataclass(frozen=True, eq=False)
@@ -580,10 +584,9 @@ class ClassificationReport:
 
 
 @np.errstate(all="ignore")
-def classify_interaction(system: MultiTimeSystem, rep: GammaRep,
+def classify_interaction(system: MultiTimeSystem,
                          grid: ConfigGrid | None = None,
-                         tol: float = 1e-9,
-                         fd_tol: float = 2e-2) -> ClassificationReport:
+                         tol: float = 1e-9) -> ClassificationReport:
     """Classify a pair as gauge-removable, interacting, or undecided.
 
     When the gamma-sector fields (A..H) vanish on the probe grid the
@@ -601,7 +604,7 @@ def classify_interaction(system: MultiTimeSystem, rep: GammaRep,
          for name in _GAMMA_FIELDS for expr in coefficients.field(name)]))
     _require_finite({"gamma_sector_sup": gamma_sup})
 
-    gauge = classify_gauge(system, rep, grid=grid, tol=tol, fd_tol=fd_tol)
+    gauge = classify_gauge(system, grid=grid, tol=tol)
     witness: float | None = None
     verdict = gauge.verdict
     if gamma_sup >= tol:
@@ -612,7 +615,7 @@ def classify_interaction(system: MultiTimeSystem, rep: GammaRep,
         except CoefficientFormError:  # alpha-sector fields not constant
             structure = None
         if structure is not None and max(structure.values()) < tol:
-            witness = interaction_witness_hoho(system, rep)
+            witness = interaction_witness_hoho(system)
             verdict = INTERACTING if witness > tol else UNDECIDED
     return ClassificationReport(
         verdict=verdict, gamma_sector_sup=gamma_sup, gauge=gauge,

@@ -604,7 +604,10 @@ def test_simulate_rejects_other_than_two_particles(tmp_path, capsys, n,
     (["--dt", "0.1,0.25", "--T", "0.6", "--grid-n", "32"],
      "not a whole number of steps"),
     (["--delta", "0.05,0.3"], "exceeds the grid spacing"),
-], ids=["dt above spacing", "dt not dividing T", "delta above spacing"])
+    (["--delta", "0.08,-0.1"], "loop delta must be positive"),
+    (["--delta", "0.08,1e-300"], "delta^2 underflows"),
+], ids=["dt above spacing", "dt not dividing T", "delta above spacing",
+        "delta not positive", "delta squared underflows"])
 def test_bad_later_step_rejected_before_any_evolution(capsys, monkeypatch,
                                                       argv, text):
     calls = []
@@ -730,7 +733,7 @@ def test_nonpositive_nsamples_is_usage_error(count):
 
 
 @pytest.mark.parametrize("argv,residual", [
-    (["classify", "--nsamples", "5"], "poincare_residual(translation)"),
+    (["classify", "--nsamples", "5"], "integrability_sup"),
     (["poincare"], "poincare_residual(boost(1,0,0);chi=0.5)"),
 ], ids=["classify", "poincare"])
 def test_non_finite_residual_is_named(capsys, argv, residual):

@@ -1,11 +1,16 @@
 """Gamma-algebra identities, basis completeness, and tensor embeddings."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from mtdirac import clifford, consistency, potential, solver, symmetry
 from mtdirac.clifford import (
     ALGEBRA_TOL,
     MINKOWSKI_METRIC,
+    PRODUCT_INDEX,
+    PRODUCT_PHASE,
     BasisClass,
     BasisElement,
     anticommutator,
@@ -202,15 +207,25 @@ def _random_unitary_rep(dirac, rng):
 
 
 def test_sign_table_does_not_depend_on_representation(dirac, rng):
-    for rep in (build_weyl_rep(), _random_unitary_rep(dirac, rng)):
-        for table in ("product_index", "product_phase"):
-            assert np.array_equal(getattr(rep, table), getattr(dirac, table))
     # B_i B_j = +-B_j B_i: the index table is symmetric, the phases agree
     # up to sign, and every element squares to +-1
-    assert np.array_equal(dirac.product_index, dirac.product_index.T)
-    assert np.all(np.isin(dirac.product_phase / dirac.product_phase.T,
-                          [1, -1]))
-    assert set(np.diag(dirac.product_phase)) <= {1, -1}
+    assert np.array_equal(PRODUCT_INDEX, PRODUCT_INDEX.T)
+    assert np.all(np.isin(PRODUCT_PHASE / PRODUCT_PHASE.T, [1, -1]))
+    assert set(np.diag(PRODUCT_PHASE)) <= {1, -1}
+    # the signs read off the table are those of the matrices of any rep
+    singles = [tensor_element(BasisElement(cls, mu))
+               for cls in BasisClass for mu in range(4)]
+    for rep in (build_weyl_rep(), _random_unitary_rep(dirac, rng)):
+        basis = rep.basis.reshape(16, 4, 4)
+        for a, ma in zip(singles, basis):
+            for b, mb in zip(singles, basis):
+                sign = -1.0 if anticommute(a, b) else 1.0
+                assert frobenius(ma @ mb - sign * mb @ ma) < ALGEBRA_TOL
+    # the table is the package's one copy, read-only and on no GammaRep
+    assert not PRODUCT_INDEX.flags.writeable
+    assert not PRODUCT_PHASE.flags.writeable
+    assert not any(hasattr(dirac, name)
+                   for name in ("product_index", "product_phase"))
 
 
 @pytest.mark.parametrize("which", ["dirac", "weyl", "unitary conjugate"])
@@ -220,12 +235,37 @@ def test_product_table_holds_for_all_products(which, dirac, rng):
     basis = rep.basis.reshape(16, 4, 4)
     for i in range(16):
         for j in range(16):
-            phase = rep.product_phase[i, j]
+            phase = PRODUCT_PHASE[i, j]
             assert phase in (1, -1, 1j, -1j)
-            expected = phase * basis[rep.product_index[i, j]]
+            expected = phase * basis[PRODUCT_INDEX[i, j]]
             assert frobenius(basis[i] @ basis[j] - expected) < ALGEBRA_TOL
-    assert np.array_equal(rep.product_index, dirac.product_index)
-    assert np.array_equal(rep.product_phase, dirac.product_phase)
+
+
+# Public functions whose numbers come from the product table alone, and
+# public functions that form matrices.
+_REP_FREE = (
+    clifford.element_product, clifford.square_sign, clifford.anticommute,
+    clifford.field_product, clifford.field_commutator,
+    potential.hermitian_defect, potential.hermiticity_residual,
+    consistency.check_consistency, consistency.curvature_operator,
+    consistency.cc_residuals, symmetry.classify_gauge,
+    symmetry.classify_interaction, symmetry.interaction_witness_hoho)
+_FORMS_MATRICES = (
+    clifford.realize, clifford.reconstruct, clifford.decompose,
+    clifford.verify_clifford, clifford.commutator_table,
+    potential.evaluate_potential, consistency.zeroth_order_residual,
+    consistency.derivative_coefficient_matrices, symmetry.make_boost,
+    symmetry.make_rotation, symmetry.poincare_residual,
+    symmetry.translation_residual, solver.step, solver.curvature_norm)
+
+
+def test_only_code_that_forms_matrices_takes_a_representation():
+    for function in _REP_FREE:
+        assert "rep" not in inspect.signature(function).parameters, \
+            function.__qualname__
+    for function in _FORMS_MATRICES:
+        assert "rep" in inspect.signature(function).parameters, \
+            function.__qualname__
 
 
 @pytest.mark.parametrize("rep", REPS, ids=lambda r: r.name)
@@ -236,11 +276,11 @@ def test_tensor_signs_match_matrices(rep, rng):
     eye = np.eye(16)
     for a in elements:
         ma = realize(a, rep)
-        assert frobenius(ma @ ma - square_sign(a, rep) * eye) < ALGEBRA_TOL
-        assert frobenius(ma.conj().T - square_sign(a, rep) * ma) < ALGEBRA_TOL
+        assert frobenius(ma @ ma - square_sign(a) * eye) < ALGEBRA_TOL
+        assert frobenius(ma.conj().T - square_sign(a) * ma) < ALGEBRA_TOL
         for b in elements:
             mb = realize(b, rep)
-            sign = -1.0 if anticommute(a, b, rep) else 1.0
+            sign = -1.0 if anticommute(a, b) else 1.0
             assert frobenius(ma @ mb - sign * mb @ ma) < ALGEBRA_TOL
 
 

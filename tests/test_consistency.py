@@ -100,7 +100,7 @@ def test_residual_batch_matches_loop(dirac, rng):
         assert frobenius(batch[i] - single) < 1e-13
 
 
-def test_non_finite_potential_reaches_no_verdict(dirac):
+def test_non_finite_potential_reaches_no_verdict():
     # exp(1000 x1_0) overflows on about half the samples.  It multiplies
     # gamma0 x 1, which commutes with every structure it meets, and the
     # alpha3 on particle 2 keeps the pair outside the coefficient form, so
@@ -117,7 +117,7 @@ def test_non_finite_potential_reaches_no_verdict(dirac):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="non-finite residual"):
-            check_consistency(system, dirac, nsamples=50)
+            check_consistency(system, nsamples=50)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,7 @@ def test_cc_residuals_match_reference_on_random_systems(rng):
             assert abs(residuals[name] - value) <= 1e-12 * value, name
 
 
-def test_verdicts_agree_between_matrix_and_scalar_paths(dirac, rng):
+def test_verdicts_agree_between_matrix_and_scalar_paths(rng):
     cases = [
         ("coefficient_form", {"W1": ("cos(x1_0)", 0, 0, 0),
                               "X2": (0, "x2_3^2", 0, 0)}, True),
@@ -350,7 +350,7 @@ def test_verdicts_agree_between_matrix_and_scalar_paths(dirac, rng):
     samples = sample_configs(40, rng)
     for name, params, expect_consistent in cases:
         system = make_builtin(name, params)
-        report = check_consistency(system, dirac, samples=samples)
+        report = check_consistency(system, samples=samples)
         matrix_ok = report.verdict == VERDICT_CONSISTENT
         scalar_ok = max(report.cc.values()) < report.tol
         assert matrix_ok == scalar_ok == expect_consistent, (name, params)
@@ -360,10 +360,10 @@ def test_verdicts_agree_between_matrix_and_scalar_paths(dirac, rng):
 # Reports
 # ---------------------------------------------------------------------------
 
-def test_check_consistency_hoho_both_regions(dirac, rng):
+def test_check_consistency_hoho_both_regions(rng):
     system = make_builtin("hoho")
     for region in (Region.ALL, Region.SPACELIKE):
-        report = check_consistency(system, dirac, nsamples=100,
+        report = check_consistency(system, nsamples=100,
                                    region=region, rng=rng)
         assert report.verdict == VERDICT_CONSISTENT
         assert max(report.deriv_coeff_sup) < 1e-12
@@ -373,8 +373,8 @@ def test_check_consistency_hoho_both_regions(dirac, rng):
         assert report.region == region.value
 
 
-def test_check_consistency_example1_vector(dirac, rng):
-    report = check_consistency(make_builtin("example1_vector"), dirac, rng=rng)
+def test_check_consistency_example1_vector(rng):
+    report = check_consistency(make_builtin("example1_vector"), rng=rng)
     assert report.verdict == VERDICT_INCONSISTENT
     assert report.cc is None
     assert abs(report.zeroth_sup - 8.0) < 1e-10
@@ -384,25 +384,25 @@ def test_check_consistency_example1_vector(dirac, rng):
     assert report.pair == (1, 2)
 
 
-def test_check_consistency_rejects_wrong_particle_count(dirac):
+def test_check_consistency_rejects_wrong_particle_count():
     system = MultiTimeSystem(
         name="single", n_particles=1, masses=(1.0,),
         potentials=(Potential(1, 1, ()),), hermitian=True)
     with pytest.raises(Exception):
-        check_consistency(system, dirac)
+        check_consistency(system)
 
 
-def test_check_consistency_deterministic_with_samples(dirac, rng):
+def test_check_consistency_deterministic_with_samples(rng):
     system = make_builtin("hoho", {"c": (1, 0, 0, 0.5)})
     samples = sample_configs(30, rng)
-    first = check_consistency(system, dirac, samples=samples)
-    second = check_consistency(system, dirac, samples=samples)
+    first = check_consistency(system, samples=samples)
+    second = check_consistency(system, samples=samples)
     assert first == second
     assert first.as_dict() == second.as_dict()
 
 
-def test_report_dict_shape(dirac, rng):
-    report = check_consistency(make_builtin("free"), dirac, rng=rng)
+def test_report_dict_shape(rng):
+    report = check_consistency(make_builtin("free"), rng=rng)
     data = report.as_dict()
     assert data["pair"] == [1, 2]
     assert len(data["deriv_coeff_sup"]) == 6
@@ -412,17 +412,22 @@ def test_report_dict_shape(dirac, rng):
     assert data["region"] == "all"
 
 
-def test_weyl_representation_agrees(weyl, dirac, rng):
+def test_weyl_representation_agrees(weyl, rng):
+    # the table's sups equal the Frobenius norms of the curvature expanded
+    # as Weyl matrices: F_12's zeroth part is i E(1,2), its first-order
+    # parts are -+[alpha^a_j, V_k]
     samples = sample_configs(30, rng)
     for name, params in [("hoho", {"C": (1, 0.5j, 0, 0)}),
                          ("example1_vector", None)]:
         system = make_builtin(name, params)
-        a = check_consistency(system, dirac, samples=samples)
-        b = check_consistency(system, weyl, samples=samples)
-        assert a.verdict == b.verdict
-        np.testing.assert_allclose(a.deriv_coeff_sup, b.deriv_coeff_sup,
+        report = check_consistency(system, samples=samples)
+        zeroth, first = reference_curvature(system, samples, weyl)
+        np.testing.assert_allclose(report.zeroth_sup, _sup_frobenius(zeroth),
                                    atol=1e-10)
-        np.testing.assert_allclose(a.zeroth_sup, b.zeroth_sup, atol=1e-10)
+        np.testing.assert_allclose(
+            report.deriv_coeff_sup,
+            [_sup_frobenius(first[(j, a)]) for j in (1, 2) for a in (1, 2, 3)],
+            atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +460,9 @@ def test_curvature_decomposition_matches_residuals(name, params, dirac, weyl,
     grid_stack = _grid_coords(grid, 0.3, -0.2)
     # half a spacing apart, so no grid point has coincident particles
     grid_stack[..., 1, 3] += grid.spacing / 2
-    for rep in (dirac, weyl):
-        for coords in [random_config(rng) for _ in range(5)] + [grid_stack]:
-            curvature = curvature_operator(system, coords, rep)
+    for coords in [random_config(rng) for _ in range(5)] + [grid_stack]:
+        curvature = curvature_operator(system, coords)
+        for rep in (dirac, weyl):
             zeroth, first = reference_curvature(system, coords, rep)
             assert _sup_frobenius(
                 _matrices(curvature.zeroth, coords, rep) - zeroth) < 1e-12
@@ -470,7 +475,7 @@ def test_curvature_decomposition_matches_residuals(name, params, dirac, weyl,
 def test_curvature_vanishes_for_consistent_systems(dirac, rng):
     system = make_builtin("hoho", {"c": (1.0, 0, 0.5, 0)})
     coords = random_config(rng)
-    curvature = curvature_operator(system, coords, dirac)
+    curvature = curvature_operator(system, coords)
     assert frobenius(_matrices(curvature.zeroth, coords, dirac)) < 1e-10
     assert all(frobenius(_matrices(m, coords, dirac)) < 1e-12
                for m in curvature.first.values())

@@ -107,28 +107,28 @@ def test_hoho_second_potential_is_constant(dirac, rng):
     assert frobenius(v2 - expected) < 1e-14
 
 
-def test_hoho_default_is_hermitian(dirac, rng):
+def test_hoho_default_is_hermitian(rng):
     system = make_builtin("hoho")
     assert system.hermitian
     configs = np.array([random_config(rng) for _ in range(10)])
-    assert hermiticity_residual(system, configs, dirac) < 1e-12
+    assert hermiticity_residual(system, configs) < 1e-12
 
 
-def test_hoho_complex_time_component_breaks_hermiticity(dirac, rng):
+def test_hoho_complex_time_component_breaks_hermiticity(rng):
     system = make_builtin("hoho", {"C": (1j, 0, 0, 0)})
     assert not system.hermitian
     configs = np.array([random_config(rng) for _ in range(5)])
-    assert hermiticity_residual(system, configs, dirac) > 0.1
+    assert hermiticity_residual(system, configs) > 0.1
 
 
-def test_hoho_imaginary_spatial_components_stay_hermitian(dirac, rng):
+def test_hoho_imaginary_spatial_components_stay_hermitian(rng):
     system = make_builtin("hoho", {"C": (2.0, 0.5j, 0, 1j), "c": (1, 0, 0, 0.5)})
     assert system.hermitian
     configs = np.array([random_config(rng) for _ in range(10)])
-    assert hermiticity_residual(system, configs, dirac) < 1e-12
+    assert hermiticity_residual(system, configs) < 1e-12
 
 
-def test_hermiticity_residual_rejects_non_finite_potential(dirac, rng):
+def test_hermiticity_residual_rejects_non_finite_potential(rng):
     # exp(1000 x2_0) overflows on about half the samples; the sup over
     # them must not drop the NaN of inf - conj(inf)
     system = make_builtin("coefficient_form",
@@ -136,7 +136,7 @@ def test_hermiticity_residual_rejects_non_finite_potential(dirac, rng):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="hermiticity_residual"):
-            hermiticity_residual(system, sample_configs(50, rng), dirac)
+            hermiticity_residual(system, sample_configs(50, rng))
 
 
 @pytest.mark.parametrize("field_name", COEFFICIENT_FIELDS_1)

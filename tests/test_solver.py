@@ -500,7 +500,7 @@ def test_apply_curvature_uses_first_order_parts(grid, psi0, dirac):
     image = apply_curvature(system, psi0, dirac)
     assert image.shape == (128, 128, 16)
     operator = curvature_operator(
-        system, np.array([[0.0, 0, 0, 0], [0.0, 0, 0, 0]]), dirac)
+        system, np.array([[0.0, 0, 0, 0], [0.0, 0, 0, 0]]))
     first = reconstruct(operator.first[(2, 3)], 2, dirac)
     assert np.max(np.abs(first)) > 1.0
     zeroth_only = np.einsum("ij,...j->...i",

@@ -24,8 +24,10 @@ from mtdirac.potential import (
     Potential,
     PotentialTerm,
     SpecError,
+    evaluate_potential,
     make_builtin,
     sample_configs,
+    stack_coords,
     system_from_dict,
 )
 from mtdirac.symmetry import (
@@ -364,23 +366,38 @@ def test_field_residual_matches_dense_oracle(system, dirac, weyl, rng):
 # Interaction witness
 # ---------------------------------------------------------------------------
 
-def test_witness_default_value(dirac):
+def test_witness_default_value():
     system = make_builtin("hoho")
-    value = interaction_witness_hoho(system, dirac)
+    value = interaction_witness_hoho(system)
     assert abs(value - 8.0) < 1e-9
     assert value >= 0.5
 
 
+def _dense_witness(system, relative, rep) -> float:
+    """||[V_2, V_1 + m_1 gamma0_1]||_F at x_1 = 0, x_2 = relative, from
+    the assembled matrices."""
+    coords = stack_coords(np.array([(0.0, 0.0, 0.0, 0.0), relative]))
+    v_1 = (evaluate_potential(system.potential(1), coords, rep)
+           + system.mass(1) * embed(rep.gamma(0), 1, 2))
+    v_2 = evaluate_potential(system.potential(2), coords, rep)
+    return frobenius(v_2 @ v_1 - v_1 @ v_2)
+
+
+_SEPARATIONS = [(0, 0, 0, 0), (0.3, 0, 0, 0), (-1.2, 0.4, 0.0, 2.0)]
+
+
 def test_witness_constant_over_separations(dirac):
+    # the coincident configuration the witness takes loses nothing: on hoho
+    # the commutator has the same norm at every separation
     system = make_builtin("hoho")
-    relatives = [(0, 0, 0, 0), (0.3, 0, 0, 0), (-1.2, 0.4, 0.0, 2.0)]
-    value = interaction_witness_hoho(system, dirac, relatives)
-    assert abs(value - 8.0) < 1e-9
+    assert abs(interaction_witness_hoho(system) - 8.0) < 1e-9
+    for relative in _SEPARATIONS:
+        assert abs(_dense_witness(system, relative, dirac) - 8.0) < 1e-9
 
 
-def test_witness_scales_linearly_in_c(dirac):
+def test_witness_scales_linearly_in_c():
     system = make_builtin("hoho", {"c": (0.5, 0, 0, 0)})
-    assert abs(interaction_witness_hoho(system, dirac) - 4.0) < 1e-9
+    assert abs(interaction_witness_hoho(system) - 4.0) < 1e-9
 
 
 @pytest.mark.parametrize("params", [
@@ -388,35 +405,35 @@ def test_witness_scales_linearly_in_c(dirac):
     {"C": (2.5, 0, 0, 0)},
     {"C": (1, 0.2, 0, 0), "m1": 2},
 ])
-def test_witness_is_product_of_coupling_norms(params, dirac, weyl):
+def test_witness_is_product_of_coupling_norms(params):
     # ||(c.alpha_2) 2i gamma5_1 (C.gamma_1) U||_F for a unitary U is
     # 2 * ||c.alpha||_F * ||C.gamma||_F = 2 * 2|c| * 2|C|
     system = make_builtin("hoho", params)
     expected = 8 * (np.linalg.norm(params.get("C", (1, 0, 0, 0)))
                     * np.linalg.norm(params.get("c", (1, 0, 0, 0))))
-    relatives = [(0, 0, 0, 0), (0.3, -0.2, 0.5, 1.1)]
-    for rep in (dirac, weyl):
-        value = interaction_witness_hoho(system, rep, relatives)
-        assert abs(value - expected) < 1e-12
+    assert abs(interaction_witness_hoho(system) - expected) < 1e-12
 
 
-def test_witness_rep_independent(dirac, weyl):
-    system = make_builtin("hoho", {"C": (1.0, 0.5j, 0, 0)})
-    assert np.isclose(interaction_witness_hoho(system, dirac),
-                      interaction_witness_hoho(system, weyl), atol=1e-10)
+def test_witness_rep_independent(weyl):
+    # the table's witness is the norm of the commutator of Weyl matrices
+    system = make_builtin("hoho", {"C": (1.0, 0.5j, 0, 0),
+                                   "c": (1.0, 0.25, -0.5, 0.75)})
+    for relative in _SEPARATIONS:
+        assert np.isclose(interaction_witness_hoho(system),
+                          _dense_witness(system, relative, weyl), atol=1e-10)
 
 
-def test_witness_rejects_other_systems(dirac):
+def test_witness_rejects_other_systems():
     with pytest.raises(SpecError):
-        interaction_witness_hoho(make_builtin("free"), dirac)
+        interaction_witness_hoho(make_builtin("free"))
 
 
-def test_witness_raises_domain_error_when_not_finite(dirac):
+def test_witness_raises_domain_error_when_not_finite():
     # A overflows at x2_0 = 0, where the witness is taken
     system = make_builtin("coefficient_form", {
         "A": ("exp(1000*(x2_0+1))", 0, 0, 0), "Y2": (0.5, 0, 0, 0)})
     with pytest.raises(DomainError, match="interaction_witness"):
-        interaction_witness_hoho(system, dirac)
+        interaction_witness_hoho(system)
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +504,8 @@ def _gradient_pair():
 
 
 @pytest.fixture(scope="module")
-def gradient_report(dirac):
-    return classify_gauge(_gradient_pair(), dirac)
+def gradient_report():
+    return classify_gauge(_gradient_pair())
 
 
 def test_gradient_pair_is_gauge_removable(gradient_report):
@@ -521,9 +538,9 @@ _EXACT_GAUGES = {
 
 
 @pytest.mark.parametrize("name", sorted(_EXACT_GAUGES))
-def test_exact_gauge_checks_read_round_off(name, dirac):
+def test_exact_gauge_checks_read_round_off(name):
     report = classify_gauge(
-        make_builtin("coefficient_form", _EXACT_GAUGES[name]), dirac)
+        make_builtin("coefficient_form", _EXACT_GAUGES[name]))
     assert report.verdict == GAUGE_REMOVABLE
     assert report.triangle_sup <= 1e-12
     assert report.gradient_match_sup <= 1e-12
@@ -545,9 +562,9 @@ def _crossed_phase(x):
     (_EXACT_GAUGES["cos"], ((1, 0), (2, 0)), _sin_sum_phase),
     ({"W1": ("cos(x2_3)", 0, 0, 0)}, ((1, 0), (2, 3)), _crossed_phase),
 ], ids=["cos pair", "cos pair on time axes", "crossed"])
-def test_gauge_components_match_closed_forms(params, axes, phase, dirac):
+def test_gauge_components_match_closed_forms(params, axes, phase):
     grid = ConfigGrid(axes=axes)
-    report = classify_gauge(make_builtin("coefficient_form", params), dirac,
+    report = classify_gauge(make_builtin("coefficient_form", params),
                             grid=grid)
     recovered = report.gauge_components["unit"]
     assert np.max(np.abs(recovered - phase(grid.configs()))) < 1e-12
@@ -555,7 +572,7 @@ def test_gauge_components_match_closed_forms(params, axes, phase, dirac):
         assert np.max(np.abs(report.gauge_components[sector])) == 0.0
 
 
-def test_gauge_components_match_mpmath_quadrature(dirac):
+def test_gauge_components_match_mpmath_quadrature():
     # no closed form: Phi(x) = int_0^1 h(s x) . x ds by tanh-sinh quadrature,
     # on the default grid, which moves a = x1_0 and z = x2_3 away from b = 0
     system = make_builtin("coefficient_form", {
@@ -575,7 +592,7 @@ def test_gauge_components_match_mpmath_quadrature(dirac):
 
     configs = ConfigGrid().configs()
     expected = np.vectorize(phase)(configs[..., 0, 0], configs[..., 1, 3])
-    report = classify_gauge(system, dirac)
+    report = classify_gauge(system)
     assert report.verdict == INTERACTING
     assert np.max(np.abs(report.gauge_components["unit"] - expected)) < 1e-12
 
@@ -586,14 +603,14 @@ def test_gauge_components_match_mpmath_quadrature(dirac):
     ("gamma5_1", ("Y1", "Y2")),
     ("gamma5_12", ("Z1", "Z2")),
 ])
-def test_gradient_pair_lands_in_its_gamma5_sector(sector, fields, dirac):
+def test_gradient_pair_lands_in_its_gamma5_sector(sector, fields):
     # a sector is the gamma5 content of both factors; a gradient split
     # across two sectors would fail the cross-curl condition
     field1, field2 = fields
     system = make_builtin("coefficient_form", {
         field1: ("cos(x1_0 + x2_3)", 0, 0, 0),
         field2: (0, 0, 0, "cos(x1_0 + x2_3)")})
-    report = classify_gauge(system, dirac)
+    report = classify_gauge(system)
     assert report.verdict == GAUGE_REMOVABLE
     assert set(report.gauge_components) == {
         "unit", "gamma5_1", "gamma5_2", "gamma5_12"}
@@ -601,25 +618,50 @@ def test_gradient_pair_lands_in_its_gamma5_sector(sector, fields, dirac):
         assert (np.max(np.abs(component)) > 0.1) == (label == sector)
 
 
-def test_zero_fields_gauge_removable(dirac):
-    report = classify_gauge(make_builtin("free"), dirac)
+def test_zero_fields_gauge_removable():
+    report = classify_gauge(make_builtin("free"))
     assert report.verdict == GAUGE_REMOVABLE
     assert np.max(np.abs(report.gauge_components["unit"])) == 0.0
 
 
-def test_hoho_f_sector_gauge_removable(dirac):
-    report = classify_gauge(make_builtin("hoho"), dirac)
+def test_hoho_f_sector_gauge_removable():
+    report = classify_gauge(make_builtin("hoho"))
     assert report.verdict == GAUGE_REMOVABLE
     assert report.integrability_sup == 0.0
     assert np.max(np.abs(report.gauge_components["gamma5_1"])) < 1e-12
 
 
-def test_cross_curl_violation_is_interacting(dirac):
+def test_cross_curl_violation_is_interacting():
     system = make_builtin("coefficient_form",
                           {"W1": ("cos(x2_3)", 0, 0, 0), "name": "crossed"})
-    report = classify_gauge(system, dirac)
+    report = classify_gauge(system)
     assert report.verdict == INTERACTING
     assert report.cross_curl_sup == pytest.approx(np.sin(1.0), abs=1e-10)
+
+
+def test_cross_curl_off_the_grid_plane_is_interacting():
+    # the grid moves x1_0 and x2_3 only; the cross curl -sin(x2_0) vanishes
+    # on its plane, so only the probes off it see the obstruction
+    system = make_builtin("coefficient_form", {"W1": ("cos(x2_0)", 0, 0, 0)})
+    assert check_consistency(system).verdict == "INCONSISTENT"
+    report = classify_gauge(system)
+    assert report.verdict == INTERACTING
+    probes = ConfigGrid().probes()
+    assert report.cross_curl_sup == np.max(np.abs(np.sin(probes[:, 1, 0])))
+    assert report.cross_curl_sup > 0.5
+    assert classify_interaction(system).verdict == INTERACTING
+
+
+def test_probes_are_the_grid_then_a_fixed_box_sample():
+    grid = ConfigGrid(values=(-0.5, 0.0, 2.0),
+                      base=((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, -1.0, 0.0)))
+    probes = grid.probes()
+    assert probes.shape == (9 + 64, 2, 4)
+    assert np.array_equal(probes[:9], grid.configs().reshape(-1, 2, 4))
+    offsets = probes[9:] - grid.base_array()
+    assert np.all((offsets >= -0.5) & (offsets <= 2.0))
+    assert np.all(np.ptp(probes[9:], axis=0) > 1.0)  # all eight coordinates
+    assert np.array_equal(probes, grid.probes())
 
 
 _ALPHA_FIELDS = ("W1", "X1", "Y1", "Z1", "W2", "X2", "Y2", "Z2")
@@ -637,16 +679,13 @@ def _random_field(rng, count: int) -> tuple:
     return tuple(out)
 
 
-@pytest.mark.parametrize("rep_name", ["dirac", "weyl"])
-def test_cross_curl_matches_reference_on_random_systems(request, rng,
-                                                        rep_name):
-    """The cross curls read off E(1,2) equal the derivatives written out.
+def test_cross_curl_matches_reference_on_random_systems(rng):
+    """The cross curls read off E(1,2) equal the derivatives written out,
+    at the same probes.
 
     Every alpha field depends on both particles; every other system adds
-    gamma fields and masses, which never reach cc1..cc4.  The fixture's
-    seed draws the same systems for both representations.
+    gamma fields and masses, which never reach cc1..cc4.
     """
-    rep = request.getfixturevalue(rep_name)
     grid = ConfigGrid(values=(-0.8, 0.1, 0.9))
     for index in range(20):
         params = {name: _random_field(rng, 2) for name in _ALPHA_FIELDS}
@@ -655,53 +694,53 @@ def test_cross_curl_matches_reference_on_random_systems(request, rng,
                        if name not in _ALPHA_FIELDS}
             params |= {"m1": rng.uniform(0.5, 2.0), "m2": rng.uniform(0.5, 2.0)}
         system = make_builtin("coefficient_form", params)
-        report = classify_gauge(system, rep, grid=grid)
+        report = classify_gauge(system, grid=grid)
         expected = reference_cross_curl(to_coefficient_form(system),
-                                        grid.configs())
+                                        grid.probes())
         assert expected >= 0.1, index
         assert report.cross_curl_sup == expected, index
 
 
-def test_gauge_analysis_runs_the_guards(dirac):
+def test_gauge_analysis_runs_the_guards():
     system = _gradient_pair()
     guarded = replace(system, potentials=(
         replace(system.potential(1), guards=(Guard(Const(1.0), 2.0, "one"),)),
         system.potential(2)))
     with pytest.raises(DomainError, match="guard violated"):
-        classify_gauge(guarded, dirac)
+        classify_gauge(guarded)
     # a bare coefficient set carries no guards
-    assert classify_gauge(to_coefficient_form(guarded), dirac).verdict \
+    assert classify_gauge(to_coefficient_form(guarded)).verdict \
         == GAUGE_REMOVABLE
 
 
-def test_marginal_violation_is_undecided(dirac):
+def test_marginal_violation_is_undecided():
     system = make_builtin("coefficient_form", {
         "W1": ("0.000000005*cos(x2_3)", 0, 0, 0), "name": "marginal"})
-    report = classify_gauge(system, dirac)
+    report = classify_gauge(system)
     assert report.verdict == UNDECIDED
     assert 1e-9 <= report.integrability_sup < 1e-8
 
 
-def test_locality_defect_detected(dirac):
+def test_locality_defect_detected():
     # in-particle curl of f_1 depends on particle 2: not removable
     system = make_builtin("coefficient_form", {
         "W1": (0, "x1_2 * x2_3", 0, 0), "name": "twisted"})
-    report = classify_gauge(system, dirac)
+    report = classify_gauge(system)
     assert report.locality_sup == pytest.approx(1.0, abs=1e-10)
     assert report.verdict == INTERACTING
 
 
-def test_accepts_coefficient_set_directly(dirac):
-    report = classify_gauge(to_coefficient_form(_gradient_pair()), dirac)
+def test_accepts_coefficient_set_directly():
+    report = classify_gauge(to_coefficient_form(_gradient_pair()))
     assert report.verdict == GAUGE_REMOVABLE
 
 
-def test_constant_shift_leaves_gauge_analysis_unchanged(dirac, gradient_report):
+def test_constant_shift_leaves_gauge_analysis_unchanged(gradient_report):
     system = make_builtin("coefficient_form", {
         "W1": ("cos(x1_0 + x2_3) + 0.7", 0, 0, 0),
         "W2": (0, 0, 0, "cos(x1_0 + x2_3) - 0.3"),
         "name": "gradient_pair_shifted"})
-    report = classify_gauge(system, dirac)
+    report = classify_gauge(system)
     assert report.verdict == GAUGE_REMOVABLE
     assert np.max(np.abs(report.gauge_components["unit"]
                          - gradient_report.gauge_components["unit"])) < 1e-12
@@ -720,51 +759,43 @@ def test_report_dict_shape(gradient_report):
 # Combined classification
 # ---------------------------------------------------------------------------
 
-def test_classify_hoho_interacting(dirac):
-    report = classify_interaction(make_builtin("hoho"), dirac)
+def test_classify_hoho_interacting():
+    report = classify_interaction(make_builtin("hoho"))
     assert report.verdict == INTERACTING
     assert report.gauge.verdict == GAUGE_REMOVABLE
     assert report.witness == pytest.approx(8.0, abs=1e-9)
     assert report.gamma_sector_sup > 0.9
 
 
-def test_classify_gradient_pair_removable(dirac):
-    report = classify_interaction(_gradient_pair(), dirac)
+def test_classify_gradient_pair_removable():
+    report = classify_interaction(_gradient_pair())
     assert report.verdict == GAUGE_REMOVABLE
     assert report.gamma_sector_sup == 0.0
     assert report.witness is None
 
 
-def test_classify_unknown_gamma_sector_undecided(dirac):
+def test_classify_unknown_gamma_sector_undecided():
     system = make_builtin("coefficient_form",
                           {"A": (0, 0, 0, "x2_3"), "name": "gamma_mystery"})
-    report = classify_interaction(system, dirac)
+    report = classify_interaction(system)
     assert report.verdict == UNDECIDED
     assert report.gamma_sector_sup == pytest.approx(1.0)
 
 
-def test_classify_skips_witness_outside_exponential_family(dirac):
+def test_classify_skips_witness_outside_exponential_family():
     # the witness would be ||[0.5 gamma5_1, m1 gamma0_1]|| > 0, but
     # d_{2,0}^2 A_3 = 0 != 4 (Z2_0^2 - Y2_0^2) A_3 = -x2_3 rules the pair
     # out of the exponential family
     system = make_builtin("coefficient_form",
                           {"A": (0, 0, 0, "x2_3"), "Y2": (0.5, 0, 0, 0)})
-    report = classify_interaction(system, dirac)
+    report = classify_interaction(system)
     assert report.verdict == UNDECIDED
     assert report.witness is None
-    assert interaction_witness_hoho(system, dirac) > 1.0
+    assert interaction_witness_hoho(system) > 1.0
 
 
-def test_classify_verdicts_rep_independent(dirac, weyl):
-    for system in (make_builtin("hoho"), _gradient_pair()):
-        report_d = classify_interaction(system, dirac)
-        report_w = classify_interaction(system, weyl)
-        assert report_d.verdict == report_w.verdict
-        assert np.isclose(report_d.gamma_sector_sup, report_w.gamma_sector_sup)
-
-
-def test_classification_report_dict(dirac):
-    data = classify_interaction(make_builtin("hoho"), dirac).as_dict()
+def test_classification_report_dict():
+    data = classify_interaction(make_builtin("hoho")).as_dict()
     assert data["verdict"] == INTERACTING
     assert data["f_sector"]["verdict"] == GAUGE_REMOVABLE
     assert data["witness"] == pytest.approx(8.0)
@@ -806,8 +837,8 @@ def test_constant_gauge_preserves_consistency_verdict(dirac, rng, name):
     system = make_builtin(name)
     gauged = _conjugate_system(system, 0.4, dirac)
     samples = sample_configs(20, rng)
-    report = check_consistency(system, dirac, samples=samples)
-    gauged_report = check_consistency(gauged, dirac, samples=samples)
+    report = check_consistency(system, samples=samples)
+    gauged_report = check_consistency(gauged, samples=samples)
     assert report.verdict == gauged_report.verdict
     assert np.isclose(report.zeroth_sup, gauged_report.zeroth_sup, atol=1e-9)
     assert np.allclose(report.deriv_coeff_sup, gauged_report.deriv_coeff_sup,
