@@ -17,6 +17,7 @@ from mtdirac.clifford import (
 )
 from mtdirac.dsl import differentiate, evaluate
 from mtdirac.potential import (
+    COEFFICIENT_LAYOUT,
     FIELD_NAMES,
     differentiate_potential,
     evaluate_potential,
@@ -291,5 +292,38 @@ def reference_cross_curl(coefficients, configs) -> float:
             for nu in range(4):
                 defect = (evaluate(differentiate(f2[nu], 1, mu), coords)
                           - evaluate(differentiate(f1[mu], 2, nu), coords))
+                sup = max(sup, float(np.max(np.abs(defect))))
+    return sup
+
+
+def reference_matrix_cross_curl(system, configs, rep) -> float:
+    """The cross curls of reference_cross_curl, read off matrices in rep.
+
+    The derivatives d_{2,nu} V_1 and d_{1,mu} V_2 are realized as 16x16
+    matrices, and each alpha-sector coefficient is the trace
+    tr(B^dag M) / 16 against its product-basis matrix B built from rep.
+    """
+    coords = stack_coords(configs)
+
+    def projection(field_name: str, mu: int, matrices) -> np.ndarray:
+        particle, cls, other = COEFFICIENT_LAYOUT[field_name]
+        own = BasisElement(cls, mu)
+        factors = (own, other) if particle == 1 else (other, own)
+        basis = np.kron(*(_basis_matrix(f, rep) for f in factors))
+        return np.einsum("ij,...ij->...", basis.conj(), matrices) / 16
+
+    d2_v1 = [evaluate_potential(differentiate_potential(system.potential(1),
+                                                        2, nu), coords, rep)
+             for nu in range(4)]
+    d1_v2 = [evaluate_potential(differentiate_potential(system.potential(2),
+                                                        1, mu), coords, rep)
+             for mu in range(4)]
+    sup = 0.0
+    for name1, name2 in (("W1", "W2"), ("X1", "X2"), ("Y1", "Y2"),
+                         ("Z1", "Z2")):
+        for mu in range(4):
+            for nu in range(4):
+                defect = (projection(name2, nu, d1_v2[mu])
+                          - projection(name1, mu, d2_v1[nu]))
                 sup = max(sup, float(np.max(np.abs(defect))))
     return sup

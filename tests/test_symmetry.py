@@ -53,6 +53,7 @@ from mtdirac.symmetry import (
 from oracles import (
     reference_cross_curl,
     reference_lorentz_lift,
+    reference_matrix_cross_curl,
     reference_poincare_residual,
 )
 
@@ -679,13 +680,18 @@ def _random_field(rng, count: int) -> tuple:
     return tuple(out)
 
 
-def test_cross_curl_matches_reference_on_random_systems(rng):
+@pytest.mark.parametrize("rep_name", ["dirac", "weyl"])
+def test_cross_curl_matches_reference_on_random_systems(request, rng,
+                                                        rep_name):
     """The cross curls read off E(1,2) equal the derivatives written out,
-    at the same probes.
+    at the same probes, and the traces of the derivative matrices in
+    either representation.
 
     Every alpha field depends on both particles; every other system adds
-    gamma fields and masses, which never reach cc1..cc4.
+    gamma fields and masses, which never reach cc1..cc4.  The fixture's
+    seed draws the same systems for both representations.
     """
+    rep = request.getfixturevalue(rep_name)
     grid = ConfigGrid(values=(-0.8, 0.1, 0.9))
     for index in range(20):
         params = {name: _random_field(rng, 2) for name in _ALPHA_FIELDS}
@@ -699,6 +705,8 @@ def test_cross_curl_matches_reference_on_random_systems(rng):
                                         grid.probes())
         assert expected >= 0.1, index
         assert report.cross_curl_sup == expected, index
+        assert reference_matrix_cross_curl(system, grid.probes(), rep) \
+            == pytest.approx(expected, rel=1e-12), index
 
 
 def test_gauge_analysis_runs_the_guards():
