@@ -23,7 +23,6 @@ witness = 8.
 import numpy as np
 
 from mtdirac import (
-    build_dirac_rep,
     classify_gauge,
     classify_interaction,
     interaction_witness_hoho,
@@ -35,7 +34,6 @@ from mtdirac import (
     sample_configs,
 )
 
-rep = build_dirac_rep()
 rng = np.random.default_rng(11)
 samples = sample_configs(40, rng)
 
@@ -47,16 +45,16 @@ hoho = make_builtin("hoho")
 sweep = (
     ("translation a=(0.4,-0.3,0.2,0.7)",
      make_translation((0.4, -0.3, 0.2, 0.7))),
-    ("rotation    z, pi/3", make_rotation((0, 0, 1), np.pi / 3, rep)),
-    ("rotation    x, pi/3", make_rotation((1, 0, 0), np.pi / 3, rep)),
-    ("boost       z, chi=0.5", make_boost((0, 0, 1), 0.5, rep)),
-    ("boost       x, chi=0.5", make_boost((1, 0, 0), 0.5, rep)),
+    ("rotation    z, pi/3", make_rotation((0, 0, 1), np.pi / 3)),
+    ("rotation    x, pi/3", make_rotation((1, 0, 0), np.pi / 3)),
+    ("boost       z, chi=0.5", make_boost((0, 0, 1), 0.5)),
+    ("boost       x, chi=0.5", make_boost((1, 0, 0), 0.5)),
 )
 print("=" * 72)
 print("Covariance residuals of hoho")
 print("=" * 72)
 for label, transform in sweep:
-    residual = poincare_residual(hoho, transform, samples, rep)
+    residual = poincare_residual(hoho, transform, samples)
     print(f"    {label:32s} {residual:.3e}")
 
 # =============================================================================

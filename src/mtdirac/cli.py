@@ -71,7 +71,6 @@ from .symmetry import (
     make_rotation,
     make_translation,
     poincare_residual,
-    translation_residual,
 )
 
 EXIT_OK = 0
@@ -274,13 +273,12 @@ def _cmd_cc(args: argparse.Namespace):
 
 def _cmd_classify(args: argparse.Namespace):
     system = _load_cmd_system(args)
-    rep = build_dirac_rep()
     classification = classify_interaction(system, tol=args.tol)
     rng = np.random.default_rng(args.seed)
     samples = sample_configs(args.nsamples, rng, system.n_particles)
     offsets = rng.uniform(-2.0, 2.0, size=(5, 4))
     translation_sup = max(
-        translation_residual(system, offset, samples, rep)
+        poincare_residual(system, make_translation(offset), samples)
         for offset in offsets)
     try:
         exponential = exponential_form_residual(
@@ -297,24 +295,23 @@ def _cmd_classify(args: argparse.Namespace):
 
 def _cmd_poincare(args: argparse.Namespace):
     system = _load_cmd_system(args)
-    rep = build_dirac_rep()
     rng = np.random.default_rng(args.seed)
     samples = sample_configs(args.nsamples, rng, system.n_particles)
     rapidity = 0.5
     angle = math.pi / 3.0
     offset = (0.4, -0.3, 0.2, 0.7)
-    boost_z = make_boost((0.0, 0.0, 1.0), rapidity, rep)
+    boost_z = make_boost((0.0, 0.0, 1.0), rapidity)
     sweep = (
-        ("boost_x", make_boost((1.0, 0.0, 0.0), rapidity, rep)),
-        ("boost_y", make_boost((0.0, 1.0, 0.0), rapidity, rep)),
+        ("boost_x", make_boost((1.0, 0.0, 0.0), rapidity)),
+        ("boost_y", make_boost((0.0, 1.0, 0.0), rapidity)),
         ("boost_z", boost_z),
-        ("rotation_x", make_rotation((1.0, 0.0, 0.0), angle, rep)),
-        ("rotation_y", make_rotation((0.0, 1.0, 0.0), angle, rep)),
-        ("rotation_z", make_rotation((0.0, 0.0, 1.0), angle, rep)),
+        ("rotation_x", make_rotation((1.0, 0.0, 0.0), angle)),
+        ("rotation_y", make_rotation((0.0, 1.0, 0.0), angle)),
+        ("rotation_z", make_rotation((0.0, 0.0, 1.0), angle)),
         ("translation", make_translation(offset)),
         ("boost_z_times_inverse", compose(boost_z, inverse(boost_z))),
     )
-    residuals = {name: poincare_residual(system, transform, samples, rep)
+    residuals = {name: poincare_residual(system, transform, samples)
                  for name, transform in sweep}
     report = {
         "system": system.name,

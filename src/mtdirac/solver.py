@@ -72,7 +72,6 @@ from .potential import (
     hermitian_defect,
     operator_field,
 )
-from .symmetry import ConfigGrid
 
 _HERMITIAN_TOL = 1e-10
 
@@ -159,8 +158,9 @@ def product_state(grid: Grid, *,
 
 def _grid_coords(grid: Grid, t1: float, t2: float) -> np.ndarray:
     """Configuration stack (n, n, 2, 4) of the grid: x_k = (t_k, 0, 0, z_k)."""
-    return ConfigGrid(axes=((1, 3), (2, 3)), values=tuple(grid.positions()),
-                      base=((t1, 0.0, 0.0, 0.0), (t2, 0.0, 0.0, 0.0))).configs()
+    coords = [np.broadcast_to(c, (grid.points,) * 2)
+              for x in _step_coords(grid, t1, t2) for c in x]
+    return np.stack(coords, -1).reshape(grid.points, grid.points, 2, 4)
 
 
 def _step_coords(grid: Grid, t1: float, t2: float) -> list:

@@ -3,9 +3,10 @@
 Three services for two-particle multi-time systems:
 
 * Poincare transforms (boosts, rotations, translations) with their
-  spinor lifts, and sampled residuals measuring how far a potential
-  pair is from covariant under a given transform, taken on operator
-  fields through the matrix R with S B_m S^-1 = sum_n R[n, m] B_n.
+  spinor lifts, kept as 16 basis coefficients and multiplied through the
+  product table alone, and sampled residuals measuring how far a
+  potential pair is from covariant under a given transform, taken on
+  operator fields through the matrix R with S B_m S^-1 = sum_n R[n, m] B_n.
 
 * A gauge classifier for the alpha-sector coefficient fields: decides
   whether the cross-particle part of the first-order couplings is the
@@ -34,10 +35,10 @@ from .clifford import (
     EPSILON3,
     GAMMA5_ELEMENT,
     IDENTITY_ELEMENT,
-    BasisClass,
+    PRODUCT_INDEX,
     PRODUCT_PHASE,
+    BasisClass,
     BasisElement,
-    GammaRep,
     TensorBasisElement,
     field_commutator,
     field_norm,
@@ -54,7 +55,6 @@ from .potential import (
     SpecError,
     _require_finite,
     coefficient_field,
-    coefficient_set_to_system,
     operator_field,
     stack_coords,
     to_coefficient_form,
@@ -71,7 +71,8 @@ UNDECIDED = "UNDECIDED"
 
 @dataclass(frozen=True, eq=False)
 class PoincareTransform:
-    """x -> Lambda x + a with spinor lift S gamma^mu S^-1 = Lambda^mu_nu gamma^nu."""
+    """x -> Lambda x + a with spinor lift S gamma^mu S^-1 = Lambda^mu_nu gamma^nu,
+    S = sum_m spinor[m] B_m over the flat index 4 * class + mu of B_m."""
 
     name: str
     lorentz: np.ndarray
@@ -85,48 +86,59 @@ class PoincareTransform:
 
 def _unit(axis: Sequence[float]) -> np.ndarray:
     axis = np.asarray(axis, float)
-    norm = float(np.linalg.norm(axis))
-    if norm == 0:
-        raise ValueError("axis must be nonzero")
-    return axis / norm
+    if axis.shape != (3,) or not np.all(np.isfinite(axis)) or not np.any(axis):
+        raise ValueError("axis must be 3 finite components, not all zero, "
+                         f"got {axis.tolist()}")
+    axis = axis / np.max(np.abs(axis))  # so the norm cannot over/underflow
+    return axis / np.linalg.norm(axis)
 
 
-def _conjugation(spinor: np.ndarray, rep: GammaRep) -> np.ndarray:
-    """The 16x16 R with S B_m S^-1 = sum_n R[n, m] B_n for a Lorentz lift S.
-
-    R[n, m] = tr(B_n^-1 S B_m S^-1) / 4, with B_n^-1 = PRODUCT_PHASE[n, n] B_n
-    and the exact inverse S^-1 = gamma0 S^dag gamma0 of a Lorentz lift.
-    """
-    basis = rep.basis.reshape(16, 4, 4)
-    inverses = np.diagonal(PRODUCT_PHASE)[:, None, None] * basis
-    s_inv = rep.gamma(0) @ spinor.conj().T @ rep.gamma(0)
-    return np.einsum("nab,mba->nm", inverses, spinor @ basis @ s_inv) / 4
+_ONE = np.eye(16, dtype=complex)[0]  # the identity B_0 as coefficients
+# A Lorentz lift's exact inverse gamma0 S^dag gamma0 is _ADJOINT * conj(s):
+# B_m^dag = phase[m, m] B_m, and gamma0 (flat index 8) B_m gamma0 = +-B_m
+# as they commute or anticommute
+_ADJOINT = np.diagonal(PRODUCT_PHASE) * np.where(
+    PRODUCT_PHASE[8] == PRODUCT_PHASE[:, 8], 1, -1)
 
 
-def _match_spinor(lorentz: np.ndarray, candidates: Sequence[np.ndarray],
-                  rep: GammaRep) -> np.ndarray:
+def _multiplication(s: np.ndarray, index: np.ndarray = PRODUCT_INDEX,
+                    phase: np.ndarray = PRODUCT_PHASE) -> np.ndarray:
+    """The 16x16 matrix of x -> s x on coefficient vectors; the transposed
+    tables give x -> x s.  For each j, i -> index[i, j] is one-to-one."""
+    out = np.zeros((16, 16), complex)
+    out[index, np.arange(16)] = phase * np.asarray(s)[:, None]
+    return out
+
+
+def _conjugation(s: np.ndarray) -> np.ndarray:
+    """The 16x16 R with S B_m S^-1 = sum_n R[n, m] B_n for a Lorentz lift S."""
+    return _multiplication(s) @ _multiplication(
+        _ADJOINT * np.conj(s), PRODUCT_INDEX.T, PRODUCT_PHASE.T)
+
+
+def _match_spinor(lorentz: np.ndarray,
+                  candidates: Sequence[np.ndarray]) -> np.ndarray:
     """The first candidate whose R maps gamma^mu to Lambda^mu_nu gamma^nu,
     to ALGEBRA_TOL relative to max |Lambda|, a norm that cannot overflow."""
     expected = np.zeros((16, 4))
     expected[8:12] = lorentz.T  # the gamma class, flat indices 8..11
     for s in candidates:
-        defect = np.abs(_conjugation(s, rep)[:, 8:12] - expected)
+        defect = np.abs(_conjugation(s)[:, 8:12] - expected)
         if np.max(defect) <= ALGEBRA_TOL * np.max(np.abs(lorentz)):
             return s
     raise RuntimeError("no spinor lift reproduced the vector transform")
 
 
 def identity_transform() -> PoincareTransform:
-    return PoincareTransform("identity", np.eye(4), np.eye(4, dtype=complex),
-                             np.zeros(4))
+    return PoincareTransform("identity", np.eye(4), _ONE.copy(), np.zeros(4))
 
 
 def make_translation(offset: Sequence[float]) -> PoincareTransform:
     offset = np.asarray(offset, float)
     if offset.shape != (4,):
         raise ValueError("translation needs a 4-vector")
-    return PoincareTransform("translation", np.eye(4),
-                             np.eye(4, dtype=complex), offset.copy())
+    return PoincareTransform("translation", np.eye(4), _ONE.copy(),
+                             offset.copy())
 
 
 def _finite(name: str, value: float) -> float:
@@ -136,14 +148,14 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
-def make_boost(axis: Sequence[float], rapidity: float,
-               rep: GammaRep) -> PoincareTransform:
+def make_boost(axis: Sequence[float], rapidity: float) -> PoincareTransform:
     """Pure boost with the given rapidity along a spatial axis.
 
     The generator K has K^3 = K, so exp(chi K) = 1 + sinh(chi) K +
     (cosh(chi) - 1) K^2, and alpha_n^2 = 1 gives the spinor candidates
-    exp(+-chi alpha_n / 2) = cosh(chi/2) +- sinh(chi/2) alpha_n.  Raises
-    ValueError for a non-finite rapidity or one whose cosh overflows.
+    exp(+-chi alpha_n / 2) = cosh(chi/2) +- sinh(chi/2) alpha_n, with
+    alpha_n = sum_a n_a alpha^a at flat indices 1..3.  Raises ValueError
+    for a bad axis, a non-finite rapidity or one whose cosh overflows.
     """
     n = _unit(axis)
     rapidity = _finite("rapidity", rapidity)
@@ -155,22 +167,22 @@ def make_boost(axis: Sequence[float], rapidity: float,
     generator[0, 1:] = n
     generator[1:, 0] = n
     lorentz = np.eye(4) + sinh * generator + (cosh - 1) * generator @ generator
-    alpha_n = sum(n[a - 1] * rep.alpha(a) for a in (1, 2, 3))
-    half = math.cosh(0.5 * rapidity) * np.eye(4)
-    odd = math.sinh(0.5 * rapidity) * alpha_n
-    spinor = _match_spinor(lorentz, [half + odd, half - odd], rep)
+    half = math.cosh(0.5 * rapidity) * _ONE
+    odd = np.zeros(16, complex)
+    odd[1:4] = math.sinh(0.5 * rapidity) * n
+    spinor = _match_spinor(lorentz, [half + odd, half - odd])
     return PoincareTransform(f"boost({n[0]:g},{n[1]:g},{n[2]:g});chi={rapidity:g}",
                              lorentz, spinor, np.zeros(4))
 
 
-def make_rotation(axis: Sequence[float], angle: float,
-                  rep: GammaRep) -> PoincareTransform:
+def make_rotation(axis: Sequence[float], angle: float) -> PoincareTransform:
     """Spatial rotation by `angle` about a spatial axis.
 
     The generator J has J^3 = -J, so exp(theta J) = 1 + sin(theta) J +
     (1 - cos(theta)) J^2, and Sigma_n^2 = 1 gives the spinor candidates
-    exp(-+i theta Sigma_n / 2) = cos(theta/2) -+ i sin(theta/2) Sigma_n.
-    Raises ValueError for a non-finite angle.
+    exp(-+i theta Sigma_n / 2) = cos(theta/2) -+ i sin(theta/2) Sigma_n,
+    with Sigma_n = sum_a n_a gamma5 alpha^a at flat indices 5..7.  Raises
+    ValueError for a bad axis or a non-finite angle.
     """
     n = _unit(axis)
     angle = _finite("angle", angle)
@@ -178,10 +190,10 @@ def make_rotation(axis: Sequence[float], angle: float,
     generator[1:, 1:] = -EPSILON3 @ n
     lorentz = (np.eye(4) + math.sin(angle) * generator
                + (1 - math.cos(angle)) * generator @ generator)
-    sigma_n = rep.gamma5 @ sum(n[a - 1] * rep.alpha(a) for a in (1, 2, 3))
-    half = math.cos(0.5 * angle) * np.eye(4)
-    odd = 1j * math.sin(0.5 * angle) * sigma_n
-    spinor = _match_spinor(lorentz, [half - odd, half + odd], rep)
+    half = math.cos(0.5 * angle) * _ONE
+    odd = np.zeros(16, complex)
+    odd[5:8] = 1j * math.sin(0.5 * angle) * n
+    spinor = _match_spinor(lorentz, [half - odd, half + odd])
     return PoincareTransform(f"rotation({n[0]:g},{n[1]:g},{n[2]:g});theta={angle:g}",
                              lorentz, spinor, np.zeros(4))
 
@@ -192,26 +204,27 @@ def compose(outer: PoincareTransform,
     return PoincareTransform(
         f"{outer.name}*{inner.name}",
         outer.lorentz @ inner.lorentz,
-        outer.spinor @ inner.spinor,
+        _multiplication(outer.spinor) @ inner.spinor,
         outer.translation + outer.lorentz @ inner.translation)
 
 
 def inverse(transform: PoincareTransform) -> PoincareTransform:
-    """x -> Lambda^-1 (x - a).  compose(b, inverse(b)) cancels entries of
-    size cosh(eta)^2 for a boost of rapidity eta, losing ~2 log10(cosh eta)
-    digits with any inverse: at eta = 20 the exact g Lambda^T g leaves a
-    Lorentz defect of 8.5, np.linalg.inv 0.5; poincare_residual reads ~8."""
+    """x -> Lambda^-1 (x - a), lifted by the exact S^-1 = gamma0 S^dag gamma0.
+    compose(b, inverse(b)) cancels entries of size cosh(eta)^2 for a boost
+    of rapidity eta, losing ~2 log10(cosh eta) digits with any inverse of
+    Lambda: at eta = 20 the exact g Lambda^T g leaves a Lorentz defect of
+    8.5, np.linalg.inv 0.5; poincare_residual reads ~8."""
     lam_inv = np.linalg.inv(transform.lorentz)
     return PoincareTransform(
         f"inverse({transform.name})", lam_inv,
-        np.linalg.inv(transform.spinor),
+        _ADJOINT * np.conj(transform.spinor),
         -lam_inv @ transform.translation)
 
 
 @np.errstate(all="ignore")
 def poincare_residual(system: MultiTimeSystem,
                       transform: PoincareTransform,
-                      samples: np.ndarray, rep: GammaRep) -> float:
+                      samples: np.ndarray) -> float:
     """sup over samples and particles of the covariance defect
 
         || V_k(X) - (S x..x S) V_k(Lambda^-1(x_1 - a), ...) (S^-1 x..x S^-1) ||_F
@@ -222,7 +235,7 @@ def poincare_residual(system: MultiTimeSystem,
     DomainError when the sup is not finite.
     """
     pulled_back = inverse(transform).apply(samples)
-    r = _conjugation(transform.spinor, rep)
+    r = _conjugation(transform.spinor)
     cutoff = 16 * np.finfo(float).eps * np.max(np.abs(r))  # R's round-off
     _require_finite({f"poincare_residual({transform.name})": cutoff})
     images = {source: [(_ELEMENTS[n], r[n, m])
@@ -242,11 +255,6 @@ def poincare_residual(system: MultiTimeSystem,
             field_norm(defect, system.n_particles), initial=0.0))
     _require_finite({f"poincare_residual({transform.name})": worst})
     return float(worst)
-
-
-def translation_residual(system: MultiTimeSystem, offset: Sequence[float],
-                         samples: np.ndarray, rep: GammaRep) -> float:
-    return poincare_residual(system, make_translation(offset), samples, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +447,7 @@ class GaugeReport:
 
 
 @np.errstate(all="ignore")
-def classify_gauge(system: MultiTimeSystem | CoefficientSet,
+def classify_gauge(system: MultiTimeSystem,
                    grid: ConfigGrid | None = None,
                    tol: float = 1e-9) -> GaugeReport:
     """Decide whether the cross-particle alpha-sector is a pure gauge.
@@ -468,10 +476,7 @@ def classify_gauge(system: MultiTimeSystem | CoefficientSet,
     from numpy.polynomial.legendre import leggauss  # off the import path
 
     grid = grid or ConfigGrid()
-    if isinstance(system, CoefficientSet):
-        coefficients, pair = system, coefficient_set_to_system(system)
-    else:
-        coefficients, pair = to_coefficient_form(system), system
+    coefficients = to_coefficient_form(system)
     base, configs, n = grid.base_array(), grid.configs(), len(grid.values)
     probes = grid.probes()
     sectors = {label: (coefficients.field(name1), coefficients.field(name2))
@@ -479,7 +484,7 @@ def classify_gauge(system: MultiTimeSystem | CoefficientSet,
 
     # --- exactness conditions -------------------------------------------
     # np.max and np.maximum keep a NaN that max() would drop
-    cc = _cc_sups(_zeroth_order(pair, probes, 1, 2))
+    cc = _cc_sups(_zeroth_order(system, probes, 1, 2))
     cross_curl = np.max([cc[f"cc{index}"] for index in range(1, 5)])
     locality = 0.0
     for f in sectors.values():

@@ -14,6 +14,7 @@ from mtdirac.clifford import (
     TensorBasisElement,
     commutator,
     embed,
+    reconstruct,
 )
 from mtdirac.dsl import differentiate, evaluate
 from mtdirac.potential import (
@@ -115,18 +116,26 @@ def reference_lorentz_lift(kind: str, axis, parameter: float, rep):
     return lorentz, next(s for s in candidates if defect(s) < 1e-10)
 
 
+def lift_matrix(spinor: np.ndarray, rep) -> np.ndarray:
+    """A spinor lift's 16 basis coefficients realized as a 4x4 matrix."""
+    singles = [BasisElement(cls, mu) for cls in BasisClass for mu in range(4)]
+    return reconstruct({TensorBasisElement((element,)): value
+                        for element, value in zip(singles, spinor)}, 1, rep)
+
+
 def reference_poincare_residual(system, transform, samples, rep) -> float:
     """sup over samples and particles of the dense covariance defect
 
         || V_k(X) - (S x..x S) V_k(Lambda^-1(x_1 - a), ...) (S^-1 x..x S^-1) ||_F
 
-    with the potentials assembled as (S, 4^N, 4^N) matrices, S x..x S
-    built by np.kron and inverted numerically, one Frobenius norm per
-    sample.
+    with the lift S realized in `rep`, the potentials assembled as
+    (S, 4^N, 4^N) matrices, S x..x S built by np.kron and inverted
+    numerically, one Frobenius norm per sample.
     """
     samples = np.asarray(samples, float)
     lam_inv = np.linalg.inv(transform.lorentz)
-    big_s = reduce(np.kron, [transform.spinor] * system.n_particles)
+    big_s = reduce(np.kron, [lift_matrix(transform.spinor, rep)]
+                   * system.n_particles)
     big_s_inv = np.linalg.inv(big_s)
     pulled_back = (samples - transform.translation) @ lam_inv.T
     worst = 0.0

@@ -448,6 +448,20 @@ def test_verdict_commands_assemble_no_dense_matrices(argv, monkeypatch,
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("argv", [
+    ["poincare", "--builtin", "hoho"],
+    ["classify", "--builtin", "hoho"],
+], ids=" ".join)
+def test_poincare_and_classify_build_no_representation(argv, monkeypatch,
+                                                       capsys):
+    def refuse():
+        raise AssertionError("representation built")
+
+    monkeypatch.setattr(cli, "build_dirac_rep", refuse)
+    code, _ = run_json(capsys, argv)
+    assert code == EXIT_OK
+
+
 def test_poincare_sweep_hoho(capsys):
     code, envelope = run_json(
         capsys, ["poincare", "--builtin", "hoho", "--nsamples", "20"])
