@@ -54,7 +54,7 @@ print("=" * 72)
 print("example1_vector obstruction against the closed form 2 m2 gamma2^3")
 print("=" * 72)
 # the check takes no representation; only the matrix oracle needs one
-oracle = 2.0 * np.kron(np.eye(4), build_dirac_rep().gamma(3))
+oracle = 2.0 * np.kron(np.eye(4), build_dirac_rep().gammas[3])
 report = check_consistency(make_builtin("example1_vector"),
                            rng=np.random.default_rng(0))
 print(f"    ||oracle||_F = {np.linalg.norm(oracle):.1f}")

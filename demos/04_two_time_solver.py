@@ -24,7 +24,6 @@ import numpy as np
 
 from mtdirac import (
     Grid,
-    build_dirac_rep,
     curvature_norm,
     holonomy_series,
     loop_holonomy,
@@ -34,7 +33,6 @@ from mtdirac import (
     spacelike_mask,
 )
 
-rep = build_dirac_rep()
 grid = Grid(length=20.0, points=128)
 psi0 = product_state(grid)
 # discrepancies below this are round-off of the unit-norm psi0, so their
@@ -51,7 +49,7 @@ print("=" * 72)
 for name in ("free", "hoho", "example1_vector"):
     system = make_builtin(name)
     result = path_independence_experiment(
-        system, psi0, 0.5, (0.1, 0.05, 0.025), rep)
+        system, psi0, 0.5, (0.1, 0.05, 0.025))
     rows = "  ".join(f"dt={dt:g}: {disc:.2e}" for dt, disc in result.rows)
     print(f"    {name:16s} {rows}")
     if max(disc for _, disc in result.rows) < ROUND_OFF:
@@ -67,13 +65,13 @@ print()
 print("=" * 72)
 print("Square loops (t1:+d, t2:+d, t1:-d, t2:-d)")
 print("=" * 72)
-free_dev = loop_holonomy(make_builtin("free"), psi0, 0.05, rep)
+free_dev = loop_holonomy(make_builtin("free"), psi0, 0.05)
 print(f"    free: deviation {free_dev:.2e} (exactly flat)")
 
 for name in ("hoho", "example1_vector"):
     system = make_builtin(name)
-    series = holonomy_series(system, psi0, (0.08, 0.04, 0.02), rep)
-    reference = curvature_norm(system, psi0, rep)
+    series = holonomy_series(system, psi0, (0.08, 0.04, 0.02))
+    reference = curvature_norm(system, psi0)
     print(f"\n    {name}:  grid ||F psi0|| = {reference:.3f}")
     for delta, deviation, ratio in series.rows:
         print(f"        delta={delta:g}: deviation {deviation:.3e}, "
@@ -90,7 +88,7 @@ print("=" * 72)
 from mtdirac import Leg, evolve_path
 
 psi = evolve_path(psi0, [Leg(1, 0.5, 0.05), Leg(2, 0.5, 0.05)],
-                  make_builtin("hoho"), rep)
+                  make_builtin("hoho"))
 mask = spacelike_mask(grid, *psi.times)
 print(f"    total norm          : {psi.norm():.12f}")
 print(f"    spacelike part      : {psi.norm(mask):.12f}")

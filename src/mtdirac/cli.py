@@ -328,12 +328,11 @@ def _cmd_simulate(args: argparse.Namespace):
     if bool(args.dt) == bool(args.delta):
         raise SpecError("simulate needs exactly one of --dt or --delta")
     system = _load_cmd_system(args)
-    rep = build_dirac_rep()
     grid = Grid(length=args.box_L, points=args.grid_n)
     psi0 = product_state(grid)
     if args.dt:
         result = path_independence_experiment(
-            system, psi0, args.T, args.dt, rep)
+            system, psi0, args.T, args.dt)
         report = {
             "system": system.name,
             "experiment": "path-independence",
@@ -343,11 +342,11 @@ def _cmd_simulate(args: argparse.Namespace):
         csv_rows += [(dt, disc, result.fitted_order)
                      for dt, disc in result.rows]
     else:
-        result = holonomy_series(system, psi0, args.delta, rep)
+        result = holonomy_series(system, psi0, args.delta)
         report = {
             "system": system.name,
             "experiment": "loop-holonomy",
-            "curvature_norm": curvature_norm(system, psi0, rep),
+            "curvature_norm": curvature_norm(system, psi0),
         } | result.as_dict()
         csv_rows = [("delta", "deviation", "deviation_per_delta2")]
         csv_rows += list(result.rows)

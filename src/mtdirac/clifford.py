@@ -81,12 +81,6 @@ class GammaRep:
                           *self.gammas, *(g5 @ g for g in self.gammas)])
         object.__setattr__(self, "basis", basis.reshape(4, 4, 4, 4))
 
-    def gamma(self, mu: int) -> np.ndarray:
-        return self.gammas[mu]
-
-    def alpha(self, mu: int) -> np.ndarray:
-        return self.alphas[mu]
-
 
 def _finalize_rep(name: str, gammas) -> GammaRep:
     gammas = np.asarray(gammas, dtype=complex)
@@ -122,7 +116,11 @@ def build_weyl_rep() -> GammaRep:
 # GammaRep.basis: B_i B_j = PRODUCT_PHASE[i, j] B_k, k = PRODUCT_INDEX[i, j].
 # B_i squares to phase[i, i]; B_i, B_j anticommute unless phase[i, j] =
 # phase[j, i]; a unitary representation has B_i^dag = phase[i, i] B_i.
-_BASIS = build_dirac_rep().basis.reshape(16, 4, 4)
+# DIRAC (read-only, like the table) also gives the solver's components.
+DIRAC = build_dirac_rep()
+for _array in (DIRAC.gammas, DIRAC.gamma5, DIRAC.alphas, DIRAC.basis):
+    _array.flags.writeable = False
+_BASIS = DIRAC.basis.reshape(16, 4, 4)
 # the coefficient of B_k in B_i B_j is tr(B_k^dag B_i B_j) / 4
 _COEFFICIENTS = np.einsum("kab,ijab->ijk", _BASIS.conj(),
                           _BASIS[:, None] @ _BASIS[None, :]) / 4
@@ -283,6 +281,13 @@ def anticommute(a: TensorBasisElement, b: TensorBasisElement) -> bool:
 #: as {tensor-basis element B_m: coefficient array c_m}; the arrays
 #: broadcast against each other and against the stack's leading shape.
 OperatorField = dict[TensorBasisElement, np.ndarray]
+
+
+def unit_field(element: BasisElement, k: int,
+               n_particles: int) -> OperatorField:
+    """{element on factor k (1-based), identity on the others: 1}."""
+    return {tensor_element(*(element if i == k else IDENTITY_ELEMENT
+                             for i in range(1, n_particles + 1))): 1.0}
 
 
 def field_sum(*terms: tuple[complex, OperatorField]) -> OperatorField:

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import (
-    IDENTITY_ELEMENT,
     BasisClass,
     BasisElement,
     GammaRep,
@@ -40,6 +39,7 @@ from .clifford import (
     field_sum,
     reconstruct,
     tensor_element,
+    unit_field,
 )
 from .potential import (
     CoefficientFormError,
@@ -67,12 +67,6 @@ _ALPHA = tuple(BasisElement(BasisClass.ALPHA, mu) for mu in range(4))
 # Residuals as operator fields
 # ---------------------------------------------------------------------------
 
-def _unit(element: BasisElement, k: int, n_particles: int) -> OperatorField:
-    """{element on factor k, identity on the others: 1}."""
-    return {tensor_element(*(element if i == k else IDENTITY_ELEMENT
-                             for i in range(1, n_particles + 1))): 1.0}
-
-
 def _zeroth_order(system: MultiTimeSystem, configs,
                   j: int, k: int) -> OperatorField:
     """E(j,k) as an operator field over the configuration stack."""
@@ -81,15 +75,15 @@ def _zeroth_order(system: MultiTimeSystem, configs,
     pot_j, pot_k = system.potential(j), system.potential(k)
     v_j = operator_field(pot_j, coords)
     v_k = operator_field(pot_k, coords)
-    g0_j, g0_k = _unit(_GAMMA0, j, n), _unit(_GAMMA0, k, n)
+    g0_j, g0_k = unit_field(_GAMMA0, j, n), unit_field(_GAMMA0, k, n)
     terms = [(1, field_commutator(v_k, v_j)),
              (system.mass(k), field_commutator(g0_k, v_j)),
              (-system.mass(j), field_commutator(g0_j, v_k))]
     for mu in range(4):
         dv_j = operator_field(differentiate_potential(pot_j, k, mu), coords)
         dv_k = operator_field(differentiate_potential(pot_k, j, mu), coords)
-        terms += [(-1j, field_product(_unit(_ALPHA[mu], k, n), dv_j)),
-                  (1j, field_product(_unit(_ALPHA[mu], j, n), dv_k))]
+        terms += [(-1j, field_product(unit_field(_ALPHA[mu], k, n), dv_j)),
+                  (1j, field_product(unit_field(_ALPHA[mu], j, n), dv_k))]
     return field_sum(*terms)
 
 
@@ -105,7 +99,8 @@ def _first_order(system: MultiTimeSystem,
                 continue
             v_k = operator_field(system.potential(k), coords)
             for a in (1, 2, 3):
-                out[(j, a)] = field_commutator(_unit(_ALPHA[a], j, n), v_k)
+                out[(j, a)] = field_commutator(unit_field(_ALPHA[a], j, n),
+                                               v_k)
     return out
 
 

@@ -7,24 +7,22 @@ variable t_k uses Strang splitting: an exact matrix exponential of the
 potential V_k at the midpoint time wrapped around a spectral free step
 exp(-i dt (alpha3_k kappa + gamma0_k m_k)) per Fourier mode kappa.
 
-The half-step phase exp(-i (dt/2) V_k) is taken in closed form when the
-structures of V_k (its tensor-basis elements) split into classes that
-commute with each other and anticommute pairwise inside each class,
-which the algebra's product table decides from the structures alone.
-Each class then squares to a scalar field, V_g^2 = s_g, and contributes
-the factor cos(tau sqrt(s_g)) - i tau sinc(tau sqrt(s_g)) V_g with
-tau = dt/2, the identity the free step uses for alpha3 kappa + gamma0 m.
-Any other V_k is assembled point by point and exponentiated with eigh
-(declared hermitian) or scipy's expm, which is imported only when such a
-non-hermitian phase is first built.
-
-The free step acts on particle k's spin factor only; lifted to the
-16-component spin index (Kronecker product with the identity on the
-other factor) it is one 16x16 kernel K(kappa) per mode, applied as a
-batched matmul between one FFT and one inverse FFT along z_k.  A phase
+States carry Dirac-representation spinor components (clifford.DIRAC).
+The free step and the half-step phase exp(-i (dt/2) V_k) come from one
+class exponential: when an operator field's structures split into
+classes that commute with each other and anticommute pairwise inside
+each class (which the product table decides from the structures alone),
+each class squares to a scalar field, V_g^2 = s_g, and contributes the
+factor cos(t sqrt(s_g)) - i t sinc(t sqrt(s_g)) V_g.  The free
+Hamiltonian alpha3_k kappa + gamma0_k m_k is one class with real
+s = kappa^2 + m_k^2, giving one 16x16 kernel K(kappa) per Fourier mode,
+applied as a batched matmul between one FFT and one inverse FFT along
+z_k.  A V_k whose structures do not split is assembled point by point
+and exponentiated with eigh (declared hermitian) or scipy's expm,
+imported only when such a non-hermitian phase is first built.  A phase
 that varies over the grid is applied pointwise before the FFT and after
-the inverse FFT; in closed form it acts as sum_i a_i (B_i psi) over the
-structures B_i, with no matrix per point.
+the inverse FFT, in closed form as sum_i a_i (B_i psi) with no matrix
+per point.
 
 When V_k depends only on the times, its half-step phase P is a single
 16x16 matrix that commutes with the FFT, so a step is the kernel
@@ -56,13 +54,17 @@ from typing import Sequence
 import numpy as np
 
 from .clifford import (
-    GammaRep,
+    DIRAC,
+    BasisClass,
+    BasisElement,
     OperatorField,
     TensorBasisElement,
     anticommute,
+    field_sum,
     realize,
     reconstruct,
     square_sign,
+    unit_field,
 )
 from .consistency import curvature_operator
 from .potential import (
@@ -74,6 +76,8 @@ from .potential import (
 )
 
 _HERMITIAN_TOL = 1e-10
+_ALPHA3 = BasisElement(BasisClass.ALPHA, 3)
+_GAMMA0 = BasisElement(BasisClass.GAMMA, 0)
 
 
 @dataclass(frozen=True)
@@ -139,16 +143,25 @@ def product_state(grid: Grid, *,
                   centers: tuple[float, float] = (0.0, 0.0),
                   momenta: tuple[float, float] = (0.0, 0.0),
                   times: tuple[float, float] = (0.0, 0.0)) -> WaveFunction:
-    """L2-normalized Gaussian x Gaussian state with a fixed spinor pair."""
+    """L2-normalized Gaussian x Gaussian state with a fixed spinor pair.
+
+    Spinors have Dirac components, where gamma^0 = diag(1, 1, -1, -1), so
+    the default (1, 0, 0, 0) is a positive-energy rest spinor.  Raises
+    SpecError unless the norm on the grid is finite and positive.
+    """
     e0 = np.array([1.0, 0.0, 0.0, 0.0], complex)
     s1 = e0 if spinor1 is None else np.asarray(spinor1, complex)
     s2 = e0 if spinor2 is None else np.asarray(spinor2, complex)
     if s1.shape != (4,) or s2.shape != (4,):
         raise SpecError("spinors must be 4-component")
-    g1 = gaussian_profile(grid, width, centers[0], momenta[0])
-    g2 = gaussian_profile(grid, width, centers[1], momenta[1])
-    values = np.einsum("x,y,s->xys", g1, g2, np.kron(s1, s2))
-    values /= _l2(values, grid.spacing)
+    with np.errstate(all="ignore"):
+        g1 = gaussian_profile(grid, width, centers[0], momenta[0])
+        g2 = gaussian_profile(grid, width, centers[1], momenta[1])
+        values = np.einsum("x,y,s->xys", g1, g2, np.kron(s1, s2))
+        norm = _l2(values, grid.spacing)
+    if not (np.isfinite(norm) and norm > 0):
+        raise SpecError(f"initial state norm {norm:g} is not finite and positive")
+    values /= norm
     return WaveFunction(grid, (float(times[0]), float(times[1])), values)
 
 
@@ -175,50 +188,76 @@ def _step_coords(grid: Grid, t1: float, t2: float) -> list:
             [t2, 0.0, 0.0, zs[None, :]]]
 
 
-def _add_terms(out: np.ndarray, terms, values: np.ndarray) -> np.ndarray:
-    """out += sum_i a_i (B_i values) over terms (a_i, B_i), pointwise."""
-    for weight, matrix in terms:
-        out += np.asarray(weight)[..., None] * (values @ matrix.T)
+def _add_terms(out: np.ndarray, field: OperatorField,
+               values: np.ndarray) -> np.ndarray:
+    """out += sum_i a_i (B_i values) over the field's terms, pointwise."""
+    for structure, weight in field.items():
+        out += np.asarray(weight)[..., None] * (
+            values @ realize(structure, DIRAC).T)
     return out
 
 
-def _exp_factors(square, t: float):
-    """cos(t r) and -i t sinc(t r), r = sqrt(square).
+def _class_factors(field: OperatorField,
+                   classes: Sequence[Sequence[TensorBasisElement]],
+                   t: float, name: str) -> list:
+    """exp(-i t V) as one factor per class g of V's structures B_i.
 
-    For a matrix M with M^2 = square (times the identity),
-    exp(-i t M) = cos(t r) - i t sinc(t r) M, whichever root r is taken.
+    Inside a class the B_i anticommute pairwise, so V_g = sum a_i B_i
+    squares to s_g = sum B_i^2 a_i^2, and exp(-i t V_g) is
+    cos(t r_g) - i t sinc(t r_g) V_g for either root r_g of s_g.  A real
+    s_g must be nonnegative (the free step's is); a potential's is
+    complex, as the DSL evaluates to complex.  Returns per class
+    (cos(t r_g), -i t sinc(t r_g) V_g as a field); raises DomainError
+    naming the exponent `name` if a factor is not finite.
     """
-    root = np.sqrt(square)
-    return np.cos(t * root), -1j * t * np.sinc(t * root / np.pi)
+    factors = []
+    with np.errstate(all="ignore"):
+        for members in classes:
+            root = np.sqrt(sum(square_sign(b) * field[b] ** 2
+                               for b in members))
+            weight = -1j * t * np.sinc(t * root / np.pi)
+            factors.append((np.cos(t * root),
+                            {b: weight * field[b] for b in members}))
+    if not all(np.all(np.isfinite(value)) for cos, terms in factors
+               for value in (cos, *terms.values())):
+        raise DomainError(f"exp(-i {name}) is not finite on the grid")
+    return factors
+
+
+def _multiply_out(factors) -> np.ndarray:
+    """The product of the commuting class factors, (..., 16, 16)."""
+    return reduce(np.matmul, [
+        np.multiply.outer(cos, np.eye(16))
+        + sum(np.multiply.outer(weight, realize(structure, DIRAC))
+              for structure, weight in terms.items())
+        for cos, terms in factors])
 
 
 def _anticommuting_classes(
-        structures: Sequence[TensorBasisElement]) -> list[list[int]] | None:
+        structures: Sequence[TensorBasisElement]) -> list[list] | None:
     """Split structures into commuting classes of anticommuting ones.
 
-    Returns the classes as index lists, or None when no such split
-    exists, i.e. when a connected component of the anticommutation
-    graph is not complete.
+    Returns None when no such split exists, i.e. when a connected
+    component of the anticommutation graph is not complete.
     """
-    classes: list[list[int]] = []
-    for i, structure in enumerate(structures):
+    classes: list[list] = []
+    for structure in structures:
         for members in classes:
-            if anticommute(structure, structures[members[0]]):
-                members.append(i)
+            if anticommute(structure, members[0]):
+                members.append(structure)
                 break
         else:
-            classes.append([i])
-    same_class = {(i, j) for members in classes
-                  for i in members for j in members}
+            classes.append([structure])
+    class_of = {b: g for g, members in enumerate(classes) for b in members}
     for i, a in enumerate(structures):
-        for j in range(i + 1, len(structures)):
-            if anticommute(a, structures[j]) != ((i, j) in same_class):
+        for b in structures[i + 1:]:
+            if anticommute(a, b) != (class_of[a] == class_of[b]):
                 return None
     return classes
 
 
 def _dense_phase(system: MultiTimeSystem, particle: int,
-                 potential: OperatorField, dt: float, rep: GammaRep):
+                 potential: OperatorField, dt: float):
     """exp(-i (dt/2) V_k) from the assembled matrices.
 
     A declared-hermitian V_k is diagonalised with numpy's eigh; any other
@@ -226,7 +265,7 @@ def _dense_phase(system: MultiTimeSystem, particle: int,
     only by non-hermitian potentials that are not a union of classes.
     """
     with np.errstate(all="ignore"):
-        v = reconstruct(potential, system.n_particles, rep)
+        v = reconstruct(potential, system.n_particles, DIRAC)
     if not np.all(np.isfinite(v)):
         raise DomainError(f"potential V_{particle} is not finite on the grid")
     if system.hermitian:
@@ -248,16 +287,13 @@ def _dense_phase(system: MultiTimeSystem, particle: int,
 
 
 def _potential_phase(system: MultiTimeSystem, particle: int,
-                     times: Sequence[float], dt: float, grid: Grid,
-                     rep: GammaRep):
+                     times: Sequence[float], dt: float, grid: Grid):
     """exp(-i (dt/2) V_k) at the midpoint time, or None when V_k = 0.
 
     The result is one (16, 16) matrix when V_k depends only on the
     times, else a function applying the phase to (n, n, 16) values
-    pointwise.  It is the product over the classes g of
-    cos(tau sqrt(s_g)) - i tau sinc(tau sqrt(s_g)) V_g, tau = dt/2,
-    s_g = sum_{i in g} B_i^2 a_i^2, when the structures B_i split into
-    such classes, and _dense_phase otherwise.  Raises DomainError when
+    pointwise.  It is _class_factors' product when the structures split
+    into classes, and _dense_phase otherwise.  Raises DomainError when
     V_k or the phase is not finite.
     """
     if system.potential(particle).is_zero():
@@ -278,32 +314,14 @@ def _potential_phase(system: MultiTimeSystem, particle: int,
         if defect > _HERMITIAN_TOL:
             raise SpecError("potential declared hermitian but deviates by "
                             f"{defect:.3e}")
-    structures = list(potential)
-    classes = _anticommuting_classes(structures)
+    classes = _anticommuting_classes(list(potential))
     if classes is None:
-        return _dense_phase(system, particle, potential, dt, rep)
+        return _dense_phase(system, particle, potential, dt)
 
-    matrices = [realize(structure, rep) for structure in structures]
-    signs = [square_sign(structure) for structure in structures]
-
-    tau = dt / 2
-    factors = []  # per class: (cos, [(weight field, structure matrix)])
-    with np.errstate(all="ignore"):
-        for members in classes:
-            square = sum(signs[i] * coefficients[i] ** 2 for i in members)
-            cos, weight = _exp_factors(square + 0j, tau)
-            factors.append((cos, [(weight * coefficients[i], matrices[i])
-                                  for i in members]))
-    if not all(np.all(np.isfinite(field)) for cos, terms in factors
-               for field in (cos, *(weight for weight, _ in terms))):
-        raise DomainError(
-            f"exp(-i dt V_{particle} / 2) is not finite on the grid")
-
+    factors = _class_factors(potential, classes, dt / 2,
+                             f"dt V_{particle} / 2")
     if time_only:
-        eye = np.eye(len(matrices[0]))
-        return reduce(np.matmul, [
-            cos * eye + sum(weight * matrix for weight, matrix in terms)
-            for cos, terms in factors])
+        return _multiply_out(factors)
 
     def apply(values: np.ndarray) -> np.ndarray:
         for cos, terms in factors:
@@ -311,17 +329,6 @@ def _potential_phase(system: MultiTimeSystem, particle: int,
         return values
 
     return apply
-
-
-def _free_multiplier(grid: Grid, mass: float, dt: float,
-                     rep: GammaRep) -> np.ndarray:
-    """exp(-i dt (alpha3 kappa + gamma0 m)) per Fourier mode, (n, 4, 4)."""
-    kappa = grid.momenta()
-    cos, weight = _exp_factors(kappa ** 2 + mass ** 2, dt)
-    hamiltonian = (rep.alpha(3)[None] * kappa[:, None, None]
-                   + rep.gamma(0)[None] * mass)
-    return (cos[:, None, None] * np.eye(4)
-            + weight[:, None, None] * hamiltonian)
 
 
 def _check_steps(system: MultiTimeSystem, grid: Grid,
@@ -347,17 +354,18 @@ def _apply_kernel(values: np.ndarray, particle: int,
 
 
 def _advance(psi: WaveFunction, particle: int, dt: float, count: int,
-             system: MultiTimeSystem, rep: GammaRep) -> WaveFunction:
+             system: MultiTimeSystem) -> WaveFunction:
     """count Strang steps of t_k by dt; runs of time-only steps are fused."""
     grid = psi.grid
-    multiplier = _free_multiplier(grid, system.mass(particle), dt, rep)
-    eye = np.eye(4)
-    # (n, 16, 16): the free propagator on particle k's spin factor
-    free = (np.kron(multiplier, eye) if particle == 1
-            else np.kron(eye, multiplier))
+    # the free Hamiltonian alpha3_k kappa + gamma0_k m_k is one class
+    hamiltonian = field_sum(
+        (grid.momenta(), unit_field(_ALPHA3, particle, 2)),
+        (system.mass(particle), unit_field(_GAMMA0, particle, 2)))
+    free = _multiply_out(_class_factors(hamiltonian, [list(hamiltonian)], dt,
+                                        f"dt H_{particle}"))
     values, times, run = psi.values, list(psi.times), None
     for _ in range(count):
-        phase = _potential_phase(system, particle, times, dt, grid, rep)
+        phase = _potential_phase(system, particle, times, dt, grid)
         if callable(phase):
             if run is not None:
                 values, run = _apply_kernel(values, particle, run), None
@@ -372,14 +380,14 @@ def _advance(psi: WaveFunction, particle: int, dt: float, count: int,
 
 
 def step(psi: WaveFunction, particle: int, dt: float,
-         system: MultiTimeSystem, rep: GammaRep) -> WaveFunction:
+         system: MultiTimeSystem) -> WaveFunction:
     """One Strang step of the particle's time variable by dt (signed)."""
     _check_steps(system, psi.grid, [dt])
     if particle not in (1, 2):
         raise SpecError("particle must be 1 or 2")
     if dt == 0:
         return WaveFunction(psi.grid, psi.times, psi.values.copy())
-    return _advance(psi, particle, dt, 1, system, rep)
+    return _advance(psi, particle, dt, 1, system)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +423,7 @@ class Leg:
 
 
 def evolve_path(psi: WaveFunction, path: Sequence[Leg],
-                system: MultiTimeSystem, rep: GammaRep) -> WaveFunction:
+                system: MultiTimeSystem) -> WaveFunction:
     """Apply the legs in order; an empty path returns the state unchanged.
 
     Every leg is checked before the first step.  A leg's steps are the
@@ -426,7 +434,7 @@ def evolve_path(psi: WaveFunction, path: Sequence[Leg],
     for leg, count in zip(path, counts):
         if count:
             psi = _advance(psi, leg.particle, leg.direction * leg.dt, count,
-                           system, rep)
+                           system)
     return psi
 
 
@@ -458,7 +466,7 @@ class PathIndependenceResult:
 
 def path_independence_experiment(
         system: MultiTimeSystem, psi0: WaveFunction, total_time: float,
-        dt_list: Sequence[float], rep: GammaRep) -> PathIndependenceResult:
+        dt_list: Sequence[float]) -> PathIndependenceResult:
     """Compare evolving t_1 then t_2 against the reverse order.
 
     For each dt, both orders run to (T, T) from psi0's times and the
@@ -474,21 +482,21 @@ def path_independence_experiment(
     _check_steps(system, psi0.grid, dt_list)
     rows = []
     for path in paths:
-        forward = evolve_path(psi0, path, system, rep)
-        reverse = evolve_path(psi0, path[::-1], system, rep)
+        forward = evolve_path(psi0, path, system)
+        reverse = evolve_path(psi0, path[::-1], system)
         rows.append((float(path[0].dt), forward.distance(reverse)))
     order = _fitted_loglog_slope([r[0] for r in rows], [r[1] for r in rows])
     return PathIndependenceResult(tuple(rows), order)
 
 
-def loop_holonomy(system: MultiTimeSystem, psi0: WaveFunction, delta: float,
-                  rep: GammaRep) -> float:
+def loop_holonomy(system: MultiTimeSystem, psi0: WaveFunction,
+                  delta: float) -> float:
     """Deviation after the square loop (t1:+d, t2:+d, t1:-d, t2:-d).
 
     For small delta, deviation / delta^2 estimates ||F psi0|| with F the
     curvature of the pair of time evolutions.
     """
-    return holonomy_series(system, psi0, [delta], rep).rows[0][1]
+    return holonomy_series(system, psi0, [delta]).rows[0][1]
 
 
 @dataclass(frozen=True)
@@ -513,7 +521,7 @@ class HolonomyResult:
 
 
 def holonomy_series(system: MultiTimeSystem, psi0: WaveFunction,
-                    deltas: Sequence[float], rep: GammaRep) -> HolonomyResult:
+                    deltas: Sequence[float]) -> HolonomyResult:
     """loop_holonomy for each delta; every delta is checked first."""
     _check_steps(system, psi0.grid, deltas)
     for delta in deltas:
@@ -526,7 +534,7 @@ def holonomy_series(system: MultiTimeSystem, psi0: WaveFunction,
     for delta in deltas:
         psi = psi0
         for particle, sign in ((1, 1), (2, 1), (1, -1), (2, -1)):
-            psi = step(psi, particle, sign * delta, system, rep)
+            psi = step(psi, particle, sign * delta, system)
         deviation = psi.distance(psi0)
         rows.append((float(delta), deviation, deviation / delta ** 2))
     return HolonomyResult(tuple(rows))
@@ -546,8 +554,7 @@ def _spectral_derivative(values: np.ndarray, grid: Grid,
     return np.fft.ifft(spectral, axis=axis)
 
 
-def apply_curvature(system: MultiTimeSystem, psi: WaveFunction,
-                    rep: GammaRep) -> np.ndarray:
+def apply_curvature(system: MultiTimeSystem, psi: WaveFunction) -> np.ndarray:
     """Evaluate (F psi) on the grid at psi's times.
 
     Only the z-derivative parts of the first-order coefficients act in
@@ -556,25 +563,18 @@ def apply_curvature(system: MultiTimeSystem, psi: WaveFunction,
     """
     grid = psi.grid
     operator = curvature_operator(system, _grid_coords(grid, *psi.times))
-
-    def terms(operand: OperatorField):
-        return [(value, realize(structure, rep))
-                for structure, value in operand.items()]
-
-    out = _add_terms(np.zeros_like(psi.values), terms(operator.zeroth),
-                     psi.values)
+    out = _add_terms(np.zeros_like(psi.values), operator.zeroth, psi.values)
     for particle in (1, 2):
         first = operator.first[(particle, 3)]
         if any(np.any(value) for value in first.values()):
             derivative = _spectral_derivative(psi.values, grid, particle - 1)
-            out = _add_terms(out, terms(first), derivative)
+            out = _add_terms(out, first, derivative)
     return out
 
 
-def curvature_norm(system: MultiTimeSystem, psi: WaveFunction,
-                   rep: GammaRep) -> float:
+def curvature_norm(system: MultiTimeSystem, psi: WaveFunction) -> float:
     """||F psi|| on the grid — the holonomy experiment's reference value."""
-    return _l2(apply_curvature(system, psi, rep), psi.grid.spacing)
+    return _l2(apply_curvature(system, psi), psi.grid.spacing)
 
 
 def spacelike_mask(grid: Grid, t1: float, t2: float) -> np.ndarray:

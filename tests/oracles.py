@@ -167,8 +167,8 @@ def reference_step(psi, particle: int, dt: float, system, rep) -> np.ndarray:
     phase = scipy.linalg.expm(-0.5j * dt * potential)
 
     kappa = grid.momenta()
-    hamiltonian = (rep.alpha(3)[None] * kappa[:, None, None]
-                   + rep.gamma(0)[None] * system.mass(particle))
+    hamiltonian = (rep.alphas[3][None] * kappa[:, None, None]
+                   + rep.gammas[0][None] * system.mass(particle))
     multiplier = scipy.linalg.expm(-1j * dt * hamiltonian)
 
     values = np.einsum("...ij,...j->...i", phase, psi.values)
@@ -204,17 +204,17 @@ def reference_curvature(system, configs: np.ndarray, rep):
     zeroth = d_pot(pot_1, 2, 0) - d_pot(pot_2, 1, 0)
     # -i [H_1, H_2]: cross terms of kinetic, mass, and potential parts
     cross = (commutator(v_1, v_2)
-             + m_1 * commutator(embed(rep.gamma(0), 1, 2), v_2)
-             - m_2 * commutator(embed(rep.gamma(0), 2, 2), v_1))
+             + m_1 * commutator(embed(rep.gammas[0], 1, 2), v_2)
+             - m_2 * commutator(embed(rep.gammas[0], 2, 2), v_1))
     for a in (1, 2, 3):
         cross = (cross
-                 - 1j * embed(rep.alpha(a), 1, 2) @ d_pot(pot_2, 1, a)
-                 + 1j * embed(rep.alpha(a), 2, 2) @ d_pot(pot_1, 2, a))
+                 - 1j * embed(rep.alphas[a], 1, 2) @ d_pot(pot_2, 1, a)
+                 + 1j * embed(rep.alphas[a], 2, 2) @ d_pot(pot_1, 2, a))
     zeroth = zeroth - 1j * cross
     first = {}
     for a in (1, 2, 3):
-        first[(1, a)] = -commutator(embed(rep.alpha(a), 1, 2), v_2)
-        first[(2, a)] = commutator(embed(rep.alpha(a), 2, 2), v_1)
+        first[(1, a)] = -commutator(embed(rep.alphas[a], 1, 2), v_2)
+        first[(2, a)] = commutator(embed(rep.alphas[a], 2, 2), v_1)
     return zeroth, first
 
 

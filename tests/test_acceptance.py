@@ -140,7 +140,7 @@ def test_vector_coupling_inconsistent_with_exact_norm(tmp_path, dirac):
     report = json.loads(out.read_text())["report"]
     # oracle: the obstruction is the constant matrix 2 m2 gamma2^3
     m2 = 1.0
-    oracle = 2.0 * m2 * np.kron(np.eye(4), dirac.gamma(3))
+    oracle = 2.0 * m2 * np.kron(np.eye(4), dirac.gammas[3])
     oracle_norm = float(np.linalg.norm(oracle))
     error = abs(report["zeroth_sup"] - oracle_norm)
     ok = error < 1e-10 and report["verdict"] == "INCONSISTENT"
@@ -366,15 +366,15 @@ def test_loop_holonomy_against_curvature(dirac):
     psi0 = product_state(grid)
     deltas = (0.08, 0.04, 0.02)
 
-    free_dev = loop_holonomy(make_builtin("free"), psi0, 0.05, dirac)
+    free_dev = loop_holonomy(make_builtin("free"), psi0, 0.05)
 
-    hoho_series = holonomy_series(make_builtin("hoho"), psi0, deltas, dirac)
+    hoho_series = holonomy_series(make_builtin("hoho"), psi0, deltas)
 
     example1 = make_builtin("example1_vector")
-    series = holonomy_series(example1, psi0, deltas, dirac)
+    series = holonomy_series(example1, psi0, deltas)
     ratios = [row[2] for row in series.rows]
     oracle = _grid_zeroth_norm(example1, psi0, dirac)
-    solver_reference = curvature_norm(example1, psi0, dirac)
+    solver_reference = curvature_norm(example1, psi0)
     match = abs(ratios[-1] - oracle) / oracle
     cauchy = abs(ratios[-1] - ratios[-2]) / ratios[-1]
     elapsed = time.perf_counter() - start

@@ -728,7 +728,11 @@ def strict_json(text):
     ["cc", "--builtin", "coefficient_form",
      "--param", "W1=exp(1000*x2_0),0,0,0"],
     ["check", "--builtin", "coefficient_form", "--param", "A=1e200^2,0,0,0"],
-], ids=["simulate", "check", "cc", "check overflowing power"])
+    # kappa^2 overflows in the free kernel on so fine a grid
+    ["simulate", "--builtin", "free", "--grid-n", "16", "--box-L", "1.6e-154",
+     "--dt", "1e-156", "--T", "1e-156"],
+], ids=["simulate", "check", "cc", "check overflowing power",
+        "simulate overflowing free kernel"])
 def test_non_finite_numbers_exit_three_without_warnings(capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -787,6 +791,20 @@ def test_non_finite_report_value_exits_three(capsys, monkeypatch):
 ])
 def test_out_of_range_flags_exit_two(argv):
     assert _exit_code(argv) == (EXIT_SPEC, None)
+
+
+@pytest.mark.parametrize("box", ["1e308", "1e-300"])
+def test_initial_state_without_finite_norm_exits_two(capsys, box):
+    # spacing^2 overflows or underflows: the state cannot be normalised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = entry(["simulate", "--builtin", "example1_vector",
+                      "--delta", "0.1", "--grid-n", "16", "--box-L", box])
+    assert code == EXIT_SPEC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mtdirac: error: initial state norm")
+    assert captured.err.count("\n") == 1
 
 
 def test_undefined_fit_is_reported_as_null(capsys):

@@ -255,8 +255,7 @@ _FORMS_MATRICES = (
     clifford.realize, clifford.reconstruct, clifford.decompose,
     clifford.verify_clifford, clifford.commutator_table,
     potential.evaluate_potential, consistency.zeroth_order_residual,
-    consistency.derivative_coefficient_matrices, solver.step,
-    solver.curvature_norm)
+    consistency.derivative_coefficient_matrices)
 
 
 def test_only_code_that_forms_matrices_takes_a_representation():
@@ -274,6 +273,12 @@ def test_only_code_that_forms_matrices_takes_a_representation():
             except ValueError:  # a builtin without a signature
                 continue
             assert "rep" not in parameters, name
+    # the solver forms matrices in the Dirac representation only: none of
+    # the public callables it defines takes one
+    for name, value in vars(solver).items():
+        if (callable(value) and not name.startswith("_")
+                and value.__module__ == solver.__name__):
+            assert "rep" not in inspect.signature(value).parameters, name
 
 
 @pytest.mark.parametrize("rep", REPS, ids=lambda r: r.name)

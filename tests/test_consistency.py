@@ -67,7 +67,7 @@ def test_example1_vector_residual_closed_form(dirac, rng):
     system = make_builtin("example1_vector")
     coords = random_config(rng)
     residual = zeroth_order_residual(system, coords, dirac)
-    expected = 2.0 * embed(dirac.gamma(3), 2, 2)
+    expected = 2.0 * embed(dirac.gammas[3], 2, 2)
     assert frobenius(residual - expected) < 1e-13
     assert abs(frobenius(residual) - 8.0) < 1e-10
 
@@ -132,9 +132,9 @@ def test_example1_vector_derivative_coefficients(dirac, rng):
     for a in (1, 2, 3):
         assert frobenius(matrices[(1, a)]) == 0
     # [alpha^1, alpha^3] = -2i gamma5 alpha^2 on particle 2
-    expected = -2j * embed(dirac.gamma5 @ dirac.alpha(2), 2, 2)
+    expected = -2j * embed(dirac.gamma5 @ dirac.alphas[2], 2, 2)
     assert frobenius(matrices[(2, 1)] - expected) < 1e-13
-    expected = 2j * embed(dirac.gamma5 @ dirac.alpha(1), 2, 2)
+    expected = 2j * embed(dirac.gamma5 @ dirac.alphas[1], 2, 2)
     assert frobenius(matrices[(2, 2)] - expected) < 1e-13
     assert frobenius(matrices[(2, 3)]) == 0
 

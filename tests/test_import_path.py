@@ -66,7 +66,6 @@ _DENSE_PARAMS = {"W1": (0, 0, 0, "0.5*cos(x1_3 - x2_3)"),
 _DENSE_SCRIPT = """
 import json, sys
 import numpy as np
-from mtdirac.clifford import build_dirac_rep
 from mtdirac.potential import make_builtin
 from mtdirac.solver import Grid, product_state, step
 
@@ -74,7 +73,7 @@ params = {k: tuple(v) for k, v in json.loads(sys.argv[1]).items()}
 system = make_builtin("coefficient_form", params)
 psi = product_state(Grid(points=16), times=(0.3, -0.2))
 before = "scipy" in sys.modules
-out = step(psi, 1, 0.1, system, build_dirac_rep())
+out = step(psi, 1, 0.1, system)
 np.save(sys.argv[2], out.values)
 print(json.dumps([before, "scipy.linalg" in sys.modules]))
 """

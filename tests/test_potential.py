@@ -62,7 +62,7 @@ def test_example1_vector_default_is_alpha3_on_particle_2(dirac, rng):
     system = make_builtin("example1_vector")
     coords = random_config(rng)
     matrix = evaluate_potential(system.potential(1), coords, dirac)
-    expected = embed(dirac.alpha(3), 2, 2)
+    expected = embed(dirac.alphas[3], 2, 2)
     assert frobenius(matrix - expected) < 1e-14
     assert frobenius(evaluate_potential(system.potential(2), coords, dirac)) == 0
     assert system.hermitian
@@ -74,8 +74,8 @@ def test_example1_vector_custom_vectors(dirac, rng):
     coords = random_config(rng)
     v1 = evaluate_potential(system.potential(1), coords, dirac)
     v2 = evaluate_potential(system.potential(2), coords, dirac)
-    assert frobenius(v1 - (np.eye(16) + 2 * embed(dirac.alpha(3), 2, 2))) < 1e-14
-    assert frobenius(v2 - 1j * embed(dirac.alpha(1), 1, 2)) < 1e-14
+    assert frobenius(v1 - (np.eye(16) + 2 * embed(dirac.alphas[3], 2, 2))) < 1e-14
+    assert frobenius(v2 - 1j * embed(dirac.alphas[1], 1, 2)) < 1e-14
     assert not system.hermitian
 
 
@@ -84,8 +84,8 @@ def hoho_closed_form(coords, rep, big_c, small_c, m1):
     phase = 2 * sum(small_c[mu] * (coords[1][mu] - coords[0][mu])
                     for mu in range(4))
     rotor = expm(1j * phase * rep.gamma5)
-    matrix = sum(big_c[mu] * rep.gamma(mu) for mu in range(4)) @ rotor
-    return np.kron(matrix - m1 * rep.gamma(0), np.eye(4))
+    matrix = sum(big_c[mu] * rep.gammas[mu] for mu in range(4)) @ rotor
+    return np.kron(matrix - m1 * rep.gammas[0], np.eye(4))
 
 
 def test_hoho_matches_exponential_closed_form(dirac, rng):
@@ -194,7 +194,7 @@ def test_coefficient_form_strings_can_reference_masses(dirac):
                           {"A": ("-m1", 0, 0, 0), "m1": 2.5})
     coords = np.zeros((2, 4))
     matrix = evaluate_potential(system.potential(1), coords, dirac)
-    assert frobenius(matrix + 2.5 * embed(dirac.gamma(0), 1, 2)) < 1e-12
+    assert frobenius(matrix + 2.5 * embed(dirac.gammas[0], 1, 2)) < 1e-12
 
 
 def test_hoho_equals_its_coefficient_form(dirac, rng):
@@ -371,7 +371,7 @@ def test_system_from_dict_with_declared_params(dirac):
     system = system_from_dict(data)
     coords = np.zeros((2, 4))
     matrix = evaluate_potential(system.potential(1), coords, dirac)
-    assert frobenius(matrix - 2j * embed(dirac.gamma(1), 1, 2)) < 1e-12
+    assert frobenius(matrix - 2j * embed(dirac.gammas[1], 1, 2)) < 1e-12
 
 
 def test_system_from_dict_missing_potential_defaults_to_zero(dirac, rng):

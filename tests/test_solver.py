@@ -104,106 +104,120 @@ def test_product_state_rejects_bad_spinor(grid):
         product_state(grid, spinor1=np.ones(3))
 
 
+@pytest.mark.parametrize("grid, spinor1", [
+    (Grid(), np.zeros(4)),
+    (Grid(), (np.nan, 0, 0, 0)),
+    (Grid(), (1e200, 0, 0, 0)),
+    (Grid(length=1e308, points=16), None),  # spacing^2 overflows
+    (Grid(length=1e-300, points=16), None),  # spacing^2 underflows
+], ids=["zero spinor", "nan spinor", "huge spinor", "huge box", "tiny box"])
+def test_product_state_rejects_norm_not_finite_positive(grid, spinor1):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpecError, match="finite and positive"):
+            product_state(grid, spinor1=spinor1)
+
+
 # ---------------------------------------------------------------------------
 # Single steps
 # ---------------------------------------------------------------------------
 
-def test_zero_dt_is_identity(grid, psi0, dirac):
+def test_zero_dt_is_identity(grid, psi0):
     system = make_builtin("hoho")
-    out = step(psi0, 1, 0.0, system, dirac)
+    out = step(psi0, 1, 0.0, system)
     assert out.times == psi0.times
     assert np.array_equal(out.values, psi0.values)
     assert out.values is not psi0.values
 
 
-def test_oversized_dt_rejected(grid, psi0, dirac):
+def test_oversized_dt_rejected(grid, psi0):
     system = make_builtin("free")
     with pytest.raises(SpecError):
-        step(psi0, 1, 0.2, system, dirac)
+        step(psi0, 1, 0.2, system)
 
 
-def test_massless_packet_translates_at_light_speed(grid, dirac):
+def test_massless_packet_translates_at_light_speed(grid):
     system = make_builtin("free", {"m1": 0.0, "m2": 0.0})
     right_mover = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2)
     psi = product_state(grid, spinor1=right_mover)
     for _ in range(5):
-        psi = step(psi, 1, 0.1, system, dirac)
+        psi = step(psi, 1, 0.1, system)
     assert psi.times == (pytest.approx(0.5), 0.0)
     expected = product_state(grid, spinor1=right_mover, centers=(0.5, 0.0))
     assert np.max(np.abs(psi.values - expected.values)) < 1e-8
 
 
-def test_massive_packet_disperses_not_translates(grid, dirac):
+def test_massive_packet_disperses_not_translates(grid):
     system = make_builtin("free")
     right_mover = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2)
     psi = product_state(grid, spinor1=right_mover)
     for _ in range(5):
-        psi = step(psi, 1, 0.1, system, dirac)
+        psi = step(psi, 1, 0.1, system)
     shifted = product_state(grid, spinor1=right_mover, centers=(0.5, 0.0))
     assert psi.distance(shifted) > 1e-2
 
 
-def test_step_advances_only_one_time(grid, psi0, dirac):
+def test_step_advances_only_one_time(grid, psi0):
     system = make_builtin("hoho")
-    out = step(psi0, 2, 0.1, system, dirac)
+    out = step(psi0, 2, 0.1, system)
     assert out.times == (0.0, pytest.approx(0.1))
 
 
-def test_norm_conserved_over_100_steps(grid, psi0, dirac):
+def test_norm_conserved_over_100_steps(grid, psi0):
     system = make_builtin("hoho")
     psi = psi0
     for i in range(100):
-        psi = step(psi, 1 + i % 2, 0.05, system, dirac)
+        psi = step(psi, 1 + i % 2, 0.05, system)
     assert abs(psi.norm() - 1.0) < 1e-10
 
 
-def test_norm_conserved_with_space_dependent_potential(grid, psi0, dirac):
+def test_norm_conserved_with_space_dependent_potential(grid, psi0):
     system = make_builtin("hoho", {"c": (1.0, 0.0, 0.0, 0.5)})
-    psi = step(psi0, 1, 0.1, system, dirac)
-    psi = step(psi, 2, 0.1, system, dirac)
+    psi = step(psi0, 1, 0.1, system)
+    psi = step(psi, 2, 0.1, system)
     assert abs(psi.norm() - 1.0) < 1e-10
 
 
-def test_backward_step_inverts_forward(grid, psi0, dirac):
+def test_backward_step_inverts_forward(grid, psi0):
     system = make_builtin("hoho")
-    there = step(psi0, 1, 0.1, system, dirac)
-    back = step(there, 1, -0.1, system, dirac)
+    there = step(psi0, 1, 0.1, system)
+    back = step(there, 1, -0.1, system)
     assert back.times == (pytest.approx(0.0, abs=1e-15), 0.0)
     assert back.distance(psi0) < 1e-12
 
 
-def test_declared_hermitian_violation_rejected(grid, psi0, dirac):
+def test_declared_hermitian_violation_rejected(grid, psi0):
     system = make_builtin("coefficient_form", {
         "W1": ("i", 0, 0, 0), "hermitian": True, "name": "fake_hermitian"})
     with pytest.raises(SpecError, match="hermitian"):
-        step(psi0, 1, 0.1, system, dirac)
+        step(psi0, 1, 0.1, system)
 
 
-def test_coulomb_singularity_raises_domain_error(grid, psi0, dirac):
+def test_coulomb_singularity_raises_domain_error(grid, psi0):
     system = make_builtin("coulomb_like")
     with pytest.raises(DomainError):
-        step(psi0, 1, 0.1, system, dirac)
+        step(psi0, 1, 0.1, system)
 
 
-def test_grid_antihermitian_coefficient_rejected(grid, psi0, dirac):
+def test_grid_antihermitian_coefficient_rejected(grid, psi0):
     system = make_builtin("coefficient_form", {
         "W1": (0, 0, 0, "i*cos(x1_3 - x2_3)"), "hermitian": True})
     with pytest.raises(SpecError, match="hermitian"):
-        step(psi0, 1, 0.1, system, dirac)
+        step(psi0, 1, 0.1, system)
 
 
-def test_non_finite_potential_raises_domain_error(grid, psi0, dirac):
+def test_non_finite_potential_raises_domain_error(grid, psi0):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         system = make_builtin("coefficient_form",
                               {"E": ("exp(100*x1_3)", 0, 0, 0)})
         with pytest.raises(DomainError, match="not finite"):
-            step(psi0, 2, 0.1, system, dirac)
+            step(psi0, 2, 0.1, system)
         # a finite potential whose exponential overflows
         system = make_builtin("coefficient_form",
                               {"E": ("1e4*i*x1_3", 0, 0, 0)})
         with pytest.raises(DomainError, match="not finite"):
-            step(psi0, 2, 0.1, system, dirac)
+            step(psi0, 2, 0.1, system)
 
 
 _SINGLE_ELEMENTS = [BasisElement(cls, mu) for cls in BasisClass
@@ -231,7 +245,7 @@ def test_closed_form_phase_matches_expm(particle, dirac):
         system = MultiTimeSystem("pair", 2, (1.0, 1.0), tuple(potentials),
                                  hermitian=False)
         phase = solver._potential_phase(system, particle, (0.0, 0.0), 0.1,
-                                        grid, dirac)
+                                        grid)
         v = sum(weight * realize(term.structure, dirac)
                 for weight, term in zip(weights, terms))
         expected = scipy.linalg.expm(-0.05j * v)
@@ -243,7 +257,7 @@ def test_closed_form_phase_matches_expm(particle, dirac):
     ("coefficient_form", {"W1": (0, 0, 0, "0.5*cos(x1_3 - x2_3)"),
                           "E": ("0.5*sin(x1_3 + x2_3)", 0, 0, 0)}),
 ], ids=["hoho", "coefficient_form"])
-def test_grid_phase_workloads_take_closed_form(argv, dirac, monkeypatch):
+def test_grid_phase_workloads_take_closed_form(argv, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense phase used")
 
@@ -252,7 +266,7 @@ def test_grid_phase_workloads_take_closed_form(argv, dirac, monkeypatch):
     system = make_builtin(*argv)
     psi = product_state(Grid(points=64))
     for particle in (1, 2, 1, 2):
-        psi = step(psi, particle, 0.05, system, dirac)
+        psi = step(psi, particle, 0.05, system)
     assert abs(psi.norm() - 1.0) < 1e-10
 
 
@@ -278,10 +292,13 @@ _ORACLE_SYSTEMS = {
     "non-hermitian grid phase": ("hoho", {
         "C": (1.0, 0.3, 0.0, 0.0), "c": (1.0, 0.0, 0.0, 0.5)}),
     "zero potential": ("free", {}),
+    # the free kernel at m = 0 (kappa = 0 takes sinc(0)) and a different
+    # mass on each particle
+    "massless and unequal masses": ("free", {"m1": 0, "m2": 2.5}),
 }
 
 
-def test_dense_phase_oracle_system_reaches_expm(dirac, monkeypatch):
+def test_dense_phase_oracle_system_reaches_expm(monkeypatch):
     calls = []
     expm = scipy.linalg.expm
 
@@ -291,8 +308,7 @@ def test_dense_phase_oracle_system_reaches_expm(dirac, monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "expm", counted)
     name, params = _ORACLE_SYSTEMS["dense phase, not a union of cliques"]
-    step(product_state(Grid(points=16)), 1, 0.1, make_builtin(name, params),
-         dirac)
+    step(product_state(Grid(points=16)), 1, 0.1, make_builtin(name, params))
     assert len(calls) >= 1
 
 
@@ -306,7 +322,7 @@ def test_step_matches_einsum_reference(label, particle, dt, dirac):
     psi = product_state(small, spinor1=(0.6, 0.2j, -0.5, 0.3),
                         spinor2=(0.1, 0.7, 0.4j, -0.2),
                         momenta=(0.8, -0.5), times=(0.3, -0.2))
-    out = step(psi, particle, dt, system, dirac)
+    out = step(psi, particle, dt, system)
     expected = reference_step(psi, particle, dt, system, dirac)
     deviation = np.sqrt(np.sum(np.abs(out.values - expected) ** 2)) \
         * small.spacing
@@ -317,8 +333,8 @@ def test_step_matches_einsum_reference(label, particle, dt, dirac):
 # Paths
 # ---------------------------------------------------------------------------
 
-def test_empty_path_returns_state(grid, psi0, dirac):
-    assert evolve_path(psi0, [], make_builtin("free"), dirac) is psi0
+def test_empty_path_returns_state(grid, psi0):
+    assert evolve_path(psi0, [], make_builtin("free")) is psi0
 
 
 @pytest.mark.parametrize("direction", [1, -1])
@@ -333,8 +349,7 @@ def test_leg_matches_chained_reference_steps(label, particle, direction,
     psi = product_state(small, spinor1=(0.6, 0.2j, -0.5, 0.3),
                         spinor2=(0.1, 0.7, 0.4j, -0.2),
                         momenta=(0.8, -0.5), times=(0.3, -0.2))
-    out = evolve_path(psi, [Leg(particle, 0.6, 0.1, direction)], system,
-                      dirac)
+    out = evolve_path(psi, [Leg(particle, 0.6, 0.1, direction)], system)
     expected = psi
     for _ in range(6):
         dt = direction * 0.1
@@ -346,19 +361,19 @@ def test_leg_matches_chained_reference_steps(label, particle, direction,
     assert out.distance(expected) <= 1e-13
 
 
-def test_hoho_path_matches_chained_steps(grid, psi0, dirac):
+def test_hoho_path_matches_chained_steps(grid, psi0):
     system = make_builtin("hoho")
     fused = evolve_path(psi0, [Leg(1, 0.5, 0.025), Leg(2, 0.5, 0.025)],
-                        system, dirac)
+                        system)
     chained = psi0
     for particle in (1, 2):
         for _ in range(20):
-            chained = step(chained, particle, 0.025, system, dirac)
+            chained = step(chained, particle, 0.025, system)
     assert fused.times == chained.times
     assert fused.distance(chained) <= 1e-13
 
 
-def test_grid_step_inside_a_leg_ends_the_fused_run(dirac, monkeypatch):
+def test_grid_step_inside_a_leg_ends_the_fused_run(monkeypatch):
     """Every third step gets its 16x16 phase as a pointwise one."""
     original = solver._potential_phase
     calls = []
@@ -374,13 +389,12 @@ def test_grid_step_inside_a_leg_ends_the_fused_run(dirac, monkeypatch):
     system = make_builtin("hoho")
     psi = product_state(Grid(points=16), spinor1=(0.6, 0.2j, -0.5, 0.3),
                         momenta=(0.8, -0.5))
-    fused = evolve_path(psi, [Leg(1, 0.7, 0.1), Leg(2, 0.7, 0.1)], system,
-                        dirac)
+    fused = evolve_path(psi, [Leg(1, 0.7, 0.1), Leg(2, 0.7, 0.1)], system)
     calls.clear()
     chained = psi
     for particle in (1, 2):
         for _ in range(7):
-            chained = step(chained, particle, 0.1, system, dirac)
+            chained = step(chained, particle, 0.1, system)
     assert len(calls) == 14
     assert fused.distance(chained) <= 1e-13
     assert fused.distance(psi) > 0.1
@@ -415,24 +429,24 @@ def test_leg_validation():
     assert Leg(1, 0.0, 0.1).steps() == 0
 
 
-def test_free_orders_commute(grid, psi0, dirac):
+def test_free_orders_commute(grid, psi0):
     result = path_independence_experiment(
-        make_builtin("free"), psi0, 0.2, [0.1, 0.05], dirac)
+        make_builtin("free"), psi0, 0.2, [0.1, 0.05])
     for _, discrepancy in result.rows:
         assert discrepancy < 1e-10
 
 
-def test_consistent_system_discrepancy_is_splitting_error(grid, psi0, dirac):
+def test_consistent_system_discrepancy_is_splitting_error(grid, psi0):
     result = path_independence_experiment(
-        make_builtin("hoho"), psi0, 0.5, [0.1, 0.05, 0.025], dirac)
+        make_builtin("hoho"), psi0, 0.5, [0.1, 0.05, 0.025])
     discrepancies = [row[1] for row in result.rows]
     assert discrepancies[0] > discrepancies[-1]
     assert result.fitted_order >= 1.8
 
 
-def test_inconsistent_system_discrepancy_saturates(grid, psi0, dirac):
+def test_inconsistent_system_discrepancy_saturates(grid, psi0):
     result = path_independence_experiment(
-        make_builtin("example1_vector"), psi0, 1.0, [0.1, 0.05], dirac)
+        make_builtin("example1_vector"), psi0, 1.0, [0.1, 0.05])
     discrepancies = [row[1] for row in result.rows]
     assert all(d > 1e-3 for d in discrepancies)
     assert abs(discrepancies[0] - discrepancies[1]) < 0.2 * discrepancies[1]
@@ -443,49 +457,48 @@ def test_inconsistent_system_discrepancy_saturates(grid, psi0, dirac):
 # Holonomy and the curvature oracle
 # ---------------------------------------------------------------------------
 
-def test_free_loop_holonomy_negligible(grid, psi0, dirac):
-    assert loop_holonomy(make_builtin("free"), psi0, 0.05, dirac) < 1e-9
+def test_free_loop_holonomy_negligible(grid, psi0):
+    assert loop_holonomy(make_builtin("free"), psi0, 0.05) < 1e-9
 
 
-def test_curvature_norm_example1(grid, psi0, dirac):
+def test_curvature_norm_example1(grid, psi0):
     # F = 2 m2 gamma3 on particle 2, and gamma3 is norm-preserving
     assert curvature_norm(
-        make_builtin("example1_vector"), psi0, dirac) == pytest.approx(2.0)
-    assert curvature_norm(
-        make_builtin("example1_vector", {"m2": 2.5}), psi0,
-        dirac) == pytest.approx(5.0)
+        make_builtin("example1_vector"), psi0) == pytest.approx(2.0)
+    assert curvature_norm(make_builtin("example1_vector", {"m2": 2.5}),
+                          psi0) == pytest.approx(5.0)
 
 
-def test_curvature_vanishes_for_consistent_systems(grid, psi0, dirac):
-    assert curvature_norm(make_builtin("free"), psi0, dirac) == 0.0
-    assert curvature_norm(make_builtin("hoho"), psi0, dirac) < 1e-10
+def test_curvature_vanishes_for_consistent_systems(grid, psi0):
+    assert curvature_norm(make_builtin("free"), psi0) == 0.0
+    assert curvature_norm(make_builtin("hoho"), psi0) < 1e-10
 
 
-def test_holonomy_matches_grid_curvature(grid, psi0, dirac):
+def test_holonomy_matches_grid_curvature(grid, psi0):
     system = make_builtin("example1_vector")
-    reference = curvature_norm(system, psi0, dirac)
-    result = holonomy_series(system, psi0, [0.08, 0.04, 0.02], dirac)
+    reference = curvature_norm(system, psi0)
+    result = holonomy_series(system, psi0, [0.08, 0.04, 0.02])
     ratios = [row[2] for row in result.rows]
     assert abs(ratios[-1] - reference) < 0.1 * reference
     assert abs(ratios[-1] - ratios[-2]) < 0.1 * ratios[-1]
 
 
-def test_consistent_loop_deviation_superquadratic(grid, psi0, dirac):
+def test_consistent_loop_deviation_superquadratic(grid, psi0):
     result = holonomy_series(
-        make_builtin("hoho"), psi0, [0.08, 0.04, 0.02], dirac)
+        make_builtin("hoho"), psi0, [0.08, 0.04, 0.02])
     assert result.fitted_slope >= 0.5  # deviation itself decays >= 2.5
     deviations = [row[1] for row in result.rows]
     slope = np.polyfit(np.log([0.08, 0.04, 0.02]), np.log(deviations), 1)[0]
     assert slope >= 2.5
 
 
-def test_holonomy_stable_under_grid_refinement(dirac):
+def test_holonomy_stable_under_grid_refinement():
     system = make_builtin("example1_vector")
     ratios = []
     for n in (128, 256):
         fine = Grid(points=n)
         psi = product_state(fine)
-        deviation = loop_holonomy(system, psi, 0.04, dirac)
+        deviation = loop_holonomy(system, psi, 0.04)
         ratios.append(deviation / 0.04 ** 2)
     assert abs(ratios[0] - ratios[1]) < 0.05 * ratios[1]
 
@@ -497,7 +510,7 @@ def test_apply_curvature_uses_first_order_parts(grid, psi0, dirac):
     from mtdirac.consistency import curvature_operator
 
     system = make_builtin("example1_vector", {"A": (0, 1.0, 0, 0)})
-    image = apply_curvature(system, psi0, dirac)
+    image = apply_curvature(system, psi0)
     assert image.shape == (128, 128, 16)
     operator = curvature_operator(
         system, np.array([[0.0, 0, 0, 0], [0.0, 0, 0, 0]]))

@@ -121,9 +121,9 @@ def test_spinor_intertwines_vector_transform(dirac, weyl):
             s = lift_matrix(transform.spinor, rep)
             s_inv = np.linalg.inv(s)
             for mu in range(4):
-                expected = sum(transform.lorentz[mu, nu] * rep.gamma(nu)
+                expected = sum(transform.lorentz[mu, nu] * rep.gammas[nu]
                                for nu in range(4))
-                assert frobenius(s @ rep.gamma(mu) @ s_inv - expected) < 1e-10
+                assert frobenius(s @ rep.gammas[mu] @ s_inv - expected) < 1e-10
 
 
 def test_rotation_by_two_pi_flips_spinor_sign(dirac):
@@ -261,12 +261,12 @@ def test_large_rapidity_boost_lifts(dirac, weyl, rng, rapidity):
                     <= 1e-12 * np.cosh(rapidity) ** 2)
             # the exact inverse of a Lorentz lift; np.linalg.inv would lose
             # about log10(cosh(rapidity)) digits
-            s_inv = rep.gamma(0) @ s.conj().T @ rep.gamma(0)
+            s_inv = rep.gammas[0] @ s.conj().T @ rep.gammas[0]
             assert (np.linalg.norm(s @ s_inv - np.eye(4))
                     <= 1e-12 * np.linalg.norm(s) ** 2)
             for mu in range(4):
-                expected = sum(lam[mu, nu] * rep.gamma(nu) for nu in range(4))
-                assert (frobenius(s @ rep.gamma(mu) @ s_inv - expected)
+                expected = sum(lam[mu, nu] * rep.gammas[nu] for nu in range(4))
+                assert (frobenius(s @ rep.gammas[mu] @ s_inv - expected)
                         <= 1e-12 * np.linalg.norm(lam))
             # the other candidate lifts the opposite boost
             wrong = make_boost(axis, -rapidity).spinor
@@ -426,7 +426,7 @@ def _dense_witness(system, relative, rep) -> float:
     the assembled matrices."""
     coords = stack_coords(np.array([(0.0, 0.0, 0.0, 0.0), relative]))
     v_1 = (evaluate_potential(system.potential(1), coords, rep)
-           + system.mass(1) * embed(rep.gamma(0), 1, 2))
+           + system.mass(1) * embed(rep.gammas[0], 1, 2))
     v_2 = evaluate_potential(system.potential(2), coords, rep)
     return frobenius(v_2 @ v_1 - v_1 @ v_2)
 
@@ -868,7 +868,7 @@ def _conjugate_system(system: MultiTimeSystem, theta: float, rep) -> MultiTimeSy
                 if abs(value) > 1e-14:
                     terms.append(PotentialTerm(
                         element, Mul(Const(value), term.coefficient)))
-        mass_matrix = system.mass(k) * embed(rep.gamma(0), k, 2)
+        mass_matrix = system.mass(k) * embed(rep.gammas[0], k, 2)
         shift = big_u @ mass_matrix @ big_u_inv - mass_matrix
         for element, value in decompose(shift, 2, rep).items():
             if abs(value) > 1e-14:
