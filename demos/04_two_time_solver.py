@@ -35,9 +35,6 @@ from mtdirac import (
 
 grid = Grid(length=20.0, points=128)
 psi0 = product_state(grid)
-# discrepancies below this are round-off of the unit-norm psi0, so their
-# slope in dt is noise and not an order
-ROUND_OFF = 1e3 * np.finfo(float).eps
 
 # =============================================================================
 # 1. Order of the path discrepancy in dt
@@ -52,7 +49,7 @@ for name in ("free", "hoho", "example1_vector"):
         system, psi0, 0.5, (0.1, 0.05, 0.025))
     rows = "  ".join(f"dt={dt:g}: {disc:.2e}" for dt, disc in result.rows)
     print(f"    {name:16s} {rows}")
-    if max(disc for _, disc in result.rows) < ROUND_OFF:
+    if np.isnan(result.fitted_order):  # the solver fits no round-off
         print(f"    {'':16s} no order fitted: every discrepancy is round-off")
     else:
         print(f"    {'':16s} fitted order {result.fitted_order:.2f}")

@@ -26,11 +26,18 @@ per point.
 
 When V_k depends only on the times, its half-step phase P is a single
 16x16 matrix that commutes with the FFT, so a step is the kernel
-P K(kappa) P.  A run of such steps is fused into one FFT, the per-mode
-product P_m K P_m ... P_1 K P_1 and one inverse FFT: the same Strang
-steps, regrouped.  Each step still builds its phase at its own midpoint
-time, so the guards and the finiteness and hermiticity checks run on
-every step; a step with a grid phase ends the run.
+P K(kappa) P.  A run of such steps is the per-mode product
+P_m K P_m ... P_1 K P_1, applied as one matmul per mode along z_k's
+momentum axis in the joint Fourier space of (z_1, z_2): the same Strang
+steps, regrouped.  The state stays in that space across runs and legs,
+so an experiment whose potentials depend only on the times takes one
+2-D FFT of psi0 and no other transform, and takes its discrepancies
+and deviations there by Parseval, ||a - b|| = spacing ||a^ - b^|| / n.
+Only a step with a grid phase goes back to position space: it applies
+the pending run first, and its free step is the FFT, kernel and inverse
+FFT along z_k above.  Each step still builds its phase at its own
+midpoint time, so the guards and the finiteness and hermiticity checks
+run on every step.
 
 Two experiments probe the compatibility of the pair of evolutions:
 
@@ -342,41 +349,84 @@ def _check_steps(system: MultiTimeSystem, grid: Grid,
                             f"{grid.spacing:g}")
 
 
-def _apply_kernel(values: np.ndarray, particle: int,
-                  kernel: np.ndarray) -> np.ndarray:
-    """FFT along z_k, the (n, 16, 16) kernel per mode, inverse FFT."""
+def _apply_kernel(values: np.ndarray, particle: int, kernel: np.ndarray,
+                  spectral: bool = False) -> np.ndarray:
+    """The (n, 16, 16) kernel per Fourier mode of z_k.
+
+    Values in the joint Fourier space of (z_1, z_2) take it as a per-mode
+    matmul; position-space values take it between an FFT and an inverse
+    FFT along z_k.
+    """
     # particle k's grid axis leads, so kernel row x acts on values[x]
     if particle == 2:
         values = values.swapaxes(0, 1)
-    spectral = np.fft.fft(values, axis=0) @ kernel.swapaxes(-1, -2)
-    values = np.fft.ifft(spectral, axis=0)
+    kernel = kernel.swapaxes(-1, -2)
+    values = (values @ kernel if spectral else
+              np.fft.ifft(np.fft.fft(values, axis=0) @ kernel, axis=0))
     return values.swapaxes(0, 1) if particle == 2 else values
 
 
-def _advance(psi: WaveFunction, particle: int, dt: float, count: int,
-             system: MultiTimeSystem) -> WaveFunction:
-    """count Strang steps of t_k by dt; runs of time-only steps are fused."""
-    grid = psi.grid
-    # the free Hamiltonian alpha3_k kappa + gamma0_k m_k is one class
-    hamiltonian = field_sum(
-        (grid.momenta(), unit_field(_ALPHA3, particle, 2)),
-        (system.mass(particle), unit_field(_GAMMA0, particle, 2)))
-    free = _multiply_out(_class_factors(hamiltonian, [list(hamiltonian)], dt,
-                                        f"dt H_{particle}"))
-    values, times, run = psi.values, list(psi.times), None
-    for _ in range(count):
-        phase = _potential_phase(system, particle, times, dt, grid)
-        if callable(phase):
-            if run is not None:
-                values, run = _apply_kernel(values, particle, run), None
-            values = phase(_apply_kernel(phase(values), particle, free))
-        else:
-            kernel = free if phase is None else phase @ free @ phase
-            run = kernel if run is None else kernel @ run
-        times[particle - 1] += dt
-    if run is not None:
-        values = _apply_kernel(values, particle, run)
-    return WaveFunction(grid, tuple(times), values)
+class _State:
+    """(n, n, 16) values in position space, in the joint Fourier space of
+    (z_1, z_2), or in both; the other one is transformed once, when first
+    asked for, so an experiment transforms its psi0 at most once."""
+
+    def __init__(self, values: np.ndarray, spectral: bool = False):
+        self.known = {spectral: values, not spectral: None}
+
+    def values(self, spectral: bool) -> np.ndarray:
+        if self.known[spectral] is None:
+            transform = np.fft.fft2 if spectral else np.fft.ifft2
+            self.known[spectral] = transform(self.known[not spectral],
+                                             axes=(0, 1))
+        return self.known[spectral]
+
+
+def _distance(a: _State, b: _State, grid: Grid) -> float:
+    """||a - b||; by Parseval, spacing ||a^ - b^|| / n, when both states
+    are at hand in Fourier space."""
+    spectral = a.known[True] is not None and b.known[True] is not None
+    difference = a.values(spectral) - b.values(spectral)
+    return _l2(difference, grid.spacing) / (grid.points if spectral else 1)
+
+
+def _advance(state: _State, times: Sequence[float],
+             legs: Sequence[tuple[int, float, int]], system: MultiTimeSystem,
+             grid: Grid) -> tuple[_State, tuple[float, ...]]:
+    """Strang steps from state at times through (particle, dt, count) legs.
+
+    A run of time-only steps composes its kernels and applies the product
+    in the joint Fourier space; a grid-phase step applies the pending run,
+    goes back to position space and takes its free step between an FFT
+    and an inverse FFT along z_k.  Returns the state and its times.
+    """
+    times = list(times)
+    for particle, dt, count in legs:
+        # the free Hamiltonian alpha3_k kappa + gamma0_k m_k is one class
+        hamiltonian = field_sum(
+            (grid.momenta(), unit_field(_ALPHA3, particle, 2)),
+            (system.mass(particle), unit_field(_GAMMA0, particle, 2)))
+        free = _multiply_out(_class_factors(
+            hamiltonian, [list(hamiltonian)], dt, f"dt H_{particle}"))
+        run = None
+        for _ in range(count):
+            phase = _potential_phase(system, particle, times, dt, grid)
+            if callable(phase):
+                state, run = _flush(state, particle, run), None
+                state = _State(phase(_apply_kernel(
+                    phase(state.values(False)), particle, free)))
+            else:
+                kernel = free if phase is None else phase @ free @ phase
+                run = kernel if run is None else kernel @ run
+            times[particle - 1] += dt
+        state = _flush(state, particle, run)
+    return state, tuple(times)
+
+
+def _flush(state: _State, particle: int, run: np.ndarray | None) -> _State:
+    """The state after a pending run's kernel, in the joint Fourier space."""
+    return state if run is None else _State(
+        _apply_kernel(state.values(True), particle, run, True), True)
 
 
 def step(psi: WaveFunction, particle: int, dt: float,
@@ -387,7 +437,9 @@ def step(psi: WaveFunction, particle: int, dt: float,
         raise SpecError("particle must be 1 or 2")
     if dt == 0:
         return WaveFunction(psi.grid, psi.times, psi.values.copy())
-    return _advance(psi, particle, dt, 1, system)
+    state, times = _advance(_State(psi.values), psi.times,
+                            [(particle, dt, 1)], system, psi.grid)
+    return WaveFunction(psi.grid, times, state.values(False))
 
 
 # ---------------------------------------------------------------------------
@@ -431,17 +483,29 @@ def evolve_path(psi: WaveFunction, path: Sequence[Leg],
     """
     counts = [leg.steps() for leg in path]
     _check_steps(system, psi.grid, [leg.dt for leg in path])
-    for leg, count in zip(path, counts):
-        if count:
-            psi = _advance(psi, leg.particle, leg.direction * leg.dt, count,
-                           system)
-    return psi
+    if not any(counts):
+        return psi
+    legs = [(leg.particle, leg.direction * leg.dt, count)
+            for leg, count in zip(path, counts)]
+    state, times = _advance(_State(psi.values), psi.times, legs, system,
+                            psi.grid)
+    return WaveFunction(psi.grid, times, state.values(False))
 
 
-def _fitted_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+# A distance between states evolved from psi0 that stays within this
+# multiple of eps ||psi0|| is round-off; the free pair reads a few eps.
+_ROUNDOFF = 64 * np.finfo(float).eps
+
+
+def _fitted_loglog_slope(xs: Sequence[float], ys: Sequence[float],
+                         distances: Sequence[float], floor: float) -> float:
+    """Log-log slope of ys against xs, or NaN when it is undefined: fewer
+    than two distinct xs, a y <= 0, or every row's distance within the
+    round-off floor, where a slope would fit noise."""
     xs, ys = np.asarray(xs, float), np.asarray(ys, float)
-    if len(np.unique(xs)) < 2 or np.any(ys <= 0):
-        return float("nan")  # a slope needs two distinct steps
+    if (len(np.unique(xs)) < 2 or np.any(ys <= 0)
+            or np.all(np.asarray(distances) <= floor)):
+        return float("nan")
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
@@ -471,21 +535,24 @@ def path_independence_experiment(
 
     For each dt, both orders run to (T, T) from psi0's times and the
     L2 discrepancy is recorded; the fitted order is the log-log slope
-    of discrepancy against dt.
+    of discrepancy against dt, NaN when every discrepancy is round-off.
     """
     if not dt_list:
         raise SpecError("dt_list must not be empty")
-    paths = [[Leg(1, total_time, dt), Leg(2, total_time, dt)]
-             for dt in dt_list]
-    for path in paths:
-        path[0].steps()  # both legs take the same steps
+    counts = [Leg(1, total_time, dt).steps() for dt in dt_list]
     _check_steps(system, psi0.grid, dt_list)
-    rows = []
-    for path in paths:
-        forward = evolve_path(psi0, path, system)
-        reverse = evolve_path(psi0, path[::-1], system)
-        rows.append((float(path[0].dt), forward.distance(reverse)))
-    order = _fitted_loglog_slope([r[0] for r in rows], [r[1] for r in rows])
+    grid, start = psi0.grid, _State(psi0.values)
+
+    def evolve(dt, count, order):
+        return _advance(start, psi0.times, [(k, dt, count) for k in order],
+                        system, grid)[0]
+
+    rows = [(float(dt), _distance(evolve(dt, count, (1, 2)),
+                                  evolve(dt, count, (2, 1)), grid))
+            for dt, count in zip(dt_list, counts)]
+    discrepancies = [r[1] for r in rows]
+    order = _fitted_loglog_slope([r[0] for r in rows], discrepancies,
+                                 discrepancies, _ROUNDOFF * psi0.norm())
     return PathIndependenceResult(tuple(rows), order)
 
 
@@ -504,12 +571,15 @@ class HolonomyResult:
     """Loop deviations for a series of loop sizes."""
 
     rows: tuple[tuple[float, float, float], ...]  # (delta, dev, dev/delta^2)
+    roundoff: float = 0.0  # deviations at or below it are round-off
 
     @property
     def fitted_slope(self) -> float:
-        """Log-log slope of deviation/delta^2 against delta."""
+        """Log-log slope of deviation/delta^2 against delta; NaN when
+        every deviation is at or below roundoff."""
         return _fitted_loglog_slope(
-            [r[0] for r in self.rows], [r[2] for r in self.rows])
+            [r[0] for r in self.rows], [r[2] for r in self.rows],
+            [r[1] for r in self.rows], self.roundoff)
 
     def as_dict(self) -> dict:
         return {
@@ -530,14 +600,13 @@ def holonomy_series(system: MultiTimeSystem, psi0: WaveFunction,
         if delta ** 2 < np.finfo(float).tiny:
             raise SpecError(f"loop delta {delta!r} is too small: delta^2 "
                             "underflows")
-    rows = []
+    grid, start, rows = psi0.grid, _State(psi0.values), []
     for delta in deltas:
-        psi = psi0
-        for particle, sign in ((1, 1), (2, 1), (1, -1), (2, -1)):
-            psi = step(psi, particle, sign * delta, system)
-        deviation = psi.distance(psi0)
+        loop = [(1, delta, 1), (2, delta, 1), (1, -delta, 1), (2, -delta, 1)]
+        deviation = _distance(
+            _advance(start, psi0.times, loop, system, grid)[0], start, grid)
         rows.append((float(delta), deviation, deviation / delta ** 2))
-    return HolonomyResult(tuple(rows))
+    return HolonomyResult(tuple(rows), _ROUNDOFF * psi0.norm())
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import warnings
 
@@ -295,7 +296,29 @@ _ORACLE_SYSTEMS = {
     # the free kernel at m = 0 (kappa = 0 takes sinc(0)) and a different
     # mass on each particle
     "massless and unequal masses": ("free", {"m1": 0, "m2": 2.5}),
+    # a time-only run on V_1 next to grid steps on V_2: the state goes from
+    # the joint Fourier space back to position space inside a path
+    "time-only V_1, grid V_2": ("coefficient_form", {
+        "W1": (0, 0, 0, "0.5*cos(x1_0 + x2_0)"),
+        "E": ("0.5*sin(x1_3 + 2*x2_3)", 0, 0, 0), "hermitian": True}),
 }
+
+
+def _oracle_state() -> WaveFunction:
+    return product_state(Grid(points=16), spinor1=(0.6, 0.2j, -0.5, 0.3),
+                         spinor2=(0.1, 0.7, 0.4j, -0.2),
+                         momenta=(0.8, -0.5), times=(0.3, -0.2))
+
+
+def _reference_path(psi, legs, system, rep) -> WaveFunction:
+    """psi after chained reference steps along (particle, dt, count) legs."""
+    for particle, dt, count in legs:
+        for _ in range(count):
+            values = reference_step(psi, particle, dt, system, rep)
+            times = list(psi.times)
+            times[particle - 1] += dt
+            psi = WaveFunction(psi.grid, tuple(times), values)
+    return psi
 
 
 def test_dense_phase_oracle_system_reaches_expm(monkeypatch):
@@ -318,14 +341,11 @@ def test_dense_phase_oracle_system_reaches_expm(monkeypatch):
 def test_step_matches_einsum_reference(label, particle, dt, dirac):
     name, params = _ORACLE_SYSTEMS[label]
     system = make_builtin(name, params)
-    small = Grid(points=16)
-    psi = product_state(small, spinor1=(0.6, 0.2j, -0.5, 0.3),
-                        spinor2=(0.1, 0.7, 0.4j, -0.2),
-                        momenta=(0.8, -0.5), times=(0.3, -0.2))
+    psi = _oracle_state()
     out = step(psi, particle, dt, system)
     expected = reference_step(psi, particle, dt, system, dirac)
     deviation = np.sqrt(np.sum(np.abs(out.values - expected) ** 2)) \
-        * small.spacing
+        * psi.grid.spacing
     assert deviation <= 1e-13
 
 
@@ -345,20 +365,35 @@ def test_leg_matches_chained_reference_steps(label, particle, direction,
     """A fused leg is the same Strang steps: time-only, grid and mixed."""
     name, params = _ORACLE_SYSTEMS[label]
     system = make_builtin(name, params)
-    small = Grid(points=16)
-    psi = product_state(small, spinor1=(0.6, 0.2j, -0.5, 0.3),
-                        spinor2=(0.1, 0.7, 0.4j, -0.2),
-                        momenta=(0.8, -0.5), times=(0.3, -0.2))
+    psi = _oracle_state()
     out = evolve_path(psi, [Leg(particle, 0.6, 0.1, direction)], system)
-    expected = psi
-    for _ in range(6):
-        dt = direction * 0.1
-        values = reference_step(expected, particle, dt, system, dirac)
-        times = list(expected.times)
-        times[particle - 1] += dt
-        expected = WaveFunction(small, tuple(times), values)
+    expected = _reference_path(psi, [(particle, direction * 0.1, 6)], system,
+                               dirac)
     assert out.times == expected.times
     assert out.distance(expected) <= 1e-13
+
+
+@pytest.mark.parametrize("label", sorted(_ORACLE_SYSTEMS))
+def test_experiments_match_chained_reference_steps(label, dirac):
+    """Discrepancies and deviations taken in the joint Fourier space match
+    distances between position-space reference chains: both orders, both
+    particles and both signs, to 1e-13 relative to ||psi0|| = 1."""
+    name, params = _ORACLE_SYSTEMS[label]
+    system = make_builtin(name, params)
+    psi = _oracle_state()
+    result = path_independence_experiment(system, psi, 0.4, [0.2, 0.1])
+    for dt, discrepancy in result.rows:
+        count = round(0.4 / dt)
+        forward, reverse = (
+            _reference_path(psi, [(k, dt, count) for k in order], system,
+                            dirac) for order in ((1, 2), (2, 1)))
+        assert abs(discrepancy - forward.distance(reverse)) <= 1e-13
+    loops = holonomy_series(system, psi, [0.2, 0.1])
+    for delta, deviation, _ in loops.rows:
+        back = _reference_path(psi, [(1, delta, 1), (2, delta, 1),
+                                     (1, -delta, 1), (2, -delta, 1)],
+                               system, dirac)
+        assert abs(deviation - back.distance(psi)) <= 1e-13
 
 
 def test_hoho_path_matches_chained_steps(grid, psi0):
@@ -400,18 +435,55 @@ def test_grid_step_inside_a_leg_ends_the_fused_run(monkeypatch):
     assert fused.distance(psi) > 0.1
 
 
+def _counted(monkeypatch, module, names) -> collections.Counter:
+    """Count calls of module's functions by name, in place."""
+    calls = collections.Counter()
+    for name in names:
+        def counting(*args, _name=name, _original=getattr(module, name),
+                     **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def test_time_only_legs_take_no_single_steps(monkeypatch):
-    calls = []
-    original = solver.step
-
-    def counting(*args, **kwargs):
-        calls.append(args[1:3])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "step", counting)
+    """One phase per Strang step, and no `step` calls, in both experiments."""
+    calls = _counted(monkeypatch, solver, ["step", "_potential_phase"])
     assert entry(["simulate", "--builtin", "hoho",
                   "--dt", "0.1,0.05,0.025"]) == EXIT_OK
-    assert calls == []
+    assert calls == {"_potential_phase": 4 * (5 + 10 + 20)}
+    calls.clear()
+    assert entry(["simulate", "--builtin", "example1_vector",
+                  "--delta", "0.08,0.04,0.02"]) == EXIT_OK
+    assert calls == {"_potential_phase": 4 * 3}
+
+
+_TRANSFORMS = ["fft", "ifft", "fft2", "ifft2"]
+
+
+def test_time_only_experiments_transform_psi0_once(monkeypatch):
+    psi = product_state(Grid(points=32))
+    calls = _counted(monkeypatch, np.fft, _TRANSFORMS)
+    path_independence_experiment(make_builtin("hoho"), psi, 0.5,
+                                 [0.1, 0.05, 0.025])
+    assert calls == {"fft2": 1}
+    calls.clear()
+    holonomy_series(make_builtin("example1_vector"), psi, [0.08, 0.04, 0.02])
+    assert calls == {"fft2": 1}
+
+
+def test_grid_phase_experiments_take_two_transforms_per_step(monkeypatch):
+    system = make_builtin(*_ORACLE_SYSTEMS["closed-form non-hermitian grid "
+                                          "phase"])
+    psi = product_state(Grid(points=32))
+    calls = _counted(monkeypatch, np.fft, _TRANSFORMS)
+    path_independence_experiment(system, psi, 0.2, [0.1, 0.05])
+    steps = 2 * 2 * (2 + 4)  # two orders, two legs, T/dt steps each
+    assert calls == {"fft": steps, "ifft": steps}
+    calls.clear()
+    holonomy_series(system, psi, [0.2, 0.1, 0.05])
+    assert calls == {"fft": 4 * 3, "ifft": 4 * 3}
 
 
 def test_leg_validation():
@@ -434,6 +506,22 @@ def test_free_orders_commute(grid, psi0):
         make_builtin("free"), psi0, 0.2, [0.1, 0.05])
     for _, discrepancy in result.rows:
         assert discrepancy < 1e-10
+
+
+def test_fits_of_round_off_rows_are_null(grid, psi0):
+    """The free pair's distances are a few eps: no order or slope is fit."""
+    system = make_builtin("free")
+    paths = path_independence_experiment(system, psi0, 0.5,
+                                         [0.1, 0.05, 0.025])
+    loops = holonomy_series(system, psi0, [0.08, 0.04, 0.02])
+    distances = [row[1] for row in paths.rows + loops.rows]
+    assert max(distances) <= solver._ROUNDOFF * psi0.norm()
+    assert paths.as_dict()["fitted_order"] is None
+    assert loops.as_dict()["fitted_slope"] is None
+    # one row above the round-off bound is enough for a fit
+    rows = ((0.1, 1e-3, 0.1), (0.05, 1e-16, 4e-14))
+    assert np.isfinite(HolonomyResult(rows, 1e-14).fitted_slope)
+    assert np.isnan(HolonomyResult(rows, 1e-3).fitted_slope)
 
 
 def test_consistent_system_discrepancy_is_splitting_error(grid, psi0):
