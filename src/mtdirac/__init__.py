@@ -5,7 +5,12 @@ gamma-matrix algebra, a small expression language for potential
 coefficients, consistency (integrability) checks of the coupled system,
 interaction/gauge classification, Poincare transforms, and a two-time
 split-step propagator on a 1+1-dimensional line model.
+
+The imports below are the public API, each name listed once: ``__all__``
+is derived from them as every public name that is not a submodule.
 """
+
+import types as _types
 
 __version__ = "0.1.0"
 
@@ -15,7 +20,6 @@ from .clifford import (
     GammaRep,
     TensorBasisElement,
     basis16,
-    basis_gram,
     build_dirac_rep,
     build_weyl_rep,
     commutator_table,
@@ -50,7 +54,6 @@ from .potential import (
     SpecError,
     coefficient_set_to_system,
     evaluate_potential,
-    hermiticity_residual,
     is_spacelike,
     load_system,
     make_builtin,
@@ -84,7 +87,6 @@ from .symmetry import (
     classify_interaction,
     compose,
     exponential_form_residual,
-    identity_transform,
     interaction_witness_hoho,
     inverse,
     make_boost,
@@ -110,100 +112,6 @@ from .solver import (
     step,
 )
 
-__all__ = [
-    "__version__",
-    # clifford
-    "BasisClass",
-    "BasisElement",
-    "GammaRep",
-    "TensorBasisElement",
-    "basis16",
-    "basis_gram",
-    "build_dirac_rep",
-    "build_weyl_rep",
-    "commutator_table",
-    "decompose",
-    "embed",
-    "frobenius",
-    "realize",
-    "reconstruct",
-    "tensor_element",
-    "verify_clifford",
-    # dsl
-    "DslError",
-    "DslEvaluationError",
-    "DslParseError",
-    "differentiate",
-    "evaluate",
-    "is_constant",
-    "parse",
-    "to_source",
-    # potential
-    "BUILTIN_SYSTEMS",
-    "DomainError",
-    "Guard",
-    "MultiTimeSystem",
-    "Potential",
-    "PotentialTerm",
-    "Region",
-    "SpecError",
-    "evaluate_potential",
-    "hermiticity_residual",
-    "is_spacelike",
-    "load_system",
-    "make_builtin",
-    "sample_configs",
-    "save_system",
-    "system_from_dict",
-    "system_to_dict",
-    "zero_potential",
-    # consistency
-    "VERDICT_CONSISTENT",
-    "VERDICT_INCONSISTENT",
-    "CoefficientFormError",
-    "CoefficientSet",
-    "ConsistencyReport",
-    "CurvatureOperator",
-    "cc_residuals",
-    "check_consistency",
-    "coefficient_set_to_system",
-    "curvature_operator",
-    "derivative_coefficient_matrices",
-    "to_coefficient_form",
-    "zeroth_order_residual",
-    # symmetry
-    "GAUGE_REMOVABLE",
-    "INTERACTING",
-    "UNDECIDED",
-    "ClassificationReport",
-    "ConfigGrid",
-    "GaugeReport",
-    "PoincareTransform",
-    "classify_gauge",
-    "classify_interaction",
-    "compose",
-    "exponential_form_residual",
-    "identity_transform",
-    "interaction_witness_hoho",
-    "inverse",
-    "make_boost",
-    "make_rotation",
-    "make_translation",
-    "poincare_residual",
-    # solver
-    "Grid",
-    "HolonomyResult",
-    "Leg",
-    "PathIndependenceResult",
-    "WaveFunction",
-    "apply_curvature",
-    "curvature_norm",
-    "evolve_path",
-    "gaussian_profile",
-    "holonomy_series",
-    "loop_holonomy",
-    "path_independence_experiment",
-    "product_state",
-    "spacelike_mask",
-    "step",
-]
+__all__ = ["__version__"] + [
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)]

@@ -130,13 +130,6 @@ PRODUCT_PHASE = np.round(np.take_along_axis(
 PRODUCT_INDEX.flags.writeable = PRODUCT_PHASE.flags.writeable = False
 
 
-def conjugate_rep(rep: GammaRep, u: np.ndarray, name: str = "") -> GammaRep:
-    """Similarity-transform a representation by a unitary u (gamma -> u gamma u^dag)."""
-    uh = u.conj().T
-    gammas = np.stack([u @ rep.gammas[mu] @ uh for mu in range(4)])
-    return _finalize_rep(name or (rep.name + "-conjugated"), gammas)
-
-
 def verify_clifford(rep: GammaRep) -> dict[str, float]:
     """Residuals of the defining identities of a representation.
 
@@ -326,7 +319,7 @@ def field_commutator(a: OperatorField, b: OperatorField) -> OperatorField:
 def field_norm(operand: OperatorField, n_particles: int) -> np.ndarray:
     """Pointwise Frobenius norm sqrt(4^N sum_m |c_m|^2) of sum_m c_m B_m.
 
-    The basis is orthogonal with tr(B_m^dag B_m) = 4^N (basis_gram).
+    The basis is orthogonal, with tr(B_m^dag B_n) = 4^N delta_mn.
     """
     squares = sum(np.real(value) ** 2 + np.imag(value) ** 2
                   for value in operand.values())
@@ -395,12 +388,6 @@ def reconstruct(coeffs: OperatorField, n_particles: int, rep: GammaRep,
                              f"factors, expected {n_particles}")
         total += np.asarray(value)[..., None, None] * realize(element, rep)
     return total
-
-
-def basis_gram(rep: GammaRep) -> np.ndarray:
-    """Gram matrix tr(B_i^dag B_j) of the 16-element single-particle basis."""
-    basis = rep.basis.reshape(16, 4, 4)
-    return np.einsum("iab,jab->ij", basis.conj(), basis)
 
 
 # ---------------------------------------------------------------------------

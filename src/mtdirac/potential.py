@@ -207,21 +207,6 @@ def hermitian_defect(potential: OperatorField, n_particles: int) -> np.ndarray:
     return field_norm(defect, n_particles)
 
 
-@np.errstate(all="ignore")
-def hermiticity_residual(system: MultiTimeSystem,
-                         configs: np.ndarray) -> float:
-    """sup over samples and particles of ||V_k - V_k^dagger||_F.
-
-    Raises DomainError when the sup is not finite.
-    """
-    coords = stack_coords(configs)
-    worst = np.max([np.max(hermitian_defect(operator_field(potential, coords),
-                                            system.n_particles))
-                    for potential in system.potentials], initial=0.0)
-    _require_finite({"hermiticity_residual": worst})
-    return float(worst)
-
-
 # ---------------------------------------------------------------------------
 # Sampling regions
 # ---------------------------------------------------------------------------
@@ -244,26 +229,31 @@ def is_spacelike(coords: np.ndarray) -> bool:
     return True
 
 
+# the sampling box [-_BOX, _BOX]^(N*4) and the spacelike draws per sample
+_BOX, _MAX_TRIES = 2.0, 10000
+
+
 def sample_configs(n_samples: int, rng: np.random.Generator,
-                   n_particles: int = 2, region: Region = Region.ALL,
-                   box: float = 2.0, max_tries: int = 10000) -> np.ndarray:
-    """Draw configurations uniformly from [-box, box]^(N*4).
+                   n_particles: int = 2,
+                   region: Region = Region.ALL) -> np.ndarray:
+    """Draw configurations uniformly from [-2, 2]^(N*4).
 
     With region SPACELIKE, rejection-sample until every pair is
-    spacelike separated (bounded by max_tries draws per sample).
+    spacelike separated; SpecError when _MAX_TRIES draws find none.
     """
     if region is Region.ALL:
-        return rng.uniform(-box, box, size=(n_samples, n_particles, 4))
+        return rng.uniform(-_BOX, _BOX, size=(n_samples, n_particles, 4))
     out = np.empty((n_samples, n_particles, 4))
     for i in range(n_samples):
-        for _ in range(max_tries):
-            candidate = rng.uniform(-box, box, size=(n_particles, 4))
+        for _ in range(_MAX_TRIES):
+            candidate = rng.uniform(-_BOX, _BOX, size=(n_particles, 4))
             if is_spacelike(candidate):
                 out[i] = candidate
                 break
         else:
-            raise RuntimeError("rejection sampling failed to find a "
-                               "spacelike configuration")
+            raise SpecError(f"no spacelike configuration of {n_particles} "
+                            f"particles in the box [-{_BOX:g}, {_BOX:g}]"
+                            f"^({n_particles}*4) after {_MAX_TRIES} draws")
     return out
 
 

@@ -129,10 +129,6 @@ def _match_spinor(lorentz: np.ndarray,
     raise RuntimeError("no spinor lift reproduced the vector transform")
 
 
-def identity_transform() -> PoincareTransform:
-    return PoincareTransform("identity", np.eye(4), _ONE.copy(), np.zeros(4))
-
-
 def make_translation(offset: Sequence[float]) -> PoincareTransform:
     offset = np.asarray(offset, float)
     if offset.shape != (4,):
@@ -295,17 +291,14 @@ def exponential_form_residual(coefficients: CoefficientSet,
     constant, DomainError when a residual is not finite.
     """
     _require_constant_alpha(coefficients)
-    coords = stack_coords(samples)
-
-    def ev(expr: Expr) -> np.ndarray:
-        return np.asarray(evaluate(expr, coords))
-
     out: dict[str, float] = {}
     for particle, partner in ((1, 2), (2, 1)):
         # the partner's alpha-sector fields that carry gamma5 of `particle`
-        y, z = ([ev(e) for e in coefficients.field(
+        y, z = ([_eval_field(e, samples) for e in coefficients.field(
                     coefficient_field(partner, cls, GAMMA5_ELEMENT))]
                 for cls in (BasisClass.ALPHA, BasisClass.G5ALPHA))
+        factor = [[4.0 * (z[lam] * z[nu] - y[lam] * y[nu]) for lam in range(4)]
+                  for nu in range(4)]
         for name in _GAMMA_FIELDS:
             owner, cls, other = COEFFICIENT_LAYOUT[name]
             if owner != particle:
@@ -315,13 +308,17 @@ def exponential_form_residual(coefficients: CoefficientSet,
             shift = masses[particle - 1] if is_mass_field else 0.0
             defects = []
             for mu in range(4):
-                base_value = ev(exprs[mu]) + (shift if mu == 0 else 0.0)
+                base_value = (_eval_field(exprs[mu], samples)
+                              + (shift if mu == 0 else 0.0))
                 for nu in range(4):
                     first = differentiate(exprs[mu], partner, nu)
                     for lam in range(4):
-                        second = ev(differentiate(first, partner, lam))
-                        rhs = 4.0 * (z[lam] * z[nu] - y[lam] * y[nu]) * base_value
-                        defects.append(np.max(np.abs(second - rhs)))
+                        # the common zero derivative is not evaluated
+                        second = differentiate(first, partner, lam)
+                        value = (0.0 if is_zero(second)
+                                 else _eval_field(second, samples))
+                        rhs = factor[nu][lam] * base_value
+                        defects.append(np.max(np.abs(value - rhs)))
             out[f"ode_{name}"] = float(np.max(defects))
         out[f"branch_{partner}"] = float(np.max(
             [np.max(np.abs(y[a] * z[b] - y[b] * z[a]))

@@ -11,6 +11,7 @@ import scipy.linalg
 from mtdirac.clifford import (
     BasisClass,
     BasisElement,
+    GammaRep,
     TensorBasisElement,
     commutator,
     embed,
@@ -56,6 +57,14 @@ def fd_matrix_partial(f, coords: np.ndarray, k: int, mu: int, h: float = 1e-5):
     coarse = central(h)
     fine = central(h / 2)
     return (4 * fine - coarse) / 3
+
+
+def conjugate_rep(rep: GammaRep, u: np.ndarray) -> GammaRep:
+    """Another representation: every matrix of rep conjugated by a unitary u,
+    M -> u M u^dag, for checks that a result does not depend on the rep."""
+    uh = u.conj().T
+    return GammaRep(rep.name + "-conjugated", u @ rep.gammas @ uh,
+                    u @ rep.gamma5 @ uh, u @ rep.alphas @ uh)
 
 
 def _basis_matrix(element: BasisElement, rep) -> np.ndarray:

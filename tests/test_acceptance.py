@@ -20,7 +20,6 @@ from mtdirac import (
     PotentialTerm,
     VERDICT_CONSISTENT,
     basis16,
-    basis_gram,
     build_dirac_rep,
     build_weyl_rep,
     cc_residuals,
@@ -89,7 +88,8 @@ def test_basis_completeness(dirac, rng):
             (16, 16))
         rebuilt = reconstruct(decompose(matrix, 2, dirac), 2, dirac)
         worst = max(worst, float(np.max(np.abs(rebuilt - matrix))))
-    gram = basis_gram(dirac)
+    basis = dirac.basis.reshape(16, 4, 4)
+    gram = np.einsum("iab,jab->ij", basis.conj(), basis)
     gram_err = float(np.max(np.abs(gram - 4.0 * np.eye(16))))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and gram_err < 1e-12 and elapsed < 1.0

@@ -561,6 +561,20 @@ def test_out_of_memory_exits_two(capsys, monkeypatch):
                             "allocate 5.82 TiB for an array\n")
 
 
+def test_spacelike_sampling_failure_exits_two(capsys, monkeypatch):
+    # twenty particles stand in for a system with no spacelike draw
+    def crowded(n_samples, rng, n_particles, region):
+        return potential.sample_configs(1, rng, 20, region)
+
+    monkeypatch.setattr(consistency, "sample_configs", crowded)
+    code = entry(["check", "--builtin", "hoho", "--region", "spacelike"])
+    assert code == EXIT_SPEC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mtdirac: error: no spacelike "
+                                   "configuration of 20 particles")
+
+
 def test_simulate_guard_violation_exits_three(capsys):
     code = entry(["simulate", "--builtin", "coulomb_like",
                   "--grid-n", "32", "--delta", "0.05"])

@@ -16,12 +16,10 @@ from mtdirac.clifford import (
     anticommutator,
     anticommute,
     basis16,
-    basis_gram,
     build_dirac_rep,
     build_weyl_rep,
     commutator,
     commutator_table,
-    conjugate_rep,
     decompose,
     embed,
     frobenius,
@@ -32,7 +30,7 @@ from mtdirac.clifford import (
     tensor_element,
     verify_clifford,
 )
-from oracles import dense_decompose
+from oracles import conjugate_rep, dense_decompose
 
 REPS = [build_dirac_rep(), build_weyl_rep()]
 
@@ -88,7 +86,8 @@ def test_traces_against_direct_oracle(dirac):
 
 
 def test_basis_gram_is_four_identity(dirac):
-    gram = basis_gram(dirac)
+    basis = dirac.basis.reshape(16, 4, 4)
+    gram = np.einsum("iab,jab->ij", basis.conj(), basis)
     assert np.allclose(gram, 4.0 * np.eye(16), atol=1e-12)
 
 
@@ -246,7 +245,7 @@ def test_product_table_holds_for_all_products(which, dirac, rng):
 _REP_FREE = (
     clifford.element_product, clifford.square_sign, clifford.anticommute,
     clifford.field_product, clifford.field_commutator,
-    potential.hermitian_defect, potential.hermiticity_residual,
+    potential.hermitian_defect,
     consistency.check_consistency, consistency.curvature_operator,
     consistency.cc_residuals, symmetry.classify_gauge,
     symmetry.classify_interaction, symmetry.interaction_witness_hoho,

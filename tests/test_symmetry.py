@@ -11,7 +11,6 @@ from scipy.linalg import expm
 
 from mtdirac.clifford import (
     MINKOWSKI_METRIC,
-    conjugate_rep,
     decompose,
     embed,
     frobenius,
@@ -48,7 +47,6 @@ from mtdirac.symmetry import (
     classify_interaction,
     compose,
     exponential_form_residual,
-    identity_transform,
     interaction_witness_hoho,
     inverse,
     make_boost,
@@ -57,6 +55,7 @@ from mtdirac.symmetry import (
     poincare_residual,
 )
 from oracles import (
+    conjugate_rep,
     lift_matrix,
     reference_cross_curl,
     reference_lorentz_lift,
@@ -281,7 +280,8 @@ def test_large_rapidity_boost_lifts(dirac, weyl, rng, rapidity):
 def test_identity_transform_residual_zero(rng):
     system = make_builtin("example1_vector")
     samples = sample_configs(10, rng)
-    assert poincare_residual(system, identity_transform(), samples) == 0.0
+    identity = make_translation(np.zeros(4))
+    assert poincare_residual(system, identity, samples) == 0.0
 
 
 def test_free_system_invariant(rng):
