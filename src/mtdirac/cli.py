@@ -282,7 +282,7 @@ def _cmd_classify(args: argparse.Namespace):
         for offset in offsets)
     try:
         exponential = exponential_form_residual(
-            to_coefficient_form(system), system.masses, samples)
+            classification.gauge.coefficients, system.masses, samples)
     except CoefficientFormError:
         exponential = None  # alpha-sector fields not constant
     report = classification.as_dict() | {

@@ -291,10 +291,11 @@ def exponential_form_residual(coefficients: CoefficientSet,
     constant, DomainError when a residual is not finite.
     """
     _require_constant_alpha(coefficients)
+    coords = stack_coords(samples)
     out: dict[str, float] = {}
     for particle, partner in ((1, 2), (2, 1)):
         # the partner's alpha-sector fields that carry gamma5 of `particle`
-        y, z = ([_eval_field(e, samples) for e in coefficients.field(
+        y, z = ([evaluate(e, coords) for e in coefficients.field(
                     coefficient_field(partner, cls, GAMMA5_ELEMENT))]
                 for cls in (BasisClass.ALPHA, BasisClass.G5ALPHA))
         factor = [[4.0 * (z[lam] * z[nu] - y[lam] * y[nu]) for lam in range(4)]
@@ -308,17 +309,16 @@ def exponential_form_residual(coefficients: CoefficientSet,
             shift = masses[particle - 1] if is_mass_field else 0.0
             defects = []
             for mu in range(4):
-                base_value = (_eval_field(exprs[mu], samples)
+                base_value = (evaluate(exprs[mu], coords)
                               + (shift if mu == 0 else 0.0))
                 for nu in range(4):
                     first = differentiate(exprs[mu], partner, nu)
                     for lam in range(4):
-                        # the common zero derivative is not evaluated
                         second = differentiate(first, partner, lam)
-                        value = (0.0 if is_zero(second)
-                                 else _eval_field(second, samples))
-                        rhs = factor[nu][lam] * base_value
-                        defects.append(np.max(np.abs(value - rhs)))
+                        defect = factor[nu][lam] * base_value
+                        if not is_zero(second):  # the common zero is skipped
+                            defect = evaluate(second, coords) - defect
+                        defects.append(np.max(np.abs(defect)))
             out[f"ode_{name}"] = float(np.max(defects))
         out[f"branch_{partner}"] = float(np.max(
             [np.max(np.abs(y[a] * z[b] - y[b] * z[a]))
@@ -327,7 +327,6 @@ def exponential_form_residual(coefficients: CoefficientSet,
     return out
 
 
-@np.errstate(all="ignore")
 def interaction_witness_hoho(system: MultiTimeSystem) -> float:
     """Pointwise obstruction certifying that an exponential pair interacts.
 
@@ -348,6 +347,12 @@ def interaction_witness_hoho(system: MultiTimeSystem) -> float:
     if all(is_zero(expr) for name in _GAMMA_FIELDS
            for expr in coefficients.field(name)):
         raise SpecError("the interaction witness needs a gamma sector")
+    return _witness(system)
+
+
+@np.errstate(all="ignore")
+def _witness(system: MultiTimeSystem) -> float:
+    """The witness's commutator norm, for a pair known to be in the family."""
     coords = stack_coords(np.zeros((2, 4)))
     mass_term = {tensor_element(BasisElement(BasisClass.GAMMA, 0),
                                 IDENTITY_ELEMENT): 1.0}
@@ -380,18 +385,16 @@ class ConfigGrid:
         n = len(self.values)
         out = np.tile(self.base_array(), (n, n, 1, 1))
         (k1, mu1), (k2, mu2) = self.axes
-        values = np.asarray(self.values, float)
-        out[:, :, k1 - 1, mu1] = values[:, None]
-        out[:, :, k2 - 1, mu2] = values[None, :]
+        out[:, :, k1 - 1, mu1], out[:, :, k2 - 1, mu2] = np.meshgrid(
+            self.values, self.values, indexing="ij")
         return out
 
     def probes(self) -> np.ndarray:
         """The grid configurations, then 64 that vary all eight coordinates,
         base + u with u drawn with seed 0 from [min(values), max(values)];
         shape (n * n + 64, 2, 4)."""
-        values = np.asarray(self.values, float)
         offsets = np.random.default_rng(0).uniform(
-            values.min(), values.max(), size=(64, 2, 4))
+            min(self.values), max(self.values), size=(64, 2, 4))
         return np.concatenate([self.configs().reshape(-1, 2, 4),
                                self.base_array() + offsets])
 
@@ -412,12 +415,6 @@ _SECTOR_FIELDS = {
     and _gamma5_sector(name1) == _gamma5_sector(name2)}
 
 
-def _eval_field(expr: Expr, points: np.ndarray) -> np.ndarray:
-    """Evaluate on stacked configurations (..., 2, 4) -> (...) array."""
-    value = np.asarray(evaluate(expr, stack_coords(points)))
-    return np.broadcast_to(value, points.shape[:-2])
-
-
 # Gauss-Legendre node counts, tried until the reconstruction moves by at most
 # _GAUSS_ULPS ulps of its largest magnitude; if none does, the checks judge
 # the last, so stopping there is no error.  _FD_TOL bounds both checks.
@@ -426,7 +423,8 @@ _GAUSS_NODES, _GAUSS_ULPS, _FD_TOL = (8, 16, 32, 64, 128, 256), 4, 2e-2
 
 @dataclass(frozen=True, eq=False)
 class GaugeReport:
-    """Outcome of the alpha-sector gauge analysis on a probe grid."""
+    """Outcome of the alpha-sector gauge analysis, which classify_interaction
+    runs first; it runs the guards and hands on the coefficients it read."""
 
     verdict: str
     integrability_sup: float
@@ -437,10 +435,11 @@ class GaugeReport:
     tol: float
     fd_tol: float
     gauge_components: dict[str, np.ndarray]
+    coefficients: CoefficientSet
 
     def as_dict(self) -> dict:
         return {key: value for key, value in vars(self).items()
-                if key != "gauge_components"}
+                if key not in ("gauge_components", "coefficients")}
 
 
 @np.errstate(all="ignore")
@@ -476,6 +475,7 @@ def classify_gauge(system: MultiTimeSystem,
     coefficients = to_coefficient_form(system)
     base, configs, n = grid.base_array(), grid.configs(), len(grid.values)
     probes = grid.probes()
+    probe_coords = stack_coords(probes)
     sectors = {label: (coefficients.field(name1), coefficients.field(name2))
                for label, (name1, name2) in _SECTOR_FIELDS.items()}
 
@@ -489,26 +489,31 @@ def classify_gauge(system: MultiTimeSystem,
             for mu, nu in combinations(range(4), 2):
                 curl = Sub(differentiate(exprs[nu], own, mu),
                            differentiate(exprs[mu], own, nu))
-                moved = [_eval_field(differentiate(curl, other, lam), probes)
-                         for lam in range(4)]
-                locality = np.maximum(locality, np.max(np.abs(moved)))
+                for lam in range(4):
+                    moved = evaluate(differentiate(curl, other, lam),
+                                     probe_coords)
+                    locality = np.maximum(locality, np.max(np.abs(moved)))
     integrability = np.maximum(cross_curl, locality)
 
     # --- cross-only part h = f - f_ext and its line integrals ------------
-    def cross(expr: Expr, k: int, points: np.ndarray) -> np.ndarray:
+    def stacks(points: np.ndarray) -> tuple:
+        """points stacked, then with particle 1's, 2's partner at the base."""
+        coords = stack_coords(points)
+        frozen = stack_coords(np.broadcast_to(base, points.shape))
+        return coords, [coords[0], frozen[1]], [frozen[0], coords[1]]
+
+    def cross(expr: Expr, k: int, at: tuple):
         """expr minus expr with particle k's partner frozen at the base."""
-        frozen = np.array(points, copy=True)
-        frozen[..., 2 - k, :] = base[2 - k]
-        return _eval_field(expr, points) - _eval_field(expr, frozen)
+        return evaluate(expr, at[0]) - evaluate(expr, at[k])
 
     def line_integral(f, start: np.ndarray, end: np.ndarray) -> np.ndarray:
         """Integrate h on straight segments start -> end with the rule s, w."""
         delta = end - start
-        path = start + np.multiply.outer(s, delta)
-        integrand = sum((cross(f[j - 1][mu], j, path) * delta[..., j - 1, mu]
+        at = stacks(start + np.multiply.outer(s, delta))
+        integrand = sum((cross(f[j - 1][mu], j, at) * delta[..., j - 1, mu]
                          for j, mu in product((1, 2), range(4))
                          if np.any(delta[..., j - 1, mu])),
-                        np.zeros(path.shape[:-2], complex))
+                        np.zeros(s.shape + delta.shape[:-2], complex))
         return np.tensordot(w, integrand, axes=1)
 
     stacked = np.nan  # no estimate yet: the first comparison fails
@@ -520,7 +525,6 @@ def classify_gauge(system: MultiTimeSystem,
         if np.max(np.abs(stacked - previous)) <= \
                 _GAUSS_ULPS * np.finfo(float).eps * np.max(np.abs(stacked)):
             break
-    gauge_components = dict(zip(sectors, stacked))
 
     # --- path independence (straight vs corner polyline) -----------------
     ends = configs[[0, 0, -1, -1, n // 2], [0, -1, 0, -1, n // 2]]
@@ -535,20 +539,21 @@ def classify_gauge(system: MultiTimeSystem,
     # frozen part of h_{k nu} sees particle k alone, so only d_{k mu} moves it
     points = configs[[n // 4, (3 * n) // 4], [(3 * n) // 4, n // 4]]
     lever = np.multiply.outer(s, points - base)  # s (x - b) at each node
-    path = base + lever
+    path, at_points = stacks(base + lever), stacks(points)
     gradient_match = 0.0
     for f in sectors.values():
         for j, mu in product((1, 2), range(4)):
-            integrand = cross(f[j - 1][mu], j, path)
+            integrand = np.broadcast_to(cross(f[j - 1][mu], j, path),
+                                        lever.shape[:-2])
             for k, nu in product((1, 2), range(4)):
                 slope = differentiate(f[k - 1][nu], j, mu)
                 if not is_zero(slope):
                     value = (cross(slope, k, path) if j == k
-                             else _eval_field(slope, path))
+                             else evaluate(slope, path[0]))
                     integrand = integrand + value * lever[..., k - 1, nu]
             gradient_match = np.maximum(gradient_match, np.max(np.abs(
                 np.tensordot(w, integrand, axes=1)
-                - cross(f[j - 1][mu], j, points))))
+                - cross(f[j - 1][mu], j, at_points))))
     _require_finite({"integrability_sup": integrability, "triangle_sup":
                      triangle, "gradient_match_sup": gradient_match})
 
@@ -562,7 +567,8 @@ def classify_gauge(system: MultiTimeSystem,
         verdict=verdict, integrability_sup=float(integrability),
         cross_curl_sup=float(cross_curl), locality_sup=float(locality),
         triangle_sup=float(triangle), gradient_match_sup=float(gradient_match),
-        tol=tol, fd_tol=_FD_TOL, gauge_components=gauge_components)
+        tol=tol, fd_tol=_FD_TOL, gauge_components=dict(zip(sectors, stacked)),
+        coefficients=coefficients)
 
 
 @dataclass(frozen=True, eq=False)
@@ -576,13 +582,8 @@ class ClassificationReport:
     tol: float
 
     def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "gamma_sector_sup": self.gamma_sector_sup,
-            "f_sector": self.gauge.as_dict(),
-            "witness": self.witness,
-            "tol": self.tol,
-        }
+        return {key: value for key, value in vars(self).items()
+                if key != "gauge"} | {"f_sector": self.gauge.as_dict()}
 
 
 @np.errstate(all="ignore")
@@ -591,24 +592,23 @@ def classify_interaction(system: MultiTimeSystem,
                          tol: float = 1e-9) -> ClassificationReport:
     """Classify a pair as gauge-removable, interacting, or undecided.
 
-    When the gamma-sector fields (A..H) vanish on the probe grid the
-    alpha-sector gauge analysis decides.  A nonzero gamma sector is
-    beyond the gradient argument: a pair of the exponential family
-    (every exponential_form_residual below tol on the probe grid) is
-    then settled by its interaction witness, anything else stays
-    UNDECIDED.  Raises DomainError when a sup is not finite.
+    The alpha-sector gauge analysis runs first: it runs the guards at the
+    probes and hands on its coefficient set.  When that set's gamma-sector
+    fields (A..H) vanish on the grid its verdict stands.  Otherwise a pair
+    of the exponential family (every exponential_form_residual below tol on
+    the grid) is settled by its interaction witness, anything else stays
+    UNDECIDED.  Raises DomainError when a guard trips or a sup is not finite.
     """
     grid = grid or ConfigGrid()
-    coefficients = to_coefficient_form(system)
-    configs = grid.configs()
+    gauge = classify_gauge(system, grid=grid, tol=tol)
+    coefficients, configs = gauge.coefficients, grid.configs()
+    coords = stack_coords(configs)
     gamma_sup = float(np.max(
-        [np.max(np.abs(_eval_field(expr, configs)))
+        [np.max(np.abs(evaluate(expr, coords)))
          for name in _GAMMA_FIELDS for expr in coefficients.field(name)]))
     _require_finite({"gamma_sector_sup": gamma_sup})
 
-    gauge = classify_gauge(system, grid=grid, tol=tol)
-    witness: float | None = None
-    verdict = gauge.verdict
+    witness, verdict = None, gauge.verdict
     if gamma_sup >= tol:
         verdict = UNDECIDED
         try:
@@ -617,7 +617,7 @@ def classify_interaction(system: MultiTimeSystem,
         except CoefficientFormError:  # alpha-sector fields not constant
             structure = None
         if structure is not None and max(structure.values()) < tol:
-            witness = interaction_witness_hoho(system)
+            witness = _witness(system)
             verdict = INTERACTING if witness > tol else UNDECIDED
     return ClassificationReport(
         verdict=verdict, gamma_sector_sup=gamma_sup, gauge=gauge,

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtdirac
 from mtdirac import (
     BasisClass,
     BasisElement,
@@ -404,7 +405,8 @@ def test_classify_renamed_hoho_interacting(tmp_path):
 
 def test_classify_hoho_runs_the_exponential_form_twice(capsys, monkeypatch):
     # once on the probe grid for the verdict, once on the samples for the
-    # report; the witness checks the constant alpha sector without it
+    # report; the verdict's pass also establishes the witness's family, so
+    # the witness is taken without re-checking it
     calls = []
     for module in (symmetry, cli):
         original = module.exponential_form_residual
@@ -417,6 +419,43 @@ def test_classify_hoho_runs_the_exponential_form_twice(capsys, monkeypatch):
     code, _ = run_json(capsys, ["classify", "--builtin", "hoho"])
     assert code == EXIT_OK
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--builtin", "hoho"),
+    ("--builtin", "coefficient_form",
+     "--param", "W1=x2_0,0,0,0", "--param", "W2=x1_0,0,0,0"),
+], ids=["hoho", "gradient_pair"])
+def test_classify_builds_the_coefficient_form_once(capsys, monkeypatch, argv):
+    # the gauge analysis builds it; the gamma-sector sup, the structure
+    # test, the witness and the report's sample-set test reuse that set
+    calls = []
+    for module in (mtdirac, potential, consistency, symmetry, cli):
+        original = module.to_coefficient_form
+
+        def counted(*args, original=original, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "to_coefficient_form", counted)
+    code, _ = run_json(capsys, ["classify", *argv])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_classify_runs_the_guards_before_the_gamma_sector(tmp_path, capsys):
+    # V_1 = gamma^0 x 1 / (x2_3 - x1_0) divides by zero on the probe grid's
+    # diagonal; the gauge analysis's pass over the probes trips the guard
+    # first, while check's samples stay clear of it
+    spec = _particle1_spec(tmp_path, "1/(x2_3-x1_0)", guards=[
+        {"expr": "x2_3-x1_0", "threshold": 1e-3}])
+    assert entry(["check", "--spec", spec]) == EXIT_OK
+    capsys.readouterr()
+    assert entry(["classify", "--spec", spec]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("mtdirac: error: guard violated: "
+                            "|x2_3 - x1_0| < 0.001\n")
 
 
 def test_expression_rejected_for_constant_vector_builtin(capsys):

@@ -40,6 +40,12 @@ COMMANDS = (
     ("classify", "--builtin", "hoho", "--expect", "interacting"),
     ("classify", "--builtin", "coefficient_form",
      "--param", "W1=x2_0,0,0,0", "--param", "W2=x1_0,0,0,0"),
+    ("classify", "--builtin", "coefficient_form",
+     "--param", "W1=cos(x2_0),0,0,0"),
+    ("classify", "--builtin", "coefficient_form",
+     "--param", "X1=1,0,0,0", "--param", "A=exp(x2_0),0,0,0"),
+    ("classify", "--builtin", "hoho", "--param", "C=1,0.5j,0,0",
+     "--param", "c=0.3,0.1,0,0.2", "--seed", "3"),
     ("poincare", "--builtin", "hoho"),
     ("poincare", "--builtin", "coulomb_like"),
     ("simulate", "--builtin", "example1_vector",

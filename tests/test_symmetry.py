@@ -800,6 +800,7 @@ def test_report_dict_shape(gradient_report):
                 "triangle_sup", "gradient_match_sup", "tol", "fd_tol"):
         assert isinstance(data[key], float)
     assert "gauge_components" not in data
+    assert "coefficients" not in data
 
 
 # ---------------------------------------------------------------------------
@@ -839,6 +840,24 @@ def test_classify_skips_witness_outside_exponential_family():
     assert report.verdict == UNDECIDED
     assert report.witness is None
     assert interaction_witness_hoho(system) > 1.0
+
+
+@pytest.mark.parametrize("system", [
+    make_builtin("free"), make_builtin("hoho"),
+    make_builtin("coefficient_form"), _gradient_pair(),
+    make_builtin("coefficient_form", {"W1": ("x2_0", 0, 0, 0),
+                                      "W2": ("x1_0", 0, 0, 0)}),
+    make_builtin("coefficient_form", {"W1": ("cos(x2_0)", 0, 0, 0)}),
+], ids=["free", "hoho", "coefficient_form", "gradient_pair",
+        "linear_gradient_pair", "cos_W1"])
+def test_classify_interaction_hands_on_the_gauge_report(system):
+    # classify_interaction runs classify_gauge first and keeps its report
+    gauge = classify_interaction(system).gauge
+    alone = classify_gauge(system)
+    assert gauge.as_dict() == alone.as_dict()
+    assert gauge.gauge_components.keys() == alone.gauge_components.keys()
+    for label, component in alone.gauge_components.items():
+        assert np.array_equal(gauge.gauge_components[label], component)
 
 
 def test_classification_report_dict():
