@@ -213,8 +213,8 @@ def _config_echo(args: argparse.Namespace) -> dict:
 def _format_csv(rows: Sequence[Sequence]) -> str:
     lines = []
     for row in rows:
-        cells = [cell if isinstance(cell, str) else repr(float(cell))
-                 for cell in row]
+        cells = [cell if isinstance(cell, str) else
+                 "" if cell is None else repr(float(cell)) for cell in row]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -339,7 +339,7 @@ def _cmd_simulate(args: argparse.Namespace):
             "total_time": args.T,
         } | result.as_dict()
         csv_rows = [("dt", "discrepancy", "fitted_order")]
-        csv_rows += [(dt, disc, result.fitted_order)
+        csv_rows += [(dt, disc, report["fitted_order"])
                      for dt, disc in result.rows]
     else:
         result = holonomy_series(system, psi0, args.delta)

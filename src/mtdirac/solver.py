@@ -22,7 +22,9 @@ and exponentiated with eigh (declared hermitian) or scipy's expm,
 imported only when such a non-hermitian phase is first built.  A phase
 that varies over the grid is applied pointwise before the FFT and after
 the inverse FFT, in closed form as sum_i a_i (B_i psi) with no matrix
-per point.
+per point, accumulated in place: each term's product goes through one
+scratch buffer per application into a fresh output, never the input,
+and the free step's kernel matmul overwrites that output.
 
 When V_k depends only on the times, its half-step phase P is a single
 16x16 matrix that commutes with the FFT, so a step is the kernel
@@ -195,12 +197,15 @@ def _step_coords(grid: Grid, t1: float, t2: float) -> list:
             [t2, 0.0, 0.0, zs[None, :]]]
 
 
-def _add_terms(out: np.ndarray, field: OperatorField,
-               values: np.ndarray) -> np.ndarray:
-    """out += sum_i a_i (B_i values) over the field's terms, pointwise."""
+def _add_terms(out: np.ndarray, field: OperatorField, values: np.ndarray,
+               product: np.ndarray | None = None) -> np.ndarray:
+    """out += sum_i a_i (B_i values) over the field's terms, pointwise, in
+    place: each term goes through one scratch product, new if not given."""
+    product = np.empty_like(out) if product is None else product
     for structure, weight in field.items():
-        out += np.asarray(weight)[..., None] * (
-            values @ realize(structure, DIRAC).T)
+        np.matmul(values, realize(structure, DIRAC).T, out=product)
+        np.multiply(np.asarray(weight)[..., None], product, out=product)
+        out += product
     return out
 
 
@@ -331,8 +336,13 @@ def _potential_phase(system: MultiTimeSystem, particle: int,
         return _multiply_out(factors)
 
     def apply(values: np.ndarray) -> np.ndarray:
-        for cos, terms in factors:
-            values = _add_terms(values * cos[..., None], terms, values)
+        # each factor writes a buffer other than its input, and the
+        # caller's values are never one of them
+        product, spare = np.empty_like(values), None
+        for g, (cos, terms) in enumerate(factors):
+            out = _add_terms(np.multiply(values, cos[..., None], out=spare),
+                             terms, values, product)
+            spare, values = (values if g else None), out
         return values
 
     return apply
@@ -355,14 +365,14 @@ def _apply_kernel(values: np.ndarray, particle: int, kernel: np.ndarray,
 
     Values in the joint Fourier space of (z_1, z_2) take it as a per-mode
     matmul; position-space values take it between an FFT and an inverse
-    FFT along z_k.
+    FFT along z_k, the matmul overwriting them: they are a phase's output.
     """
     # particle k's grid axis leads, so kernel row x acts on values[x]
     if particle == 2:
         values = values.swapaxes(0, 1)
     kernel = kernel.swapaxes(-1, -2)
-    values = (values @ kernel if spectral else
-              np.fft.ifft(np.fft.fft(values, axis=0) @ kernel, axis=0))
+    values = (values @ kernel if spectral else np.fft.ifft(np.matmul(
+        np.fft.fft(values, axis=0), kernel, out=values), axis=0))
     return values.swapaxes(0, 1) if particle == 2 else values
 
 

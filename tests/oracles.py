@@ -9,12 +9,14 @@ import numpy as np
 import scipy.linalg
 
 from mtdirac.clifford import (
+    DIRAC,
     BasisClass,
     BasisElement,
     GammaRep,
     TensorBasisElement,
     commutator,
     embed,
+    realize,
     reconstruct,
 )
 from mtdirac.dsl import differentiate, evaluate
@@ -189,6 +191,16 @@ def reference_step(psi, particle: int, dt: float, system, rep) -> np.ndarray:
         spectral = np.einsum("yab,xysb->xysa", multiplier, spectral)
     values = np.fft.ifft(spectral, axis=axis).reshape(n, n, 16)
     return np.einsum("...ij,...j->...i", phase, values)
+
+
+def reference_add_terms(out: np.ndarray, field, values: np.ndarray):
+    """out + sum_i a_i (B_i values) term by term, each term formed out of
+    place as a_i[..., None] * (values @ B_i^T); out itself is not changed."""
+    out = out.copy()
+    for structure, weight in field.items():
+        out += np.asarray(weight)[..., None] * (
+            values @ realize(structure, DIRAC).T)
+    return out
 
 
 def reference_curvature(system, configs: np.ndarray, rep):

@@ -538,6 +538,23 @@ def test_simulate_path_series_csv(tmp_path):
     assert report["fitted_order"] == pytest.approx(first[2])
 
 
+def test_simulate_csv_leaves_an_undefined_fit_empty(tmp_path):
+    """A fit the report gives as null is an empty cell, not `nan`."""
+    out = tmp_path / "free.json"
+    csv_path = tmp_path / "free.csv"
+    code = entry(["simulate", "--builtin", "free", "--dt", "0.1,0.05",
+                  "--T", "0.2", "--grid-n", "32",
+                  "--csv", str(csv_path), "--out", str(out)])
+    assert code == EXIT_OK
+    assert read_json(out)["report"]["fitted_order"] is None
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "dt,discrepancy,fitted_order"
+    for line, dt in zip(lines[1:], ("0.1", "0.05"), strict=True):
+        cells = line.split(",")
+        assert cells[0] == dt and float(cells[1]) >= 0 and cells[2] == ""
+    assert "nan" not in csv_path.read_text()
+
+
 def test_simulate_holonomy_series_csv(tmp_path):
     out = tmp_path / "holo.json"
     csv_path = tmp_path / "holo.csv"

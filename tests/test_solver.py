@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -45,7 +46,7 @@ from mtdirac.solver import (
     spacelike_mask,
     step,
 )
-from oracles import reference_step
+from oracles import reference_add_terms, reference_step
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +350,52 @@ def test_step_matches_einsum_reference(label, particle, dt, dirac):
     assert deviation <= 1e-13
 
 
+def _random_field(rng, count: int, shape: tuple) -> dict:
+    """count distinct two-particle structures with complex weights."""
+    elements = rng.choice(len(_SINGLE_ELEMENTS) ** 2, count, replace=False)
+    return {tensor_element(*(_SINGLE_ELEMENTS[i] for i in
+                             divmod(e, len(_SINGLE_ELEMENTS)))):
+            rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            for e in elements}
+
+
+@pytest.mark.parametrize("zero_start", [True, False])
+@pytest.mark.parametrize("shape", [(), (16, 1), (1, 16), (16, 16)])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_add_terms_matches_out_of_place_reference(count, shape, zero_start):
+    """In-place accumulation through one scratch product is bit for bit
+    the term-by-term formula, from a zero start (apply_curvature's) or not."""
+    rng = np.random.default_rng(count + 10 * len(shape) + sum(shape))
+    values = rng.normal(size=(16, 16, 16)) + 1j * rng.normal(size=(16, 16, 16))
+    start = (np.zeros_like(values) if zero_start else
+             rng.normal(size=values.shape) + 1j * rng.normal(size=values.shape))
+    field = _random_field(rng, count, shape)
+    expected = reference_add_terms(start, field, values)
+    out = solver._add_terms(start.copy(), field, values)
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_add_terms_holds_one_scratch_product():
+    """A 3-term field at n = 64 holds one (n, n, 16) buffer beyond its
+    arguments, not two temporaries per term."""
+    rng = np.random.default_rng(3)
+    shape = (64, 64, 16)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    out = np.zeros_like(values)
+    field = _random_field(rng, 3, (64, 64))
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        solver._add_terms(out, field, values)
+        held = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert held <= 1.25 * values.nbytes
+
+
 # ---------------------------------------------------------------------------
 # Paths
 # ---------------------------------------------------------------------------
@@ -394,6 +441,30 @@ def test_experiments_match_chained_reference_steps(label, dirac):
                                      (1, -delta, 1), (2, -delta, 1)],
                                system, dirac)
         assert abs(deviation - back.distance(psi)) <= 1e-13
+
+
+@pytest.mark.parametrize("label", sorted(_ORACLE_SYSTEMS))
+def test_solver_never_writes_into_the_callers_values(label):
+    """psi0.values stay bit for bit after every entry point, and an
+    experiment run twice on the same psi0 gives the same rows."""
+    system = make_builtin(*_ORACLE_SYSTEMS[label])
+    psi = _oracle_state()
+    pristine = psi.values.tobytes()
+    calls = [
+        lambda: step(psi, 1, 0.1, system),
+        lambda: step(psi, 2, -0.1, system),
+        lambda: evolve_path(psi, [Leg(1, 0.2, 0.1), Leg(2, 0.2, 0.1, -1)],
+                            system),
+        lambda: path_independence_experiment(system, psi, 0.2,
+                                             [0.1, 0.05]).rows,
+        lambda: holonomy_series(system, psi, [0.2, 0.1]).rows,
+        lambda: apply_curvature(system, psi),
+    ]
+    for call in calls:
+        first = call()
+        assert psi.values.tobytes() == pristine
+        if isinstance(first, tuple):
+            assert call() == first
 
 
 def test_hoho_path_matches_chained_steps(grid, psi0):
