@@ -22,9 +22,9 @@ and exponentiated with eigh (declared hermitian) or scipy's expm,
 imported only when such a non-hermitian phase is first built.  A phase
 that varies over the grid is applied pointwise before the FFT and after
 the inverse FFT, in closed form as sum_i a_i (B_i psi) with no matrix
-per point, accumulated in place: each term's product goes through one
-scratch buffer per application into a fresh output, never the input,
-and the free step's kernel matmul overwrites that output.
+per point, accumulated in place: each class factor's terms go through
+one scratch buffer into a fresh output, never the input, and the free
+step's kernel matmul overwrites that output.
 
 When V_k depends only on the times, its half-step phase P is a single
 16x16 matrix that commutes with the FFT, so a step is the kernel
@@ -197,11 +197,11 @@ def _step_coords(grid: Grid, t1: float, t2: float) -> list:
             [t2, 0.0, 0.0, zs[None, :]]]
 
 
-def _add_terms(out: np.ndarray, field: OperatorField, values: np.ndarray,
-               product: np.ndarray | None = None) -> np.ndarray:
+def _add_terms(out: np.ndarray, field: OperatorField,
+               values: np.ndarray) -> np.ndarray:
     """out += sum_i a_i (B_i values) over the field's terms, pointwise, in
-    place: each term goes through one scratch product, new if not given."""
-    product = np.empty_like(out) if product is None else product
+    place: every term goes through one scratch product."""
+    product = np.empty_like(out)
     for structure, weight in field.items():
         np.matmul(values, realize(structure, DIRAC).T, out=product)
         np.multiply(np.asarray(weight)[..., None], product, out=product)
@@ -336,13 +336,8 @@ def _potential_phase(system: MultiTimeSystem, particle: int,
         return _multiply_out(factors)
 
     def apply(values: np.ndarray) -> np.ndarray:
-        # each factor writes a buffer other than its input, and the
-        # caller's values are never one of them
-        product, spare = np.empty_like(values), None
-        for g, (cos, terms) in enumerate(factors):
-            out = _add_terms(np.multiply(values, cos[..., None], out=spare),
-                             terms, values, product)
-            spare, values = (values if g else None), out
+        for cos, terms in factors:
+            values = _add_terms(values * cos[..., None], terms, values)
         return values
 
     return apply
