@@ -22,7 +22,8 @@ as the residual sup, so they vanish exactly where the residual does.
 """
 import numpy as np
 
-from mtdirac import build_dirac_rep, check_consistency, make_builtin
+from mtdirac import (build_dirac_rep, check_consistency, make_builtin,
+                     sample_configs)
 
 rng = np.random.default_rng(20240817)
 
@@ -32,8 +33,8 @@ rng = np.random.default_rng(20240817)
 
 for name in ("free", "hoho", "example1_vector"):
     system = make_builtin(name)
-    report = check_consistency(system, nsamples=100,
-                               rng=np.random.default_rng(0))
+    report = check_consistency(system,
+                               sample_configs(100, np.random.default_rng(0)))
     print("=" * 72)
     print(f"{name}   ->   {report.verdict}")
     print("=" * 72)
@@ -56,7 +57,7 @@ print("=" * 72)
 # the check takes no representation; only the matrix oracle needs one
 oracle = 2.0 * np.kron(np.eye(4), build_dirac_rep().gammas[3])
 report = check_consistency(make_builtin("example1_vector"),
-                           rng=np.random.default_rng(0))
+                           sample_configs(100, np.random.default_rng(0)))
 print(f"    ||oracle||_F = {np.linalg.norm(oracle):.1f}")
 print(f"    measured sup = {report.zeroth_sup:.12f}")
 
@@ -74,7 +75,7 @@ for trial in range(3):
                                    "c": c_vec,
                                    "m1": rng.uniform(0.5, 2.0),
                                    "m2": rng.uniform(0.5, 2.0)})
-    report = check_consistency(system, nsamples=60,
-                               rng=np.random.default_rng(trial))
+    report = check_consistency(
+        system, sample_configs(60, np.random.default_rng(trial)))
     print(f"    draw {trial}: verdict {report.verdict}, "
           f"worst residual {max(report.zeroth_sup, *report.deriv_coeff_sup):.3e}")

@@ -12,10 +12,12 @@ Exit codes:
     2   malformed input: unknown builtin, bad flags, parameters or
         system-file fields of the wrong type or out of range (masses must
         be real and finite, N and particle JSON integers), coefficient
-        expressions that fail to parse (message carries the source
-        position), systems outside the required form (cc: the
-        coefficient form), a loop delta whose square underflows, or a
-        request too large for memory (say, --nsamples)
+        expressions that fail to parse or nest more than dsl.MAX_DEPTH
+        levels deep (message carries the source position), spec files
+        that are not UTF-8 JSON or nest too deeply to decode, systems
+        outside the required form (cc: the coefficient form), a loop
+        delta whose square underflows, or a request too large for memory
+        (say, --nsamples)
     3   numerical-domain failure: a coefficient guard tripped (every
         command that evaluates the potentials runs them, cc included),
         an expression hit an evaluation singularity, or a potential or
@@ -240,35 +242,34 @@ def _cmd_verify_clifford(args: argparse.Namespace):
     return report, None
 
 
+def _sampled_check(args: argparse.Namespace, system: MultiTimeSystem):
+    samples = sample_configs(args.nsamples, np.random.default_rng(args.seed),
+                             system.n_particles, Region(args.region))
+    return check_consistency(system, samples, tol=args.tol)
+
+
 def _cmd_check(args: argparse.Namespace):
     system = _load_cmd_system(args)
-    rng = np.random.default_rng(args.seed)
-    result = check_consistency(
-        system, nsamples=args.nsamples, region=Region(args.region),
-        tol=args.tol, rng=rng)
-    report = {"system": system.name,
-              "masses": list(system.masses)} | result.as_dict()
+    result = _sampled_check(args, system)
+    report = {"system": system.name, "masses": list(system.masses),
+              "region": args.region} | result.as_dict()
     return report, result.verdict
 
 
 def _cmd_cc(args: argparse.Namespace):
     system = _load_cmd_system(args)
     to_coefficient_form(system)  # CoefficientFormError outside the form
-    result = check_consistency(
-        system, nsamples=args.nsamples, region=Region(args.region),
-        tol=args.tol, rng=np.random.default_rng(args.seed))
-    sup = max(result.cc.values())
-    verdict = VERDICT_CONSISTENT if sup < args.tol else VERDICT_INCONSISTENT
+    result = _sampled_check(args, system)
     report = {
         "system": system.name,
         "cc": result.cc,
-        "sup": sup,
-        "verdict": verdict,
+        "sup": max(result.cc.values()),
+        "verdict": result.verdict,
         "tol": args.tol,
         "region": args.region,
         "nsamples": args.nsamples,
     }
-    return report, verdict
+    return report, result.verdict
 
 
 def _cmd_classify(args: argparse.Namespace):

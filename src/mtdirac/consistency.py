@@ -8,11 +8,11 @@ curvature
 
 vanishes identically.  For first-order Hamiltonians the curvature
 splits into first-order pieces, proportional to the commutators
-[alpha^a_j, V_k] (j != k), and a zeroth-order matrix residual.  This
-module computes both, each on a whole configuration stack (..., N, 4)
-in one call, in coefficient space: the potentials are operator fields
-sum_m c_m B_m over tensor-basis elements, every product of two basis
-elements is a phase times one basis element (clifford.PRODUCT_INDEX
+[alpha^a_j, V_k] (j != k), and a zeroth-order matrix residual.  One
+builder computes both on the stack (..., N, 4) it is given, evaluating
+each potential once, in coefficient space: the potentials are operator
+fields sum_m c_m B_m over tensor-basis elements, every product of two
+basis elements is a phase times one basis element (clifford.PRODUCT_INDEX
 and PRODUCT_PHASE), and ||sum_m c_m B_m||_F = sqrt(4^N sum_m |c_m|^2).
 So the verdicts, the cc sups and the curvature take no representation;
 only zeroth_order_residual and derivative_coefficient_matrices, which
@@ -45,13 +45,11 @@ from .potential import (
     CoefficientFormError,
     CoefficientSet,
     MultiTimeSystem,
-    Region,
     SpecError,
     _require_finite,
     coefficient_set_to_system,
     differentiate_potential,
     operator_field,
-    sample_configs,
     stack_coords,
     to_coefficient_form,
 )
@@ -67,14 +65,23 @@ _ALPHA = tuple(BasisElement(BasisClass.ALPHA, mu) for mu in range(4))
 # Residuals as operator fields
 # ---------------------------------------------------------------------------
 
-def _zeroth_order(system: MultiTimeSystem, configs,
-                  j: int, k: int) -> OperatorField:
-    """E(j,k) as an operator field over the configuration stack."""
+def _curvature_parts(system: MultiTimeSystem, configs, j: int = 1,
+                     k: int = 2) -> tuple[dict[tuple[int, int], OperatorField],
+                                          OperatorField]:
+    """F_jk's parts as operator fields over the configuration stack.
+
+    Returns the first-order parts [alpha^a_j, V_k] and [alpha^a_k, V_j],
+    keyed by (particle, a) for a in 1..3, and the zeroth-order residual
+    E(j,k).  V_j and V_k are evaluated once, so their guards run once.
+    """
     n = system.n_particles
     coords = stack_coords(configs)
     pot_j, pot_k = system.potential(j), system.potential(k)
     v_j = operator_field(pot_j, coords)
     v_k = operator_field(pot_k, coords)
+    first = {(particle, a): field_commutator(
+                 unit_field(_ALPHA[a], particle, n), v_other)
+             for particle, v_other in ((j, v_k), (k, v_j)) for a in (1, 2, 3)}
     g0_j, g0_k = unit_field(_GAMMA0, j, n), unit_field(_GAMMA0, k, n)
     terms = [(1, field_commutator(v_k, v_j)),
              (system.mass(k), field_commutator(g0_k, v_j)),
@@ -84,24 +91,7 @@ def _zeroth_order(system: MultiTimeSystem, configs,
         dv_k = operator_field(differentiate_potential(pot_k, j, mu), coords)
         terms += [(-1j, field_product(unit_field(_ALPHA[mu], k, n), dv_j)),
                   (1j, field_product(unit_field(_ALPHA[mu], j, n), dv_k))]
-    return field_sum(*terms)
-
-
-def _first_order(system: MultiTimeSystem,
-                 configs) -> dict[tuple[int, int], OperatorField]:
-    """[alpha^a_j, V_k] by (j, a) as operator fields over the stack."""
-    n = system.n_particles
-    coords = stack_coords(configs)
-    out: dict[tuple[int, int], OperatorField] = {}
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            if j == k:
-                continue
-            v_k = operator_field(system.potential(k), coords)
-            for a in (1, 2, 3):
-                out[(j, a)] = field_commutator(unit_field(_ALPHA[a], j, n),
-                                               v_k)
-    return out
+    return first, field_sum(*terms)
 
 
 def zeroth_order_residual(system: MultiTimeSystem, coords: np.ndarray,
@@ -114,7 +104,7 @@ def zeroth_order_residual(system: MultiTimeSystem, coords: np.ndarray,
     coords is a configuration stack (..., N, 4), a single configuration
     being the stack (N, 4); the result is (..., D, D).
     """
-    return reconstruct(_zeroth_order(system, coords, j, k),
+    return reconstruct(_curvature_parts(system, coords, j, k)[1],
                        system.n_particles, rep, np.shape(coords)[:-2])
 
 
@@ -129,7 +119,7 @@ def derivative_coefficient_matrices(
     """
     return {key: reconstruct(operand, system.n_particles, rep,
                              np.shape(coords)[:-2])
-            for key, operand in _first_order(system, coords).items()}
+            for key, operand in _curvature_parts(system, coords)[0].items()}
 
 
 def _sup_norm(operand: OperatorField) -> float:
@@ -184,7 +174,7 @@ def cc_residuals(coefficients: CoefficientSet,
     only when check_consistency is given the system itself.
     """
     system = coefficient_set_to_system(coefficients, masses)
-    return check_consistency(system, samples=samples).cc
+    return check_consistency(system, samples).cc
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +196,6 @@ class ConsistencyReport:
     cc: dict[str, float] | None
     verdict: str
     tol: float
-    region: str
     nsamples: int
 
     def as_dict(self) -> dict:
@@ -217,40 +206,30 @@ class ConsistencyReport:
             "cc": dict(self.cc) if self.cc is not None else None,
             "verdict": self.verdict,
             "tol": self.tol,
-            "region": self.region,
             "nsamples": self.nsamples,
         }
 
 
-def check_consistency(system: MultiTimeSystem, *,
-                      nsamples: int = 100,
-                      region: Region = Region.ALL,
-                      tol: float = 1e-9,
-                      rng: np.random.Generator | None = None,
-                      samples: np.ndarray | None = None) -> ConsistencyReport:
-    """Sample-based compatibility verdict for a two-particle system.
+def check_consistency(system: MultiTimeSystem, samples: np.ndarray,
+                      tol: float = 1e-9) -> ConsistencyReport:
+    """Compatibility verdict for a two-particle system on a sample stack.
 
-    The verdict is CONSISTENT when every first-order obstruction and
+    samples is a configuration stack (S, 2, 4), as sample_configs draws
+    it.  The verdict is CONSISTENT when every first-order obstruction and
     the zeroth-order residual stay below tol in Frobenius norm at all
-    sampled configurations.  When the pair admits the coefficient form,
-    the cc1..cc16 sups, read off the same E(1,2) field, are always
-    attached; this is the one path from a system to its cc sups, so the
-    system's guards apply to them.  Raises SpecError unless N = 2, and
-    DomainError when a guard trips or a sup is not finite.
+    samples.  When the pair admits the coefficient form, the cc1..cc16
+    sups, read off the same E(1,2) field, are always attached; this is
+    the one path from a system to its cc sups, so the system's guards
+    apply to them.  Raises SpecError unless N = 2, and DomainError when a
+    guard trips or a sup is not finite.
     """
     if system.n_particles != 2:
         raise SpecError("consistency checking requires exactly two particles")
-    if samples is None:
-        rng = rng or np.random.default_rng(0)
-        samples = sample_configs(nsamples, rng, system.n_particles, region)
-    else:
-        samples = np.asarray(samples, float)
+    samples = np.asarray(samples, float)
 
     with np.errstate(all="ignore"):
-        first = _first_order(system, samples)
-        deriv_sup = tuple(_sup_norm(first[(j, a)])
-                          for j in (1, 2) for a in (1, 2, 3))
-        zeroth = _zeroth_order(system, samples, 1, 2)
+        first, zeroth = _curvature_parts(system, samples)
+        deriv_sup = tuple(_sup_norm(operand) for operand in first.values())
         zeroth_sup = _sup_norm(zeroth)
     _require_finite({"zeroth_sup": zeroth_sup} | {
         f"deriv_coeff_sup[{index}]": sup
@@ -267,8 +246,7 @@ def check_consistency(system: MultiTimeSystem, *,
     verdict = VERDICT_CONSISTENT if worst < tol else VERDICT_INCONSISTENT
     return ConsistencyReport(
         pair=(1, 2), deriv_coeff_sup=deriv_sup, zeroth_sup=zeroth_sup,
-        cc=cc, verdict=verdict, tol=tol, region=region.value,
-        nsamples=len(samples))
+        cc=cc, verdict=verdict, tol=tol, nsamples=len(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +277,8 @@ def curvature_operator(system: MultiTimeSystem,
     """
     if system.n_particles != 2:
         raise SpecError("curvature requires exactly two particles")
-    first = _first_order(system, coords)
+    first, zeroth = _curvature_parts(system, coords)
     return CurvatureOperator(
-        zeroth=field_sum((1j, _zeroth_order(system, coords, 1, 2))),
+        zeroth=field_sum((1j, zeroth)),
         first={(j, a): field_sum((1 if j == 2 else -1, operand))
                for (j, a), operand in first.items()})

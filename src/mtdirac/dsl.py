@@ -154,6 +154,14 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
+#: Deepest expression tree, and deepest nesting of parentheses, that the
+#: parser accepts.  Evaluation, differentiation and rendering recurse once
+#: or twice per level, and a derivative can be several times deeper than
+#: its expression, so this keeps later passes within Python's recursion
+#: limit.
+MAX_DEPTH = 150
+
+
 class _Parser:
     def __init__(self, source: str, n_particles: int,
                  params: Mapping[str, complex]):
@@ -162,6 +170,7 @@ class _Parser:
         self.params = params
         self.tokens = _tokenize(source)
         self.index = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -179,8 +188,15 @@ class _Parser:
                 token.position, self.source)
         self.advance()
 
+    def limit(self, depth: int, token: _Token) -> int:
+        if depth > MAX_DEPTH:
+            raise DslParseError(
+                f"expression nested more than {MAX_DEPTH} levels deep",
+                token.position, self.source)
+        return depth
+
     def parse(self) -> Expr:
-        expr = self.expr()
+        expr, _ = self.expr()
         token = self.peek()
         if token.kind != "end":
             raise DslParseError(
@@ -188,28 +204,33 @@ class _Parser:
                 self.source)
         return expr
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self) -> tuple[Expr, int]:
+        self.limit(self.nesting, self.peek())  # parentheses open here
+        self.nesting += 1
+        node, depth = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            right = self.term()
-            node = Add(node, right) if op == "+" else Sub(node, right)
-        return node
+            op = self.advance()
+            right, right_depth = self.term()
+            node = Add(node, right) if op.text == "+" else Sub(node, right)
+            depth = self.limit(1 + max(depth, right_depth), op)
+        self.nesting -= 1
+        return node, depth
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self) -> tuple[Expr, int]:
+        node, depth = self.factor()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            right = self.factor()
-            node = Mul(node, right) if op == "*" else Div(node, right)
-        return node
+            op = self.advance()
+            right, right_depth = self.factor()
+            node = Mul(node, right) if op.text == "*" else Div(node, right)
+            depth = self.limit(1 + max(depth, right_depth), op)
+        return node, depth
 
-    def factor(self) -> Expr:
-        negate = False
-        if self.peek().kind == "op" and self.peek().text == "-":
+    def factor(self) -> tuple[Expr, int]:
+        start = self.peek()
+        negate = start.kind == "op" and start.text == "-"
+        if negate:
             self.advance()
-            negate = True
-        node = self.atom()
+        node, depth = self.atom()
         if self.peek().kind == "op" and self.peek().text == "^":
             self.advance()
             token = self.peek()
@@ -218,24 +239,26 @@ class _Parser:
                     "exponent must be a nonnegative integer", token.position,
                     self.source)
             self.advance()
-            node = Pow(node, int(token.text))
-        return Neg(node) if negate else node
+            node, depth = Pow(node, int(token.text)), depth + 1
+        if negate:
+            node, depth = Neg(node), depth + 1
+        return node, self.limit(depth, start)
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         token = self.peek()
         if token.kind == "number":
             self.advance()
-            return Const(complex(float(token.text)))
+            return Const(complex(float(token.text))), 1
         if token.kind == "ident":
             self.advance()
             name = token.text
             if name == "i":
-                return Const(1j)
+                return Const(1j), 1
             if name in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg, depth = self.expr()
                 self.expect_op(")")
-                return Call(name, arg)
+                return Call(name, arg), self.limit(depth + 1, token)
             coord = _COORD_RE.match(name)
             if coord:
                 k, mu = int(coord.group(1)), int(coord.group(2))
@@ -247,16 +270,16 @@ class _Parser:
                     raise DslParseError(
                         f"coordinate component in {name!r} outside 0..3",
                         token.position, self.source)
-                return Coord(k, mu)
+                return Coord(k, mu), 1
             if name in self.params:
-                return Param(name, complex(self.params[name]))
+                return Param(name, complex(self.params[name])), 1
             raise DslParseError(f"unknown identifier {name!r}", token.position,
                                 self.source)
         if token.kind == "op" and token.text == "(":
             self.advance()
-            node = self.expr()
+            node, depth = self.expr()
             self.expect_op(")")
-            return node
+            return node, depth
         raise DslParseError(
             f"expected a value, found {token.text or 'end of input'!r}",
             token.position, self.source)

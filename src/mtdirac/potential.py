@@ -15,6 +15,7 @@ import enum
 import json
 import numbers
 import os
+import stat
 import tempfile
 from dataclasses import dataclass, field, make_dataclass
 from typing import Mapping, Sequence
@@ -764,7 +765,8 @@ def load_system(path: str | os.PathLike) -> MultiTimeSystem:
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError,
+                RecursionError) as exc:  # not UTF-8, or nested too deeply
             raise SpecError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, Mapping):
         raise SpecError("system description must be a JSON object")
@@ -772,11 +774,22 @@ def load_system(path: str | os.PathLike) -> MultiTimeSystem:
 
 
 def write_text_atomic(path: str | os.PathLike, text: str) -> None:
-    """Atomic file write: stage to a temp file, then rename into place."""
+    """Atomic file write: stage to a temp file, then rename into place.
+
+    The file gets the mode open(path, "w") would give it, not mkstemp's
+    0o600: an existing file's mode, else 0o666 less the umask.
+    """
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0o077)  # reading the umask means setting it
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-mtdirac-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            os.fchmod(handle.fileno(), mode)
             handle.write(text)
         os.replace(tmp_path, path)
     except BaseException:

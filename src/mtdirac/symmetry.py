@@ -45,7 +45,7 @@ from .clifford import (
     field_sum,
     tensor_element,
 )
-from .consistency import _cc_sups, _zeroth_order
+from .consistency import _cc_sups, _curvature_parts
 from .dsl import Expr, Sub, differentiate, evaluate, is_constant, is_zero
 from .potential import (
     COEFFICIENT_LAYOUT,
@@ -481,7 +481,7 @@ def classify_gauge(system: MultiTimeSystem,
 
     # --- exactness conditions -------------------------------------------
     # np.max and np.maximum keep a NaN that max() would drop
-    cc = _cc_sups(_zeroth_order(system, probes, 1, 2))
+    cc = _cc_sups(_curvature_parts(system, probes)[1])
     cross_curl = np.max([cc[f"cc{index}"] for index in range(1, 5)])
     locality = 0.0
     for f in sectors.values():

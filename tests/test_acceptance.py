@@ -255,7 +255,7 @@ def test_matrix_and_scalar_verdicts_agree(rng):
         system = make_builtin("coefficient_form",
                               _random_coefficient_params(rng))
         samples = sample_configs(25, rng)
-        report = check_consistency(system, samples=samples, tol=tol)
+        report = check_consistency(system, samples, tol=tol)
         scalar_ok = max(report.cc.values()) < tol
         matrix_ok = report.verdict == VERDICT_CONSISTENT
         assert matrix_ok == scalar_ok

@@ -8,9 +8,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +111,14 @@ def test_check_spacelike_region_and_params(capsys):
     assert envelope["report"]["masses"] == [2.0, 1.0]
     assert envelope["report"]["region"] == "spacelike"
     assert envelope["config"]["region"] == "spacelike"
+
+
+def test_check_and_cc_report_their_sampling_region(capsys):
+    for command in ("check", "cc"):
+        code, envelope = run_json(capsys, [command, "--builtin", "hoho"])
+        assert code == EXIT_OK
+        assert envelope["report"]["region"] == "all"
+        assert envelope["report"]["nsamples"] == 100
 
 
 def test_expectation_mismatch_exits_one(tmp_path):
@@ -229,6 +239,70 @@ def test_malformed_spec_exits_two(tmp_path, capsys, edit):
     assert "Traceback" not in captured.err
 
 
+def _nested_json(tmp_path):
+    spec = tmp_path / "nested.json"
+    spec.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    return ["--spec", str(spec)]
+
+
+def _not_utf8(tmp_path):
+    spec = tmp_path / "latin1.json"
+    spec.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    return ["--spec", str(spec)]
+
+
+@pytest.mark.parametrize("source,message", [
+    (_not_utf8, "can't decode byte 0xe9"),
+    (_nested_json, "maximum recursion depth exceeded"),
+    (lambda tmp_path: ["--builtin", "coefficient_form", "--param",
+                       "W1=" + "(" * 400 + "x2_0" + ")" * 400 + ",0,0,0"],
+     "nested more than 150 levels deep (at position 151)"),
+    (lambda tmp_path: ["--builtin", "coefficient_form", "--param",
+                       "W1=" + "+".join(["x2_0"] * 600) + ",0,0,0"],
+     "nested more than 150 levels deep (at position 749)"),
+], ids=["spec not utf-8", "spec json 100000 deep",
+        "400 nested parentheses", "600-term sum"])
+def test_input_too_deep_or_undecodable_exits_two(tmp_path, capsys, source,
+                                                 message):
+    code = entry(["check", *source(tmp_path)])
+    assert code == EXIT_SPEC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mtdirac: error: ")
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+def test_reports_get_the_mode_of_a_plain_open(tmp_path):
+    # mkstemp stages with mode 0o600; the written files must not keep it
+    script = """if True:
+        import os, stat, sys
+        from mtdirac import make_builtin, save_system
+        from mtdirac.cli import entry
+        os.umask(0o022)
+        entry(["verify-clifford", "--out", "vc.json"])
+        entry(["simulate", "--builtin", "free", "--grid-n", "16",
+               "--delta", "0.1", "--csv", "loop.csv", "--out", "sim.json"])
+        save_system(make_builtin("free"), "free.json")
+        open("plain.txt", "w").close()
+        with open("kept.json", "w"):
+            pass
+        os.chmod("kept.json", 0o640)
+        save_system(make_builtin("free"), "kept.json")
+        for name in ("vc.json", "sim.json", "loop.csv", "free.json",
+                     "plain.txt", "kept.json"):
+            print(name, oct(stat.S_IMODE(os.stat(name).st_mode)))
+    """
+    src = str(Path(mtdirac.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    modes = dict(line.split() for line in done.stdout.splitlines())
+    assert modes == {"vc.json": "0o644", "sim.json": "0o644",
+                     "loop.csv": "0o644", "free.json": "0o644",
+                     "plain.txt": "0o644", "kept.json": "0o640"}
+
+
 def test_bad_expect_token_rejected():
     with pytest.raises(SystemExit) as excinfo:
         entry(["check", "--builtin", "hoho", "--expect", "bogus"])
@@ -317,6 +391,23 @@ def test_cc_and_check_agree_on_a_consistent_sector_system(capsys, dirac,
         zeroth, first = reference_curvature(system, samples, rep)
         for operand in (zeroth, *first.values()):
             assert np.max(np.abs(operand)) <= 1e-14
+
+
+def test_cc_and_check_give_one_verdict_near_tol(capsys):
+    # E(1,2) holds one coefficient of modulus 5e-10: its Frobenius norm,
+    # 4 x 5e-10, is above tol and its family sup is below; both commands
+    # report check's verdict
+    argv = ["--builtin", "coefficient_form", "--param",
+            "W1=5e-10*x2_0,0,0,0"]
+    code, checked = run_json(capsys, ["check", *argv])
+    assert code == EXIT_OK
+    assert checked["verdict"] == "INCONSISTENT"
+    assert checked["report"]["zeroth_sup"] > 1e-9
+    code, conditions = run_json(capsys, ["cc", *argv])
+    assert code == EXIT_OK
+    assert conditions["verdict"] == checked["verdict"]
+    assert conditions["report"]["verdict"] == checked["verdict"]
+    assert conditions["report"]["sup"] < 1e-9
 
 
 def test_cc_sees_the_mirrored_sector_obstruction(capsys):
@@ -608,7 +699,7 @@ def test_out_of_memory_exits_two(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 5.82 TiB for an array")
 
-    monkeypatch.setattr(consistency, "sample_configs", exhausted)
+    monkeypatch.setattr(cli, "sample_configs", exhausted)
     code = entry(["check", "--builtin", "hoho", "--nsamples", "100000000000"])
     assert code == EXIT_SPEC
     captured = capsys.readouterr()
@@ -622,7 +713,7 @@ def test_spacelike_sampling_failure_exits_two(capsys, monkeypatch):
     def crowded(n_samples, rng, n_particles, region):
         return potential.sample_configs(1, rng, 20, region)
 
-    monkeypatch.setattr(consistency, "sample_configs", crowded)
+    monkeypatch.setattr(cli, "sample_configs", crowded)
     code = entry(["check", "--builtin", "hoho", "--region", "spacelike"])
     assert code == EXIT_SPEC
     captured = capsys.readouterr()

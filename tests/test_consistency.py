@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mtdirac import potential
 from mtdirac.clifford import (
     GAMMA5_ELEMENT,
     IDENTITY_ELEMENT,
@@ -11,6 +12,7 @@ from mtdirac.clifford import (
     basis16,
     build_weyl_rep,
     embed,
+    field_norm,
     frobenius,
     realize,
     reconstruct,
@@ -117,7 +119,8 @@ def test_non_finite_potential_reaches_no_verdict():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="non-finite residual"):
-            check_consistency(system, nsamples=50)
+            check_consistency(system,
+                              sample_configs(50, np.random.default_rng(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +353,7 @@ def test_verdicts_agree_between_matrix_and_scalar_paths(rng):
     samples = sample_configs(40, rng)
     for name, params, expect_consistent in cases:
         system = make_builtin(name, params)
-        report = check_consistency(system, samples=samples)
+        report = check_consistency(system, samples)
         matrix_ok = report.verdict == VERDICT_CONSISTENT
         scalar_ok = max(report.cc.values()) < report.tol
         assert matrix_ok == scalar_ok == expect_consistent, (name, params)
@@ -363,18 +366,18 @@ def test_verdicts_agree_between_matrix_and_scalar_paths(rng):
 def test_check_consistency_hoho_both_regions(rng):
     system = make_builtin("hoho")
     for region in (Region.ALL, Region.SPACELIKE):
-        report = check_consistency(system, nsamples=100,
-                                   region=region, rng=rng)
+        report = check_consistency(
+            system, sample_configs(100, rng, region=region))
         assert report.verdict == VERDICT_CONSISTENT
         assert max(report.deriv_coeff_sup) < 1e-12
         assert report.zeroth_sup < 1e-10
         assert max(report.cc.values()) < 1e-10
         assert report.nsamples == 100
-        assert report.region == region.value
 
 
 def test_check_consistency_example1_vector(rng):
-    report = check_consistency(make_builtin("example1_vector"), rng=rng)
+    report = check_consistency(make_builtin("example1_vector"),
+                               sample_configs(100, rng))
     assert report.verdict == VERDICT_INCONSISTENT
     assert report.cc is None
     assert abs(report.zeroth_sup - 8.0) < 1e-10
@@ -384,32 +387,57 @@ def test_check_consistency_example1_vector(rng):
     assert report.pair == (1, 2)
 
 
-def test_check_consistency_rejects_wrong_particle_count():
+def test_check_consistency_rejects_wrong_particle_count(rng):
     system = MultiTimeSystem(
         name="single", n_particles=1, masses=(1.0,),
         potentials=(Potential(1, 1, ()),), hermitian=True)
     with pytest.raises(Exception):
-        check_consistency(system)
+        check_consistency(system, sample_configs(10, rng, 1))
 
 
 def test_check_consistency_deterministic_with_samples(rng):
     system = make_builtin("hoho", {"c": (1, 0, 0, 0.5)})
     samples = sample_configs(30, rng)
-    first = check_consistency(system, samples=samples)
-    second = check_consistency(system, samples=samples)
+    first = check_consistency(system, samples)
+    second = check_consistency(system, samples)
     assert first == second
     assert first.as_dict() == second.as_dict()
 
 
+def test_check_consistency_runs_each_guard_set_once(monkeypatch, rng):
+    # V_1, V_2 and the eight derivatives d_{2,mu} V_1, d_{1,mu} V_2: one
+    # guard pass each, however many parts of F_12 read a potential
+    calls = []
+    check_guards = potential.check_guards
+    monkeypatch.setattr(potential, "check_guards",
+                        lambda *args: calls.append(args) or check_guards(*args))
+    check_consistency(make_builtin("hoho"), sample_configs(20, rng))
+    assert len(calls) == 10
+
+
+@pytest.mark.parametrize("name", BUILTIN_SYSTEMS)
+def test_check_sups_are_the_curvature_norms(name, rng):
+    system = make_builtin(name)
+    samples = sample_configs(30, rng)
+    report = check_consistency(system, samples)
+    curvature = curvature_operator(system, samples)
+    assert report.zeroth_sup == np.max(field_norm(curvature.zeroth, 2))
+    assert report.deriv_coeff_sup == tuple(
+        np.max(field_norm(curvature.first[(j, a)], 2))
+        for j in (1, 2) for a in (1, 2, 3))
+
+
 def test_report_dict_shape(rng):
-    report = check_consistency(make_builtin("free"), rng=rng)
+    report = check_consistency(make_builtin("free"), sample_configs(100, rng))
     data = report.as_dict()
     assert data["pair"] == [1, 2]
     assert len(data["deriv_coeff_sup"]) == 6
     assert isinstance(data["zeroth_sup"], float)
     assert set(data["cc"]) == {f"cc{i}" for i in range(1, 17)}
     assert data["verdict"] == VERDICT_CONSISTENT
-    assert data["region"] == "all"
+    # the sampling region is the caller's: the CLI reports it
+    assert set(data) == {"pair", "deriv_coeff_sup", "zeroth_sup", "cc",
+                         "verdict", "tol", "nsamples"}
 
 
 def test_weyl_representation_agrees(weyl, rng):
@@ -420,7 +448,7 @@ def test_weyl_representation_agrees(weyl, rng):
     for name, params in [("hoho", {"C": (1, 0.5j, 0, 0)}),
                          ("example1_vector", None)]:
         system = make_builtin(name, params)
-        report = check_consistency(system, samples=samples)
+        report = check_consistency(system, samples)
         zeroth, first = reference_curvature(system, samples, weyl)
         np.testing.assert_allclose(report.zeroth_sup, _sup_frobenius(zeroth),
                                    atol=1e-10)

@@ -691,7 +691,8 @@ def test_cross_curl_off_the_grid_plane_is_interacting():
     # the grid moves x1_0 and x2_3 only; the cross curl -sin(x2_0) vanishes
     # on its plane, so only the probes off it see the obstruction
     system = make_builtin("coefficient_form", {"W1": ("cos(x2_0)", 0, 0, 0)})
-    assert check_consistency(system).verdict == "INCONSISTENT"
+    samples = sample_configs(100, np.random.default_rng(0))
+    assert check_consistency(system, samples).verdict == "INCONSISTENT"
     report = classify_gauge(system)
     assert report.verdict == INTERACTING
     probes = ConfigGrid().probes()
@@ -903,8 +904,8 @@ def test_constant_gauge_preserves_consistency_verdict(dirac, rng, name):
     system = make_builtin(name)
     gauged = _conjugate_system(system, 0.4, dirac)
     samples = sample_configs(20, rng)
-    report = check_consistency(system, samples=samples)
-    gauged_report = check_consistency(gauged, samples=samples)
+    report = check_consistency(system, samples)
+    gauged_report = check_consistency(gauged, samples)
     assert report.verdict == gauged_report.verdict
     assert np.isclose(report.zeroth_sup, gauged_report.zeroth_sup, atol=1e-9)
     assert np.allclose(report.deriv_coeff_sup, gauged_report.deriv_coeff_sup,
