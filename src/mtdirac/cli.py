@@ -26,6 +26,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -371,6 +372,7 @@ _HANDLERS = {
 # Parser and entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built on first use; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mtdirac",

@@ -38,14 +38,14 @@ from .clifford import (
     field_product,
     field_sum,
     reconstruct,
-    tensor_element,
     unit_field,
 )
 from .potential import (
-    CoefficientFormError,
+    CoefficientFormError,  # re-exported, as is to_coefficient_form
     CoefficientSet,
     MultiTimeSystem,
     SpecError,
+    _in_coefficient_form,
     _require_finite,
     coefficient_set_to_system,
     differentiate_potential,
@@ -142,23 +142,22 @@ CC_SECTORS = ((_A, _A), (_A, _A5), (_A5, _A), (_A5, _A5),
               (_G, _G), (_G, _G5), (_G5, _G), (_G5, _G5))
 
 
+#: The classes of a two-particle element's factors -> its CC_SECTORS index.
+_SECTOR_OF = {sector: index for index, sector in enumerate(CC_SECTORS)}
+
+
 def _cc_sups(zeroth: OperatorField) -> dict[str, float]:
     """sup |c| / unit over each family's sector of the E(1,2) field.
 
     The unit is 2 when either factor is gamma-class: there the products
     enter E through a commutator of anticommuting elements, 2 B_a B_b.
     """
-    out = {}
-    for index, (cls_1, cls_2) in enumerate(CC_SECTORS, start=1):
-        unit = 1 if {cls_1, cls_2} <= {_A, _A5} else 2
-        sup = 0.0
-        for mu in range(4):
-            for nu in range(4):
-                element = tensor_element(BasisElement(cls_1, mu),
-                                         BasisElement(cls_2, nu))
-                sup = np.maximum(sup, np.max(np.abs(zeroth.get(element, 0))))
-        out[f"cc{index}"] = float(sup / unit)
-    return out
+    sups = [0.0] * len(CC_SECTORS)
+    for element, values in zeroth.items():  # np.maximum propagates NaN
+        index = _SECTOR_OF[tuple(factor.cls for factor in element.factors)]
+        sups[index] = np.maximum(sups[index], np.max(np.abs(values)))
+    return {f"cc{index}": float(sup / (1 if set(sector) <= {_A, _A5} else 2))
+            for index, (sup, sector) in enumerate(zip(sups, CC_SECTORS), 1)}
 
 
 def cc_residuals(coefficients: CoefficientSet,
@@ -235,12 +234,8 @@ def check_consistency(system: MultiTimeSystem, samples: np.ndarray,
         f"deriv_coeff_sup[{index}]": sup
         for index, sup in enumerate(deriv_sup)})
 
-    try:
-        to_coefficient_form(system)
-    except CoefficientFormError:
-        cc = None
-    else:  # finite: every coefficient is bounded by the finite zeroth_sup
-        cc = _cc_sups(zeroth)
+    # finite: every coefficient is bounded by the finite zeroth_sup
+    cc = _cc_sups(zeroth) if _in_coefficient_form(system) else None
 
     worst = max([*deriv_sup, zeroth_sup])
     verdict = VERDICT_CONSISTENT if worst < tol else VERDICT_INCONSISTENT

@@ -217,21 +217,16 @@ class Region(enum.Enum):
     SPACELIKE = "spacelike"
 
 
-def is_spacelike(coords: np.ndarray) -> bool:
-    """True when every particle pair is spacelike separated."""
+def is_spacelike(coords: np.ndarray) -> np.ndarray:
+    """Mask (...) over a stack (..., N, 4): all pairs spacelike separated."""
     coords = np.asarray(coords, float)
-    n = coords.shape[0]
-    for j in range(n):
-        for k in range(j + 1, n):
-            dt = coords[j, 0] - coords[k, 0]
-            dx = coords[j, 1:] - coords[k, 1:]
-            if dt * dt >= float(dx @ dx):
-                return False
-    return True
+    j, k = np.triu_indices(coords.shape[-2], 1)
+    d = np.square(coords[..., j, :] - coords[..., k, :])
+    return ~np.any(d[..., 0] >= d[..., 1] + d[..., 2] + d[..., 3], axis=-1)
 
 
-# the sampling box [-_BOX, _BOX]^(N*4) and the spacelike draws per sample
-_BOX, _MAX_TRIES = 2.0, 10000
+# the sampling box [-_BOX, _BOX]^(N*4), draws per sample, pairs per block
+_BOX, _MAX_TRIES, _BLOCK_PAIRS = 2.0, 10000, 4096
 
 
 def sample_configs(n_samples: int, rng: np.random.Generator,
@@ -239,22 +234,34 @@ def sample_configs(n_samples: int, rng: np.random.Generator,
                    region: Region = Region.ALL) -> np.ndarray:
     """Draw configurations uniformly from [-2, 2]^(N*4).
 
-    With region SPACELIKE, rejection-sample until every pair is
-    spacelike separated; SpecError when _MAX_TRIES draws find none.
+    With region SPACELIKE, rejection-sample in blocks until every pair is
+    spacelike separated; SpecError when _MAX_TRIES draws in a row find
+    none.  rng is left where drawing one at a time would leave it.
     """
     if region is Region.ALL:
         return rng.uniform(-_BOX, _BOX, size=(n_samples, n_particles, 4))
+    size = max(1, _BLOCK_PAIRS // max(1, n_particles * (n_particles - 1) // 2))
     out = np.empty((n_samples, n_particles, 4))
-    for i in range(n_samples):
-        for _ in range(_MAX_TRIES):
-            candidate = rng.uniform(-_BOX, _BOX, size=(n_particles, 4))
-            if is_spacelike(candidate):
-                out[i] = candidate
-                break
-        else:
+    filled, last = 0, -1  # last: the last acceptance, from the block start
+    while filled < n_samples:
+        state = rng.bit_generator.state
+        block = rng.uniform(-_BOX, _BOX, size=(size, n_particles, 4))
+        hits = np.flatnonzero(is_spacelike(block))[:n_samples - filled]
+        # size <= _MAX_TRIES: the block end fails only a carried-in streak
+        starts = np.append(last, hits)
+        late = np.flatnonzero(starts + _MAX_TRIES < np.append(hits, size))
+        filled += hits.size
+        used = (starts[late[0]] + _MAX_TRIES + 1 if late.size else
+                hits[-1] + 1 if filled == n_samples else size)
+        if used < size:  # redraw only the candidates the loop would take
+            rng.bit_generator.state = state
+            rng.uniform(-_BOX, _BOX, size=(used, n_particles, 4))
+        if late.size:
             raise SpecError(f"no spacelike configuration of {n_particles} "
                             f"particles in the box [-{_BOX:g}, {_BOX:g}]"
                             f"^({n_particles}*4) after {_MAX_TRIES} draws")
+        out[filled - hits.size:filled] = block[hits]
+        last = starts[-1] - size
     return out
 
 
@@ -352,6 +359,14 @@ def to_coefficient_form(system: MultiTimeSystem) -> CoefficientSet:
                                                term.coefficient)
     return CoefficientSet(**{name: tuple(values)
                              for name, values in fields.items()})
+
+
+def _in_coefficient_form(system: MultiTimeSystem) -> bool:
+    """Whether to_coefficient_form accepts the pair, without building it."""
+    return system.n_particles == 2 and all(
+        (pot.particle, term.structure.factors[pot.particle - 1].cls,
+         term.structure.factors[2 - pot.particle]) in _FIELD_BY_STRUCTURE
+        for pot in system.potentials for term in pot.terms)
 
 
 def coefficient_set_to_system(coefficients: CoefficientSet,

@@ -23,6 +23,7 @@ from mtdirac.dsl import differentiate, evaluate
 from mtdirac.potential import (
     COEFFICIENT_LAYOUT,
     FIELD_NAMES,
+    SpecError,
     differentiate_potential,
     evaluate_potential,
     stack_coords,
@@ -357,3 +358,35 @@ def reference_matrix_cross_curl(system, configs, rep) -> float:
                           - projection(name1, mu, d2_v1[nu]))
                 sup = max(sup, float(np.max(np.abs(defect))))
     return sup
+
+
+def reference_is_spacelike(coords: np.ndarray) -> bool:
+    """True when every particle pair of one configuration (N, 4) is
+    spacelike separated, tested pair by pair."""
+    n = coords.shape[0]
+    for j in range(n):
+        for k in range(j + 1, n):
+            dt = coords[j, 0] - coords[k, 0]
+            dx = coords[j, 1:] - coords[k, 1:]
+            if dt * dt >= float(dx @ dx):
+                return False
+    return True
+
+
+def reference_sample_spacelike(n_samples: int, rng: np.random.Generator,
+                               n_particles: int = 2) -> np.ndarray:
+    """Spacelike rejection sampling one candidate at a time.
+
+    Each candidate is one (N, 4) draw from [-2, 2]^(N*4); 10,000
+    rejections in a row for one sample raise SpecError.
+    """
+    out = np.empty((n_samples, n_particles, 4))
+    for i in range(n_samples):
+        for _ in range(10000):
+            candidate = rng.uniform(-2.0, 2.0, size=(n_particles, 4))
+            if reference_is_spacelike(candidate):
+                out[i] = candidate
+                break
+        else:
+            raise SpecError("no spacelike configuration")
+    return out

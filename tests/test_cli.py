@@ -315,6 +315,43 @@ def test_version_flag(capsys):
     assert excinfo.value.code == 0
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["--help"], 0), (["--version"], 0), (["check", "--bogus"], EXIT_SPEC),
+], ids=["help", "version", "usage error"])
+def test_parser_exits_alike_before_and_after_it_is_cached(capsys, argv,
+                                                         code):
+    cli._build_parser.cache_clear()
+    for _ in range(2):  # the first call builds the parser, the next reuses it
+        with pytest.raises(SystemExit) as excinfo:
+            entry(argv)
+        assert excinfo.value.code == code
+        assert cli._build_parser.cache_info().currsize == 1
+    capsys.readouterr()
+
+
+def test_successive_entries_share_no_parsed_state(capsys):
+    code, first = run_json(capsys, [
+        "check", "--builtin", "coefficient_form", "--param", "W1=x2_0,0,0,0",
+        "--expect", "inconsistent"])
+    assert code == EXIT_OK
+    assert first["config"]["param"] == ["W1=x2_0,0,0,0"]
+    assert first["config"]["expect"] == ["inconsistent"]
+    code, second = run_json(capsys, ["check", "--builtin", "hoho"])
+    assert code == EXIT_OK
+    assert second["config"]["param"] == []
+    assert second["config"]["expect"] is None
+    assert second["config"]["builtin"] == "hoho"
+
+
+def test_the_parser_is_built_on_first_use_not_at_import():
+    script = "from mtdirac import cli; print(cli._build_parser.cache_info())"
+    src = str(Path(mtdirac.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert "misses=0" in done.stdout
+
+
 # ---------------------------------------------------------------------------
 # spec files
 # ---------------------------------------------------------------------------
@@ -343,6 +380,51 @@ def test_cc_hoho_sixteen_families(capsys):
     assert envelope["verdict"] == "CONSISTENT"
     assert sorted(report["cc"]) == sorted(f"cc{i}" for i in range(1, 17))
     assert report["sup"] < 1e-10
+
+
+@pytest.mark.parametrize("argv", [
+    ("--builtin", "hoho"),
+    ("--builtin", "coefficient_form", "--region", "spacelike",
+     "--param", "W1=x2_0,0,0,0", "--param", "W2=x1_0,0,0,0"),
+], ids=["hoho", "gradient_pair"])
+def test_cc_builds_the_coefficient_form_once(capsys, monkeypatch, argv):
+    # cc's own form check builds it; check_consistency only tests membership
+    calls = []
+    for module in (mtdirac, potential, consistency, symmetry, cli):
+        original = module.to_coefficient_form
+
+        def counted(*args, original=original, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "to_coefficient_form", counted)
+    code, envelope = run_json(capsys, ["cc", *argv])
+    assert code == EXIT_OK
+    assert len(envelope["report"]["cc"]) == 16
+    assert len(calls) == 1
+
+
+def test_cc_outside_the_form_fails_before_sampling(tmp_path, capsys,
+                                                    monkeypatch):
+    # a guard that trips at every sample cannot turn the form error into
+    # exit 3: cc stops before it samples
+    data = system_to_dict(make_builtin("example1_vector"))
+    data["potentials"][0]["guards"] = [
+        {"expr": "1", "threshold": 2.0, "description": "always"}]
+    spec = tmp_path / "guarded.json"
+    spec.write_text(json.dumps(data), encoding="utf-8")
+    assert entry(["check", "--spec", str(spec)]) == EXIT_DOMAIN
+    capsys.readouterr()
+    drawn = []
+    monkeypatch.setattr(cli, "sample_configs",
+                        lambda *args: drawn.append(args))
+    for argv in (["--builtin", "example1_vector"], ["--spec", str(spec)]):
+        assert entry(["cc", *argv]) == EXIT_SPEC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("mtdirac: error: V_1 term acts on particle 2 "
+                                "through alpha3\n")
+    assert drawn == []
 
 
 def test_cc_rejects_non_coefficient_form(tmp_path, capsys):

@@ -229,6 +229,36 @@ def test_coefficient_form_requires_two_particles():
         to_coefficient_form(system)
 
 
+def _mirrored_alpha_pair():
+    # V_2 acts on particle 1 through alpha1: outside the form from particle 2
+    structure = tensor_element(BasisElement(BasisClass.ALPHA, 1),
+                               BasisElement(BasisClass.GAMMA, 0))
+    return MultiTimeSystem(
+        name="mirrored", n_particles=2, masses=(1.0, 1.0),
+        potentials=(Potential(1, 2, ()),
+                    Potential(2, 2, (PotentialTerm(structure, parse("1")),))),
+        hermitian=False)
+
+
+@pytest.mark.parametrize("system", [
+    make_builtin("free"), make_builtin("hoho"), make_builtin("coulomb_like"),
+    make_builtin("example1_vector"), _mirrored_alpha_pair(),
+    make_builtin("coefficient_form", {"Z2": (0, "x1_0", 0, 0),
+                                      "H": ("x2_3", 0, 0, 1)}),
+    MultiTimeSystem(name="single", n_particles=1, masses=(1.0,),
+                    potentials=(Potential(1, 1, ()),), hermitian=True),
+], ids=lambda system: system.name)
+def test_form_membership_is_what_to_coefficient_form_accepts(system):
+    # check_consistency attaches cc by this test, without building the form
+    try:
+        to_coefficient_form(system)
+    except CoefficientFormError:
+        accepted = False
+    else:
+        accepted = True
+    assert potential._in_coefficient_form(system) is accepted
+
+
 @pytest.mark.parametrize("name,params", [
     ("free", None),
     ("hoho", {"C": (2.0, 1j, 0, 0.5j), "c": (1.0, 0, 0.25, 0)}),

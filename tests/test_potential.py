@@ -37,7 +37,11 @@ from mtdirac.potential import (
     stack_coords,
     zero_potential,
 )
-from oracles import fd_matrix_partial
+from oracles import (
+    fd_matrix_partial,
+    reference_is_spacelike,
+    reference_sample_spacelike,
+)
 
 
 def random_config(rng):
@@ -320,6 +324,84 @@ def test_sample_configs_without_a_spacelike_draw_is_a_spec_error(rng):
     # twenty particles in the box are never pairwise spacelike
     with pytest.raises(SpecError, match=r"20 particles in the box \[-2, 2\]"):
         sample_configs(1, rng, 20, Region.SPACELIKE)
+
+
+def test_is_spacelike_masks_a_stack_as_it_tests_each_configuration():
+    rng = np.random.default_rng(11)
+    for n_particles in (1, 2, 3, 5):
+        stack = rng.uniform(-2, 2, size=(6, 50, n_particles, 4))
+        mask = is_spacelike(stack)
+        assert mask.shape == (6, 50)
+        assert mask.tolist() == [[reference_is_spacelike(c) for c in row]
+                                 for row in stack]
+
+
+@pytest.mark.parametrize("n_samples", [1, 7, 2000])
+@pytest.mark.parametrize("n_particles", [2, 3, 4])
+def test_block_sampler_matches_one_at_a_time_draws(n_particles, n_samples):
+    # bit for bit, and the generator is left where the loop leaves it
+    for seed in range(5):
+        block_rng = np.random.default_rng(seed)
+        loop_rng = np.random.default_rng(seed)
+        got = sample_configs(n_samples, block_rng, n_particles,
+                             Region.SPACELIKE)
+        want = reference_sample_spacelike(n_samples, loop_rng, n_particles)
+        assert np.array_equal(got, want)
+        assert block_rng.random() == loop_rng.random()
+
+
+class _ScriptedRng:
+    """Generator stand-in: candidate i (in draw order) is spacelike exactly
+    when i is in `hits`; the bit generator's state is the count drawn."""
+
+    def __init__(self, hits):
+        self.hits = set(hits)
+        self.state = 0
+        self.bit_generator = self
+        self.sizes = []
+
+    def uniform(self, low, high, size):
+        self.sizes.append(size)
+        *lead, n_particles, _ = size
+        count = int(np.prod(lead))
+        out = np.zeros((count, n_particles, 4))
+        for i in range(count):
+            if self.state + i in self.hits:  # equal times, unit spacing
+                out[i, :, 1] = np.arange(n_particles)
+        self.state += count
+        return out.reshape(size)
+
+
+@pytest.mark.parametrize("n_samples, hits, drawn, fails", [
+    (1, [9999], 10000, False),   # 9,999 rejections, across two block ends
+    (1, [10000], 10000, True),   # fails at the 10,000th rejection
+    (1, [], 10000, True),
+    (2, [0, 10000], 10001, False),
+    (2, [0, 10001], 10001, True),
+    (2, [4095, 14095], 14096, False),  # the streak begins at a block end
+    (2, [4095, 14096], 14096, True),
+    (3, [100, 200], 10201, True),
+])
+def test_rejection_streaks_span_blocks(n_samples, hits, drawn, fails):
+    for sampler in (
+            lambda rng: sample_configs(n_samples, rng, 2, Region.SPACELIKE),
+            lambda rng: reference_sample_spacelike(n_samples, rng, 2)):
+        rng = _ScriptedRng(hits)
+        if fails:
+            with pytest.raises(SpecError):
+                sampler(rng)
+        else:
+            assert sampler(rng).shape == (n_samples, 2, 4)
+        assert rng.state == drawn
+
+
+def test_spacelike_blocks_hold_a_bounded_number_of_pairs():
+    # 20 particles make 190 pairs per candidate: the block shrinks to fit
+    rng = _ScriptedRng([])
+    with pytest.raises(SpecError, match="20 particles"):
+        sample_configs(1, rng, 20, Region.SPACELIKE)
+    assert rng.state == 10000
+    assert max(np.prod(size[:-2]) for size in rng.sizes) * 190 <= 4096
 
 
 # ---------------------------------------------------------------------------
