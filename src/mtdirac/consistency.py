@@ -65,23 +65,23 @@ _ALPHA = tuple(BasisElement(BasisClass.ALPHA, mu) for mu in range(4))
 # Residuals as operator fields
 # ---------------------------------------------------------------------------
 
-def _curvature_parts(system: MultiTimeSystem, configs, j: int = 1,
-                     k: int = 2) -> tuple[dict[tuple[int, int], OperatorField],
-                                          OperatorField]:
+def _curvature_parts(system: MultiTimeSystem, configs, j: int = 1, k: int = 2,
+                     first: bool = True) -> tuple[dict, OperatorField]:
     """F_jk's parts as operator fields over the configuration stack.
 
     Returns the first-order parts [alpha^a_j, V_k] and [alpha^a_k, V_j],
-    keyed by (particle, a) for a in 1..3, and the zeroth-order residual
-    E(j,k).  V_j and V_k are evaluated once, so their guards run once.
+    keyed by (particle, a) for a in 1..3 (none unless first), and E(j,k).
+    V_j and V_k are evaluated once, so their guards run once.
     """
     n = system.n_particles
     coords = stack_coords(configs)
     pot_j, pot_k = system.potential(j), system.potential(k)
     v_j = operator_field(pot_j, coords)
     v_k = operator_field(pot_k, coords)
-    first = {(particle, a): field_commutator(
+    parts = {(particle, a): field_commutator(
                  unit_field(_ALPHA[a], particle, n), v_other)
-             for particle, v_other in ((j, v_k), (k, v_j)) for a in (1, 2, 3)}
+             for particle, v_other in ((j, v_k), (k, v_j))
+             for a in (1, 2, 3)} if first else {}
     g0_j, g0_k = unit_field(_GAMMA0, j, n), unit_field(_GAMMA0, k, n)
     terms = [(1, field_commutator(v_k, v_j)),
              (system.mass(k), field_commutator(g0_k, v_j)),
@@ -91,7 +91,7 @@ def _curvature_parts(system: MultiTimeSystem, configs, j: int = 1,
         dv_k = operator_field(differentiate_potential(pot_k, j, mu), coords)
         terms += [(-1j, field_product(unit_field(_ALPHA[mu], k, n), dv_j)),
                   (1j, field_product(unit_field(_ALPHA[mu], j, n), dv_k))]
-    return first, field_sum(*terms)
+    return parts, field_sum(*terms)
 
 
 def zeroth_order_residual(system: MultiTimeSystem, coords: np.ndarray,

@@ -218,11 +218,14 @@ class Region(enum.Enum):
 
 
 def is_spacelike(coords: np.ndarray) -> np.ndarray:
-    """Mask (...) over a stack (..., N, 4): all pairs spacelike separated."""
+    """Mask (...) over a stack (..., N, 4): every pair dt^2 < |dx|^2 < inf,
+    so a pair with a NaN or inf coordinate is not spacelike."""
     coords = np.asarray(coords, float)
     j, k = np.triu_indices(coords.shape[-2], 1)
-    d = np.square(coords[..., j, :] - coords[..., k, :])
-    return ~np.any(d[..., 0] >= d[..., 1] + d[..., 2] + d[..., 3], axis=-1)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        d = np.square(coords[..., j, :] - coords[..., k, :])
+    spatial = d[..., 1] + d[..., 2] + d[..., 3]
+    return np.all((d[..., 0] < spatial) & (spatial < np.inf), axis=-1)
 
 
 # the sampling box [-_BOX, _BOX]^(N*4), draws per sample, pairs per block
@@ -240,10 +243,11 @@ def sample_configs(n_samples: int, rng: np.random.Generator,
     """
     if region is Region.ALL:
         return rng.uniform(-_BOX, _BOX, size=(n_samples, n_particles, 4))
-    size = max(1, _BLOCK_PAIRS // max(1, n_particles * (n_particles - 1) // 2))
+    cap = max(1, _BLOCK_PAIRS // max(1, n_particles * (n_particles - 1) // 2))
     out = np.empty((n_samples, n_particles, 4))
     filled, last = 0, -1  # last: the last acceptance, from the block start
     while filled < n_samples:
+        size = min(cap, max(64, 2 * (n_samples - filled)))
         state = rng.bit_generator.state
         block = rng.uniform(-_BOX, _BOX, size=(size, n_particles, 4))
         hits = np.flatnonzero(is_spacelike(block))[:n_samples - filled]

@@ -28,7 +28,8 @@ step's kernel matmul overwrites that output.
 
 When V_k depends only on the times, its half-step phase P is a single
 16x16 matrix that commutes with the FFT, so a step is the kernel
-P K(kappa) P.  A run of such steps is the per-mode product
+P K(kappa) P, one GEMM of the free class's per-mode coefficients against
+P{I, alpha3_k, gamma0_k}P.  A run of such steps is the per-mode product
 P_m K P_m ... P_1 K P_1, applied as one matmul per mode along z_k's
 momentum axis in the joint Fourier space of (z_1, z_2): the same Strang
 steps, regrouped.  The state stays in that space across runs and legs,
@@ -236,13 +237,22 @@ def _class_factors(field: OperatorField,
     return factors
 
 
+def _class_matrix(cos, terms: OperatorField,
+                  around: np.ndarray | None = None) -> np.ndarray:
+    """A (cos + sum_i w_i B_i) A, (..., 16, 16), for A = around or I: one
+    GEMM of the coefficients against the basis A [I, B_1, ...] A."""
+    basis = np.stack([np.eye(16), *(realize(b, DIRAC) for b in terms)])
+    if around is not None:
+        basis = around @ basis @ around
+    weights = np.stack(np.broadcast_arrays(cos, *terms.values()), -1)
+    return (weights @ basis.reshape(len(basis), 256)).reshape(
+        *weights.shape[:-1], 16, 16)
+
+
 def _multiply_out(factors) -> np.ndarray:
     """The product of the commuting class factors, (..., 16, 16)."""
-    return reduce(np.matmul, [
-        np.multiply.outer(cos, np.eye(16))
-        + sum(np.multiply.outer(weight, realize(structure, DIRAC))
-              for structure, weight in terms.items())
-        for cos, terms in factors])
+    return reduce(np.matmul, [_class_matrix(cos, terms)
+                              for cos, terms in factors])
 
 
 def _anticommuting_classes(
@@ -411,8 +421,9 @@ def _advance(state: _State, times: Sequence[float],
         hamiltonian = field_sum(
             (grid.momenta(), unit_field(_ALPHA3, particle, 2)),
             (system.mass(particle), unit_field(_GAMMA0, particle, 2)))
-        free = _multiply_out(_class_factors(
-            hamiltonian, [list(hamiltonian)], dt, f"dt H_{particle}"))
+        [(cos, terms)] = _class_factors(
+            hamiltonian, [list(hamiltonian)], dt, f"dt H_{particle}")
+        free = _class_matrix(cos, terms)
         run = None
         for _ in range(count):
             phase = _potential_phase(system, particle, times, dt, grid)
@@ -421,7 +432,7 @@ def _advance(state: _State, times: Sequence[float],
                 state = _State(phase(_apply_kernel(
                     phase(state.values(False)), particle, free)))
             else:
-                kernel = free if phase is None else phase @ free @ phase
+                kernel = _class_matrix(cos, terms, phase)
                 run = kernel if run is None else kernel @ run
             times[particle - 1] += dt
         state = _flush(state, particle, run)

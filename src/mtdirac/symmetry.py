@@ -481,7 +481,7 @@ def classify_gauge(system: MultiTimeSystem,
 
     # --- exactness conditions -------------------------------------------
     # np.max and np.maximum keep a NaN that max() would drop
-    cc = _cc_sups(_curvature_parts(system, probes)[1])
+    cc = _cc_sups(_curvature_parts(system, probes, first=False)[1])
     cross_curl = np.max([cc[f"cc{index}"] for index in range(1, 5)])
     locality = 0.0
     for f in sectors.values():

@@ -194,6 +194,16 @@ def reference_step(psi, particle: int, dt: float, system, rep) -> np.ndarray:
     return np.einsum("...ij,...j->...i", phase, values)
 
 
+def reference_kernel(phase: np.ndarray, free) -> np.ndarray:
+    """phase @ K @ phase per mode, K the free class (cos, terms) summed as
+    outer products cos I + sum_i w_i B_i; returns (n, 16, 16)."""
+    cos, terms = free
+    kernel = np.multiply.outer(cos, np.eye(16)) + sum(
+        np.multiply.outer(weight, realize(structure, DIRAC))
+        for structure, weight in terms.items())
+    return phase @ kernel @ phase
+
+
 def reference_add_terms(out: np.ndarray, field, values: np.ndarray):
     """out + sum_i a_i (B_i values) term by term, each term formed out of
     place as a_i[..., None] * (values @ B_i^T); out itself is not changed."""
@@ -362,13 +372,13 @@ def reference_matrix_cross_curl(system, configs, rep) -> float:
 
 def reference_is_spacelike(coords: np.ndarray) -> bool:
     """True when every particle pair of one configuration (N, 4) is
-    spacelike separated, tested pair by pair."""
+    spacelike separated at a finite distance, tested pair by pair."""
     n = coords.shape[0]
     for j in range(n):
         for k in range(j + 1, n):
             dt = coords[j, 0] - coords[k, 0]
             dx = coords[j, 1:] - coords[k, 1:]
-            if dt * dt >= float(dx @ dx):
+            if not dt * dt < float(dx @ dx) < np.inf:
                 return False
     return True
 

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mtdirac import potential
+from mtdirac import consistency, potential
 from mtdirac.clifford import (
     GAMMA5_ELEMENT,
     IDENTITY_ELEMENT,
@@ -528,6 +528,21 @@ def test_curvature_decomposition_matches_residuals(name, params, dirac, weyl,
             for key, matrices in first.items():
                 assert _sup_frobenius(_matrices(curvature.first[key], coords,
                                                 rep) - matrices) < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
+def test_zeroth_part_alone_is_the_full_builders(name, rng):
+    """E(1,2) taken without the first-order parts is the same field, bit
+    for bit: classify_gauge reads it so at its probes."""
+    system = make_builtin(name)
+    coords = np.stack([random_config(rng) for _ in range(7)])
+    first, zeroth = consistency._curvature_parts(system, coords)
+    none, alone = consistency._curvature_parts(system, coords, first=False)
+    assert len(first) == 6 and none == {}
+    assert alone.keys() == zeroth.keys()
+    for structure, value in zeroth.items():
+        assert np.asarray(alone[structure]).tobytes() == \
+            np.asarray(value).tobytes()
 
 
 def test_curvature_vanishes_for_consistent_systems(dirac, rng):

@@ -336,6 +336,37 @@ def test_is_spacelike_masks_a_stack_as_it_tests_each_configuration():
                                  for row in stack]
 
 
+@pytest.mark.parametrize("n_particles", [2, 3])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinates_are_not_spacelike(n_particles, value):
+    # a NaN fails every comparison, so it must fail dt^2 < |dx|^2
+    coords = np.arange(n_particles * 4, dtype=float).reshape(n_particles, 4)
+    coords[:, 0] = 0.0  # equal times, distinct places: spacelike
+    assert is_spacelike(coords) and reference_is_spacelike(coords)
+    for index in np.ndindex(coords.shape):
+        bad = coords.copy()
+        bad[index] = value
+        assert not is_spacelike(bad)
+        assert not reference_is_spacelike(bad)
+        assert is_spacelike(np.stack([coords, bad])).tolist() == [True, False]
+    assert not is_spacelike(np.full((n_particles, 4), value))
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 5])
+@pytest.mark.parametrize("n_particles", [2, 3, 4])
+def test_few_spacelike_samples_match_one_at_a_time_draws(n_particles,
+                                                         n_samples):
+    # blocks sized from the samples still wanted draw the same stream
+    for seed in range(10, 30):
+        block_rng = np.random.default_rng(seed)
+        loop_rng = np.random.default_rng(seed)
+        got = sample_configs(n_samples, block_rng, n_particles,
+                             Region.SPACELIKE)
+        want = reference_sample_spacelike(n_samples, loop_rng, n_particles)
+        assert np.array_equal(got, want)
+        assert block_rng.random() == loop_rng.random()
+
+
 @pytest.mark.parametrize("n_samples", [1, 7, 2000])
 @pytest.mark.parametrize("n_particles", [2, 3, 4])
 def test_block_sampler_matches_one_at_a_time_draws(n_particles, n_samples):
@@ -402,6 +433,13 @@ def test_spacelike_blocks_hold_a_bounded_number_of_pairs():
         sample_configs(1, rng, 20, Region.SPACELIKE)
     assert rng.state == 10000
     assert max(np.prod(size[:-2]) for size in rng.sizes) * 190 <= 4096
+
+
+def test_few_spacelike_samples_draw_a_small_block():
+    rng = _ScriptedRng(range(0, 10000, 3))
+    assert sample_configs(2, rng, 2, Region.SPACELIKE).shape == (2, 2, 4)
+    assert max(np.prod(size[:-2]) for size in rng.sizes) == 64
+    assert rng.state == 4
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from mtdirac.solver import (
     spacelike_mask,
     step,
 )
-from oracles import reference_add_terms, reference_step
+from oracles import reference_add_terms, reference_kernel, reference_step
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +297,11 @@ _ORACLE_SYSTEMS = {
     # the free kernel at m = 0 (kappa = 0 takes sinc(0)) and a different
     # mass on each particle
     "massless and unequal masses": ("free", {"m1": 0, "m2": 2.5}),
+    # alpha3 x 1 and alpha3 x gamma5 depending only on the times: each
+    # time-only phase is the product of two class factors
+    "time-only two commuting classes": ("coefficient_form", {
+        "W1": (0, 0, 0, "0.5*cos(x1_0 - x2_0)"),
+        "X1": (0, 0, 0, "0.2*cos(x2_0)")}),
     # a time-only run on V_1 next to grid steps on V_2: the state goes from
     # the joint Fourier space back to position space inside a path
     "time-only V_1, grid V_2": ("coefficient_form", {
@@ -348,6 +353,45 @@ def test_step_matches_einsum_reference(label, particle, dt, dirac):
     deviation = np.sqrt(np.sum(np.abs(out.values - expected) ** 2)) \
         * psi.grid.spacing
     assert deviation <= 1e-13
+
+
+def _free_class(particle: int, mass: float, dt: float):
+    """(cos, terms) of the free step's one class, as a leg forms it."""
+    hamiltonian = solver.field_sum(
+        (Grid().momenta(), solver.unit_field(solver._ALPHA3, particle, 2)),
+        (mass, solver.unit_field(solver._GAMMA0, particle, 2)))
+    [free] = solver._class_factors(hamiltonian, [list(hamiltonian)], dt,
+                                   "dt H")
+    return free
+
+
+@pytest.mark.parametrize("masses", [(1.0, 1.0), (0.0, 0.0), (0.0, 2.5)])
+@pytest.mark.parametrize("dt", [0.1, -0.1])
+@pytest.mark.parametrize("particle", [1, 2])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_class_matrix_matches_phase_free_phase(hermitian, particle, dt,
+                                               masses):
+    """A time-only kernel formed as one GEMM over the conjugated basis
+    P{I, alpha3_k, gamma0_k}P is phase @ free @ phase to 1e-14 relative."""
+    rng = np.random.default_rng(
+        [hermitian, particle, dt > 0, int(10 * masses[1])])
+    phase = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    if hermitian:
+        phase = phase + phase.conj().T
+    cos, terms = _free_class(particle, masses[particle - 1], dt)
+    got = solver._class_matrix(cos, terms, phase)
+    want = reference_kernel(phase, (cos, terms))
+    assert got.shape == want.shape == (Grid().points, 16, 16)
+    scale = np.linalg.norm(want, axis=(-2, -1))
+    assert np.all(np.linalg.norm(got - want, axis=(-2, -1)) <= 1e-14 * scale)
+
+
+def test_class_matrix_without_a_phase_is_the_outer_sum_kernel():
+    """The free kernel alone matches the outer sums entry for entry: its
+    basis entries are 0, +-1 and +-i, so every product is exact."""
+    cos, terms = _free_class(1, 1.5, 0.1)
+    want = reference_kernel(np.eye(16), (cos, terms))
+    assert np.array_equal(solver._class_matrix(cos, terms), want)
 
 
 def _random_field(rng, count: int, shape: tuple) -> dict:
