@@ -458,18 +458,23 @@ def differentiate(expr: Expr, k: int, mu: int) -> Expr:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def is_constant(expr: Expr) -> bool:
-    """True when the expression contains no coordinate dependence."""
+def coordinates(expr: Expr) -> frozenset[tuple[int, int]]:
+    """The (k, mu) of every coordinate x_{k,mu} the expression uses."""
     match expr:
         case Const(_) | Param(_, _):
-            return True
-        case Coord(_, _):
-            return False
+            return frozenset()
+        case Coord(k, mu):
+            return frozenset({(k, mu)})
         case Neg(arg) | Call(_, arg) | Pow(arg, _):
-            return is_constant(arg)
+            return coordinates(arg)
         case Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b):
-            return is_constant(a) and is_constant(b)
+            return coordinates(a) | coordinates(b)
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def is_constant(expr: Expr) -> bool:
+    """True when the expression contains no coordinate dependence."""
+    return not coordinates(expr)
 
 
 # ---------------------------------------------------------------------------

@@ -26,21 +26,18 @@ per point, accumulated in place: each class factor's terms go through
 one scratch buffer into a fresh output, never the input, and the free
 step's kernel matmul overwrites that output.
 
-When V_k depends only on the times, its half-step phase P is a single
-16x16 matrix that commutes with the FFT, so a step is the kernel
-P K(kappa) P, one GEMM of the free class's per-mode coefficients against
-P{I, alpha3_k, gamma0_k}P.  A run of such steps is the per-mode product
-P_m K P_m ... P_1 K P_1, applied as one matmul per mode along z_k's
-momentum axis in the joint Fourier space of (z_1, z_2): the same Strang
-steps, regrouped.  The state stays in that space across runs and legs,
-so an experiment whose potentials depend only on the times takes one
-2-D FFT of psi0 and no other transform, and takes its discrepancies
-and deviations there by Parseval, ||a - b|| = spacing ||a^ - b^|| / n.
-Only a step with a grid phase goes back to position space: it applies
-the pending run first, and its free step is the FFT, kernel and inverse
-FFT along z_k above.  Each step still builds its phase at its own
-midpoint time, so the guards and the finiteness and hermiticity checks
-run on every step.
+On a time-only leg (no z in V_k's nonzero coefficients or guards, read
+from the expression trees) each half-step phase P is one 16x16 matrix,
+so a step is the kernel P K(kappa) P, one GEMM of the free class's
+per-mode coefficients against P{I, alpha3_k, gamma0_k}P, and the leg is
+the per-mode product P_m K P_m ... P_1 K P_1, one matmul per mode along
+z_k in the joint Fourier space of (z_1, z_2).  V_k is evaluated once per
+leg on the stack of its midpoint times, every step's midpoint checked;
+a failure raises the earliest failing step's error.  The state stays in
+that space across legs, so an experiment whose potentials depend only on
+the times takes one 2-D FFT of psi0, and its distances there by Parseval,
+||a - b|| = spacing ||a^ - b^|| / n.  A grid leg builds each step's phase
+in position space, around the FFT, kernel and inverse FFT along z_k.
 
 Two experiments probe the compatibility of the pair of evolutions:
 
@@ -77,9 +74,11 @@ from .clifford import (
     unit_field,
 )
 from .consistency import curvature_operator
+from .dsl import DslEvaluationError, coordinates
 from .potential import (
     DomainError,
     MultiTimeSystem,
+    Potential,
     SpecError,
     hermitian_defect,
     operator_field,
@@ -279,7 +278,7 @@ def _anticommuting_classes(
 
 
 def _dense_phase(system: MultiTimeSystem, particle: int,
-                 potential: OperatorField, dt: float):
+                 potential: OperatorField, dt: float) -> np.ndarray:
     """exp(-i (dt/2) V_k) from the assembled matrices.
 
     A declared-hermitian V_k is diagonalised with numpy's eigh; any other
@@ -303,34 +302,43 @@ def _dense_phase(system: MultiTimeSystem, particle: int,
         if not np.all(np.isfinite(phase)):
             raise DomainError(
                 f"exp(-i dt V_{particle} / 2) is not finite on the grid")
-    if phase.ndim == 2:
-        return phase
-    return lambda values: np.matmul(phase, values[..., None])[..., 0]
+    return phase
+
+
+def _on_grid(potential: Potential) -> bool:
+    """Whether V_k varies over the grid: a nonzero coefficient, or a guard
+    of a nonzero V_k, refers to z_1 or z_2.  Guards count so that a
+    time-only leg never evaluates one on a (count, n, n) stack."""
+    exprs = [term.coefficient for term in potential.terms]
+    exprs += [guard.expr for guard in potential.guards]
+    return not potential.is_zero() and any(
+        mu == 3 for expr in exprs for _, mu in coordinates(expr))
 
 
 def _potential_phase(system: MultiTimeSystem, particle: int,
-                     times: Sequence[float], dt: float, grid: Grid):
-    """exp(-i (dt/2) V_k) at the midpoint time, or None when V_k = 0.
+                     times: Sequence, dt: float, grid: Grid,
+                     time_only: bool):
+    """exp(-i (dt/2) V_k) at the midpoint times.
 
-    The result is one (16, 16) matrix when V_k depends only on the
-    times, else a function applying the phase to (n, n, 16) values
-    pointwise.  It is _class_factors' product when the structures split
-    into classes, and _dense_phase otherwise.  Raises DomainError when
-    V_k or the phase is not finite.
+    On a grid leg: a function applying it to (n, n, 16) values pointwise.
+    On a time-only leg, where times[k - 1] may be a (count, 1, 1) stack of
+    step start times: a list of one (16, 16) phase per step, None where
+    V_k vanishes, one object throughout when V_k is constant on the leg.
+    A phase is _class_factors' product, or _dense_phase's when the
+    structures do not split into classes.  Raises DomainError when V_k or
+    a phase is not finite.
     """
+    count = np.size(times[particle - 1])
     if system.potential(particle).is_zero():
-        return None
+        return [None] * count
     mid = list(times)
-    mid[particle - 1] += dt / 2
+    mid[particle - 1] = mid[particle - 1] + dt / 2  # not +=: may be an array
     with np.errstate(all="ignore"):
         potential = operator_field(system.potential(particle),
                                    _step_coords(grid, mid[0], mid[1]))
     coefficients = list(potential.values())
     if not all(np.all(np.isfinite(a)) for a in coefficients):
         raise DomainError(f"potential V_{particle} is not finite on the grid")
-    time_only = all(a.ndim == 0 for a in coefficients)
-    if time_only and not any(coefficients):
-        return None
     if system.hermitian:
         defect = np.max(hermitian_defect(potential, system.n_particles))
         if defect > _HERMITIAN_TOL:
@@ -338,19 +346,25 @@ def _potential_phase(system: MultiTimeSystem, particle: int,
                             f"{defect:.3e}")
     classes = _anticommuting_classes(list(potential))
     if classes is None:
-        return _dense_phase(system, particle, potential, dt)
+        phase = _dense_phase(system, particle, potential, dt)
+        if not time_only:
+            return lambda values: np.matmul(phase, values[..., None])[..., 0]
+    else:
+        factors = _class_factors(potential, classes, dt / 2,
+                                 f"dt V_{particle} / 2")
+        if not time_only:
+            def apply(values: np.ndarray) -> np.ndarray:
+                for cos, terms in factors:
+                    values = _add_terms(values * cos[..., None], terms,
+                                        values)
+                return values
 
-    factors = _class_factors(potential, classes, dt / 2,
-                             f"dt V_{particle} / 2")
-    if time_only:
-        return _multiply_out(factors)
-
-    def apply(values: np.ndarray) -> np.ndarray:
-        for cos, terms in factors:
-            values = _add_terms(values * cos[..., None], terms, values)
-        return values
-
-    return apply
+            return apply
+        phase = _multiply_out(factors)
+    live = np.any(np.broadcast_arrays(*coefficients), axis=0).reshape(-1)
+    phases = [p if on else None
+              for p, on in zip(phase.reshape(-1, 16, 16), live)]
+    return phases * count if len(phases) == 1 else phases
 
 
 def _check_steps(system: MultiTimeSystem, grid: Grid,
@@ -410,13 +424,16 @@ def _advance(state: _State, times: Sequence[float],
              grid: Grid) -> tuple[_State, tuple[float, ...]]:
     """Strang steps from state at times through (particle, dt, count) legs.
 
-    A run of time-only steps composes its kernels and applies the product
-    in the joint Fourier space; a grid-phase step applies the pending run,
-    goes back to position space and takes its free step between an FFT
-    and an inverse FFT along z_k.  Returns the state and its times.
+    A time-only leg evaluates V_k once, on the stack of its midpoint
+    times, composes its kernels and applies the product in the joint
+    Fourier space; a grid leg builds each step's phase in turn, in
+    position space, and takes each free step between an FFT and an
+    inverse FFT along z_k.  Returns the state and its times.
     """
     times = list(times)
     for particle, dt, count in legs:
+        if not count:
+            continue
         # the free Hamiltonian alpha3_k kappa + gamma0_k m_k is one class
         hamiltonian = field_sum(
             (grid.momenta(), unit_field(_ALPHA3, particle, 2)),
@@ -424,25 +441,40 @@ def _advance(state: _State, times: Sequence[float],
         [(cos, terms)] = _class_factors(
             hamiltonian, [list(hamiltonian)], dt, f"dt H_{particle}")
         free = _class_matrix(cos, terms)
-        run = None
-        for _ in range(count):
-            phase = _potential_phase(system, particle, times, dt, grid)
-            if callable(phase):
-                state, run = _flush(state, particle, run), None
+        if _on_grid(system.potential(particle)):
+            for _ in range(count):
+                phase = _potential_phase(system, particle, times, dt, grid,
+                                         False)
                 state = _State(phase(_apply_kernel(
                     phase(state.values(False)), particle, free)))
-            else:
-                kernel = _class_matrix(cos, terms, phase)
-                run = kernel if run is None else kernel @ run
+                times[particle - 1] += dt
+            continue
+        # the same repeated += as step by step, so each time is bit-exact
+        starts, stack = [], list(times)
+        for _ in range(count):
+            starts.append(times[particle - 1])
             times[particle - 1] += dt
-        state = _flush(state, particle, run)
+        stack[particle - 1] = np.reshape(starts, (-1, 1, 1))
+        try:
+            phases = _potential_phase(system, particle, stack, dt, grid, True)
+        except (DomainError, SpecError, DslEvaluationError):
+            # raise what the earliest failing step raises on its own
+            for start in starts:
+                stack[particle - 1] = start
+                _potential_phase(system, particle, stack, dt, grid, True)
+            raise
+        run = spare = None
+        for s, phase in enumerate(phases):
+            if s == 0 or phase is not phases[s - 1]:
+                kernel = (free if phase is None
+                          else _class_matrix(cos, terms, phase))
+            # two buffers of the leg's own hold the product: no step
+            # allocates one
+            run, spare = ((kernel.copy(), None) if run is None
+                          else (np.matmul(kernel, run, out=spare), run))
+        state = _State(_apply_kernel(state.values(True), particle, run, True),
+                       True)
     return state, tuple(times)
-
-
-def _flush(state: _State, particle: int, run: np.ndarray | None) -> _State:
-    """The state after a pending run's kernel, in the joint Fourier space."""
-    return state if run is None else _State(
-        _apply_kernel(state.values(True), particle, run, True), True)
 
 
 def step(psi: WaveFunction, particle: int, dt: float,
@@ -495,7 +527,7 @@ def evolve_path(psi: WaveFunction, path: Sequence[Leg],
     """Apply the legs in order; an empty path returns the state unchanged.
 
     Every leg is checked before the first step.  A leg's steps are the
-    Strang steps `step` takes, with runs of time-only steps fused.
+    Strang steps `step` takes, with each time-only leg's steps fused.
     """
     counts = [leg.steps() for leg in path]
     _check_steps(system, psi.grid, [leg.dt for leg in path])

@@ -833,7 +833,12 @@ _LATE_GUARD = {"expr": "0.75 - x1_0", "threshold": 0.01}
     # the defect is 0 at the first midpoint time and 0.8 at the second
     ("i*(x1_0 - 0.05)", (), True, "1", EXIT_SPEC,
      "declared hermitian but deviates"),
-], ids=["phase overflow", "guard", "guard never reached", "hermitian"])
+    # the first midpoint fails the hermiticity check; the fifth, t_1 =
+    # 0.45, fails the finiteness of V_1, which each step checks first
+    ("i*x1_0 + exp(2000*x1_0)", (), True, "0.5", EXIT_SPEC,
+     "potential declared hermitian but deviates by 4.000e-01"),
+], ids=["phase overflow", "guard", "guard never reached", "hermitian",
+        "earliest failing step"])
 def test_per_step_checks_fire_mid_leg(tmp_path, capsys, coefficient, guards,
                                       hermitian, T, code, text):
     spec = _particle1_spec(tmp_path, coefficient, guards, hermitian)

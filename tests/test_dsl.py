@@ -18,12 +18,14 @@ from mtdirac.dsl import (
     Param,
     Pow,
     Sub,
+    coordinates,
     differentiate,
     evaluate,
     is_constant,
     parse,
     to_source,
 )
+from mtdirac.solver import Grid, _step_coords
 from oracles import fd_partial
 
 
@@ -283,12 +285,6 @@ def _children(expr):
             if hasattr(expr, name)]
 
 
-def _coordinates(expr) -> set:
-    if isinstance(expr, Coord):
-        return {expr}
-    return set().union(*map(_coordinates, _children(expr)))
-
-
 def _well_conditioned(expr, coords) -> bool:
     """Every denominator and sqrt argument is away from its singularity."""
     match expr:
@@ -318,9 +314,8 @@ def _finite_value(expr, coords) -> complex:
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(expr=_EXPRESSIONS, coords=_POINTS, data=st.data())
 def test_differentiate_matches_sympy(expr, coords, data):
-    direction = data.draw(st.sampled_from(
-        sorted(_coordinates(expr), key=lambda c: (c.k, c.mu))
-        or [Coord(1, 0)]))
+    direction = Coord(*data.draw(st.sampled_from(
+        sorted(coordinates(expr)) or [(1, 0)])))
     _finite_value(expr, coords)
     with np.errstate(all="ignore"):
         assume(_well_conditioned(expr, coords))
@@ -340,3 +335,20 @@ def test_source_roundtrip_evaluates_identically(expr, coords):
     reparsed = parse(to_source(expr), params=_PARAMS)
     with np.errstate(all="ignore"):  # a finite value may pass through inf
         assert evaluate(reparsed, coords) == value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(expr=_EXPRESSIONS, times=st.tuples(st.floats(-1.5, 1.5),
+                                          st.floats(-1.5, 1.5)))
+def test_coordinates_decide_grid_dependence(expr, times):
+    """An expression varies over the solver's grid exactly when it uses a
+    z coordinate: scalar times and broadcast z_1, z_2 evaluate to a 0-d
+    value otherwise."""
+    assert is_constant(expr) == (not coordinates(expr))
+    with np.errstate(all="ignore"):
+        try:
+            value = evaluate(expr, _step_coords(Grid(points=16), *times))
+        except DslEvaluationError:
+            assume(False)
+    on_grid = any(mu == 3 for _, mu in coordinates(expr))
+    assert (np.ndim(value) > 0) == on_grid

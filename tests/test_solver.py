@@ -20,9 +20,10 @@ from mtdirac.clifford import (
     realize,
     tensor_element,
 )
-from mtdirac.dsl import Const
+from mtdirac.dsl import Const, parse
 from mtdirac.potential import (
     DomainError,
+    Guard,
     MultiTimeSystem,
     Potential,
     PotentialTerm,
@@ -246,8 +247,8 @@ def test_closed_form_phase_matches_expm(particle, dirac):
         potentials[particle - 1] = Potential(particle, 2, terms)
         system = MultiTimeSystem("pair", 2, (1.0, 1.0), tuple(potentials),
                                  hermitian=False)
-        phase = solver._potential_phase(system, particle, (0.0, 0.0), 0.1,
-                                        grid)
+        [phase] = solver._potential_phase(system, particle, (0.0, 0.0),
+                                          0.1, grid, True)
         v = sum(weight * realize(term.structure, dirac)
                 for weight, term in zip(weights, terms))
         expected = scipy.linalg.expm(-0.05j * v)
@@ -523,29 +524,23 @@ def test_hoho_path_matches_chained_steps(grid, psi0):
     assert fused.distance(chained) <= 1e-13
 
 
-def test_grid_step_inside_a_leg_ends_the_fused_run(monkeypatch):
-    """Every third step gets its 16x16 phase as a pointwise one."""
-    original = solver._potential_phase
-    calls = []
-
-    def mixed(*args):
-        phase = original(*args)
-        calls.append(phase)
-        if len(calls) % 3 == 2:
-            return lambda values: values @ phase.T
-        return phase
-
-    monkeypatch.setattr(solver, "_potential_phase", mixed)
-    system = make_builtin("hoho")
+def test_alternating_time_only_and_grid_legs_match_chained_steps():
+    """With a spatial c, hoho's V_1 varies over the grid and V_2 is
+    constant, so the path alternates grid and time-only legs."""
+    system = make_builtin("hoho", {"c": (1.0, 0.0, 0.0, 0.5)})
+    assert solver._on_grid(system.potential(1))
+    assert not solver._on_grid(system.potential(2))
     psi = product_state(Grid(points=16), spinor1=(0.6, 0.2j, -0.5, 0.3),
                         momenta=(0.8, -0.5))
-    fused = evolve_path(psi, [Leg(1, 0.7, 0.1), Leg(2, 0.7, 0.1)], system)
-    calls.clear()
+    path = [Leg(1, 0.3, 0.1), Leg(2, 0.7, 0.1), Leg(1, 0.4, 0.1, -1),
+            Leg(2, 0.2, 0.1, -1)]
+    fused = evolve_path(psi, path, system)
     chained = psi
-    for particle in (1, 2):
-        for _ in range(7):
-            chained = step(chained, particle, 0.1, system)
-    assert len(calls) == 14
+    for leg in path:
+        for _ in range(leg.steps()):
+            chained = step(chained, leg.particle, leg.direction * leg.dt,
+                           system)
+    assert fused.times == chained.times
     assert fused.distance(chained) <= 1e-13
     assert fused.distance(psi) > 0.1
 
@@ -563,15 +558,171 @@ def _counted(monkeypatch, module, names) -> collections.Counter:
 
 
 def test_time_only_legs_take_no_single_steps(monkeypatch):
-    """One phase per Strang step, and no `step` calls, in both experiments."""
+    """One phase evaluation per time-only leg, and no `step` calls, in
+    both experiments: two orders of two legs per dt, four legs a loop."""
     calls = _counted(monkeypatch, solver, ["step", "_potential_phase"])
     assert entry(["simulate", "--builtin", "hoho",
                   "--dt", "0.1,0.05,0.025"]) == EXIT_OK
-    assert calls == {"_potential_phase": 4 * (5 + 10 + 20)}
+    assert calls == {"_potential_phase": 4 * 3}
     calls.clear()
     assert entry(["simulate", "--builtin", "example1_vector",
                   "--delta", "0.08,0.04,0.02"]) == EXIT_OK
     assert calls == {"_potential_phase": 4 * 3}
+
+
+def _particle1_system(coefficient: str, structure=None, guards=(),
+                      hermitian: bool = False) -> MultiTimeSystem:
+    """V_1 = coefficient on structure (gamma0 x 1), V_2 = 0."""
+    if structure is None:
+        structure = tensor_element(BasisElement(BasisClass.GAMMA, 0),
+                                   IDENTITY_ELEMENT)
+    v1 = Potential(1, 2, (PotentialTerm(structure, parse(coefficient)),),
+                   tuple(Guard(parse(expr), threshold)
+                         for expr, threshold in guards))
+    return MultiTimeSystem("particle1", 2, (1.0, 1.0),
+                           (v1, zero_potential(2)), hermitian)
+
+
+# time-only coefficients whose structures do not split into classes
+_DENSE_TIME_ONLY = {"W1": (0, 0, 0, "0.5*cos(x1_0 - x2_0)"),
+                    "X1": (0, 0, 0, "0.2*cos(x2_0)"),
+                    "A": ("0.3*sin(x1_0)", 0, 0, 0)}
+# label: (system, particle, start times, phases that vanish, builder)
+_BATCHED_PHASE_CASES = {
+    "class product": (lambda: make_builtin("hoho"), 1, (0.3, -0.2), 0,
+                      "_multiply_out"),
+    "dense eigh": (lambda: make_builtin("coefficient_form", {
+        **_DENSE_TIME_ONLY, "hermitian": True}), 1, (0.3, -0.2), 0,
+                   "_dense_phase"),
+    "dense expm": (lambda: make_builtin("coefficient_form",
+                                        _DENSE_TIME_ONLY), 1, (0.3, -0.2), 0,
+                   "_dense_phase"),
+    # sin(0) at the first midpoint time, t_1 = 0.05
+    "vanishing at one midpoint": (lambda: _particle1_system(
+        "sin(10*(x1_0 - 0.05))*x2_0", tensor_element(
+            BasisElement(BasisClass.GAMMA, 0),
+            BasisElement(BasisClass.ALPHA, 3))), 1, (0.0, 0.3), 1,
+        "_multiply_out"),
+    "constant": (lambda: make_builtin("hoho"), 2, (0.3, -0.2), 0,
+                 "_multiply_out"),
+    "other particle's time only": (lambda: make_builtin(
+        "coefficient_form", {"W1": (0, 0, 0, "0.5*cos(x2_0)")}), 1,
+        (0.3, -0.2), 0, "_multiply_out"),
+}
+
+
+@pytest.mark.parametrize("dt", [0.1, -0.1])
+@pytest.mark.parametrize("label", sorted(_BATCHED_PHASE_CASES))
+def test_batched_phases_equal_single_midpoint_phases(label, dt,
+                                                     monkeypatch):
+    """Each step's slice of a leg's one evaluation is bit for bit the
+    phase of that step's midpoint alone; None where V_k vanishes."""
+    build, particle, start, vanishing, builder = _BATCHED_PHASE_CASES[label]
+    system, grid, count = build(), Grid(points=16), 6
+    times, starts = list(start), []
+    for _ in range(count):
+        starts.append(times[particle - 1])
+        times[particle - 1] += dt
+    stack = list(start)
+    stack[particle - 1] = np.reshape(starts, (-1, 1, 1))
+    calls = _counted(monkeypatch, solver, [builder])
+    batched = solver._potential_phase(system, particle, stack, dt, grid,
+                                      True)
+    assert calls == {builder: 1}
+    assert len(batched) == count
+    assert sum(phase is None for phase in batched) == (vanishing if dt > 0
+                                                        else 0)
+    if label in ("constant", "other particle's time only"):
+        assert all(phase is batched[0] for phase in batched)
+    for phase, t in zip(batched, starts):
+        single = list(start)
+        single[particle - 1] = t
+        [expected] = solver._potential_phase(system, particle, single, dt,
+                                             grid, True)
+        assert (phase is None if expected is None
+                else np.array_equal(phase, expected))
+
+
+_LATE_GUARD = [("x1_0 - 0.25", 1e-3)]  # trips at the third midpoint time
+
+
+@pytest.mark.parametrize("system, error, text", [
+    # step 1 fails the hermiticity check, step 5 the finiteness of V_1
+    (_particle1_system("i*x1_0 + exp(2000*x1_0)", hermitian=True),
+     SpecError, "declared hermitian but deviates by 4.000e-01"),
+    # step 1 fails the hermiticity check, step 3 divides by zero
+    (_particle1_system("i*x1_0 + 1/(x1_0 - 0.25)", hermitian=True),
+     SpecError, "declared hermitian but deviates by 4.000e-01"),
+    # step 2 overflows V_1, step 3 trips the guard
+    (_particle1_system("exp(5000*x1_0)", guards=_LATE_GUARD),
+     DomainError, "potential V_1 is not finite"),
+    # step 2's class factor cosh(750) overflows, step 3 trips the guard
+    (_particle1_system("1e5*i*x1_0", guards=_LATE_GUARD),
+     DomainError, "exp(-i dt V_1 / 2) is not finite"),
+], ids=["hermitian before finite", "hermitian before division",
+        "finite before guard", "class factor before guard"])
+def test_a_leg_raises_its_earliest_failing_steps_error(system, error, text):
+    """The error is the one the first failing step raises on its own,
+    though a later step fails a check that runs earlier in each step."""
+    psi = product_state(Grid(points=16))
+    with pytest.raises(error) as fused:
+        evolve_path(psi, [Leg(1, 0.6, 0.1)], system)
+    with pytest.raises(error) as chained:
+        for _ in range(6):
+            psi = step(psi, 1, 0.1, system)
+    assert str(fused.value) == str(chained.value)
+    assert text in str(fused.value)
+
+
+def test_a_guard_on_z_makes_a_leg_a_grid_leg(dirac):
+    """A time-only V_1 with a guard over z_1 - z_2 takes grid steps, so the
+    guard is never evaluated on a (count, n, n) stack."""
+    structure = tensor_element(BasisElement(BasisClass.ALPHA, 3),
+                               IDENTITY_ELEMENT)
+    system = _particle1_system("0.5*cos(x1_0 - x2_0)", structure,
+                               [("x1_3 - x2_3 + 100", 1e-6)], True)
+    assert solver._on_grid(system.potential(1))
+    psi = _oracle_state()
+    out = evolve_path(psi, [Leg(1, 0.3, 0.1)], system)
+    expected = _reference_path(psi, [(1, 0.1, 3)], system, dirac)
+    assert out.distance(expected) <= 1e-13
+    tripping = _particle1_system("0.5*cos(x1_0 - x2_0)", structure,
+                                 [("x1_3 - x2_3", 1e-6)], True)
+    with pytest.raises(DomainError, match="guard violated"):
+        evolve_path(psi, [Leg(1, 0.3, 0.1)], tripping)
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes held while call() runs, what it allocates included."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+def test_leg_memory_does_not_grow_with_its_steps():
+    """At n = 128 no leg holds a stack over its steps.  A grid step holds
+    its input state while it runs, so a grid leg of two steps or more
+    holds one (n, n, 16) state more than a 1-step leg and a 40-step one
+    peaks within 10% of a 2-step one.  A 200-step time-only leg holds no
+    array of n^2 * count bytes more than a 1-step one."""
+    def peak(system, count):
+        return _traced_peak(lambda: evolve_path(
+            product_state(Grid(points=128)), [Leg(1, count * 0.01, 0.01)],
+            system))
+
+    state_bytes = 128 ** 2 * 16 * 16
+    grid_system = make_builtin("hoho", {"c": (1.0, 0.0, 0.0, 0.5)})
+    one, two = peak(grid_system, 1), peak(grid_system, 2)
+    assert two - one <= 1.05 * state_bytes
+    assert peak(grid_system, 40) <= 1.1 * two
+    time_only = make_builtin("hoho")
+    assert peak(time_only, 200) - peak(time_only, 1) < 128 ** 2 * 200
 
 
 _TRANSFORMS = ["fft", "ifft", "fft2", "ifft2"]
