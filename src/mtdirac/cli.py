@@ -16,8 +16,9 @@ Exit codes:
         levels deep (message carries the source position), spec files
         that are not UTF-8 JSON or nest too deeply to decode, systems
         outside the required form (cc: the coefficient form), a loop
-        delta whose square underflows, or a request too large for memory
-        (say, --nsamples)
+        delta whose square underflows, a request too large for memory
+        (say, --nsamples), or an --out or --csv path that cannot be
+        written
     3   numerical-domain failure: a coefficient guard tripped (every
         command that evaluates the potentials runs them, cc included),
         an expression hit an evaluation singularity, or a potential or
@@ -37,11 +38,7 @@ import numpy as np
 from . import __version__
 from .clifford import build_dirac_rep, build_weyl_rep, commutator_table, \
     verify_clifford
-from .consistency import (
-    VERDICT_CONSISTENT,
-    VERDICT_INCONSISTENT,
-    check_consistency,
-)
+from .consistency import check_consistency
 from .dsl import DslEvaluationError, DslParseError
 from .potential import (
     CoefficientFormError,
@@ -55,26 +52,9 @@ from .potential import (
     to_coefficient_form,
     write_text_atomic,
 )
-from .solver import (
-    Grid,
-    curvature_norm,
-    holonomy_series,
-    path_independence_experiment,
-    product_state,
-)
-from .symmetry import (
-    GAUGE_REMOVABLE,
-    INTERACTING,
-    UNDECIDED,
-    compose,
-    classify_interaction,
-    exponential_form_residual,
-    inverse,
-    make_boost,
-    make_rotation,
-    make_translation,
-    poincare_residual,
-)
+
+# symmetry and solver are imported by the commands that run them, so that
+# check, cc and verify-clifford start without loading either
 
 EXIT_OK = 0
 EXIT_EXPECT = 1
@@ -84,14 +64,11 @@ EXIT_DOMAIN = 3
 EXPECT_CHOICES = ("consistent", "inconsistent", "interacting",
                   "gauge-removable")
 
-# report verdicts -> the lowercase tokens accepted by --expect
-_VERDICT_TOKENS = {
-    VERDICT_CONSISTENT: "consistent",
-    VERDICT_INCONSISTENT: "inconsistent",
-    INTERACTING: "interacting",
-    GAUGE_REMOVABLE: "gauge-removable",
-    UNDECIDED: "undecided",
-}
+
+def _verdict_token(verdict: str) -> str:
+    """The --expect token of a report verdict: GAUGE_REMOVABLE ->
+    gauge-removable.  UNDECIDED's token is no EXPECT_CHOICES entry."""
+    return verdict.lower().replace("_", "-")
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +190,16 @@ def _config_echo(args: argparse.Namespace) -> dict:
                      for key in _ECHO_KEYS if hasattr(args, key)})
 
 
+def _write_output(path: str, text: str) -> None:
+    """write_text_atomic, failing with an OSError that names `path` rather
+    than the staging file beside it."""
+    try:
+        write_text_atomic(path, text)
+    except OSError as exc:
+        raise OSError(f"cannot write {path!r}: {exc.strerror or exc}") \
+            from None
+
+
 def _format_csv(rows: Sequence[Sequence]) -> str:
     lines = []
     for row in rows:
@@ -274,6 +261,8 @@ def _cmd_cc(args: argparse.Namespace):
 
 
 def _cmd_classify(args: argparse.Namespace):
+    from .symmetry import classify_interaction, exponential_form_residual, \
+        make_translation, poincare_residual
     system = _load_cmd_system(args)
     classification = classify_interaction(system, tol=args.tol)
     rng = np.random.default_rng(args.seed)
@@ -296,6 +285,8 @@ def _cmd_classify(args: argparse.Namespace):
 
 
 def _cmd_poincare(args: argparse.Namespace):
+    from .symmetry import compose, inverse, make_boost, make_rotation, \
+        make_translation, poincare_residual
     system = _load_cmd_system(args)
     rng = np.random.default_rng(args.seed)
     samples = sample_configs(args.nsamples, rng, system.n_particles)
@@ -329,6 +320,8 @@ def _cmd_poincare(args: argparse.Namespace):
 def _cmd_simulate(args: argparse.Namespace):
     if bool(args.dt) == bool(args.delta):
         raise SpecError("simulate needs exactly one of --dt or --delta")
+    from .solver import Grid, curvature_norm, holonomy_series, \
+        path_independence_experiment, product_state
     system = _load_cmd_system(args)
     grid = Grid(length=args.box_L, points=args.grid_n)
     psi0 = product_state(grid)
@@ -354,7 +347,7 @@ def _cmd_simulate(args: argparse.Namespace):
         csv_rows += list(result.rows)
     report["grid"] = {"length": grid.length, "points": grid.points}
     if args.csv:
-        write_text_atomic(args.csv, _format_csv(csv_rows))
+        _write_output(args.csv, _format_csv(csv_rows))
     return report, None
 
 
@@ -486,14 +479,17 @@ def entry(argv: Sequence[str] | None = None) -> int:
               file=sys.stderr)
         return EXIT_DOMAIN
     if args.out:
-        write_text_atomic(args.out, text)
+        try:
+            _write_output(args.out, text)
+        except OSError as exc:
+            print(f"mtdirac: error: {exc}", file=sys.stderr)
+            return EXIT_SPEC
     else:
         sys.stdout.write(text)
 
     expectations = getattr(args, "expect", None)
     if expectations:
-        token = _VERDICT_TOKENS.get(verdict or "")
-        if token not in expectations:
+        if _verdict_token(verdict or "") not in expectations:
             print(f"mtdirac: verdict {verdict} does not match "
                   f"--expect {','.join(expectations)}", file=sys.stderr)
             return EXIT_EXPECT

@@ -534,12 +534,21 @@ def test_classify_gradient_pair_gauge_removable(tmp_path):
 
 
 def test_classify_undecided_fails_every_expectation(tmp_path):
+    expect_all = [arg for token in cli.EXPECT_CHOICES
+                  for arg in ("--expect", token)]
     code = entry(["classify", "--builtin", "coefficient_form",
-                  "--param", "A=0,0,0,x2_3",
-                  "--expect", "interacting", "--expect", "gauge-removable",
+                  "--param", "A=0,0,0,x2_3", *expect_all,
                   "--out", str(tmp_path / "r.json")])
     assert code == EXIT_EXPECT
     assert read_json(tmp_path / "r.json")["verdict"] == "UNDECIDED"
+
+
+def test_verdicts_map_to_their_expect_tokens():
+    verdicts = (consistency.VERDICT_CONSISTENT,
+                consistency.VERDICT_INCONSISTENT, symmetry.INTERACTING,
+                symmetry.GAUGE_REMOVABLE)
+    assert tuple(map(cli._verdict_token, verdicts)) == cli.EXPECT_CHOICES
+    assert cli._verdict_token(symmetry.UNDECIDED) not in cli.EXPECT_CHOICES
 
 
 def test_classify_spec_named_hoho_without_hoho_params(tmp_path):
@@ -579,16 +588,16 @@ def test_classify_renamed_hoho_interacting(tmp_path):
 def test_classify_hoho_runs_the_exponential_form_twice(capsys, monkeypatch):
     # once on the probe grid for the verdict, once on the samples for the
     # report; the verdict's pass also establishes the witness's family, so
-    # the witness is taken without re-checking it
+    # the witness is taken without re-checking it; the command imports it
+    # from symmetry when it runs, so one patch there sees both calls
     calls = []
-    for module in (symmetry, cli):
-        original = module.exponential_form_residual
+    original = symmetry.exponential_form_residual
 
-        def counted(*args, original=original, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, "exponential_form_residual", counted)
+    monkeypatch.setattr(symmetry, "exponential_form_residual", counted)
     code, _ = run_json(capsys, ["classify", "--builtin", "hoho"])
     assert code == EXIT_OK
     assert len(calls) == 2
@@ -945,9 +954,34 @@ def test_out_directory_left_clean(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+@pytest.mark.parametrize("target, reason", [
+    ("missing/report", "No such file or directory"),
+    ("directory", "Is a directory"),
+], ids=["missing directory", "directory"])
+def test_unwritable_output_path_exits_two(tmp_path, capsys, flag, target,
+                                          reason):
+    # one error line naming the path given, not the staging file beside
+    # it, and no staging file left behind
+    (tmp_path / "directory").mkdir()
+    path = str(tmp_path / target)
+    argv = (["check", "--builtin", "hoho", "--nsamples", "5"]
+            if flag == "--out" else
+            ["simulate", "--builtin", "free", "--grid-n", "16",
+             "--delta", "0.1"])
+    assert entry([*argv, flag, path]) == EXIT_SPEC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"mtdirac: error: cannot write {path!r}: {reason}"]
+    assert [p.name for p in tmp_path.rglob("*")] == ["directory"]
+
+
 def test_python_dash_m_runs(tmp_path):
+    src = str(Path(mtdirac.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-m", "mtdirac", "check", "--builtin", "free"],
+        env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, check=False)
     assert result.returncode == 0
     envelope = json.loads(result.stdout)

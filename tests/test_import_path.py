@@ -1,8 +1,9 @@
 """scipy stays off the import path of the CLI and its hermitian runs,
-and numpy.polynomial off every CLI run but `classify`.
+numpy.polynomial off every CLI run but `classify`, and each command
+imports only the package layers it runs.
 
 Each check runs in a fresh interpreter, because the test session itself
-has scipy loaded through the oracles.
+has scipy loaded through the oracles and every layer of the package.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ _SRC = str(Path(mtdirac.__file__).resolve().parents[1])
 # classify runs last: the runs share one interpreter, and it alone imports
 # numpy.polynomial (for Gauss-Legendre nodes)
 _CLI_RUNS = {
+    "verify-clifford": ["verify-clifford"],
     "check": ["check", "--builtin", "hoho", "--nsamples", "50"],
     "poincare": ["poincare", "--builtin", "hoho", "--nsamples", "20"],
     "cc": ["cc", "--builtin", "hoho", "--nsamples", "20"],
@@ -37,14 +39,16 @@ _CLI_RUNS = {
     "classify": ["classify", "--builtin", "hoho", "--nsamples", "20"],
 }
 
-# each entry: [exit code, scipy modules, numpy.polynomial modules]; numpy 1.x
-# imports numpy.polynomial itself, so "import numpy" records that baseline
+# each entry: [exit code, scipy modules, numpy.polynomial modules, mtdirac
+# submodules]; numpy 1.x imports numpy.polynomial itself, so "import numpy"
+# records that baseline
 _CLI_SCRIPT = """
 import contextlib, io, json, sys
 
 def modules():
     return [sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
-            sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))]
+            sorted(m for m in sys.modules if m.startswith("numpy.polynomial")),
+            sorted(m for m in sys.modules if m.startswith("mtdirac."))]
 
 import numpy
 loaded = {"import numpy": [0, *modules()]}
@@ -97,18 +101,119 @@ def cli_modules():
 
 
 def test_cli_runs_never_load_scipy(cli_modules):
-    for label, (code, scipy, _) in cli_modules.items():
+    for label, (code, scipy, _, _) in cli_modules.items():
         assert code == 0, label
         assert scipy == [], label
 
 
 def test_only_classify_loads_numpy_polynomial(cli_modules):
-    _, _, baseline = cli_modules["import numpy"]
-    for label, (_, _, polynomial) in cli_modules.items():
+    _, _, baseline, _ = cli_modules["import numpy"]
+    for label, (_, _, polynomial, _) in cli_modules.items():
         if label == "classify":
             assert "numpy.polynomial.legendre" in polynomial
         else:
             assert polynomial == baseline, label
+
+
+# the layers each command may leave unloaded, and must then not load
+_UNUSED_LAYERS = {
+    "import mtdirac.cli": {"symmetry", "solver"},
+    "verify-clifford": {"symmetry", "solver"},
+    "check": {"symmetry", "solver"},
+    "cc": {"symmetry", "solver"},
+    "classify": {"solver"},
+    "poincare": {"solver"},
+    "simulate time-only": {"symmetry"},
+    "simulate grid phase": {"symmetry"},
+}
+_LAYERS = ("cli", "clifford", "consistency", "dsl", "potential", "solver",
+           "symmetry")
+
+
+def test_each_command_loads_only_the_layers_it_runs():
+    for label, argv in _CLI_RUNS.items():
+        loaded = _run(_CLI_SCRIPT, json.dumps({label: argv}))
+        for run in ("import mtdirac.cli", label):
+            code, _, _, submodules = loaded[run]
+            assert code == 0, run
+            assert submodules == sorted(
+                f"mtdirac.{layer}" for layer in _LAYERS
+                if layer not in _UNUSED_LAYERS[run]), run
+
+
+_BENCH_ACCESS_SCRIPT = """
+import json, sys
+from operator import attrgetter
+import mtdirac.cli
+loaded = "mtdirac.solver" in sys.modules
+step = attrgetter("solver.step")(mtdirac)
+from mtdirac.solver import step as defined
+print(json.dumps([loaded, step is defined]))
+"""
+
+
+def test_a_layer_resolves_as_a_package_attribute_on_first_access():
+    # bench/run.py imports mtdirac.cli alone, then resolves its traced
+    # names as <layer>.<function> on the package
+    assert _run(_BENCH_ACCESS_SCRIPT) == [False, True]
+
+
+_PUBLIC_NAMES = [
+    "BUILTIN_SYSTEMS", "BasisClass", "BasisElement", "ClassificationReport",
+    "CoefficientFormError", "CoefficientSet", "ConfigGrid",
+    "ConsistencyReport", "CurvatureOperator", "DomainError", "DslError",
+    "DslEvaluationError", "DslParseError", "GAUGE_REMOVABLE", "GammaRep",
+    "GaugeReport", "Grid", "Guard", "HolonomyResult", "INTERACTING", "Leg",
+    "MultiTimeSystem", "PathIndependenceResult", "PoincareTransform",
+    "Potential", "PotentialTerm", "Region", "SpecError",
+    "TensorBasisElement", "UNDECIDED", "VERDICT_CONSISTENT",
+    "VERDICT_INCONSISTENT", "WaveFunction", "__version__",
+    "apply_curvature", "basis16", "build_dirac_rep", "build_weyl_rep",
+    "cc_residuals", "check_consistency", "classify_gauge",
+    "classify_interaction", "coefficient_set_to_system", "commutator_table",
+    "compose", "curvature_norm", "curvature_operator", "decompose",
+    "derivative_coefficient_matrices", "differentiate", "embed", "evaluate",
+    "evaluate_potential", "evolve_path", "exponential_form_residual",
+    "frobenius", "gaussian_profile", "holonomy_series",
+    "interaction_witness_hoho", "inverse", "is_constant", "is_spacelike",
+    "load_system", "loop_holonomy", "make_boost", "make_builtin",
+    "make_rotation", "make_translation", "parse",
+    "path_independence_experiment", "poincare_residual", "product_state",
+    "realize", "reconstruct", "sample_configs", "save_system",
+    "spacelike_mask", "step", "system_from_dict", "system_to_dict",
+    "tensor_element", "to_coefficient_form", "to_source", "verify_clifford",
+    "zero_potential", "zeroth_order_residual",
+]
+
+# [submodules after import mtdirac, sorted __all__, names other than
+# __version__ not bound to the object of that name in any layer, names missing from dir(), names that
+# `from mtdirac import *` does not bind to the package's object]
+_SURFACE_SCRIPT = """
+import importlib, json, sys
+import mtdirac
+loaded = sorted(m for m in sys.modules if m.startswith("mtdirac."))
+layers = [importlib.import_module("mtdirac." + layer)
+          for layer in json.loads(sys.argv[1])]
+missing = object()
+unbound = [name for name in mtdirac.__all__ if name != "__version__"
+           and not any(getattr(layer, name, missing) is getattr(mtdirac, name)
+                       for layer in layers)]
+undir = sorted(set(mtdirac.__all__) - set(dir(mtdirac)))
+star = {}
+exec("from mtdirac import *", star)
+unstarred = [name for name in mtdirac.__all__
+             if star.get(name, missing) is not getattr(mtdirac, name)]
+print(json.dumps([loaded, sorted(mtdirac.__all__), unbound, undir,
+                  unstarred]))
+"""
+
+
+def test_public_surface_resolves_lazily():
+    loaded, names, unbound, undir, unstarred = _run(
+        _SURFACE_SCRIPT, json.dumps(_LAYERS))
+    assert loaded == []
+    assert names == _PUBLIC_NAMES
+    assert (unbound, undir, unstarred) == ([], [], [])
 
 
 def test_non_hermitian_dense_phase_loads_scipy(dirac, tmp_path):
