@@ -53,8 +53,9 @@ sweep = (
 print("=" * 72)
 print("Covariance residuals of hoho")
 print("=" * 72)
-for label, transform in sweep:
-    residual = poincare_residual(hoho, transform, samples)
+labels, transforms = zip(*sweep)
+for label, residual in zip(labels,
+                           poincare_residual(hoho, transforms, samples)):
     print(f"    {label:32s} {residual:.3e}")
 
 # =============================================================================

@@ -268,9 +268,8 @@ def _cmd_classify(args: argparse.Namespace):
     rng = np.random.default_rng(args.seed)
     samples = sample_configs(args.nsamples, rng, system.n_particles)
     offsets = rng.uniform(-2.0, 2.0, size=(5, 4))
-    translation_sup = max(
-        poincare_residual(system, make_translation(offset), samples)
-        for offset in offsets)
+    translation_sup = max(poincare_residual(
+        system, [make_translation(offset) for offset in offsets], samples))
     try:
         exponential = exponential_form_residual(
             classification.gauge.coefficients, system.masses, samples)
@@ -304,8 +303,9 @@ def _cmd_poincare(args: argparse.Namespace):
         ("translation", make_translation(offset)),
         ("boost_z_times_inverse", compose(boost_z, inverse(boost_z))),
     )
-    residuals = {name: poincare_residual(system, transform, samples)
-                 for name, transform in sweep}
+    names, transforms = zip(*sweep)
+    residuals = dict(zip(names, poincare_residual(system, transforms,
+                                                  samples)))
     report = {
         "system": system.name,
         "residuals": residuals,

@@ -232,7 +232,7 @@ def check_consistency(system: MultiTimeSystem, samples: np.ndarray,
         zeroth_sup = _sup_norm(zeroth)
     _require_finite({"zeroth_sup": zeroth_sup} | {
         f"deriv_coeff_sup[{index}]": sup
-        for index, sup in enumerate(deriv_sup)})
+        for index, sup in enumerate(deriv_sup)}, "the sampled configurations")
 
     # finite: every coefficient is bounded by the finite zeroth_sup
     cc = _cc_sups(zeroth) if _in_coefficient_form(system) else None

@@ -61,13 +61,12 @@ class SpecError(Exception):
     """Malformed system description."""
 
 
-def _require_finite(sups: dict[str, float]) -> None:
-    """No verdict from non-finite numbers: raise DomainError on any."""
+def _require_finite(sups: dict[str, float], where: str) -> None:
+    """No verdict from non-finite sups: DomainError naming where they were."""
     bad = sorted(name for name, sup in sups.items() if not np.isfinite(sup))
     if bad:
         raise DomainError(
-            f"non-finite residual in {', '.join(bad)} at the sampled "
-            "configurations")
+            f"non-finite residual in {', '.join(bad)} at {where}")
 
 
 # ---------------------------------------------------------------------------

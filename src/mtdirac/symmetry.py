@@ -5,8 +5,9 @@ Three services for two-particle multi-time systems:
 * Poincare transforms (boosts, rotations, translations) with their
   spinor lifts, kept as 16 basis coefficients and multiplied through the
   product table alone, and sampled residuals measuring how far a
-  potential pair is from covariant under a given transform, taken on
-  operator fields through the matrix R with S B_m S^-1 = sum_n R[n, m] B_n.
+  potential pair is from covariant under each transform of a sweep,
+  taken on operator fields through the matrix R with
+  S B_m S^-1 = sum_n R[n, m] B_n, one stacked evaluation per sweep.
 
 * A gauge classifier for the alpha-sector coefficient fields: decides
   whether the cross-particle part of the first-order couplings is the
@@ -46,11 +47,13 @@ from .clifford import (
     tensor_element,
 )
 from .consistency import _cc_sups, _curvature_parts
-from .dsl import Expr, Sub, differentiate, evaluate, is_constant, is_zero
+from .dsl import DslEvaluationError, Expr, Sub, differentiate, evaluate, \
+    is_constant, is_zero
 from .potential import (
     COEFFICIENT_LAYOUT,
     CoefficientFormError,
     CoefficientSet,
+    DomainError,
     MultiTimeSystem,
     SpecError,
     _require_finite,
@@ -219,38 +222,54 @@ def inverse(transform: PoincareTransform) -> PoincareTransform:
 
 @np.errstate(all="ignore")
 def poincare_residual(system: MultiTimeSystem,
-                      transform: PoincareTransform,
-                      samples: np.ndarray) -> float:
-    """sup over samples and particles of the covariance defect
+                      transforms: Sequence[PoincareTransform],
+                      samples: np.ndarray) -> list[float]:
+    """Per transform, in order, the sup over samples and particles of
 
         || V_k(X) - (S x..x S) V_k(Lambda^-1(x_1 - a), ...) (S^-1 x..x S^-1) ||_F
 
     on operator fields: each factor B_m of the pulled-back field maps to
     sum_n R[n, m] B_n (_conjugation), over the entries of R above its
-    round-off, and field_norm measures the difference.  Raises
-    DomainError when the sup is not finite.
+    round-off, and field_norm measures the difference.  Each potential is
+    evaluated once at the samples and once at all pull-backs, stacked
+    (T, S, N, 4); each transform conjugates its own slice.  Raises
+    DomainError when a lift or a sup is not finite; on an error the
+    transforms rerun one at a time, so the earliest one's error surfaces.
     """
-    pulled_back = inverse(transform).apply(samples)
-    r = _conjugation(transform.spinor)
-    cutoff = 16 * np.finfo(float).eps * np.max(np.abs(r))  # R's round-off
-    _require_finite({f"poincare_residual({transform.name})": cutoff})
-    images = {source: [(_ELEMENTS[n], r[n, m])
-                       for n in np.flatnonzero(np.abs(r[:, m]) > cutoff)]
-              for m, source in enumerate(_ELEMENTS)}
-    worst = 0.0
-    for potential in system.potentials:
-        here = operator_field(potential, stack_coords(samples))
-        there = operator_field(potential, stack_coords(pulled_back))
-        conjugated = field_sum(*(
-            (math.prod(w for _, w in choice),
-             {TensorBasisElement(tuple(e for e, _ in choice)): value})
-            for element, value in there.items()
-            for choice in product(*map(images.get, element.factors))))
-        defect = field_sum((1, here), (-1, conjugated))
-        worst = np.maximum(worst, np.max(
-            field_norm(defect, system.n_particles), initial=0.0))
-    _require_finite({f"poincare_residual({transform.name})": worst})
-    return float(worst)
+    transforms = list(transforms)
+    try:
+        pulled_back = np.stack([inverse(t).apply(samples) for t in transforms])
+        maps = []  # per transform B_m -> [(B_n, R[n, m])], column by column
+        for transform in transforms:
+            r = _conjugation(transform.spinor)
+            cutoff = 16 * np.finfo(float).eps * np.max(np.abs(r))  # round-off
+            _require_finite({f"poincare_residual({transform.name})": cutoff},
+                            "the transform's spinor lift")
+            maps.append({source: [] for source in _ELEMENTS})
+            for m, n in zip(*np.nonzero(np.abs(r.T) > cutoff)):
+                maps[-1][_ELEMENTS[m]].append((_ELEMENTS[n], r[n, m]))
+        worst = np.zeros(len(transforms))
+        for potential in system.potentials:
+            here = operator_field(potential, stack_coords(samples))
+            there = operator_field(potential, stack_coords(pulled_back))
+            for t, images in enumerate(maps):
+                conjugated = field_sum(*(
+                    (math.prod(w for _, w in choice),
+                     {TensorBasisElement(tuple(e for e, _ in choice)):
+                      value[t] if np.ndim(value) else value})
+                    for element, value in there.items()
+                    for choice in product(*map(images.get, element.factors))))
+                defect = field_sum((1, here), (-1, conjugated))
+                worst[t] = np.maximum(worst[t], np.max(
+                    field_norm(defect, system.n_particles), initial=0.0))
+        _require_finite({f"poincare_residual({t.name})": sup for t, sup in
+                         zip(transforms, worst)}, "the sampled configurations")
+        return worst.tolist()
+    except (DomainError, SpecError, DslEvaluationError):
+        if len(transforms) > 1:  # the earliest transform's own error
+            for transform in transforms:
+                poincare_residual(system, [transform], samples)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +293,9 @@ def _require_constant_alpha(coefficients: CoefficientSet) -> None:
 @np.errstate(all="ignore")
 def exponential_form_residual(coefficients: CoefficientSet,
                               masses: tuple[float, float],
-                              samples: np.ndarray) -> dict[str, float]:
+                              samples: np.ndarray, *,
+                              where: str = "the sampled configurations"
+                              ) -> dict[str, float]:
     """Second-order structure conditions for constant alpha-sector fields.
 
     When all of W, X, Y, Z are constant, every consistent pair has
@@ -287,8 +308,9 @@ def exponential_form_residual(coefficients: CoefficientSet,
     (X1, Z1), and the rank conditions Y2_nu Z2_lam = Y2_lam Z2_nu
     (branch_2) and X1_mu Z1_lam = X1_lam Z1_mu (branch_1).
 
-    Raises CoefficientFormError when an alpha-sector field is not
-    constant, DomainError when a residual is not finite.
+    Each (field, mu) takes one max over its stacked (4, 4, ...) (nu, lam)
+    defects.  Raises CoefficientFormError when an alpha-sector field is
+    not constant, DomainError naming `where` when a residual is not finite.
     """
     _require_constant_alpha(coefficients)
     coords = stack_coords(samples)
@@ -298,8 +320,8 @@ def exponential_form_residual(coefficients: CoefficientSet,
         y, z = ([evaluate(e, coords) for e in coefficients.field(
                     coefficient_field(partner, cls, GAMMA5_ELEMENT))]
                 for cls in (BasisClass.ALPHA, BasisClass.G5ALPHA))
-        factor = [[4.0 * (z[lam] * z[nu] - y[lam] * y[nu]) for lam in range(4)]
-                  for nu in range(4)]
+        factor = np.array([[4.0 * (z[lam] * z[nu] - y[lam] * y[nu])
+                            for lam in range(4)] for nu in range(4)])
         for name in _GAMMA_FIELDS:
             owner, cls, other = COEFFICIENT_LAYOUT[name]
             if owner != particle:
@@ -311,19 +333,20 @@ def exponential_form_residual(coefficients: CoefficientSet,
             for mu in range(4):
                 base_value = (evaluate(exprs[mu], coords)
                               + (shift if mu == 0 else 0.0))
+                defect = np.multiply.outer(factor, base_value)
                 for nu in range(4):
                     first = differentiate(exprs[mu], partner, nu)
                     for lam in range(4):
                         second = differentiate(first, partner, lam)
-                        defect = factor[nu][lam] * base_value
                         if not is_zero(second):  # the common zero is skipped
-                            defect = evaluate(second, coords) - defect
-                        defects.append(np.max(np.abs(defect)))
+                            defect[nu, lam] = (evaluate(second, coords)
+                                               - defect[nu, lam])
+                defects.append(np.max(np.abs(defect)))
             out[f"ode_{name}"] = float(np.max(defects))
         out[f"branch_{partner}"] = float(np.max(
             [np.max(np.abs(y[a] * z[b] - y[b] * z[a]))
              for a in range(4) for b in range(4)]))
-    _require_finite(out)
+    _require_finite(out, where)
     return out
 
 
@@ -360,7 +383,8 @@ def _witness(system: MultiTimeSystem) -> float:
                     (system.mass(1), mass_term))
     v_2 = operator_field(system.potential(2), coords)
     value = float(field_norm(field_commutator(v_2, v_1), 2))
-    _require_finite({"interaction_witness": value})
+    _require_finite({"interaction_witness": value},
+                    "the coincident configuration")
     return value
 
 
@@ -483,16 +507,15 @@ def classify_gauge(system: MultiTimeSystem,
     # np.max and np.maximum keep a NaN that max() would drop
     cc = _cc_sups(_curvature_parts(system, probes, first=False)[1])
     cross_curl = np.max([cc[f"cc{index}"] for index in range(1, 5)])
-    locality = 0.0
+    moved = []
     for f in sectors.values():
         for (own, other), exprs in zip(((1, 2), (2, 1)), f):
             for mu, nu in combinations(range(4), 2):
                 curl = Sub(differentiate(exprs[nu], own, mu),
                            differentiate(exprs[mu], own, nu))
-                for lam in range(4):
-                    moved = evaluate(differentiate(curl, other, lam),
-                                     probe_coords)
-                    locality = np.maximum(locality, np.max(np.abs(moved)))
+                moved += [differentiate(curl, other, lam) for lam in range(4)]
+    locality = np.max([np.max(np.abs(evaluate(expr, probe_coords)))
+                       for expr in moved if not is_zero(expr)], initial=0.0)
     integrability = np.maximum(cross_curl, locality)
 
     # --- cross-only part h = f - f_ext and its line integrals ------------
@@ -555,7 +578,8 @@ def classify_gauge(system: MultiTimeSystem,
                 np.tensordot(w, integrand, axes=1)
                 - cross(f[j - 1][mu], j, at_points))))
     _require_finite({"integrability_sup": integrability, "triangle_sup":
-                     triangle, "gradient_match_sup": gradient_match})
+                     triangle, "gradient_match_sup": gradient_match},
+                    "the probe grid")
 
     if integrability < tol and triangle < _FD_TOL and gradient_match < _FD_TOL:
         verdict = GAUGE_REMOVABLE
@@ -606,14 +630,14 @@ def classify_interaction(system: MultiTimeSystem,
     gamma_sup = float(np.max(
         [np.max(np.abs(evaluate(expr, coords)))
          for name in _GAMMA_FIELDS for expr in coefficients.field(name)]))
-    _require_finite({"gamma_sector_sup": gamma_sup})
+    _require_finite({"gamma_sector_sup": gamma_sup}, "the probe grid")
 
     witness, verdict = None, gauge.verdict
     if gamma_sup >= tol:
         verdict = UNDECIDED
         try:
             structure = exponential_form_residual(
-                coefficients, system.masses, configs)
+                coefficients, system.masses, configs, where="the probe grid")
         except CoefficientFormError:  # alpha-sector fields not constant
             structure = None
         if structure is not None and max(structure.values()) < tol:

@@ -3,31 +3,40 @@
 from __future__ import annotations
 
 import itertools
+import math
 from functools import reduce
 
 import numpy as np
 import scipy.linalg
 
 from mtdirac.clifford import (
+    _ELEMENTS,
     DIRAC,
+    GAMMA5_ELEMENT,
+    IDENTITY_ELEMENT,
     BasisClass,
     BasisElement,
     GammaRep,
     TensorBasisElement,
     commutator,
     embed,
+    field_norm,
+    field_sum,
     realize,
     reconstruct,
 )
-from mtdirac.dsl import differentiate, evaluate
+from mtdirac.dsl import Sub, differentiate, evaluate, is_zero
 from mtdirac.potential import (
     COEFFICIENT_LAYOUT,
     FIELD_NAMES,
     SpecError,
+    coefficient_field,
     differentiate_potential,
     evaluate_potential,
+    operator_field,
     stack_coords,
 )
+from mtdirac.symmetry import _conjugation, inverse
 
 
 def fd_partial(f, coords: np.ndarray, k: int, mu: int, h: float = 1e-5):
@@ -159,6 +168,93 @@ def reference_poincare_residual(system, transform, samples, rep) -> float:
         norms = np.linalg.norm(defect.reshape(-1, *big_s.shape), axis=(1, 2))
         worst = max(worst, float(np.max(norms, initial=0.0)))
     return worst
+
+
+def reference_poincare_sweep(system, transforms, samples) -> list[float]:
+    """poincare_residual one transform at a time: each transform evaluates
+    the potentials at the samples and at its own pull-back, and its images
+    B_m -> [(B_n, R[n, m])] come from one flatnonzero per column of R."""
+    out = []
+    for transform in transforms:
+        pulled_back = inverse(transform).apply(samples)
+        r = _conjugation(transform.spinor)
+        cutoff = 16 * np.finfo(float).eps * np.max(np.abs(r))
+        images = {source: [(_ELEMENTS[n], r[n, m])
+                           for n in np.flatnonzero(np.abs(r[:, m]) > cutoff)]
+                  for m, source in enumerate(_ELEMENTS)}
+        worst = 0.0
+        with np.errstate(all="ignore"):
+            for potential in system.potentials:
+                here = operator_field(potential, stack_coords(samples))
+                there = operator_field(potential, stack_coords(pulled_back))
+                conjugated = field_sum(*(
+                    (math.prod(w for _, w in choice),
+                     {TensorBasisElement(tuple(e for e, _ in choice)): value})
+                    for element, value in there.items()
+                    for choice in itertools.product(
+                        *map(images.get, element.factors))))
+                defect = field_sum((1, here), (-1, conjugated))
+                worst = np.maximum(worst, np.max(
+                    field_norm(defect, system.n_particles), initial=0.0))
+        out.append(float(worst))
+    return out
+
+
+def reference_exponential_form(coefficients, masses, samples) -> dict:
+    """The ode_* sups of exponential_form_residual, one max per (mu, nu,
+    lam) defect d_nu d_lam P_mu - 4 (Z_lam Z_nu - Y_lam Y_nu) P_mu."""
+    coords = stack_coords(samples)
+    out = {}
+    with np.errstate(all="ignore"):
+        for particle, partner in ((1, 2), (2, 1)):
+            y, z = ([evaluate(e, coords) for e in coefficients.field(
+                        coefficient_field(partner, cls, GAMMA5_ELEMENT))]
+                    for cls in (BasisClass.ALPHA, BasisClass.G5ALPHA))
+            factor = [[4.0 * (z[lam] * z[nu] - y[lam] * y[nu])
+                       for lam in range(4)] for nu in range(4)]
+            for name, (owner, cls, other) in COEFFICIENT_LAYOUT.items():
+                if owner != particle or cls not in (BasisClass.GAMMA,
+                                                    BasisClass.G5GAMMA):
+                    continue
+                exprs = coefficients.field(name)
+                is_mass_field = (cls, other) == (BasisClass.GAMMA,
+                                                 IDENTITY_ELEMENT)
+                shift = masses[particle - 1] if is_mass_field else 0.0
+                defects = []
+                for mu in range(4):
+                    base_value = (evaluate(exprs[mu], coords)
+                                  + (shift if mu == 0 else 0.0))
+                    for nu in range(4):
+                        first = differentiate(exprs[mu], partner, nu)
+                        for lam in range(4):
+                            second = differentiate(first, partner, lam)
+                            defect = factor[nu][lam] * base_value
+                            if not is_zero(second):
+                                defect = evaluate(second, coords) - defect
+                            defects.append(np.max(np.abs(defect)))
+                out[f"ode_{name}"] = float(np.max(defects))
+    return out
+
+
+def reference_locality(coefficients, probes) -> float:
+    """sup |d_other (d_mu f_nu - d_nu f_mu)| over every alpha sector's
+    in-particle curls, one running np.maximum per derivative."""
+    coords = stack_coords(probes)
+    locality = 0.0
+    with np.errstate(all="ignore"):
+        for name1, name2 in (("W1", "W2"), ("X1", "X2"), ("Y1", "Y2"),
+                             ("Z1", "Z2")):
+            f = (coefficients.field(name1), coefficients.field(name2))
+            for (own, other), exprs in zip(((1, 2), (2, 1)), f):
+                for mu, nu in itertools.combinations(range(4), 2):
+                    curl = Sub(differentiate(exprs[nu], own, mu),
+                               differentiate(exprs[mu], own, nu))
+                    for lam in range(4):
+                        moved = evaluate(differentiate(curl, other, lam),
+                                         coords)
+                        locality = np.maximum(locality,
+                                              np.max(np.abs(moved)))
+    return float(locality)
 
 
 def reference_step(psi, particle: int, dt: float, system, rep) -> np.ndarray:

@@ -331,10 +331,11 @@ def test_boost_breaks_translation_holds(rng):
     system = make_builtin("hoho")
     samples = sample_configs(30, rng)
     boost = make_boost((0.0, 0.0, 1.0), 0.5)
-    boost_residual = poincare_residual(system, boost, samples)
-    translation_worst = max(
-        poincare_residual(system, make_translation(offset), samples)
-        for offset in rng.uniform(-2.0, 2.0, size=(10, 4)))
+    [boost_residual] = poincare_residual(system, [boost], samples)
+    translation_worst = max(poincare_residual(
+        system, [make_translation(offset)
+                 for offset in rng.uniform(-2.0, 2.0, size=(10, 4))],
+        samples))
     ok = boost_residual > 0.1 and translation_worst < 1e-12
     verdict_line("z-boost residual > 0.1; 10 translations < 1e-12",
                  ok, f"boost {boost_residual:.2f}, translations "

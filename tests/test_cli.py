@@ -1047,6 +1047,24 @@ def test_non_finite_residual_is_named(capsys, argv, residual):
     assert f"non-finite residual in {residual}" in captured.err
 
 
+@pytest.mark.parametrize("params,residual", [
+    (["A=exp(800*x1_0),0,0,0"], "gamma_sector_sup"),
+    (["Y2=1e200,0,0,0", "A=exp(300*x1_0),0,0,0"], "ode_A"),
+], ids=["gamma_sector", "exponential_form"])
+def test_non_finite_grid_sup_names_the_probe_grid(capsys, params, residual):
+    argv = ["classify", "--builtin", "coefficient_form"]
+    for param in params:
+        argv += ["--param", param]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = entry(argv)
+    assert code == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"non-finite residual in {residual}" in captured.err
+    assert captured.err.rstrip().endswith("at the probe grid")
+
+
 def test_non_finite_report_value_exits_three(capsys, monkeypatch):
     # the serialisation backstop, for a value no residual guard caught
     monkeypatch.setitem(cli._HANDLERS, "poincare",

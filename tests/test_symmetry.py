@@ -60,7 +60,10 @@ from oracles import (
     reference_cross_curl,
     reference_lorentz_lift,
     reference_matrix_cross_curl,
+    reference_exponential_form,
+    reference_locality,
     reference_poincare_residual,
+    reference_poincare_sweep,
 )
 
 
@@ -281,16 +284,15 @@ def test_identity_transform_residual_zero(rng):
     system = make_builtin("example1_vector")
     samples = sample_configs(10, rng)
     identity = make_translation(np.zeros(4))
-    assert poincare_residual(system, identity, samples) == 0.0
+    assert poincare_residual(system, [identity], samples) == [0.0]
 
 
 def test_free_system_invariant(rng):
     system = make_builtin("free")
     samples = sample_configs(10, rng)
-    for transform in (make_boost((0, 0, 1), 0.5),
-                      make_rotation((0, 1, 0), 1.0),
-                      make_translation((0.3, 1.0, -2.0, 0.7))):
-        assert poincare_residual(system, transform, samples) == 0.0
+    sweep = (make_boost((0, 0, 1), 0.5), make_rotation((0, 1, 0), 1.0),
+             make_translation((0.3, 1.0, -2.0, 0.7)))
+    assert poincare_residual(system, sweep, samples) == [0.0, 0.0, 0.0]
 
 
 def test_constant_scalar_potential_invariant(rng):
@@ -299,31 +301,33 @@ def test_constant_scalar_potential_invariant(rng):
     samples = sample_configs(10, rng)
     transform = compose(make_boost((1, 0, 0), 0.4),
                         make_rotation((0, 0, 1), 0.8))
-    assert poincare_residual(system, transform, samples) < 1e-12
+    [residual] = poincare_residual(system, [transform], samples)
+    assert residual < 1e-12
 
 
 def test_hoho_translation_invariant(rng):
     system = make_builtin("hoho")
     samples = sample_configs(20, rng)
-    for _ in range(10):
-        offset = rng.uniform(-3, 3, size=4)
-        assert poincare_residual(system, make_translation(offset),
-                                 samples) < 1e-12
+    sweep = [make_translation(offset)
+             for offset in rng.uniform(-3, 3, size=(10, 4))]
+    assert max(poincare_residual(system, sweep, samples)) < 1e-12
 
 
 def test_external_field_not_translation_invariant(rng):
     system = make_builtin("coefficient_form",
                           {"W1": ("cos(x1_0)", 0, 0, 0), "name": "external"})
     samples = sample_configs(20, rng)
-    assert poincare_residual(system, make_translation((1.0, 0, 0, 0)),
-                             samples) > 0.1
+    [residual] = poincare_residual(
+        system, [make_translation((1.0, 0, 0, 0))], samples)
+    assert residual > 0.1
 
 
 def test_hoho_breaks_boost_covariance(rng):
     system = make_builtin("hoho")
     samples = sample_configs(30, rng)
-    transform = make_boost((0, 0, 1), 0.5)
-    assert poincare_residual(system, transform, samples) > 0.1
+    [residual] = poincare_residual(system, [make_boost((0, 0, 1), 0.5)],
+                                   samples)
+    assert residual > 0.1
 
 
 @pytest.mark.parametrize("name,params", [
@@ -336,8 +340,8 @@ def test_stacked_residual_is_max_of_single_configurations(name, params, rng):
     samples = sample_configs(12, rng)
     transform = compose(make_boost((0.2, 0, 1), 0.5),
                         make_translation((0.1, -0.4, 0.3, 0.2)))
-    stacked = poincare_residual(system, transform, samples)
-    singles = [poincare_residual(system, transform, samples[i:i + 1])
+    [stacked] = poincare_residual(system, [transform], samples)
+    singles = [poincare_residual(system, [transform], samples[i:i + 1])[0]
                for i in range(len(samples))]
     assert stacked == max(singles)
     assert stacked > 0.1
@@ -346,8 +350,9 @@ def test_stacked_residual_is_max_of_single_configurations(name, params, rng):
 def test_non_finite_spinor_lift_raises_domain_error(rng):
     transform = PoincareTransform("broken", np.eye(4),
                                   np.full(16, np.nan), np.zeros(4))
-    with pytest.raises(DomainError, match="broken"):
-        poincare_residual(make_builtin("hoho"), transform,
+    with pytest.raises(DomainError, match=r"broken\) at the transform's "
+                       "spinor lift"):
+        poincare_residual(make_builtin("hoho"), [transform],
                           sample_configs(5, rng))
 
 
@@ -402,12 +407,66 @@ _THREE_PARTICLES = {
 def test_field_residual_matches_dense_oracle(system, dirac, weyl, rng):
     samples = sample_configs(15, rng, system.n_particles)
     for rep in (dirac, weyl):
-        for transform in _cli_and_composite_transforms(rng):
+        transforms = _cli_and_composite_transforms(rng)
+        sweep = poincare_residual(system, transforms, samples)
+        for transform, got in zip(transforms, sweep, strict=True):
             oracle = reference_poincare_residual(system, transform, samples,
                                                  rep)
-            got = poincare_residual(system, transform, samples)
             assert abs(got - oracle) <= 1e-12 * max(1.0, oracle), \
                 transform.name
+
+
+_SWEEP_SYSTEMS = {
+    "hoho": make_builtin("hoho"),
+    "coulomb_like": make_builtin("coulomb_like"),
+    "example1_vector": make_builtin("example1_vector"),
+    "coefficient_form": make_builtin("coefficient_form", {
+        "W1": ("cos(x2_0 - x1_3)", 0.3, "x1_1*x2_2", 0),
+        "E": ("exp(0.5*(x1_0 - x2_3))", 0, 0.2, "sin(x2_1)")}),
+    "three_particles": system_from_dict(_THREE_PARTICLES),
+}
+
+
+@pytest.mark.parametrize("name", list(_SWEEP_SYSTEMS))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sweep_equals_one_transform_at_a_time(name, seed):
+    # exact: every transform's sup comes from the same per-element numbers
+    rng = np.random.default_rng(seed)
+    system = _SWEEP_SYSTEMS[name]
+    samples = sample_configs(17, rng, system.n_particles)
+    transforms = _cli_and_composite_transforms(rng)
+    sweep = poincare_residual(system, transforms, samples)
+    assert sweep == reference_poincare_sweep(system, transforms, samples)
+    assert sweep == [poincare_residual(system, [transform], samples)[0]
+                     for transform in transforms]
+
+
+def _nan_lift(name: str) -> PoincareTransform:
+    return PoincareTransform(name, np.eye(4), np.full(16, np.nan),
+                             np.zeros(4))
+
+
+def test_sweep_raises_the_earliest_transforms_error(rng):
+    ok = make_boost((0, 0, 1), 0.5)
+    sweep = [ok, _nan_lift("broken"), ok, _nan_lift("broken2")]
+    with pytest.raises(DomainError, match=r"in poincare_residual\(broken\) "
+                       "at the transform's spinor lift"):
+        poincare_residual(make_builtin("hoho"), sweep, sample_configs(5, rng))
+
+
+def test_sweep_error_order_follows_the_transforms(rng):
+    # pulled back by a 1e-9 spatial scale, every pair sits closer than the
+    # coulomb_like guard's 1e-6
+    collapse = PoincareTransform("collapse", np.diag([1.0, 1e9, 1e9, 1e9]),
+                                 np.eye(16, dtype=complex)[0], np.zeros(4))
+    system, samples = make_builtin("coulomb_like"), sample_configs(5, rng)
+    ok = make_translation((0.1, 0.2, 0.3, 0.4))
+    with pytest.raises(DomainError, match=r"poincare_residual\(broken\)"):
+        poincare_residual(system, [ok, _nan_lift("broken"), collapse],
+                          samples)
+    with pytest.raises(DomainError, match="interparticle distance"):
+        poincare_residual(system, [ok, collapse, _nan_lift("broken")],
+                          samples)
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +557,36 @@ def test_exponential_form_hoho_satisfies_odes(rng):
         "branch_1", "branch_2"}
     for key, value in residuals.items():
         assert value < 1e-12, key
+
+
+def _random_exponential_form(rng) -> MultiTimeSystem:
+    """Constant alpha-sector fields and random gamma-sector fields."""
+    def component():
+        k, mu, nu = rng.integers(1, 3), rng.integers(0, 4), rng.integers(0, 4)
+        a, b = rng.normal(size=2)
+        return rng.choice([f"{a:.3f}*exp({b:.3f}*x{k}_{mu})",
+                           f"sin(x1_{mu} - {b:.3f}*x2_{nu})",
+                           f"x{k}_{mu}^2 - x{3 - k}_{nu}", f"{a:.3f}", "0"])
+    params = {name: tuple(component() for _ in range(4)) for name in "ABDEH"}
+    params |= {name: tuple(round(v, 3) for v in rng.normal(size=4))
+               for name in ("Y2", "Z2", "X1", "Z1")}
+    return make_builtin("coefficient_form", params)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_exponential_form_equals_the_per_index_loop(seed):
+    # exact: one max over each stacked (4, 4, ...) defect array
+    rng = np.random.default_rng(seed)
+    hoho = make_builtin(
+        "hoho", {"C": (1.3, 0.4j, -0.2j, 0.9j), "c": (0.8, -0.3, 0.1, 0.5)})
+    for system in (make_builtin("hoho"), hoho, _random_exponential_form(rng)):
+        coefficients = to_coefficient_form(system)
+        for configs in (ConfigGrid().configs(), sample_configs(100, rng)):
+            got = exponential_form_residual(coefficients, system.masses,
+                                            configs)
+            expected = reference_exponential_form(coefficients,
+                                                  system.masses, configs)
+            assert {key: got[key] for key in expected} == expected
 
 
 def test_exponential_form_zero_gamma_fields_pass(rng):
@@ -772,6 +861,19 @@ def test_marginal_violation_is_undecided():
     report = classify_gauge(system)
     assert report.verdict == UNDECIDED
     assert 1e-9 <= report.integrability_sup < 1e-8
+
+
+@pytest.mark.parametrize("params", [
+    {"W1": (0, "x1_2 * x2_3", 0, 0)},
+    {"W1": ("cos(x2_0)", "x1_2*sin(x2_1)", 0, 0),
+     "Z2": (0, "3*x1_0*x2_3", 0, 0)},
+    {"X1": ("exp(x1_1*x2_2)", 0, "x1_0*x2_0^2", 0)},
+], ids=["twisted", "mixed", "exponential"])
+def test_locality_sup_equals_the_running_maximum(params):
+    system = make_builtin("coefficient_form", params)
+    report = classify_gauge(system)
+    assert report.locality_sup == reference_locality(
+        report.coefficients, ConfigGrid().probes())
 
 
 def test_locality_defect_detected():
