@@ -225,7 +225,7 @@ def tensor_element(*factors: BasisElement) -> TensorBasisElement:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two square matrices, without its general-shape overhead."""
+    """The Kronecker product of two square matrices."""
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(
         len(a) * len(b), -1)
 
@@ -332,7 +332,7 @@ def embed(matrix: np.ndarray, k: int, n_particles: int) -> np.ndarray:
         raise ValueError(f"particle index {k} outside 1..{n_particles}")
     left = np.eye(4 ** (k - 1), dtype=complex)
     right = np.eye(4 ** (n_particles - k), dtype=complex)
-    return np.kron(np.kron(left, matrix), right)
+    return _kron(_kron(left, matrix), right)
 
 
 def _per_factor(tensor: np.ndarray, op: np.ndarray, n: int) -> np.ndarray:

@@ -147,8 +147,11 @@ def evaluate_potential(potential: Potential, coords,
 
 
 def stack_coords(configs) -> list[list[np.ndarray]]:
-    """coords[k-1][mu] of a configuration stack (..., N, 4)."""
+    """coords[k-1][mu] of a configuration stack (..., N, 4); SpecError
+    when the stack holds no configuration."""
     configs = np.asarray(configs, float)
+    if configs.size == 0:
+        raise SpecError("the configuration stack holds no configuration")
     return [[configs[..., k, mu] for mu in range(4)]
             for k in range(configs.shape[-2])]
 
@@ -237,8 +240,9 @@ def sample_configs(n_samples: int, rng: np.random.Generator,
     """Draw configurations uniformly from [-2, 2]^(N*4).
 
     With region SPACELIKE, rejection-sample in blocks until every pair is
-    spacelike separated; SpecError when _MAX_TRIES draws in a row find
-    none.  rng is left where drawing one at a time would leave it.
+    spacelike separated, keeping the candidates in draw order, so the
+    samples are those of drawing one at a time; SpecError when _MAX_TRIES
+    draws in a row find none.
     """
     if region is Region.ALL:
         return rng.uniform(-_BOX, _BOX, size=(n_samples, n_particles, 4))
@@ -247,23 +251,16 @@ def sample_configs(n_samples: int, rng: np.random.Generator,
     filled, last = 0, -1  # last: the last acceptance, from the block start
     while filled < n_samples:
         size = min(cap, max(64, 2 * (n_samples - filled)))
-        state = rng.bit_generator.state
         block = rng.uniform(-_BOX, _BOX, size=(size, n_particles, 4))
         hits = np.flatnonzero(is_spacelike(block))[:n_samples - filled]
         # size <= _MAX_TRIES: the block end fails only a carried-in streak
         starts = np.append(last, hits)
-        late = np.flatnonzero(starts + _MAX_TRIES < np.append(hits, size))
-        filled += hits.size
-        used = (starts[late[0]] + _MAX_TRIES + 1 if late.size else
-                hits[-1] + 1 if filled == n_samples else size)
-        if used < size:  # redraw only the candidates the loop would take
-            rng.bit_generator.state = state
-            rng.uniform(-_BOX, _BOX, size=(used, n_particles, 4))
-        if late.size:
+        if np.any(starts + _MAX_TRIES < np.append(hits, size)):
             raise SpecError(f"no spacelike configuration of {n_particles} "
                             f"particles in the box [-{_BOX:g}, {_BOX:g}]"
                             f"^({n_particles}*4) after {_MAX_TRIES} draws")
-        out[filled - hits.size:filled] = block[hits]
+        out[filled:filled + hits.size] = block[hits]
+        filled += hits.size
         last = starts[-1] - size
     return out
 
@@ -336,6 +333,13 @@ def _accumulate(a: Expr, b: Expr) -> Expr:
     return Add(a, b)
 
 
+def _field_of(particle: int, term: PotentialTerm) -> str | None:
+    """The field a two-particle V_particle term enters, None if none."""
+    factors = term.structure.factors
+    return _FIELD_BY_STRUCTURE.get(
+        (particle, factors[particle - 1].cls, factors[2 - particle]))
+
+
 def to_coefficient_form(system: MultiTimeSystem) -> CoefficientSet:
     """Extract the sixteen coefficient fields of a two-particle pair.
 
@@ -350,16 +354,13 @@ def to_coefficient_form(system: MultiTimeSystem) -> CoefficientSet:
     for potential in system.potentials:
         j = potential.particle
         for term in potential.terms:
-            own = term.structure.factors[j - 1]
-            other = term.structure.factors[2 - j]
-            try:
-                name = coefficient_field(j, own.cls, other)
-            except KeyError:
+            name = _field_of(j, term)
+            if name is None:
                 raise CoefficientFormError(
                     f"V_{j} term acts on particle {3 - j} through "
-                    f"{other.label()}") from None
-            fields[name][own.mu] = _accumulate(fields[name][own.mu],
-                                               term.coefficient)
+                    f"{term.structure.factors[2 - j].label()}")
+            mu = term.structure.factors[j - 1].mu
+            fields[name][mu] = _accumulate(fields[name][mu], term.coefficient)
     return CoefficientSet(**{name: tuple(values)
                              for name, values in fields.items()})
 
@@ -367,8 +368,7 @@ def to_coefficient_form(system: MultiTimeSystem) -> CoefficientSet:
 def _in_coefficient_form(system: MultiTimeSystem) -> bool:
     """Whether to_coefficient_form accepts the pair, without building it."""
     return system.n_particles == 2 and all(
-        (pot.particle, term.structure.factors[pot.particle - 1].cls,
-         term.structure.factors[2 - pot.particle]) in _FIELD_BY_STRUCTURE
+        _field_of(pot.particle, term) is not None
         for pot in system.potentials for term in pot.terms)
 
 

@@ -18,13 +18,13 @@ Hamiltonian alpha3_k kappa + gamma0_k m_k is one class with real
 s = kappa^2 + m_k^2, giving one 16x16 kernel K(kappa) per Fourier mode,
 applied as a batched matmul between one FFT and one inverse FFT along
 z_k.  A V_k whose structures do not split is assembled point by point
-and exponentiated with eigh (declared hermitian) or scipy's expm,
-imported only when such a non-hermitian phase is first built.  A phase
-that varies over the grid is applied pointwise before the FFT and after
-the inverse FFT, in closed form as sum_i a_i (B_i psi) with no matrix
-per point, accumulated in place: each class factor's terms go through
-one scratch buffer into a fresh output, never the input, and the free
-step's kernel matmul overwrites that output.
+and exponentiated with scipy's expm, imported only when such a phase is
+first built.  A phase that varies over the grid is applied pointwise
+before the FFT and after the inverse FFT, in closed form as
+sum_i a_i (B_i psi) with no matrix per point, accumulated in place: each
+class factor's terms go through one scratch buffer into a fresh output,
+never the input, and the free step's kernel matmul overwrites that
+output.
 
 On a time-only leg (no z in V_k's nonzero coefficients or guards, read
 from the expression trees) each half-step phase P is one 16x16 matrix,
@@ -166,7 +166,7 @@ def product_state(grid: Grid, *,
     with np.errstate(all="ignore"):
         g1 = gaussian_profile(grid, width, centers[0], momenta[0])
         g2 = gaussian_profile(grid, width, centers[1], momenta[1])
-        values = np.einsum("x,y,s->xys", g1, g2, np.kron(s1, s2))
+        values = np.einsum("x,y,s->xys", g1, g2, np.outer(s1, s2).ravel())
         norm = _l2(values, grid.spacing)
     if not (np.isfinite(norm) and norm > 0):
         raise SpecError(f"initial state norm {norm:g} is not finite and positive")
@@ -277,31 +277,21 @@ def _anticommuting_classes(
     return classes
 
 
-def _dense_phase(system: MultiTimeSystem, particle: int,
-                 potential: OperatorField, dt: float) -> np.ndarray:
-    """exp(-i (dt/2) V_k) from the assembled matrices.
+@np.errstate(all="ignore")
+def _dense_phase(potential: OperatorField, particle: int,
+                 dt: float) -> np.ndarray:
+    """exp(-i (dt/2) V_k) from the assembled matrices by scipy's expm,
+    imported here so that only potentials that do not split load scipy.
+    Raises DomainError when V_k or the phase is not finite."""
+    import scipy.linalg
 
-    A declared-hermitian V_k is diagonalised with numpy's eigh; any other
-    goes through scipy.linalg.expm, imported here so that scipy is loaded
-    only by non-hermitian potentials that are not a union of classes.
-    """
-    with np.errstate(all="ignore"):
-        v = reconstruct(potential, system.n_particles, DIRAC)
+    v = reconstruct(potential, 2, DIRAC)
     if not np.all(np.isfinite(v)):
         raise DomainError(f"potential V_{particle} is not finite on the grid")
-    if system.hermitian:
-        eigenvalues, basis = np.linalg.eigh(v)
-        phases = np.exp(-0.5j * dt * eigenvalues)
-        phase = (basis * phases[..., None, :]) @ np.conj(
-            np.swapaxes(basis, -1, -2))
-    else:
-        import scipy.linalg
-
-        with np.errstate(all="ignore"):
-            phase = scipy.linalg.expm(-0.5j * dt * v)
-        if not np.all(np.isfinite(phase)):
-            raise DomainError(
-                f"exp(-i dt V_{particle} / 2) is not finite on the grid")
+    phase = scipy.linalg.expm(-0.5j * dt * v)
+    if not np.all(np.isfinite(phase)):
+        raise DomainError(
+            f"exp(-i dt V_{particle} / 2) is not finite on the grid")
     return phase
 
 
@@ -346,7 +336,7 @@ def _potential_phase(system: MultiTimeSystem, particle: int,
                             f"{defect:.3e}")
     classes = _anticommuting_classes(list(potential))
     if classes is None:
-        phase = _dense_phase(system, particle, potential, dt)
+        phase = _dense_phase(potential, particle, dt)
         if not time_only:
             return lambda values: np.matmul(phase, values[..., None])[..., 0]
     else:

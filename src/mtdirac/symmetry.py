@@ -32,7 +32,6 @@ import numpy as np
 
 from .clifford import (
     _ELEMENTS,
-    ALGEBRA_TOL,
     EPSILON3,
     GAMMA5_ELEMENT,
     IDENTITY_ELEMENT,
@@ -119,19 +118,6 @@ def _conjugation(s: np.ndarray) -> np.ndarray:
         _ADJOINT * np.conj(s), PRODUCT_INDEX.T, PRODUCT_PHASE.T)
 
 
-def _match_spinor(lorentz: np.ndarray,
-                  candidates: Sequence[np.ndarray]) -> np.ndarray:
-    """The first candidate whose R maps gamma^mu to Lambda^mu_nu gamma^nu,
-    to ALGEBRA_TOL relative to max |Lambda|, a norm that cannot overflow."""
-    expected = np.zeros((16, 4))
-    expected[8:12] = lorentz.T  # the gamma class, flat indices 8..11
-    for s in candidates:
-        defect = np.abs(_conjugation(s)[:, 8:12] - expected)
-        if np.max(defect) <= ALGEBRA_TOL * np.max(np.abs(lorentz)):
-            return s
-    raise RuntimeError("no spinor lift reproduced the vector transform")
-
-
 def make_translation(offset: Sequence[float]) -> PoincareTransform:
     offset = np.asarray(offset, float)
     if offset.shape != (4,):
@@ -151,10 +137,10 @@ def make_boost(axis: Sequence[float], rapidity: float) -> PoincareTransform:
     """Pure boost with the given rapidity along a spatial axis.
 
     The generator K has K^3 = K, so exp(chi K) = 1 + sinh(chi) K +
-    (cosh(chi) - 1) K^2, and alpha_n^2 = 1 gives the spinor candidates
-    exp(+-chi alpha_n / 2) = cosh(chi/2) +- sinh(chi/2) alpha_n, with
-    alpha_n = sum_a n_a alpha^a at flat indices 1..3.  Raises ValueError
-    for a bad axis, a non-finite rapidity or one whose cosh overflows.
+    (cosh(chi) - 1) K^2.  The lift is S = exp(-chi X / 2) with X = alpha_n
+    = sum_a n_a alpha^a at flat indices 1..3, and alpha_n^2 = 1 gives
+    S = cosh(chi/2) - sinh(chi/2) alpha_n.  Raises ValueError for a bad
+    axis, a non-finite rapidity or one whose cosh overflows.
     """
     n = _unit(axis)
     rapidity = _finite("rapidity", rapidity)
@@ -166,10 +152,8 @@ def make_boost(axis: Sequence[float], rapidity: float) -> PoincareTransform:
     generator[0, 1:] = n
     generator[1:, 0] = n
     lorentz = np.eye(4) + sinh * generator + (cosh - 1) * generator @ generator
-    half = math.cosh(0.5 * rapidity) * _ONE
-    odd = np.zeros(16, complex)
-    odd[1:4] = math.sinh(0.5 * rapidity) * n
-    spinor = _match_spinor(lorentz, [half + odd, half - odd])
+    spinor = math.cosh(0.5 * rapidity) * _ONE
+    spinor[1:4] = -math.sinh(0.5 * rapidity) * n
     return PoincareTransform(f"boost({n[0]:g},{n[1]:g},{n[2]:g});chi={rapidity:g}",
                              lorentz, spinor, np.zeros(4))
 
@@ -178,10 +162,11 @@ def make_rotation(axis: Sequence[float], angle: float) -> PoincareTransform:
     """Spatial rotation by `angle` about a spatial axis.
 
     The generator J has J^3 = -J, so exp(theta J) = 1 + sin(theta) J +
-    (1 - cos(theta)) J^2, and Sigma_n^2 = 1 gives the spinor candidates
-    exp(-+i theta Sigma_n / 2) = cos(theta/2) -+ i sin(theta/2) Sigma_n,
-    with Sigma_n = sum_a n_a gamma5 alpha^a at flat indices 5..7.  Raises
-    ValueError for a bad axis or a non-finite angle.
+    (1 - cos(theta)) J^2.  The lift is S = exp(-theta X / 2) with X =
+    -i Sigma_n, Sigma_n = sum_a n_a gamma5 alpha^a at flat indices 5..7,
+    and Sigma_n^2 = 1 gives S = cos(theta/2) + i sin(theta/2) Sigma_n.
+    -S lifts the same Lambda (the double cover); the formula fixes the sign.
+    Raises ValueError for a bad axis or a non-finite angle.
     """
     n = _unit(axis)
     angle = _finite("angle", angle)
@@ -189,10 +174,8 @@ def make_rotation(axis: Sequence[float], angle: float) -> PoincareTransform:
     generator[1:, 1:] = -EPSILON3 @ n
     lorentz = (np.eye(4) + math.sin(angle) * generator
                + (1 - math.cos(angle)) * generator @ generator)
-    half = math.cos(0.5 * angle) * _ONE
-    odd = np.zeros(16, complex)
-    odd[5:8] = 1j * math.sin(0.5 * angle) * n
-    spinor = _match_spinor(lorentz, [half - odd, half + odd])
+    spinor = math.cos(0.5 * angle) * _ONE
+    spinor[5:8] = 1j * math.sin(0.5 * angle) * n
     return PoincareTransform(f"rotation({n[0]:g},{n[1]:g},{n[2]:g});theta={angle:g}",
                              lorentz, spinor, np.zeros(4))
 

@@ -106,10 +106,12 @@ def reference_lorentz_lift(kind: str, axis, parameter: float, rep):
     """Boost ("boost") or rotation ("rotation") by scipy's expm.
 
     Returns (Lambda, S): Lambda = expm(parameter G) for the 4x4 generator
-    G, and S the first of expm(parameter X / 2), expm(-parameter X / 2)
-    that intertwines Lambda, X = alpha_n for a boost and -i Sigma_n for a
-    rotation.  Where both do (S and -S at a rotation by +-pi), the first
-    is the sign convention of make_boost and make_rotation.
+    G, and S = expm(-parameter X / 2), X = alpha_n for a boost and
+    -i Sigma_n for a rotation, the sign convention of make_boost and
+    make_rotation (-S lifts the same Lambda).  Asserts first that S
+    intertwines Lambda, S gamma^mu = Lambda^mu_nu gamma^nu S, to 1e-12
+    relative to max |Lambda| ||S||: no inverse of S, whose condition
+    number is e^|parameter| for a boost, enters.
     """
     n = np.asarray(axis, float) / np.linalg.norm(axis)
     alpha_n = sum(n[a] * rep.alphas[a + 1] for a in range(3))
@@ -124,17 +126,13 @@ def reference_lorentz_lift(kind: str, axis, parameter: float, rep):
             generator[a + 1, b + 1] -= sign * n[c]
         spin = -1j * rep.gamma5 @ alpha_n
     lorentz = scipy.linalg.expm(parameter * generator)
-
-    def defect(s):
-        s_inv = np.linalg.inv(s)
-        return max(np.linalg.norm(
-            s @ rep.gammas[mu] @ s_inv
-            - sum(lorentz[mu, nu] * rep.gammas[nu] for nu in range(4)))
-            for mu in range(4))
-
-    candidates = [scipy.linalg.expm(sign * 0.5 * parameter * spin)
-                  for sign in (1, -1)]
-    return lorentz, next(s for s in candidates if defect(s) < 1e-10)
+    spinor = scipy.linalg.expm(-0.5 * parameter * spin)
+    defect = max(np.linalg.norm(
+        spinor @ rep.gammas[mu]
+        - sum(lorentz[mu, nu] * rep.gammas[nu] for nu in range(4)) @ spinor)
+        for mu in range(4))
+    assert defect <= 1e-12 * np.max(np.abs(lorentz)) * np.linalg.norm(spinor)
+    return lorentz, spinor
 
 
 def lift_matrix(spinor: np.ndarray, rep) -> np.ndarray:

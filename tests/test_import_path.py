@@ -1,6 +1,6 @@
-"""scipy stays off the import path of the CLI and its hermitian runs,
-numpy.polynomial off every CLI run but `classify`, and each command
-imports only the package layers it runs.
+"""scipy stays off the import path of the CLI and of runs whose
+potentials split into classes, numpy.polynomial off every CLI run but
+`classify`, and each command imports only the package layers it runs.
 
 Each check runs in a fresh interpreter, because the test session itself
 has scipy loaded through the oracles and every layer of the package.

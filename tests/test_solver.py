@@ -264,7 +264,6 @@ def test_grid_phase_workloads_take_closed_form(argv, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense phase used")
 
-    monkeypatch.setattr(solver.np.linalg, "eigh", refuse)
     monkeypatch.setattr(scipy.linalg, "expm", refuse)
     system = make_builtin(*argv)
     psi = product_state(Grid(points=64))
@@ -272,6 +271,11 @@ def test_grid_phase_workloads_take_closed_form(argv, monkeypatch):
         psi = step(psi, particle, 0.05, system)
     assert abs(psi.norm() - 1.0) < 1e-10
 
+
+# time-only coefficients whose structures do not split into classes
+_DENSE_TIME_ONLY = {"W1": (0, 0, 0, "0.5*cos(x1_0 - x2_0)"),
+                    "X1": (0, 0, 0, "0.2*cos(x2_0)"),
+                    "A": ("0.3*sin(x1_0)", 0, 0, 0)}
 
 _ORACLE_SYSTEMS = {
     "time-only hermitian phase": ("hoho", {}),
@@ -292,6 +296,13 @@ _ORACLE_SYSTEMS = {
         "W1": (0, 0, 0, "0.5*cos(x1_3 - x2_3)"),
         "X1": (0, 0, 0, "0.2*cos(x2_3)"),
         "A": ("0.3*sin(x1_3)", 0, 0, 0)}),
+    "dense hermitian phase": ("coefficient_form", {
+        "W1": (0, 0, 0, "0.5*cos(x1_3 - x2_3)"),
+        "X1": (0, 0, 0, "0.2*cos(x2_3)"),
+        "A": ("0.3*sin(x1_3)", 0, 0, 0), "hermitian": True}),
+    "dense time-only phase": ("coefficient_form", _DENSE_TIME_ONLY),
+    "dense time-only hermitian phase": ("coefficient_form", {
+        **_DENSE_TIME_ONLY, "hermitian": True}),
     "non-hermitian grid phase": ("hoho", {
         "C": (1.0, 0.3, 0.0, 0.0), "c": (1.0, 0.0, 0.0, 0.5)}),
     "zero potential": ("free", {}),
@@ -583,15 +594,11 @@ def _particle1_system(coefficient: str, structure=None, guards=(),
                            (v1, zero_potential(2)), hermitian)
 
 
-# time-only coefficients whose structures do not split into classes
-_DENSE_TIME_ONLY = {"W1": (0, 0, 0, "0.5*cos(x1_0 - x2_0)"),
-                    "X1": (0, 0, 0, "0.2*cos(x2_0)"),
-                    "A": ("0.3*sin(x1_0)", 0, 0, 0)}
 # label: (system, particle, start times, phases that vanish, builder)
 _BATCHED_PHASE_CASES = {
     "class product": (lambda: make_builtin("hoho"), 1, (0.3, -0.2), 0,
                       "_multiply_out"),
-    "dense eigh": (lambda: make_builtin("coefficient_form", {
+    "dense hermitian": (lambda: make_builtin("coefficient_form", {
         **_DENSE_TIME_ONLY, "hermitian": True}), 1, (0.3, -0.2), 0,
                    "_dense_phase"),
     "dense expm": (lambda: make_builtin("coefficient_form",
