@@ -160,34 +160,11 @@ def _load_cmd_system(args: argparse.Namespace) -> MultiTimeSystem:
 # Report plumbing
 # ---------------------------------------------------------------------------
 
-def _jsonify(value):
-    """Recursively coerce numpy scalars and complex values to JSON types."""
-    if isinstance(value, dict):
-        return {str(key): _jsonify(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(item) for item in value]
-    if isinstance(value, (bool, str)) or value is None:
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, (complex, np.complexfloating)):
-        as_complex = complex(value)
-        return {"im": as_complex.imag, "re": as_complex.real}
-    return str(value)
-
-
 # Echoed into every report: the inputs that determine the numbers.
 # Output paths are deliberately left out so that reruns with the same
 # seed are byte-identical wherever they are written.
 _ECHO_KEYS = ("spec", "builtin", "param", "region", "nsamples", "tol",
               "grid_n", "box_L", "T", "dt", "delta", "expect")
-
-
-def _config_echo(args: argparse.Namespace) -> dict:
-    return _jsonify({key: getattr(args, key)
-                     for key in _ECHO_KEYS if hasattr(args, key)})
 
 
 def _write_output(path: str, text: str) -> None:
@@ -392,8 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--param", action="append", default=[],
                         metavar="NAME=VALUE",
                         help="builtin parameter; repeatable; values may be "
-                             "numbers, comma-separated 4-vectors, or "
-                             "coefficient expressions")
+                             "numbers or 4-vectors: four comma-separated "
+                             "numbers or coefficient expressions")
 
     sampling = argparse.ArgumentParser(add_help=False)
     sampling.add_argument("--nsamples", type=_int_at_least(1), default=100,
@@ -466,8 +443,9 @@ def entry(argv: Sequence[str] | None = None) -> int:
         "command": args.command,
         "version": __version__,
         "seed": args.seed,
-        "config": _config_echo(args),
-        "report": _jsonify(report),
+        "config": {key: getattr(args, key)
+                   for key in _ECHO_KEYS if hasattr(args, key)},
+        "report": report,
     }
     if verdict is not None:
         envelope["verdict"] = verdict

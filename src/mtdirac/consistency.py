@@ -51,6 +51,7 @@ from .potential import (
     differentiate_potential,
     operator_field,
     stack_coords,
+    terms_field,
     to_coefficient_form,
 )
 
@@ -71,7 +72,8 @@ def _curvature_parts(system: MultiTimeSystem, configs, j: int = 1, k: int = 2,
 
     Returns the first-order parts [alpha^a_j, V_k] and [alpha^a_k, V_j],
     keyed by (particle, a) for a in 1..3 (none unless first), and E(j,k).
-    V_j and V_k are evaluated once, so their guards run once.
+    V_j and V_k are evaluated once, so their guards run once; their
+    derivatives carry the same guards and skip them.
     """
     n = system.n_particles
     coords = stack_coords(configs)
@@ -87,8 +89,8 @@ def _curvature_parts(system: MultiTimeSystem, configs, j: int = 1, k: int = 2,
              (system.mass(k), field_commutator(g0_k, v_j)),
              (-system.mass(j), field_commutator(g0_j, v_k))]
     for mu in range(4):
-        dv_j = operator_field(differentiate_potential(pot_j, k, mu), coords)
-        dv_k = operator_field(differentiate_potential(pot_k, j, mu), coords)
+        dv_j = terms_field(differentiate_potential(pot_j, k, mu).terms, coords)
+        dv_k = terms_field(differentiate_potential(pot_k, j, mu).terms, coords)
         terms += [(-1j, field_product(unit_field(_ALPHA[mu], k, n), dv_j)),
                   (1j, field_product(unit_field(_ALPHA[mu], j, n), dv_k))]
     return parts, field_sum(*terms)

@@ -123,16 +123,21 @@ def check_guards(potential: Potential, coords) -> None:
 
 
 def operator_field(potential: Potential, coords) -> OperatorField:
-    """The potential as an operator field {structure: coefficient array}.
+    """The potential's terms_field, after its guards have run."""
+    check_guards(potential, coords)
+    return terms_field(potential.terms, coords)
 
-    Runs the guards first.  Zero terms are dropped and the coefficients of
-    a repeated structure are summed in term order, so the keys are the
+
+def terms_field(terms: Sequence[PotentialTerm], coords) -> OperatorField:
+    """Potential terms as an operator field {structure: coefficient array}.
+
+    Runs no guard.  Zero terms are dropped and the coefficients of a
+    repeated structure are summed in term order, so the keys are the
     structures in order of first appearance; coords as evaluate_potential.
     """
-    check_guards(potential, coords)
     return field_sum(*(
         (1, {term.structure: np.asarray(evaluate(term.coefficient, coords))})
-        for term in potential.terms if not is_zero(term.coefficient)))
+        for term in terms if not is_zero(term.coefficient)))
 
 
 def evaluate_potential(potential: Potential, coords,
@@ -396,15 +401,21 @@ def coefficient_set_to_system(coefficients: CoefficientSet,
 # Builtin systems
 # ---------------------------------------------------------------------------
 
-def _as_fourvector(value, name: str) -> tuple[complex, complex, complex, complex]:
+def _items(value, length: int, what: str) -> tuple:
+    """The entries of a list input: a tuple, list, array or other iterable
+    of `length` entries, but never a string, whose characters would pass
+    for entries; SpecError naming `what` otherwise."""
     try:
-        items = tuple(value)
-    except TypeError as exc:
-        raise SpecError(
-            f"{name} must be a 4-component numeric sequence") from exc
-    if len(items) != 4:
-        raise SpecError(f"{name} must have exactly 4 components")
-    return tuple(_number(item, name) for item in items)
+        items = None if isinstance(value, str) else tuple(value)
+    except TypeError:  # not iterable
+        items = None
+    if items is None or len(items) != length:
+        raise SpecError(f"{what} needs {length} components, got {value!r}")
+    return items
+
+
+def _as_fourvector(value, name: str) -> tuple[complex, complex, complex, complex]:
+    return tuple(_number(item, name) for item in _items(value, 4, name))
 
 
 def _only_keys(params: Mapping, allowed: set[str], builtin: str) -> None:
@@ -560,22 +571,19 @@ def build_hoho(params: Mapping | None = None) -> MultiTimeSystem:
         | {f"c{mu}": small_c[mu] for mu in range(4)})
 
 
+def _coefficient(item, what: str, n_particles: int,
+                 params: Mapping[str, complex]) -> Expr:
+    """A coefficient input: coefficient-language source or a number."""
+    if isinstance(item, str):
+        return parse(item, n_particles, params)
+    return Const(_number(item, what))
+
+
 def _parse_field(value, name: str, params: Mapping[str, complex]) -> tuple[Expr, ...]:
     if value is None:
         return (Const(0j),) * 4
-    try:
-        items = list(value)
-    except TypeError as exc:
-        raise SpecError(f"{name} must be a 4-component sequence") from exc
-    if len(items) != 4:
-        raise SpecError(f"{name} must have exactly 4 components")
-    out = []
-    for item in items:
-        if isinstance(item, str):
-            out.append(parse(item, n_particles=2, params=params))
-        else:
-            out.append(Const(_number(item, name)))
-    return tuple(out)
+    return tuple(_coefficient(item, name, 2, params)
+                 for item in _items(value, 4, name))
 
 
 def build_coefficient_form(params: Mapping | None = None) -> MultiTimeSystem:
@@ -650,14 +658,6 @@ def make_builtin(name: str, params: Mapping | None = None) -> MultiTimeSystem:
 # JSON system descriptions
 # ---------------------------------------------------------------------------
 
-_CLASS_NAMES = {
-    "alpha": BasisClass.ALPHA,
-    "g5alpha": BasisClass.G5ALPHA,
-    "gamma": BasisClass.GAMMA,
-    "g5gamma": BasisClass.G5GAMMA,
-}
-
-
 def system_from_dict(data: Mapping) -> MultiTimeSystem:
     """Build a system from its JSON-object description."""
     try:
@@ -668,11 +668,8 @@ def system_from_dict(data: Mapping) -> MultiTimeSystem:
         raise SpecError(f"malformed system description: {exc}") from exc
     if n_particles < 1:
         raise SpecError("N must be at least 1")
-    if isinstance(raw_masses, str) or not isinstance(raw_masses, Sequence):
-        raise SpecError("masses must be a list of numbers")
-    masses = tuple(_real(m, "mass") for m in raw_masses)
-    if len(masses) != n_particles:
-        raise SpecError("masses must list one mass per particle")
+    masses = tuple(_real(m, "mass")
+                   for m in _items(raw_masses, n_particles, "masses"))
     hermitian = _boolean(data.get("hermitian", False), "hermitian")
 
     raw_params = data.get("params", {})
@@ -700,29 +697,25 @@ def system_from_dict(data: Mapping) -> MultiTimeSystem:
         for raw in raw_terms:
             if not isinstance(raw, Mapping):
                 raise SpecError("each term must be an object")
-            factors = raw.get("factors")
-            if (isinstance(factors, str) or not isinstance(factors, Sequence)
-                    or len(factors) != n_particles):
-                raise SpecError("each term needs one factor per particle")
             elements = []
-            for factor in factors:
+            for factor in _items(raw.get("factors"), n_particles, "factors"):
                 if not isinstance(factor, Mapping):
                     raise SpecError("each factor must be an object")
                 cls_name = str(factor.get("cls", "id"))
                 if cls_name == "id":
                     elements.append(IDENTITY_ELEMENT)
                     continue
-                if cls_name not in _CLASS_NAMES:
-                    raise SpecError(f"unknown factor class {cls_name!r}")
+                try:
+                    cls = BasisClass(cls_name)
+                except ValueError:
+                    raise SpecError(
+                        f"unknown factor class {cls_name!r}") from None
                 mu = factor.get("mu", 0)
                 if isinstance(mu, bool) or mu not in range(4):
                     raise SpecError("factor component must be in 0..3")
-                elements.append(BasisElement(_CLASS_NAMES[cls_name], int(mu)))
-            coeff_src = raw.get("coeff", "0")
-            if isinstance(coeff_src, str):
-                coeff = parse(coeff_src, n_particles, params)
-            else:
-                coeff = Const(_number(coeff_src, "coeff"))
+                elements.append(BasisElement(cls, int(mu)))
+            coeff = _coefficient(raw.get("coeff", "0"), "coeff",
+                                 n_particles, params)
             terms.append(PotentialTerm(tensor_element(*elements), coeff))
         guards = []
         for raw in raw_guards:

@@ -195,6 +195,19 @@ def test_malformed_builtin_param_exits_two(capsys, builtin, param):
     assert param.partition("=")[0] in captured.err
 
 
+@pytest.mark.parametrize("builtin,name", [
+    ("example1_vector", "A"), ("example1_vector", "B"), ("hoho", "C"),
+    ("hoho", "c")] + [("coefficient_form", name)
+                      for name in potential.FIELD_NAMES])
+def test_single_expression_for_a_fourvector_exits_two(capsys, builtin, name):
+    code = entry(["check", "--builtin", builtin, "--param", f"{name}=x2_0"])
+    assert code == EXIT_SPEC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"mtdirac: error: {name} needs 4 components, "
+                            "got 'x2_0'\n")
+
+
 def _spec_with(edit):
     """coulomb_like's description (one term and one guard per particle),
     changed in place by edit."""
@@ -216,6 +229,11 @@ def _set_factor_mu(data):
     lambda data: data["potentials"][0]["terms"][0].update(coeff=[1]),
     lambda data: data["potentials"][0]["terms"].append("term"),
     lambda data: data.update(masses="12"),
+    lambda data: data.update(masses=[1.0]),
+    lambda data: data.update(masses=[1.0, 1.0, 1.0]),
+    lambda data: data["potentials"][0]["terms"][0].update(factors="ab"),
+    lambda data: data["potentials"][0]["terms"][0].update(
+        factors=[{"cls": "id"}]),
     lambda data: data.update(hermitian="false"),
     lambda data: data["potentials"][0]["guards"][0].update(threshold="nan"),
     lambda data: data["potentials"][0]["guards"][0].update(
@@ -226,7 +244,8 @@ def _set_factor_mu(data):
     lambda data: data.update(N="2"),
     lambda data: data["potentials"][0].update(particle=1.9),
 ], ids=["param list", "param re text", "params list", "factor mu text",
-        "coeff list", "term text", "masses text", "hermitian text",
+        "coeff list", "term text", "masses text", "masses short",
+        "masses long", "factors text", "factors short", "hermitian text",
         "threshold text", "threshold NaN", "threshold negative", "N float",
         "N bool", "N text", "particle float"])
 def test_malformed_spec_exits_two(tmp_path, capsys, edit):

@@ -435,14 +435,23 @@ def test_check_consistency_deterministic_with_samples(rng):
 
 
 def test_check_consistency_runs_each_guard_set_once(monkeypatch, rng):
-    # V_1, V_2 and the eight derivatives d_{2,mu} V_1, d_{1,mu} V_2: one
-    # guard pass each, however many parts of F_12 read a potential
+    # one guard pass for V_1 and one for V_2, however many parts of F_12
+    # read a potential: the eight derivatives d_{2,mu} V_1, d_{1,mu} V_2
+    # share their guards and the stack, so they run none
     calls = []
     check_guards = potential.check_guards
     monkeypatch.setattr(potential, "check_guards",
                         lambda *args: calls.append(args) or check_guards(*args))
     check_consistency(make_builtin("hoho"), sample_configs(20, rng))
-    assert len(calls) == 10
+    assert len(calls) == 2
+
+
+def test_coulomb_like_guard_trips_on_a_coincident_sample(rng):
+    samples = sample_configs(20, rng)
+    samples[7, 1, 1:] = samples[7, 0, 1:]  # equal spatial coordinates
+    with pytest.raises(DomainError, match=r"^guard violated: "
+                       r"\|interparticle distance\| < 1e-06$"):
+        check_consistency(make_builtin("coulomb_like"), samples)
 
 
 @pytest.mark.parametrize("name", BUILTIN_SYSTEMS)

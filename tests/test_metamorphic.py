@@ -8,6 +8,9 @@ leave its reports unchanged, or change them in a known way.
   swapping x1 and x2 in every coefficient and guard and swapping the
   masses turns E(1,2) into -E(2,1) at the swapped configurations, so
   zeroth_sup is unchanged and deriv_coeff_sup's two halves trade places.
+* Stack splitting: check_consistency evaluates each configuration of its
+  stack on its own, so every sup of a stack is exactly the larger of the
+  sups of its two halves.
 """
 from __future__ import annotations
 
@@ -23,9 +26,11 @@ from mtdirac.clifford import tensor_element
 from mtdirac.consistency import check_consistency
 from mtdirac.dsl import Coord
 from mtdirac.potential import (
+    BUILTIN_SYSTEMS,
     MultiTimeSystem,
     Potential,
     PotentialTerm,
+    Region,
     make_builtin,
     sample_configs,
     save_system,
@@ -118,3 +123,29 @@ def test_relabelling_particles_exchanges_the_residuals(name, params, rng):
     assert swapped.zeroth_sup == original.zeroth_sup
     assert swapped.deriv_coeff_sup == (original.deriv_coeff_sup[3:]
                                        + original.deriv_coeff_sup[:3])
+
+
+# each builtin, with fields that vary over the configurations
+_SPLIT_SYSTEMS = {name: {} for name in BUILTIN_SYSTEMS} | {
+    "hoho": {"C": (1, 0.5j, 0, 0), "c": (0.3, 0.1, 0, 0.2)},
+    "coefficient_form": {"W1": ("x2_0", 0, 0, 0), "X1": (0, "x2_3", 0, 0),
+                         "A": ("sin(x1_1 + x2_0)", 0, 0, 0),
+                         "E": (0, 0, "x1_2*x2_3", 0)},
+}
+
+
+@pytest.mark.parametrize("region", list(Region))
+@pytest.mark.parametrize("name", _SPLIT_SYSTEMS)
+def test_a_stack_reports_the_max_over_its_halves(name, region, rng):
+    system = make_builtin(name, _SPLIT_SYSTEMS[name])
+    samples = sample_configs(301, rng, region=region)
+    whole, *halves = (check_consistency(system, stack)
+                      for stack in (samples, samples[:137], samples[137:]))
+    assert whole.zeroth_sup == max(half.zeroth_sup for half in halves)
+    assert whole.deriv_coeff_sup == tuple(
+        max(sups) for sups in zip(*(half.deriv_coeff_sup for half in halves)))
+    if whole.cc is None:
+        assert all(half.cc is None for half in halves)
+    else:
+        assert whole.cc == {key: max(half.cc[key] for half in halves)
+                            for key in whole.cc}

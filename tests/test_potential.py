@@ -16,6 +16,7 @@ from mtdirac.dsl import Const, DslParseError, parse, to_source
 from mtdirac.potential import (
     COEFFICIENT_FIELDS_1,
     COEFFICIENT_FIELDS_2,
+    FIELD_NAMES,
     DomainError,
     Guard,
     MultiTimeSystem,
@@ -239,6 +240,35 @@ def test_unknown_builtin_and_bad_params():
         make_builtin("hoho", {"C": (1, 0, 0)})
     with pytest.raises(SpecError):
         make_builtin("example1_vector", {"A": 3})
+
+
+#: every 4-vector parameter of the builtins: (builtin, parameter)
+FOURVECTOR_PARAMS = ([("example1_vector", "A"), ("example1_vector", "B"),
+                      ("hoho", "C"), ("hoho", "c")]
+                     + [("coefficient_form", name) for name in FIELD_NAMES])
+
+
+@pytest.mark.parametrize("text", ["1234", "x2_0", "1,0,0,0"])
+@pytest.mark.parametrize("builtin,name", FOURVECTOR_PARAMS)
+def test_fourvector_parameter_refuses_a_string(builtin, name, text):
+    # a string is iterable, but its characters are no components: "1234"
+    # is not (1, 2, 3, 4)
+    with pytest.raises(SpecError,
+                       match=rf"^{name} needs 4 components, got '{text}'$"):
+        make_builtin(builtin, {name: text})
+
+
+@pytest.mark.parametrize("builtin,name", FOURVECTOR_PARAMS)
+def test_fourvector_parameter_takes_any_sequence_of_four(builtin, name):
+    values = (0.5, 0, -1, 2)
+    built = make_builtin(builtin, {name: values})
+    assert make_builtin(builtin, {name: list(values)}) == built
+    assert make_builtin(builtin, {name: np.array(values)}) == built
+
+
+def test_fourvector_array_builds_the_default():
+    assert make_builtin("hoho", {"C": np.array([1, 0, 0, 0])}) \
+        == make_builtin("hoho")
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +546,26 @@ def test_system_from_dict_missing_potential_defaults_to_zero(dirac, rng):
 def test_system_from_dict_rejects_malformed(data):
     with pytest.raises(SpecError):
         system_from_dict(data)
+
+
+SINGLE_PARTICLE_ELEMENTS = [BasisElement(cls, mu)
+                            for cls in BasisClass for mu in range(4)]
+
+
+@pytest.mark.parametrize("particle", [1, 2])
+@pytest.mark.parametrize("element", SINGLE_PARTICLE_ELEMENTS,
+                         ids=lambda element: element.label())
+def test_every_factor_class_survives_a_spec_round_trip(element, particle):
+    factors = [IDENTITY_ELEMENT, IDENTITY_ELEMENT]
+    factors[particle - 1] = element
+    structure = tensor_element(*factors)
+    system = MultiTimeSystem(
+        name="one term", n_particles=2, masses=(1.0, 1.0),
+        potentials=(Potential(1, 2, (PotentialTerm(structure, Const(2j)),)),
+                    zero_potential(2)),
+        hermitian=False)
+    rebuilt = system_from_dict(system_to_dict(system))
+    assert rebuilt.potential(1).terms[0].structure == structure
 
 
 def test_system_from_dict_propagates_parse_position():
