@@ -167,16 +167,6 @@ _ECHO_KEYS = ("spec", "builtin", "param", "region", "nsamples", "tol",
               "grid_n", "box_L", "T", "dt", "delta", "expect")
 
 
-def _write_output(path: str, text: str) -> None:
-    """write_text_atomic, failing with an OSError that names `path` rather
-    than the staging file beside it."""
-    try:
-        write_text_atomic(path, text)
-    except OSError as exc:
-        raise OSError(f"cannot write {path!r}: {exc.strerror or exc}") \
-            from None
-
-
 def _format_csv(rows: Sequence[Sequence]) -> str:
     lines = []
     for row in rows:
@@ -324,7 +314,7 @@ def _cmd_simulate(args: argparse.Namespace):
         csv_rows += list(result.rows)
     report["grid"] = {"length": grid.length, "points": grid.points}
     if args.csv:
-        _write_output(args.csv, _format_csv(csv_rows))
+        write_text_atomic(args.csv, _format_csv(csv_rows))
     return report, None
 
 
@@ -458,7 +448,7 @@ def entry(argv: Sequence[str] | None = None) -> int:
         return EXIT_DOMAIN
     if args.out:
         try:
-            _write_output(args.out, text)
+            write_text_atomic(args.out, text)
         except OSError as exc:
             print(f"mtdirac: error: {exc}", file=sys.stderr)
             return EXIT_SPEC

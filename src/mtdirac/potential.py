@@ -788,25 +788,30 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
     """Atomic file write: stage to a temp file, then rename into place.
 
     The file gets the mode open(path, "w") would give it, not mkstemp's
-    0o600: an existing file's mode, else 0o666 less the umask.
+    0o600: an existing file's mode, else 0o666 less the umask.  A failure
+    leaves no staging file and raises an OSError naming path, not it.
     """
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0o077)  # reading the umask means setting it
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-mtdirac-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            os.fchmod(handle.fileno(), mode)
-            handle.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0o077)  # reading the umask means setting it
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        directory = os.path.dirname(os.path.abspath(path))
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-mtdirac-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                os.fchmod(handle.fileno(), mode)
+                handle.write(text)
+            os.replace(tmp_path, path)
+        except BaseException:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {os.fspath(path)!r}: "
+                      f"{exc.strerror or exc}") from None
 
 
 def save_system(system: MultiTimeSystem, path: str | os.PathLike) -> None:

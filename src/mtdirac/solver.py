@@ -33,11 +33,12 @@ per-mode coefficients against P{I, alpha3_k, gamma0_k}P, and the leg is
 the per-mode product P_m K P_m ... P_1 K P_1, one matmul per mode along
 z_k in the joint Fourier space of (z_1, z_2).  V_k is evaluated once per
 leg on the stack of its midpoint times, every step's midpoint checked;
-a failure raises the earliest failing step's error.  The state stays in
-that space across legs, so an experiment whose potentials depend only on
-the times takes one 2-D FFT of psi0, and its distances there by Parseval,
-||a - b|| = spacing ||a^ - b^|| / n.  A grid leg builds each step's phase
-in position space, around the FFT, kernel and inverse FFT along z_k.
+a failure raises the earliest failing step's error.  A grid leg builds
+each step's phase in position space, around the FFT, kernel and inverse
+FFT along z_k.  A time-only leg leaves its state in Fourier space, so
+chained time-only steps take one 2-D FFT, as does a time-only experiment
+on its own state of psi0 (the caller's keeps no Fourier copy), with
+distances by Parseval, ||a - b|| = spacing ||a^ - b^|| / n.
 
 Two experiments probe the compatibility of the pair of evolutions:
 
@@ -117,24 +118,52 @@ def _l2(values: np.ndarray, spacing: float) -> float:
     return float(np.sqrt(np.sum(np.abs(values) ** 2) * spacing * spacing))
 
 
-@dataclass(frozen=True)
 class WaveFunction:
-    """Two-particle state on the grid; spin index s = 4 s_1 + s_2."""
+    """Two-particle state on the grid; spin index s = 4 s_1 + s_2.
 
-    grid: Grid
-    times: tuple[float, float]
-    values: np.ndarray  # (n, n, 16) complex, axes (z_1, z_2, spin)
+    Its (n, n, 16) values, axes (z_1, z_2, spin), are held in position
+    space (`values`), in the joint Fourier space, or both, as read-only
+    views, so no edit leaves the other stale; the missing space is
+    transformed once, when first asked for.  Nothing is copied.
+    """
+
+    def __init__(self, grid: Grid, times: tuple[float, float],
+                 values: np.ndarray):
+        self.grid, self.times = grid, times
+        self._known = [values.view(), None]  # [position, Fourier]
+        self._known[0].flags.writeable = False
+
+    @classmethod
+    def _fourier(cls, grid: Grid, times: tuple[float, float],
+                 transformed: np.ndarray) -> "WaveFunction":
+        psi = cls(grid, times, transformed)
+        psi._known = [None, psi._known[0]]
+        return psi
+
+    def _space(self, spectral: bool) -> np.ndarray:
+        if self._known[spectral] is None:
+            transform = np.fft.fft2 if spectral else np.fft.ifft2
+            held = transform(self._known[not spectral], axes=(0, 1))
+            held.flags.writeable = False
+            self._known[spectral] = held
+        return self._known[spectral]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._space(False)
 
     def norm(self, mask: np.ndarray | None = None) -> float:
         """L2 norm; an optional (n, n) mask restricts the integration."""
-        if mask is None:
-            return _l2(self.values, self.grid.spacing)
-        weights = np.sum(np.abs(self.values) ** 2, axis=-1)
-        total = float(np.sum(weights[mask])) * self.grid.spacing ** 2
-        return float(np.sqrt(total))
+        return _l2(self.values if mask is None else self.values[mask],
+                   self.grid.spacing)
 
     def distance(self, other: "WaveFunction") -> float:
-        return _l2(self.values - other.values, self.grid.spacing)
+        """||self - other||; by Parseval, spacing ||a^ - b^|| / n, when
+        both states hold Fourier values."""
+        spectral = self._known[1] is not None and other._known[1] is not None
+        difference = self._space(spectral) - other._space(spectral)
+        n = self.grid.points if spectral else 1
+        return _l2(difference, self.grid.spacing) / n
 
 
 def gaussian_profile(grid: Grid, width: float = 1.0, center: float = 0.0,
@@ -359,10 +388,12 @@ def _potential_phase(system: MultiTimeSystem, particle: int,
 
 def _check_steps(system: MultiTimeSystem, grid: Grid,
                  dts: Sequence[float]) -> None:
-    """Reject a system that is not a pair, and any |dt| above the spacing."""
+    """Reject a system that is not a pair, and a dt not finite or too big."""
     if system.n_particles != 2:
         raise SpecError("the line solver handles exactly two particles")
     for dt in dts:
+        if not np.isfinite(dt):
+            raise SpecError(f"step {dt!r} is not finite")
         if abs(dt) > grid.spacing + 1e-12:
             raise SpecError(f"|dt| = {abs(dt):g} exceeds the grid spacing "
                             f"{grid.spacing:g}")
@@ -385,42 +416,17 @@ def _apply_kernel(values: np.ndarray, particle: int, kernel: np.ndarray,
     return values.swapaxes(0, 1) if particle == 2 else values
 
 
-class _State:
-    """(n, n, 16) values in position space, in the joint Fourier space of
-    (z_1, z_2), or in both; the other one is transformed once, when first
-    asked for, so an experiment transforms its psi0 at most once."""
-
-    def __init__(self, values: np.ndarray, spectral: bool = False):
-        self.known = {spectral: values, not spectral: None}
-
-    def values(self, spectral: bool) -> np.ndarray:
-        if self.known[spectral] is None:
-            transform = np.fft.fft2 if spectral else np.fft.ifft2
-            self.known[spectral] = transform(self.known[not spectral],
-                                             axes=(0, 1))
-        return self.known[spectral]
-
-
-def _distance(a: _State, b: _State, grid: Grid) -> float:
-    """||a - b||; by Parseval, spacing ||a^ - b^|| / n, when both states
-    are at hand in Fourier space."""
-    spectral = a.known[True] is not None and b.known[True] is not None
-    difference = a.values(spectral) - b.values(spectral)
-    return _l2(difference, grid.spacing) / (grid.points if spectral else 1)
-
-
-def _advance(state: _State, times: Sequence[float],
-             legs: Sequence[tuple[int, float, int]], system: MultiTimeSystem,
-             grid: Grid) -> tuple[_State, tuple[float, ...]]:
-    """Strang steps from state at times through (particle, dt, count) legs.
+def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
+             system: MultiTimeSystem) -> WaveFunction:
+    """Strang steps from psi through (particle, dt, count) legs.
 
     A time-only leg evaluates V_k once, on the stack of its midpoint
     times, composes its kernels and applies the product in the joint
-    Fourier space; a grid leg builds each step's phase in turn, in
-    position space, and takes each free step between an FFT and an
-    inverse FFT along z_k.  Returns the state and its times.
+    Fourier space, where it leaves the state; a grid leg builds each
+    step's phase in turn, in position space, and takes each free step
+    between an FFT and an inverse FFT along z_k.
     """
-    times = list(times)
+    grid, times = psi.grid, list(psi.times)
     for particle, dt, count in legs:
         if not count:
             continue
@@ -435,9 +441,9 @@ def _advance(state: _State, times: Sequence[float],
             for _ in range(count):
                 phase = _potential_phase(system, particle, times, dt, grid,
                                          False)
-                state = _State(phase(_apply_kernel(
-                    phase(state.values(False)), particle, free)))
                 times[particle - 1] += dt
+                psi = WaveFunction(grid, tuple(times), phase(_apply_kernel(
+                    phase(psi.values), particle, free)))
             continue
         # the same repeated += as step by step, so each time is bit-exact
         starts, stack = [], list(times)
@@ -462,9 +468,9 @@ def _advance(state: _State, times: Sequence[float],
             # allocates one
             run, spare = ((kernel.copy(), None) if run is None
                           else (np.matmul(kernel, run, out=spare), run))
-        state = _State(_apply_kernel(state.values(True), particle, run, True),
-                       True)
-    return state, tuple(times)
+        psi = WaveFunction._fourier(grid, tuple(times), _apply_kernel(
+            psi._space(True), particle, run, True))
+    return psi
 
 
 def step(psi: WaveFunction, particle: int, dt: float,
@@ -475,9 +481,7 @@ def step(psi: WaveFunction, particle: int, dt: float,
         raise SpecError("particle must be 1 or 2")
     if dt == 0:
         return WaveFunction(psi.grid, psi.times, psi.values.copy())
-    state, times = _advance(_State(psi.values), psi.times,
-                            [(particle, dt, 1)], system, psi.grid)
-    return WaveFunction(psi.grid, times, state.values(False))
+    return _advance(psi, [(particle, dt, 1)], system)
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +529,7 @@ def evolve_path(psi: WaveFunction, path: Sequence[Leg],
         return psi
     legs = [(leg.particle, leg.direction * leg.dt, count)
             for leg, count in zip(path, counts)]
-    state, times = _advance(_State(psi.values), psi.times, legs, system,
-                            psi.grid)
-    return WaveFunction(psi.grid, times, state.values(False))
+    return _advance(psi, legs, system)
 
 
 # A distance between states evolved from psi0 that stays within this
@@ -579,15 +581,13 @@ def path_independence_experiment(
         raise SpecError("dt_list must not be empty")
     counts = [Leg(1, total_time, dt).steps() for dt in dt_list]
     _check_steps(system, psi0.grid, dt_list)
-    grid, start = psi0.grid, _State(psi0.values)
+    start = WaveFunction(psi0.grid, psi0.times, psi0.values)
 
     def evolve(dt, count, order):
-        return _advance(start, psi0.times, [(k, dt, count) for k in order],
-                        system, grid)[0]
+        return _advance(start, [(k, dt, count) for k in order], system)
 
-    rows = [(float(dt), _distance(evolve(dt, count, (1, 2)),
-                                  evolve(dt, count, (2, 1)), grid))
-            for dt, count in zip(dt_list, counts)]
+    rows = [(float(dt), evolve(dt, count, (1, 2)).distance(
+        evolve(dt, count, (2, 1)))) for dt, count in zip(dt_list, counts)]
     discrepancies = [r[1] for r in rows]
     order = _fitted_loglog_slope([r[0] for r in rows], discrepancies,
                                  discrepancies, _ROUNDOFF * psi0.norm())
@@ -609,15 +609,7 @@ class HolonomyResult:
     """Loop deviations for a series of loop sizes."""
 
     rows: tuple[tuple[float, float, float], ...]  # (delta, dev, dev/delta^2)
-    roundoff: float = 0.0  # deviations at or below it are round-off
-
-    @property
-    def fitted_slope(self) -> float:
-        """Log-log slope of deviation/delta^2 against delta; NaN when
-        every deviation is at or below roundoff."""
-        return _fitted_loglog_slope(
-            [r[0] for r in self.rows], [r[2] for r in self.rows],
-            [r[1] for r in self.rows], self.roundoff)
+    fitted_slope: float  # of dev/delta^2 against delta, NaN at round-off
 
     def as_dict(self) -> dict:
         return {
@@ -638,13 +630,14 @@ def holonomy_series(system: MultiTimeSystem, psi0: WaveFunction,
         if delta ** 2 < np.finfo(float).tiny:
             raise SpecError(f"loop delta {delta!r} is too small: delta^2 "
                             "underflows")
-    grid, start, rows = psi0.grid, _State(psi0.values), []
+    start, rows = WaveFunction(psi0.grid, psi0.times, psi0.values), []
     for delta in deltas:
         loop = [(1, delta, 1), (2, delta, 1), (1, -delta, 1), (2, -delta, 1)]
-        deviation = _distance(
-            _advance(start, psi0.times, loop, system, grid)[0], start, grid)
+        deviation = _advance(start, loop, system).distance(start)
         rows.append((float(delta), deviation, deviation / delta ** 2))
-    return HolonomyResult(tuple(rows), _ROUNDOFF * psi0.norm())
+    return HolonomyResult(tuple(rows), _fitted_loglog_slope(
+        [r[0] for r in rows], [r[2] for r in rows], [r[1] for r in rows],
+        _ROUNDOFF * psi0.norm()))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,10 @@ leave its reports unchanged, or change them in a known way.
 * Stack splitting: check_consistency evaluates each configuration of its
   stack on its own, so every sup of a stack is exactly the larger of the
   sups of its two halves.
+* Pure gauge: adding d_1 theta to W1 and d_2 theta to W2 commutes with
+  every coefficient-form structure of the other particle, and the mixed
+  second derivatives it adds to E(1,2) cancel, so every sup moves by
+  round-off only; the gauge alone classifies as GAUGE_REMOVABLE.
 """
 from __future__ import annotations
 
@@ -19,22 +23,32 @@ import io
 import json
 from dataclasses import fields, is_dataclass, replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtdirac.cli import _collect_params, entry
 from mtdirac.clifford import tensor_element
 from mtdirac.consistency import check_consistency
-from mtdirac.dsl import Coord
+from mtdirac.dsl import ZERO, Add, Call, Const, Coord, Mul, differentiate, \
+    evaluate
 from mtdirac.potential import (
     BUILTIN_SYSTEMS,
+    FIELD_NAMES,
+    CoefficientSet,
     MultiTimeSystem,
     Potential,
     PotentialTerm,
     Region,
+    coefficient_set_to_system,
     make_builtin,
     sample_configs,
     save_system,
+    stack_coords,
+    to_coefficient_form,
 )
+from mtdirac.symmetry import GAUGE_REMOVABLE, classify_interaction
 
 # label: (builtin name, --param NAME=VALUE pairs)
 _BUILTINS = {
@@ -149,3 +163,95 @@ def test_a_stack_reports_the_max_over_its_halves(name, region, rng):
     else:
         assert whole.cc == {key: max(half.cc[key] for half in halves)
                             for key in whole.cc}
+
+
+def _linear_form(draw) -> object:
+    """a x1_mu + b x2_nu + c, a form in both particles' coordinates."""
+    a, b, c = (draw(st.floats(-1.5, 1.5)) for _ in range(3))
+    mu, nu = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return Add(Add(Mul(Const(a), Coord(1, mu)), Mul(Const(b), Coord(2, nu))),
+               Const(c))
+
+
+@st.composite
+def _smooth_functions(draw) -> object:
+    """Sums of one to three products of one or two of sin, cos and exp of
+    linear forms."""
+    def factor():
+        return Call(draw(st.sampled_from(["sin", "cos", "exp"])),
+                    _linear_form(draw))
+
+    def monomial():
+        return factor() if draw(st.booleans()) else Mul(factor(), factor())
+
+    expr = monomial()
+    for _ in range(draw(st.integers(0, 2))):
+        expr = Add(expr, monomial())
+    return expr
+
+
+_GAUGE_SAMPLES = sample_configs(200, np.random.default_rng(7))
+
+
+def _with_gauge(coefficients: CoefficientSet, theta) -> CoefficientSet:
+    """W1 += d_1 theta and W2 += d_2 theta, component by component."""
+    return replace(coefficients, **{
+        name: tuple(Add(w, differentiate(theta, k, mu))
+                    for mu, w in enumerate(coefficients.field(name)))
+        for name, k in (("W1", 1), ("W2", 2))})
+
+
+def _sups(report) -> list[float]:
+    return [report.zeroth_sup, *report.deriv_coeff_sup,
+            *(report.cc[key] for key in sorted(report.cc))]
+
+
+def _assert_gauge_invariant(system: MultiTimeSystem, theta) -> None:
+    """Every sup of the gauged pair within 1e-12 max(1, the sup, the
+    largest |d_{1,mu} d_{2,nu} theta| on the samples) of the pair's."""
+    gauged = coefficient_set_to_system(
+        _with_gauge(to_coefficient_form(system), theta), system.masses,
+        hermitian=system.hermitian)
+    coords = stack_coords(_GAUGE_SAMPLES)
+    with np.errstate(all="ignore"):
+        mixed = max(float(np.max(np.abs(evaluate(differentiate(
+            differentiate(theta, 1, mu), 2, nu), coords))))
+            for mu in range(4) for nu in range(4))
+    before, after = (_sups(check_consistency(s, _GAUGE_SAMPLES))
+                     for s in (system, gauged))
+    assert len(before) == 1 + 6 + 16
+    for base, moved in zip(before, after):
+        assert abs(moved - base) <= 1e-12 * max(1.0, base, mixed)
+
+
+@st.composite
+def _coefficient_forms(draw) -> MultiTimeSystem:
+    """A coefficient form with one to three fields, each component zero or
+    a drawn function."""
+    names = draw(st.lists(st.sampled_from(FIELD_NAMES), min_size=1,
+                          max_size=3, unique=True))
+    fields = {name: (ZERO,) * 4 for name in FIELD_NAMES} | {
+        name: tuple(draw(_smooth_functions()) if draw(st.booleans())
+                    else ZERO for _ in range(4)) for name in names}
+    masses = (draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0)))
+    return coefficient_set_to_system(CoefficientSet(**fields), masses)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(theta=_smooth_functions())
+def test_a_pure_gauge_leaves_hoho_residuals(theta):
+    _assert_gauge_invariant(make_builtin("hoho"), theta)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(system=_coefficient_forms(), theta=_smooth_functions())
+def test_a_pure_gauge_leaves_coefficient_form_residuals(system, theta):
+    _assert_gauge_invariant(system, theta)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(theta=_smooth_functions())
+def test_a_pure_gauge_alone_is_gauge_removable(theta):
+    empty = CoefficientSet(**{name: (ZERO,) * 4 for name in FIELD_NAMES})
+    system = coefficient_set_to_system(_with_gauge(empty, theta))
+    assert classify_interaction(system).verdict == GAUGE_REMOVABLE

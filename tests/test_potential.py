@@ -502,6 +502,22 @@ def test_file_roundtrip(tmp_path, dirac, rng):
     assert frobenius(a - b) < 1e-12
 
 
+@pytest.mark.parametrize("target, reason", [
+    ("missing/system.json", "No such file or directory"),
+    ("directory", "Is a directory"),
+], ids=["missing directory", "directory"])
+def test_save_system_errors_name_the_given_path(tmp_path, target, reason):
+    """The OSError names the path given, never the staging file beside
+    it, and no staging file is left behind."""
+    (tmp_path / "directory").mkdir()
+    path = str(tmp_path / target)
+    with pytest.raises(OSError) as err:
+        save_system(make_builtin("hoho"), path)
+    assert str(err.value) == f"cannot write {path!r}: {reason}"
+    assert ".tmp-mtdirac-" not in str(err.value)
+    assert [p.name for p in tmp_path.rglob("*")] == ["directory"]
+
+
 def test_system_from_dict_with_declared_params(dirac):
     data = {
         "N": 2,

@@ -33,7 +33,6 @@ from mtdirac.potential import (
 )
 from mtdirac.solver import (
     Grid,
-    HolonomyResult,
     Leg,
     WaveFunction,
     apply_curvature,
@@ -137,6 +136,19 @@ def test_oversized_dt_rejected(grid, psi0):
     system = make_builtin("free")
     with pytest.raises(SpecError):
         step(psi0, 1, 0.2, system)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_step_is_malformed_input(grid, psi0, value):
+    """A non-finite dt or delta is refused before any step, as the same
+    value is by path_independence_experiment."""
+    system = make_builtin("hoho")
+    with pytest.raises(SpecError, match="not finite"):
+        step(psi0, 1, value, system)
+    with pytest.raises(SpecError, match="not finite"):
+        holonomy_series(system, psi0, [value])
+    with pytest.raises(SpecError):
+        path_independence_experiment(system, psi0, 0.5, [value])
 
 
 def test_massless_packet_translates_at_light_speed(grid):
@@ -746,6 +758,72 @@ def test_time_only_experiments_transform_psi0_once(monkeypatch):
     assert calls == {"fft2": 1}
 
 
+def test_chained_time_only_steps_stay_in_fourier_space(monkeypatch):
+    """Ten alternating hoho steps take one 2-D FFT, of psi0, and one
+    inverse 2-D FFT, when the last state's values are read."""
+    psi = product_state(Grid(points=128))
+    system = make_builtin("hoho")
+    calls = _counted(monkeypatch, np.fft, _TRANSFORMS)
+    for s in range(10):
+        psi = step(psi, 1 + s % 2, 0.05, system)
+    assert calls == {"fft2": 1}
+    assert psi.values.shape == (128, 128, 16)
+    assert calls == {"fft2": 1, "ifft2": 1}
+
+
+@pytest.mark.parametrize("label", sorted(_ORACLE_SYSTEMS))
+def test_chained_steps_match_chained_reference_steps(label, dirac):
+    """Each step starts from the state the last one left, in Fourier space
+    after a time-only step: values match the reference to 1e-13 on
+    ||psi0|| = 1, both particles and both signs."""
+    system = make_builtin(*_ORACLE_SYSTEMS[label])
+    psi = _oracle_state()
+    legs = [(1, 0.1, 1), (2, 0.1, 1), (1, -0.1, 1), (2, 0.1, 1),
+            (2, -0.1, 1), (1, 0.1, 1)]
+    out = psi
+    for particle, dt, _ in legs:
+        out = step(out, particle, dt, system)
+    expected = _reference_path(psi, legs, system, dirac)
+    assert out.times == expected.times
+    assert solver._l2(out.values - expected.values,
+                      psi.grid.spacing) <= 1e-13
+
+
+def test_distance_in_fourier_space_is_the_position_distance(monkeypatch):
+    """Between two states held in Fourier space alone, distance takes no
+    transform (Parseval) and equals the distance of position copies."""
+    system = make_builtin("hoho")
+    psi = _oracle_state()
+    a, b = step(psi, 1, 0.1, system), step(psi, 2, -0.1, system)
+    assert a._known[0] is None and b._known[0] is None  # Fourier alone
+    calls = _counted(monkeypatch, np.fft, _TRANSFORMS)
+    spectral = a.distance(b)
+    assert not calls
+    copies = [WaveFunction(s.grid, s.times, s.values) for s in (a, b)]
+    assert spectral > 0.01
+    assert abs(spectral - copies[0].distance(copies[1])) <= 1e-13
+
+
+def test_state_arrays_are_read_only():
+    """Every array a state holds or returns refuses writes, in either
+    space, and the constructor leaves the caller's array writable."""
+    grid_system = make_builtin("hoho", {"c": (1.0, 0.0, 0.0, 0.5)})
+    psi = product_state(Grid(points=16))
+    states = [psi, step(psi, 1, 0.1, make_builtin("hoho")),
+              step(psi, 1, 0.1, grid_system), step(psi, 1, 0.0, grid_system),
+              evolve_path(psi, [Leg(1, 0.2, 0.1), Leg(2, 0.2, 0.1)],
+                          grid_system)]
+    for state in states:
+        for spectral in (False, True):
+            with pytest.raises(ValueError, match="read-only"):
+                state._space(spectral)[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            state.values[0, 0, 0] = 1.0
+    values = np.zeros((16, 16, 16), complex)
+    WaveFunction(Grid(points=16), (0.0, 0.0), values)
+    assert values.flags.writeable
+
+
 def test_grid_phase_experiments_take_two_transforms_per_step(monkeypatch):
     system = make_builtin(*_ORACLE_SYSTEMS["closed-form non-hermitian grid "
                                           "phase"])
@@ -792,9 +870,11 @@ def test_fits_of_round_off_rows_are_null(grid, psi0):
     assert paths.as_dict()["fitted_order"] is None
     assert loops.as_dict()["fitted_slope"] is None
     # one row above the round-off bound is enough for a fit
-    rows = ((0.1, 1e-3, 0.1), (0.05, 1e-16, 4e-14))
-    assert np.isfinite(HolonomyResult(rows, 1e-14).fitted_slope)
-    assert np.isnan(HolonomyResult(rows, 1e-3).fitted_slope)
+    deltas, deviations, ratios = (0.1, 0.05), (1e-3, 1e-16), (0.1, 4e-14)
+    assert np.isfinite(solver._fitted_loglog_slope(deltas, ratios,
+                                                   deviations, 1e-14))
+    assert np.isnan(solver._fitted_loglog_slope(deltas, ratios, deviations,
+                                                1e-3))
 
 
 def test_consistent_system_discrepancy_is_splitting_error(grid, psi0):
@@ -883,10 +963,12 @@ def test_apply_curvature_uses_first_order_parts(grid, psi0, dirac):
 
 
 def test_fitted_slope_handles_degenerate_rows():
-    result = HolonomyResult(((0.1, 0.0, 0.0), (0.05, 0.0, 0.0)))
-    assert np.isnan(result.fitted_slope)
-    repeated = HolonomyResult(((0.1, 1e-3, 0.1), (0.1, 2e-3, 0.2)))
-    assert np.isnan(repeated.fitted_slope)
+    zero = solver._fitted_loglog_slope((0.1, 0.05), (0.0, 0.0), (0.0, 0.0),
+                                       0.0)
+    assert np.isnan(zero)
+    repeated = solver._fitted_loglog_slope((0.1, 0.1), (0.1, 0.2),
+                                           (1e-3, 2e-3), 0.0)
+    assert np.isnan(repeated)
 
 
 # ---------------------------------------------------------------------------
