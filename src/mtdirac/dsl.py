@@ -12,7 +12,8 @@ FUNC is one of exp, sin, cos, sinh, cosh, sqrt.  IDENT is either a
 coordinate ``xK_MU`` (particle K, component MU in 0..3) or a declared
 parameter name.  Expressions evaluate to complex scalars (or numpy
 arrays when coordinates are supplied as arrays, broadcasting as usual)
-and differentiate symbolically with respect to any coordinate.
+and differentiate symbolically with respect to any coordinate; a subtree
+repeated as one node object is evaluated and derived once per call.
 """
 
 from __future__ import annotations
@@ -315,36 +316,39 @@ _UFUNC = {
 }
 
 
-def _eval(expr: Expr, coords) -> complex | np.ndarray:
+def _eval(expr: Expr, coords, memo: dict) -> complex | np.ndarray:
+    if (value := memo.get(id(expr))) is not None:  # interior nodes only
+        return value
     match expr:
-        case Const(value):
+        case Const(value) | Param(_, value):
             return value
         case Coord(k, mu):
             return _as_complex(coords[k - 1][mu])
-        case Param(_, value):
-            return value
         case Neg(arg):
-            return -_eval(arg, coords)
+            value = -_eval(arg, coords, memo)
         case Add(left, right):
-            return _eval(left, coords) + _eval(right, coords)
+            value = _eval(left, coords, memo) + _eval(right, coords, memo)
         case Sub(left, right):
-            return _eval(left, coords) - _eval(right, coords)
+            value = _eval(left, coords, memo) - _eval(right, coords, memo)
         case Mul(left, right):
-            return _eval(left, coords) * _eval(right, coords)
+            value = _eval(left, coords, memo) * _eval(right, coords, memo)
         case Div(left, right):
-            denominator = _eval(right, coords)
+            denominator = _eval(right, coords, memo)
             if isinstance(denominator, np.ndarray):
                 if np.any(denominator == 0):
                     raise DslEvaluationError("division by zero")
             elif denominator == 0:
                 raise DslEvaluationError("division by zero")
-            return _eval(left, coords) / denominator
+            value = _eval(left, coords, memo) / denominator
         case Pow(base, exponent):
             # np.power overflows to inf where complex ** int would raise
-            return np.power(_eval(base, coords), exponent)
+            value = np.power(_eval(base, coords, memo), exponent)
         case Call(func, arg):
-            return _UFUNC[func](_eval(arg, coords))
-    raise TypeError(f"not an expression node: {expr!r}")
+            value = _UFUNC[func](_eval(arg, coords, memo))
+        case _:
+            raise TypeError(f"not an expression node: {expr!r}")
+    memo[id(expr)] = value
+    return value
 
 
 def evaluate(expr: Expr, coords) -> complex | np.ndarray:
@@ -355,7 +359,7 @@ def evaluate(expr: Expr, coords) -> complex | np.ndarray:
     sqrt follows the principal branch, so sqrt(x) = i*sqrt(|x|) for
     negative real arguments.
     """
-    value = _eval(expr, coords)
+    value = _eval(expr, coords, {})
     if isinstance(value, np.ndarray):
         return value
     return complex(value)
@@ -415,61 +419,79 @@ def _div(a: Expr, b: Expr) -> Expr:
 
 def differentiate(expr: Expr, k: int, mu: int) -> Expr:
     """Partial derivative with respect to coordinate (k, mu)."""
-    d = lambda e: differentiate(e, k, mu)
+    return _derive(expr, k, mu, {})
+
+
+def _derive(expr: Expr, k: int, mu: int, memo: dict) -> Expr:
+    if (done := memo.get(id(expr))) is not None:
+        return done
     match expr:
         case Const(_) | Param(_, _):
             return ZERO
         case Coord(ck, cmu):
             return ONE if (ck, cmu) == (k, mu) else ZERO
         case Neg(arg):
-            return _neg(d(arg))
+            done = _neg(_derive(arg, k, mu, memo))
         case Add(left, right):
-            return _add(d(left), d(right))
+            done = _add(_derive(left, k, mu, memo),
+                        _derive(right, k, mu, memo))
         case Sub(left, right):
-            return _sub(d(left), d(right))
+            done = _sub(_derive(left, k, mu, memo),
+                        _derive(right, k, mu, memo))
         case Mul(left, right):
-            return _add(_mul(d(left), right), _mul(left, d(right)))
+            done = _add(_mul(_derive(left, k, mu, memo), right),
+                        _mul(left, _derive(right, k, mu, memo)))
         case Div(left, right):
-            numerator = _sub(_mul(d(left), right), _mul(left, d(right)))
-            return _div(numerator, _mul(right, right))
+            numerator = _sub(_mul(_derive(left, k, mu, memo), right),
+                             _mul(left, _derive(right, k, mu, memo)))
+            done = _div(numerator, _mul(right, right))
         case Pow(base, exponent):
             if exponent == 0:
                 return ZERO
-            if exponent == 1:
-                return d(base)
-            outer = _mul(Const(complex(exponent)),
-                         Pow(base, exponent - 1) if exponent > 2 else
-                         (base if exponent == 2 else ONE))
-            return _mul(outer, d(base))
-        case Call(func, arg):
-            inner = d(arg)
+            done = _derive(base, k, mu, memo)
+            if exponent != 1:
+                outer = _mul(Const(complex(exponent)),
+                             Pow(base, exponent - 1) if exponent > 2 else
+                             (base if exponent == 2 else ONE))
+                done = _mul(outer, done)
+        case Call(func, arg) if func in FUNCTIONS:
+            done = _derive(arg, k, mu, memo)
             if func == "exp":
-                return _mul(Call("exp", arg), inner)
-            if func == "sin":
-                return _mul(Call("cos", arg), inner)
-            if func == "cos":
-                return _neg(_mul(Call("sin", arg), inner))
-            if func == "sinh":
-                return _mul(Call("cosh", arg), inner)
-            if func == "cosh":
-                return _mul(Call("sinh", arg), inner)
-            if func == "sqrt":
-                return _div(inner, _mul(Const(2 + 0j), Call("sqrt", arg)))
+                done = _mul(Call("exp", arg), done)
+            elif func == "sin":
+                done = _mul(Call("cos", arg), done)
+            elif func == "cos":
+                done = _neg(_mul(Call("sin", arg), done))
+            elif func == "sinh":
+                done = _mul(Call("cosh", arg), done)
+            elif func == "cosh":
+                done = _mul(Call("sinh", arg), done)
+            else:
+                done = _div(done, _mul(Const(2 + 0j), Call("sqrt", arg)))
+        case _:
+            raise TypeError(f"not an expression node: {expr!r}")
+    memo[id(expr)] = done
+    return done
+
+
+def leaves(expr: Expr) -> frozenset[Coord | Param]:
+    """Every coordinate and parameter leaf the expression uses."""
+    match expr:
+        case Const(_):
+            return frozenset()
+        case Coord(_, _) | Param(_, _):
+            return frozenset({expr})
+        case Neg(arg) | Call(_, arg) | Pow(arg, _):
+            return leaves(arg)
+        case Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b):
+            return leaves(a) | leaves(b)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
 def coordinates(expr: Expr) -> frozenset[tuple[int, int]]:
     """The (k, mu) of every coordinate x_{k,mu} the expression uses."""
-    match expr:
-        case Const(_) | Param(_, _):
-            return frozenset()
-        case Coord(k, mu):
-            return frozenset({(k, mu)})
-        case Neg(arg) | Call(_, arg) | Pow(arg, _):
-            return coordinates(arg)
-        case Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b):
-            return coordinates(a) | coordinates(b)
-    raise TypeError(f"not an expression node: {expr!r}")
+    return frozenset((leaf.k, leaf.mu) for leaf in leaves(expr)
+                     if isinstance(leaf, Coord))
 
 
 def is_constant(expr: Expr) -> bool:

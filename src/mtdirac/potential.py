@@ -17,7 +17,7 @@ import numbers
 import os
 import stat
 import tempfile
-from dataclasses import dataclass, field, make_dataclass
+from dataclasses import dataclass, make_dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -44,10 +44,12 @@ from .dsl import (
     Div,
     Expr,
     Mul,
+    Param,
     Sub,
     differentiate,
     evaluate,
     is_zero,
+    leaves,
     parse,
     to_source,
 )
@@ -185,7 +187,6 @@ class MultiTimeSystem:
     masses: tuple[float, ...]
     potentials: tuple[Potential, ...]
     hermitian: bool
-    params: Mapping[str, complex] = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.masses) != self.n_particles:
@@ -502,9 +503,7 @@ def build_example1_vector(params: Mapping | None = None) -> MultiTimeSystem:
     return MultiTimeSystem(
         name="example1_vector", n_particles=2, masses=masses,
         potentials=(Potential(1, 2, terms_1), Potential(2, 2, terms_2)),
-        hermitian=hermitian,
-        params={f"A{mu}": vec_a[mu] for mu in range(4)}
-        | {f"B{mu}": vec_b[mu] for mu in range(4)})
+        hermitian=hermitian)
 
 
 def _relative_phase(coeffs: Sequence[complex]) -> Expr:
@@ -566,9 +565,7 @@ def build_hoho(params: Mapping | None = None) -> MultiTimeSystem:
         name="hoho", n_particles=2, masses=masses,
         potentials=(Potential(1, 2, tuple(terms_1)),
                     Potential(2, 2, terms_2)),
-        hermitian=hermitian,
-        params={f"C{mu}": big_c[mu] for mu in range(4)}
-        | {f"c{mu}": small_c[mu] for mu in range(4)})
+        hermitian=hermitian)
 
 
 def _coefficient(item, what: str, n_particles: int,
@@ -631,8 +628,7 @@ def build_coulomb_like(params: Mapping | None = None) -> MultiTimeSystem:
             Potential(1, 2, (PotentialTerm(identity, coeff),), (guard,)),
             Potential(2, 2, (PotentialTerm(identity, coeff),), (guard,)),
         ),
-        hermitian=charge.imag == 0,
-        params={"q": charge})
+        hermitian=charge.imag == 0)
 
 
 BUILTIN_SYSTEMS = {
@@ -736,14 +732,21 @@ def system_from_dict(data: Mapping) -> MultiTimeSystem:
         for k in range(1, n_particles + 1))
     return MultiTimeSystem(
         name=str(data.get("name", "custom")), n_particles=n_particles,
-        masses=masses, potentials=ordered, hermitian=hermitian,
-        params=params)
+        masses=masses, potentials=ordered, hermitian=hermitian)
 
 
 def system_to_dict(system: MultiTimeSystem) -> dict:
-    """Serialize a system to its JSON-object description."""
-    potentials = []
+    """Serialize a system to its JSON-object description, with the params
+    its expressions use; SpecError if a name is bound to two values."""
+    potentials, params = [], {}
     for potential in system.potentials:
+        exprs = [term.coefficient for term in potential.terms]
+        for param in set().union(*map(leaves, exprs + [
+                guard.expr for guard in potential.guards])):
+            if (isinstance(param, Param) and params.setdefault(
+                    param.name, param.value) != param.value):
+                raise SpecError(f"parameter {param.name!r} is bound to "
+                                "two values")
         terms = []
         for term in potential.terms:
             factors = []
@@ -766,8 +769,8 @@ def system_to_dict(system: MultiTimeSystem) -> dict:
         "N": system.n_particles,
         "masses": list(system.masses),
         "hermitian": system.hermitian,
-        "params": {name: {"re": complex(value).real, "im": complex(value).imag}
-                   for name, value in dict(system.params).items()},
+        "params": {name: {"re": value.real, "im": value.imag}
+                   for name, value in sorted(params.items())},
         "potentials": potentials,
     }
 

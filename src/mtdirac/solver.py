@@ -19,23 +19,23 @@ s = kappa^2 + m_k^2, giving one 16x16 kernel K(kappa) per Fourier mode,
 applied as a batched matmul between one FFT and one inverse FFT along
 z_k.  A V_k whose structures do not split is assembled point by point
 and exponentiated with scipy's expm, imported only when such a phase is
-first built.  A phase that varies over the grid is applied pointwise
-before the FFT and after the inverse FFT, in closed form as
-sum_i a_i (B_i psi) with no matrix per point, accumulated in place: each
-class factor's terms go through one scratch buffer into a fresh output,
-never the input, and the free step's kernel matmul overwrites that
-output.
+first built.  The half-step phase is one value, those (..., 16, 16)
+matrices or the list of class factors.  On a grid leg it is applied
+pointwise before the FFT and after the inverse FFT, class factors in
+closed form as sum_i a_i (B_i psi) with no matrix per point, their terms
+accumulated through one scratch buffer into a fresh output that the free
+step's kernel matmul overwrites.
 
 On a time-only leg (no z in V_k's nonzero coefficients or guards, read
-from the expression trees) each half-step phase P is one 16x16 matrix,
-so a step is the kernel P K(kappa) P, one GEMM of the free class's
-per-mode coefficients against P{I, alpha3_k, gamma0_k}P, and the leg is
-the per-mode product P_m K P_m ... P_1 K P_1, one matmul per mode along
-z_k in the joint Fourier space of (z_1, z_2).  V_k is evaluated once per
-leg on the stack of its midpoint times, every step's midpoint checked;
-a failure raises the earliest failing step's error.  A grid leg builds
-each step's phase in position space, around the FFT, kernel and inverse
-FFT along z_k.  A time-only leg leaves its state in Fourier space, so
+from the expression trees) each half-step phase multiplies out to one
+16x16 P, the identity where V_k vanishes, so a step is the kernel
+P K(kappa) P, one GEMM of the free class's per-mode coefficients against
+P{I, alpha3_k, gamma0_k}P, and the leg is the per-mode product
+P_m K P_m ... P_1 K P_1, one matmul per mode along z_k in the joint
+Fourier space of (z_1, z_2).  V_k is evaluated once per leg on the stack
+of its midpoint times, every step's midpoint checked; a failure raises
+the earliest failing step's error.  A zero V_k builds no phase: its leg
+takes K alone.  A time-only leg leaves its state in Fourier space, so
 chained time-only steps take one 2-D FFT, as does a time-only experiment
 on its own state of psi0 (the caller's keeps no Fourier copy), with
 distances by Parseval, ||a - b|| = spacing ||a^ - b^|| / n.
@@ -277,10 +277,12 @@ def _class_matrix(cos, terms: OperatorField,
         *weights.shape[:-1], 16, 16)
 
 
-def _multiply_out(factors) -> np.ndarray:
-    """The product of the commuting class factors, (..., 16, 16)."""
+def _multiply_out(phase) -> np.ndarray:
+    """The class factors' product, (..., 16, 16); dense matrices as is."""
+    if isinstance(phase, np.ndarray):
+        return phase
     return reduce(np.matmul, [_class_matrix(cos, terms)
-                              for cos, terms in factors])
+                              for cos, terms in phase])
 
 
 def _anticommuting_classes(
@@ -335,28 +337,20 @@ def _on_grid(potential: Potential) -> bool:
 
 
 def _potential_phase(system: MultiTimeSystem, particle: int,
-                     times: Sequence, dt: float, grid: Grid,
-                     time_only: bool):
-    """exp(-i (dt/2) V_k) at the midpoint times.
+                     times: Sequence, dt: float, grid: Grid):
+    """exp(-i (dt/2) V_k) at the midpoint times, for a V_k not zero;
+    times[k - 1] may be a (count, 1, 1) stack of step start times.
 
-    On a grid leg: a function applying it to (n, n, 16) values pointwise.
-    On a time-only leg, where times[k - 1] may be a (count, 1, 1) stack of
-    step start times: a list of one (16, 16) phase per step, None where
-    V_k vanishes, one object throughout when V_k is constant on the leg.
-    A phase is _class_factors' product, or _dense_phase's when the
-    structures do not split into classes.  Raises DomainError when V_k or
-    a phase is not finite.
+    The phase is _class_factors' list of (cos, terms) when V_k's
+    structures split into classes, else _dense_phase's (..., 16, 16)
+    matrices.  Raises DomainError when V_k or a phase is not finite.
     """
-    count = np.size(times[particle - 1])
-    if system.potential(particle).is_zero():
-        return [None] * count
     mid = list(times)
     mid[particle - 1] = mid[particle - 1] + dt / 2  # not +=: may be an array
     with np.errstate(all="ignore"):
         potential = operator_field(system.potential(particle),
                                    _step_coords(grid, mid[0], mid[1]))
-    coefficients = list(potential.values())
-    if not all(np.all(np.isfinite(a)) for a in coefficients):
+    if not all(np.all(np.isfinite(a)) for a in potential.values()):
         raise DomainError(f"potential V_{particle} is not finite on the grid")
     if system.hermitian:
         defect = np.max(hermitian_defect(potential, system.n_particles))
@@ -365,25 +359,17 @@ def _potential_phase(system: MultiTimeSystem, particle: int,
                             f"{defect:.3e}")
     classes = _anticommuting_classes(list(potential))
     if classes is None:
-        phase = _dense_phase(potential, particle, dt)
-        if not time_only:
-            return lambda values: np.matmul(phase, values[..., None])[..., 0]
-    else:
-        factors = _class_factors(potential, classes, dt / 2,
-                                 f"dt V_{particle} / 2")
-        if not time_only:
-            def apply(values: np.ndarray) -> np.ndarray:
-                for cos, terms in factors:
-                    values = _add_terms(values * cos[..., None], terms,
-                                        values)
-                return values
+        return _dense_phase(potential, particle, dt)
+    return _class_factors(potential, classes, dt / 2, f"dt V_{particle} / 2")
 
-            return apply
-        phase = _multiply_out(factors)
-    live = np.any(np.broadcast_arrays(*coefficients), axis=0).reshape(-1)
-    phases = [p if on else None
-              for p, on in zip(phase.reshape(-1, 16, 16), live)]
-    return phases * count if len(phases) == 1 else phases
+
+def _apply_phase(phase, values: np.ndarray) -> np.ndarray:
+    """The phase applied pointwise to (n, n, 16) values, into a new array."""
+    if isinstance(phase, np.ndarray):
+        return np.matmul(phase, values[..., None])[..., 0]
+    for cos, terms in phase:
+        values = _add_terms(values * cos[..., None], terms, values)
+    return values
 
 
 def _check_steps(system: MultiTimeSystem, grid: Grid,
@@ -421,10 +407,11 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
     """Strang steps from psi through (particle, dt, count) legs.
 
     A time-only leg evaluates V_k once, on the stack of its midpoint
-    times, composes its kernels and applies the product in the joint
-    Fourier space, where it leaves the state; a grid leg builds each
-    step's phase in turn, in position space, and takes each free step
-    between an FFT and an inverse FFT along z_k.
+    times, composes its kernels P K P (P = I where V_k vanishes, K alone
+    when V_k is zero) and applies the product in the joint Fourier space,
+    where it leaves the state; a grid leg builds each step's phase in
+    turn, in position space, and takes each free step between an FFT and
+    an inverse FFT along z_k.
     """
     grid, times = psi.grid, list(psi.times)
     for particle, dt, count in legs:
@@ -439,11 +426,11 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
         free = _class_matrix(cos, terms)
         if _on_grid(system.potential(particle)):
             for _ in range(count):
-                phase = _potential_phase(system, particle, times, dt, grid,
-                                         False)
+                phase = _potential_phase(system, particle, times, dt, grid)
                 times[particle - 1] += dt
-                psi = WaveFunction(grid, tuple(times), phase(_apply_kernel(
-                    phase(psi.values), particle, free)))
+                psi = WaveFunction(grid, tuple(times), _apply_phase(
+                    phase, _apply_kernel(_apply_phase(phase, psi.values),
+                                         particle, free)))
             continue
         # the same repeated += as step by step, so each time is bit-exact
         starts, stack = [], list(times)
@@ -451,19 +438,21 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
             starts.append(times[particle - 1])
             times[particle - 1] += dt
         stack[particle - 1] = np.reshape(starts, (-1, 1, 1))
-        try:
-            phases = _potential_phase(system, particle, stack, dt, grid, True)
-        except (DomainError, SpecError, DslEvaluationError):
-            # raise what the earliest failing step raises on its own
-            for start in starts:
-                stack[particle - 1] = start
-                _potential_phase(system, particle, stack, dt, grid, True)
-            raise
+        kernel, phases = free, ()
+        if not system.potential(particle).is_zero():
+            try:
+                phases = _multiply_out(_potential_phase(
+                    system, particle, stack, dt, grid)).reshape(-1, 16, 16)
+            except (DomainError, SpecError, DslEvaluationError):
+                # raise what the earliest failing step raises on its own
+                for start in starts:
+                    stack[particle - 1] = start
+                    _potential_phase(system, particle, stack, dt, grid)
+                raise
         run = spare = None
-        for s, phase in enumerate(phases):
-            if s == 0 or phase is not phases[s - 1]:
-                kernel = (free if phase is None
-                          else _class_matrix(cos, terms, phase))
+        for s in range(count):
+            if s < len(phases):  # one phase, or one per step
+                kernel = _class_matrix(cos, terms, phases[s])
             # two buffers of the leg's own hold the product: no step
             # allocates one
             run, spare = ((kernel.copy(), None) if run is None

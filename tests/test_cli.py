@@ -292,6 +292,19 @@ def test_input_too_deep_or_undecodable_exits_two(tmp_path, capsys, source,
     assert message in captured.err
 
 
+def test_classify_on_the_deepest_quotient_chain_ends_in_its_verdict(capsys):
+    """A 148-factor quotient chain is as deep as the parser accepts; its
+    second derivatives share subtrees, so classify ends within seconds in
+    the exit code a slow run gives, with no traceback."""
+    chain = "/".join(["cos(x2_0*x1_3)"] * 148)
+    assert entry(["classify", "--builtin", "coefficient_form", "--param",
+                  f"E={chain},0,0,0", "--nsamples", "3"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.err == ("mtdirac: error: non-finite residual in "
+                            "poincare_residual(translation) at the sampled "
+                            "configurations\n")
+
+
 def test_reports_get_the_mode_of_a_plain_open(tmp_path):
     # mkstemp stages with mode 0o600; the written files must not keep it
     script = """if True:

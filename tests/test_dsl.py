@@ -4,6 +4,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mtdirac import dsl
 from mtdirac.dsl import (
     FUNCTIONS,
     Add,
@@ -171,6 +172,44 @@ def test_second_derivatives_commute(rng):
     for _ in range(10):
         coords = sample_coords(rng)
         assert abs(evaluate(forward, coords) - evaluate(backward, coords)) < 1e-10
+
+
+def _distinct_interior_nodes(expr) -> int:
+    seen, stack = set(), [expr]
+    while stack:
+        node = stack.pop()
+        if _children(node) and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(_children(node))
+    return len(seen)
+
+
+def test_evaluate_computes_each_shared_subtree_once(monkeypatch):
+    """The quotient rule names each denominator three times, so a quotient
+    chain's second derivative repeats its subtrees many times over; one
+    evaluate computes each distinct operation node at most once."""
+    chain = parse("/".join(["cos(x2_0*x1_3)"] * 8))
+    second = differentiate(differentiate(chain, 1, 3), 2, 0)
+    computed, original = [], dsl._eval
+
+    def counting(expr, coords, *memo):
+        if _children(expr) and not (memo and id(expr) in memo[0]):
+            computed.append(expr)
+        return original(expr, coords, *memo)
+
+    monkeypatch.setattr(dsl, "_eval", counting)
+    value = evaluate(second, [[0.3, 0, 0, 0.2], [0.1, 0, 0, -0.4]])
+    assert len(computed) <= _distinct_interior_nodes(second)
+    monkeypatch.undo()
+    assert evaluate(second, [[0.3, 0, 0, 0.2], [0.1, 0, 0, -0.4]]) == value
+
+
+def test_differentiate_derives_a_shared_subtree_once():
+    shared = parse("cos(x1_0*x2_3)")
+    derivative = differentiate(Mul(shared, shared), 1, 0)
+    assert derivative == Add(Mul(differentiate(shared, 1, 0), shared),
+                             Mul(shared, differentiate(shared, 1, 0)))
+    assert derivative.left.left is derivative.right.right
 
 
 def test_derivative_of_unrelated_coordinate_is_zero():

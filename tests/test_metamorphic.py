@@ -15,6 +15,9 @@ leave its reports unchanged, or change them in a known way.
   every coefficient-form structure of the other particle, and the mixed
   second derivatives it adds to E(1,2) cancel, so every sup moves by
   round-off only; the gauge alone classifies as GAUGE_REMOVABLE.
+* Translation: a system whose coefficients depend on x2 - x1 alone takes
+  the same values at translated configurations, so its translation
+  residual is round-off.
 """
 from __future__ import annotations
 
@@ -31,8 +34,9 @@ from hypothesis import strategies as st
 from mtdirac.cli import _collect_params, entry
 from mtdirac.clifford import tensor_element
 from mtdirac.consistency import check_consistency
-from mtdirac.dsl import ZERO, Add, Call, Const, Coord, Mul, differentiate, \
-    evaluate
+from mtdirac.clifford import field_norm
+from mtdirac.dsl import ZERO, Add, Call, Const, Coord, Mul, Sub, \
+    differentiate, evaluate
 from mtdirac.potential import (
     BUILTIN_SYSTEMS,
     FIELD_NAMES,
@@ -43,12 +47,14 @@ from mtdirac.potential import (
     Region,
     coefficient_set_to_system,
     make_builtin,
+    operator_field,
     sample_configs,
     save_system,
     stack_coords,
     to_coefficient_form,
 )
-from mtdirac.symmetry import GAUGE_REMOVABLE, classify_interaction
+from mtdirac.symmetry import GAUGE_REMOVABLE, classify_interaction, \
+    make_translation, poincare_residual
 
 # label: (builtin name, --param NAME=VALUE pairs)
 _BUILTINS = {
@@ -59,6 +65,9 @@ _BUILTINS = {
     "coulomb_like": ("coulomb_like", []),
     "coefficient_form": ("coefficient_form",
                          ["W1=x2_0,0,0,0", "W2=x1_0,0,0,0"]),
+    "coefficient_form masses": ("coefficient_form",
+                                ["W1=m1*x2_0,0,0,0", "E=0,m2*x1_3,0,0",
+                                 "m1=2", "m2=0.5"]),
 }
 
 _COMMANDS = {
@@ -225,13 +234,13 @@ def _assert_gauge_invariant(system: MultiTimeSystem, theta) -> None:
 
 
 @st.composite
-def _coefficient_forms(draw) -> MultiTimeSystem:
+def _coefficient_forms(draw, functions=_smooth_functions()) -> MultiTimeSystem:
     """A coefficient form with one to three fields, each component zero or
     a drawn function."""
     names = draw(st.lists(st.sampled_from(FIELD_NAMES), min_size=1,
                           max_size=3, unique=True))
     fields = {name: (ZERO,) * 4 for name in FIELD_NAMES} | {
-        name: tuple(draw(_smooth_functions()) if draw(st.booleans())
+        name: tuple(draw(functions) if draw(st.booleans())
                     else ZERO for _ in range(4)) for name in names}
     masses = (draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0)))
     return coefficient_set_to_system(CoefficientSet(**fields), masses)
@@ -255,3 +264,40 @@ def test_a_pure_gauge_alone_is_gauge_removable(theta):
     empty = CoefficientSet(**{name: (ZERO,) * 4 for name in FIELD_NAMES})
     system = coefficient_set_to_system(_with_gauge(empty, theta))
     assert classify_interaction(system).verdict == GAUGE_REMOVABLE
+
+
+@st.composite
+def _relative_functions(draw) -> object:
+    """sin, cos or exp of a (x2_mu - x1_mu) + b (x2_nu - x1_nu) + c."""
+    a, b, c = (draw(st.floats(-1.5, 1.5)) for _ in range(3))
+    mu, nu = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    form = Add(Add(Mul(Const(a), Sub(Coord(2, mu), Coord(1, mu))),
+                   Mul(Const(b), Sub(Coord(2, nu), Coord(1, nu)))), Const(c))
+    return Call(draw(st.sampled_from(["sin", "cos", "exp"])), form)
+
+
+_TRANSLATION_SAMPLES = sample_configs(100, np.random.default_rng(11))
+_TRANSLATIONS = [make_translation(offset) for offset in
+                 np.random.default_rng(12).uniform(-2, 2, size=(5, 4))]
+
+
+def _translation_excess(system: MultiTimeSystem) -> float:
+    """The largest translation residual over 1e-12 max(1, the largest
+    |V_k| at the samples), in poincare_residual's norm."""
+    scale = max(1.0, *(float(np.max(field_norm(operator_field(
+        potential, stack_coords(_TRANSLATION_SAMPLES)), 2), initial=0.0))
+        for potential in system.potentials))
+    return max(poincare_residual(system, _TRANSLATIONS,
+                                 _TRANSLATION_SAMPLES)) / (1e-12 * scale)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(system=_coefficient_forms(_relative_functions()))
+def test_a_system_in_the_separation_is_translation_invariant(system):
+    assert _translation_excess(system) <= 1
+
+
+def test_a_system_in_the_sum_of_the_times_is_not_translation_invariant():
+    system = make_builtin("coefficient_form",
+                          {"W1": ("sin(x1_0 + x2_0)", 0, 0, 0)})
+    assert _translation_excess(system) > 1

@@ -259,8 +259,8 @@ def test_closed_form_phase_matches_expm(particle, dirac):
         potentials[particle - 1] = Potential(particle, 2, terms)
         system = MultiTimeSystem("pair", 2, (1.0, 1.0), tuple(potentials),
                                  hermitian=False)
-        [phase] = solver._potential_phase(system, particle, (0.0, 0.0),
-                                          0.1, grid, True)
+        phase = solver._multiply_out(solver._potential_phase(
+            system, particle, (0.0, 0.0), 0.1, grid))
         v = sum(weight * realize(term.structure, dirac)
                 for weight, term in zip(weights, terms))
         expected = scipy.linalg.expm(-0.05j * v)
@@ -581,8 +581,10 @@ def _counted(monkeypatch, module, names) -> collections.Counter:
 
 
 def test_time_only_legs_take_no_single_steps(monkeypatch):
-    """One phase evaluation per time-only leg, and no `step` calls, in
-    both experiments: two orders of two legs per dt, four legs a loop."""
+    """One phase evaluation per time-only leg whose V_k is not zero, and no
+    `step` calls, in both experiments: two orders of two legs per dt, four
+    legs a loop; example1_vector's V_2 is zero, so half its legs build no
+    phase."""
     calls = _counted(monkeypatch, solver, ["step", "_potential_phase"])
     assert entry(["simulate", "--builtin", "hoho",
                   "--dt", "0.1,0.05,0.025"]) == EXIT_OK
@@ -590,7 +592,7 @@ def test_time_only_legs_take_no_single_steps(monkeypatch):
     calls.clear()
     assert entry(["simulate", "--builtin", "example1_vector",
                   "--delta", "0.08,0.04,0.02"]) == EXIT_OK
-    assert calls == {"_potential_phase": 4 * 3}
+    assert calls == {"_potential_phase": 2 * 3}
 
 
 def _particle1_system(coefficient: str, structure=None, guards=(),
@@ -635,7 +637,7 @@ _BATCHED_PHASE_CASES = {
 def test_batched_phases_equal_single_midpoint_phases(label, dt,
                                                      monkeypatch):
     """Each step's slice of a leg's one evaluation is bit for bit the
-    phase of that step's midpoint alone; None where V_k vanishes."""
+    phase of that step's midpoint alone; exactly I where V_k vanishes."""
     build, particle, start, vanishing, builder = _BATCHED_PHASE_CASES[label]
     system, grid, count = build(), Grid(points=16), 6
     times, starts = list(start), []
@@ -645,21 +647,38 @@ def test_batched_phases_equal_single_midpoint_phases(label, dt,
     stack = list(start)
     stack[particle - 1] = np.reshape(starts, (-1, 1, 1))
     calls = _counted(monkeypatch, solver, [builder])
-    batched = solver._potential_phase(system, particle, stack, dt, grid,
-                                      True)
+    batched = solver._multiply_out(solver._potential_phase(
+        system, particle, stack, dt, grid)).reshape(-1, 16, 16)
     assert calls == {builder: 1}
-    assert len(batched) == count
-    assert sum(phase is None for phase in batched) == (vanishing if dt > 0
-                                                        else 0)
-    if label in ("constant", "other particle's time only"):
-        assert all(phase is batched[0] for phase in batched)
-    for phase, t in zip(batched, starts):
+    constant = label in ("constant", "other particle's time only")
+    assert len(batched) == (1 if constant else count)
+    identity = [np.array_equal(phase, np.eye(16))
+                and not np.signbit(phase.view(float)).any()
+                for phase in batched]
+    assert sum(identity) == (vanishing if dt > 0 else 0)
+    for s, t in enumerate(starts):
         single = list(start)
         single[particle - 1] = t
-        [expected] = solver._potential_phase(system, particle, single, dt,
-                                             grid, True)
-        assert (phase is None if expected is None
-                else np.array_equal(phase, expected))
+        expected = solver._multiply_out(solver._potential_phase(
+            system, particle, single, dt, grid))
+        assert np.array_equal(batched[0 if constant else s], expected)
+
+
+def test_a_leg_through_a_vanishing_step_matches_chained_steps():
+    """V_1 vanishes at the first midpoint, where the fused leg takes
+    P = I, and V_2 is zero, so the second leg takes the free kernel."""
+    system = _BATCHED_PHASE_CASES["vanishing at one midpoint"][0]()
+    psi = product_state(Grid(points=32), spinor1=(0.6, 0.2j, -0.5, 0.3),
+                        momenta=(0.8, -0.5), times=(0.0, 0.3))
+    path = [Leg(1, 0.6, 0.1), Leg(2, 0.2, 0.1)]
+    fused = evolve_path(psi, path, system)
+    chained = psi
+    for leg in path:
+        for _ in range(leg.steps()):
+            chained = step(chained, leg.particle, leg.dt, system)
+    assert fused.times == chained.times
+    assert fused.distance(chained) <= 1e-13
+    assert fused.distance(psi) > 0.1
 
 
 _LATE_GUARD = [("x1_0 - 0.25", 1e-3)]  # trips at the third midpoint time
