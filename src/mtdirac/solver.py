@@ -35,10 +35,13 @@ P_m K P_m ... P_1 K P_1, one matmul per mode along z_k in the joint
 Fourier space of (z_1, z_2).  V_k is evaluated once per leg on the stack
 of its midpoint times, every step's midpoint checked; a failure raises
 the earliest failing step's error.  A zero V_k builds no phase: its leg
-takes K alone.  A time-only leg leaves its state in Fourier space, so
-chained time-only steps take one 2-D FFT, as does a time-only experiment
-on its own state of psi0 (the caller's keeps no Fourier copy), with
-distances by Parseval, ||a - b|| = spacing ||a^ - b^|| / n.
+takes K alone.  A time-only leg leaves its state in Fourier space, and a
+product state holds its factors, whose 1-D FFTs give psi0^, so neither
+chained time-only steps nor a time-only experiment take a 2-D FFT;
+distances go by Parseval, ||a - b|| = spacing ||a^ - b^|| / n, in blocks
+of rows.  A time-only leg updates a state that an earlier leg of its
+call made in place, so an experiment peaks at psi0^ plus one (n, n, 16)
+array per evolution order.
 
 Two experiments probe the compatibility of the pair of evolutions:
 
@@ -114,39 +117,57 @@ class Grid:
         return 2 * np.pi * np.fft.fftfreq(self.points, self.spacing)
 
 
-def _l2(values: np.ndarray, spacing: float) -> float:
-    return float(np.sqrt(np.sum(np.abs(values) ** 2) * spacing * spacing))
+def _row_blocks(values: np.ndarray) -> list[slice]:
+    """Slices of the leading axis, about 512 KiB of values each."""
+    rows = max(1, (1 << 19) * len(values) // max(values.nbytes, 1))
+    return [slice(i, i + rows) for i in range(0, len(values), rows)]
+
+
+def _l2(values: np.ndarray, spacing: float, minus=None) -> float:
+    """||values - minus||, or ||values||, a block of rows at a time."""
+    total = 0.0
+    for rows in _row_blocks(values):
+        block = values[rows] if minus is None else values[rows] - minus[rows]
+        total += np.sum(np.abs(block) ** 2)
+    return float(np.sqrt(total * spacing * spacing))
 
 
 class WaveFunction:
     """Two-particle state on the grid; spin index s = 4 s_1 + s_2.
 
     Its (n, n, 16) values, axes (z_1, z_2, spin), are held in position
-    space (`values`), in the joint Fourier space, or both, as read-only
-    views, so no edit leaves the other stale; the missing space is
-    transformed once, when first asked for.  Nothing is copied.
+    space (`values`), in the joint Fourier space, or both, handed out as
+    read-only views, so no edit leaves the other stale; the missing space
+    is formed once, when first asked for, by a 2-D FFT or, in a product
+    state, from its factors (g_1, g_2, spin).  Nothing is copied.
     """
 
     def __init__(self, grid: Grid, times: tuple[float, float],
                  values: np.ndarray):
-        self.grid, self.times = grid, times
-        self._known = [values.view(), None]  # [position, Fourier]
-        self._known[0].flags.writeable = False
+        self.grid, self.times, self._factors = grid, times, None
+        self._known = [values, None]  # [position, Fourier]
 
     @classmethod
-    def _fourier(cls, grid: Grid, times: tuple[float, float],
-                 transformed: np.ndarray) -> "WaveFunction":
-        psi = cls(grid, times, transformed)
-        psi._known = [None, psi._known[0]]
+    def _holding(cls, grid: Grid, times: tuple, known, factors=None):
+        """A state of the given [position, Fourier] arrays and factors."""
+        psi = cls(grid, times, None)
+        psi._known, psi._factors = list(known), factors
         return psi
 
     def _space(self, spectral: bool) -> np.ndarray:
         if self._known[spectral] is None:
-            transform = np.fft.fft2 if spectral else np.fft.ifft2
-            held = transform(self._known[not spectral], axes=(0, 1))
-            held.flags.writeable = False
+            if self._factors is None:
+                transform = np.fft.fft2 if spectral else np.fft.ifft2
+                held = transform(self._known[not spectral], axes=(0, 1))
+            else:
+                g1, g2, spin = self._factors
+                if spectral:  # the DFT of a separable array factors too
+                    g1, g2 = np.fft.fft(g1), np.fft.fft(g2)
+                held = np.multiply.outer(np.multiply.outer(g1, g2), spin)
             self._known[spectral] = held
-        return self._known[spectral]
+        held = self._known[spectral].view()
+        held.flags.writeable = False
+        return held
 
     @property
     def values(self) -> np.ndarray:
@@ -154,16 +175,21 @@ class WaveFunction:
 
     def norm(self, mask: np.ndarray | None = None) -> float:
         """L2 norm; an optional (n, n) mask restricts the integration."""
+        if mask is None and self._factors is not None:
+            sums = [np.sum(np.abs(factor) ** 2) for factor in self._factors]
+            spacing = self.grid.spacing
+            return float(np.sqrt(np.prod(sums) * spacing * spacing))
         return _l2(self.values if mask is None else self.values[mask],
                    self.grid.spacing)
 
     def distance(self, other: "WaveFunction") -> float:
         """||self - other||; by Parseval, spacing ||a^ - b^|| / n, when
-        both states hold Fourier values."""
-        spectral = self._known[1] is not None and other._known[1] is not None
-        difference = self._space(spectral) - other._space(spectral)
+        both states hold Fourier values or factors."""
+        spectral = all(psi._known[1] is not None or psi._factors is not None
+                       for psi in (self, other))
         n = self.grid.points if spectral else 1
-        return _l2(difference, self.grid.spacing) / n
+        return _l2(self._space(spectral), self.grid.spacing,
+                   other._space(spectral)) / n
 
 
 def gaussian_profile(grid: Grid, width: float = 1.0, center: float = 0.0,
@@ -192,15 +218,17 @@ def product_state(grid: Grid, *,
     s2 = e0 if spinor2 is None else np.asarray(spinor2, complex)
     if s1.shape != (4,) or s2.shape != (4,):
         raise SpecError("spinors must be 4-component")
+    spin = np.outer(s1, s2).ravel()
     with np.errstate(all="ignore"):
-        g1 = gaussian_profile(grid, width, centers[0], momenta[0])
-        g2 = gaussian_profile(grid, width, centers[1], momenta[1])
-        values = np.einsum("x,y,s->xys", g1, g2, np.outer(s1, s2).ravel())
-        norm = _l2(values, grid.spacing)
+        psi = WaveFunction._holding(grid, (float(times[0]), float(times[1])),
+                                    [None, None], (
+            gaussian_profile(grid, width, centers[0], momenta[0]),
+            gaussian_profile(grid, width, centers[1], momenta[1]), spin))
+        norm = psi.norm()
     if not (np.isfinite(norm) and norm > 0):
         raise SpecError(f"initial state norm {norm:g} is not finite and positive")
-    values /= norm
-    return WaveFunction(grid, (float(times[0]), float(times[1])), values)
+    spin /= norm  # in place: psi holds it
+    return psi
 
 
 # ---------------------------------------------------------------------------
@@ -386,20 +414,26 @@ def _check_steps(system: MultiTimeSystem, grid: Grid,
 
 
 def _apply_kernel(values: np.ndarray, particle: int, kernel: np.ndarray,
-                  spectral: bool = False) -> np.ndarray:
+                  spectral: bool = False, owned: bool = False) -> np.ndarray:
     """The (n, 16, 16) kernel per Fourier mode of z_k.
 
     Values in the joint Fourier space of (z_1, z_2) take it as a per-mode
-    matmul; position-space values take it between an FFT and an inverse
+    matmul a block of modes at a time, into a new array or, when `owned`,
+    in place; position-space values take it between an FFT and an inverse
     FFT along z_k, the matmul overwriting them: they are a phase's output.
     """
     # particle k's grid axis leads, so kernel row x acts on values[x]
     if particle == 2:
         values = values.swapaxes(0, 1)
     kernel = kernel.swapaxes(-1, -2)
-    values = (values @ kernel if spectral else np.fft.ifft(np.matmul(
-        np.fft.fft(values, axis=0), kernel, out=values), axis=0))
-    return values.swapaxes(0, 1) if particle == 2 else values
+    if spectral:
+        out = values if owned else np.empty_like(values)
+        for rows in _row_blocks(values):
+            out[rows] = values[rows] @ kernel[rows]
+    else:
+        out = np.fft.ifft(np.matmul(np.fft.fft(values, axis=0), kernel,
+                                    out=values), axis=0)
+    return out.swapaxes(0, 1) if particle == 2 else out
 
 
 def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
@@ -411,9 +445,11 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
     when V_k is zero) and applies the product in the joint Fourier space,
     where it leaves the state; a grid leg builds each step's phase in
     turn, in position space, and takes each free step between an FFT and
-    an inverse FFT along z_k.
+    an inverse FFT along z_k.  A time-only leg updates in place only a
+    state an earlier leg of this call made: psi is never written.
     """
     grid, times = psi.grid, list(psi.times)
+    own = False  # whether a leg of this call made psi, so may overwrite it
     for particle, dt, count in legs:
         if not count:
             continue
@@ -431,6 +467,7 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
                 psi = WaveFunction(grid, tuple(times), _apply_phase(
                     phase, _apply_kernel(_apply_phase(phase, psi.values),
                                          particle, free)))
+            own = True
             continue
         # the same repeated += as step by step, so each time is bit-exact
         starts, stack = [], list(times)
@@ -457,8 +494,10 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
             # allocates one
             run, spare = ((kernel.copy(), None) if run is None
                           else (np.matmul(kernel, run, out=spare), run))
-        psi = WaveFunction._fourier(grid, tuple(times), _apply_kernel(
-            psi._space(True), particle, run, True))
+        psi._space(True)  # held as psi._known[1]
+        psi = WaveFunction._holding(grid, tuple(times), [None, _apply_kernel(
+            psi._known[1], particle, run, True, own)])
+        own = True
     return psi
 
 
@@ -570,7 +609,7 @@ def path_independence_experiment(
         raise SpecError("dt_list must not be empty")
     counts = [Leg(1, total_time, dt).steps() for dt in dt_list]
     _check_steps(system, psi0.grid, dt_list)
-    start = WaveFunction(psi0.grid, psi0.times, psi0.values)
+    start = psi0._holding(psi0.grid, psi0.times, psi0._known, psi0._factors)
 
     def evolve(dt, count, order):
         return _advance(start, [(k, dt, count) for k in order], system)
@@ -619,7 +658,8 @@ def holonomy_series(system: MultiTimeSystem, psi0: WaveFunction,
         if delta ** 2 < np.finfo(float).tiny:
             raise SpecError(f"loop delta {delta!r} is too small: delta^2 "
                             "underflows")
-    start, rows = WaveFunction(psi0.grid, psi0.times, psi0.values), []
+    start = psi0._holding(psi0.grid, psi0.times, psi0._known, psi0._factors)
+    rows = []
     for delta in deltas:
         loop = [(1, delta, 1), (2, delta, 1), (1, -delta, 1), (2, -delta, 1)]
         deviation = _advance(start, loop, system).distance(start)

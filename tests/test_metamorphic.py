@@ -7,7 +7,8 @@ leave its reports unchanged, or change them in a known way.
 * Particle relabelling: reversing the factor order of every structure,
   swapping x1 and x2 in every coefficient and guard and swapping the
   masses turns E(1,2) into -E(2,1) at the swapped configurations, so
-  zeroth_sup is unchanged and deriv_coeff_sup's two halves trade places.
+  zeroth_sup is unchanged, deriv_coeff_sup's two halves trade places and
+  each cc family takes the value of its transposed sector's family.
 * Stack splitting: check_consistency evaluates each configuration of its
   stack on its own, so every sup of a stack is exactly the larger of the
   sups of its two halves.
@@ -33,7 +34,7 @@ from hypothesis import strategies as st
 
 from mtdirac.cli import _collect_params, entry
 from mtdirac.clifford import tensor_element
-from mtdirac.consistency import check_consistency
+from mtdirac.consistency import CC_SECTORS, check_consistency
 from mtdirac.clifford import field_norm
 from mtdirac.dsl import ZERO, Add, Call, Const, Coord, Mul, Sub, \
     differentiate, evaluate
@@ -129,6 +130,12 @@ def _relabelled(system: MultiTimeSystem) -> MultiTimeSystem:
     return replace(system, masses=system.masses[::-1], potentials=potentials)
 
 
+# cc family i -> the family of its transposed sector, (a, b) -> (b, a)
+_TRANSPOSED = {i: i for i in (1, 4, 13, 16)} | {
+    i: j for pair in [(2, 3), (5, 9), (6, 10), (7, 11), (8, 12), (14, 15)]
+    for i, j in (pair, pair[::-1])}
+
+
 @pytest.mark.parametrize("name, params", [
     ("hoho", {"m2": 0.5}),
     ("hoho", {"C": (1, 0.5j, 0, 0), "c": (0.3, 0.1, 0, 0.2), "m1": 2.0}),
@@ -146,6 +153,12 @@ def test_relabelling_particles_exchanges_the_residuals(name, params, rng):
     assert swapped.zeroth_sup == original.zeroth_sup
     assert swapped.deriv_coeff_sup == (original.deriv_coeff_sup[3:]
                                        + original.deriv_coeff_sup[:3])
+    assert all(CC_SECTORS[j - 1] == CC_SECTORS[i - 1][::-1]
+               for i, j in _TRANSPOSED.items())
+    assert (swapped.cc is None) == (original.cc is None)
+    if original.cc is not None:
+        assert swapped.cc == {f"cc{_TRANSPOSED[i]}": original.cc[f"cc{i}"]
+                              for i in _TRANSPOSED}
 
 
 # each builtin, with fields that vary over the configurations
