@@ -24,7 +24,20 @@ from typing import Mapping, Union
 
 import numpy as np
 
-FUNCTIONS = ("exp", "sin", "cos", "sinh", "cosh", "sqrt")
+#: The language's functions: name -> (evaluation, chain rule), the rule
+#: taking (argument, derivative of the argument) to the call's derivative.
+_FUNCTIONS = {
+    "exp": (np.exp, lambda arg, d: _mul(Call("exp", arg), d)),
+    "sin": (np.sin, lambda arg, d: _mul(Call("cos", arg), d)),
+    "cos": (np.cos, lambda arg, d: _neg(_mul(Call("sin", arg), d))),
+    "sinh": (np.sinh, lambda arg, d: _mul(Call("cosh", arg), d)),
+    "cosh": (np.cosh, lambda arg, d: _mul(Call("sinh", arg), d)),
+    # + 0j turns the -0.0 imaginary part that negation or division leaves
+    # on a negative real into +0.0, so it takes the documented i*sqrt(|x|)
+    "sqrt": (lambda value: np.sqrt(value + 0j),
+             lambda arg, d: _div(d, _mul(Const(2 + 0j), Call("sqrt", arg)))),
+}
+FUNCTIONS = tuple(_FUNCTIONS)
 
 _COORD_RE = re.compile(r"^x([0-9]+)_([0-9])$")
 _TOKEN_RE = re.compile(
@@ -307,15 +320,6 @@ def _as_complex(value):
     return complex(value)
 
 
-_UFUNC = {
-    "exp": np.exp, "sin": np.sin, "cos": np.cos,
-    "sinh": np.sinh, "cosh": np.cosh,
-    # + 0j turns the -0.0 imaginary part that negation or division leaves
-    # on a negative real into +0.0, so it takes the documented i*sqrt(|x|)
-    "sqrt": lambda value: np.sqrt(value + 0j),
-}
-
-
 def _eval(expr: Expr, coords, memo: dict) -> complex | np.ndarray:
     if (value := memo.get(id(expr))) is not None:  # interior nodes only
         return value
@@ -334,17 +338,14 @@ def _eval(expr: Expr, coords, memo: dict) -> complex | np.ndarray:
             value = _eval(left, coords, memo) * _eval(right, coords, memo)
         case Div(left, right):
             denominator = _eval(right, coords, memo)
-            if isinstance(denominator, np.ndarray):
-                if np.any(denominator == 0):
-                    raise DslEvaluationError("division by zero")
-            elif denominator == 0:
+            if np.any(denominator == 0):
                 raise DslEvaluationError("division by zero")
             value = _eval(left, coords, memo) / denominator
         case Pow(base, exponent):
             # np.power overflows to inf where complex ** int would raise
             value = np.power(_eval(base, coords, memo), exponent)
-        case Call(func, arg):
-            value = _UFUNC[func](_eval(arg, coords, memo))
+        case Call(func, arg) if func in _FUNCTIONS:
+            value = _FUNCTIONS[func][0](_eval(arg, coords, memo))
         case _:
             raise TypeError(f"not an expression node: {expr!r}")
     memo[id(expr)] = value
@@ -454,20 +455,8 @@ def _derive(expr: Expr, k: int, mu: int, memo: dict) -> Expr:
                              Pow(base, exponent - 1) if exponent > 2 else
                              (base if exponent == 2 else ONE))
                 done = _mul(outer, done)
-        case Call(func, arg) if func in FUNCTIONS:
-            done = _derive(arg, k, mu, memo)
-            if func == "exp":
-                done = _mul(Call("exp", arg), done)
-            elif func == "sin":
-                done = _mul(Call("cos", arg), done)
-            elif func == "cos":
-                done = _neg(_mul(Call("sin", arg), done))
-            elif func == "sinh":
-                done = _mul(Call("cosh", arg), done)
-            elif func == "cosh":
-                done = _mul(Call("sinh", arg), done)
-            else:
-                done = _div(done, _mul(Const(2 + 0j), Call("sqrt", arg)))
+        case Call(func, arg) if func in _FUNCTIONS:
+            done = _FUNCTIONS[func][1](arg, _derive(arg, k, mu, memo))
         case _:
             raise TypeError(f"not an expression node: {expr!r}")
     memo[id(expr)] = done

@@ -37,7 +37,7 @@ from .clifford import (
     tensor_element,
 )
 from .dsl import (
-    Add,
+    ZERO,
     Call,
     Const,
     Coord,
@@ -46,6 +46,7 @@ from .dsl import (
     Mul,
     Param,
     Sub,
+    _add,
     differentiate,
     evaluate,
     is_zero,
@@ -331,14 +332,6 @@ CoefficientSet = make_dataclass(
     frozen=True)
 
 
-def _accumulate(a: Expr, b: Expr) -> Expr:
-    if is_zero(a):
-        return b
-    if is_zero(b):
-        return a
-    return Add(a, b)
-
-
 def _field_of(particle: int, term: PotentialTerm) -> str | None:
     """The field a two-particle V_particle term enters, None if none."""
     factors = term.structure.factors
@@ -366,7 +359,7 @@ def to_coefficient_form(system: MultiTimeSystem) -> CoefficientSet:
                     f"V_{j} term acts on particle {3 - j} through "
                     f"{term.structure.factors[2 - j].label()}")
             mu = term.structure.factors[j - 1].mu
-            fields[name][mu] = _accumulate(fields[name][mu], term.coefficient)
+            fields[name][mu] = _add(fields[name][mu], term.coefficient)
     return CoefficientSet(**{name: tuple(values)
                              for name, values in fields.items()})
 
@@ -508,13 +501,12 @@ def build_example1_vector(params: Mapping | None = None) -> MultiTimeSystem:
 
 def _relative_phase(coeffs: Sequence[complex]) -> Expr:
     """2 * sum_mu c_mu (x2_mu - x1_mu) as an expression."""
-    total: Expr | None = None
+    total = ZERO
     for mu, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        piece = Mul(Const(2 * c), Sub(Coord(2, mu), Coord(1, mu)))
-        total = piece if total is None else Add(total, piece)
-    return total if total is not None else Const(0j)
+        if c != 0:
+            total = _add(total, Mul(Const(2 * c),
+                                    Sub(Coord(2, mu), Coord(1, mu))))
+    return total
 
 
 def build_hoho(params: Mapping | None = None) -> MultiTimeSystem:

@@ -45,7 +45,7 @@ from .clifford import (
     field_sum,
     tensor_element,
 )
-from .consistency import _cc_sups, _curvature_parts
+from .consistency import _cc_sups, _curvature_parts, _sup_norm
 from .dsl import DslEvaluationError, Expr, Sub, differentiate, evaluate, \
     is_constant, is_zero
 from .potential import (
@@ -439,6 +439,7 @@ class GaugeReport:
     locality_sup: float
     triangle_sup: float
     gradient_match_sup: float
+    zeroth_sup: float  # check_consistency's at the probes; as_dict omits it
     tol: float
     fd_tol: float
     gauge_components: dict[str, np.ndarray]
@@ -446,7 +447,8 @@ class GaugeReport:
 
     def as_dict(self) -> dict:
         return {key: value for key, value in vars(self).items()
-                if key not in ("gauge_components", "coefficients")}
+                if key not in ("zeroth_sup", "gauge_components",
+                               "coefficients")}
 
 
 @np.errstate(all="ignore")
@@ -488,7 +490,8 @@ def classify_gauge(system: MultiTimeSystem,
 
     # --- exactness conditions -------------------------------------------
     # np.max and np.maximum keep a NaN that max() would drop
-    cc = _cc_sups(_curvature_parts(system, probes, first=False)[1])
+    zeroth = _curvature_parts(system, probes, first=False)[1]
+    cc = _cc_sups(zeroth)
     cross_curl = np.max([cc[f"cc{index}"] for index in range(1, 5)])
     moved = []
     for f in sectors.values():
@@ -574,7 +577,8 @@ def classify_gauge(system: MultiTimeSystem,
         verdict=verdict, integrability_sup=float(integrability),
         cross_curl_sup=float(cross_curl), locality_sup=float(locality),
         triangle_sup=float(triangle), gradient_match_sup=float(gradient_match),
-        tol=tol, fd_tol=_FD_TOL, gauge_components=dict(zip(sectors, stacked)),
+        zeroth_sup=_sup_norm(zeroth), tol=tol, fd_tol=_FD_TOL,
+        gauge_components=dict(zip(sectors, stacked)),
         coefficients=coefficients)
 
 
@@ -604,7 +608,10 @@ def classify_interaction(system: MultiTimeSystem,
     fields (A..H) vanish on the grid its verdict stands.  Otherwise a pair
     of the exponential family (every exponential_form_residual below tol on
     the grid) is settled by its interaction witness, anything else stays
-    UNDECIDED.  Raises DomainError when a guard trips or a sup is not finite.
+    UNDECIDED.  A pure gauge is consistent, so GAUGE_REMOVABLE turns into
+    INTERACTING where check_consistency at the probes finds E(1,2) >= tol,
+    as for the mass obstruction of a gamma5-sector field.  Raises
+    DomainError when a guard trips or a sup is not finite.
     """
     grid = grid or ConfigGrid()
     gauge = classify_gauge(system, grid=grid, tol=tol)
@@ -626,6 +633,10 @@ def classify_interaction(system: MultiTimeSystem,
         if structure is not None and max(structure.values()) < tol:
             witness = _witness(system)
             verdict = INTERACTING if witness > tol else UNDECIDED
+    if verdict == GAUGE_REMOVABLE:
+        _require_finite({"zeroth_sup": gauge.zeroth_sup}, "the probe grid")
+        if gauge.zeroth_sup >= tol:
+            verdict = INTERACTING
     return ClassificationReport(
         verdict=verdict, gamma_sector_sup=gamma_sup, gauge=gauge,
         witness=witness, tol=tol)

@@ -1082,7 +1082,8 @@ def test_non_finite_residual_is_named(capsys, argv, residual):
 @pytest.mark.parametrize("params,residual", [
     (["A=exp(800*x1_0),0,0,0"], "gamma_sector_sup"),
     (["Y2=1e200,0,0,0", "A=exp(300*x1_0),0,0,0"], "ode_A"),
-], ids=["gamma_sector", "exponential_form"])
+    (["Y2=0,0,0,1e308"], "zeroth_sup"),
+], ids=["gamma_sector", "exponential_form", "removable_f_sector"])
 def test_non_finite_grid_sup_names_the_probe_grid(capsys, params, residual):
     argv = ["classify", "--builtin", "coefficient_form"]
     for param in params:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import sympy
@@ -114,11 +116,19 @@ def test_division_by_zero_raises():
     ("exp 2", 4),
     ("x1_1^x2_2", 5),
     ("1 + ?", 4),
+    ("x1_7", 0),
+    ("x1_0 )", 5),
 ])
 def test_parse_errors_carry_position(source, position):
     with pytest.raises(DslParseError) as err:
         parse(source, n_particles=2)
     assert err.value.position == position
+
+
+@pytest.mark.parametrize("name", [*FUNCTIONS, "i", "x2_3"])
+def test_reserved_names_are_not_parameters(name):
+    with pytest.raises(DslParseError, match="reserved"):
+        parse("1", params={name: 1.0})
 
 
 def test_unknown_identifier_is_a_parse_error():
@@ -210,6 +220,39 @@ def test_differentiate_derives_a_shared_subtree_once():
     assert derivative == Add(Mul(differentiate(shared, 1, 0), shared),
                              Mul(shared, differentiate(shared, 1, 0)))
     assert derivative.left.left is derivative.right.right
+
+
+_ARG = Mul(Coord(1, 0), Coord(2, 0))  # d/dx1_0 of it is x2_0
+_CHAIN_RULES = [
+    ("exp", Mul(Call("exp", _ARG), Coord(2, 0))),
+    ("sin", Mul(Call("cos", _ARG), Coord(2, 0))),
+    ("cos", Neg(Mul(Call("sin", _ARG), Coord(2, 0)))),
+    ("sinh", Mul(Call("cosh", _ARG), Coord(2, 0))),
+    ("cosh", Mul(Call("sinh", _ARG), Coord(2, 0))),
+    ("sqrt", Div(Coord(2, 0), Mul(Const(2 + 0j), Call("sqrt", _ARG)))),
+]
+
+
+@pytest.mark.parametrize("func,derivative", _CHAIN_RULES)
+def test_chain_rule_builds_its_tree(func, derivative):
+    assert differentiate(Call(func, _ARG), 1, 0) == derivative
+
+
+def test_each_function_has_its_chain_rule_tree_in_order():
+    assert tuple(func for func, _ in _CHAIN_RULES) == FUNCTIONS
+
+
+def test_an_unknown_function_node_is_not_an_expression():
+    node = Call("tan", Coord(1, 0))
+    with pytest.raises(TypeError, match="not an expression node"):
+        evaluate(node, np.zeros((2, 4)))
+    with pytest.raises(TypeError, match="not an expression node"):
+        differentiate(node, 1, 0)
+
+
+def test_module_docstring_lists_the_functions():
+    line = re.search(r"FUNC is one of ([a-z, ]+)\.", dsl.__doc__)
+    assert tuple(line.group(1).split(", ")) == FUNCTIONS
 
 
 def test_derivative_of_unrelated_coordinate_is_zero():

@@ -19,6 +19,8 @@ leave its reports unchanged, or change them in a known way.
 * Translation: a system whose coefficients depend on x2 - x1 alone takes
   the same values at translated configurations, so its translation
   residual is round-off.
+* Classify against check: a pure gauge is consistent, so a pair that
+  classify_interaction calls GAUGE_REMOVABLE is CONSISTENT at its probes.
 """
 from __future__ import annotations
 
@@ -54,8 +56,8 @@ from mtdirac.potential import (
     stack_coords,
     to_coefficient_form,
 )
-from mtdirac.symmetry import GAUGE_REMOVABLE, classify_interaction, \
-    make_translation, poincare_residual
+from mtdirac.symmetry import GAUGE_REMOVABLE, ConfigGrid, \
+    classify_interaction, make_translation, poincare_residual
 
 # label: (builtin name, --param NAME=VALUE pairs)
 _BUILTINS = {
@@ -314,3 +316,31 @@ def test_a_system_in_the_sum_of_the_times_is_not_translation_invariant():
     system = make_builtin("coefficient_form",
                           {"W1": ("sin(x1_0 + x2_0)", 0, 0, 0)})
     assert _translation_excess(system) > 1
+
+
+_ALPHA_FIELDS = ("W1", "X1", "Y1", "Z1", "W2", "X2", "Y2", "Z2")
+
+
+@st.composite
+def _gauges_with_constant_fields(draw) -> MultiTimeSystem:
+    """A pure gauge or none, plus one or two alpha-sector fields with
+    constant components: their curls vanish, so the f-sector reads them
+    removable, while a gamma5_j sector meets m_j gamma0_j in E(1,2)."""
+    names = draw(st.lists(st.sampled_from(_ALPHA_FIELDS), min_size=1,
+                          max_size=2, unique=True))
+    fields = {name: (ZERO,) * 4 for name in FIELD_NAMES} | {
+        name: tuple(Const(complex(draw(st.sampled_from([0, 0, 1, -0.5]))))
+                    for _ in range(4)) for name in names}
+    coefficients = CoefficientSet(**fields)
+    if draw(st.booleans()):
+        coefficients = _with_gauge(coefficients, draw(_smooth_functions()))
+    masses = tuple(draw(st.sampled_from([0.0, 1.0])) for _ in range(2))
+    return coefficient_set_to_system(coefficients, masses)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(system=st.one_of(_gauges_with_constant_fields(), _coefficient_forms()))
+def test_gauge_removable_is_consistent_at_the_probes(system):
+    if classify_interaction(system).verdict == GAUGE_REMOVABLE:
+        report = check_consistency(system, ConfigGrid().probes())
+        assert report.verdict == "CONSISTENT"

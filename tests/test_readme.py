@@ -2,7 +2,8 @@
 
 A block runs in a fresh interpreter with the package's source directory
 on the path, from a temporary working directory, so a signature that the
-README still shows after it changed fails here.
+README still shows after it changed fails here.  The README's list of
+expression functions is the language's own, dsl.FUNCTIONS, in order.
 """
 
 from __future__ import annotations
@@ -16,12 +17,18 @@ from pathlib import Path
 import pytest
 
 import mtdirac
+from mtdirac.dsl import FUNCTIONS
 
 _SRC = str(Path(mtdirac.__file__).resolve().parents[1])
 _README = Path(__file__).resolve().parents[1] / "README.md"
-_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
-                     _README.read_text(encoding="utf-8"),
+_TEXT = _README.read_text(encoding="utf-8")
+_BLOCKS = re.findall(r"^```python\n(.*?)^```$", _TEXT,
                      flags=re.MULTILINE | re.DOTALL)
+
+
+def test_readme_lists_the_dsl_functions():
+    listed = re.search(r"imaginary unit `i`, and\s+`([a-z ]+)`", _TEXT)
+    assert tuple(listed.group(1).split()) == FUNCTIONS
 
 
 def test_readme_blocks_are_found():

@@ -138,6 +138,11 @@ def test_oversized_dt_rejected(grid, psi0):
         step(psi0, 1, 0.2, system)
 
 
+def test_step_of_a_third_particle_rejected(grid, psi0):
+    with pytest.raises(SpecError, match="particle must be 1 or 2"):
+        step(psi0, 3, 0.1, make_builtin("free"))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_step_is_malformed_input(grid, psi0, value):
     """A non-finite dt or delta is refused before any step, as the same
@@ -470,6 +475,21 @@ def test_add_terms_holds_one_scratch_product():
 
 def test_empty_path_returns_state(grid, psi0):
     assert evolve_path(psi0, [], make_builtin("free")) is psi0
+
+
+def test_zero_step_leg_between_legs_is_skipped(grid, psi0):
+    system = make_builtin("hoho")
+    out = evolve_path(psi0, [Leg(2, 0.2, 0.1), Leg(1, 0.0, 0.1),
+                             Leg(2, 0.1, 0.1, -1)], system)
+    assert out.times == (0.0, pytest.approx(0.1))
+    without = evolve_path(psi0, [Leg(2, 0.2, 0.1), Leg(2, 0.1, 0.1, -1)],
+                          system)
+    assert np.array_equal(out.values, without.values)
+
+
+def test_empty_dt_list_rejected(grid, psi0):
+    with pytest.raises(SpecError, match="dt_list must not be empty"):
+        path_independence_experiment(make_builtin("hoho"), psi0, 0.5, [])
 
 
 @pytest.mark.parametrize("direction", [1, -1])

@@ -562,6 +562,13 @@ def test_witness_rejects_other_systems():
         interaction_witness_hoho(make_builtin("free"))
 
 
+def test_witness_rejects_a_non_constant_alpha_sector():
+    system = make_builtin("coefficient_form", {"W1": ("x2_0", 0, 0, 0),
+                                               "A": (1, 0, 0, 0)})
+    with pytest.raises(SpecError, match="exponential family"):
+        interaction_witness_hoho(system)
+
+
 def test_witness_raises_domain_error_when_not_finite():
     # A overflows at x2_0 = 0, where the witness is taken
     system = make_builtin("coefficient_form", {
@@ -958,6 +965,34 @@ def test_classify_unknown_gamma_sector_undecided():
     report = classify_interaction(system)
     assert report.verdict == UNDECIDED
     assert report.gamma_sector_sup == pytest.approx(1.0)
+
+
+def test_classify_with_a_non_constant_alpha_sector_is_undecided():
+    # the gamma sector is present, but W1 = x2_0 puts the pair outside the
+    # exponential family, whose ODEs need constant alpha-sector fields
+    system = make_builtin("coefficient_form", {"W1": ("x2_0", 0, 0, 0),
+                                               "A": (1, 0, 0, 0)})
+    report = classify_interaction(system)
+    assert report.verdict == UNDECIDED
+    assert report.witness is None
+
+
+@pytest.mark.parametrize("params,verdict", [
+    ({"Y2": (0, 0, 0, 1)}, INTERACTING),
+    ({"X1": (0, 0, 0, 1)}, INTERACTING),
+    ({"Y2": (0, 0, 0, 1), "m1": 0.0}, GAUGE_REMOVABLE),
+], ids=["Y2", "X1", "Y2 massless"])
+def test_a_gamma5_sector_mass_obstruction_is_interacting(params, verdict):
+    """A constant gamma5_j-sector field of V_k has no curl, so its f-sector
+    reads GAUGE_REMOVABLE; but unless m_j = 0, m_j [gamma0_j, V_k] puts it
+    in E(1,2)'s cc6 or cc10: the pair is inconsistent, so no pure gauge."""
+    system = make_builtin("coefficient_form", params)
+    report = classify_interaction(system)
+    assert report.gauge.verdict == GAUGE_REMOVABLE
+    assert report.gamma_sector_sup == 0.0
+    assert report.verdict == verdict
+    check = check_consistency(system, ConfigGrid().probes())
+    assert (check.verdict == "CONSISTENT") == (verdict == GAUGE_REMOVABLE)
 
 
 def test_classify_skips_witness_outside_exponential_family():
