@@ -14,10 +14,13 @@ parameter name.  Expressions evaluate to complex scalars (or numpy
 arrays when coordinates are supplied as arrays, broadcasting as usual)
 and differentiate symbolically with respect to any coordinate; a subtree
 repeated as one node object is evaluated and derived once per call.
+Each function is one row of ``_FUNCTIONS`` and each binary operator one
+row of ``_OPERATORS``: its evaluation, derivative rule and rendering.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -38,6 +41,31 @@ _FUNCTIONS = {
              lambda arg, d: _div(d, _mul(Const(2 + 0j), Call("sqrt", arg)))),
 }
 FUNCTIONS = tuple(_FUNCTIONS)
+
+_PREC_EXPR, _PREC_TERM, _PREC_FACTOR, _PREC_ATOM = 1, 2, 3, 4
+
+
+def _divide(numerator, denominator):
+    if np.any(denominator == 0):
+        raise DslEvaluationError("division by zero")
+    return numerator / denominator
+
+
+#: The binary operators: symbol -> (evaluation, derivative rule, rendered
+#: symbol, precedence, precedence the right operand needs), the rule taking
+#: (left, right, d left, d right) to the derivative.  Every operator
+#: associates to the left, so its left operand needs its own precedence.
+_OPERATORS = {
+    "+": (operator.add, lambda a, b, da, db: _add(da, db),
+          " + ", _PREC_EXPR, _PREC_TERM),
+    "-": (operator.sub, lambda a, b, da, db: _sub(da, db),
+          " - ", _PREC_EXPR, _PREC_TERM),
+    "*": (operator.mul, lambda a, b, da, db: _add(_mul(da, b), _mul(a, db)),
+          "*", _PREC_TERM, _PREC_FACTOR),
+    "/": (_divide, lambda a, b, da, db: _div(_sub(_mul(da, b), _mul(a, db)),
+                                             _mul(b, b)),
+          "/", _PREC_TERM, _PREC_ATOM),
+}
 
 _COORD_RE = re.compile(r"^x([0-9]+)_([0-9])$")
 _TOKEN_RE = re.compile(
@@ -91,25 +119,8 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Div:
+class BinOp:
+    op: str
     left: "Expr"
     right: "Expr"
 
@@ -126,7 +137,7 @@ class Call:
     arg: "Expr"
 
 
-Expr = Union[Const, Coord, Param, Neg, Add, Sub, Mul, Div, Pow, Call]
+Expr = Union[Const, Coord, Param, Neg, BinOp, Pow, Call]
 
 ZERO = Const(0j)
 ONE = Const(1 + 0j)
@@ -159,11 +170,8 @@ def _tokenize(source: str) -> list[_Token]:
             bad = len(source) - len(stripped)
             raise DslParseError(f"unexpected character {source[bad]!r}", bad, source)
         pos = match.end()
-        for kind in ("number", "ident", "op"):
-            text = match.group(kind)
-            if text is not None:
-                tokens.append(_Token(kind, text, match.start(kind)))
-                break
+        kind = match.lastgroup  # the one alternative that matched
+        tokens.append(_Token(kind, match.group(kind), match.start(kind)))
     tokens.append(_Token("end", "", len(source)))
     return tokens
 
@@ -221,21 +229,20 @@ class _Parser:
     def expr(self) -> tuple[Expr, int]:
         self.limit(self.nesting, self.peek())  # parentheses open here
         self.nesting += 1
-        node, depth = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance()
-            right, right_depth = self.term()
-            node = Add(node, right) if op.text == "+" else Sub(node, right)
-            depth = self.limit(1 + max(depth, right_depth), op)
+        node, depth = self.operators(_PREC_EXPR)
         self.nesting -= 1
         return node, depth
 
-    def term(self) -> tuple[Expr, int]:
-        node, depth = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance()
-            right, right_depth = self.factor()
-            node = Mul(node, right) if op.text == "*" else Div(node, right)
+    def operators(self, prec: int) -> tuple[Expr, int]:
+        """A left-associative run of the operators of precedence prec."""
+        if prec == _PREC_FACTOR:
+            return self.factor()
+        node, depth = self.operators(prec + 1)
+        while (op := self.peek()).text in _OPERATORS \
+                and _OPERATORS[op.text][3] == prec:
+            self.advance()
+            right, right_depth = self.operators(prec + 1)
+            node = BinOp(op.text, node, right)
             depth = self.limit(1 + max(depth, right_depth), op)
         return node, depth
 
@@ -330,17 +337,9 @@ def _eval(expr: Expr, coords, memo: dict) -> complex | np.ndarray:
             return _as_complex(coords[k - 1][mu])
         case Neg(arg):
             value = -_eval(arg, coords, memo)
-        case Add(left, right):
-            value = _eval(left, coords, memo) + _eval(right, coords, memo)
-        case Sub(left, right):
-            value = _eval(left, coords, memo) - _eval(right, coords, memo)
-        case Mul(left, right):
-            value = _eval(left, coords, memo) * _eval(right, coords, memo)
-        case Div(left, right):
-            denominator = _eval(right, coords, memo)
-            if np.any(denominator == 0):
-                raise DslEvaluationError("division by zero")
-            value = _eval(left, coords, memo) / denominator
+        case BinOp(op, left, right) if op in _OPERATORS:
+            value = _OPERATORS[op][0](_eval(left, coords, memo),
+                                      _eval(right, coords, memo))
         case Pow(base, exponent):
             # np.power overflows to inf where complex ** int would raise
             value = np.power(_eval(base, coords, memo), exponent)
@@ -385,7 +384,7 @@ def _add(a: Expr, b: Expr) -> Expr:
         return a
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value + b.value)
-    return Add(a, b)
+    return BinOp("+", a, b)
 
 
 def _sub(a: Expr, b: Expr) -> Expr:
@@ -395,7 +394,7 @@ def _sub(a: Expr, b: Expr) -> Expr:
         return _neg(b)
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value - b.value)
-    return Sub(a, b)
+    return BinOp("-", a, b)
 
 
 def _mul(a: Expr, b: Expr) -> Expr:
@@ -407,7 +406,7 @@ def _mul(a: Expr, b: Expr) -> Expr:
         return a
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value * b.value)
-    return Mul(a, b)
+    return BinOp("*", a, b)
 
 
 def _div(a: Expr, b: Expr) -> Expr:
@@ -415,7 +414,7 @@ def _div(a: Expr, b: Expr) -> Expr:
         return ZERO
     if isinstance(b, Const) and b.value == 1:
         return a
-    return Div(a, b)
+    return BinOp("/", a, b)
 
 
 def differentiate(expr: Expr, k: int, mu: int) -> Expr:
@@ -433,19 +432,9 @@ def _derive(expr: Expr, k: int, mu: int, memo: dict) -> Expr:
             return ONE if (ck, cmu) == (k, mu) else ZERO
         case Neg(arg):
             done = _neg(_derive(arg, k, mu, memo))
-        case Add(left, right):
-            done = _add(_derive(left, k, mu, memo),
-                        _derive(right, k, mu, memo))
-        case Sub(left, right):
-            done = _sub(_derive(left, k, mu, memo),
-                        _derive(right, k, mu, memo))
-        case Mul(left, right):
-            done = _add(_mul(_derive(left, k, mu, memo), right),
-                        _mul(left, _derive(right, k, mu, memo)))
-        case Div(left, right):
-            numerator = _sub(_mul(_derive(left, k, mu, memo), right),
-                             _mul(left, _derive(right, k, mu, memo)))
-            done = _div(numerator, _mul(right, right))
+        case BinOp(op, left, right) if op in _OPERATORS:
+            done = _OPERATORS[op][1](left, right, _derive(left, k, mu, memo),
+                                     _derive(right, k, mu, memo))
         case Pow(base, exponent):
             if exponent == 0:
                 return ZERO
@@ -472,8 +461,8 @@ def leaves(expr: Expr) -> frozenset[Coord | Param]:
             return frozenset({expr})
         case Neg(arg) | Call(_, arg) | Pow(arg, _):
             return leaves(arg)
-        case Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b):
-            return leaves(a) | leaves(b)
+        case BinOp(_, left, right):
+            return leaves(left) | leaves(right)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
@@ -491,9 +480,6 @@ def is_constant(expr: Expr) -> bool:
 # ---------------------------------------------------------------------------
 # Printing
 # ---------------------------------------------------------------------------
-
-_PREC_EXPR, _PREC_TERM, _PREC_FACTOR, _PREC_ATOM = 1, 2, 3, 4
-
 
 def _format_const(value: complex) -> tuple[str, int]:
     re_, im = value.real, value.imag
@@ -521,21 +507,12 @@ def _render(expr: Expr, required: int) -> str:
             text, prec = name, _PREC_ATOM
         case Neg(arg):
             text, prec = f"-{_render(arg, _PREC_FACTOR)}", _PREC_EXPR
-        case Add(left, right):
-            text = f"{_render(left, _PREC_EXPR)} + {_render(right, _PREC_TERM)}"
-            prec = _PREC_EXPR
-        case Sub(left, right):
-            text = f"{_render(left, _PREC_EXPR)} - {_render(right, _PREC_TERM)}"
-            prec = _PREC_EXPR
-        case Mul(left, right):
-            text = f"{_render(left, _PREC_TERM)}*{_render(right, _PREC_FACTOR)}"
-            prec = _PREC_TERM
-        case Div(left, right):
-            text = f"{_render(left, _PREC_TERM)}/{_render(right, _PREC_ATOM)}"
-            prec = _PREC_TERM
+        case BinOp(op, left, right) if op in _OPERATORS:
+            _, _, symbol, prec, right_prec = _OPERATORS[op]
+            text = f"{_render(left, prec)}{symbol}{_render(right, right_prec)}"
         case Pow(base, exponent):
             text, prec = f"{_render(base, _PREC_ATOM)}^{exponent}", _PREC_FACTOR
-        case Call(func, arg):
+        case Call(func, arg) if func in _FUNCTIONS:
             text, prec = f"{func}({_render(arg, _PREC_EXPR)})", _PREC_ATOM
         case _:
             raise TypeError(f"not an expression node: {expr!r}")

@@ -38,14 +38,12 @@ from .clifford import (
 )
 from .dsl import (
     ZERO,
+    BinOp,
     Call,
     Const,
     Coord,
-    Div,
     Expr,
-    Mul,
     Param,
-    Sub,
     _add,
     differentiate,
     evaluate,
@@ -504,8 +502,8 @@ def _relative_phase(coeffs: Sequence[complex]) -> Expr:
     total = ZERO
     for mu, c in enumerate(coeffs):
         if c != 0:
-            total = _add(total, Mul(Const(2 * c),
-                                    Sub(Coord(2, mu), Coord(1, mu))))
+            relative = BinOp("-", Coord(2, mu), Coord(1, mu))
+            total = _add(total, BinOp("*", Const(2 * c), relative))
     return total
 
 
@@ -536,10 +534,10 @@ def build_hoho(params: Mapping | None = None) -> MultiTimeSystem:
             continue
         terms_1.append(PotentialTerm(
             _particle1(BasisElement(BasisClass.GAMMA, mu)),
-            Mul(Const(big_c[mu]), cos_phase)))
+            BinOp("*", Const(big_c[mu]), cos_phase)))
         terms_1.append(PotentialTerm(
             _particle1(BasisElement(BasisClass.G5GAMMA, mu)),
-            Mul(Const(-1j * big_c[mu]), sin_phase)))
+            BinOp("*", Const(-1j * big_c[mu]), sin_phase)))
     terms_1.append(PotentialTerm(
         _particle1(BasisElement(BasisClass.GAMMA, 0)),
         Const(complex(-masses[0]))))
@@ -611,7 +609,7 @@ def build_coulomb_like(params: Mapping | None = None) -> MultiTimeSystem:
     masses = _masses(params)
     distance = parse(
         "sqrt((x1_1 - x2_1)^2 + (x1_2 - x2_2)^2 + (x1_3 - x2_3)^2)")
-    coeff = Div(Const(charge), distance)
+    coeff = BinOp("/", Const(charge), distance)
     guard = Guard(distance, 1e-6, "interparticle distance")
     identity = tensor_element(IDENTITY_ELEMENT, IDENTITY_ELEMENT)
     return MultiTimeSystem(

@@ -46,7 +46,7 @@ from .clifford import (
     tensor_element,
 )
 from .consistency import _cc_sups, _curvature_parts, _sup_norm
-from .dsl import DslEvaluationError, Expr, Sub, differentiate, evaluate, \
+from .dsl import BinOp, DslEvaluationError, Expr, differentiate, evaluate, \
     is_constant, is_zero
 from .potential import (
     COEFFICIENT_LAYOUT,
@@ -497,8 +497,8 @@ def classify_gauge(system: MultiTimeSystem,
     for f in sectors.values():
         for (own, other), exprs in zip(((1, 2), (2, 1)), f):
             for mu, nu in combinations(range(4), 2):
-                curl = Sub(differentiate(exprs[nu], own, mu),
-                           differentiate(exprs[mu], own, nu))
+                curl = BinOp("-", differentiate(exprs[nu], own, mu),
+                             differentiate(exprs[mu], own, nu))
                 moved += [differentiate(curl, other, lam) for lam in range(4)]
     locality = np.max([np.max(np.abs(evaluate(expr, probe_coords)))
                        for expr in moved if not is_zero(expr)], initial=0.0)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import reduce
 
 import numpy as np
 import scipy.linalg
+import sympy
 
 from mtdirac.clifford import (
     _ELEMENTS,
@@ -25,7 +27,8 @@ from mtdirac.clifford import (
     realize,
     reconstruct,
 )
-from mtdirac.dsl import Sub, differentiate, evaluate, is_zero
+from mtdirac.dsl import BinOp, Call, Const, Coord, Neg, Param, Pow, \
+    differentiate, evaluate, is_zero
 from mtdirac.potential import (
     COEFFICIENT_LAYOUT,
     FIELD_NAMES,
@@ -69,6 +72,35 @@ def fd_matrix_partial(f, coords: np.ndarray, k: int, mu: int, h: float = 1e-5):
     coarse = central(h)
     fine = central(h / 2)
     return (4 * fine - coarse) / 3
+
+
+_SYMPY_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                    "/": operator.truediv}
+
+
+def to_sympy(expr):
+    """A DSL expression as a sympy expression, built from its own rules.
+
+    Coordinate x_{k,mu} becomes the real Symbol ``xK_MU``, a parameter the
+    Symbol of its name (its bound value is left to subs); a constant keeps
+    its exact float parts.
+    """
+    match expr:
+        case Const(value):
+            return sympy.Float(value.real) + sympy.I * sympy.Float(value.imag)
+        case Param(name, _):
+            return sympy.Symbol(name)
+        case Coord(k, mu):
+            return sympy.Symbol(f"x{k}_{mu}", real=True)
+        case Neg(arg):
+            return -to_sympy(arg)
+        case BinOp(op, left, right):
+            return _SYMPY_OPERATORS[op](to_sympy(left), to_sympy(right))
+        case Pow(base, exponent):
+            return to_sympy(base) ** exponent
+        case Call(func, arg):
+            return getattr(sympy, func)(to_sympy(arg))
+    raise TypeError(expr)
 
 
 def conjugate_rep(rep: GammaRep, u: np.ndarray) -> GammaRep:
@@ -245,8 +277,8 @@ def reference_locality(coefficients, probes) -> float:
             f = (coefficients.field(name1), coefficients.field(name2))
             for (own, other), exprs in zip(((1, 2), (2, 1)), f):
                 for mu, nu in itertools.combinations(range(4), 2):
-                    curl = Sub(differentiate(exprs[nu], own, mu),
-                               differentiate(exprs[mu], own, nu))
+                    curl = BinOp("-", differentiate(exprs[nu], own, mu),
+                                 differentiate(exprs[mu], own, nu))
                     for lam in range(4):
                         moved = evaluate(differentiate(curl, other, lam),
                                          coords)

@@ -9,18 +9,15 @@ from hypothesis import strategies as st
 from mtdirac import dsl
 from mtdirac.dsl import (
     FUNCTIONS,
-    Add,
+    BinOp,
     Call,
     Const,
     Coord,
-    Div,
     DslEvaluationError,
     DslParseError,
-    Mul,
     Neg,
     Param,
     Pow,
-    Sub,
     coordinates,
     differentiate,
     evaluate,
@@ -29,7 +26,7 @@ from mtdirac.dsl import (
     to_source,
 )
 from mtdirac.solver import Grid, _step_coords
-from oracles import fd_partial
+from oracles import fd_partial, to_sympy
 
 
 def sample_coords(rng, n_particles=2):
@@ -101,10 +98,10 @@ def test_evaluate_broadcasts_arrays():
 
 def test_division_by_zero_raises():
     coords = np.zeros((2, 4))
-    with pytest.raises(DslEvaluationError):
+    with pytest.raises(DslEvaluationError, match="division by zero"):
         evaluate(parse("1/x1_0"), coords)
     grid = [[np.array([1.0, 0.0]), 0, 0, 0], [0, 0, 0, 0]]
-    with pytest.raises(DslEvaluationError):
+    with pytest.raises(DslEvaluationError, match="division by zero"):
         evaluate(parse("1/x1_0"), grid)
 
 
@@ -216,20 +213,22 @@ def test_evaluate_computes_each_shared_subtree_once(monkeypatch):
 
 def test_differentiate_derives_a_shared_subtree_once():
     shared = parse("cos(x1_0*x2_3)")
-    derivative = differentiate(Mul(shared, shared), 1, 0)
-    assert derivative == Add(Mul(differentiate(shared, 1, 0), shared),
-                             Mul(shared, differentiate(shared, 1, 0)))
+    derivative = differentiate(BinOp("*", shared, shared), 1, 0)
+    assert derivative == BinOp(
+        "+", BinOp("*", differentiate(shared, 1, 0), shared),
+        BinOp("*", shared, differentiate(shared, 1, 0)))
     assert derivative.left.left is derivative.right.right
 
 
-_ARG = Mul(Coord(1, 0), Coord(2, 0))  # d/dx1_0 of it is x2_0
+_ARG = BinOp("*", Coord(1, 0), Coord(2, 0))  # d/dx1_0 of it is x2_0
 _CHAIN_RULES = [
-    ("exp", Mul(Call("exp", _ARG), Coord(2, 0))),
-    ("sin", Mul(Call("cos", _ARG), Coord(2, 0))),
-    ("cos", Neg(Mul(Call("sin", _ARG), Coord(2, 0)))),
-    ("sinh", Mul(Call("cosh", _ARG), Coord(2, 0))),
-    ("cosh", Mul(Call("sinh", _ARG), Coord(2, 0))),
-    ("sqrt", Div(Coord(2, 0), Mul(Const(2 + 0j), Call("sqrt", _ARG)))),
+    ("exp", BinOp("*", Call("exp", _ARG), Coord(2, 0))),
+    ("sin", BinOp("*", Call("cos", _ARG), Coord(2, 0))),
+    ("cos", Neg(BinOp("*", Call("sin", _ARG), Coord(2, 0)))),
+    ("sinh", BinOp("*", Call("cosh", _ARG), Coord(2, 0))),
+    ("cosh", BinOp("*", Call("sinh", _ARG), Coord(2, 0))),
+    ("sqrt", BinOp("/", Coord(2, 0),
+                   BinOp("*", Const(2 + 0j), Call("sqrt", _ARG)))),
 ]
 
 
@@ -242,8 +241,63 @@ def test_each_function_has_its_chain_rule_tree_in_order():
     assert tuple(func for func, _ in _CHAIN_RULES) == FUNCTIONS
 
 
+# u = x1_0^3 and v = sin(x1_0), with du = 3*x1_0^2 and dv = cos(x1_0)
+_U, _V = Pow(Coord(1, 0), 3), Call("sin", Coord(1, 0))
+_DU = BinOp("*", Const(3 + 0j), Pow(Coord(1, 0), 2))
+_DV = Call("cos", Coord(1, 0))
+_OPERATOR_RULES = [
+    ("+", BinOp("+", _DU, _DV)),
+    ("-", BinOp("-", _DU, _DV)),
+    ("*", BinOp("+", BinOp("*", _DU, _V), BinOp("*", _U, _DV))),
+    ("/", BinOp("/", BinOp("-", BinOp("*", _DU, _V), BinOp("*", _U, _DV)),
+                BinOp("*", _V, _V))),
+]
+
+
+@pytest.mark.parametrize("op,derivative", _OPERATOR_RULES)
+def test_operator_rule_builds_its_tree(op, derivative):
+    assert differentiate(BinOp(op, _U, _V), 1, 0) == derivative
+
+
+def test_each_operator_has_its_rule_tree_in_order():
+    assert tuple(op for op, _ in _OPERATOR_RULES) == tuple(dsl._OPERATORS)
+
+
+_A, _B = 3 + 1j, -1 + 2j
+
+
+@pytest.mark.parametrize("op,expected", [
+    ("+", _A + _B), ("-", _A - _B), ("*", _A * _B), ("/", _A / _B)])
+def test_operator_evaluates_as_python_arithmetic(op, expected):
+    node = BinOp(op, Const(_A), Const(_B))
+    assert evaluate(node, np.zeros((2, 4))) == expected
+
+
+@pytest.mark.parametrize("outer", list(dsl._OPERATORS))
+@pytest.mark.parametrize("inner", list(dsl._OPERATORS))
+def test_operator_renders_as_either_operand(outer, inner):
+    """Each operator re-parses to its own tree as the left or the right
+    operand of every operator, its own included."""
+    nested = BinOp(inner, Coord(1, 0), Coord(2, 1))
+    for tree in (BinOp(outer, nested, Coord(1, 3)),
+                 BinOp(outer, Coord(1, 3), nested)):
+        assert parse(to_source(tree)) == tree
+
+
 def test_an_unknown_function_node_is_not_an_expression():
     node = Call("tan", Coord(1, 0))
+    with pytest.raises(TypeError, match="not an expression node"):
+        to_source(node)
+    with pytest.raises(TypeError, match="not an expression node"):
+        evaluate(node, np.zeros((2, 4)))
+    with pytest.raises(TypeError, match="not an expression node"):
+        differentiate(node, 1, 0)
+
+
+def test_an_unknown_operator_node_is_not_an_expression():
+    node = BinOp("%", Coord(1, 0), Coord(2, 0))
+    with pytest.raises(TypeError, match="not an expression node"):
+        to_source(node)
     with pytest.raises(TypeError, match="not an expression node"):
         evaluate(node, np.zeros((2, 4)))
     with pytest.raises(TypeError, match="not an expression node"):
@@ -294,7 +348,7 @@ def test_param_prints_by_name_but_evaluates_bound_value():
 
 
 def test_negative_constant_roundtrip():
-    expr = Mul(Const(-2.0 + 0j), Coord(1, 0))
+    expr = BinOp("*", Const(-2.0 + 0j), Coord(1, 0))
     printed = to_source(expr)
     coords = np.ones((2, 4))
     assert evaluate(parse(printed), coords) == evaluate(expr, coords) == -2.0
@@ -325,8 +379,8 @@ _LEAVES = st.one_of(
 def _branches(children):
     return st.one_of(
         st.builds(Neg, children),
-        *(st.builds(node, children, children)
-          for node in (Add, Sub, Mul, Div)),
+        *(st.builds(BinOp, st.just(op), children, children)
+          for op in dsl._OPERATORS),
         st.builds(Pow, children, st.integers(0, 3)),
         st.builds(Call, st.sampled_from(FUNCTIONS), children))
 
@@ -339,29 +393,6 @@ _POINTS = st.lists(st.floats(-1.5, 1.5), min_size=8, max_size=8).map(
     lambda values: np.reshape(values, (2, 4)))
 
 
-def _to_sympy(expr):
-    match expr:
-        case Const(value) | Param(_, value):
-            return sympy.Float(value.real) + sympy.I * sympy.Float(value.imag)
-        case Coord(k, mu):
-            return _SYMBOLS[(k, mu)]
-        case Neg(arg):
-            return -_to_sympy(arg)
-        case Add(left, right):
-            return _to_sympy(left) + _to_sympy(right)
-        case Sub(left, right):
-            return _to_sympy(left) - _to_sympy(right)
-        case Mul(left, right):
-            return _to_sympy(left) * _to_sympy(right)
-        case Div(left, right):
-            return _to_sympy(left) / _to_sympy(right)
-        case Pow(base, exponent):
-            return _to_sympy(base) ** exponent
-        case Call(func, arg):
-            return getattr(sympy, func)(_to_sympy(arg))
-    raise TypeError(expr)
-
-
 def _children(expr):
     return [getattr(expr, name) for name in ("arg", "left", "right", "base")
             if hasattr(expr, name)]
@@ -370,7 +401,7 @@ def _children(expr):
 def _well_conditioned(expr, coords) -> bool:
     """Every denominator and sqrt argument is away from its singularity."""
     match expr:
-        case Div(_, right):
+        case BinOp("/", _, right):
             if abs(evaluate(right, coords)) < 0.1:
                 return False
         case Call("sqrt", arg):
@@ -402,10 +433,11 @@ def test_differentiate_matches_sympy(expr, coords, data):
     with np.errstate(all="ignore"):
         assume(_well_conditioned(expr, coords))
     got = _finite_value(differentiate(expr, direction.k, direction.mu), coords)
-    symbolic = sympy.diff(_to_sympy(expr),
+    symbolic = sympy.diff(to_sympy(expr),
                           _SYMBOLS[(direction.k, direction.mu)])
     subs = {_SYMBOLS[(j, nu)]: float(coords[j - 1, nu])
-            for j in (1, 2) for nu in range(4)}
+            for j in (1, 2) for nu in range(4)} | {
+        sympy.Symbol(name): value for name, value in _PARAMS.items()}
     expected = complex(symbolic.evalf(subs=subs))
     assert abs(got - expected) <= 1e-8 * (1 + abs(expected))
 

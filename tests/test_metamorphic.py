@@ -21,6 +21,12 @@ leave its reports unchanged, or change them in a known way.
   residual is round-off.
 * Classify against check: a pure gauge is consistent, so a pair that
   classify_interaction calls GAUGE_REMOVABLE is CONSISTENT at its probes.
+* Spin-free pairs (Petrat and Tumulka, J. Math. Phys. 55, 032302, 2014):
+  with V_k = f_k 1 a pair is consistent exactly when it is a pure gauge
+  of the two times plus fields of each particle's own coordinates, so
+  check reads CONSISTENT exactly when classify reads GAUGE_REMOVABLE.
+* Exponential form: a hoho pair that check finds consistent obeys every
+  exponential_form_residual condition at the same samples.
 """
 from __future__ import annotations
 
@@ -38,8 +44,8 @@ from mtdirac.cli import _collect_params, entry
 from mtdirac.clifford import tensor_element
 from mtdirac.consistency import CC_SECTORS, check_consistency
 from mtdirac.clifford import field_norm
-from mtdirac.dsl import ZERO, Add, Call, Const, Coord, Mul, Sub, \
-    differentiate, evaluate
+from mtdirac.dsl import ZERO, BinOp, Call, Const, Coord, differentiate, \
+    evaluate
 from mtdirac.potential import (
     BUILTIN_SYSTEMS,
     FIELD_NAMES,
@@ -57,7 +63,8 @@ from mtdirac.potential import (
     to_coefficient_form,
 )
 from mtdirac.symmetry import GAUGE_REMOVABLE, ConfigGrid, \
-    classify_interaction, make_translation, poincare_residual
+    classify_interaction, exponential_form_residual, make_translation, \
+    poincare_residual
 
 # label: (builtin name, --param NAME=VALUE pairs)
 _BUILTINS = {
@@ -189,28 +196,32 @@ def test_a_stack_reports_the_max_over_its_halves(name, region, rng):
                             for key in whole.cc}
 
 
-def _linear_form(draw) -> object:
-    """a x1_mu + b x2_nu + c, a form in both particles' coordinates."""
+def _linear_form(draw, particles=(1, 2), top=3) -> object:
+    """a xJ_mu + b xK_nu + c for (J, K) = particles and mu, nu <= top; by
+    default a form in both particles' coordinates."""
     a, b, c = (draw(st.floats(-1.5, 1.5)) for _ in range(3))
-    mu, nu = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    return Add(Add(Mul(Const(a), Coord(1, mu)), Mul(Const(b), Coord(2, nu))),
-               Const(c))
+    mu, nu = draw(st.integers(0, top)), draw(st.integers(0, top))
+    j, k = particles
+    return BinOp("+", BinOp("+", BinOp("*", Const(a), Coord(j, mu)),
+                            BinOp("*", Const(b), Coord(k, nu))), Const(c))
 
 
 @st.composite
-def _smooth_functions(draw) -> object:
+def _smooth_functions(draw, particles=(1, 2), top=3) -> object:
     """Sums of one to three products of one or two of sin, cos and exp of
     linear forms."""
     def factor():
         return Call(draw(st.sampled_from(["sin", "cos", "exp"])),
-                    _linear_form(draw))
+                    _linear_form(draw, particles, top))
 
     def monomial():
-        return factor() if draw(st.booleans()) else Mul(factor(), factor())
+        if draw(st.booleans()):
+            return factor()
+        return BinOp("*", factor(), factor())
 
     expr = monomial()
     for _ in range(draw(st.integers(0, 2))):
-        expr = Add(expr, monomial())
+        expr = BinOp("+", expr, monomial())
     return expr
 
 
@@ -220,7 +231,7 @@ _GAUGE_SAMPLES = sample_configs(200, np.random.default_rng(7))
 def _with_gauge(coefficients: CoefficientSet, theta) -> CoefficientSet:
     """W1 += d_1 theta and W2 += d_2 theta, component by component."""
     return replace(coefficients, **{
-        name: tuple(Add(w, differentiate(theta, k, mu))
+        name: tuple(BinOp("+", w, differentiate(theta, k, mu))
                     for mu, w in enumerate(coefficients.field(name)))
         for name, k in (("W1", 1), ("W2", 2))})
 
@@ -286,8 +297,12 @@ def _relative_functions(draw) -> object:
     """sin, cos or exp of a (x2_mu - x1_mu) + b (x2_nu - x1_nu) + c."""
     a, b, c = (draw(st.floats(-1.5, 1.5)) for _ in range(3))
     mu, nu = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    form = Add(Add(Mul(Const(a), Sub(Coord(2, mu), Coord(1, mu))),
-                   Mul(Const(b), Sub(Coord(2, nu), Coord(1, nu)))), Const(c))
+
+    def relative(weight, index):
+        return BinOp("*", Const(weight),
+                     BinOp("-", Coord(2, index), Coord(1, index)))
+
+    form = BinOp("+", BinOp("+", relative(a, mu), relative(b, nu)), Const(c))
     return Call(draw(st.sampled_from(["sin", "cos", "exp"])), form)
 
 
@@ -344,3 +359,54 @@ def test_gauge_removable_is_consistent_at_the_probes(system):
     if classify_interaction(system).verdict == GAUGE_REMOVABLE:
         report = check_consistency(system, ConfigGrid().probes())
         assert report.verdict == "CONSISTENT"
+
+
+def _spin_free(f1, f2, masses) -> MultiTimeSystem:
+    """V_k = f_k 1: W1_0 = f1 and W2_0 = f2, every other field zero."""
+    fields = {name: (ZERO,) * 4 for name in FIELD_NAMES} | {
+        "W1": (f1, ZERO, ZERO, ZERO), "W2": (f2, ZERO, ZERO, ZERO)}
+    return coefficient_set_to_system(CoefficientSet(**fields), masses)
+
+
+_MASSES = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0))
+_TIME_GAUGES = _smooth_functions(top=0)  # theta(x1_0, x2_0)
+_SPIN_FREE_PAIRS = {
+    "own particle": st.builds(_spin_free, _smooth_functions((1, 1)),
+                              _smooth_functions((2, 2)), _MASSES),
+    "pure gauge": st.builds(
+        lambda theta, masses: _spin_free(differentiate(theta, 1, 0),
+                                         differentiate(theta, 2, 0), masses),
+        _TIME_GAUGES, _MASSES),
+    "both particles": st.builds(_spin_free, _smooth_functions(),
+                                _smooth_functions(), _MASSES),
+}
+
+
+@pytest.mark.parametrize("family", list(_SPIN_FREE_PAIRS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_spin_free_pair_is_consistent_exactly_when_gauge_removable(
+        family, data):
+    system = data.draw(_SPIN_FREE_PAIRS[family])
+    report = check_consistency(system, ConfigGrid().probes())
+    removable = classify_interaction(system).verdict == GAUGE_REMOVABLE
+    assert (report.verdict == "CONSISTENT") == removable
+
+
+_EXPONENTIAL_SAMPLES = sample_configs(50, np.random.default_rng(13))
+_COMPLEX = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(big_c=st.tuples(*[_COMPLEX] * 4),
+       small_c=st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+       masses=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)))
+def test_a_consistent_hoho_pair_obeys_the_exponential_form(big_c, small_c,
+                                                           masses):
+    system = make_builtin("hoho", {"C": big_c, "c": small_c,
+                                   "m1": masses[0], "m2": masses[1]})
+    report = check_consistency(system, _EXPONENTIAL_SAMPLES)
+    if report.verdict == "CONSISTENT":
+        residual = exponential_form_residual(
+            to_coefficient_form(system), system.masses, _EXPONENTIAL_SAMPLES)
+        assert max(residual.values()) < report.tol

@@ -21,7 +21,7 @@ from mtdirac.consistency import (
     check_consistency,
     to_coefficient_form,
 )
-from mtdirac.dsl import Const, Mul
+from mtdirac.dsl import BinOp, Const
 from mtdirac.potential import (
     FIELD_NAMES,
     DomainError,
@@ -1051,7 +1051,7 @@ def _conjugate_system(system: MultiTimeSystem, theta: float, rep) -> MultiTimeSy
             for element, value in decompose(matrix, 2, rep).items():
                 if abs(value) > 1e-14:
                     terms.append(PotentialTerm(
-                        element, Mul(Const(value), term.coefficient)))
+                        element, BinOp("*", Const(value), term.coefficient)))
         mass_matrix = system.mass(k) * embed(rep.gammas[0], k, 2)
         shift = big_u @ mass_matrix @ big_u_inv - mass_matrix
         for element, value in decompose(shift, 2, rep).items():
