@@ -41,6 +41,7 @@ from .clifford import build_dirac_rep, build_weyl_rep, commutator_table, \
 from .consistency import check_consistency
 from .dsl import DslEvaluationError, DslParseError
 from .potential import (
+    BUILTIN_SYSTEMS,
     CoefficientFormError,
     DomainError,
     MultiTimeSystem,
@@ -354,8 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--spec", metavar="FILE",
                         help="JSON system description")
     source.add_argument("--builtin", metavar="NAME",
-                        help="builtin system (free, hoho, example1_vector, "
-                             "coefficient_form, coulomb_like)")
+                        help=f"builtin system ({', '.join(BUILTIN_SYSTEMS)})")
     source.add_argument("--param", action="append", default=[],
                         metavar="NAME=VALUE",
                         help="builtin parameter; repeatable; values may be "

@@ -82,8 +82,14 @@ class GammaRep:
         object.__setattr__(self, "basis", basis.reshape(4, 4, 4, 4))
 
 
-def _finalize_rep(name: str, gammas) -> GammaRep:
-    gammas = np.asarray(gammas, dtype=complex)
+_EYE2, _ZERO2 = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
+
+
+def _rep_with_gamma0(name: str, gamma0: np.ndarray) -> GammaRep:
+    """The representation with this gamma^0 and the spatial gamma^a that
+    the Dirac and Weyl representations share; gamma5 and alpha^mu follow."""
+    gammas = np.stack([gamma0, *(np.block([[_ZERO2, s], [-s, _ZERO2]])
+                                 for s in _SIGMA)])
     gamma5 = 1j * gammas[0] @ gammas[1] @ gammas[2] @ gammas[3]
     alphas = np.stack([gammas[0] @ gammas[mu] for mu in range(4)])
     return GammaRep(name=name, gammas=gammas, gamma5=gamma5, alphas=alphas)
@@ -91,24 +97,14 @@ def _finalize_rep(name: str, gammas) -> GammaRep:
 
 def build_dirac_rep() -> GammaRep:
     """Standard (Dirac-Pauli) representation: gamma^0 diagonal."""
-    eye2 = np.eye(2, dtype=complex)
-    zero2 = np.zeros((2, 2), dtype=complex)
-    gamma0 = np.block([[eye2, zero2], [zero2, -eye2]])
-    spatial = [
-        np.block([[zero2, _SIGMA[a]], [-_SIGMA[a], zero2]]) for a in range(3)
-    ]
-    return _finalize_rep("dirac", [gamma0] + spatial)
+    return _rep_with_gamma0(
+        "dirac", np.block([[_EYE2, _ZERO2], [_ZERO2, -_EYE2]]))
 
 
 def build_weyl_rep() -> GammaRep:
     """Chiral (Weyl) representation: gamma5 diagonal."""
-    eye2 = np.eye(2, dtype=complex)
-    zero2 = np.zeros((2, 2), dtype=complex)
-    gamma0 = np.block([[zero2, eye2], [eye2, zero2]])
-    spatial = [
-        np.block([[zero2, _SIGMA[a]], [-_SIGMA[a], zero2]]) for a in range(3)
-    ]
-    return _finalize_rep("weyl", [gamma0] + spatial)
+    return _rep_with_gamma0(
+        "weyl", np.block([[_ZERO2, _EYE2], [_EYE2, _ZERO2]]))
 
 
 # The structure constants, shared by every representation (Pauli's theorem)
@@ -224,6 +220,14 @@ def tensor_element(*factors: BasisElement) -> TensorBasisElement:
     return TensorBasisElement(tuple(factors))
 
 
+def on_particle(element: BasisElement, k: int,
+                n_particles: int) -> TensorBasisElement:
+    """element on factor k (1-based) of N factors, the identity on the others."""
+    return TensorBasisElement(tuple(
+        element if i == k else IDENTITY_ELEMENT
+        for i in range(1, n_particles + 1)))
+
+
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The Kronecker product of two square matrices."""
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(
@@ -278,9 +282,8 @@ OperatorField = dict[TensorBasisElement, np.ndarray]
 
 def unit_field(element: BasisElement, k: int,
                n_particles: int) -> OperatorField:
-    """{element on factor k (1-based), identity on the others: 1}."""
-    return {tensor_element(*(element if i == k else IDENTITY_ELEMENT
-                             for i in range(1, n_particles + 1))): 1.0}
+    """{on_particle(element, k, n_particles): 1}."""
+    return {on_particle(element, k, n_particles): 1.0}
 
 
 def field_sum(*terms: tuple[complex, OperatorField]) -> OperatorField:
@@ -398,51 +401,31 @@ def commutator_table(rep: GammaRep) -> list[tuple[str, np.ndarray, float]]:
     """All commutators [alpha^a, B] against their closed forms.
 
     Returns one (description, commutator matrix, residual) triple per
-    concrete (a, B) instance, covering the eight identity families:
+    concrete (a, B) instance.  Each B is X alpha^mu or X gamma^mu with
+    X in {1, gamma5}, and the closed forms are two rules:
 
-        [alpha^a, alpha^0]        = 0
-        [alpha^a, alpha^b]        = 2i eps_abc gamma5 alpha^c
-        [alpha^a, gamma5 alpha^0] = 0
-        [alpha^a, gamma5 alpha^b] = 2i eps_abc alpha^c
-        [alpha^a, gamma^0]        = -2 gamma^a
-        [alpha^a, gamma^b]        = -2 delta_ab gamma^0
-        [alpha^a, gamma5 gamma^0] = -2 gamma5 gamma^a
-        [alpha^a, gamma5 gamma^b] = -2 delta_ab gamma5 gamma^0
+        [alpha^a, X alpha^b] = 2i eps_abc (gamma5 X) alpha^c
+                               ([alpha^a, X alpha^0] = 0)
+        [alpha^a, X gamma^0] = -2 X gamma^a,
+        [alpha^a, X gamma^b] = -2 delta_ab X gamma^0
     """
-    g5 = rep.gamma5
     rows: list[tuple[str, np.ndarray, float]] = []
-
-    def expected(b: BasisElement, a: int) -> np.ndarray:
-        zero = np.zeros((4, 4), dtype=complex)
-        if b.cls is BasisClass.ALPHA:
-            if b.mu == 0:
-                return zero
-            out = zero.copy()
-            for c in (1, 2, 3):
-                eps = EPSILON3[a - 1, b.mu - 1, c - 1]
-                if eps:
-                    out += 2j * eps * (g5 @ rep.alphas[c])
-            return out
-        if b.cls is BasisClass.G5ALPHA:
-            if b.mu == 0:
-                return zero
-            out = zero.copy()
-            for c in (1, 2, 3):
-                eps = EPSILON3[a - 1, b.mu - 1, c - 1]
-                if eps:
-                    out += 2j * eps * rep.alphas[c]
-            return out
-        if b.cls is BasisClass.GAMMA:
-            if b.mu == 0:
-                return -2.0 * rep.gammas[a]
-            return -2.0 * rep.gammas[0] if b.mu == a else zero
-        if b.mu == 0:
-            return -2.0 * (g5 @ rep.gammas[a])
-        return -2.0 * (g5 @ rep.gammas[0]) if b.mu == a else zero
-
     for a in (1, 2, 3):
         for element, mat in basis16(rep):
+            b = element.mu
+            x = (rep.gamma5 if element.cls in (BasisClass.G5ALPHA,
+                                               BasisClass.G5GAMMA)
+                 else rep.alphas[0])
+            if element.cls in (BasisClass.ALPHA, BasisClass.G5ALPHA):
+                expected = sum(
+                    (2j * EPSILON3[a - 1, b - 1, c - 1] * rep.gamma5 @ x
+                     @ rep.alphas[c] for c in (1, 2, 3) if b),
+                    np.zeros((4, 4), complex))
+            elif b == 0:
+                expected = -2.0 * x @ rep.gammas[a]
+            else:
+                expected = -2.0 * (a == b) * x @ rep.gammas[0]
             actual = commutator(rep.alphas[a], mat)
-            residual = frobenius(actual - expected(element, a))
-            rows.append((f"[alpha{a}, {element.label()}]", actual, residual))
+            rows.append((f"[alpha{a}, {element.label()}]", actual,
+                         frobenius(actual - expected)))
     return rows

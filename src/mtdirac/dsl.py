@@ -20,6 +20,7 @@ row of ``_OPERATORS``: its evaluation, derivative rule and rendering.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -484,7 +485,7 @@ def is_constant(expr: Expr) -> bool:
 def _format_const(value: complex) -> tuple[str, int]:
     re_, im = value.real, value.imag
     if im == 0:
-        if re_ >= 0:
+        if math.copysign(1.0, re_) > 0:  # -0.0 renders with its sign
             return repr(re_), _PREC_ATOM
         return repr(re_), _PREC_EXPR
     if re_ == 0:

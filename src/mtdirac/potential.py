@@ -32,6 +32,7 @@ from .clifford import (
     TensorBasisElement,
     field_norm,
     field_sum,
+    on_particle,
     reconstruct,
     square_sign,
     tensor_element,
@@ -450,14 +451,6 @@ def _masses(params: Mapping) -> tuple[float, float]:
     return tuple(_real(params.get(name, 1.0), name) for name in ("m1", "m2"))
 
 
-def _particle1(element: BasisElement) -> TensorBasisElement:
-    return tensor_element(element, IDENTITY_ELEMENT)
-
-
-def _particle2(element: BasisElement) -> TensorBasisElement:
-    return tensor_element(IDENTITY_ELEMENT, element)
-
-
 def build_free(params: Mapping | None = None) -> MultiTimeSystem:
     """Two non-interacting Dirac particles."""
     params = dict(params or {})
@@ -482,14 +475,12 @@ def build_example1_vector(params: Mapping | None = None) -> MultiTimeSystem:
     vec_b = _as_fourvector(params.get("B", (0, 0, 0, 0)), "B")
     masses = _masses(params)
 
-    terms_1 = tuple(
-        PotentialTerm(_particle2(BasisElement(BasisClass.ALPHA, mu)),
-                      Const(vec_a[mu]))
-        for mu in range(4) if vec_a[mu] != 0)
-    terms_2 = tuple(
-        PotentialTerm(_particle1(BasisElement(BasisClass.ALPHA, mu)),
-                      Const(vec_b[mu]))
-        for mu in range(4) if vec_b[mu] != 0)
+    # alpha^mu of the other particle: outside the coefficient form
+    terms_1, terms_2 = (
+        tuple(PotentialTerm(
+            on_particle(BasisElement(BasisClass.ALPHA, mu), other, 2),
+            Const(vec[mu])) for mu in range(4) if vec[mu] != 0)
+        for other, vec in ((2, vec_a), (1, vec_b)))
     hermitian = all(v.imag == 0 for v in vec_a + vec_b)
     return MultiTimeSystem(
         name="example1_vector", n_particles=2, masses=masses,
@@ -509,11 +500,13 @@ def _relative_phase(coeffs: Sequence[complex]) -> Expr:
 
 def build_hoho(params: Mapping | None = None) -> MultiTimeSystem:
     """Exactly consistent interacting pair built from a relative-coordinate
-    exponential.
+    exponential, in the coefficient form:
 
-    V_1 = C_mu gamma1^mu cos(phi) - i C_mu gamma5_1 gamma1^mu sin(phi)
-          - m1 gamma0_1,      phi = 2 c.(x2 - x1),
-    V_2 = c_nu gamma5_1 alpha_2^nu.
+        A_mu = C_mu cos(phi) - m1 delta_mu0,   B_mu = -i C_mu sin(phi),
+        Y2_nu = c_nu,                          phi = 2 c.(x2 - x1),
+
+    that is V_1 = C_mu gamma1^mu cos(phi) - i C_mu gamma5_1 gamma1^mu
+    sin(phi) - m1 gamma0_1 and V_2 = c_nu gamma5_1 alpha_2^nu.
 
     With real C_0, c and imaginary spatial C the potentials are
     hermitian; the defaults C = c = (1, 0, 0, 0) qualify.
@@ -525,37 +518,21 @@ def build_hoho(params: Mapping | None = None) -> MultiTimeSystem:
     masses = _masses(params)
 
     phase = _relative_phase(small_c)
-    cos_phase = Call("cos", phase)
-    sin_phase = Call("sin", phase)
-
-    terms_1: list[PotentialTerm] = []
-    for mu in range(4):
-        if big_c[mu] == 0:
-            continue
-        terms_1.append(PotentialTerm(
-            _particle1(BasisElement(BasisClass.GAMMA, mu)),
-            BinOp("*", Const(big_c[mu]), cos_phase)))
-        terms_1.append(PotentialTerm(
-            _particle1(BasisElement(BasisClass.G5GAMMA, mu)),
-            BinOp("*", Const(-1j * big_c[mu]), sin_phase)))
-    terms_1.append(PotentialTerm(
-        _particle1(BasisElement(BasisClass.GAMMA, 0)),
-        Const(complex(-masses[0]))))
-
-    terms_2 = tuple(
-        PotentialTerm(
-            tensor_element(GAMMA5_ELEMENT, BasisElement(BasisClass.ALPHA, nu)),
-            Const(small_c[nu]))
-        for nu in range(4) if small_c[nu] != 0)
-
+    cos_phase, sin_phase = Call("cos", phase), Call("sin", phase)
+    field_a = [BinOp("*", Const(c), cos_phase) if c != 0 else ZERO
+               for c in big_c]
+    field_b = [BinOp("*", Const(-1j * c), sin_phase) if c != 0 else ZERO
+               for c in big_c]
+    field_a[0] = _add(field_a[0], Const(complex(-masses[0])))
+    fields = {"A": tuple(field_a), "B": tuple(field_b),
+              "Y2": tuple(map(Const, small_c))}
     hermitian = (big_c[0].imag == 0
                  and all(c.real == 0 for c in big_c[1:])
                  and all(c.imag == 0 for c in small_c))
-    return MultiTimeSystem(
-        name="hoho", n_particles=2, masses=masses,
-        potentials=(Potential(1, 2, tuple(terms_1)),
-                    Potential(2, 2, terms_2)),
-        hermitian=hermitian)
+    return coefficient_set_to_system(
+        CoefficientSet(**{name: fields.get(name, (ZERO,) * 4)
+                          for name in FIELD_NAMES}),
+        masses, name="hoho", hermitian=hermitian)
 
 
 def _coefficient(item, what: str, n_particles: int,

@@ -43,7 +43,7 @@ from .clifford import (
     field_commutator,
     field_norm,
     field_sum,
-    tensor_element,
+    unit_field,
 )
 from .consistency import _cc_sups, _curvature_parts, _sup_norm
 from .dsl import BinOp, DslEvaluationError, Expr, differentiate, evaluate, \
@@ -245,8 +245,9 @@ def poincare_residual(system: MultiTimeSystem,
                 defect = field_sum((1, here), (-1, conjugated))
                 worst[t] = np.maximum(worst[t], np.max(
                     field_norm(defect, system.n_particles), initial=0.0))
-        _require_finite({f"poincare_residual({t.name})": sup for t, sup in
-                         zip(transforms, worst)}, "the sampled configurations")
+        for transform, sup in zip(transforms, worst):  # names may repeat
+            _require_finite({f"poincare_residual({transform.name})": sup},
+                            "the sampled configurations")
         return worst.tolist()
     except (DomainError, SpecError, DslEvaluationError):
         if len(transforms) > 1:  # the earliest transform's own error
@@ -360,10 +361,9 @@ def interaction_witness_hoho(system: MultiTimeSystem) -> float:
 def _witness(system: MultiTimeSystem) -> float:
     """The witness's commutator norm, for a pair known to be in the family."""
     coords = stack_coords(np.zeros((2, 4)))
-    mass_term = {tensor_element(BasisElement(BasisClass.GAMMA, 0),
-                                IDENTITY_ELEMENT): 1.0}
     v_1 = field_sum((1, operator_field(system.potential(1), coords)),
-                    (system.mass(1), mass_term))
+                    (system.mass(1),
+                     unit_field(BasisElement(BasisClass.GAMMA, 0), 1, 2)))
     v_2 = operator_field(system.potential(2), coords)
     value = float(field_norm(field_commutator(v_2, v_1), 2))
     _require_finite({"interaction_witness": value},

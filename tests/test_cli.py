@@ -1079,6 +1079,20 @@ def test_non_finite_residual_is_named(capsys, argv, residual):
     assert f"non-finite residual in {residual}" in captured.err
 
 
+
+def test_a_non_finite_translation_residual_is_named(capsys):
+    # classify sweeps five translations, all named "translation"; the
+    # first of them overflows at seed 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = entry(["classify", "--builtin", "coefficient_form",
+                      "--param", "A=x2_0^400,0,0,0"])
+    assert code == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("non-finite residual in poincare_residual(translation)"
+            in captured.err)
+
 @pytest.mark.parametrize("params,residual", [
     (["A=exp(800*x1_0),0,0,0"], "gamma_sector_sup"),
     (["Y2=1e200,0,0,0", "A=exp(300*x1_0),0,0,0"], "ode_A"),

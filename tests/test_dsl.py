@@ -360,6 +360,20 @@ def test_complex_constant_roundtrip():
     assert evaluate(parse(printed), np.zeros((2, 4))) == (1 + 2j) ** 2
 
 
+@pytest.mark.parametrize("value", [complex(-0.0, 0.0), -0j])
+def test_signed_zero_constant_roundtrip(value):
+    # a zero real part with its sign bit set renders as a negative number,
+    # so the power applies to it and not to its magnitude
+    expr = Pow(Const(value), 2)
+    printed = to_source(expr)
+    assert printed == "(-0.0)^2"
+    got = evaluate(parse(printed), np.zeros((2, 4)))
+    expected = evaluate(expr, np.zeros((2, 4)))
+    assert got == expected == 0
+    assert np.signbit([got.real, got.imag]).tolist() == \
+        np.signbit([expected.real, expected.imag]).tolist() == [False, False]
+
+
 # ---------------------------------------------------------------------------
 # Property tests against sympy
 # ---------------------------------------------------------------------------
@@ -370,7 +384,8 @@ _PARAMS = {"a": 0.75 + 0.5j, "b": -1.25 + 0j}
 
 _LEAVES = st.one_of(
     st.sampled_from([Const(value) for value in
-                     (0j, 1 + 0j, 2 + 0j, -1.5 + 0j, 0.5j, 0.25 - 0.75j)]),
+                     (0j, 1 + 0j, 2 + 0j, -1.5 + 0j, 0.5j, 0.25 - 0.75j,
+                      complex(-0.0, 0.0), -0j)]),
     st.builds(Coord, st.sampled_from((1, 2)), st.integers(0, 3)),
     st.sampled_from([Param(name, value) for name, value in _PARAMS.items()]),
 )

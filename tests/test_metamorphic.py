@@ -15,7 +15,9 @@ leave its reports unchanged, or change them in a known way.
 * Pure gauge: adding d_1 theta to W1 and d_2 theta to W2 commutes with
   every coefficient-form structure of the other particle, and the mixed
   second derivatives it adds to E(1,2) cancel, so every sup moves by
-  round-off only; the gauge alone classifies as GAUGE_REMOVABLE.
+  round-off only; the gauge alone classifies as GAUGE_REMOVABLE, and a
+  gauge of theta = sin(sum_ij M_ij x1_i x2_j / 4) alone, whose mixed
+  derivatives reach every pair of components, is also CONSISTENT.
 * Translation: a system whose coefficients depend on x2 - x1 alone takes
   the same values at translated configurations, so its translation
   residual is round-off.
@@ -289,6 +291,27 @@ def test_a_pure_gauge_leaves_coefficient_form_residuals(system, theta):
 def test_a_pure_gauge_alone_is_gauge_removable(theta):
     empty = CoefficientSet(**{name: (ZERO,) * 4 for name in FIELD_NAMES})
     system = coefficient_set_to_system(_with_gauge(empty, theta))
+    assert classify_interaction(system).verdict == GAUGE_REMOVABLE
+
+
+def _bilinear_gauge(matrix) -> object:
+    """sin(sum_ij M_ij x1_i x2_j / 4) for the 4x4 matrix M, row by row."""
+    terms = [BinOp("*", BinOp("*", Const(complex(m)), Coord(1, i)),
+                   Coord(2, j))
+             for (i, j), m in np.ndenumerate(np.reshape(matrix, (4, 4)))]
+    form = terms[0]
+    for term in terms[1:]:
+        form = BinOp("+", form, term)
+    return Call("sin", BinOp("/", form, Const(4 + 0j)))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(matrix=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16))
+def test_a_bilinear_pure_gauge_is_consistent_and_gauge_removable(matrix):
+    empty = CoefficientSet(**{name: (ZERO,) * 4 for name in FIELD_NAMES})
+    system = coefficient_set_to_system(
+        _with_gauge(empty, _bilinear_gauge(matrix)))
+    assert check_consistency(system, _GAUGE_SAMPLES).verdict == "CONSISTENT"
     assert classify_interaction(system).verdict == GAUGE_REMOVABLE
 
 

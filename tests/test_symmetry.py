@@ -496,6 +496,21 @@ def test_sweep_error_order_follows_the_transforms(rng):
                           samples)
 
 
+
+def test_same_named_transforms_are_each_checked():
+    # the first translation's residual overflows and the second's does
+    # not, so a check keyed by the name alone would see only the second
+    system = make_builtin("coefficient_form", {"A": ("x2_0^400", 0, 0, 0)})
+    samples = sample_configs(100, np.random.default_rng(0))
+    sweep = [make_translation((2, 0, 0, 0)), make_translation((0.1, 0, 0, 0))]
+    assert [t.name for t in sweep] == ["translation", "translation"]
+    for transforms in (sweep, sweep[:1]):
+        with pytest.raises(DomainError, match=r"non-finite residual in "
+                           r"poincare_residual\(translation\) at the "
+                           "sampled configurations"):
+            poincare_residual(system, transforms, samples)
+    assert np.isfinite(poincare_residual(system, sweep[1:], samples)[0])
+
 # ---------------------------------------------------------------------------
 # Interaction witness
 # ---------------------------------------------------------------------------
