@@ -28,20 +28,20 @@ step's kernel matmul overwrites.
 
 On a time-only leg (no z in V_k's nonzero coefficients or guards, read
 from the expression trees) each half-step phase multiplies out to one
-16x16 P, the identity where V_k vanishes, so a step is the kernel
-P K(kappa) P, one GEMM of the free class's per-mode coefficients against
-P{I, alpha3_k, gamma0_k}P, and the leg is the per-mode product
-P_m K P_m ... P_1 K P_1, one matmul per mode along z_k in the joint
-Fourier space of (z_1, z_2).  V_k is evaluated once per leg on the stack
-of its midpoint times, every step's midpoint checked; a failure raises
-the earliest failing step's error.  A zero V_k builds no phase: its leg
-takes K alone.  A time-only leg leaves its state in Fourier space, and a
-product state holds its factors, whose 1-D FFTs give psi0^, so neither
-chained time-only steps nor a time-only experiment take a 2-D FFT;
-distances go by Parseval, ||a - b|| = spacing ||a^ - b^|| / n, in blocks
-of rows.  A time-only leg updates a state that an earlier leg of its
-call made in place, so an experiment peaks at psi0^ plus one (n, n, 16)
-array per evolution order.
+16x16 P, the identity where V_k vanishes, so a step is the per-mode
+kernel P K(kappa) P, one GEMM of the free class's coefficients against
+P{I, alpha3_k, gamma0_k}P, and a leg is the kernels' product, applied
+in the joint Fourier space of (z_1, z_2), where it leaves the state.
+V_k is evaluated once per leg on the stack of its midpoint times; a
+failure raises the earliest failing step's error.  A kernel the same at
+every step (K for a zero V_k, P K P for a constant one) is raised to
+the step count by repeated squaring.  A product state keeps its factors
+g_1 x g_2 x spin: a first leg on it gives u x g^_other, u = g^_k (run @
+spin), and norms, distances (by Parseval, ||a - b|| = spacing ||a^ -
+b^|| / n) and curvature norms read its rows from them, a block at a
+time.  Later legs update their call's state in place, so a time-only
+experiment takes no 2-D FFT, forms neither psi0 nor psi0^ and holds one
+(n, n, 16) array per evolution order.
 
 Two experiments probe the compatibility of the pair of evolutions:
 
@@ -59,7 +59,7 @@ Two experiments probe the compatibility of the pair of evolutions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import Sequence
 
 import numpy as np
@@ -117,19 +117,23 @@ class Grid:
         return 2 * np.pi * np.fft.fftfreq(self.points, self.spacing)
 
 
-def _row_blocks(values: np.ndarray) -> list[slice]:
-    """Slices of the leading axis, about 512 KiB of values each."""
-    rows = max(1, (1 << 19) * len(values) // max(values.nbytes, 1))
-    return [slice(i, i + rows) for i in range(0, len(values), rows)]
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of the leading axis of (n, n, 16) values, 512 KiB each."""
+    rows = max(1, 2048 // n)
+    return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
-def _l2(values: np.ndarray, spacing: float, minus=None) -> float:
-    """||values - minus||, or ||values||, a block of rows at a time."""
-    total = 0.0
-    for rows in _row_blocks(values):
-        block = values[rows] if minus is None else values[rows] - minus[rows]
-        total += np.sum(np.abs(block) ** 2)
-    return float(np.sqrt(total * spacing * spacing))
+def _l2(grid: Grid, block, minus=None) -> float:
+    """||a - b||, or ||a||, a block a[rows] = block(rows), b[rows] =
+    minus(rows) at a time, squared by parts in one scratch buffer."""
+    total, blocks = 0.0, _row_blocks(grid.points)
+    scratch = np.empty((blocks[0].stop, grid.points, 16), complex)
+    for rows in blocks:
+        values = block(rows)
+        squares = np.subtract(values, 0 if minus is None else minus(rows),
+                              out=scratch[:len(values)]).view(float)
+        total += np.sum(np.square(squares, out=squares))
+    return float(np.sqrt(total * grid.spacing * grid.spacing))
 
 
 class WaveFunction:
@@ -139,7 +143,8 @@ class WaveFunction:
     space (`values`), in the joint Fourier space, or both, handed out as
     read-only views, so no edit leaves the other stale; the missing space
     is formed once, when first asked for, by a 2-D FFT or, in a product
-    state, from its factors (g_1, g_2, spin).  Nothing is copied.
+    state, from its factors (g_1, g_2, spin).  Nothing is copied.  `_rows`
+    reads a block of rows, a product state's from its factors alone.
     """
 
     def __init__(self, grid: Grid, times: tuple[float, float],
@@ -154,16 +159,25 @@ class WaveFunction:
         psi._known, psi._factors = list(known), factors
         return psi
 
+    def _factors_in(self, spectral: bool) -> tuple:
+        """(g_1, g_2, spin), in Fourier space with the g_k's 1-D DFTs."""
+        g1, g2, spin = self._factors
+        return (*(map(np.fft.fft, (g1, g2)) if spectral else (g1, g2)), spin)
+
+    def _rows(self, spectral: bool, rows: slice) -> np.ndarray:
+        """Rows of either space: a held array's, else formed from factors."""
+        if self._known[spectral] is not None or self._factors is None:
+            return self._space(spectral)[rows]
+        g1, g2, spin = self._factors_in(spectral)
+        return np.multiply.outer(np.multiply.outer(g1[rows], g2), spin)
+
     def _space(self, spectral: bool) -> np.ndarray:
         if self._known[spectral] is None:
             if self._factors is None:
                 transform = np.fft.fft2 if spectral else np.fft.ifft2
                 held = transform(self._known[not spectral], axes=(0, 1))
             else:
-                g1, g2, spin = self._factors
-                if spectral:  # the DFT of a separable array factors too
-                    g1, g2 = np.fft.fft(g1), np.fft.fft(g2)
-                held = np.multiply.outer(np.multiply.outer(g1, g2), spin)
+                held = self._rows(spectral, slice(None))
             self._known[spectral] = held
         held = self._known[spectral].view()
         held.flags.writeable = False
@@ -179,8 +193,9 @@ class WaveFunction:
             sums = [np.sum(np.abs(factor) ** 2) for factor in self._factors]
             spacing = self.grid.spacing
             return float(np.sqrt(np.prod(sums) * spacing * spacing))
-        return _l2(self.values if mask is None else self.values[mask],
-                   self.grid.spacing)
+        return _l2(self.grid, lambda rows: np.where(
+            True if mask is None else mask[rows, :, None],
+            self._rows(False, rows), 0))
 
     def distance(self, other: "WaveFunction") -> float:
         """||self - other||; by Parseval, spacing ||a^ - b^|| / n, when
@@ -188,8 +203,8 @@ class WaveFunction:
         spectral = all(psi._known[1] is not None or psi._factors is not None
                        for psi in (self, other))
         n = self.grid.points if spectral else 1
-        return _l2(self._space(spectral), self.grid.spacing,
-                   other._space(spectral)) / n
+        return _l2(self.grid, partial(self._rows, spectral),
+                   partial(other._rows, spectral)) / n
 
 
 def gaussian_profile(grid: Grid, width: float = 1.0, center: float = 0.0,
@@ -293,23 +308,27 @@ def _class_factors(field: OperatorField,
     return factors
 
 
-def _class_matrix(cos, terms: OperatorField,
-                  around: np.ndarray | None = None) -> np.ndarray:
+def _class_basis(cos, terms: OperatorField) -> tuple:
+    """A class's coefficients (..., m) and its basis [I, B_1, ...]."""
+    return (np.stack(np.broadcast_arrays(cos, *terms.values()), -1),
+            np.stack([np.eye(16), *(realize(b, DIRAC) for b in terms)]))
+
+
+def _class_matrix(weights, basis, around=None, out=None) -> np.ndarray:
     """A (cos + sum_i w_i B_i) A, (..., 16, 16), for A = around or I: one
-    GEMM of the coefficients against the basis A [I, B_1, ...] A."""
-    basis = np.stack([np.eye(16), *(realize(b, DIRAC) for b in terms)])
+    GEMM of _class_basis's weights against A [I, B_1, ...] A, into out."""
     if around is not None:
         basis = around @ basis @ around
-    weights = np.stack(np.broadcast_arrays(cos, *terms.values()), -1)
-    return (weights @ basis.reshape(len(basis), 256)).reshape(
-        *weights.shape[:-1], 16, 16)
+    shape = weights.shape[:-1]
+    return np.matmul(weights, basis.reshape(len(basis), 256), out=None if (
+        out is None) else out.reshape(*shape, 256)).reshape(*shape, 16, 16)
 
 
 def _multiply_out(phase) -> np.ndarray:
     """The class factors' product, (..., 16, 16); dense matrices as is."""
     if isinstance(phase, np.ndarray):
         return phase
-    return reduce(np.matmul, [_class_matrix(cos, terms)
+    return reduce(np.matmul, [_class_matrix(*_class_basis(cos, terms))
                               for cos, terms in phase])
 
 
@@ -428,7 +447,7 @@ def _apply_kernel(values: np.ndarray, particle: int, kernel: np.ndarray,
     kernel = kernel.swapaxes(-1, -2)
     if spectral:
         out = values if owned else np.empty_like(values)
-        for rows in _row_blocks(values):
+        for rows in _row_blocks(len(values)):
             out[rows] = values[rows] @ kernel[rows]
     else:
         out = np.fft.ifft(np.matmul(np.fft.fft(values, axis=0), kernel,
@@ -441,15 +460,17 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
     """Strang steps from psi through (particle, dt, count) legs.
 
     A time-only leg evaluates V_k once, on the stack of its midpoint
-    times, composes its kernels P K P (P = I where V_k vanishes, K alone
-    when V_k is zero) and applies the product in the joint Fourier space,
-    where it leaves the state; a grid leg builds each step's phase in
-    turn, in position space, and takes each free step between an FFT and
-    an inverse FFT along z_k.  A time-only leg updates in place only a
-    state an earlier leg of this call made: psi is never written.
+    times, and multiplies its kernels P K P (P = I where V_k vanishes, K
+    alone when V_k is zero) in buffers of its own, or raises the one
+    kernel of all its steps to their count by repeated squaring; it
+    applies the product in the joint Fourier space, where it leaves the
+    state, to a product state as u x g^_other.  A grid leg builds each
+    step's phase in turn, in position space, and takes each free step
+    between an FFT and an inverse FFT along z_k.  A time-only leg updates
+    in place only a state an earlier leg of this call made: psi is never
+    written.
     """
-    grid, times = psi.grid, list(psi.times)
-    own = False  # whether a leg of this call made psi, so may overwrite it
+    grid, times, given = psi.grid, list(psi.times), psi
     for particle, dt, count in legs:
         if not count:
             continue
@@ -459,15 +480,15 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
             (system.mass(particle), unit_field(_GAMMA0, particle, 2)))
         [(cos, terms)] = _class_factors(
             hamiltonian, [list(hamiltonian)], dt, f"dt H_{particle}")
-        free = _class_matrix(cos, terms)
+        weights, basis = _class_basis(cos, terms)
         if _on_grid(system.potential(particle)):
+            free = _class_matrix(weights, basis)
             for _ in range(count):
                 phase = _potential_phase(system, particle, times, dt, grid)
                 times[particle - 1] += dt
                 psi = WaveFunction(grid, tuple(times), _apply_phase(
                     phase, _apply_kernel(_apply_phase(phase, psi.values),
                                          particle, free)))
-            own = True
             continue
         # the same repeated += as step by step, so each time is bit-exact
         starts, stack = [], list(times)
@@ -475,7 +496,7 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
             starts.append(times[particle - 1])
             times[particle - 1] += dt
         stack[particle - 1] = np.reshape(starts, (-1, 1, 1))
-        kernel, phases = free, ()
+        phases = ()
         if not system.potential(particle).is_zero():
             try:
                 phases = _multiply_out(_potential_phase(
@@ -486,18 +507,26 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
                     stack[particle - 1] = start
                     _potential_phase(system, particle, stack, dt, grid)
                 raise
-        run = spare = None
-        for s in range(count):
-            if s < len(phases):  # one phase, or one per step
-                kernel = _class_matrix(cos, terms, phases[s])
-            # two buffers of the leg's own hold the product: no step
-            # allocates one
-            run, spare = ((kernel.copy(), None) if run is None
-                          else (np.matmul(kernel, run, out=spare), run))
-        psi._space(True)  # held as psi._known[1]
-        psi = WaveFunction._holding(grid, tuple(times), [None, _apply_kernel(
-            psi._known[1], particle, run, True, own)])
-        own = True
+        if len(phases) > 1:  # each step's kernel into the leg's own buffers
+            run = _class_matrix(weights, basis, phases[0])
+            kernel, spare = np.empty_like(run), np.empty_like(run)
+            for phase in phases[1:]:
+                run, spare = np.matmul(_class_matrix(
+                    weights, basis, phase, kernel), run, out=spare), run
+        else:  # one kernel for every step: its power by repeated squaring
+            run = np.linalg.matrix_power(
+                _class_matrix(weights, basis, *phases), count)
+        if psi._known[1] is None and psi._factors is not None:
+            # run (g^_1 x g^_2 x spin) = u x g^_other, u = g^_k (run @ spin)
+            g = psi._factors_in(True)
+            u = g[particle - 1][:, None] * (run @ g[2])
+            held = (u[:, None] * g[1][:, None] if particle == 1
+                    else g[0][:, None, None] * u)
+        else:
+            psi._space(True)  # held as psi._known[1]
+            held = _apply_kernel(psi._known[1], particle, run, True,
+                                 psi is not given)
+        psi = WaveFunction._holding(grid, tuple(times), [None, held])
     return psi
 
 
@@ -673,37 +702,47 @@ def holonomy_series(system: MultiTimeSystem, psi0: WaveFunction,
 # Curvature oracle on the grid
 # ---------------------------------------------------------------------------
 
-def _spectral_derivative(values: np.ndarray, grid: Grid,
-                         axis: int) -> np.ndarray:
-    kappa = grid.momenta()
-    shape = [1, 1, 1]
-    shape[axis] = grid.points
-    spectral = np.fft.fft(values, axis=axis)
-    spectral *= (1j * kappa).reshape(shape)
-    return np.fft.ifft(spectral, axis=axis)
+def _spectral_derivative(psi: WaveFunction, particle: int) -> WaveFunction:
+    """d psi / d z_k by FFT: of g_k alone in a product state, else whole."""
+    def dz(values: np.ndarray, axis: int) -> np.ndarray:
+        kappa = (1j * psi.grid.momenta()).reshape([-1] + [1] * (
+            values.ndim - 1 - axis))
+        return np.fft.ifft(np.fft.fft(values, axis=axis) * kappa, axis=axis)
+    if psi._factors is None:
+        return WaveFunction(psi.grid, psi.times, dz(psi.values, particle - 1))
+    factors = list(psi._factors)
+    factors[particle - 1] = dz(factors[particle - 1], 0)
+    return WaveFunction._holding(psi.grid, psi.times, [None, None], factors)
+
+
+def _curvature_rows(system: MultiTimeSystem, psi: WaveFunction):
+    """rows -> (F psi)[rows] at psi's times, from rows of psi and of its
+    z-derivatives: only those act in the line model, as the transverse
+    first-order parts multiply derivatives the state does not carry."""
+    n = psi.grid.points
+    operator = curvature_operator(system, _grid_coords(psi.grid, *psi.times))
+    parts = [(operator.zeroth, psi)] + [
+        (operator.first[(k, 3)], _spectral_derivative(psi, k)) for k in (1, 2)
+        if any(np.any(value) for value in operator.first[(k, 3)].values())]
+
+    def rows_of(rows: slice) -> np.ndarray:
+        out = np.zeros((len(range(n)[rows]), n, 16), complex)
+        for field, state in parts:
+            _add_terms(out, {b: np.broadcast_to(w, (n, n))[rows]
+                             for b, w in field.items()},
+                       state._rows(False, rows))
+        return out
+    return rows_of
 
 
 def apply_curvature(system: MultiTimeSystem, psi: WaveFunction) -> np.ndarray:
-    """Evaluate (F psi) on the grid at psi's times.
-
-    Only the z-derivative parts of the first-order coefficients act in
-    the line model; the transverse ones multiply derivatives the state
-    does not carry.
-    """
-    grid = psi.grid
-    operator = curvature_operator(system, _grid_coords(grid, *psi.times))
-    out = _add_terms(np.zeros_like(psi.values), operator.zeroth, psi.values)
-    for particle in (1, 2):
-        first = operator.first[(particle, 3)]
-        if any(np.any(value) for value in first.values()):
-            derivative = _spectral_derivative(psi.values, grid, particle - 1)
-            out = _add_terms(out, first, derivative)
-    return out
+    """Evaluate (F psi) on the grid at psi's times, all rows at once."""
+    return _curvature_rows(system, psi)(slice(None))
 
 
 def curvature_norm(system: MultiTimeSystem, psi: WaveFunction) -> float:
     """||F psi|| on the grid — the holonomy experiment's reference value."""
-    return _l2(apply_curvature(system, psi), psi.grid.spacing)
+    return _l2(psi.grid, _curvature_rows(system, psi))
 
 
 def spacelike_mask(grid: Grid, t1: float, t2: float) -> np.ndarray:

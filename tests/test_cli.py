@@ -1020,6 +1020,23 @@ def test_python_dash_m_runs(tmp_path):
     assert envelope["report"]["zeroth_sup"] == 0.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["--builtin", "hoho", "--dt", "0.1,0.05,0.025", "--T", "0.5"],
+    ["--builtin", "example1_vector", "--delta", "0.08,0.04,0.02"],
+], ids=["path independence", "loop holonomy"])
+def test_simulate_stdout_does_not_depend_on_blas_threads(argv):
+    """The time-only simulate reports are byte-identical with one BLAS
+    thread and with two: no sum the report reads is split by thread."""
+    src = str(Path(mtdirac.__file__).resolve().parents[1])
+    outputs = [subprocess.run(
+        [sys.executable, "-m", "mtdirac", "simulate", *argv],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+        capture_output=True, check=False) for threads in ("1", "2")]
+    assert [done.returncode for done in outputs] == [0, 0]
+    assert outputs[0].stdout == outputs[1].stdout
+    assert json.loads(outputs[0].stdout)["report"]["rows"]
+
+
 # ---------------------------------------------------------------------------
 # non-finite numbers and flag validation
 # ---------------------------------------------------------------------------

@@ -408,7 +408,7 @@ def test_class_matrix_matches_phase_free_phase(hermitian, particle, dt,
     if hermitian:
         phase = phase + phase.conj().T
     cos, terms = _free_class(particle, masses[particle - 1], dt)
-    got = solver._class_matrix(cos, terms, phase)
+    got = solver._class_matrix(*solver._class_basis(cos, terms), phase)
     want = reference_kernel(phase, (cos, terms))
     assert got.shape == want.shape == (Grid().points, 16, 16)
     scale = np.linalg.norm(want, axis=(-2, -1))
@@ -420,7 +420,8 @@ def test_class_matrix_without_a_phase_is_the_outer_sum_kernel():
     basis entries are 0, +-1 and +-i, so every product is exact."""
     cos, terms = _free_class(1, 1.5, 0.1)
     want = reference_kernel(np.eye(16), (cos, terms))
-    assert np.array_equal(solver._class_matrix(cos, terms), want)
+    assert np.array_equal(
+        solver._class_matrix(*solver._class_basis(cos, terms)), want)
 
 
 def _random_field(rng, count: int, shape: tuple) -> dict:
@@ -617,6 +618,98 @@ def test_time_only_legs_take_no_single_steps(monkeypatch):
     assert calls == {"_potential_phase": 2 * 3}
 
 
+@pytest.mark.parametrize("name, particle", [("hoho", 2), ("free", 1)])
+def test_constant_leg_by_repeated_squaring_matches_chained_steps(
+        name, particle, dirac, monkeypatch):
+    """hoho's V_2 is constant and free's V_1 zero, so a 20-step leg raises
+    one kernel to the 20th power by repeated squaring: it matches 20
+    chained steps and 20 chained reference steps to 1e-13 on ||psi0|| = 1,
+    in both directions."""
+    system = make_builtin(name)
+    psi = _oracle_state()
+    calls = _counted(monkeypatch, np.linalg, ["matrix_power"])
+    for dt in (0.05, -0.05):
+        calls.clear()
+        fused = evolve_path(psi, [Leg(particle, 1.0, 0.05, round(dt / 0.05))],
+                            system)
+        assert calls == {"matrix_power": 1}
+        chained = psi
+        for _ in range(20):
+            chained = step(chained, particle, dt, system)
+        expected = _reference_path(psi, [(particle, dt, 20)], system, dirac)
+        assert fused.times == chained.times == expected.times
+        assert fused.distance(chained) <= 1e-13
+        assert fused.distance(expected) <= 1e-13
+        assert fused.distance(psi) > 0.1
+
+
+@pytest.mark.parametrize("particle", [1, 2])
+@pytest.mark.parametrize("name", ["hoho", "free"])
+def test_first_leg_from_factors_matches_the_formed_state(name, particle,
+                                                         monkeypatch):
+    """A time-only leg on a product state takes u x g^_other from its
+    factors, with no per-mode matmul over the grid, and matches the same
+    leg on a copy holding the formed psi0^ to 1e-14."""
+    system = make_builtin(name)
+    psi = product_state(Grid(points=32), spinor1=(0.6, 0.2j, -0.5, 0.3),
+                        spinor2=(0.1, 0.7, 0.4j, -0.2), centers=(0.7, -1.1),
+                        momenta=(0.8, -0.5), times=(0.3, -0.2))
+    formed = WaveFunction._holding(psi.grid, psi.times, [None, psi._holding(
+        psi.grid, psi.times, [None, None], psi._factors)._space(True)])
+    path = [Leg(particle, 0.3, 0.1)]
+    calls = _counted(monkeypatch, solver, ["_apply_kernel"])
+    from_factors = evolve_path(psi, path, system)
+    assert not calls and psi._known == [None, None]
+    reference = evolve_path(formed, path, system)
+    assert calls == {"_apply_kernel": 1}
+    assert from_factors.times == reference.times
+    assert from_factors._known[0] is None and reference._known[0] is None
+    assert from_factors.distance(reference) <= 1e-14
+    assert from_factors.distance(psi) > 0.01
+
+
+@pytest.mark.parametrize("points", [48, 96])
+def test_rows_are_slices_of_the_formed_spaces(points):
+    """Rows read from a product state's factors, block by block, equal the
+    formed spaces' rows bit for bit, the last block (a partial one at
+    these sizes) included, and no space is formed to read them."""
+    blocks = solver._row_blocks(points)
+    assert [rows.stop - rows.start for rows in blocks[-2:]] != [
+        blocks[0].stop] * 2  # the last block is partial
+    psi = product_state(Grid(points=points), spinor1=(0.6, 0.2j, -0.5, 0.3),
+                        centers=(0.7, -1.1), momenta=(0.8, -0.5))
+    formed = psi._holding(psi.grid, psi.times, [None, None], psi._factors)
+    for spectral in (False, True):
+        whole = formed._space(spectral)
+        read = [psi._rows(spectral, rows) for rows in blocks]
+        assert psi._known == [None, None]
+        for rows, block in zip(blocks, read):
+            assert block.tobytes() == whole[rows].tobytes()
+        assert np.concatenate(read).tobytes() == whole.tobytes()
+
+
+def test_a_grid_phase_loop_series_forms_psi0_once(monkeypatch):
+    """The grid-phase coefficient_form loop series forms psi0's position
+    values once, for its first grid leg; the curvature norm then reads
+    psi0's rows from its factors and forms no (n, n, 16) array of it."""
+    builds = []
+    rows_of = WaveFunction._rows
+
+    def counting(self, spectral, rows):
+        from_factors = (self._known[spectral] is None
+                        and self._factors is not None)
+        block = rows_of(self, spectral, rows)
+        if from_factors and block.shape == (64, 64, 16):
+            builds.append(spectral)
+        return block
+    monkeypatch.setattr(WaveFunction, "_rows", counting)
+    assert entry(["simulate", "--builtin", "coefficient_form",
+                  "--param", "W1=0,0,0,0.5*cos(x1_3 - x2_3)",
+                  "--param", "E=0.5*sin(x1_3 + x2_3),0,0,0",
+                  "--grid-n", "64", "--delta", "0.2,0.1,0.05"]) == EXIT_OK
+    assert len(builds) <= 1
+
+
 def _particle1_system(coefficient: str, structure=None, guards=(),
                       hermitian: bool = False) -> MultiTimeSystem:
     """V_1 = coefficient on structure (gamma0 x 1), V_2 = 0."""
@@ -786,13 +879,15 @@ def test_leg_memory_does_not_grow_with_its_steps():
 
 
 def test_time_only_experiments_hold_one_array_per_state():
-    """At n = 128 a time-only path-independence run holds psi0^ and one
-    (n, n, 16) array per order, each leg after the first updating it in
-    place, and distances take blocks of rows: its warmed peak stays within
-    4 states (3.66 measured, 5.53 when every leg and distance allocated a
-    full array).  A loop series holds psi0^ and one loop state, and the
-    curvature norm after it psi0's values, its output and one scratch
-    product: within 3.3 states (3.01 measured, 4.50 before)."""
+    """At n = 128 a time-only path-independence run holds one (n, n, 16)
+    array per order: the first leg writes it from psi0's factors, later
+    legs update it in place, and distances read blocks of rows, psi0's
+    from its factors, so neither psi0 nor psi0^ is formed; its warmed
+    peak stays within 2.79 states (2.54 measured, 3.66 when psi0^ was
+    formed, 5.53 when every leg and distance allocated a full array).  A
+    loop series holds one loop state, and the curvature norm after it
+    reads psi0's rows and F psi0's a block at a time: within 1.45 states
+    (1.33 measured, 3.01 when both formed psi0 whole)."""
     state_bytes = 128 ** 2 * 16 * 16
     hoho, vector = make_builtin("hoho"), make_builtin("example1_vector")
 
@@ -805,7 +900,7 @@ def test_time_only_experiments_hold_one_array_per_state():
         holonomy_series(vector, psi, [0.08, 0.04, 0.02])
         curvature_norm(vector, psi)
 
-    for run, states in ((orders, 4.0), (loops, 3.3)):
+    for run, states in ((orders, 2.79), (loops, 1.45)):
         run()  # warm: parse and compile caches are not the run's
         assert _traced_peak(run) <= states * state_bytes
 
@@ -859,8 +954,8 @@ def test_chained_steps_match_chained_reference_steps(label, dirac):
         out = step(out, particle, dt, system)
     expected = _reference_path(psi, legs, system, dirac)
     assert out.times == expected.times
-    assert solver._l2(out.values - expected.values,
-                      psi.grid.spacing) <= 1e-13
+    assert np.sqrt(np.sum(np.abs(out.values - expected.values) ** 2)) \
+        * psi.grid.spacing <= 1e-13
 
 
 def test_distance_in_fourier_space_is_the_position_distance(monkeypatch):
@@ -1065,6 +1160,30 @@ def test_apply_curvature_uses_first_order_parts(grid, psi0, dirac):
     zeroth_only = np.einsum("ij,...j->...i",
                             reconstruct(operator.zeroth, 2, dirac), psi0.values)
     assert np.max(np.abs(image - zeroth_only)) > 0.01
+
+
+def test_curvature_from_factors_matches_the_formed_state():
+    """F psi0 from a product state's factors, its z-derivatives taken on
+    g_1 and g_2 alone, matches F applied to a copy holding psi0's values
+    only, whose derivatives are taken whole: with d/dz_1 and d/dz_2 parts
+    both present, to 1e-13 on ||psi0|| = 1, and the norm read a block of
+    rows at a time is the norm of the whole image."""
+    system = make_builtin("example1_vector", {"A": (0, 1.0, 0, 0),
+                                              "B": (0, 0, 1.0, 0)})
+    psi = product_state(Grid(points=48), spinor1=(0.6, 0.2j, -0.5, 0.3),
+                        spinor2=(0.1, 0.7, 0.4j, -0.2), centers=(0.7, -1.1),
+                        momenta=(0.8, -0.5))
+    formed = WaveFunction(psi.grid, psi.times, psi._holding(
+        psi.grid, psi.times, [None, None], psi._factors).values)
+    image, reference = (apply_curvature(system, state)
+                        for state in (psi, formed))
+    assert psi._known == [None, None]
+    spacing = psi.grid.spacing
+    assert np.sqrt(np.sum(np.abs(image - reference) ** 2)) * spacing <= 1e-13
+    whole = np.sqrt(np.sum(np.abs(reference) ** 2)) * spacing
+    assert whole > 1.0
+    for state in (psi, formed):
+        assert abs(curvature_norm(system, state) - whole) <= 1e-13 * whole
 
 
 def test_fitted_slope_handles_degenerate_rows():
