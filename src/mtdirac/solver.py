@@ -36,10 +36,12 @@ V_k is evaluated once per leg on the stack of its midpoint times; a
 failure raises the earliest failing step's error.  A kernel the same at
 every step (K for a zero V_k, P K P for a constant one) is raised to
 the step count by repeated squaring.  A product state keeps its factors
-g_1 x g_2 x spin: a first leg on it gives u x g^_other, u = g^_k (run @
-spin), and norms, distances (by Parseval, ||a - b|| = spacing ||a^ -
-b^|| / n) and curvature norms read its rows from them, a block at a
-time.  Later legs update their call's state in place, so a time-only
+g_1 x g_2 x spin: a time-only leg on it applies each kernel to the
+(n, 16) spinor field u_k = g^_k spin alone, a time-only leg on the
+other particle applies its product to u_k x g^_other by one GEMM, and
+norms, distances (by Parseval, ||a - b|| = spacing ||a^ - b^|| / n) and
+curvature norms read its rows from its factors, a block at a time.
+Later legs update their call's state in place, so a time-only
 experiment takes no 2-D FFT, forms neither psi0 nor psi0^ and holds one
 (n, n, 16) array per evolution order.
 
@@ -460,17 +462,29 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
     """Strang steps from psi through (particle, dt, count) legs.
 
     A time-only leg evaluates V_k once, on the stack of its midpoint
-    times, and multiplies its kernels P K P (P = I where V_k vanishes, K
-    alone when V_k is zero) in buffers of its own, or raises the one
-    kernel of all its steps to their count by repeated squaring; it
+    times, and builds its kernels P K P (P = I where V_k vanishes, K alone
+    when V_k is zero) in a buffer of its own, or one for all its steps.
+    On a product state holding no Fourier array it applies each to the
+    spinor field u_k = g^_k spin, one batched matvec a step, and keeps
+    u_k x g^_other factored: a time-only leg on particle k continues u_k,
+    one on the other particle writes the (n, n, 16) array by one GEMM, a
+    grid leg or the end of the call forms it.  On any other state it
+    multiplies its kernels, the one kernel by repeated squaring, and
     applies the product in the joint Fourier space, where it leaves the
-    state, to a product state as u x g^_other.  A grid leg builds each
-    step's phase in turn, in position space, and takes each free step
-    between an FFT and an inverse FFT along z_k.  A time-only leg updates
-    in place only a state an earlier leg of this call made: psi is never
-    written.
+    state.  A grid leg builds each step's phase in turn, in position
+    space, and takes each free step between an FFT and an inverse FFT
+    along z_k.  A time-only leg updates in place only a state an earlier
+    leg of this call made: psi is never written.
     """
     grid, times, given = psi.grid, list(psi.times), psi
+    factored = None  # (k, u_k, g^_other) of a product state's first legs
+
+    def formed() -> WaveFunction:
+        k, u, other = factored
+        held = (u[:, None] * other[:, None] if k == 1
+                else other[:, None, None] * u)
+        return WaveFunction._holding(grid, tuple(times), [None, held])
+
     for particle, dt, count in legs:
         if not count:
             continue
@@ -482,6 +496,8 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
             hamiltonian, [list(hamiltonian)], dt, f"dt H_{particle}")
         weights, basis = _class_basis(cos, terms)
         if _on_grid(system.potential(particle)):
+            if factored is not None:
+                psi, factored = formed(), None
             free = _class_matrix(weights, basis)
             for _ in range(count):
                 phase = _potential_phase(system, particle, times, dt, grid)
@@ -507,27 +523,40 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
                     stack[particle - 1] = start
                     _potential_phase(system, particle, stack, dt, grid)
                 raise
-        if len(phases) > 1:  # each step's kernel into the leg's own buffers
-            run = _class_matrix(weights, basis, phases[0])
-            kernel, spare = np.empty_like(run), np.empty_like(run)
-            for phase in phases[1:]:
-                run, spare = np.matmul(_class_matrix(
-                    weights, basis, phase, kernel), run, out=spare), run
-        else:  # one kernel for every step: its power by repeated squaring
-            run = np.linalg.matrix_power(
-                _class_matrix(weights, basis, *phases), count)
-        if psi._known[1] is None and psi._factors is not None:
-            # run (g^_1 x g^_2 x spin) = u x g^_other, u = g^_k (run @ spin)
+        if len(phases) > 1:  # each step's kernel into the leg's own buffer
+            buffer = np.empty((grid.points, 16, 16), complex)
+            kernels = (_class_matrix(weights, basis, phase, buffer)
+                       for phase in phases)
+        else:  # one kernel for every step
+            kernels = iter([_class_matrix(weights, basis, *phases)] * count)
+        if factored is None and psi._known[1] is None \
+                and psi._factors is not None:
             g = psi._factors_in(True)
-            u = g[particle - 1][:, None] * (run @ g[2])
-            held = (u[:, None] * g[1][:, None] if particle == 1
-                    else g[0][:, None, None] * u)
+            factored = (particle, g[particle - 1][:, None] * g[2],
+                        g[2 - particle])
+        if factored is not None and factored[0] == particle:
+            # a batched matvec a step (a loop variable would pin a kernel)
+            u = reduce(lambda u, kernel: (kernel @ u[..., None])[..., 0],
+                       kernels, factored[1])
+            factored = (particle, u, factored[2])
+            continue
+        if len(phases) > 1:
+            run, spare = next(kernels).copy(), np.empty_like(buffer)
+            for kernel in kernels:
+                run, spare = np.matmul(kernel, run, out=spare), run
+        else:  # its power by repeated squaring
+            run = np.linalg.matrix_power(next(kernels), count)
+        if factored is not None:  # (g^_j run) u_k in (z_1, z_2, spin) order
+            (_, u, other), factored = factored, None
+            run *= other[:, None, None]  # run is the leg's own
+            held = (np.matmul(u, run.swapaxes(-1, -2)) if particle == 1 else
+                    (u @ run.reshape(-1, 16).T).reshape(len(u), -1, 16))
         else:
             psi._space(True)  # held as psi._known[1]
             held = _apply_kernel(psi._known[1], particle, run, True,
                                  psi is not given)
         psi = WaveFunction._holding(grid, tuple(times), [None, held])
-    return psi
+    return psi if factored is None else formed()
 
 
 def step(psi: WaveFunction, particle: int, dt: float,

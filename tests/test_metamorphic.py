@@ -29,6 +29,10 @@ leave its reports unchanged, or change them in a known way.
   check reads CONSISTENT exactly when classify reads GAUGE_REMOVABLE.
 * Exponential form: a hoho pair that check finds consistent obeys every
   exponential_form_residual condition at the same samples.
+* Holonomy against curvature: a square loop of side delta deviates from
+  psi0 by delta^2 ||F psi0|| to leading order, so the solver's loops
+  converge to the curvature builder's norm, and a pair whose steps act on
+  separate particles returns psi0 to round-off.
 """
 from __future__ import annotations
 
@@ -43,13 +47,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtdirac.cli import _collect_params, entry
-from mtdirac.clifford import tensor_element
+from mtdirac.clifford import IDENTITY_ELEMENT, tensor_element
 from mtdirac.consistency import CC_SECTORS, check_consistency
 from mtdirac.clifford import field_norm
 from mtdirac.dsl import ZERO, BinOp, Call, Const, Coord, differentiate, \
     evaluate
 from mtdirac.potential import (
     BUILTIN_SYSTEMS,
+    COEFFICIENT_LAYOUT,
     FIELD_NAMES,
     CoefficientSet,
     MultiTimeSystem,
@@ -64,6 +69,8 @@ from mtdirac.potential import (
     stack_coords,
     to_coefficient_form,
 )
+from mtdirac.solver import Grid, curvature_norm, holonomy_series, \
+    product_state
 from mtdirac.symmetry import GAUGE_REMOVABLE, ConfigGrid, \
     classify_interaction, exponential_form_residual, make_translation, \
     poincare_residual
@@ -433,3 +440,76 @@ def test_a_consistent_hoho_pair_obeys_the_exponential_form(big_c, small_c,
         residual = exponential_form_residual(
             to_coefficient_form(system), system.masses, _EXPONENTIAL_SAMPLES)
         assert max(residual.values()) < report.tol
+
+
+def _line_function(rng, readable) -> object:
+    """One or two products of one or two sines or cosines of linear forms
+    a xJ_mu + b xK_nu + c, (J, mu) and (K, nu) drawn from `readable`."""
+    def factor():
+        (j, mu), (k, nu) = (readable[i] for i in rng.integers(len(readable),
+                                                              size=2))
+        a, b, c = (Const(complex(v)) for v in rng.uniform(-1.5, 1.5, 3))
+        form = BinOp("+", BinOp("+", BinOp("*", a, Coord(j, mu)),
+                                BinOp("*", b, Coord(k, nu))), c)
+        return Call(str(rng.choice(["sin", "cos"])), form)
+
+    def monomial():
+        return factor() if rng.random() < 0.5 else BinOp("*", factor(),
+                                                         factor())
+    return monomial() if rng.random() < 0.5 else BinOp("+", monomial(),
+                                                       monomial())
+
+
+def _line_system(rng) -> MultiTimeSystem:
+    """One to three coefficient-form fields, each component zero or a drawn
+    function of x_k0 and x_k3 alone: V_1's read the times only, so every
+    loop starts with a time-only leg, and V_2's read z too.  In about a
+    third of the draws the pair is separated: each field acts on its own
+    particle's spin and reads its own particle's coordinates."""
+    separated = rng.random() < 0.3
+    names = [name for name, (_, _, other) in COEFFICIENT_LAYOUT.items()
+             if not separated or other == IDENTITY_ELEMENT]
+    fields = {name: (ZERO,) * 4 for name in FIELD_NAMES}
+    for name in rng.choice(names, size=rng.integers(1, 4), replace=False):
+        k = COEFFICIENT_LAYOUT[name][0]
+        readable = [(j, mu) for j in ((k,) if separated else (1, 2))
+                    for mu in ((0,) if k == 1 else (0, 3))]
+        fields[str(name)] = tuple(_line_function(rng, readable)
+                                  if rng.random() < 0.5 else ZERO
+                                  for _ in range(4))
+    return coefficient_set_to_system(CoefficientSet(**fields),
+                                     tuple(rng.uniform(0.0, 2.0, 2)))
+
+
+def test_loop_holonomy_tends_to_the_curvature_norm():
+    """Ten drawn line systems from simulate's psi0 at n = 32 and delta =
+    0.1, 0.05, 0.025.
+
+    The loop's product is 1 - delta^2 F + O(delta^3) with F at the loop's
+    corner, where curvature_norm evaluates it, so r(delta) = deviation /
+    delta^2 = ||F psi0|| + a delta + O(delta^2), and a is in general not
+    0.  Richardson's 2 r(delta / 2) - r(delta) cancels it: where
+    ||F psi0|| >= 0.1 its relative error falls at least 3x per halving
+    (4x asymptotically; 3.85-5.37x measured).  Where F is 0, as for a
+    separated pair, the loop returns psi0 to round-off.  A coefficient
+    form's first-order curvature parts vanish, so this checks F's
+    zeroth-order part against the solver."""
+    rng = np.random.default_rng(18)
+    grid, deltas = Grid(points=32), [0.1, 0.05, 0.025]
+    curved = flat = 0
+    for _ in range(10):
+        system = _line_system(rng)
+        psi0 = product_state(grid)
+        rows = holonomy_series(system, psi0, deltas).rows
+        norm = curvature_norm(system, psi0)
+        if norm == 0:
+            flat += 1
+            assert all(deviation <= 64 * np.finfo(float).eps
+                       for _, deviation, _ in rows)
+        elif norm >= 0.1:
+            curved += 1
+            ratios = [ratio for _, _, ratio in rows]
+            errors = [abs(2 * half - whole - norm) / norm
+                      for whole, half in zip(ratios, ratios[1:])]
+            assert errors[0] >= 3 * errors[1], (norm, ratios)
+    assert curved >= 5 and flat >= 1

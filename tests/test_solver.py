@@ -621,12 +621,13 @@ def test_time_only_legs_take_no_single_steps(monkeypatch):
 @pytest.mark.parametrize("name, particle", [("hoho", 2), ("free", 1)])
 def test_constant_leg_by_repeated_squaring_matches_chained_steps(
         name, particle, dirac, monkeypatch):
-    """hoho's V_2 is constant and free's V_1 zero, so a 20-step leg raises
-    one kernel to the 20th power by repeated squaring: it matches 20
-    chained steps and 20 chained reference steps to 1e-13 on ||psi0|| = 1,
-    in both directions."""
+    """hoho's V_2 is constant and free's V_1 zero, so a 20-step leg on a
+    state holding its values raises one kernel to the 20th power by
+    repeated squaring: it matches 20 chained steps and 20 chained
+    reference steps to 1e-13 on ||psi0|| = 1, in both directions."""
     system = make_builtin(name)
-    psi = _oracle_state()
+    product = _oracle_state()
+    psi = WaveFunction(product.grid, product.times, product.values.copy())
     calls = _counted(monkeypatch, np.linalg, ["matrix_power"])
     for dt in (0.05, -0.05):
         calls.clear()
@@ -643,6 +644,90 @@ def test_constant_leg_by_repeated_squaring_matches_chained_steps(
         assert fused.distance(psi) > 0.1
 
 
+def _formed_copy(psi: WaveFunction) -> WaveFunction:
+    """A state holding psi's formed Fourier values and no factors."""
+    return WaveFunction._holding(psi.grid, psi.times, [None, psi._holding(
+        psi.grid, psi.times, [None, None], psi._factors)._space(True)])
+
+
+@pytest.mark.parametrize("name, particle", [("hoho", 1), ("hoho", 2),
+                                            ("free", 1)])
+def test_product_state_leg_takes_the_spinor_chain(name, particle, dirac,
+                                                  monkeypatch):
+    """On a product state a 20-step time-only leg (hoho's V_1 with a
+    kernel per step, its constant V_2, free's zero V_1) applies each
+    kernel to the (n, 16) spinor field: no repeated squaring and no
+    per-mode matmul over the grid.  It matches the leg on the formed
+    state to 1e-14 and 20 chained reference steps to 1e-13, both ways."""
+    system = make_builtin(name)
+    psi = _oracle_state()
+    formed = _formed_copy(psi)
+    squarings = _counted(monkeypatch, np.linalg, ["matrix_power"])
+    kernels = _counted(monkeypatch, solver, ["_apply_kernel"])
+    for direction in (1, -1):
+        squarings.clear()
+        kernels.clear()
+        path = [Leg(particle, 1.0, 0.05, direction)]
+        fused = evolve_path(psi, path, system)
+        assert not squarings and not kernels and psi._known[1] is None
+        reference = evolve_path(formed, path, system)
+        expected = _reference_path(psi, [(particle, direction * 0.05, 20)],
+                                   system, dirac)
+        assert fused.times == reference.times == expected.times
+        assert fused.distance(reference) <= 1e-14
+        assert fused.distance(expected) <= 1e-13
+        assert fused.distance(psi) > 0.1
+
+
+_TWO_LEG_SYSTEMS = {
+    "hoho": ("hoho", {}),
+    "example1_vector": ("example1_vector", {}),
+    # V_1 varies over the grid: the second leg forms u_2 x g^_1 first
+    "hoho, grid V_1": ("hoho", {"c": (1.0, 0.0, 0.0, 0.5)}),
+    # alpha2 is antisymmetric, so neither particle's P K P is symmetric
+    # and a transposed kernel in either GEMM shows
+    "time-only alpha2 on both": ("coefficient_form", {
+        "W1": (0, 0, "0.5*cos(x1_0 - x2_0)", 0),
+        "W2": (0, 0, "0.4*sin(x1_0 + x2_0)", 0), "hermitian": True}),
+}
+
+
+@pytest.mark.parametrize("particles", [(1, 2), (2, 1), (1, 1), (2, 2)])
+@pytest.mark.parametrize("label", sorted(_TWO_LEG_SYSTEMS))
+def test_two_leg_paths_from_factors_match_the_formed_state(label, particles):
+    """A second leg reads the first's factors: a time-only leg on the
+    other particle writes the state with one GEMM, one on the same
+    particle continues the spinor chain, and a grid leg starts from the
+    formed state; each matches the path on the formed state to 1e-14."""
+    system = make_builtin(*_TWO_LEG_SYSTEMS[label])
+    psi = _oracle_state()
+    path = [Leg(particles[0], 0.3, 0.1), Leg(particles[1], 0.2, 0.1, -1)]
+    from_factors = evolve_path(psi, path, system)
+    reference = evolve_path(_formed_copy(psi), path, system)
+    assert psi._known[1] is None
+    assert from_factors.times == reference.times
+    assert from_factors.distance(reference) <= 1e-14
+    assert from_factors.distance(psi) > 0.01
+
+
+def test_a_two_leg_time_only_path_forms_one_state_array():
+    """At n = 128 a product state's two time-only legs, one per particle,
+    form one (n, n, 16) array: the second leg's GEMM writes it from the
+    first leg's (n, 16) factor.  Beside it the leg holds (n, 16, 16)
+    kernel stacks, an eighth of a state each: within 1.5 states (1.39
+    and 1.40 measured; 1.90 and 1.53 when the first leg formed
+    u x g^_other)."""
+    system = make_builtin("hoho")
+    state_bytes = 128 ** 2 * 16 * 16
+    for particles in ((1, 2), (2, 1)):
+        path = [Leg(particles[0], 0.5, 0.05), Leg(particles[1], 0.5, 0.05)]
+
+        def run():
+            evolve_path(product_state(Grid(points=128)), path, system)
+        run()  # warm
+        assert _traced_peak(run) <= 1.5 * state_bytes
+
+
 @pytest.mark.parametrize("particle", [1, 2])
 @pytest.mark.parametrize("name", ["hoho", "free"])
 def test_first_leg_from_factors_matches_the_formed_state(name, particle,
@@ -654,8 +739,7 @@ def test_first_leg_from_factors_matches_the_formed_state(name, particle,
     psi = product_state(Grid(points=32), spinor1=(0.6, 0.2j, -0.5, 0.3),
                         spinor2=(0.1, 0.7, 0.4j, -0.2), centers=(0.7, -1.1),
                         momenta=(0.8, -0.5), times=(0.3, -0.2))
-    formed = WaveFunction._holding(psi.grid, psi.times, [None, psi._holding(
-        psi.grid, psi.times, [None, None], psi._factors)._space(True)])
+    formed = _formed_copy(psi)
     path = [Leg(particle, 0.3, 0.1)]
     calls = _counted(monkeypatch, solver, ["_apply_kernel"])
     from_factors = evolve_path(psi, path, system)
