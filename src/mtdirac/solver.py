@@ -23,8 +23,9 @@ first built.  The half-step phase is one value, those (..., 16, 16)
 matrices or the list of class factors.  On a grid leg it is applied
 pointwise before the FFT and after the inverse FFT, class factors in
 closed form as sum_i a_i (B_i psi) with no matrix per point, their terms
-accumulated through one scratch buffer into a fresh output that the free
-step's kernel matmul overwrites.
+accumulated through one scratch buffer.  A grid step allocates nothing:
+it works in a workspace of at most four (n, n, 16) buffers, one per
+experiment, and a call's result leaves the workspace as its new state.
 
 On a time-only leg (no z in V_k's nonzero coefficients or guards, read
 from the expression trees) each half-step phase multiplies out to one
@@ -62,6 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial, reduce
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -103,6 +105,8 @@ class Grid:
     points: int = 128
 
     def __post_init__(self):
+        if type(self.points) is bool or not isinstance(self.points, Integral):
+            raise SpecError(f"grid points {self.points!r} is not an integer")
         if not (np.isfinite(self.length) and self.length > 0):
             raise SpecError("grid length must be positive and finite")
         if self.points < 16:
@@ -271,11 +275,11 @@ def _step_coords(grid: Grid, t1: float, t2: float) -> list:
             [t2, 0.0, 0.0, zs[None, :]]]
 
 
-def _add_terms(out: np.ndarray, field: OperatorField,
-               values: np.ndarray) -> np.ndarray:
+def _add_terms(out: np.ndarray, field: OperatorField, values: np.ndarray,
+               product: np.ndarray | None = None) -> np.ndarray:
     """out += sum_i a_i (B_i values) over the field's terms, pointwise, in
-    place: every term goes through one scratch product."""
-    product = np.empty_like(out)
+    place, each through one scratch `product` (else a new one)."""
+    product = np.empty_like(out) if product is None else product
     for structure, weight in field.items():
         np.matmul(values, realize(structure, DIRAC).T, out=product)
         np.multiply(np.asarray(weight)[..., None], product, out=product)
@@ -412,12 +416,34 @@ def _potential_phase(system: MultiTimeSystem, particle: int,
     return _class_factors(potential, classes, dt / 2, f"dt V_{particle} / 2")
 
 
-def _apply_phase(phase, values: np.ndarray) -> np.ndarray:
-    """The phase applied pointwise to (n, n, 16) values, into a new array."""
-    if isinstance(phase, np.ndarray):
-        return np.matmul(phase, values[..., None])[..., 0]
-    for cos, terms in phase:
-        values = _add_terms(values * cos[..., None], terms, values)
+class _Workspace(list):
+    """At most four spare (n, n, 16) buffers for grid steps; a buffer
+    taken and not given back leaves it, as a call's result does."""
+
+    def take(self, shape: tuple) -> np.ndarray:
+        return self.pop() if self else np.empty(shape, complex)
+
+    def give(self, buffer: np.ndarray) -> None:
+        if len(self) < 4:
+            self.append(buffer)
+
+
+def _apply_phase(phase, values: np.ndarray, workspace: _Workspace,
+                 owned: bool) -> np.ndarray:
+    """The phase applied pointwise to (n, n, 16) values, into a workspace
+    buffer: class factors in turn, each through one scratch.  values are
+    never written, and go to the workspace once read when `owned`."""
+    for factor in [phase] if isinstance(phase, np.ndarray) else phase:
+        out, scratch = (workspace.take(values.shape) for _ in range(2))
+        if isinstance(factor, np.ndarray):
+            np.matmul(factor, values[..., None], out=out[..., None])
+        else:
+            _add_terms(np.multiply(values, factor[0][..., None], out=out),
+                       factor[1], values, scratch)  # factor: (cos, terms)
+        workspace.give(scratch)
+        if owned:
+            workspace.give(values)
+        values, owned = out, True
     return values
 
 
@@ -435,30 +461,21 @@ def _check_steps(system: MultiTimeSystem, grid: Grid,
 
 
 def _apply_kernel(values: np.ndarray, particle: int, kernel: np.ndarray,
-                  spectral: bool = False, owned: bool = False) -> np.ndarray:
-    """The (n, 16, 16) kernel per Fourier mode of z_k.
-
-    Values in the joint Fourier space of (z_1, z_2) take it as a per-mode
-    matmul a block of modes at a time, into a new array or, when `owned`,
-    in place; position-space values take it between an FFT and an inverse
-    FFT along z_k, the matmul overwriting them: they are a phase's output.
-    """
+                  owned: bool) -> np.ndarray:
+    """The (n, 16, 16) kernel per Fourier mode of z_k, on values in the
+    joint Fourier space of (z_1, z_2): a per-mode matmul a block of modes
+    at a time, into a new array or, when `owned`, in place."""
     # particle k's grid axis leads, so kernel row x acts on values[x]
-    if particle == 2:
-        values = values.swapaxes(0, 1)
-    kernel = kernel.swapaxes(-1, -2)
-    if spectral:
-        out = values if owned else np.empty_like(values)
-        for rows in _row_blocks(len(values)):
-            out[rows] = values[rows] @ kernel[rows]
-    else:
-        out = np.fft.ifft(np.matmul(np.fft.fft(values, axis=0), kernel,
-                                    out=values), axis=0)
-    return out.swapaxes(0, 1) if particle == 2 else out
+    values, kernel = np.moveaxis(values, particle - 1, 0), kernel.mT
+    out = values if owned else np.empty_like(values)
+    for rows in _row_blocks(len(values)):
+        out[rows] = values[rows] @ kernel[rows]
+    return np.moveaxis(out, 0, particle - 1)
 
 
 def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
-             system: MultiTimeSystem) -> WaveFunction:
+             system: MultiTimeSystem,
+             workspace: _Workspace | None = None) -> WaveFunction:
     """Strang steps from psi through (particle, dt, count) legs.
 
     A time-only leg evaluates V_k once, on the stack of its midpoint
@@ -471,12 +488,13 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
     grid leg or the end of the call forms it.  On any other state it
     multiplies its kernels, the one kernel by repeated squaring, and
     applies the product in the joint Fourier space, where it leaves the
-    state.  A grid leg builds each step's phase in turn, in position
-    space, and takes each free step between an FFT and an inverse FFT
-    along z_k.  A time-only leg updates in place only a state an earlier
-    leg of this call made: psi is never written.
+    state.  A grid leg builds each step's phase in turn and takes each
+    step in position space in the workspace's buffers (the caller's, or
+    this call's).  A leg writes, or gives to the workspace, only a state
+    an earlier leg of this call made, never psi or one the caller holds.
     """
     grid, times, given = psi.grid, list(psi.times), psi
+    workspace = _Workspace() if workspace is None else workspace
     factored = None  # (k, u_k, g^_other) of a product state's first legs
 
     def formed() -> WaveFunction:
@@ -495,16 +513,25 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
         [(cos, terms)] = _class_factors(
             hamiltonian, [list(hamiltonian)], dt, f"dt H_{particle}")
         weights, basis = _class_basis(cos, terms)
+        owned = psi is not given  # an earlier leg of this call made psi
         if _on_grid(system.potential(particle)):
             if factored is not None:
                 psi, factored = formed(), None
-            free = _class_matrix(weights, basis)
-            for _ in range(count):
+            psi._space(False)  # held as psi._known[0]: read, or owned
+            values, axis = psi._known[0], particle - 1
+            free = _class_matrix(weights, basis).mT  # K^T for spin rows
+            for i in range(count):  # phase, FFT, free step, inverse, phase
                 phase = _potential_phase(system, particle, times, dt, grid)
-                times[particle - 1] += dt
-                psi = WaveFunction(grid, tuple(times), _apply_phase(
-                    phase, _apply_kernel(_apply_phase(phase, psi.values),
-                                         particle, free)))
+                times[axis] += dt
+                phased = _apply_phase(phase, values, workspace, owned or i > 0)
+                modes = np.fft.fft(phased, axis=axis,
+                                   out=workspace.take(phased.shape))
+                np.matmul(np.moveaxis(modes, axis, 0), free,
+                          out=np.moveaxis(phased, axis, 0))
+                np.fft.ifft(phased, axis=axis, out=modes)
+                workspace.give(phased)
+                values = _apply_phase(phase, modes, workspace, True)
+            psi = WaveFunction(grid, tuple(times), values)
             continue
         # the same repeated += as step by step, so each time is bit-exact
         starts, stack = [], list(times)
@@ -553,8 +580,7 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
                     (u @ run.reshape(-1, 16).T).reshape(len(u), -1, 16))
         else:
             psi._space(True)  # held as psi._known[1]
-            held = _apply_kernel(psi._known[1], particle, run, True,
-                                 psi is not given)
+            held = _apply_kernel(psi._known[1], particle, run, owned)
         psi = WaveFunction._holding(grid, tuple(times), [None, held])
     return psi if factored is None else formed()
 
@@ -668,12 +694,10 @@ def path_independence_experiment(
     counts = [Leg(1, total_time, dt).steps() for dt in dt_list]
     _check_steps(system, psi0.grid, dt_list)
     start = psi0._holding(psi0.grid, psi0.times, psi0._known, psi0._factors)
-
-    def evolve(dt, count, order):
-        return _advance(start, [(k, dt, count) for k in order], system)
-
-    rows = [(float(dt), evolve(dt, count, (1, 2)).distance(
-        evolve(dt, count, (2, 1)))) for dt, count in zip(dt_list, counts)]
+    evolve = partial(_advance, start, system=system, workspace=_Workspace())
+    rows = [(float(dt), evolve([(1, dt, count), (2, dt, count)]).distance(
+        evolve([(2, dt, count), (1, dt, count)])))
+        for dt, count in zip(dt_list, counts)]
     discrepancies = [r[1] for r in rows]
     order = _fitted_loglog_slope([r[0] for r in rows], discrepancies,
                                  discrepancies, _ROUNDOFF * psi0.norm())
@@ -717,10 +741,11 @@ def holonomy_series(system: MultiTimeSystem, psi0: WaveFunction,
             raise SpecError(f"loop delta {delta!r} is too small: delta^2 "
                             "underflows")
     start = psi0._holding(psi0.grid, psi0.times, psi0._known, psi0._factors)
-    rows = []
+    rows, evolve = [], partial(_advance, start, system=system,
+                               workspace=_Workspace())
     for delta in deltas:
-        loop = [(1, delta, 1), (2, delta, 1), (1, -delta, 1), (2, -delta, 1)]
-        deviation = _advance(start, loop, system).distance(start)
+        deviation = evolve([(1, delta, 1), (2, delta, 1), (1, -delta, 1),
+                            (2, -delta, 1)]).distance(start)
         rows.append((float(delta), deviation, deviation / delta ** 2))
     return HolonomyResult(tuple(rows), _fitted_loglog_slope(
         [r[0] for r in rows], [r[2] for r in rows], [r[1] for r in rows],

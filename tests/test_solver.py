@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import resource
 import tracemalloc
 import warnings
 
@@ -79,6 +80,21 @@ def test_grid_validation():
         Grid(points=8)
     with pytest.raises(SpecError):
         Grid(length=-1.0)
+
+
+@pytest.mark.parametrize("points", [32.5, 64.0, 1e9, True, np.bool_(True),
+                                    np.float64(64), "64", None])
+def test_grid_points_must_be_an_integer(points):
+    """A points that is not an integer is a SpecError when the grid is
+    made, before any array of that size could be: never numpy's
+    ValueError from momenta(), nor a float grid of 1e9 points."""
+    with pytest.raises(SpecError, match="not an integer"):
+        Grid(20.0, points)
+
+
+def test_grid_points_may_be_a_numpy_integer():
+    grid = Grid(20.0, np.int64(16))
+    assert grid.momenta().shape == grid.positions().shape == (16,)
 
 
 def test_product_state_normalized(grid, psi0):
@@ -943,11 +959,12 @@ def _traced_peak(call) -> int:
 
 
 def test_leg_memory_does_not_grow_with_its_steps():
-    """At n = 128 no leg holds a stack over its steps.  A grid step holds
-    its input state while it runs, so a grid leg of two steps or more
-    holds one (n, n, 16) state more than a 1-step leg and a 40-step one
-    peaks within 10% of a 2-step one.  A 200-step time-only leg holds no
-    array of n^2 * count bytes more than a 1-step one."""
+    """At n = 128 no leg holds a stack over its steps.  A grid leg runs
+    every step in the same workspace buffers, so a 2-step leg peaks
+    within one (n, n, 16) state of a 1-step one (0.41 measured; 1.0 when
+    each step allocated its arrays) and a 40-step one within 10% of a
+    2-step one.  A 200-step time-only leg holds no array of n^2 * count
+    bytes more than a 1-step one."""
     def peak(system, count):
         return _traced_peak(lambda: evolve_path(
             product_state(Grid(points=128)), [Leg(1, count * 0.01, 0.01)],
@@ -987,6 +1004,91 @@ def test_time_only_experiments_hold_one_array_per_state():
     for run, states in ((orders, 2.79), (loops, 1.45)):
         run()  # warm: parse and compile caches are not the run's
         assert _traced_peak(run) <= states * state_bytes
+
+
+def _minor_faults(call) -> int:
+    """Minor page faults of this process while call() runs: each page it
+    touches for the first time, those of a fresh allocation included."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    call()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def test_grid_leg_steps_fault_in_no_fresh_pages():
+    """At n = 128, where a state is 1,024 pages, each step of a grid leg
+    beyond the second adds fewer than 100 minor page faults: the steps
+    run in the workspace's buffers and allocate no (n, n, 16) array (994
+    a step when each step allocated its phase, scratch and FFT outputs)."""
+    system = make_builtin("hoho", {"c": (1.0, 0.0, 0.0, 0.5)})
+    psi = product_state(Grid(points=128))
+
+    def leg(count):
+        return lambda: evolve_path(psi, [Leg(1, count * 0.01, 0.01)], system)
+    for count in (2, 12):
+        leg(count)()  # warm: psi's values, the parse and compile caches
+    few, many = _minor_faults(leg(2)), _minor_faults(leg(12))
+    assert (many - few) / 10 < 100
+
+
+def test_grid_phase_loops_fault_in_at_most_two_states_each():
+    """At n = 128 each loop of a grid-phase holonomy series beyond the
+    first adds fewer than 2,048 minor page faults, two states' pages: one
+    workspace serves every loop, and a loop allocates its end state (5,673
+    a loop when every step allocated its arrays)."""
+    system = make_builtin("coefficient_form", {  # the benchmark's loops
+        "W1": (0, 0, 0, "0.5*cos(x1_3 - x2_3)"),
+        "E": ("0.5*sin(x1_3 + x2_3)", 0, 0, 0)})
+    psi = product_state(Grid(points=128))
+
+    def series(loops):
+        return lambda: holonomy_series(system, psi, [0.1] * loops)
+    for loops in (1, 6):
+        series(loops)()  # warm
+    one, six = _minor_faults(series(1)), _minor_faults(series(6))
+    assert (six - one) / 5 < 2048
+
+
+@pytest.mark.parametrize("label", ["grid hermitian phase",
+                                   "two commuting classes",
+                                   "dense phase, not a union of cliques"])
+def test_grid_steps_take_at_most_four_fresh_buffers(label, monkeypatch):
+    """Whether its phase is one class, a chain of two or dense matrices, a
+    10-step grid leg allocates at most four (n, n, 16) buffers (three
+    measured), and a loop series one more for each loop after the first,
+    the one its end state leaves with."""
+    system = make_builtin(*_ORACLE_SYSTEMS[label])
+    fresh, take = [], solver._Workspace.take
+
+    def counting(self, shape):
+        fresh.append(not self)
+        return take(self, shape)
+    monkeypatch.setattr(solver._Workspace, "take", counting)
+    evolve_path(_oracle_state(), [Leg(1, 1.0, 0.1)], system)
+    assert 0 < sum(fresh) <= 4
+    fresh.clear()
+    holonomy_series(system, _oracle_state(), [0.2, 0.1, 0.05, 0.025])
+    assert sum(fresh) <= 4 + 3
+
+
+def test_grid_legs_write_into_no_state_they_were_given():
+    """Chained grid and time-only steps, a path from one of their states
+    and both experiments from others leave every earlier state's bytes
+    as they were, and each experiment run twice returns equal rows: a leg
+    writes only arrays its own call made."""
+    system = make_builtin("hoho", {"c": (1.0, 0.0, 0.0, 0.5)})
+    states = [product_state(Grid(points=32), spinor1=(0.6, 0.2j, -0.5, 0.3),
+                            momenta=(0.8, -0.5))]
+    for s in range(6):
+        states.append(step(states[-1], 1 + s % 2, 0.05, system))
+    held = [state._space(False).tobytes() for state in states]
+    evolve_path(states[3], [Leg(1, 0.2, 0.1), Leg(2, 0.2, 0.1, -1),
+                            Leg(1, 0.1, 0.1)], system)
+    for experiment in (
+            lambda: path_independence_experiment(system, states[2], 0.2,
+                                                 [0.1, 0.05]).rows,
+            lambda: holonomy_series(system, states[5], [0.1, 0.05]).rows):
+        assert experiment() == experiment()
+    assert [state._space(False).tobytes() for state in states] == held
 
 
 _TRANSFORMS = ["fft", "ifft", "fft2", "ifft2"]
