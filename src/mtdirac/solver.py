@@ -38,13 +38,13 @@ failure raises the earliest failing step's error.  A kernel the same at
 every step (K for a zero V_k, P K P for a constant one) is raised to
 the step count by repeated squaring.  A product state keeps its factors
 g_1 x g_2 x spin: a time-only leg on it applies each kernel to the
-(n, 16) spinor field u_k = g^_k spin alone, a time-only leg on the
-other particle applies its product to u_k x g^_other by one GEMM, and
-norms, distances (by Parseval, ||a - b|| = spacing ||a^ - b^|| / n) and
-curvature norms read its rows from its factors, a block at a time.
-Later legs update their call's state in place, so a time-only
-experiment takes no 2-D FFT, forms neither psi0 nor psi0^ and holds one
-(n, n, 16) array per evolution order.
+(n, 16) spinor field u_k = g^_k spin alone, and one on the other
+particle keeps its kernels' product beside u_k.  Norms, distances (by
+Parseval, ||a - b|| = spacing ||a^ - b^|| / n) and curvature norms read
+rows from a product state's factors, and distances from a leg's too
+(one GEMM a block), a block at a time.  Later legs update their call's
+state in place, so a time-only path-independence run takes no 2-D FFT
+and forms no (n, n, 16) array.
 
 Two experiments probe the compatibility of the pair of evolutions:
 
@@ -148,42 +148,58 @@ class WaveFunction:
     Its (n, n, 16) values, axes (z_1, z_2, spin), are held in position
     space (`values`), in the joint Fourier space, or both, handed out as
     read-only views, so no edit leaves the other stale; the missing space
-    is formed once, when first asked for, by a 2-D FFT or, in a product
-    state, from its factors (g_1, g_2, spin).  Nothing is copied.  `_rows`
-    reads a block of rows, a product state's from its factors alone.
+    is formed once, when first asked for, by a 2-D FFT or from factors,
+    a product state's (g_1, g_2, spin) or a time-only leg's (k, u_k,
+    other) of Fourier values u_k x other (see _advance).  Nothing is
+    copied.  `_rows` reads a block of rows, from factors where it can.
     """
 
     def __init__(self, grid: Grid, times: tuple[float, float],
                  values: np.ndarray):
-        self.grid, self.times, self._factors = grid, times, None
-        self._known = [values, None]  # [position, Fourier]
+        self.grid, self.times, self._known = grid, times, [values, None]
+        self._factors = self._hats = self._leg_factors = None
 
     @classmethod
-    def _holding(cls, grid: Grid, times: tuple, known, factors=None):
+    def _holding(cls, grid, times, known, factors=None, leg_factors=None):
         """A state of the given [position, Fourier] arrays and factors."""
         psi = cls(grid, times, None)
         psi._known, psi._factors = list(known), factors
+        psi._leg_factors = leg_factors
         return psi
 
     def _factors_in(self, spectral: bool) -> tuple:
-        """(g_1, g_2, spin), in Fourier space with the g_k's 1-D DFTs."""
+        """(g_1, g_2, spin), in Fourier space with the g_k's DFTs, once."""
         g1, g2, spin = self._factors
-        return (*(map(np.fft.fft, (g1, g2)) if spectral else (g1, g2)), spin)
+        if spectral and self._hats is None:
+            self._hats = tuple(map(np.fft.fft, (g1, g2)))
+        return (*(self._hats if spectral else (g1, g2)), spin)
+
+    def _implicit(self, spectral: bool) -> bool:  # factors give the space
+        return self._factors is not None or (
+            spectral and self._leg_factors is not None)
 
     def _rows(self, spectral: bool, rows: slice) -> np.ndarray:
         """Rows of either space: a held array's, else formed from factors."""
-        if self._known[spectral] is not None or self._factors is None:
+        if self._known[spectral] is not None or not self._implicit(spectral):
             return self._space(spectral)[rows]
-        g1, g2, spin = self._factors_in(spectral)
-        return np.multiply.outer(np.multiply.outer(g1[rows], g2), spin)
+        if self._leg_factors is None:
+            g1, g2, spin = self._factors_in(spectral)
+            return np.multiply.outer(np.multiply.outer(g1[rows], g2), spin)
+        k, u, other = self._leg_factors  # u_k x other in (z_1, z_2, spin)
+        if other.ndim == 1:
+            return (u[rows, None] * other[:, None] if k == 1
+                    else other[rows, None, None] * u)
+        if k == 2:
+            return np.matmul(u, other[rows].mT)
+        return (u[rows] @ other.reshape(-1, 16).T).reshape(-1, len(other), 16)
 
     def _space(self, spectral: bool) -> np.ndarray:
         if self._known[spectral] is None:
-            if self._factors is None:
-                transform = np.fft.fft2 if spectral else np.fft.ifft2
-                held = transform(self._known[not spectral], axes=(0, 1))
-            else:
+            if self._implicit(spectral):
                 held = self._rows(spectral, slice(None))
+            else:
+                transform = np.fft.fft2 if spectral else np.fft.ifft2
+                held = transform(self._space(not spectral), axes=(0, 1))
             self._known[spectral] = held
         held = self._known[spectral].view()
         held.flags.writeable = False
@@ -206,7 +222,7 @@ class WaveFunction:
     def distance(self, other: "WaveFunction") -> float:
         """||self - other||; by Parseval, spacing ||a^ - b^|| / n, when
         both states hold Fourier values or factors."""
-        spectral = all(psi._known[1] is not None or psi._factors is not None
+        spectral = all(psi._known[1] is not None or psi._implicit(True)
                        for psi in (self, other))
         n = self.grid.points if spectral else 1
         return _l2(self.grid, partial(self._rows, spectral),
@@ -481,28 +497,21 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
     A time-only leg evaluates V_k once, on the stack of its midpoint
     times, and builds its kernels P K P (P = I where V_k vanishes, K alone
     when V_k is zero) in a buffer of its own, or one for all its steps.
-    On a product state holding no Fourier array it applies each to the
-    spinor field u_k = g^_k spin, one batched matvec a step, and keeps
-    u_k x g^_other factored: a time-only leg on particle k continues u_k,
-    one on the other particle writes the (n, n, 16) array by one GEMM, a
-    grid leg or the end of the call forms it.  On any other state it
-    multiplies its kernels, the one kernel by repeated squaring, and
-    applies the product in the joint Fourier space, where it leaves the
-    state.  A grid leg builds each step's phase in turn and takes each
-    step in position space in the workspace's buffers (the caller's, or
-    this call's).  A leg writes, or gives to the workspace, only a state
-    an earlier leg of this call made, never psi or one the caller holds.
+    On a product state, or one a leg left as (k, u_k, g^_j), a leg on
+    particle k applies each to the spinor field u_k (g^_k spin, from a
+    product state), one batched matvec a step, and a leg on j keeps its
+    kernels' product, scaled by g^_j, beside u_k: no (n, n, 16) array is
+    formed until read.  On any other state it multiplies its kernels, the
+    one kernel by repeated squaring, and applies the product in the joint
+    Fourier space, where it leaves the state.  A grid leg builds each
+    step's phase in turn and takes each step in position space in the
+    workspace's buffers (the caller's, or this call's).  A leg writes, or
+    gives to the workspace, only a state an earlier leg of this call
+    made, never psi or one the caller holds; a grid leg not one formed
+    from a leg's factors.
     """
     grid, times, given = psi.grid, list(psi.times), psi
     workspace = _Workspace() if workspace is None else workspace
-    factored = None  # (k, u_k, g^_other) of a product state's first legs
-
-    def formed() -> WaveFunction:
-        k, u, other = factored
-        held = (u[:, None] * other[:, None] if k == 1
-                else other[:, None, None] * u)
-        return WaveFunction._holding(grid, tuple(times), [None, held])
-
     for particle, dt, count in legs:
         if not count:
             continue
@@ -515,8 +524,7 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
         weights, basis = _class_basis(cos, terms)
         owned = psi is not given  # an earlier leg of this call made psi
         if _on_grid(system.potential(particle)):
-            if factored is not None:
-                psi, factored = formed(), None
+            owned = owned and psi._leg_factors is None
             psi._space(False)  # held as psi._known[0]: read, or owned
             values, axis = psi._known[0], particle - 1
             free = _class_matrix(weights, basis).mT  # K^T for spin rows
@@ -556,16 +564,18 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
                        for phase in phases)
         else:  # one kernel for every step
             kernels = iter([_class_matrix(weights, basis, *phases)] * count)
-        if factored is None and psi._known[1] is None \
-                and psi._factors is not None:
-            g = psi._factors_in(True)
-            factored = (particle, g[particle - 1][:, None] * g[2],
-                        g[2 - particle])
-        if factored is not None and factored[0] == particle:
+        split = psi._leg_factors  # (k, u_k, g^_j) while it stays factored
+        if psi._factors is not None:
+            *g, spin = psi._factors_in(True)
+            split = (particle, g[particle - 1][:, None] * spin, g[-particle])
+        elif split and split[2].ndim > 1:
+            split = None  # formed below
+        at = partial(WaveFunction._holding, grid, tuple(times))
+        if split and split[0] == particle:
             # a batched matvec a step (a loop variable would pin a kernel)
-            u = reduce(lambda u, kernel: (kernel @ u[..., None])[..., 0],
-                       kernels, factored[1])
-            factored = (particle, u, factored[2])
+            psi = at([None, None], leg_factors=(particle, reduce(
+                lambda u, kernel: (kernel @ u[..., None])[..., 0], kernels,
+                split[1]), split[2]))
             continue
         if len(phases) > 1:
             run, spare = next(kernels).copy(), np.empty_like(buffer)
@@ -573,16 +583,14 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
                 run, spare = np.matmul(kernel, run, out=spare), run
         else:  # its power by repeated squaring
             run = np.linalg.matrix_power(next(kernels), count)
-        if factored is not None:  # (g^_j run) u_k in (z_1, z_2, spin) order
-            (_, u, other), factored = factored, None
-            run *= other[:, None, None]  # run is the leg's own
-            held = (np.matmul(u, run.swapaxes(-1, -2)) if particle == 1 else
-                    (u @ run.reshape(-1, 16).T).reshape(len(u), -1, 16))
+        if split:  # (g^_j run) beside u_k: run is the leg's own
+            run *= split[2][:, None, None]
+            psi = at([None, None], leg_factors=(*split[:2], run))
         else:
             psi._space(True)  # held as psi._known[1]
-            held = _apply_kernel(psi._known[1], particle, run, owned)
-        psi = WaveFunction._holding(grid, tuple(times), [None, held])
-    return psi if factored is None else formed()
+            psi = at([None, _apply_kernel(psi._known[1], particle, run,
+                                          owned)])
+    return psi
 
 
 def step(psi: WaveFunction, particle: int, dt: float,
@@ -693,7 +701,8 @@ def path_independence_experiment(
         raise SpecError("dt_list must not be empty")
     counts = [Leg(1, total_time, dt).steps() for dt in dt_list]
     _check_steps(system, psi0.grid, dt_list)
-    start = psi0._holding(psi0.grid, psi0.times, psi0._known, psi0._factors)
+    start = psi0._holding(psi0.grid, psi0.times, psi0._known,
+                          psi0._factors, psi0._leg_factors)
     evolve = partial(_advance, start, system=system, workspace=_Workspace())
     rows = [(float(dt), evolve([(1, dt, count), (2, dt, count)]).distance(
         evolve([(2, dt, count), (1, dt, count)])))
@@ -740,7 +749,8 @@ def holonomy_series(system: MultiTimeSystem, psi0: WaveFunction,
         if delta ** 2 < np.finfo(float).tiny:
             raise SpecError(f"loop delta {delta!r} is too small: delta^2 "
                             "underflows")
-    start = psi0._holding(psi0.grid, psi0.times, psi0._known, psi0._factors)
+    start = psi0._holding(psi0.grid, psi0.times, psi0._known,
+                          psi0._factors, psi0._leg_factors)
     rows, evolve = [], partial(_advance, start, system=system,
                                workspace=_Workspace())
     for delta in deltas:

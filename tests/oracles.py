@@ -26,6 +26,7 @@ from mtdirac.clifford import (
     field_sum,
     realize,
     reconstruct,
+    unit_field,
 )
 from mtdirac.dsl import BinOp, Call, Const, Coord, Neg, Param, Pow, \
     differentiate, evaluate, is_zero
@@ -318,6 +319,47 @@ def reference_step(psi, particle: int, dt: float, system, rep) -> np.ndarray:
         spectral = np.einsum("yab,xysb->xysa", multiplier, spectral)
     values = np.fft.ifft(spectral, axis=axis).reshape(n, n, 16)
     return np.einsum("...ij,...j->...i", phase, values)
+
+
+def exact_modes(system, psi0, total_time: float, order, modes) -> np.ndarray:
+    """The two-time solution's Fourier coefficients after evolving psi0
+    by T in t_order[0], then by T in t_order[1] (to (T, T) from times
+    (0, 0)), for a system whose V_k depend on the times alone.
+
+    Each Fourier mode (kappa_1, kappa_2) of psi0's joint transform then
+    evolves by its own 16x16 linear ODE, i d psi^/dt_k = (alpha3_k
+    kappa_k + gamma0_k m_k + V_k(t_1, t_2)) psi^, solved by scipy's DOP853
+    at rtol 1e-13; H_k comes from unit_field and reconstruct, V_k from
+    operator_field at the times, and nothing from the solver's splitting.
+    modes are (i_1, i_2) index pairs; returns (len(modes), 16) in fft2's
+    unnormalized units.
+    """
+    import scipy.integrate
+
+    kappa, times = psi0.grid.momenta(), list(psi0.times)
+    state = np.fft.fft2(psi0.values, axes=(0, 1))[tuple(zip(*modes))]
+    scale = np.max(np.abs(state))
+    for k in order:
+        free = np.stack([reconstruct(field_sum(
+            (kappa[mode[k - 1]], unit_field(BasisElement(BasisClass.ALPHA, 3),
+                                            k, 2)),
+            (system.mass(k), unit_field(BasisElement(BasisClass.GAMMA, 0),
+                                        k, 2))), 2, DIRAC) for mode in modes])
+
+        def rhs(t, y, k=k, free=free):
+            at = list(times)
+            at[k - 1] = t
+            potential = reconstruct(operator_field(
+                system.potential(k), [[s, 0.0, 0.0, 0.0] for s in at]),
+                2, DIRAC)
+            return (-1j * (free + potential) @ y.reshape(-1, 16, 1)).ravel()
+        solution = scipy.integrate.solve_ivp(
+            rhs, (times[k - 1], times[k - 1] + total_time), state.ravel(),
+            method="DOP853", rtol=1e-13, atol=1e-15 * scale)
+        assert solution.success, solution.message
+        state = solution.y[:, -1].reshape(-1, 16)
+        times[k - 1] += total_time
+    return state
 
 
 def reference_kernel(phase: np.ndarray, free) -> np.ndarray:

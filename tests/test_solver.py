@@ -728,11 +728,12 @@ def test_two_leg_paths_from_factors_match_the_formed_state(label, particles):
 
 def test_a_two_leg_time_only_path_forms_one_state_array():
     """At n = 128 a product state's two time-only legs, one per particle,
-    form one (n, n, 16) array: the second leg's GEMM writes it from the
-    first leg's (n, 16) factor.  Beside it the leg holds (n, 16, 16)
-    kernel stacks, an eighth of a state each: within 1.5 states (1.39
-    and 1.40 measured; 1.90 and 1.53 when the first leg formed
-    u x g^_other)."""
+    form at most one (n, n, 16) array, and since the second leg keeps its
+    product beside the first leg's (n, 16) factor, none until read.  The
+    legs hold (n, 16, 16) kernel stacks, an eighth of a state each:
+    within 1.5 states (0.64 and 0.43 measured; 1.39 and 1.40 when the
+    second leg wrote the array by one GEMM, 1.90 and 1.53 when the first
+    leg formed u x g^_other)."""
     system = make_builtin("hoho")
     state_bytes = 128 ** 2 * 16 * 16
     for particles in ((1, 2), (2, 1)):
@@ -786,6 +787,81 @@ def test_rows_are_slices_of_the_formed_spaces(points):
         for rows, block in zip(blocks, read):
             assert block.tobytes() == whole[rows].tobytes()
         assert np.concatenate(read).tobytes() == whole.tobytes()
+
+
+def _leg_factored_states(points: int, system) -> list[WaveFunction]:
+    """States a time-only path leaves factored: u_k beside g^_j after a
+    leg on k, and beside a leg's per-mode product after one on j too, for
+    k = 1 and 2."""
+    psi = product_state(Grid(points=points), spinor1=(0.6, 0.2j, -0.5, 0.3),
+                        spinor2=(0.1, 0.7, 0.4j, -0.2), centers=(0.7, -1.1),
+                        momenta=(0.8, -0.5), times=(0.3, -0.2))
+    states = []
+    for k in (1, 2):
+        first = [Leg(k, 0.2, 0.1)]
+        states += [evolve_path(psi, first, system), evolve_path(
+            psi, first + [Leg(3 - k, 0.3, 0.1, -1)], system)]
+    assert [(s._leg_factors[0], s._leg_factors[2].ndim) for s in states] \
+        == [(1, 1), (1, 3), (2, 1), (2, 3)]
+    return states
+
+
+@pytest.mark.parametrize("points", [48, 96])
+def test_rows_of_leg_factors_are_slices_of_the_formed_space(points):
+    """For both particles and both kinds of other factor, Fourier rows
+    read from a state's leg factors, block by block, equal its formed
+    Fourier space's rows bit for bit, the partial last block included,
+    and no space is formed to read them; distances between such states
+    equal those between copies holding their formed values exactly."""
+    system = make_builtin(*_TWO_LEG_SYSTEMS["time-only alpha2 on both"])
+    states = _leg_factored_states(points, system)
+    pairs = list(itertools.combinations(range(len(states)), 2))
+    factored = [states[a].distance(states[b]) for a, b in pairs]
+    blocks = solver._row_blocks(points)
+    for state in states:
+        read = [state._rows(True, rows) for rows in blocks]
+        assert state._known == [None, None]
+        whole = state._space(True)
+        for rows, block in zip(blocks, read):
+            assert block.tobytes() == whole[rows].tobytes()
+    copies = [WaveFunction._holding(s.grid, s.times, [None, s._space(True)])
+              for s in states]
+    assert factored == [copies[a].distance(copies[b]) for a, b in pairs]
+    assert min(factored) > 0.01
+
+
+def test_leg_factored_states_passed_back_are_never_written():
+    """A state a time-only path left factored keeps the bytes of its
+    factors, and of each space formed from them, through time-only, grid
+    and mixed paths, single steps and both experiments taken from it, each
+    experiment run twice alike: on the first pass the state holds factors
+    alone, on the second both spaces as well."""
+    time_only = make_builtin("hoho")
+    grid_system = make_builtin("hoho", {"c": (1.0, 0.0, 0.0, 0.5)})
+    states = _leg_factored_states(32, time_only)
+    paths = [[Leg(1, 0.2, 0.1)], [Leg(2, 0.2, 0.1, -1)],
+             [Leg(1, 0.2, 0.1), Leg(2, 0.1, 0.1), Leg(1, 0.1, 0.1, -1)]]
+    for _ in range(2):
+        held = [[a.tobytes() for a in s._leg_factors[1:]]
+                + [None if a is None else a.tobytes() for a in s._known]
+                for s in states]
+        for state in states:
+            for system in (time_only, grid_system):
+                for path in paths:
+                    evolve_path(state, path, system)
+                step(step(state, 1, 0.05, system), 2, -0.05, system)
+                step(state, 2, 0.05, system)
+                for experiment in (
+                        lambda: path_independence_experiment(
+                            system, state, 0.6, [0.1, 0.05]).rows,
+                        lambda: holonomy_series(system, state,
+                                                [0.1, 0.05]).rows):
+                    assert experiment() == experiment()
+        for state, before in zip(states, held):
+            now = [a.tobytes() for a in state._leg_factors[1:]] + [
+                None if a is None else a.tobytes() for a in state._known]
+            assert all(b is None or a == b for a, b in zip(now, before))
+            state._space(False), state._space(True)  # both, for the next pass
 
 
 def test_a_grid_phase_loop_series_forms_psi0_once(monkeypatch):
@@ -980,15 +1056,15 @@ def test_leg_memory_does_not_grow_with_its_steps():
 
 
 def test_time_only_experiments_hold_one_array_per_state():
-    """At n = 128 a time-only path-independence run holds one (n, n, 16)
-    array per order: the first leg writes it from psi0's factors, later
-    legs update it in place, and distances read blocks of rows, psi0's
+    """At n = 128 a time-only path-independence run holds at most one
+    (n, n, 16) array per order, and distances read blocks of rows, psi0's
     from its factors, so neither psi0 nor psi0^ is formed; its warmed
-    peak stays within 2.79 states (2.54 measured, 3.66 when psi0^ was
+    peak stays within 2.79 states (0.65 measured with both orders left
+    factored, 2.54 when each order wrote its array, 3.66 when psi0^ was
     formed, 5.53 when every leg and distance allocated a full array).  A
     loop series holds one loop state, and the curvature norm after it
     reads psi0's rows and F psi0's a block at a time: within 1.45 states
-    (1.33 measured, 3.01 when both formed psi0 whole)."""
+    (1.39 measured, 3.01 when both formed psi0 whole)."""
     state_bytes = 128 ** 2 * 16 * 16
     hoho, vector = make_builtin("hoho"), make_builtin("example1_vector")
 
@@ -1004,6 +1080,21 @@ def test_time_only_experiments_hold_one_array_per_state():
     for run, states in ((orders, 2.79), (loops, 1.45)):
         run()  # warm: parse and compile caches are not the run's
         assert _traced_peak(run) <= states * state_bytes
+
+
+def test_a_time_only_experiment_holds_no_state_array():
+    """At n = 128 a time-only path-independence run forms no (n, n, 16)
+    array: each order ends factored, its (n, 16) u_k beside the second
+    leg's (n, 16, 16) product, and the distance reads both a block of
+    rows at a time; its warmed peak stays below one state (2.59 MiB
+    measured against 4 MiB; 9.66 MiB when each order wrote its array)."""
+    system = make_builtin("hoho")
+
+    def orders():
+        path_independence_experiment(system, product_state(Grid(20, 128)),
+                                     0.5, [0.1, 0.05, 0.025])
+    orders()  # warm
+    assert _traced_peak(orders) < 128 ** 2 * 16 * 16
 
 
 def _minor_faults(call) -> int:
@@ -1046,6 +1137,21 @@ def test_grid_phase_loops_fault_in_at_most_two_states_each():
         series(loops)()  # warm
     one, six = _minor_faults(series(1)), _minor_faults(series(6))
     assert (six - one) / 5 < 2048
+
+
+def test_time_only_orders_fault_in_no_fresh_pages():
+    """At n = 128 each dt of a time-only path-independence run beyond the
+    first adds fewer than 100 minor page faults: neither order writes an
+    (n, n, 16) array (2,284 a dt when each order wrote a fresh one)."""
+    system = make_builtin("hoho")
+    psi = product_state(Grid(20, 128))
+
+    def run(dts):
+        return lambda: path_independence_experiment(system, psi, 0.5, dts)
+    for dts in ([0.05], [0.05] * 6):
+        run(dts)()  # warm
+    one, six = _minor_faults(run([0.05])), _minor_faults(run([0.05] * 6))
+    assert (six - one) / 5 < 100
 
 
 @pytest.mark.parametrize("label", ["grid hermitian phase",
