@@ -2,10 +2,10 @@
 
 Each command's JSON envelope is compared with the checked-in copy in
 golden_reports.json: non-float leaves must match exactly, floats to
-rtol 1e-12 / atol 1e-14.  The two grid-phase `simulate` commands of the
-benchmark's propagate_gridphase workload are pinned here as well, at
-this tighter tolerance; the other `simulate --dt` run is pinned by the
-benchmark's own golden file and is not repeated here.
+rtol 1e-12 / atol 1e-14.  The benchmark's `simulate` commands are
+pinned here as well, at this tighter tolerance than the benchmark's own
+golden file: the README's path-independence run and the two grid-phase
+commands of the propagate_gridphase workload.
 
 Pin the commands that have no entry yet with
 
@@ -48,6 +48,7 @@ COMMANDS = (
      "--param", "c=0.3,0.1,0,0.2", "--seed", "3"),
     ("poincare", "--builtin", "hoho"),
     ("poincare", "--builtin", "coulomb_like"),
+    ("simulate", "--builtin", "hoho", "--dt", "0.1,0.05,0.025", "--T", "0.5"),
     ("simulate", "--builtin", "example1_vector",
      "--delta", "0.08,0.04,0.02"),
     ("simulate", "--builtin", "hoho", "--param", "c=1,0,0,0.5",
