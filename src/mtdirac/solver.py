@@ -31,20 +31,19 @@ On a time-only leg (no z in V_k's nonzero coefficients or guards, read
 from the expression trees) each half-step phase multiplies out to one
 16x16 P, the identity where V_k vanishes, so a step is the per-mode
 kernel P K(kappa) P, one GEMM of the free class's coefficients against
-P{I, alpha3_k, gamma0_k}P, and a leg is the kernels' product, applied
-in the joint Fourier space of (z_1, z_2), where it leaves the state.
-V_k is evaluated once per leg on the stack of its midpoint times; a
-failure raises the earliest failing step's error.  A kernel the same at
-every step (K for a zero V_k, P K P for a constant one) is raised to
-the step count by repeated squaring.  A product state keeps its factors
-g_1 x g_2 x spin: a time-only leg on it applies each kernel to the
-(n, 16) spinor field u_k = g^_k spin alone, and one on the other
-particle keeps its kernels' product beside u_k.  Norms, distances (by
-Parseval, ||a - b|| = spacing ||a^ - b^|| / n) and curvature norms read
-rows from a product state's factors, and distances from a leg's too
-(one GEMM a block), a block at a time.  Later legs update their call's
-state in place, so a time-only path-independence run takes no 2-D FFT
-and forms no (n, n, 16) array.
+P{I, alpha3_k, gamma0_k}P, applied in the joint Fourier space of
+(z_1, z_2), where it leaves the state.  V_k is evaluated once per leg
+on the stack of its midpoint times; a failure raises the earliest
+failing step's error.  Where each structure of V_k acts on one particle
+at most (hoho, example1_vector, free), P K P = a(kappa) x b, 4x4 each,
+and on a product state g_1 x g_2 x spin or a spin product u_1 x u_2 of
+(n, 4) Fourier fields a leg applies a per mode to u_k and b to u_j.
+Other legs multiply their kernels, one by repeated squaring; on a
+product state they apply each to the (n, 16) field u_k = g^_k spin, a
+leg on the other particle keeping its product beside u_k.  Norms,
+distances (by Parseval, ||a - b|| = spacing ||a^ - b^|| / n) and
+curvature norms read rows from factors a block at a time; a distance
+between products reads their (n, 4) fields alone.
 
 Two experiments probe the compatibility of the pair of evolutions:
 
@@ -70,6 +69,7 @@ import numpy as np
 
 from .clifford import (
     DIRAC,
+    IDENTITY_ELEMENT,
     BasisClass,
     BasisElement,
     OperatorField,
@@ -78,6 +78,7 @@ from .clifford import (
     field_sum,
     realize,
     reconstruct,
+    single_matrix,
     square_sign,
     unit_field,
 )
@@ -142,46 +143,80 @@ def _l2(grid: Grid, block, minus=None) -> float:
     return float(np.sqrt(total * grid.spacing * grid.spacing))
 
 
+def _field(field) -> np.ndarray:
+    """A spin product's (n, 4) field, held as is or as a pair (g^, s)."""
+    return np.multiply.outer(*field) if isinstance(field, tuple) else field
+
+
 class WaveFunction:
     """Two-particle state on the grid; spin index s = 4 s_1 + s_2.
 
     Its (n, n, 16) values, axes (z_1, z_2, spin), are held in position
     space (`values`), in the joint Fourier space, or both, handed out as
     read-only views, so no edit leaves the other stale; the missing space
-    is formed once, when first asked for, by a 2-D FFT or from factors,
-    a product state's (g_1, g_2, spin) or a time-only leg's (k, u_k,
-    other) of Fourier values u_k x other (see _advance).  Nothing is
-    copied.  `_rows` reads a block of rows, from factors where it can.
+    is formed once, when first asked for, by a 2-D FFT or from factors:
+    a product state's (g_1, g_2, spin), a time-only leg's (k, u_k, other)
+    of Fourier values u_k x other (see _advance), or a spin product's
+    (n, 4) Fourier fields (u_1, u_2), a u_k held as (g^_k, s_k) while
+    only constants touched it.  Nothing is copied.  `_rows` reads a block
+    of rows, from factors where it can.
     """
 
     def __init__(self, grid: Grid, times: tuple[float, float],
                  values: np.ndarray):
         self.grid, self.times, self._known = grid, times, [values, None]
-        self._factors = self._hats = self._leg_factors = None
+        self._factors = self._dual = self._leg_factors = self._fields = None
 
     @classmethod
-    def _holding(cls, grid, times, known, factors=None, leg_factors=None):
+    def _holding(cls, grid, times, known, factors=None, leg_factors=None,
+                 fields=None):
         """A state of the given [position, Fourier] arrays and factors."""
         psi = cls(grid, times, None)
         psi._known, psi._factors = list(known), factors
-        psi._leg_factors = leg_factors
+        psi._leg_factors, psi._fields = leg_factors, fields
         return psi
 
+    def _view(self) -> "WaveFunction":
+        """A state holding this one's arrays and factors, not its list."""
+        return self._holding(self.grid, self.times, self._known, self._factors,
+                             self._leg_factors, self._fields)
+
     def _factors_in(self, spectral: bool) -> tuple:
-        """(g_1, g_2, spin), in Fourier space with the g_k's DFTs, once."""
+        """(g_1, g_2, spin), in Fourier space with the g_k's DFTs; a spin
+        product's (u_1, u_2), in position space their inverses; either
+        transform is taken once, as `_dual`."""
+        if self._fields is not None:
+            fields = tuple(map(_field, self._fields))
+            if not spectral and self._dual is None:
+                self._dual = tuple(np.fft.ifft(u, axis=0) for u in fields)
+            return fields if spectral else self._dual
         g1, g2, spin = self._factors
-        if spectral and self._hats is None:
-            self._hats = tuple(map(np.fft.fft, (g1, g2)))
-        return (*(self._hats if spectral else (g1, g2)), spin)
+        if spectral and self._dual is None:
+            self._dual = tuple(map(np.fft.fft, (g1, g2)))
+        return (*(self._dual if spectral else (g1, g2)), spin)
+
+    def _spin_pair(self) -> tuple:
+        """A spin product's fields; a product state's, as (g^_k, s_k), its
+        rank-1 spin split at its largest entry."""
+        if self._fields is not None:
+            return self._fields
+        *hats, spin = self._factors_in(True)
+        s = spin.reshape(4, 4)
+        i, j = np.unravel_index(np.argmax(np.abs(s)), s.shape)
+        return (hats[0], s[:, j]), (hats[1], s[i] / s[i, j])
 
     def _implicit(self, spectral: bool) -> bool:  # factors give the space
-        return self._factors is not None or (
+        return self._factors is not None or self._fields is not None or (
             spectral and self._leg_factors is not None)
 
     def _rows(self, spectral: bool, rows: slice) -> np.ndarray:
         """Rows of either space: a held array's, else formed from factors."""
         if self._known[spectral] is not None or not self._implicit(spectral):
             return self._space(spectral)[rows]
+        if self._fields is not None:  # u_1 x u_2 by s = 4 s_1 + s_2
+            u1, u2 = self._factors_in(spectral)
+            return (u1[rows, None, :, None] * u2[:, None]).reshape(
+                -1, len(u2), 16)
         if self._leg_factors is None:
             g1, g2, spin = self._factors_in(spectral)
             return np.multiply.outer(np.multiply.outer(g1[rows], g2), spin)
@@ -210,20 +245,34 @@ class WaveFunction:
         return self._space(False)
 
     def norm(self, mask: np.ndarray | None = None) -> float:
-        """L2 norm; an optional (n, n) mask restricts the integration."""
-        if mask is None and self._factors is not None:
-            sums = [np.sum(np.abs(factor) ** 2) for factor in self._factors]
+        """L2 norm; an optional (n, n) mask restricts the integration.
+        Unmasked, a (spin) product's is its factors' norms' product, and
+        a state with no position values held reads Fourier rows."""
+        if mask is None and self._implicit(False):  # (spin) product
             spacing = self.grid.spacing
+            sums = [np.sum(np.abs(f) ** 2) for f in self._factors_in(False)]
             return float(np.sqrt(np.prod(sums) * spacing * spacing))
+        if mask is None and self._known[0] is None:  # by Parseval
+            return _l2(self.grid, partial(self._rows, True)) / self.grid.points
         return _l2(self.grid, lambda rows: np.where(
             True if mask is None else mask[rows, :, None],
             self._rows(False, rows), 0))
 
     def distance(self, other: "WaveFunction") -> float:
         """||self - other||; by Parseval, spacing ||a^ - b^|| / n, when
-        both states hold Fourier values or factors."""
+        both states hold Fourier values or factors.  Between (spin)
+        products, a_1 x a_2 - b_1 x b_2 is the orthogonal sum
+        (l a_1 - b_1) x b_2 + a_1 x r of a_2 = l b_2 + r, r _|_ b_2: its
+        norm takes (n, 4) fields alone, and no sum cancels."""
+        pair, norm = (self, other), np.linalg.norm
+        if all(psi._implicit(False) for psi in pair):
+            (a1, a2), (b1, b2) = ([_field(f) for f in psi._spin_pair()]
+                                  for psi in pair)
+            ratio = np.vdot(b2, a2) / norm(b2) ** 2 if norm(b2) else 0
+            return float(np.hypot(norm(ratio * a1 - b1) * norm(b2), norm(
+                a1) * norm(a2 - ratio * b2))) * self.grid.spacing / len(a1)
         spectral = all(psi._known[1] is not None or psi._implicit(True)
-                       for psi in (self, other))
+                       for psi in pair)
         n = self.grid.points if spectral else 1
         return _l2(self.grid, partial(self._rows, spectral),
                    partial(other._rows, spectral)) / n
@@ -330,20 +379,23 @@ def _class_factors(field: OperatorField,
     return factors
 
 
-def _class_basis(cos, terms: OperatorField) -> tuple:
-    """A class's coefficients (..., m) and its basis [I, B_1, ...]."""
+def _class_basis(cos, terms: OperatorField, particle=None) -> tuple:
+    """A class's coefficients (..., m) and its basis [I, B_1, ...], 16x16,
+    or the B_i's 4x4 factors on `particle`."""
     return (np.stack(np.broadcast_arrays(cos, *terms.values()), -1),
-            np.stack([np.eye(16), *(realize(b, DIRAC) for b in terms)]))
+            np.stack([np.eye(16), *(realize(b, DIRAC) for b in terms)])
+            if particle is None else np.stack([np.eye(4), *(single_matrix(
+                b.factors[particle - 1], DIRAC) for b in terms)]))
 
 
 def _class_matrix(weights, basis, around=None, out=None) -> np.ndarray:
-    """A (cos + sum_i w_i B_i) A, (..., 16, 16), for A = around or I: one
+    """A (cos + sum_i w_i B_i) A, (..., d, d), for A = around or I: one
     GEMM of _class_basis's weights against A [I, B_1, ...] A, into out."""
     if around is not None:
         basis = around @ basis @ around
-    shape = weights.shape[:-1]
-    return np.matmul(weights, basis.reshape(len(basis), 256), out=None if (
-        out is None) else out.reshape(*shape, 256)).reshape(*shape, 16, 16)
+    shape, d = weights.shape[:-1], basis.shape[-1]
+    return np.matmul(weights, basis.reshape(len(basis), d * d), out=None if (
+        out is None) else out.reshape(*shape, d * d)).reshape(*shape, d, d)
 
 
 def _multiply_out(phase) -> np.ndarray:
@@ -352,6 +404,43 @@ def _multiply_out(phase) -> np.ndarray:
         return phase
     return reduce(np.matmul, [_class_matrix(*_class_basis(cos, terms))
                               for cos, terms in phase])
+
+
+def _one_particle(phase) -> bool:
+    """Whether every structure of the phase's classes acts on one particle
+    at most: structures on different particles commute, so each class
+    then lies on one particle, and P = p_1 x p_2."""
+    return not isinstance(phase, np.ndarray) and all(
+        sum(factor != IDENTITY_ELEMENT for factor in b.factors) <= 1
+        for _, terms in phase for b in terms)
+
+
+def _particle_phase(phase, particle: int, leg: int) -> np.ndarray:
+    """The product of the phase's class factors on `particle` as (m, 4, 4)
+    matrices, m = 1 or a leg's step count: a class is on the particle j
+    the leg is not on when its factor on j is not the identity."""
+    factors = [_class_matrix(*_class_basis(cos, terms, particle))
+               for cos, terms in phase if (particle != leg) == (
+                   next(iter(terms)).factors[-leg] != IDENTITY_ELEMENT)]
+    return reduce(np.matmul, factors, np.eye(4)).reshape(-1, 4, 4)
+
+
+def _local_leg(fields, particle: int, count: int, free, phase) -> tuple:
+    """A spin product's fields after `count` Strang steps on particle k,
+    for a V_k that passes _one_particle: each step's kernel P K P is
+    a (x) b, a = p k(kappa) p per mode on u_k, b = q^2 on u_j, for p and q
+    the step's class factors' products on k and on j, as 4x4 matrices."""
+    p, q = (_particle_phase(phase, k, particle) for k in (particle,
+                                                          3 - particle))
+    kernels = map(partial(_class_matrix, *_class_basis(*free, particle)), p)
+    u, b = _field(fields[particle - 1]), np.eye(4)
+    for a in kernels if len(p) > 1 else [next(kernels)] * count:
+        u = (a @ u[..., None])[..., 0]
+    for q_i in np.broadcast_to(q, (count, 4, 4)):
+        b = q_i @ q_i @ b
+    other = fields[-particle]  # b on g^_j x s_j keeps the pair
+    other = (other[0], b @ other[1]) if type(other) is tuple else other @ b.T
+    return (u, other) if particle == 1 else (other, u)
 
 
 def _anticommuting_classes(
@@ -495,20 +584,22 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
     """Strang steps from psi through (particle, dt, count) legs.
 
     A time-only leg evaluates V_k once, on the stack of its midpoint
-    times, and builds its kernels P K P (P = I where V_k vanishes, K alone
-    when V_k is zero) in a buffer of its own, or one for all its steps.
-    On a product state, or one a leg left as (k, u_k, g^_j), a leg on
-    particle k applies each to the spinor field u_k (g^_k spin, from a
-    product state), one batched matvec a step, and a leg on j keeps its
-    kernels' product, scaled by g^_j, beside u_k: no (n, n, 16) array is
-    formed until read.  On any other state it multiplies its kernels, the
-    one kernel by repeated squaring, and applies the product in the joint
-    Fourier space, where it leaves the state.  A grid leg builds each
-    step's phase in turn and takes each step in position space in the
-    workspace's buffers (the caller's, or this call's).  A leg writes, or
-    gives to the workspace, only a state an earlier leg of this call
-    made, never psi or one the caller holds; a grid leg not one formed
-    from a leg's factors.
+    times.  On a product or spin product, a V_k that passes _one_particle
+    leaves a spin product (_local_leg).  Any other builds its kernels
+    P K P (P = I where V_k vanishes, K alone when V_k is zero) in a
+    buffer of its own, or one for all its steps.  On a product state, a
+    spin product whose field j is still g^_j x s_j, or a state a leg left
+    as (k, u_k, g^_j), a leg on particle k applies each to the (n, 16)
+    spinor field u_k, one batched matvec a step, and a leg on j keeps its
+    kernels' product, scaled by g^_j, beside u_k.  On any other state it
+    multiplies its kernels, the one kernel by repeated squaring, and
+    applies the product in the joint Fourier space (formed from a spin
+    product's fields if need be), where it leaves the state.  A grid leg
+    builds each step's phase in turn and takes each step in position
+    space in the workspace's buffers (the caller's, or this call's).  A
+    leg writes, or gives to the workspace, only a state an earlier leg of
+    this call made, never psi or one the caller holds; a grid leg not one
+    formed from a leg's or a spin product's factors.
     """
     grid, times, given = psi.grid, list(psi.times), psi
     workspace = _Workspace() if workspace is None else workspace
@@ -519,15 +610,14 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
         hamiltonian = field_sum(
             (grid.momenta(), unit_field(_ALPHA3, particle, 2)),
             (system.mass(particle), unit_field(_GAMMA0, particle, 2)))
-        [(cos, terms)] = _class_factors(
+        [free] = _class_factors(
             hamiltonian, [list(hamiltonian)], dt, f"dt H_{particle}")
-        weights, basis = _class_basis(cos, terms)
         owned = psi is not given  # an earlier leg of this call made psi
         if _on_grid(system.potential(particle)):
-            owned = owned and psi._leg_factors is None
+            owned = owned and psi._leg_factors is None and psi._fields is None
             psi._space(False)  # held as psi._known[0]: read, or owned
             values, axis = psi._known[0], particle - 1
-            free = _class_matrix(weights, basis).mT  # K^T for spin rows
+            free = _class_matrix(*_class_basis(*free)).mT  # K^T, spin rows
             for i in range(count):  # phase, FFT, free step, inverse, phase
                 phase = _potential_phase(system, particle, times, dt, grid)
                 times[axis] += dt
@@ -547,17 +637,24 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
             starts.append(times[particle - 1])
             times[particle - 1] += dt
         stack[particle - 1] = np.reshape(starts, (-1, 1, 1))
-        phases = ()
+        phase = []
         if not system.potential(particle).is_zero():
             try:
-                phases = _multiply_out(_potential_phase(
-                    system, particle, stack, dt, grid)).reshape(-1, 16, 16)
+                phase = _potential_phase(system, particle, stack, dt, grid)
             except (DomainError, SpecError, DslEvaluationError):
                 # raise what the earliest failing step raises on its own
                 for start in starts:
                     stack[particle - 1] = start
                     _potential_phase(system, particle, stack, dt, grid)
                 raise
+        at = partial(WaveFunction._holding, grid, tuple(times))
+        if _one_particle(phase) and (psi._factors is not None
+                                     or psi._fields is not None):
+            psi = at([None, None], fields=_local_leg(  # a spin product
+                psi._spin_pair(), particle, count, free, phase))
+            continue
+        weights, basis = _class_basis(*free)
+        phases = _multiply_out(phase).reshape(-1, 16, 16) if len(phase) else ()
         if len(phases) > 1:  # each step's kernel into the leg's own buffer
             buffer = np.empty((grid.points, 16, 16), complex)
             kernels = (_class_matrix(weights, basis, phase, buffer)
@@ -568,9 +665,13 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
         if psi._factors is not None:
             *g, spin = psi._factors_in(True)
             split = (particle, g[particle - 1][:, None] * spin, g[-particle])
+        elif psi._fields is not None and type(psi._fields[-particle]) is tuple:
+            g, s = psi._fields[-particle]
+            u = _field(psi._fields[particle - 1])
+            split = (particle, (u[:, :, None] * s if particle == 1 else
+                                s[:, None] * u[:, None]).reshape(-1, 16), g)
         elif split and split[2].ndim > 1:
             split = None  # formed below
-        at = partial(WaveFunction._holding, grid, tuple(times))
         if split and split[0] == particle:
             # a batched matvec a step (a loop variable would pin a kernel)
             psi = at([None, None], leg_factors=(particle, reduce(
@@ -701,8 +802,7 @@ def path_independence_experiment(
         raise SpecError("dt_list must not be empty")
     counts = [Leg(1, total_time, dt).steps() for dt in dt_list]
     _check_steps(system, psi0.grid, dt_list)
-    start = psi0._holding(psi0.grid, psi0.times, psi0._known,
-                          psi0._factors, psi0._leg_factors)
+    start = psi0._view()
     evolve = partial(_advance, start, system=system, workspace=_Workspace())
     rows = [(float(dt), evolve([(1, dt, count), (2, dt, count)]).distance(
         evolve([(2, dt, count), (1, dt, count)])))
@@ -749,8 +849,7 @@ def holonomy_series(system: MultiTimeSystem, psi0: WaveFunction,
         if delta ** 2 < np.finfo(float).tiny:
             raise SpecError(f"loop delta {delta!r} is too small: delta^2 "
                             "underflows")
-    start = psi0._holding(psi0.grid, psi0.times, psi0._known,
-                          psi0._factors, psi0._leg_factors)
+    start = psi0._view()
     rows, evolve = [], partial(_advance, start, system=system,
                                workspace=_Workspace())
     for delta in deltas:

@@ -58,12 +58,10 @@ def _hoho_draw(seed: int):
                                  "m1": masses[0], "m2": masses[1]})
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_strang_converges_to_the_exact_solution_at_second_order(seed):
-    """On a consistent hoho draw the exact orders agree to 1e-12
+def _assert_second_order(system, seed: int) -> None:
+    """The pair reads CONSISTENT, its exact orders agree to 1e-12
     relative, and each order's Strang error against them falls by a
     factor in [3.8, 4.2] per halving of dt."""
-    system = _hoho_draw(seed)
     samples = sample_configs(100, np.random.default_rng(seed))
     assert check_consistency(system, samples).verdict == "CONSISTENT"
     psi0 = _psi0()
@@ -74,6 +72,35 @@ def test_strang_converges_to_the_exact_solution_at_second_order(seed):
                                  - solution) for dt in DTS]
         ratios = np.divide(errors[:-1], errors[1:])
         assert np.all((3.8 <= ratios) & (ratios <= 4.2)), (order, errors)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_strang_converges_to_the_exact_solution_at_second_order(seed):
+    """On a consistent hoho draw the exact orders agree to 1e-12
+    relative, and each order's Strang error against them falls by a
+    factor in [3.8, 4.2] per halving of dt."""
+    _assert_second_order(_hoho_draw(seed), seed)
+
+
+# coefficient_form pairs with V_2 = 0 whose V_1 commutes with H_2: alpha1
+# x 1 acts on particle 1 alone, so its legs keep spin products; alpha2 x
+# gamma5 acts on both, so its legs keep (k, u_k, other), and gamma5_2
+# commutes with H_2 = alpha3_2 kappa + gamma0_2 m2 only at m2 = 0
+_COEFFICIENT_PAIRS = {"alpha1 x 1": ({"W1": (0, 0.3, 0, 0)}, "_fields"),
+                      "alpha2 x gamma5, m2 = 0": (
+                          {"X1": (0, 0, 0.3, 0), "m2": 0}, "_leg_factors")}
+
+
+@pytest.mark.parametrize("label", sorted(_COEFFICIENT_PAIRS))
+def test_both_time_only_routes_converge_to_the_exact_solution(label):
+    """The exact oracle covers the spin-product route and the (k, u_k,
+    other) route alike: each pair's legs take their route, and it passes
+    the consistent hoho draws' gates."""
+    params, route = _COEFFICIENT_PAIRS[label]
+    system = make_builtin("coefficient_form", params)
+    leg = evolve_path(_psi0(), [Leg(1, T, DTS[0])], system)
+    assert getattr(leg, route) is not None
+    _assert_second_order(system, 0)
 
 
 def test_an_inconsistent_pairs_orders_differ_exactly_as_strangs_do():

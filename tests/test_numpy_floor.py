@@ -67,6 +67,33 @@ def test_matrix_power_of_a_stack_is_repeated_matmul(power):
     assert np.allclose(result, expected, rtol=1e-12, atol=1e-14)
 
 
+def test_stacked_matvec_applies_each_mode_its_own_matrix():
+    """An (n, 4, 4) stack @ an (n, 4, 1) stack multiplies each mode's
+    4-vector by that mode's matrix, as a spin-product leg does."""
+    kernels, fields = _values((8, 4, 4)), _values((8, 4))
+    out = (kernels @ fields[..., None])[..., 0]
+    assert out.shape == (8, 4)
+    for mode in range(8):
+        assert np.allclose(out[mode], kernels[mode] @ fields[mode])
+
+
+def test_multiply_outer_of_a_profile_and_a_spinor():
+    """np.multiply.outer of an (n,) profile and a 4-spinor is the (n, 4)
+    field g[z] s[a], each entry one product."""
+    profile, spinor = _values((8,)), _values((4,))
+    field = np.multiply.outer(profile, spinor)
+    assert field.shape == (8, 4)
+    assert np.array_equal(field, profile[:, None] * spinor[None, :])
+
+
+def test_vdot_and_norm_read_a_field_whole():
+    """np.vdot conjugates its first argument and flattens (n, 4) fields,
+    and np.linalg.norm of one is its Frobenius norm."""
+    a, b = _values((8, 4)), _values((8, 4))
+    assert np.isclose(np.vdot(a, b), np.sum(a.conj() * b))
+    assert np.isclose(np.linalg.norm(a), np.sqrt(np.sum(np.abs(a) ** 2)))
+
+
 def test_an_overflow_outside_errstate_fails():
     """The `error::RuntimeWarning` filter (pyproject.toml) turns an
     overflow that escapes an np.errstate into an exception; inside one

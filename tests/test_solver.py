@@ -347,6 +347,15 @@ _ORACLE_SYSTEMS = {
     "time-only two commuting classes": ("coefficient_form", {
         "W1": (0, 0, 0, "0.5*cos(x1_0 - x2_0)"),
         "X1": (0, 0, 0, "0.2*cos(x2_0)")}),
+    # every structure on one particle: V_1's classes {1}, {alpha1 x 1,
+    # gamma0 x 1} and {1 x gamma5} lie on neither, particle 1 and particle
+    # 2, V_2's {1 x alpha2} and {gamma5 x 1} on 2 and 1
+    "time-only one-particle classes on both particles": ("coefficient_form", {
+        "W1": ("0.3*cos(x1_0)", "0.2*sin(x2_0)", 0, 0),
+        "A": ("0.4*cos(x1_0 - x2_0)", 0, 0, 0),
+        "X1": ("0.25*sin(x1_0 + x2_0)", 0, 0, 0),
+        "W2": (0, 0, "0.5*cos(x1_0 - x2_0)", 0),
+        "Y2": ("0.3*cos(x2_0)", 0, 0, 0), "hermitian": True}),
     # a time-only run on V_1 next to grid steps on V_2: the state goes from
     # the joint Fourier space back to position space inside a path
     "time-only V_1, grid V_2": ("coefficient_form", {
@@ -662,20 +671,33 @@ def test_constant_leg_by_repeated_squaring_matches_chained_steps(
 
 def _formed_copy(psi: WaveFunction) -> WaveFunction:
     """A state holding psi's formed Fourier values and no factors."""
-    return WaveFunction._holding(psi.grid, psi.times, [None, psi._holding(
-        psi.grid, psi.times, [None, None], psi._factors)._space(True)])
+    factored = psi._holding(psi.grid, psi.times, [None, None], psi._factors,
+                            psi._leg_factors, psi._fields)
+    return WaveFunction._holding(psi.grid, psi.times,
+                                 [None, factored._space(True)])
 
 
-@pytest.mark.parametrize("name, particle", [("hoho", 1), ("hoho", 2),
-                                            ("free", 1)])
-def test_product_state_leg_takes_the_spinor_chain(name, particle, dirac,
-                                                  monkeypatch):
-    """On a product state a 20-step time-only leg (hoho's V_1 with a
-    kernel per step, its constant V_2, free's zero V_1) applies each
-    kernel to the (n, 16) spinor field: no repeated squaring and no
-    per-mode matmul over the grid.  It matches the leg on the formed
-    state to 1e-14 and 20 chained reference steps to 1e-13, both ways."""
-    system = make_builtin(name)
+# alpha2 x gamma5 and gamma5 x alpha2 act on both particles, so their legs
+# keep the (k, u_k, other) route; alpha2 is antisymmetric, so neither
+# particle's P K P is symmetric and a transposed kernel in a GEMM shows
+_ENTANGLING = ("coefficient_form", {"X1": (0, 0, "0.5*cos(x1_0 - x2_0)", 0),
+                                    "Y2": (0, 0, "0.4*sin(x1_0 + x2_0)", 0),
+                                    "hermitian": True})
+# alpha2 x 1 and 1 x alpha2: each on one particle, the spin-product route
+_ONE_PARTICLE = ("coefficient_form", {"W1": (0, 0, "0.5*cos(x1_0 - x2_0)", 0),
+                                      "W2": (0, 0, "0.4*sin(x1_0 + x2_0)", 0),
+                                      "hermitian": True})
+
+
+@pytest.mark.parametrize("particle", [1, 2])
+def test_an_entangling_product_state_leg_takes_the_16_spinor_chain(
+        particle, dirac, monkeypatch):
+    """On a product state a 20-step time-only leg whose V_k acts on both
+    particles (a kernel per step) applies each 16x16 kernel to the
+    (n, 16) spinor field: no repeated squaring and no per-mode matmul
+    over the grid.  It matches the leg on the formed state to 1e-14 and 20 chained
+    reference steps to 1e-13, both ways."""
+    system = make_builtin(*_ENTANGLING)
     psi = _oracle_state()
     formed = _formed_copy(psi)
     squarings = _counted(monkeypatch, np.linalg, ["matrix_power"])
@@ -686,6 +708,45 @@ def test_product_state_leg_takes_the_spinor_chain(name, particle, dirac,
         path = [Leg(particle, 1.0, 0.05, direction)]
         fused = evolve_path(psi, path, system)
         assert not squarings and not kernels and psi._known[1] is None
+        assert fused._leg_factors[0] == particle
+        reference = evolve_path(formed, path, system)
+        expected = _reference_path(psi, [(particle, direction * 0.05, 20)],
+                                   system, dirac)
+        assert fused.times == reference.times == expected.times
+        assert fused.distance(reference) <= 1e-14
+        assert fused.distance(expected) <= 1e-13
+        assert fused.distance(psi) > 0.1
+
+
+@pytest.mark.parametrize("name, particle", [
+    ("hoho", 1), ("hoho", 2), ("free", 1), ("one-particle alpha2", 1),
+    ("one-particle alpha2", 2)])
+def test_product_state_leg_takes_the_spinor_chain(name, particle, dirac,
+                                                  monkeypatch):
+    """On a product state a 20-step time-only leg whose V_k acts on one
+    particle per structure (hoho's V_1 with a kernel per step, its
+    constant V_2, free's zero V_1, alpha2 on either particle) applies
+    each 4x4 kernel to particle k's (n, 4) Fourier spinor field and
+    leaves a spin product: no 16x16 kernel, no repeated squaring and no
+    per-mode matmul over the grid.  It matches the leg on the formed
+    state to 1e-14 and 20 chained reference steps to 1e-13, both ways."""
+    system = (make_builtin(*_ONE_PARTICLE) if name == "one-particle alpha2"
+              else make_builtin(name))
+    psi = _oracle_state()
+    formed = _formed_copy(psi)
+    squarings = _counted(monkeypatch, np.linalg, ["matrix_power"])
+    kernels = _counted(monkeypatch, solver, ["_apply_kernel"])
+    wide = _counted(monkeypatch, solver, ["_class_matrix"],
+                    lambda weights, basis, *args: basis.shape[-1] == 16)
+    for direction in (1, -1):
+        for counter in (squarings, kernels, wide):
+            counter.clear()
+        path = [Leg(particle, 1.0, 0.05, direction)]
+        fused = evolve_path(psi, path, system)
+        assert not +squarings and not +kernels and not +wide
+        assert psi._known[1] is None
+        assert [u.shape for u in fused._factors_in(True)] == [(16, 4)] * 2
+        assert fused._known == [None, None] and fused._leg_factors is None
         reference = evolve_path(formed, path, system)
         expected = _reference_path(psi, [(particle, direction * 0.05, 20)],
                                    system, dirac)
@@ -700,11 +761,8 @@ _TWO_LEG_SYSTEMS = {
     "example1_vector": ("example1_vector", {}),
     # V_1 varies over the grid: the second leg forms u_2 x g^_1 first
     "hoho, grid V_1": ("hoho", {"c": (1.0, 0.0, 0.0, 0.5)}),
-    # alpha2 is antisymmetric, so neither particle's P K P is symmetric
-    # and a transposed kernel in either GEMM shows
-    "time-only alpha2 on both": ("coefficient_form", {
-        "W1": (0, 0, "0.5*cos(x1_0 - x2_0)", 0),
-        "W2": (0, 0, "0.4*sin(x1_0 + x2_0)", 0), "hermitian": True}),
+    "one-particle alpha2 on both": _ONE_PARTICLE,
+    "time-only alpha2 on both": _ENTANGLING,  # alpha2 x gamma5, gamma5 x alpha2
 }
 
 
@@ -731,10 +789,11 @@ def test_a_two_leg_time_only_path_forms_one_state_array():
     form at most one (n, n, 16) array, and since the second leg keeps its
     product beside the first leg's (n, 16) factor, none until read.  The
     legs hold (n, 16, 16) kernel stacks, an eighth of a state each:
-    within 1.5 states (0.64 and 0.43 measured; 1.39 and 1.40 when the
-    second leg wrote the array by one GEMM, 1.90 and 1.53 when the first
-    leg formed u x g^_other)."""
-    system = make_builtin("hoho")
+    within 1.5 states (0.43 measured for both orders of this pair; on
+    hoho, before its legs kept spin products, 0.64 and 0.43, 1.39 and
+    1.40 when the second leg wrote the array by one GEMM, 1.90 and 1.53
+    when the first leg formed u x g^_other)."""
+    system = make_builtin(*_ENTANGLING)
     state_bytes = 128 ** 2 * 16 * 16
     for particles in ((1, 2), (2, 1)):
         path = [Leg(particles[0], 0.5, 0.05), Leg(particles[1], 0.5, 0.05)]
@@ -813,8 +872,7 @@ def test_rows_of_leg_factors_are_slices_of_the_formed_space(points):
     Fourier space's rows bit for bit, the partial last block included,
     and no space is formed to read them; distances between such states
     equal those between copies holding their formed values exactly."""
-    system = make_builtin(*_TWO_LEG_SYSTEMS["time-only alpha2 on both"])
-    states = _leg_factored_states(points, system)
+    states = _leg_factored_states(points, make_builtin(*_ENTANGLING))
     pairs = list(itertools.combinations(range(len(states)), 2))
     factored = [states[a].distance(states[b]) for a, b in pairs]
     blocks = solver._row_blocks(points)
@@ -836,17 +894,29 @@ def test_leg_factored_states_passed_back_are_never_written():
     and mixed paths, single steps and both experiments taken from it, each
     experiment run twice alike: on the first pass the state holds factors
     alone, on the second both spaces as well."""
-    time_only = make_builtin("hoho")
-    grid_system = make_builtin("hoho", {"c": (1.0, 0.0, 0.0, 0.5)})
-    states = _leg_factored_states(32, time_only)
+    _assert_never_written(_leg_factored_states(32, make_builtin(
+        *_ENTANGLING)), lambda s: s._leg_factors[1:])
+
+
+def _assert_never_written(states, factors) -> None:
+    """Each state keeps the bytes of its factors(state) and of each space
+    formed from them through time-only (both routes), grid and mixed
+    paths, single steps and both experiments taken from it, each
+    experiment run twice alike, on a pass with factors alone and one
+    with both spaces formed as well."""
+    systems = [make_builtin(*_ENTANGLING), make_builtin("hoho"),
+               make_builtin("hoho", {"c": (1.0, 0.0, 0.0, 0.5)})]
     paths = [[Leg(1, 0.2, 0.1)], [Leg(2, 0.2, 0.1, -1)],
              [Leg(1, 0.2, 0.1), Leg(2, 0.1, 0.1), Leg(1, 0.1, 0.1, -1)]]
+
+    def held(state):
+        return [np.asarray(a).tobytes() for a in itertools.chain.from_iterable(
+            f if isinstance(f, tuple) else [f] for f in factors(state))] + [
+            None if a is None else a.tobytes() for a in state._known]
     for _ in range(2):
-        held = [[a.tobytes() for a in s._leg_factors[1:]]
-                + [None if a is None else a.tobytes() for a in s._known]
-                for s in states]
+        before = [held(s) for s in states]
         for state in states:
-            for system in (time_only, grid_system):
+            for system in systems:
                 for path in paths:
                     evolve_path(state, path, system)
                 step(step(state, 1, 0.05, system), 2, -0.05, system)
@@ -857,11 +927,86 @@ def test_leg_factored_states_passed_back_are_never_written():
                         lambda: holonomy_series(system, state,
                                                 [0.1, 0.05]).rows):
                     assert experiment() == experiment()
-        for state, before in zip(states, held):
-            now = [a.tobytes() for a in state._leg_factors[1:]] + [
-                None if a is None else a.tobytes() for a in state._known]
-            assert all(b is None or a == b for a, b in zip(now, before))
+        for state, pristine in zip(states, before):
+            assert all(b is None or a == b
+                       for a, b in zip(held(state), pristine))
             state._space(False), state._space(True)  # both, for the next pass
+
+
+def _spin_product_states(points: int) -> list[WaveFunction]:
+    """Spin products a time-only path leaves: after a leg on k alone and
+    after legs on k and then on j, for k = 1 and 2, with alpha2 on each
+    particle's own spinor, and after hoho's leg on 2, whose V_2 touches
+    particle 1's field only by a constant, g^_1 x s_1."""
+    psi = product_state(Grid(points=points), spinor1=(0.6, 0.2j, -0.5, 0.3),
+                        spinor2=(0.1, 0.7, 0.4j, -0.2), centers=(0.7, -1.1),
+                        momenta=(0.8, -0.5), times=(0.3, -0.2))
+    system, states = make_builtin(*_ONE_PARTICLE), []
+    for k in (1, 2):
+        first = [Leg(k, 0.2, 0.1)]
+        states += [evolve_path(psi, first, system), evolve_path(
+            psi, first + [Leg(3 - k, 0.3, 0.1, -1)], system)]
+    states.append(evolve_path(psi, [Leg(2, 0.2, 0.1)], make_builtin("hoho")))
+    assert [[type(f) for f in s._fields] for s in states] == [
+        [np.ndarray, tuple], [np.ndarray] * 2, [tuple, np.ndarray],
+        [np.ndarray] * 2, [tuple, np.ndarray]]
+    return states
+
+
+@pytest.mark.parametrize("points", [48, 96])
+def test_rows_of_spin_products_are_slices_of_the_formed_spaces(points):
+    """Rows of either space read from a spin product's (n, 4) fields,
+    block by block, equal its formed space's rows bit for bit, the
+    partial last block included, and no space is formed to read them;
+    distances between spin products, and to psi0, equal those between
+    copies holding their formed Fourier values to 1e-14."""
+    states = _spin_product_states(points)
+    blocks = solver._row_blocks(points)
+    for state in states:
+        for spectral in (True, False):
+            read = [state._rows(spectral, rows) for rows in blocks]
+            assert state._known == [None, None]
+            whole = state._holding(state.grid, state.times, [None, None],
+                                   fields=state._fields)._space(spectral)
+            for rows, block in zip(blocks, read):
+                assert block.tobytes() == whole[rows].tobytes()
+    psi0 = product_state(Grid(points=points), spinor1=(0.6, 0.2j, -0.5, 0.3),
+                         spinor2=(0.1, 0.7, 0.4j, -0.2), centers=(0.7, -1.1),
+                         momenta=(0.8, -0.5), times=(0.3, -0.2))
+    states.append(psi0)
+    pairs = list(itertools.combinations(range(len(states)), 2))
+    factored = [states[a].distance(states[b]) for a, b in pairs]
+    assert all(s._known == [None, None] for s in states)
+    copies = [WaveFunction._holding(s.grid, s.times, [None, s._space(True)])
+              for s in states]
+    formed = [copies[a].distance(copies[b]) for a, b in pairs]
+    assert np.allclose(factored, formed, rtol=0, atol=1e-14)
+    assert min(factored) > 0.01
+
+
+def test_spin_products_passed_back_are_never_written():
+    """A spin product keeps the bytes of its fields, and of each space
+    formed from them, through every path and experiment taken from it."""
+    _assert_never_written(_spin_product_states(32), lambda s: s._fields)
+
+
+@pytest.mark.parametrize("particle", [1, 2])
+def test_an_entangling_leg_splits_a_spin_product_with_a_pair(particle):
+    """After hoho's leg on 2, particle 1's field is still g^_1 x s_1, so
+    an entangling leg on 2 keeps it beside u_2 x s_1 as (2, u, g^_1); one
+    on 1 forms the state from the fields.  Both match the path on the
+    formed state to 1e-14."""
+    psi = _spin_product_states(16)[-1]
+    system = make_builtin(*_ENTANGLING)
+    out = evolve_path(psi, [Leg(particle, 0.3, 0.1)], system)
+    reference = evolve_path(_formed_copy(psi), [Leg(particle, 0.3, 0.1)],
+                            system)
+    if particle == 2:
+        assert out._leg_factors[0] == 2 and out._leg_factors[2].ndim == 1
+    else:
+        assert out._leg_factors is None and out._known[1] is not None
+    assert out.distance(reference) <= 1e-14
+    assert out.distance(psi) > 0.01
 
 
 def test_a_grid_phase_loop_series_forms_psi0_once(monkeypatch):
@@ -1059,12 +1204,13 @@ def test_time_only_experiments_hold_one_array_per_state():
     """At n = 128 a time-only path-independence run holds at most one
     (n, n, 16) array per order, and distances read blocks of rows, psi0's
     from its factors, so neither psi0 nor psi0^ is formed; its warmed
-    peak stays within 2.79 states (0.65 measured with both orders left
-    factored, 2.54 when each order wrote its array, 3.66 when psi0^ was
-    formed, 5.53 when every leg and distance allocated a full array).  A
-    loop series holds one loop state, and the curvature norm after it
-    reads psi0's rows and F psi0's a block at a time: within 1.45 states
-    (1.39 measured, 3.01 when both formed psi0 whole)."""
+    peak stays within 2.79 states (0.04 measured with both orders left
+    spin products, 0.65 with (n, 16, 16) products, 2.54 when each order
+    wrote its array, 3.66 when psi0^ was formed, 5.53 when every leg and
+    distance allocated a full array).  A loop series holds one loop
+    state, and the curvature norm after it reads psi0's rows and F psi0's
+    a block at a time: within 1.45 states (0.63 measured with spin
+    products, 1.39 before, 3.01 when both formed psi0 whole)."""
     state_bytes = 128 ** 2 * 16 * 16
     hoho, vector = make_builtin("hoho"), make_builtin("example1_vector")
 
@@ -1083,18 +1229,62 @@ def test_time_only_experiments_hold_one_array_per_state():
 
 
 def test_a_time_only_experiment_holds_no_state_array():
-    """At n = 128 a time-only path-independence run forms no (n, n, 16)
-    array: each order ends factored, its (n, 16) u_k beside the second
-    leg's (n, 16, 16) product, and the distance reads both a block of
-    rows at a time; its warmed peak stays below one state (2.59 MiB
-    measured against 4 MiB; 9.66 MiB when each order wrote its array)."""
-    system = make_builtin("hoho")
+    """At n = 128 a time-only path-independence run of a pair whose
+    potentials act on both particles forms no (n, n, 16) array: each
+    order ends factored, its (n, 16) u_k beside the second leg's
+    (n, 16, 16) product, and the distance reads both a block of rows at a
+    time; its warmed peak stays below one state (2.59 MiB measured on
+    hoho, when its legs took this route, and 2.59 MiB on this pair,
+    against 4 MiB; 9.66 MiB on hoho when each order wrote its array)."""
+    system = make_builtin(*_ENTANGLING)
 
     def orders():
         path_independence_experiment(system, product_state(Grid(20, 128)),
                                      0.5, [0.1, 0.05, 0.025])
     orders()  # warm
     assert _traced_peak(orders) < 128 ** 2 * 16 * 16
+
+
+def test_one_particle_experiments_hold_no_array_and_no_kernel_stack():
+    """At n = 128 a time-only hoho path-independence run and an
+    example1_vector loop series keep spin products: each leg holds one
+    (n, 4, 4) kernel at a time and distances read the (n, 4) fields
+    alone, so neither run forms an (n, n, 16) array or an (n, 16, 16)
+    kernel stack, an eighth of a state.  Warmed peaks stay below such a
+    stack (0.15 and 0.09 MiB measured against 0.5 MiB; 2.59 and 5.58 MiB
+    when the legs kept (n, 16, 16) products and the loops formed
+    arrays)."""
+    hoho, vector = make_builtin("hoho"), make_builtin("example1_vector")
+
+    def orders():
+        path_independence_experiment(hoho, product_state(Grid(20, 128)),
+                                     0.5, [0.1, 0.05, 0.025])
+
+    def loops():
+        holonomy_series(vector, product_state(Grid(points=128)),
+                        [0.08, 0.04, 0.02])
+    for run in (orders, loops):
+        run()  # warm
+        assert _traced_peak(run) < 128 * 16 * 16 * 16
+
+
+@pytest.mark.parametrize("label", ["hoho", "entangling"])
+def test_norm_of_a_factored_state_forms_no_space(label):
+    """At n = 128, after legs on t_1 and t_2, the norm of a spin product
+    (hoho) is its fields' norms' product and that of a state left as
+    (k, u_k, other) (the alpha2 x gamma5 pair) reads Fourier rows by
+    Parseval a block at a time: neither forms a space (both were formed
+    and kept, at a 12.5 MiB peak, when the norm read position rows), the
+    peak stays below one state, and the norm equals the formed state's
+    to 1e-14 relative."""
+    system = make_builtin(*(("hoho", {}) if label == "hoho" else _ENTANGLING))
+    psi = evolve_path(product_state(Grid(points=128)),
+                      [Leg(1, 0.5, 0.05), Leg(2, 0.5, 0.05)], system)
+    norms = []
+    assert _traced_peak(lambda: norms.append(psi.norm())) < 128 ** 2 * 256
+    assert psi._known == [None, None]
+    formed = WaveFunction(psi.grid, psi.times, psi._view().values)
+    assert abs(norms[0] - formed.norm()) <= 1e-14 * formed.norm()
 
 
 def _minor_faults(call) -> int:
@@ -1220,16 +1410,19 @@ def test_time_only_experiments_transform_no_state(monkeypatch):
 
 def test_chained_time_only_steps_stay_in_fourier_space(monkeypatch):
     """Ten alternating hoho steps from a product state transform no
-    (n, n, 16) array, and reading the last state's values takes one
-    inverse 2-D FFT."""
+    (n, n, 16) array, and reading the last state's values transforms
+    none either: it takes two 1-D inverse FFTs, of the (n, 4) fields."""
     psi = product_state(Grid(points=128))
     system = make_builtin("hoho")
     calls = _state_transforms(monkeypatch)
+    fields = _counted(monkeypatch, np.fft, _TRANSFORMS,
+                      lambda values, *args, **kwargs: np.ndim(values) == 2)
     for s in range(10):
         psi = step(psi, 1 + s % 2, 0.05, system)
-    assert not +calls
+    assert not +calls and not +fields
     assert psi.values.shape == (128, 128, 16)
-    assert +calls == {"ifft2": 1}
+    assert not +calls
+    assert +fields == {"ifft": 2}
 
 
 @pytest.mark.parametrize("label", sorted(_ORACLE_SYSTEMS))
