@@ -758,12 +758,19 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
     """Atomic file write: stage to a temp file, then rename into place.
 
     The file gets the mode open(path, "w") would give it, not mkstemp's
-    0o600: an existing file's mode, else 0o666 less the umask.  A failure
-    leaves no staging file and raises an OSError naming path, not it.
+    0o600: an existing file's mode, else 0o666 less the umask.  An
+    existing target that is not a regular file (a FIFO, a device) is
+    written in place, never replaced.  A failure leaves no staging file
+    and raises an OSError naming path, not it.
     """
     try:
         try:
-            mode = stat.S_IMODE(os.stat(path).st_mode)
+            mode = os.stat(path).st_mode
+            if not stat.S_ISREG(mode):
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+                return
+            mode = stat.S_IMODE(mode)
         except FileNotFoundError:
             umask = os.umask(0o077)  # reading the umask means setting it
             os.umask(umask)

@@ -36,14 +36,14 @@ P{I, alpha3_k, gamma0_k}P, applied in the joint Fourier space of
 on the stack of its midpoint times; a failure raises the earliest
 failing step's error.  Where each structure of V_k acts on one particle
 at most (hoho, example1_vector, free), P K P = a(kappa) x b, 4x4 each,
-and on a product state g_1 x g_2 x spin or a spin product u_1 x u_2 of
-(n, 4) Fourier fields a leg applies a per mode to u_k and b to u_j.
-Other legs multiply their kernels, one by repeated squaring; on a
-product state they apply each to the (n, 16) field u_k = g^_k spin, a
-leg on the other particle keeping its product beside u_k.  Norms and
-distances (by Parseval, ||a - b|| = spacing ||a^ - b^|| / n) read rows
-from factors a block at a time; a distance between products reads their
-(n, 4) fields alone.
+and on a spin product u_1 x u_2 of (n, 4) fields, a product state being
+the one of (profile, spinor) pairs (g_k, s_k), a leg applies a per mode
+to u_k and b to u_j.  Other legs multiply their kernels, one by
+repeated squaring; while field j is a pair they apply each to the
+(n, 16) field u_k x s_j, a leg on j keeping its product beside u_k.
+Norms and distances (by Parseval, ||a - b|| = spacing ||a^ - b^|| / n)
+read rows from factors a block at a time; a distance between spin
+products reads their (n, 4) fields alone.
 
 Two experiments probe the compatibility of the pair of evolutions:
 
@@ -56,10 +56,10 @@ Two experiments probe the compatibility of the pair of evolutions:
   evaluates without stepping: consistency.curvature_operator gives
   F_12 as operator fields on the grid's (n, n, 2, 4) configuration
   stack, or at one configuration when no potential refers to z,
-  applied like the grid phase as sum_m c_m(x) (B_m psi).  On a product
-  state curvature_norm reads ||F psi|| from the factors instead: each
-  term is a scalar field times a constant 16-vector, whose QR reduces
-  the spin side once.
+  applied like the grid phase as sum_m c_m(x) (B_m psi).  On a spin
+  product of pairs curvature_norm reads ||F psi|| from the pairs
+  instead: each term is a scalar field times a constant 16-vector, whose
+  QR reduces the spin side once.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def _l2(grid: Grid, block, minus=None) -> float:
 
 
 def _field(field) -> np.ndarray:
-    """A spin product's (n, 4) field, held as is or as a pair (g^, s)."""
+    """A spin product's (n, 4) field, held as is or as a pair (g, s)."""
     return np.multiply.outer(*field) if isinstance(field, tuple) else field
 
 
@@ -159,58 +159,44 @@ class WaveFunction:
     space (`values`), in the joint Fourier space, or both, handed out as
     read-only views, so no edit leaves the other stale; the missing space
     is formed once, when first asked for, by a 2-D FFT or from factors:
-    a product state's (g_1, g_2, spin), a time-only leg's (k, u_k, other)
-    of Fourier values u_k x other (see _advance), or a spin product's
-    (n, 4) Fourier fields (u_1, u_2), a u_k held as (g^_k, s_k) while
-    only constants touched it.  Nothing is copied.  `_rows` reads a block
-    of rows, from factors where it can.
+    a time-only leg's (k, u_k, other) of Fourier values u_k x other (see
+    _advance), or a spin product's fields u_1, u_2 in `_fields` =
+    [position pair, Fourier pair], one given and the other transformed
+    once, on first use.  A field is an (n, 4) array or a (profile,
+    spinor) pair (g, s), transformed by g alone; a product state holds
+    its position pairs.  Nothing is copied.  `_rows` reads a block of
+    rows, from factors where it can.
     """
 
     def __init__(self, grid: Grid, times: tuple[float, float],
                  values: np.ndarray):
         self.grid, self.times, self._known = grid, times, [values, None]
-        self._factors = self._dual = self._leg_factors = self._fields = None
+        self._leg_factors = self._fields = None
 
     @classmethod
-    def _holding(cls, grid, times, known, factors=None, leg_factors=None,
-                 fields=None):
+    def _holding(cls, grid, times, known, leg_factors=None, fields=None):
         """A state of the given [position, Fourier] arrays and factors."""
         psi = cls(grid, times, None)
-        psi._known, psi._factors = list(known), factors
-        psi._leg_factors, psi._fields = leg_factors, fields
+        psi._known, psi._leg_factors = list(known), leg_factors
+        psi._fields = None if fields is None else list(fields)
         return psi
 
     def _view(self) -> "WaveFunction":
-        """A state holding this one's arrays and factors, not its list."""
-        return self._holding(self.grid, self.times, self._known, self._factors,
+        """A state holding this one's arrays and factors, not its lists."""
+        return self._holding(self.grid, self.times, self._known,
                              self._leg_factors, self._fields)
 
-    def _factors_in(self, spectral: bool) -> tuple:
-        """(g_1, g_2, spin), in Fourier space with the g_k's DFTs; a spin
-        product's (u_1, u_2), in position space their inverses; either
-        transform is taken once, as `_dual`."""
-        if self._fields is not None:
-            fields = tuple(map(_field, self._fields))
-            if not spectral and self._dual is None:
-                self._dual = tuple(np.fft.ifft(u, axis=0) for u in fields)
-            return fields if spectral else self._dual
-        g1, g2, spin = self._factors
-        if spectral and self._dual is None:
-            self._dual = tuple(map(np.fft.fft, (g1, g2)))
-        return (*(self._dual if spectral else (g1, g2)), spin)
-
-    def _spin_pair(self) -> tuple:
-        """A spin product's fields; a product state's, as (g^_k, s_k), its
-        rank-1 spin split at its largest entry."""
-        if self._fields is not None:
-            return self._fields
-        *hats, spin = self._factors_in(True)
-        s = spin.reshape(4, 4)
-        i, j = np.unravel_index(np.argmax(np.abs(s)), s.shape)
-        return (hats[0], s[:, j]), (hats[1], s[i] / s[i, j])
+    def _pair(self, spectral: bool) -> tuple:
+        """A spin product's fields in either space, transformed once."""
+        if self._fields[spectral] is None:
+            transform = np.fft.fft if spectral else np.fft.ifft
+            self._fields[spectral] = tuple(
+                (transform(f[0]), f[1]) if isinstance(f, tuple)
+                else transform(f, axis=0) for f in self._fields[not spectral])
+        return self._fields[spectral]
 
     def _implicit(self, spectral: bool) -> bool:  # factors give the space
-        return self._factors is not None or self._fields is not None or (
+        return self._fields is not None or (
             spectral and self._leg_factors is not None)
 
     def _rows(self, spectral: bool, rows: slice) -> np.ndarray:
@@ -218,12 +204,9 @@ class WaveFunction:
         if self._known[spectral] is not None or not self._implicit(spectral):
             return self._space(spectral)[rows]
         if self._fields is not None:  # u_1 x u_2 by s = 4 s_1 + s_2
-            u1, u2 = self._factors_in(spectral)
+            u1, u2 = map(_field, self._pair(spectral))
             return (u1[rows, None, :, None] * u2[:, None]).reshape(
                 -1, len(u2), 16)
-        if self._leg_factors is None:
-            g1, g2, spin = self._factors_in(spectral)
-            return np.multiply.outer(np.multiply.outer(g1[rows], g2), spin)
         k, u, other = self._leg_factors  # u_k x other in (z_1, z_2, spin)
         if other.ndim == 1:
             return (u[rows, None] * other[:, None] if k == 1
@@ -250,11 +233,12 @@ class WaveFunction:
 
     def norm(self, mask: np.ndarray | None = None) -> float:
         """L2 norm; an optional (n, n) mask restricts the integration.
-        Unmasked, a (spin) product's is its factors' norms' product, and
-        a state with no position values held reads Fourier rows."""
-        if mask is None and self._implicit(False):  # (spin) product
+        Unmasked, a spin product's is its position factors' norms'
+        product; a state with no position values held reads Fourier rows."""
+        if mask is None and self._fields is not None:  # spin product
             spacing = self.grid.spacing
-            sums = [np.sum(np.abs(f) ** 2) for f in self._factors_in(False)]
+            sums = [np.sum(np.abs(f) ** 2) for field in self._pair(False)
+                    for f in (field if isinstance(field, tuple) else [field])]
             return float(np.sqrt(np.prod(sums) * spacing * spacing))
         if mask is None and self._known[0] is None:  # by Parseval
             return _l2(self.grid, partial(self._rows, True)) / self.grid.points
@@ -264,14 +248,13 @@ class WaveFunction:
 
     def distance(self, other: "WaveFunction") -> float:
         """||self - other||; by Parseval, spacing ||a^ - b^|| / n, when
-        both states hold Fourier values or factors.  Between (spin)
+        both states hold Fourier values or factors.  Between spin
         products, a_1 x a_2 - b_1 x b_2 is the orthogonal sum
         (l a_1 - b_1) x b_2 + a_1 x r of a_2 = l b_2 + r, r _|_ b_2: its
-        norm takes (n, 4) fields alone, and no sum cancels."""
+        norm takes (n, 4) Fourier fields alone, and no sum cancels."""
         pair, norm = (self, other), np.linalg.norm
-        if all(psi._implicit(False) for psi in pair):
-            (a1, a2), (b1, b2) = ([_field(f) for f in psi._spin_pair()]
-                                  for psi in pair)
+        if all(psi._fields is not None for psi in pair):
+            (a1, a2), (b1, b2) = (map(_field, psi._pair(True)) for psi in pair)
             ratio = np.vdot(b2, a2) / norm(b2) ** 2 if norm(b2) else 0
             return float(np.hypot(norm(ratio * a1 - b1) * norm(b2), norm(
                 a1) * norm(a2 - ratio * b2))) * self.grid.spacing / len(a1)
@@ -300,24 +283,24 @@ def product_state(grid: Grid, *,
     """L2-normalized Gaussian x Gaussian state with a fixed spinor pair.
 
     Spinors have Dirac components, where gamma^0 = diag(1, 1, -1, -1), so
-    the default (1, 0, 0, 0) is a positive-energy rest spinor.  Raises
+    the default (1, 0, 0, 0) is a positive-energy rest spinor.  It is the
+    spin product of pairs (g_1, s_1 / ||psi||), (g_2, s_2).  Raises
     SpecError unless the norm on the grid is finite and positive.
     """
-    e0 = np.array([1.0, 0.0, 0.0, 0.0], complex)
-    s1 = e0 if spinor1 is None else np.asarray(spinor1, complex)
-    s2 = e0 if spinor2 is None else np.asarray(spinor2, complex)
+    s1, s2 = (np.array((1, 0, 0, 0) if s is None else s, complex)
+              for s in (spinor1, spinor2))
     if s1.shape != (4,) or s2.shape != (4,):
         raise SpecError("spinors must be 4-component")
-    spin = np.outer(s1, s2).ravel()
     with np.errstate(all="ignore"):
         psi = WaveFunction._holding(grid, (float(times[0]), float(times[1])),
-                                    [None, None], (
-            gaussian_profile(grid, width, centers[0], momenta[0]),
-            gaussian_profile(grid, width, centers[1], momenta[1]), spin))
+                                    [None, None], fields=[(
+            (gaussian_profile(grid, width, centers[0], momenta[0]), s1),
+            (gaussian_profile(grid, width, centers[1], momenta[1]), s2)),
+            None])
         norm = psi.norm()
     if not (np.isfinite(norm) and norm > 0):
         raise SpecError(f"initial state norm {norm:g} is not finite and positive")
-    spin /= norm  # in place: psi holds it
+    s1 /= norm  # in place: psi holds it
     return psi
 
 
@@ -592,18 +575,18 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
     """Strang steps from psi through (particle, dt, count) legs.
 
     A time-only leg evaluates V_k once, on the stack of its midpoint
-    times.  On a product or spin product, a V_k that passes _one_particle
-    leaves a spin product (_local_leg).  Any other builds its kernels
-    P K P (P = I where V_k vanishes, K alone when V_k is zero) in a
-    buffer of its own, or one for all its steps.  On a product state, a
-    spin product whose field j is still g^_j x s_j, or a state a leg left
-    as (k, u_k, g^_j), a leg on particle k applies each to the (n, 16)
-    spinor field u_k, one batched matvec a step, and a leg on j keeps its
-    kernels' product, scaled by g^_j, beside u_k.  On any other state it
-    multiplies its kernels, the one kernel by repeated squaring, and
-    applies the product in the joint Fourier space (formed from a spin
-    product's fields if need be), where it leaves the state.  A grid leg
-    builds each step's phase in turn and takes each step in position
+    times.  On a spin product (a product state included), a V_k that
+    passes _one_particle leaves one of Fourier fields (_local_leg).  Any
+    other builds its kernels P K P (P = I where V_k vanishes, K alone
+    when V_k is zero) in a buffer of its own, or one for all its steps.
+    On a spin product whose field j is still a pair (g^_j, s_j), or a
+    state a leg left as (k, u_k, g^_j), a leg on particle k applies each
+    to the (n, 16) spinor field u_k, one batched matvec a step, and a leg
+    on j keeps its kernels' product, scaled by g^_j, beside u_k.  On any
+    other state it multiplies its kernels, the one kernel by repeated
+    squaring, and applies the product in the joint Fourier space (formed
+    from a spin product's fields if need be), where it leaves it.  A grid
+    leg builds each step's phase in turn and takes each step in position
     space in the workspace's buffers (the caller's, or this call's).  A
     leg writes, or gives to the workspace, only a state an earlier leg of
     this call made, never psi or one the caller holds; a grid leg not one
@@ -656,10 +639,10 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
                     _potential_phase(system, particle, stack, dt, grid)
                 raise
         at = partial(WaveFunction._holding, grid, tuple(times))
-        if _one_particle(phase) and (psi._factors is not None
-                                     or psi._fields is not None):
-            psi = at([None, None], fields=_local_leg(  # a spin product
-                psi._spin_pair(), particle, count, free, phase))
+        fields = psi._fields and psi._pair(True)
+        if _one_particle(phase) and fields:
+            psi = at([None, None], fields=[None, _local_leg(
+                fields, particle, count, free, phase)])
             continue
         weights, basis = _class_basis(*free)
         phases = _multiply_out(phase).reshape(-1, 16, 16) if len(phase) else ()
@@ -670,12 +653,8 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
         else:  # one kernel for every step
             kernels = iter([_class_matrix(weights, basis, *phases)] * count)
         split = psi._leg_factors  # (k, u_k, g^_j) while it stays factored
-        if psi._factors is not None:
-            *g, spin = psi._factors_in(True)
-            split = (particle, g[particle - 1][:, None] * spin, g[-particle])
-        elif psi._fields is not None and type(psi._fields[-particle]) is tuple:
-            g, s = psi._fields[-particle]
-            u = _field(psi._fields[particle - 1])
+        if fields and isinstance(fields[-particle], tuple):
+            (g, s), u = fields[-particle], _field(fields[particle - 1])
             split = (particle, (u[:, :, None] * s if particle == 1 else
                                 s[:, None] * u[:, None]).reshape(-1, 16), g)
         elif split and split[2].ndim > 1:
@@ -874,16 +853,19 @@ def holonomy_series(system: MultiTimeSystem, psi0: WaveFunction,
 # ---------------------------------------------------------------------------
 
 def _spectral_derivative(psi: WaveFunction, particle: int) -> WaveFunction:
-    """d psi / d z_k by FFT: of g_k alone in a product state, else whole."""
-    def dz(values: np.ndarray, axis: int) -> np.ndarray:
-        kappa = (1j * psi.grid.momenta()).reshape([-1] + [1] * (
-            values.ndim - 1 - axis))
-        return np.fft.ifft(np.fft.fft(values, axis=axis) * kappa, axis=axis)
-    if psi._factors is None:
-        return WaveFunction(psi.grid, psi.times, dz(psi.values, particle - 1))
-    factors = list(psi._factors)
-    factors[particle - 1] = dz(factors[particle - 1], 0)
-    return WaveFunction._holding(psi.grid, psi.times, [None, None], factors)
+    """d psi / d z_k: of a spin product, i kappa times its Fourier field k
+    (a pair's profile), else by FFT of the whole state."""
+    kappa = 1j * psi.grid.momenta()
+    if psi._fields is None:  # kappa along z_k of (z_1, z_2, spin)
+        axis, kappa = particle - 1, kappa.reshape([-1] + [1] * (3 - particle))
+        return WaveFunction(psi.grid, psi.times, np.fft.ifft(
+            np.fft.fft(psi.values, axis=axis) * kappa, axis=axis))
+    fields = list(psi._pair(True))
+    u = fields[particle - 1]
+    fields[particle - 1] = ((u[0] * kappa, u[1]) if isinstance(u, tuple)
+                            else u * kappa[:, None])
+    return WaveFunction._holding(psi.grid, psi.times, [None, None],
+                                 fields=[None, tuple(fields)])
 
 
 def _line_parts(system: MultiTimeSystem, psi: WaveFunction) -> list:
@@ -926,18 +908,19 @@ def _curvature_rows(grid: Grid, parts: list):
 
 
 def _product_norm(grid: Grid, parts: list) -> float:
-    """||F psi|| from a product state's factors and its derivatives'.
+    """||F psi|| from the pairs (a, s_1), (b, s_2) of psi and its derivatives.
 
     F psi = sum_t c_t v_t over the parts' terms t: c_t = w_t a_t(z_1)
     b_t(z_2) is the scalar field of the term's weight and its state's
-    profiles, and v_t = B_t spin a constant 16-vector.  With the QR of
-    the (16, T) matrix [v_t], ||F psi||^2 = sum_z ||R c(z)||^2, summed a
-    block of rows of the (T, n, n) fields at a time.  No Gram matrix:
-    sum_tu G_tu c_t^* c_u cancels where F psi nearly vanishes.
+    profiles, and v_t = B_t (s_1 x s_2) a constant 16-vector.  With the
+    QR of the (16, T) matrix [v_t], ||F psi||^2 = sum_z ||R c(z)||^2,
+    summed a block of rows of the (T, n, n) fields at a time.  No Gram
+    matrix: sum_tu G_tu c_t^* c_u cancels where F psi nearly vanishes.
     """
-    terms = [(weight, realize(structure, DIRAC) @ state._factors[2],
-              *state._factors[:2])
-             for field, state in parts for structure, weight in field.items()]
+    terms = [(weight, realize(structure, DIRAC) @ np.outer(s1, s2).ravel(),
+              a, b) for field, state in parts
+             for (a, s1), (b, s2) in [state._pair(False)]
+             for structure, weight in field.items()]
     if not terms:
         return 0.0
     weights, spins, a, b = zip(*terms)
@@ -964,13 +947,14 @@ def apply_curvature(system: MultiTimeSystem, psi: WaveFunction) -> np.ndarray:
 def curvature_norm(system: MultiTimeSystem, psi: WaveFunction) -> float:
     """||F psi|| on the grid — the holonomy experiment's reference value.
 
-    On a product state g_1 x g_2 x spin it is read from the factors
-    (_product_norm), with no (n, n, 16) image; on any other state, from
-    F psi's rows a block at a time.  A pair whose potentials do not
-    refer to z evaluates F at one configuration, not on the grid.
+    On a spin product of two (profile, spinor) pairs, a product state
+    among them, it is read from the pairs (_product_norm), with no
+    (n, n, 16) image; on any other state, from F psi's rows a block at a
+    time.  A pair whose potentials do not refer to z evaluates F at one
+    configuration, not on the grid.
     """
     parts = _line_parts(system, psi)
-    if psi._factors is not None:
+    if psi._fields and all(isinstance(f, tuple) for f in psi._pair(False)):
         return _product_norm(psi.grid, parts)
     return _l2(psi.grid, _curvature_rows(psi.grid, parts))
 

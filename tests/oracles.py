@@ -321,6 +321,22 @@ def reference_step(psi, particle: int, dt: float, system, rep) -> np.ndarray:
     return np.einsum("...ij,...j->...i", phase, values)
 
 
+def product_values(grid, spinor1, spinor2, width: float, centers,
+                   momenta) -> np.ndarray:
+    """A product state formed whole, (n, n, 16) position values
+    (g_1 x g_2) x (s_1 x s_2) / ||.||: g_k is the packet
+    exp(-(z - c_k)^2 / (2 width^2) + i p_k z) at the grid's positions,
+    the spin index is s = 4 s_1 + s_2, and the norm is the grid's L2
+    sum over all n^2 16 values."""
+    zs = grid.positions()
+    g1, g2 = (np.exp(-(zs - c) ** 2 / (2 * width ** 2) + 1j * p * zs)
+              for c, p in zip(centers, momenta))
+    spin = np.einsum("a,b->ab", np.asarray(spinor1, complex),
+                     np.asarray(spinor2, complex)).reshape(16)
+    values = np.multiply.outer(np.multiply.outer(g1, g2), spin)
+    return values / (np.sqrt(np.sum(np.abs(values) ** 2)) * grid.spacing)
+
+
 def exact_modes(system, psi0, total_time: float, order, modes) -> np.ndarray:
     """The two-time solution's Fourier coefficients after evolving psi0
     by T in t_order[0], then by T in t_order[1] (to (T, T) from times

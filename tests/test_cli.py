@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -1026,6 +1027,33 @@ def test_unwritable_output_path_exits_two(tmp_path, capsys, flag, target,
     assert captured.err.splitlines() == [
         f"mtdirac: error: cannot write {path!r}: {reason}"]
     assert [p.name for p in tmp_path.rglob("*")] == ["directory"]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_output_to_a_fifo_is_written_in_place(tmp_path, flag):
+    """A target that exists and is not a regular file is written through,
+    never replaced by a staged file: a FIFO stays a FIFO, its reader gets
+    the output, and nothing else is left beside it."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    # a reader first, so that the writer's open does not wait for one
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        argv = (["check", "--builtin", "free", "--nsamples", "5"]
+                if flag == "--out" else
+                ["simulate", "--builtin", "free", "--grid-n", "16",
+                 "--delta", "0.1"])
+        assert entry([*argv, flag, str(fifo)]) == EXIT_OK
+        received = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+    if flag == "--out":
+        assert json.loads(received)["report"]["zeroth_sup"] == 0.0
+    else:
+        assert received.splitlines()[0] == \
+            "delta,deviation,deviation_per_delta2"
 
 
 def test_python_dash_m_runs(tmp_path):

@@ -11,6 +11,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtdirac import solver
 from mtdirac.cli import EXIT_OK, entry
@@ -47,7 +49,12 @@ from mtdirac.solver import (
     spacelike_mask,
     step,
 )
-from oracles import reference_add_terms, reference_kernel, reference_step
+from oracles import (
+    product_values,
+    reference_add_terms,
+    reference_kernel,
+    reference_step,
+)
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +141,44 @@ def test_product_state_rejects_norm_not_finite_positive(grid, spinor1):
         warnings.simplefilter("error")
         with pytest.raises(SpecError, match="finite and positive"):
             product_state(grid, spinor1=spinor1)
+
+
+_SPINORS = st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                        allow_infinity=False),
+                    min_size=4, max_size=4).filter(
+    lambda s: np.linalg.norm(s) > 0.1)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(spinor1=_SPINORS, spinor2=_SPINORS, width=st.floats(0.5, 2.0),
+       centers=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       momenta=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+def test_product_state_matches_the_formed_product(spinor1, spinor2, width,
+                                                  centers, momenta):
+    """A product state's rows, read block by block from its pairs, match
+    the formed (g_1 x g_2) x (s_1 x s_2) / ||.|| of the oracle in
+    position space, and its fft2 in Fourier space, to 1e-15 of their
+    max; its norm is 1 to 1e-14, and component (a, b) of s_1 x s_2 is
+    spin index 4 a + b."""
+    grid = Grid(points=48)
+    psi = product_state(grid, spinor1=spinor1, spinor2=spinor2, width=width,
+                        centers=centers, momenta=momenta)
+    expected = product_values(grid, spinor1, spinor2, width, centers, momenta)
+    for spectral, reference in ((False, expected),
+                                (True, np.fft.fft2(expected, axes=(0, 1)))):
+        rows = np.concatenate([psi._rows(spectral, rows)
+                               for rows in solver._row_blocks(grid.points)])
+        assert np.max(np.abs(rows - reference)) <= 1e-15 * np.max(
+            np.abs(reference))
+    assert abs(psi.norm() - 1) <= 1e-14
+    profile = np.multiply.outer(*(gaussian_profile(grid, width, c, p)
+                                  for c, p in zip(centers, momenta)))
+    scale = np.sqrt(np.sum(np.abs(profile) ** 2)) * grid.spacing * (
+        np.linalg.norm(spinor1) * np.linalg.norm(spinor2))
+    for a, b in itertools.product(range(4), repeat=2):
+        column = profile * spinor1[a] * spinor2[b] / scale
+        assert np.allclose(psi.values[..., 4 * a + b], column, rtol=0,
+                           atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -671,10 +716,8 @@ def test_constant_leg_by_repeated_squaring_matches_chained_steps(
 
 def _formed_copy(psi: WaveFunction) -> WaveFunction:
     """A state holding psi's formed Fourier values and no factors."""
-    factored = psi._holding(psi.grid, psi.times, [None, None], psi._factors,
-                            psi._leg_factors, psi._fields)
     return WaveFunction._holding(psi.grid, psi.times,
-                                 [None, factored._space(True)])
+                                 [None, psi._view()._space(True)])
 
 
 # alpha2 x gamma5 and gamma5 x alpha2 act on both particles, so their legs
@@ -745,7 +788,8 @@ def test_product_state_leg_takes_the_spinor_chain(name, particle, dirac,
         fused = evolve_path(psi, path, system)
         assert not +squarings and not +kernels and not +wide
         assert psi._known[1] is None
-        assert [u.shape for u in fused._factors_in(True)] == [(16, 4)] * 2
+        assert [solver._field(u).shape for u in fused._fields[1]] == [
+            (16, 4)] * 2
         assert fused._known == [None, None] and fused._leg_factors is None
         reference = evolve_path(formed, path, system)
         expected = _reference_path(psi, [(particle, direction * 0.05, 20)],
@@ -830,15 +874,16 @@ def test_first_leg_from_factors_matches_the_formed_state(name, particle,
 
 @pytest.mark.parametrize("points", [48, 96])
 def test_rows_are_slices_of_the_formed_spaces(points):
-    """Rows read from a product state's factors, block by block, equal the
-    formed spaces' rows bit for bit, the last block (a partial one at
-    these sizes) included, and no space is formed to read them."""
+    """Rows read from a product state's (profile, spinor) pairs, block by
+    block, equal the formed spaces' rows bit for bit, the last block (a
+    partial one at these sizes) included, and no space is formed to read
+    them."""
     blocks = solver._row_blocks(points)
     assert [rows.stop - rows.start for rows in blocks[-2:]] != [
         blocks[0].stop] * 2  # the last block is partial
     psi = product_state(Grid(points=points), spinor1=(0.6, 0.2j, -0.5, 0.3),
                         centers=(0.7, -1.1), momenta=(0.8, -0.5))
-    formed = psi._holding(psi.grid, psi.times, [None, None], psi._factors)
+    formed = psi._view()
     for spectral in (False, True):
         whole = formed._space(spectral)
         read = [psi._rows(spectral, rows) for rows in blocks]
@@ -947,7 +992,7 @@ def _spin_product_states(points: int) -> list[WaveFunction]:
         states += [evolve_path(psi, first, system), evolve_path(
             psi, first + [Leg(3 - k, 0.3, 0.1, -1)], system)]
     states.append(evolve_path(psi, [Leg(2, 0.2, 0.1)], make_builtin("hoho")))
-    assert [[type(f) for f in s._fields] for s in states] == [
+    assert [[type(f) for f in s._fields[1]] for s in states] == [
         [np.ndarray, tuple], [np.ndarray] * 2, [tuple, np.ndarray],
         [np.ndarray] * 2, [tuple, np.ndarray]]
     return states
@@ -966,8 +1011,7 @@ def test_rows_of_spin_products_are_slices_of_the_formed_spaces(points):
         for spectral in (True, False):
             read = [state._rows(spectral, rows) for rows in blocks]
             assert state._known == [None, None]
-            whole = state._holding(state.grid, state.times, [None, None],
-                                   fields=state._fields)._space(spectral)
+            whole = state._view()._space(spectral)
             for rows, block in zip(blocks, read):
                 assert block.tobytes() == whole[rows].tobytes()
     psi0 = product_state(Grid(points=points), spinor1=(0.6, 0.2j, -0.5, 0.3),
@@ -987,7 +1031,8 @@ def test_rows_of_spin_products_are_slices_of_the_formed_spaces(points):
 def test_spin_products_passed_back_are_never_written():
     """A spin product keeps the bytes of its fields, and of each space
     formed from them, through every path and experiment taken from it."""
-    _assert_never_written(_spin_product_states(32), lambda s: s._fields)
+    _assert_never_written(_spin_product_states(32),
+                          lambda s: s._pair(False) + s._pair(True))
 
 
 @pytest.mark.parametrize("particle", [1, 2])
@@ -1011,14 +1056,15 @@ def test_an_entangling_leg_splits_a_spin_product_with_a_pair(particle):
 
 def test_a_grid_phase_loop_series_forms_psi0_once(monkeypatch):
     """The grid-phase coefficient_form loop series forms psi0's position
-    values once, for its first grid leg; the curvature norm then reads
-    psi0's rows from its factors and forms no (n, n, 16) array of it."""
+    values once, for its first grid leg, from its (profile, spinor)
+    pairs; the curvature norm then reads those pairs and forms no
+    (n, n, 16) array of psi0."""
     builds = []
     rows_of = WaveFunction._rows
 
     def counting(self, spectral, rows):
         from_factors = (self._known[spectral] is None
-                        and self._factors is not None)
+                        and self._fields is not None)
         block = rows_of(self, spectral, rows)
         if from_factors and block.shape == (64, 64, 16):
             builds.append(spectral)
@@ -1592,8 +1638,7 @@ def _generic_product(points: int) -> WaveFunction:
 
 def _formed(psi: WaveFunction) -> WaveFunction:
     """A copy of a product state holding its position values only."""
-    return WaveFunction(psi.grid, psi.times, psi._holding(
-        psi.grid, psi.times, [None, None], psi._factors).values)
+    return WaveFunction(psi.grid, psi.times, psi._view().values)
 
 
 def test_free_loop_holonomy_negligible(grid, psi0):
@@ -1716,6 +1761,35 @@ def test_curvature_norm_of_a_product_reads_its_factors(case, monkeypatch):
     else:
         assert reference > 0.1
         assert abs(value - reference) <= rtol * reference
+
+
+def test_spectral_derivative_of_a_spin_product_takes_its_fourier_field(
+        monkeypatch):
+    """d psi / d z_k of a spin product is i kappa times its Fourier field
+    k: for a fresh psi0, a field hoho's leg on 2 left as a pair (k = 1)
+    and the field that leg changed (k = 2), it matches the FFT derivative
+    of the formed values to 1e-14 on ||psi0|| = 1, and neither it nor
+    reading its rows transforms an (n, n, 16) array."""
+    psi0 = _generic_product(48)
+    states = [psi0, evolve_path(psi0, [Leg(2, 0.2, 0.1)], make_builtin("hoho"))]
+    assert [[isinstance(f, tuple) for f in s._pair(True)] for s in states] \
+        == [[True, True], [True, False]]
+    kappa, spacing = 1j * psi0.grid.momenta(), psi0.grid.spacing
+    for state in states:
+        formed = state._view().values
+        for k in (1, 2):
+            shape = [-1] + [1] * (3 - k)  # kappa along z_k
+            reference = np.fft.ifft(np.fft.fft(formed, axis=k - 1)
+                                    * kappa.reshape(shape), axis=k - 1)
+            with monkeypatch.context() as patch:
+                calls = _state_transforms(patch)
+                derivative = solver._spectral_derivative(state, k)
+                values = np.concatenate([derivative._rows(False, rows)
+                                         for rows in solver._row_blocks(48)])
+            assert not +calls
+            assert np.sqrt(np.sum(np.abs(values - reference) ** 2)) \
+                * spacing <= 1e-14
+            assert np.sqrt(np.sum(np.abs(reference) ** 2)) * spacing > 0.5
 
 
 def test_curvature_norm_of_a_product_forms_no_image():
