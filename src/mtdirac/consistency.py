@@ -25,6 +25,7 @@ are E(1,2)'s basis coefficients read by sector (CC_SECTORS).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -67,13 +68,17 @@ _ALPHA = tuple(BasisElement(BasisClass.ALPHA, mu) for mu in range(4))
 # ---------------------------------------------------------------------------
 
 def _curvature_parts(system: MultiTimeSystem, configs, j: int = 1, k: int = 2,
-                     first: bool = True) -> tuple[dict, OperatorField]:
+                     first: bool = True,
+                     directions: Sequence[int] = range(4)) -> tuple[
+                         dict, OperatorField]:
     """F_jk's parts as operator fields over the configuration stack.
 
     Returns the first-order parts [alpha^a_j, V_k] and [alpha^a_k, V_j],
-    keyed by (particle, a) for a in 1..3 (none unless first), and E(j,k).
-    V_j and V_k are evaluated once, so their guards run once; their
-    derivatives carry the same guards and skip them.
+    keyed by (particle, a) for the spatial a among the directions (none
+    unless first), and E(j,k), whose derivative terms run over the
+    directions mu: all four, or a model's own, as the line model's
+    (0, 3).  V_j and V_k are evaluated once, so their guards run once;
+    their derivatives carry the same guards and skip them.
     """
     n = system.n_particles
     coords = stack_coords(configs)
@@ -83,12 +88,12 @@ def _curvature_parts(system: MultiTimeSystem, configs, j: int = 1, k: int = 2,
     parts = {(particle, a): field_commutator(
                  unit_field(_ALPHA[a], particle, n), v_other)
              for particle, v_other in ((j, v_k), (k, v_j))
-             for a in (1, 2, 3)} if first else {}
+             for a in directions if a} if first else {}
     g0_j, g0_k = unit_field(_GAMMA0, j, n), unit_field(_GAMMA0, k, n)
     terms = [(1, field_commutator(v_k, v_j)),
              (system.mass(k), field_commutator(g0_k, v_j)),
              (-system.mass(j), field_commutator(g0_j, v_k))]
-    for mu in range(4):
+    for mu in directions:
         dv_j = terms_field(differentiate_potential(pot_j, k, mu).terms, coords)
         dv_k = terms_field(differentiate_potential(pot_k, j, mu).terms, coords)
         terms += [(-1j, field_product(unit_field(_ALPHA[mu], k, n), dv_j)),
@@ -264,17 +269,20 @@ class CurvatureOperator:
     first: dict[tuple[int, int], OperatorField]
 
 
-def curvature_operator(system: MultiTimeSystem,
-                       coords: np.ndarray) -> CurvatureOperator:
+def curvature_operator(system: MultiTimeSystem, coords: np.ndarray,
+                       directions: Sequence[int] = range(4)
+                       ) -> CurvatureOperator:
     """F_12 at a configuration or at each configuration of a stack.
 
     F_12 = dH_1/dt_2 - dH_2/dt_1 - i [H_1, H_2] has the zeroth-order part
     i E(1,2) (zeroth_order_residual) and the first-order coefficients
     -[alpha^a_1, V_2], +[alpha^a_2, V_1] (derivative_coefficient_matrices).
+    A model whose H_k differentiates along some directions alone (the
+    line model's (0, 3)) has its own F: pass those directions.
     """
     if system.n_particles != 2:
         raise SpecError("curvature requires exactly two particles")
-    first, zeroth = _curvature_parts(system, coords)
+    first, zeroth = _curvature_parts(system, coords, directions=directions)
     return CurvatureOperator(
         zeroth=field_sum((1j, zeroth)),
         first={(j, a): field_sum((1 if j == 2 else -1, operand))

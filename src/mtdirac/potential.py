@@ -760,14 +760,16 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
     The file gets the mode open(path, "w") would give it, not mkstemp's
     0o600: an existing file's mode, else 0o666 less the umask.  An
     existing target that is not a regular file (a FIFO, a device) is
-    written in place, never replaced.  A failure leaves no staging file
-    and raises an OSError naming path, not it.
+    written in place, never replaced.  A symlink stays: what it names is
+    written.  A failure leaves no staging file and raises an OSError
+    naming path, not it.
     """
     try:
+        target = os.path.realpath(path)
         try:
-            mode = os.stat(path).st_mode
+            mode = os.stat(target).st_mode
             if not stat.S_ISREG(mode):
-                with open(path, "w", encoding="utf-8") as handle:
+                with open(target, "w", encoding="utf-8") as handle:
                     handle.write(text)
                 return
             mode = stat.S_IMODE(mode)
@@ -775,13 +777,13 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
             umask = os.umask(0o077)  # reading the umask means setting it
             os.umask(umask)
             mode = 0o666 & ~umask
-        directory = os.path.dirname(os.path.abspath(path))
+        directory = os.path.dirname(target)
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-mtdirac-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 os.fchmod(handle.fileno(), mode)
                 handle.write(text)
-            os.replace(tmp_path, path)
+            os.replace(tmp_path, target)
         except BaseException:
             if os.path.exists(tmp_path):
                 os.unlink(tmp_path)

@@ -39,10 +39,10 @@ at most (hoho, example1_vector, free), P K P = a(kappa) x b, 4x4 each,
 and on a spin product u_1 x u_2 of (n, 4) fields, a product state being
 the one of (profile, spinor) pairs (g_k, s_k), a leg applies a per mode
 to u_k and b to u_j.  Other legs multiply their kernels, one by
-repeated squaring; while field j is a pair they apply each to the
-(n, 16) field u_k x s_j, a leg on j keeping its product beside u_k.
+repeated squaring, and apply the product per mode to the state's
+Fourier values, formed from a spin product's fields if need be.
 Norms and distances (by Parseval, ||a - b|| = spacing ||a^ - b^|| / n)
-read rows from factors a block at a time; a distance between spin
+read rows from fields a block at a time; a distance between spin
 products reads their (n, 4) fields alone.
 
 Two experiments probe the compatibility of the pair of evolutions:
@@ -53,13 +53,14 @@ Two experiments probe the compatibility of the pair of evolutions:
 * loop holonomy — run a small square loop in the (t_1, t_2) plane; the
   deviation divided by delta^2 estimates the norm of the curvature
   operator applied to the initial state, which apply_curvature
-  evaluates without stepping: consistency.curvature_operator gives
-  F_12 as operator fields on the grid's (n, n, 2, 4) configuration
-  stack, or at one configuration when no potential refers to z,
-  applied like the grid phase as sum_m c_m(x) (B_m psi).  On a spin
-  product of pairs curvature_norm reads ||F psi|| from the pairs
-  instead: each term is a scalar field times a constant 16-vector, whose
-  QR reduces the spin side once.
+  evaluates without stepping: consistency.curvature_operator gives the
+  line model's F_12, its derivatives along t and z alone, as operator
+  fields on the grid's (n, n, 2, 4) configuration stack, or at one
+  configuration when no potential refers to z, applied like the grid
+  phase as sum_m c_m(x) (B_m psi).  On a spin product of pairs
+  curvature_norm reads ||F psi|| from the pairs instead: each term is a
+  scalar field times a constant 16-vector, whose QR reduces the spin
+  side once.
 """
 
 from __future__ import annotations
@@ -157,34 +158,32 @@ class WaveFunction:
 
     Its (n, n, 16) values, axes (z_1, z_2, spin), are held in position
     space (`values`), in the joint Fourier space, or both, handed out as
-    read-only views, so no edit leaves the other stale; the missing space
-    is formed once, when first asked for, by a 2-D FFT or from factors:
-    a time-only leg's (k, u_k, other) of Fourier values u_k x other (see
-    _advance), or a spin product's fields u_1, u_2 in `_fields` =
-    [position pair, Fourier pair], one given and the other transformed
-    once, on first use.  A field is an (n, 4) array or a (profile,
-    spinor) pair (g, s), transformed by g alone; a product state holds
-    its position pairs.  Nothing is copied.  `_rows` reads a block of
-    rows, from factors where it can.
+    read-only views, so no edit leaves the other stale; or it is a spin
+    product of fields u_1, u_2 in `_fields` = [position pair, Fourier
+    pair], one given and the other transformed once, on first use.  A
+    field is an (n, 4) array or a (profile, spinor) pair (g, s),
+    transformed by g alone; a product state holds its position pairs.
+    A missing space is formed once, when first asked for, by a 2-D FFT
+    or from the fields.  Nothing is copied.  `_rows` reads a block of
+    rows, from a spin product's fields where it has no array.
     """
 
     def __init__(self, grid: Grid, times: tuple[float, float],
                  values: np.ndarray):
         self.grid, self.times, self._known = grid, times, [values, None]
-        self._leg_factors = self._fields = None
+        self._fields = None
 
     @classmethod
-    def _holding(cls, grid, times, known, leg_factors=None, fields=None):
-        """A state of the given [position, Fourier] arrays and factors."""
+    def _holding(cls, grid, times, known, fields=None):
+        """A state of the given [position, Fourier] arrays or fields."""
         psi = cls(grid, times, None)
-        psi._known, psi._leg_factors = list(known), leg_factors
+        psi._known = list(known)
         psi._fields = None if fields is None else list(fields)
         return psi
 
     def _view(self) -> "WaveFunction":
-        """A state holding this one's arrays and factors, not its lists."""
-        return self._holding(self.grid, self.times, self._known,
-                             self._leg_factors, self._fields)
+        """A state holding this one's arrays and fields, not its lists."""
+        return self._holding(self.grid, self.times, self._known, self._fields)
 
     def _pair(self, spectral: bool) -> tuple:
         """A spin product's fields in either space, transformed once."""
@@ -195,29 +194,16 @@ class WaveFunction:
                 else transform(f, axis=0) for f in self._fields[not spectral])
         return self._fields[spectral]
 
-    def _implicit(self, spectral: bool) -> bool:  # factors give the space
-        return self._fields is not None or (
-            spectral and self._leg_factors is not None)
-
     def _rows(self, spectral: bool, rows: slice) -> np.ndarray:
-        """Rows of either space: a held array's, else formed from factors."""
-        if self._known[spectral] is not None or not self._implicit(spectral):
+        """Rows of either space: a held array's, else formed from fields."""
+        if self._known[spectral] is not None or self._fields is None:
             return self._space(spectral)[rows]
-        if self._fields is not None:  # u_1 x u_2 by s = 4 s_1 + s_2
-            u1, u2 = map(_field, self._pair(spectral))
-            return (u1[rows, None, :, None] * u2[:, None]).reshape(
-                -1, len(u2), 16)
-        k, u, other = self._leg_factors  # u_k x other in (z_1, z_2, spin)
-        if other.ndim == 1:
-            return (u[rows, None] * other[:, None] if k == 1
-                    else other[rows, None, None] * u)
-        if k == 2:
-            return np.matmul(u, other[rows].mT)
-        return (u[rows] @ other.reshape(-1, 16).T).reshape(-1, len(other), 16)
+        u1, u2 = map(_field, self._pair(spectral))  # by s = 4 s_1 + s_2
+        return (u1[rows, None, :, None] * u2[:, None]).reshape(-1, len(u2), 16)
 
     def _space(self, spectral: bool) -> np.ndarray:
         if self._known[spectral] is None:
-            if self._implicit(spectral):
+            if self._fields is not None:
                 held = self._rows(spectral, slice(None))
             else:
                 transform = np.fft.fft2 if spectral else np.fft.ifft2
@@ -248,7 +234,7 @@ class WaveFunction:
 
     def distance(self, other: "WaveFunction") -> float:
         """||self - other||; by Parseval, spacing ||a^ - b^|| / n, when
-        both states hold Fourier values or factors.  Between spin
+        both states hold Fourier values or fields.  Between spin
         products, a_1 x a_2 - b_1 x b_2 is the orthogonal sum
         (l a_1 - b_1) x b_2 + a_1 x r of a_2 = l b_2 + r, r _|_ b_2: its
         norm takes (n, 4) Fourier fields alone, and no sum cancels."""
@@ -258,7 +244,7 @@ class WaveFunction:
             ratio = np.vdot(b2, a2) / norm(b2) ** 2 if norm(b2) else 0
             return float(np.hypot(norm(ratio * a1 - b1) * norm(b2), norm(
                 a1) * norm(a2 - ratio * b2))) * self.grid.spacing / len(a1)
-        spectral = all(psi._known[1] is not None or psi._implicit(True)
+        spectral = all(psi._known[1] is not None or psi._fields is not None
                        for psi in pair)
         n = self.grid.points if spectral else 1
         return _l2(self.grid, partial(self._rows, spectral),
@@ -577,20 +563,16 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
     A time-only leg evaluates V_k once, on the stack of its midpoint
     times.  On a spin product (a product state included), a V_k that
     passes _one_particle leaves one of Fourier fields (_local_leg).  Any
-    other builds its kernels P K P (P = I where V_k vanishes, K alone
-    when V_k is zero) in a buffer of its own, or one for all its steps.
-    On a spin product whose field j is still a pair (g^_j, s_j), or a
-    state a leg left as (k, u_k, g^_j), a leg on particle k applies each
-    to the (n, 16) spinor field u_k, one batched matvec a step, and a leg
-    on j keeps its kernels' product, scaled by g^_j, beside u_k.  On any
-    other state it multiplies its kernels, the one kernel by repeated
-    squaring, and applies the product in the joint Fourier space (formed
-    from a spin product's fields if need be), where it leaves it.  A grid
-    leg builds each step's phase in turn and takes each step in position
-    space in the workspace's buffers (the caller's, or this call's).  A
-    leg writes, or gives to the workspace, only a state an earlier leg of
-    this call made, never psi or one the caller holds; a grid leg not one
-    formed from a leg's or a spin product's factors.
+    other multiplies its kernels P K P (P = I where V_k vanishes, K alone
+    when V_k is zero), a kernel per step in turn or the one kernel by
+    repeated squaring, and applies the product per mode in the joint
+    Fourier space, where it leaves the state; a spin product's Fourier
+    values are formed into an array of the leg's own, nothing cached on
+    the state.  A grid leg builds each step's phase in turn and takes
+    each step in position space in the workspace's buffers (the
+    caller's, or this call's).  A leg writes, or gives to the workspace,
+    only a state an earlier leg of this call made, never psi or one the
+    caller holds; a grid leg not one formed from a spin product's fields.
     """
     grid, times, given = psi.grid, list(psi.times), psi
     workspace = _Workspace() if workspace is None else workspace
@@ -605,7 +587,7 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
             hamiltonian, [list(hamiltonian)], dt, f"dt H_{particle}")
         owned = psi is not given  # an earlier leg of this call made psi
         if _on_grid(system.potential(particle)):
-            owned = owned and psi._leg_factors is None and psi._fields is None
+            owned = owned and psi._fields is None
             psi._space(False)  # held as psi._known[0]: read, or owned
             values, axis = psi._known[0], particle - 1
             free = _class_matrix(*_class_basis(*free)).mT  # K^T, spin rows
@@ -646,38 +628,21 @@ def _advance(psi: WaveFunction, legs: Sequence[tuple[int, float, int]],
             continue
         weights, basis = _class_basis(*free)
         phases = _multiply_out(phase).reshape(-1, 16, 16) if len(phase) else ()
-        if len(phases) > 1:  # each step's kernel into the leg's own buffer
-            buffer = np.empty((grid.points, 16, 16), complex)
-            kernels = (_class_matrix(weights, basis, phase, buffer)
-                       for phase in phases)
-        else:  # one kernel for every step
-            kernels = iter([_class_matrix(weights, basis, *phases)] * count)
-        split = psi._leg_factors  # (k, u_k, g^_j) while it stays factored
-        if fields and isinstance(fields[-particle], tuple):
-            (g, s), u = fields[-particle], _field(fields[particle - 1])
-            split = (particle, (u[:, :, None] * s if particle == 1 else
-                                s[:, None] * u[:, None]).reshape(-1, 16), g)
-        elif split and split[2].ndim > 1:
-            split = None  # formed below
-        if split and split[0] == particle:
-            # a batched matvec a step (a loop variable would pin a kernel)
-            psi = at([None, None], leg_factors=(particle, reduce(
-                lambda u, kernel: (kernel @ u[..., None])[..., 0], kernels,
-                split[1]), split[2]))
-            continue
-        if len(phases) > 1:
-            run, spare = next(kernels).copy(), np.empty_like(buffer)
-            for kernel in kernels:
-                run, spare = np.matmul(kernel, run, out=spare), run
-        else:  # its power by repeated squaring
-            run = np.linalg.matrix_power(next(kernels), count)
-        if split:  # (g^_j run) beside u_k: run is the leg's own
-            run *= split[2][:, None, None]
-            psi = at([None, None], leg_factors=(*split[:2], run))
+        if len(phases) > 1:  # chained, each step's kernel into one buffer
+            run = _class_matrix(weights, basis, phases[0])
+            buffer, spare = np.empty_like(run), np.empty_like(run)
+            for around in phases[1:]:
+                run, spare = np.matmul(_class_matrix(
+                    weights, basis, around, buffer), run, out=spare), run
+        else:  # one kernel for every step, raised by repeated squaring
+            run = np.linalg.matrix_power(
+                _class_matrix(weights, basis, *phases), count)
+        if fields and psi._known[1] is None:  # into an array of its own
+            values, owned = psi._rows(True, slice(None)), True
         else:
             psi._space(True)  # held as psi._known[1]
-            psi = at([None, _apply_kernel(psi._known[1], particle, run,
-                                          owned)])
+            values = psi._known[1]
+        psi = at([None, _apply_kernel(values, particle, run, owned)])
     return psi
 
 
@@ -869,19 +834,20 @@ def _spectral_derivative(psi: WaveFunction, particle: int) -> WaveFunction:
 
 
 def _line_parts(system: MultiTimeSystem, psi: WaveFunction) -> list:
-    """F's parts that act in the line model at psi's times, each beside
-    the state it acts on: (zeroth, psi) and (first[(k, 3)], d psi / d z_k)
-    where that part is not zero, as the transverse first-order parts
-    multiply derivatives the state does not carry.  F is evaluated at the
-    one configuration x_k = (t_k, 0, 0, 0) when no coefficient or guard
-    of either V_k refers to z, its fields then scalars, else on the
-    grid's (n, n, 2, 4) stack."""
+    """The line model's own F at psi's times, its parts each beside the
+    state it acts on: (zeroth, psi) and (first[(k, 3)], d psi / d z_k)
+    where that part is not zero.  Its H_k differentiates along t_k and
+    z_k alone, so F takes the derivatives along mu = 0 and 3, and a V_k
+    that varies transversally leaves a curvature the line model has.  F
+    is evaluated at the one configuration x_k = (t_k, 0, 0, 0) when no
+    coefficient or guard of either V_k refers to z, its fields then
+    scalars, else on the grid's (n, n, 2, 4) stack."""
     t1, t2 = psi.times
     if any(map(_mentions_z, system.potentials)):
         coords = _grid_coords(psi.grid, t1, t2)
     else:
         coords = np.array([[t1, 0, 0, 0], [t2, 0, 0, 0]], float)
-    operator = curvature_operator(system, coords)
+    operator = curvature_operator(system, coords, directions=(0, 3))
     return [(operator.zeroth, psi)] + [
         (operator.first[(k, 3)], _spectral_derivative(psi, k)) for k in (1, 2)
         if any(np.any(value) for value in operator.first[(k, 3)].values())]

@@ -1056,6 +1056,32 @@ def test_output_to_a_fifo_is_written_in_place(tmp_path, flag):
             "delta,deviation,deviation_per_delta2"
 
 
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_output_through_a_symlink_replaces_its_target(tmp_path, flag):
+    """A symlinked target stays a symlink: the file it names, in another
+    directory, is replaced atomically by the output, and nothing is left
+    beside either."""
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "target"
+    target.write_text("old\n")
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    argv = (["check", "--builtin", "free", "--nsamples", "5"]
+            if flag == "--out" else
+            ["simulate", "--builtin", "free", "--grid-n", "16",
+             "--delta", "0.1"])
+    assert entry([*argv, flag, str(link)]) == EXIT_OK
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    written = target.read_text()
+    if flag == "--out":
+        assert json.loads(written)["report"]["zeroth_sup"] == 0.0
+    else:
+        assert written.splitlines()[0] == \
+            "delta,deviation,deviation_per_delta2"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "data", "link", "target"]
+
+
 def test_python_dash_m_runs(tmp_path):
     src = str(Path(mtdirac.__file__).resolve().parents[1])
     result = subprocess.run(

@@ -84,22 +84,23 @@ def test_strang_converges_to_the_exact_solution_at_second_order(seed):
 
 # coefficient_form pairs with V_2 = 0 whose V_1 commutes with H_2: alpha1
 # x 1 acts on particle 1 alone, so its legs keep spin products; alpha2 x
-# gamma5 acts on both, so its legs keep (k, u_k, other), and gamma5_2
+# gamma5 acts on both, so its legs take the array route, and gamma5_2
 # commutes with H_2 = alpha3_2 kappa + gamma0_2 m2 only at m2 = 0
-_COEFFICIENT_PAIRS = {"alpha1 x 1": ({"W1": (0, 0.3, 0, 0)}, "_fields"),
+_COEFFICIENT_PAIRS = {"alpha1 x 1": ({"W1": (0, 0.3, 0, 0)}, "spin product"),
                       "alpha2 x gamma5, m2 = 0": (
-                          {"X1": (0, 0, 0.3, 0), "m2": 0}, "_leg_factors")}
+                          {"X1": (0, 0, 0.3, 0), "m2": 0}, "array")}
 
 
 @pytest.mark.parametrize("label", sorted(_COEFFICIENT_PAIRS))
 def test_both_time_only_routes_converge_to_the_exact_solution(label):
-    """The exact oracle covers the spin-product route and the (k, u_k,
-    other) route alike: each pair's legs take their route, and it passes
-    the consistent hoho draws' gates."""
+    """The exact oracle covers the spin-product route and the array route
+    alike: each pair's legs take their route, and it passes the
+    consistent hoho draws' gates."""
     params, route = _COEFFICIENT_PAIRS[label]
     system = make_builtin("coefficient_form", params)
     leg = evolve_path(_psi0(), [Leg(1, T, DTS[0])], system)
-    assert getattr(leg, route) is not None
+    assert (leg._fields is not None) == (route == "spin product")
+    assert (leg._known[1] is not None) == (route == "array")
     _assert_second_order(system, 0)
 
 

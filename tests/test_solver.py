@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import json
 import resource
 import tracemalloc
 import warnings
@@ -721,8 +722,8 @@ def _formed_copy(psi: WaveFunction) -> WaveFunction:
 
 
 # alpha2 x gamma5 and gamma5 x alpha2 act on both particles, so their legs
-# keep the (k, u_k, other) route; alpha2 is antisymmetric, so neither
-# particle's P K P is symmetric and a transposed kernel in a GEMM shows
+# take the array route; alpha2 is antisymmetric, so neither particle's
+# P K P is symmetric and a transposed kernel in a GEMM shows
 _ENTANGLING = ("coefficient_form", {"X1": (0, 0, "0.5*cos(x1_0 - x2_0)", 0),
                                     "Y2": (0, 0, "0.4*sin(x1_0 + x2_0)", 0),
                                     "hermitian": True})
@@ -733,12 +734,13 @@ _ONE_PARTICLE = ("coefficient_form", {"W1": (0, 0, "0.5*cos(x1_0 - x2_0)", 0),
 
 
 @pytest.mark.parametrize("particle", [1, 2])
-def test_an_entangling_product_state_leg_takes_the_16_spinor_chain(
+def test_an_entangling_product_state_leg_applies_its_kernels_product(
         particle, dirac, monkeypatch):
     """On a product state a 20-step time-only leg whose V_k acts on both
-    particles (a kernel per step) applies each 16x16 kernel to the
-    (n, 16) spinor field: no repeated squaring and no per-mode matmul
-    over the grid.  It matches the leg on the formed state to 1e-14 and 20 chained
+    particles (a kernel per step) chains its 16x16 kernels and applies
+    their product once per mode, to Fourier values formed from the
+    state's fields into an array of the leg's own, none kept on psi.
+    It matches the leg on the formed state to 1e-14 and 20 chained
     reference steps to 1e-13, both ways."""
     system = make_builtin(*_ENTANGLING)
     psi = _oracle_state()
@@ -750,8 +752,9 @@ def test_an_entangling_product_state_leg_takes_the_16_spinor_chain(
         kernels.clear()
         path = [Leg(particle, 1.0, 0.05, direction)]
         fused = evolve_path(psi, path, system)
-        assert not squarings and not kernels and psi._known[1] is None
-        assert fused._leg_factors[0] == particle
+        assert not squarings and kernels == {"_apply_kernel": 1}
+        assert psi._known[1] is None
+        assert fused._fields is None and fused._known[0] is None
         reference = evolve_path(formed, path, system)
         expected = _reference_path(psi, [(particle, direction * 0.05, 20)],
                                    system, dirac)
@@ -790,7 +793,7 @@ def test_product_state_leg_takes_the_spinor_chain(name, particle, dirac,
         assert psi._known[1] is None
         assert [solver._field(u).shape for u in fused._fields[1]] == [
             (16, 4)] * 2
-        assert fused._known == [None, None] and fused._leg_factors is None
+        assert fused._known == [None, None]
         reference = evolve_path(formed, path, system)
         expected = _reference_path(psi, [(particle, direction * 0.05, 20)],
                                    system, dirac)
@@ -813,10 +816,10 @@ _TWO_LEG_SYSTEMS = {
 @pytest.mark.parametrize("particles", [(1, 2), (2, 1), (1, 1), (2, 2)])
 @pytest.mark.parametrize("label", sorted(_TWO_LEG_SYSTEMS))
 def test_two_leg_paths_from_factors_match_the_formed_state(label, particles):
-    """A second leg reads the first's factors: a time-only leg on the
-    other particle writes the state with one GEMM, one on the same
-    particle continues the spinor chain, and a grid leg starts from the
-    formed state; each matches the path on the formed state to 1e-14."""
+    """A second leg reads what the first left: a spin product's fields,
+    or the array an entangling leg formed from them, which a later
+    time-only leg writes in place, and a grid leg starts from the formed
+    state; each path matches the path on the formed state to 1e-14."""
     system = make_builtin(*_TWO_LEG_SYSTEMS[label])
     psi = _oracle_state()
     path = [Leg(particles[0], 0.3, 0.1), Leg(particles[1], 0.2, 0.1, -1)]
@@ -829,32 +832,32 @@ def test_two_leg_paths_from_factors_match_the_formed_state(label, particles):
 
 
 def test_a_two_leg_time_only_path_forms_one_state_array():
-    """At n = 128 a product state's two time-only legs, one per particle,
-    form at most one (n, n, 16) array, and since the second leg keeps its
-    product beside the first leg's (n, 16) factor, none until read.  The
-    legs hold (n, 16, 16) kernel stacks, an eighth of a state each:
-    within 1.5 states (0.43 measured for both orders of this pair; on
-    hoho, before its legs kept spin products, 0.64 and 0.43, 1.39 and
-    1.40 when the second leg wrote the array by one GEMM, 1.90 and 1.53
-    when the first leg formed u x g^_other)."""
+    """At n = 128 a product state's two entangling time-only legs, one per
+    particle, form one (n, n, 16) array: the first leg forms psi^ from
+    the fields into an array of its own, and the second writes it in
+    place.  The legs hold (n, 16, 16) kernel stacks, an eighth of a state
+    each: within 2 states (1.65 measured for both orders of this pair),
+    and the caller's product state is left holding no array."""
     system = make_builtin(*_ENTANGLING)
     state_bytes = 128 ** 2 * 16 * 16
+    psi = product_state(Grid(points=128))
     for particles in ((1, 2), (2, 1)):
         path = [Leg(particles[0], 0.5, 0.05), Leg(particles[1], 0.5, 0.05)]
 
         def run():
-            evolve_path(product_state(Grid(points=128)), path, system)
+            evolve_path(psi, path, system)
         run()  # warm
-        assert _traced_peak(run) <= 1.5 * state_bytes
+        assert _traced_peak(run) <= 2 * state_bytes
+        assert psi._known == [None, None]
 
 
 @pytest.mark.parametrize("particle", [1, 2])
 @pytest.mark.parametrize("name", ["hoho", "free"])
 def test_first_leg_from_factors_matches_the_formed_state(name, particle,
                                                          monkeypatch):
-    """A time-only leg on a product state takes u x g^_other from its
-    factors, with no per-mode matmul over the grid, and matches the same
-    leg on a copy holding the formed psi0^ to 1e-14."""
+    """A time-only leg on a product state reads its fields, with no
+    per-mode matmul over the grid, and matches the same leg on a copy
+    holding the formed psi0^ to 1e-14."""
     system = make_builtin(name)
     psi = product_state(Grid(points=32), spinor1=(0.6, 0.2j, -0.5, 0.3),
                         spinor2=(0.1, 0.7, 0.4j, -0.2), centers=(0.7, -1.1),
@@ -893,10 +896,10 @@ def test_rows_are_slices_of_the_formed_spaces(points):
         assert np.concatenate(read).tobytes() == whole.tobytes()
 
 
-def _leg_factored_states(points: int, system) -> list[WaveFunction]:
-    """States a time-only path leaves factored: u_k beside g^_j after a
-    leg on k, and beside a leg's per-mode product after one on j too, for
-    k = 1 and 2."""
+def _entangled_states(points: int, system) -> list[WaveFunction]:
+    """States an entangling time-only path leaves, Fourier arrays formed
+    from a product state's fields: after a leg on k, and after legs on k
+    and then on j, for k = 1 and 2."""
     psi = product_state(Grid(points=points), spinor1=(0.6, 0.2j, -0.5, 0.3),
                         spinor2=(0.1, 0.7, 0.4j, -0.2), centers=(0.7, -1.1),
                         momenta=(0.8, -0.5), times=(0.3, -0.2))
@@ -905,42 +908,19 @@ def _leg_factored_states(points: int, system) -> list[WaveFunction]:
         first = [Leg(k, 0.2, 0.1)]
         states += [evolve_path(psi, first, system), evolve_path(
             psi, first + [Leg(3 - k, 0.3, 0.1, -1)], system)]
-    assert [(s._leg_factors[0], s._leg_factors[2].ndim) for s in states] \
-        == [(1, 1), (1, 3), (2, 1), (2, 3)]
+    assert all(s._fields is None and s._known[0] is None for s in states)
+    assert psi._known == [None, None]
     return states
 
 
-@pytest.mark.parametrize("points", [48, 96])
-def test_rows_of_leg_factors_are_slices_of_the_formed_space(points):
-    """For both particles and both kinds of other factor, Fourier rows
-    read from a state's leg factors, block by block, equal its formed
-    Fourier space's rows bit for bit, the partial last block included,
-    and no space is formed to read them; distances between such states
-    equal those between copies holding their formed values exactly."""
-    states = _leg_factored_states(points, make_builtin(*_ENTANGLING))
-    pairs = list(itertools.combinations(range(len(states)), 2))
-    factored = [states[a].distance(states[b]) for a, b in pairs]
-    blocks = solver._row_blocks(points)
-    for state in states:
-        read = [state._rows(True, rows) for rows in blocks]
-        assert state._known == [None, None]
-        whole = state._space(True)
-        for rows, block in zip(blocks, read):
-            assert block.tobytes() == whole[rows].tobytes()
-    copies = [WaveFunction._holding(s.grid, s.times, [None, s._space(True)])
-              for s in states]
-    assert factored == [copies[a].distance(copies[b]) for a, b in pairs]
-    assert min(factored) > 0.01
-
-
 def test_leg_factored_states_passed_back_are_never_written():
-    """A state a time-only path left factored keeps the bytes of its
-    factors, and of each space formed from them, through time-only, grid
-    and mixed paths, single steps and both experiments taken from it, each
-    experiment run twice alike: on the first pass the state holds factors
-    alone, on the second both spaces as well."""
-    _assert_never_written(_leg_factored_states(32, make_builtin(
-        *_ENTANGLING)), lambda s: s._leg_factors[1:])
+    """A state an entangling time-only path left keeps the bytes of its
+    Fourier array, and of the position space formed from it, through
+    time-only, grid and mixed paths, single steps and both experiments
+    taken from it, each experiment run twice alike: on the first pass the
+    state holds its Fourier array alone, on the second both spaces."""
+    _assert_never_written(_entangled_states(32, make_builtin(*_ENTANGLING)),
+                          lambda s: ())
 
 
 def _assert_never_written(states, factors) -> None:
@@ -1037,19 +1017,17 @@ def test_spin_products_passed_back_are_never_written():
 
 @pytest.mark.parametrize("particle", [1, 2])
 def test_an_entangling_leg_splits_a_spin_product_with_a_pair(particle):
-    """After hoho's leg on 2, particle 1's field is still g^_1 x s_1, so
-    an entangling leg on 2 keeps it beside u_2 x s_1 as (2, u, g^_1); one
-    on 1 forms the state from the fields.  Both match the path on the
-    formed state to 1e-14."""
+    """After hoho's leg on 2, particle 1's field is still g^_1 x s_1; an
+    entangling leg on either particle forms the Fourier values from the
+    fields into an array of its own, the spin product left holding no
+    array.  Both match the path on the formed state to 1e-14."""
     psi = _spin_product_states(16)[-1]
     system = make_builtin(*_ENTANGLING)
     out = evolve_path(psi, [Leg(particle, 0.3, 0.1)], system)
     reference = evolve_path(_formed_copy(psi), [Leg(particle, 0.3, 0.1)],
                             system)
-    if particle == 2:
-        assert out._leg_factors[0] == 2 and out._leg_factors[2].ndim == 1
-    else:
-        assert out._leg_factors is None and out._known[1] is not None
+    assert out._fields is None and out._known[1] is not None
+    assert psi._known == [None, None]
     assert out.distance(reference) <= 1e-14
     assert out.distance(psi) > 0.01
 
@@ -1275,21 +1253,21 @@ def test_time_only_experiments_hold_one_array_per_state():
         assert _traced_peak(run) <= states * state_bytes
 
 
-def test_a_time_only_experiment_holds_no_state_array():
+def test_an_entangling_time_only_experiment_holds_one_array_per_order():
     """At n = 128 a time-only path-independence run of a pair whose
-    potentials act on both particles forms no (n, n, 16) array: each
-    order ends factored, its (n, 16) u_k beside the second leg's
-    (n, 16, 16) product, and the distance reads both a block of rows at a
-    time; its warmed peak stays below one state (2.59 MiB measured on
-    hoho, when its legs took this route, and 2.59 MiB on this pair,
-    against 4 MiB; 9.66 MiB on hoho when each order wrote its array)."""
+    potentials act on both particles forms one (n, n, 16) array per
+    order, from psi0's fields, and writes it in place through the second
+    leg; the distance reads both a block of rows at a time.  Its warmed
+    peak stays within 3 states (2.68 measured), and psi0 is left holding
+    no array."""
     system = make_builtin(*_ENTANGLING)
+    psi0 = product_state(Grid(20, 128))
 
     def orders():
-        path_independence_experiment(system, product_state(Grid(20, 128)),
-                                     0.5, [0.1, 0.05, 0.025])
+        path_independence_experiment(system, psi0, 0.5, [0.1, 0.05, 0.025])
     orders()  # warm
-    assert _traced_peak(orders) < 128 ** 2 * 16 * 16
+    assert _traced_peak(orders) <= 3 * 128 ** 2 * 16 * 16
+    assert psi0._known == [None, None]
 
 
 def test_one_particle_experiments_hold_no_array_and_no_kernel_stack():
@@ -1315,16 +1293,14 @@ def test_one_particle_experiments_hold_no_array_and_no_kernel_stack():
         assert _traced_peak(run) < 128 * 16 * 16 * 16
 
 
-@pytest.mark.parametrize("label", ["hoho", "entangling"])
+@pytest.mark.parametrize("label", ["hoho"])
 def test_norm_of_a_factored_state_forms_no_space(label):
     """At n = 128, after legs on t_1 and t_2, the norm of a spin product
-    (hoho) is its fields' norms' product and that of a state left as
-    (k, u_k, other) (the alpha2 x gamma5 pair) reads Fourier rows by
-    Parseval a block at a time: neither forms a space (both were formed
-    and kept, at a 12.5 MiB peak, when the norm read position rows), the
-    peak stays below one state, and the norm equals the formed state's
-    to 1e-14 relative."""
-    system = make_builtin(*(("hoho", {}) if label == "hoho" else _ENTANGLING))
+    (hoho) is its fields' norms' product: it forms no space (both were
+    formed and kept, at a 12.5 MiB peak, when the norm read position
+    rows), the peak stays below one state, and the norm equals the
+    formed state's to 1e-14 relative."""
+    system = make_builtin(label)
     psi = evolve_path(product_state(Grid(points=128)),
                       [Leg(1, 0.5, 0.05), Leg(2, 0.5, 0.05)], system)
     norms = []
@@ -1809,9 +1785,9 @@ def test_curvature_is_evaluated_once_where_no_potential_reads_z(monkeypatch):
     runs where it ran before."""
     shapes = []
 
-    def recording(system, coords):
+    def recording(system, coords, **kwargs):
         shapes.append(np.shape(coords))
-        return curvature_operator(system, coords)
+        return curvature_operator(system, coords, **kwargs)
 
     curvature_operator = solver.curvature_operator
     monkeypatch.setattr(solver, "curvature_operator", recording)
@@ -1831,6 +1807,20 @@ def test_curvature_is_evaluated_once_where_no_potential_reads_z(monkeypatch):
     with pytest.raises(DomainError, match="guard violated"):
         curvature_norm(guarded, psi)
     assert shapes == [(32, 32, 2, 4)]
+
+
+def test_loop_reference_is_the_line_models_own_curvature(capsys):
+    """hoho's phi = 2 c.(x2 - x1) varies along x^1 when c_1 != 0, which the
+    line model does not see.  The loop series' reference is the line
+    model's own F, its derivatives along t and z alone: ||F psi0|| reads
+    2 c_1 = 0.6 to 1e-12 relative (the full F reads 0), the value
+    deviation / delta^2 approaches."""
+    assert entry(["simulate", "--builtin", "hoho", "--param", "c=1,0.3,0,0",
+                  "--delta", "0.08,0.04,0.02", "--grid-n", "32"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["curvature_norm"] == pytest.approx(0.6, rel=1e-12, abs=0)
+    ratios = [row["deviation_per_delta2"] for row in report["rows"]]
+    assert 0.59 < ratios[0] < ratios[1] < ratios[2] < 0.6
 
 
 def test_curvature_rows_reuse_one_output_and_match_the_image():
