@@ -57,6 +57,10 @@ COMMANDS = (
      "--param", "W1=0,0,0,0.5*cos(x1_3 - x2_3)",
      "--param", "E=0.5*sin(x1_3 + x2_3),0,0,0",
      "--grid-n", "64", "--delta", "0.2,0.1,0.05"),
+    ("simulate", "--builtin", "hoho", "--param", "c=1,0.3,0,0",
+     "--delta", "0.08,0.04,0.02", "--grid-n", "32"),
+    ("simulate", "--builtin", "example1_vector", "--param", "A=0,1,0,0",
+     "--param", "B=0,0,1,0", "--delta", "0.08,0.04", "--grid-n", "48"),
 )
 
 
