@@ -47,10 +47,9 @@ _EXPORTS = {
         "poincare_residual"),
     "solver": (
         "Grid", "HolonomyResult", "Leg", "PathIndependenceResult",
-        "WaveFunction", "apply_curvature", "curvature_norm", "evolve_path",
-        "gaussian_profile", "holonomy_series", "loop_holonomy",
-        "path_independence_experiment", "product_state", "spacelike_mask",
-        "step"),
+        "WaveFunction", "curvature_norm", "evolve_path", "gaussian_profile",
+        "holonomy_series", "loop_holonomy", "path_independence_experiment",
+        "product_state", "spacelike_mask", "step"),
 }
 _OWNERS = {name: module for module, names in _EXPORTS.items()
            for name in names}

@@ -298,9 +298,6 @@ COEFFICIENT_LAYOUT = {
     "H": (2, BasisClass.G5GAMMA, GAMMA5_ELEMENT),
 }
 FIELD_NAMES = tuple(COEFFICIENT_LAYOUT)
-COEFFICIENT_FIELDS_1, COEFFICIENT_FIELDS_2 = (
-    tuple(name for name, (k, _, _) in COEFFICIENT_LAYOUT.items() if k == j)
-    for j in (1, 2))
 _FIELD_BY_STRUCTURE = {structure: name
                        for name, structure in COEFFICIENT_LAYOUT.items()}
 

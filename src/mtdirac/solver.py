@@ -51,16 +51,14 @@ Two experiments probe the compatibility of the pair of evolutions:
   for compatible pairs the discrepancy is pure splitting error O(dt^2);
 
 * loop holonomy — run a small square loop in the (t_1, t_2) plane; the
-  deviation divided by delta^2 estimates the norm of the curvature
-  operator applied to the initial state, which apply_curvature
-  evaluates without stepping: consistency.curvature_operator gives the
-  line model's F_12, its derivatives along t and z alone, as operator
-  fields on the grid's (n, n, 2, 4) configuration stack, or at one
-  configuration when no potential refers to z, applied like the grid
-  phase as sum_m c_m(x) (B_m psi).  On a spin product of pairs
-  curvature_norm reads ||F psi|| from the pairs instead: each term is a
-  scalar field times a constant 16-vector, whose QR reduces the spin
-  side once.
+  deviation divided by delta^2 estimates ||F psi0||, which
+  curvature_norm evaluates without stepping, for psi0 a product state:
+  consistency.curvature_operator gives the line model's F_12, its
+  derivatives along t and z alone, as operator fields at one
+  configuration, or on the grid's (n, n, 2, 4) configuration stack
+  when a potential refers to z.  Each term of F psi0 is a scalar field
+  of psi0's profiles times a constant 16-vector, whose QR reduces the
+  spin side once.
 """
 
 from __future__ import annotations
@@ -814,32 +812,18 @@ def holonomy_series(system: MultiTimeSystem, psi0: WaveFunction,
 
 
 # ---------------------------------------------------------------------------
-# Curvature oracle on the grid
+# Curvature reference on the grid
 # ---------------------------------------------------------------------------
-
-def _spectral_derivative(psi: WaveFunction, particle: int) -> WaveFunction:
-    """d psi / d z_k: of a spin product, i kappa times its Fourier field k
-    (a pair's profile), else by FFT of the whole state."""
-    kappa = 1j * psi.grid.momenta()
-    if psi._fields is None:  # kappa along z_k of (z_1, z_2, spin)
-        axis, kappa = particle - 1, kappa.reshape([-1] + [1] * (3 - particle))
-        return WaveFunction(psi.grid, psi.times, np.fft.ifft(
-            np.fft.fft(psi.values, axis=axis) * kappa, axis=axis))
-    fields = list(psi._pair(True))
-    u = fields[particle - 1]
-    fields[particle - 1] = ((u[0] * kappa, u[1]) if isinstance(u, tuple)
-                            else u * kappa[:, None])
-    return WaveFunction._holding(psi.grid, psi.times, [None, None],
-                                 fields=[None, tuple(fields)])
-
 
 def _line_parts(system: MultiTimeSystem, psi: WaveFunction) -> list:
     """The line model's own F at psi's times, its parts each beside the
-    state it acts on: (zeroth, psi) and (first[(k, 3)], d psi / d z_k)
-    where that part is not zero.  Its H_k differentiates along t_k and
-    z_k alone, so F takes the derivatives along mu = 0 and 3, and a V_k
-    that varies transversally leaves a curvature the line model has.  F
-    is evaluated at the one configuration x_k = (t_k, 0, 0, 0) when no
+    position pairs of the state it acts on: (zeroth, psi's pairs) and
+    (first[(k, 3)], those of d psi / d z_k) where that part is not zero,
+    d psi / d z_k being the pairs' Fourier pairs with i kappa g^_k in
+    place of g^_k, transformed back.  Its H_k differentiates along t_k
+    and z_k alone, so F takes the derivatives along mu = 0 and 3, and a
+    V_k that varies transversally leaves a curvature the line model has.
+    F is evaluated at the one configuration x_k = (t_k, 0, 0, 0) when no
     coefficient or guard of either V_k refers to z, its fields then
     scalars, else on the grid's (n, n, 2, 4) stack."""
     t1, t2 = psi.times
@@ -848,44 +832,37 @@ def _line_parts(system: MultiTimeSystem, psi: WaveFunction) -> list:
     else:
         coords = np.array([[t1, 0, 0, 0], [t2, 0, 0, 0]], float)
     operator = curvature_operator(system, coords, directions=(0, 3))
-    return [(operator.zeroth, psi)] + [
-        (operator.first[(k, 3)], _spectral_derivative(psi, k)) for k in (1, 2)
-        if any(np.any(value) for value in operator.first[(k, 3)].values())]
+    kappa = 1j * psi.grid.momenta()
+    parts = [(operator.zeroth, psi._pair(False))]
+    for k in (1, 2):
+        first = operator.first[(k, 3)]
+        if any(np.any(value) for value in first.values()):  # d psi / d z_k
+            spectral = enumerate(psi._pair(True), 1)
+            parts.append((first, [(np.fft.ifft(g * kappa if j == k else g), s)
+                                  for j, (g, s) in spectral]))
+    return parts
 
 
-def _curvature_rows(grid: Grid, parts: list):
-    """rows -> (F psi)[rows] from rows of the parts' states, into one
-    output and one _add_terms scratch per call, grown if a later call
-    asks for more rows; a block is read before the next call."""
-    n, buffers = grid.points, []
+def curvature_norm(system: MultiTimeSystem, psi: WaveFunction) -> float:
+    """||F psi|| on the grid at psi's times — the holonomy experiment's
+    reference value — for psi a spin product of two (profile, spinor)
+    pairs (a, s_1), (b, s_2), as product_state makes.
 
-    def rows_of(rows: slice) -> np.ndarray:
-        count = len(range(n)[rows])
-        if not buffers or len(buffers[0]) < count:
-            buffers[:] = (np.empty((count, n, 16), complex) for _ in range(2))
-        out, product = (buffer[:count] for buffer in buffers)
-        out.fill(0)
-        for field, state in parts:
-            _add_terms(out, {b: np.broadcast_to(w, (n, n))[rows]
-                             for b, w in field.items()},
-                       state._rows(False, rows), product)
-        return out
-    return rows_of
-
-
-def _product_norm(grid: Grid, parts: list) -> float:
-    """||F psi|| from the pairs (a, s_1), (b, s_2) of psi and its derivatives.
-
-    F psi = sum_t c_t v_t over the parts' terms t: c_t = w_t a_t(z_1)
-    b_t(z_2) is the scalar field of the term's weight and its state's
-    profiles, and v_t = B_t (s_1 x s_2) a constant 16-vector.  With the
-    QR of the (16, T) matrix [v_t], ||F psi||^2 = sum_z ||R c(z)||^2,
-    summed a block of rows of the (T, n, n) fields at a time.  No Gram
-    matrix: sum_tu G_tu c_t^* c_u cancels where F psi nearly vanishes.
+    F psi = sum_t c_t v_t over the terms t of _line_parts: c_t = w_t
+    a_t(z_1) b_t(z_2) is the scalar field of the term's weight and its
+    part's profiles, and v_t = B_t (s_1 x s_2) a constant 16-vector.
+    With the QR of the (16, T) matrix [v_t], ||F psi||^2 = sum_z
+    ||R c(z)||^2, summed a block of rows of the (T, n, n) fields at a
+    time, with no (n, n, 16) image.  No Gram matrix: sum_tu G_tu c_t^*
+    c_u cancels where F psi nearly vanishes.  Raises SpecError on any
+    other state.
     """
+    if not psi._fields or not all(isinstance(field, tuple)
+                                  for field in psi._pair(False)):
+        raise SpecError("curvature_norm takes a product state: a spin "
+                        "product of two (profile, spinor) pairs")
     terms = [(weight, realize(structure, DIRAC) @ np.outer(s1, s2).ravel(),
-              a, b) for field, state in parts
-             for (a, s1), (b, s2) in [state._pair(False)]
+              a, b) for field, ((a, s1), (b, s2)) in _line_parts(system, psi)
              for structure, weight in field.items()]
     if not terms:
         return 0.0
@@ -896,33 +873,13 @@ def _product_norm(grid: Grid, parts: list) -> float:
     if weights.ndim == 1:  # constant over the grid: into the a_t
         a *= weights[:, None]
     total = 0.0
-    for rows in _row_blocks(grid.points):
+    for rows in _row_blocks(psi.grid.points):
         fields = a[:, rows, None] * b[:, None]
         if weights.ndim > 1:
             fields *= weights[:, rows]
         image = r @ fields.reshape(len(fields), -1)
         total += np.vdot(image, image).real
-    return float(np.sqrt(total * grid.spacing * grid.spacing))
-
-
-def apply_curvature(system: MultiTimeSystem, psi: WaveFunction) -> np.ndarray:
-    """Evaluate (F psi) on the grid at psi's times, all rows at once."""
-    return _curvature_rows(psi.grid, _line_parts(system, psi))(slice(None))
-
-
-def curvature_norm(system: MultiTimeSystem, psi: WaveFunction) -> float:
-    """||F psi|| on the grid — the holonomy experiment's reference value.
-
-    On a spin product of two (profile, spinor) pairs, a product state
-    among them, it is read from the pairs (_product_norm), with no
-    (n, n, 16) image; on any other state, from F psi's rows a block at a
-    time.  A pair whose potentials do not refer to z evaluates F at one
-    configuration, not on the grid.
-    """
-    parts = _line_parts(system, psi)
-    if psi._fields and all(isinstance(f, tuple) for f in psi._pair(False)):
-        return _product_norm(psi.grid, parts)
-    return _l2(psi.grid, _curvature_rows(psi.grid, parts))
+    return float(np.sqrt(total * psi.grid.spacing * psi.grid.spacing))
 
 
 def spacelike_mask(grid: Grid, t1: float, t2: float) -> np.ndarray:

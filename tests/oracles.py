@@ -28,6 +28,7 @@ from mtdirac.clifford import (
     reconstruct,
     unit_field,
 )
+from mtdirac.consistency import curvature_operator
 from mtdirac.dsl import BinOp, Call, Const, Coord, Neg, Param, Pow, \
     differentiate, evaluate, is_zero
 from mtdirac.potential import (
@@ -432,6 +433,37 @@ def reference_curvature(system, configs: np.ndarray, rep):
         first[(1, a)] = -commutator(embed(rep.alphas[a], 1, 2), v_2)
         first[(2, a)] = commutator(embed(rep.alphas[a], 2, 2), v_1)
     return zeroth, first
+
+
+def curvature_image(system, psi) -> np.ndarray:
+    """F psi at psi's times on the grid, (n, n, 16), formed whole.
+
+    F is the line model's (derivatives along t and z alone), built by
+    curvature_operator at every configuration x_k = (t_k, 0, 0, z_k) of
+    the grid; each part is reconstructed into dense 16x16 matrices, a row
+    of configurations at a time, and applied to psi's formed values, and
+    d psi / d z_k is the FFT derivative of those values along z_k.  psi
+    itself is not touched.
+    """
+    n, values = psi.grid.points, psi._view().values
+    configs = np.zeros((n, n, 2, 4))
+    configs[..., 0, 0], configs[..., 1, 0] = psi.times
+    zs = psi.grid.positions()
+    configs[..., 0, 3], configs[..., 1, 3] = zs[:, None], zs[None, :]
+    curvature = curvature_operator(system, configs, directions=(0, 3))
+    kappa = 2j * np.pi * np.fft.fftfreq(n, psi.grid.spacing)
+    parts = [(curvature.zeroth, values)] + [
+        (curvature.first[(k, 3)], np.fft.ifft(np.fft.fft(values, axis=k - 1)
+                                              * kappa.reshape(shape),
+                                              axis=k - 1))
+        for k, shape in ((1, (n, 1, 1)), (2, (n, 1)))]
+    image = np.zeros_like(values)
+    for field, state in parts:
+        for x in range(n):
+            matrices = reconstruct({b: np.broadcast_to(w, (n, n))[x]
+                                    for b, w in field.items()}, 2, DIRAC, (n,))
+            image[x] += np.einsum("yij,yj->yi", matrices, state[x])
+    return image
 
 
 def reference_cc(coefficients, masses, samples) -> dict[str, float]:

@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtdirac.consistency import check_consistency
 from mtdirac.potential import make_builtin, sample_configs
-from mtdirac.solver import Grid, Leg, evolve_path, product_state
-from oracles import exact_modes
+from mtdirac.solver import Grid, Leg, curvature_norm, evolve_path, \
+    product_state
+from oracles import curvature_image, exact_modes
 
 T = 0.5
 DTS = (0.1, 0.05, 0.025)
@@ -118,3 +121,60 @@ def test_an_inconsistent_pairs_orders_differ_exactly_as_strangs_do():
         for dt in DTS:
             assert _relative(_strang_modes(system, psi0, order, dt),
                              solution) <= 1e-12
+
+
+# hoho draws for the line model's curvature: hermitian, real C_0 != 0 and
+# c_0, imaginary spatial C, and c_3 = 0, so that V_k depend on the times
+# alone; a transverse c_1 or c_2 is 0 or of size at least 0.1
+_TRANSVERSE = st.floats(0.1, 0.5) | st.floats(-0.5, -0.1)
+_HOHO_TIME_ONLY = dict(
+    big_c=st.tuples(st.floats(0.5, 1.5), st.floats(-0.5, 0.5),
+                    st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+    c_0=st.floats(-1.0, 1.0))
+
+
+def _line_curvature_gate(big_c, c_0, c_1, c_2) -> None:
+    """The line model's curvature on one hoho draw at n = 32.
+
+    On every draw curvature_norm is the dense oracle's ||F psi0|| to
+    1e-12 relative, or to 1e-15 where that norm is 0.  Flat draws (c_1 =
+    c_2 = 0) read round-off, and their exact orders agree to 1e-12
+    relative.  Curved draws read a nonzero norm, and their exact orders
+    differ by more than 1e-3 relative (0.08-0.31 measured)."""
+    system = make_builtin("hoho", {
+        "C": (big_c[0], *(1j * c for c in big_c[1:])),
+        "c": (c_0, c_1, c_2, 0.0)})
+    psi0 = _psi0()
+    norm = curvature_norm(system, psi0)
+    reference = np.sqrt(np.sum(np.abs(curvature_image(system, psi0)) ** 2)) \
+        * psi0.grid.spacing
+    if reference == 0:
+        assert abs(norm - reference) <= 1e-15
+    else:
+        assert abs(norm - reference) <= 1e-12 * reference
+    exact = [exact_modes(system, psi0, T, order, MODES) for order in ORDERS]
+    if c_1 == c_2 == 0:
+        assert norm <= 1e-15
+        assert _relative(exact[0], exact[1]) <= 1e-12
+        return
+    assert norm > 0
+    assert _relative(exact[0], exact[1]) > 1e-3
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(**_HOHO_TIME_ONLY)
+def test_flat_time_only_hoho_draws_read_no_line_curvature(big_c, c_0):
+    """hoho draws with C != 0 and c_1 = c_2 = c_3 = 0 at n = 32: see
+    _line_curvature_gate."""
+    _line_curvature_gate(big_c, c_0, 0.0, 0.0)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(**_HOHO_TIME_ONLY, transverse=st.one_of(
+    st.tuples(_TRANSVERSE, st.just(0.0) | _TRANSVERSE),
+    st.tuples(st.just(0.0), _TRANSVERSE)))
+def test_curved_time_only_hoho_draws_read_line_curvature(big_c, c_0,
+                                                         transverse):
+    """hoho draws with C != 0, c_3 = 0 and |c_1| or |c_2| >= 0.1 at n =
+    32: see _line_curvature_gate."""
+    _line_curvature_gate(big_c, c_0, *transverse)

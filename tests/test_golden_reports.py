@@ -7,13 +7,15 @@ pinned here as well, at this tighter tolerance than the benchmark's own
 golden file: the README's path-independence run and the two grid-phase
 commands of the propagate_gridphase workload.
 
-Pin the commands that have no entry yet with
+Pin the commands that have no entry yet, and the keys that an existing
+entry's report has gained, with
 
     PYTHONPATH=src python3 tests/test_golden_reports.py
 
-This adds only the missing commands and leaves every existing entry
-byte-identical.  To re-pin an entry after an intended change of its
-report, delete the entry from golden_reports.json first, then run it.
+It prints what it adds, and refuses, with a message, to change or drop
+any value an entry holds, so every existing value stays byte-identical.
+To re-pin an entry after an intended change of its report, delete the
+entry from golden_reports.json first, then run it.
 """
 from __future__ import annotations
 
@@ -74,21 +76,59 @@ def _dump(reports: dict) -> str:
 
 
 def add_missing(path: Path, commands, work_dir: Path) -> list[str]:
-    """Pin the commands that have no entry in the golden file at path.
+    """Pin what the golden file at path lacks: the commands that have no
+    entry, and the keys that an existing entry's report has gained.
 
-    Existing entries are kept as loaded; since floats round-trip through
-    json exactly, their text in the rewritten file is byte-identical.
-    Returns the keys that were added.
+    Every command runs.  Where a report changes or drops a value that its
+    entry holds, the writer refuses: it prints the difference and keeps
+    the entry's value.  Since floats round-trip through json exactly,
+    what is kept is byte-identical in the rewritten file.  Prints and
+    returns what was added: a command's key, or the command's key and
+    the path of a key its report gained.
     """
     reports = json.loads(path.read_text(encoding="utf-8"))
-    added = [" ".join(argv) for argv in commands
-             if " ".join(argv) not in reports]
+    added, refused = [], []
     for argv in commands:
-        if " ".join(argv) in added:
-            reports[" ".join(argv)] = run_report(argv, work_dir / "r.json")
+        key = " ".join(argv)
+        got = run_report(argv, work_dir / "r.json")
+        if key in reports:
+            lines: list[str] = []
+            added += [f"{key}: {where}"
+                      for where in _gain(reports[key], got, "", lines)]
+            refused += [f"{key}: {line}" for line in lines]
+        else:
+            reports[key] = got
+            added.append(key)
+    for line in refused:
+        print(f"refused {line}")
+    for key in added:
+        print(f"pinned {key}")
     if added:
         path.write_text(_dump(reports), encoding="utf-8")
     return added
+
+
+def _gain(golden, got, where: str, refused: list[str]) -> list[str]:
+    """Add to golden, in place, the dict keys that got has and golden
+    lacks, and return their paths; every other difference between the
+    two is appended to refused, golden keeping its value."""
+    if isinstance(golden, dict) and isinstance(got, dict):
+        refused += [f"{where}.{name}: dropped by the report"
+                    for name in golden if name not in got]
+        gained = [f"{where}.{name}" for name in got if name not in golden]
+        for name in got:
+            if name in golden:
+                gained += _gain(golden[name], got[name], f"{where}.{name}",
+                                refused)
+            else:
+                golden[name] = got[name]
+        return gained
+    if (isinstance(golden, list) and isinstance(got, list)
+            and len(golden) == len(got)):
+        return [path for i, (held, new) in enumerate(zip(golden, got))
+                for path in _gain(held, new, f"{where}[{i}]", refused)]
+    refused += differences(got, golden, where)
+    return []
 
 
 def differences(got, want, where: str = "") -> list[str]:
@@ -144,10 +184,30 @@ def test_writer_adds_missing_and_keeps_existing_entries(tmp_path):
     assert add_missing(path, [missing], tmp_path) == []
 
 
+def test_writer_adds_a_gained_key_and_refuses_a_changed_value(tmp_path,
+                                                              capsys):
+    """An entry whose report has gained a key gets that key; a value the
+    report changes is refused with a message and kept as it was."""
+    argv = ("check", "--builtin", "free", "--nsamples", "5")
+    key = " ".join(argv)
+    held = run_report(argv, tmp_path / "report.json")
+    gained = held["report"].pop("zeroth_sup")
+    held["report"]["nsamples"] = 6
+    path = tmp_path / "golden.json"
+    path.write_text(_dump({key: held}), encoding="utf-8")
+    capsys.readouterr()
+    added = f"{key}: .report.zeroth_sup"
+    assert add_missing(path, [argv], tmp_path) == [added]
+    out = capsys.readouterr().out
+    assert f"refused {key}: .report.nsamples: 5 != golden 6" in out
+    assert f"pinned {added}" in out
+    after = json.loads(path.read_text(encoding="utf-8"))[key]["report"]
+    assert after["zeroth_sup"] == gained and after["nsamples"] == 6
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        for key in add_missing(GOLDEN_PATH, COMMANDS, Path(tmp)):
-            print(f"pinned {key}")
+        add_missing(GOLDEN_PATH, COMMANDS, Path(tmp))
     sys.exit(0)

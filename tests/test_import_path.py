@@ -168,7 +168,7 @@ _PUBLIC_NAMES = [
     "Potential", "PotentialTerm", "Region", "SpecError",
     "TensorBasisElement", "UNDECIDED", "VERDICT_CONSISTENT",
     "VERDICT_INCONSISTENT", "WaveFunction", "__version__",
-    "apply_curvature", "basis16", "build_dirac_rep", "build_weyl_rep",
+    "basis16", "build_dirac_rep", "build_weyl_rep",
     "cc_residuals", "check_consistency", "classify_gauge",
     "classify_interaction", "coefficient_set_to_system", "commutator_table",
     "compose", "curvature_norm", "curvature_operator", "decompose",

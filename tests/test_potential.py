@@ -14,8 +14,7 @@ from mtdirac.clifford import (
 )
 from mtdirac.dsl import Const, DslParseError, parse, to_source
 from mtdirac.potential import (
-    COEFFICIENT_FIELDS_1,
-    COEFFICIENT_FIELDS_2,
+    COEFFICIENT_LAYOUT,
     FIELD_NAMES,
     DomainError,
     Guard,
@@ -141,7 +140,12 @@ def test_hoho_imaginary_spatial_components_stay_hermitian(rng):
     assert hermiticity_sup(system, configs) < 1e-12
 
 
-@pytest.mark.parametrize("field_name", COEFFICIENT_FIELDS_1)
+def _fields_of(particle: int) -> list[str]:
+    return [name for name, (k, _, _) in COEFFICIENT_LAYOUT.items()
+            if k == particle]
+
+
+@pytest.mark.parametrize("field_name", _fields_of(1))
 def test_coefficient_form_particle1_structures(field_name, dirac, rng):
     cls, sector = {
         "W1": (BasisClass.ALPHA, IDENTITY_ELEMENT),
@@ -162,7 +166,7 @@ def test_coefficient_form_particle1_structures(field_name, dirac, rng):
     assert not evaluate_potential(system.potential(2), coords, dirac).any()
 
 
-@pytest.mark.parametrize("field_name", COEFFICIENT_FIELDS_2)
+@pytest.mark.parametrize("field_name", _fields_of(2))
 def test_coefficient_form_particle2_structures(field_name, dirac, rng):
     cls, sector = {
         "W2": (BasisClass.ALPHA, IDENTITY_ELEMENT),

@@ -39,7 +39,6 @@ from mtdirac.solver import (
     Grid,
     Leg,
     WaveFunction,
-    apply_curvature,
     curvature_norm,
     evolve_path,
     gaussian_profile,
@@ -51,6 +50,7 @@ from mtdirac.solver import (
     step,
 )
 from oracles import (
+    curvature_image,
     product_values,
     reference_add_terms,
     reference_kernel,
@@ -509,7 +509,7 @@ def _random_field(rng, count: int, shape: tuple) -> dict:
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_add_terms_matches_out_of_place_reference(count, shape, zero_start):
     """In-place accumulation through one scratch product is bit for bit
-    the term-by-term formula, from a zero start (apply_curvature's) or not."""
+    the term-by-term formula, from a zero start or not."""
     rng = np.random.default_rng(count + 10 * len(shape) + sum(shape))
     values = rng.normal(size=(16, 16, 16)) + 1j * rng.normal(size=(16, 16, 16))
     start = (np.zeros_like(values) if zero_start else
@@ -618,7 +618,7 @@ def test_solver_never_writes_into_the_callers_values(label):
         lambda: path_independence_experiment(system, psi, 0.2,
                                              [0.1, 0.05]).rows,
         lambda: holonomy_series(system, psi, [0.2, 0.1]).rows,
-        lambda: apply_curvature(system, psi),
+        lambda: curvature_norm(system, psi),
     ]
     for call in calls:
         first = call()
@@ -1666,12 +1666,14 @@ def test_holonomy_stable_under_grid_refinement():
 
 def test_apply_curvature_uses_first_order_parts(grid, psi0, dirac):
     # V_1 = alpha2^1 does not commute with alpha2^3, so the curvature
-    # picks up a d/dz_2 term on top of its constant part.
+    # picks up a d/dz_2 term on top of its constant part: the dense
+    # oracle's F psi0 differs from its zeroth part's, and curvature_norm
+    # reads the whole image's norm.
     from mtdirac.clifford import reconstruct
     from mtdirac.consistency import curvature_operator
 
     system = make_builtin("example1_vector", {"A": (0, 1.0, 0, 0)})
-    image = apply_curvature(system, psi0)
+    image = curvature_image(system, psi0)
     assert image.shape == (128, 128, 16)
     operator = curvature_operator(
         system, np.array([[0.0, 0, 0, 0], [0.0, 0, 0, 0]]))
@@ -1680,29 +1682,37 @@ def test_apply_curvature_uses_first_order_parts(grid, psi0, dirac):
     zeroth_only = np.einsum("ij,...j->...i",
                             reconstruct(operator.zeroth, 2, dirac), psi0.values)
     assert np.max(np.abs(image - zeroth_only)) > 0.01
+    whole = np.sqrt(np.sum(np.abs(image) ** 2)) * grid.spacing
+    assert abs(curvature_norm(system, psi0) - whole) <= 1e-14 * whole
 
 
-def test_curvature_from_factors_matches_the_formed_state():
-    """F psi0 from a product state's factors, its z-derivatives taken on
-    g_1 and g_2 alone, matches F applied to a copy holding psi0's values
-    only, whose derivatives are taken whole: with d/dz_1 and d/dz_2 parts
-    both present, to 1e-13 on ||psi0|| = 1, and the norm read a block of
-    rows at a time is the norm of the whole image."""
+def test_curvature_from_factors_matches_the_formed_state(dirac):
+    """F psi0 from a product state's pairs, its z-derivatives taken on
+    g_1 and g_2 alone (_line_parts), matches the dense oracle's F applied
+    to psi0's formed values, whose derivatives are taken whole: with
+    d/dz_1 and d/dz_2 parts both present, to 1e-13 on ||psi0|| = 1; and
+    curvature_norm reads the whole image's norm, forming neither space
+    of psi0."""
+    from mtdirac.clifford import reconstruct
+
     system = make_builtin("example1_vector", {"A": (0, 1.0, 0, 0),
                                               "B": (0, 0, 1.0, 0)})
     psi = product_state(Grid(points=48), spinor1=(0.6, 0.2j, -0.5, 0.3),
                         spinor2=(0.1, 0.7, 0.4j, -0.2), centers=(0.7, -1.1),
                         momenta=(0.8, -0.5))
-    formed = _formed(psi)
-    image, reference = (apply_curvature(system, state)
-                        for state in (psi, formed))
-    assert psi._known == [None, None]
+    reference = curvature_image(system, psi)
+    parts = solver._line_parts(system, psi)
+    assert len(parts) == 3  # psi and both d psi / d z_k
+    image = sum(np.einsum("ij,xyj->xyi", reconstruct(field, 2, dirac),
+                          np.einsum("x,y,a,b->xyab", a, b, s1, s2).reshape(
+                              48, 48, 16))
+                for field, ((a, s1), (b, s2)) in parts)
     spacing = psi.grid.spacing
     assert np.sqrt(np.sum(np.abs(image - reference) ** 2)) * spacing <= 1e-13
     whole = np.sqrt(np.sum(np.abs(reference) ** 2)) * spacing
     assert whole > 1.0
-    for state in (psi, formed):
-        assert abs(curvature_norm(system, state) - whole) <= 1e-13 * whole
+    assert abs(curvature_norm(system, psi) - whole) <= 1e-13 * whole
+    assert psi._known == [None, None]
 
 
 # label: (system, relative tolerance, or None for an absolute 1e-15)
@@ -1719,18 +1729,15 @@ _PRODUCT_CURVATURE_CASES = {
 
 
 @pytest.mark.parametrize("case", list(_PRODUCT_CURVATURE_CASES))
-def test_curvature_norm_of_a_product_reads_its_factors(case, monkeypatch):
+def test_curvature_norm_of_a_product_reads_its_factors(case):
     """On a product state with generic spinors, centers and momenta,
-    ||F psi|| from the factors, never through F psi's rows, matches the
-    norm of apply_curvature on a copy holding psi's values, and forms
-    neither space of psi."""
+    ||F psi|| from the pairs matches the norm of the dense oracle's F psi,
+    formed whole, and forms neither space of psi."""
     build, rtol = _PRODUCT_CURVATURE_CASES[case]
     system, psi = build(), _generic_product(48)
-    reference = solver._l2(psi.grid, lambda rows: apply_curvature(
-        system, _formed(psi))[rows])
-    with monkeypatch.context() as patch:
-        patch.setattr(solver, "_curvature_rows", None)  # not on this path
-        value = curvature_norm(system, psi)
+    reference = np.sqrt(np.sum(np.abs(curvature_image(system, psi)) ** 2)) \
+        * psi.grid.spacing
+    value = curvature_norm(system, psi)
     assert psi._known == [None, None]
     if rtol is None:
         assert reference < 1e-15 and abs(value - reference) <= 1e-15
@@ -1739,33 +1746,17 @@ def test_curvature_norm_of_a_product_reads_its_factors(case, monkeypatch):
         assert abs(value - reference) <= rtol * reference
 
 
-def test_spectral_derivative_of_a_spin_product_takes_its_fourier_field(
-        monkeypatch):
-    """d psi / d z_k of a spin product is i kappa times its Fourier field
-    k: for a fresh psi0, a field hoho's leg on 2 left as a pair (k = 1)
-    and the field that leg changed (k = 2), it matches the FFT derivative
-    of the formed values to 1e-14 on ||psi0|| = 1, and neither it nor
-    reading its rows transforms an (n, n, 16) array."""
-    psi0 = _generic_product(48)
-    states = [psi0, evolve_path(psi0, [Leg(2, 0.2, 0.1)], make_builtin("hoho"))]
-    assert [[isinstance(f, tuple) for f in s._pair(True)] for s in states] \
-        == [[True, True], [True, False]]
-    kappa, spacing = 1j * psi0.grid.momenta(), psi0.grid.spacing
-    for state in states:
-        formed = state._view().values
-        for k in (1, 2):
-            shape = [-1] + [1] * (3 - k)  # kappa along z_k
-            reference = np.fft.ifft(np.fft.fft(formed, axis=k - 1)
-                                    * kappa.reshape(shape), axis=k - 1)
-            with monkeypatch.context() as patch:
-                calls = _state_transforms(patch)
-                derivative = solver._spectral_derivative(state, k)
-                values = np.concatenate([derivative._rows(False, rows)
-                                         for rows in solver._row_blocks(48)])
-            assert not +calls
-            assert np.sqrt(np.sum(np.abs(values - reference) ** 2)) \
-                * spacing <= 1e-14
-            assert np.sqrt(np.sum(np.abs(reference) ** 2)) * spacing > 0.5
+def test_curvature_norm_takes_a_product_state():
+    """A state holding only (n, n, 16) values, and a spin product one of
+    whose fields is an (n, 4) array, as hoho's leg on particle 2 leaves
+    psi0, are not product states: curvature_norm raises SpecError."""
+    hoho, psi0 = make_builtin("hoho"), _generic_product(32)
+    evolved = evolve_path(psi0, [Leg(2, 0.2, 0.1)], hoho)
+    assert [isinstance(f, tuple) for f in evolved._pair(False)] \
+        == [True, False]
+    for state in (_formed(psi0), evolved):
+        with pytest.raises(SpecError, match="product state"):
+            curvature_norm(hoho, state)
 
 
 def test_curvature_norm_of_a_product_forms_no_image():
@@ -1794,8 +1785,7 @@ def test_curvature_is_evaluated_once_where_no_potential_reads_z(monkeypatch):
     psi = product_state(Grid(points=32))
     for name in ("example1_vector", "hoho"):
         curvature_norm(make_builtin(name), psi)
-        apply_curvature(make_builtin(name), psi)
-    assert shapes == [(2, 4)] * 4
+    assert shapes == [(2, 4)] * 2
     shapes.clear()
     curvature_norm(make_builtin("hoho", {"c": (1.0, 0.0, 0.0, 0.5)}), psi)
     assert shapes == [(32, 32, 2, 4)]
@@ -1821,23 +1811,6 @@ def test_loop_reference_is_the_line_models_own_curvature(capsys):
     assert report["curvature_norm"] == pytest.approx(0.6, rel=1e-12, abs=0)
     ratios = [row["deviation_per_delta2"] for row in report["rows"]]
     assert 0.59 < ratios[0] < ratios[1] < ratios[2] < 0.6
-
-
-def test_curvature_rows_reuse_one_output_and_match_the_image():
-    """The rows path writes every block into one output and one scratch
-    per call, and each block is bitwise the whole image's rows."""
-    system = make_builtin("example1_vector", {"A": (0, 1.0, 0, 0),
-                                              "B": (0, 0, 1.0, 0)})
-    psi = _formed(_generic_product(48))
-    whole = apply_curvature(system, psi)
-    rows_of = solver._curvature_rows(psi.grid, solver._line_parts(system, psi))
-    blocks = solver._row_blocks(48)
-    first = rows_of(blocks[0])
-    assert np.array_equal(first, whole[blocks[0]])
-    for rows in blocks[1:]:
-        block = rows_of(rows)
-        assert np.shares_memory(block, first)
-        assert np.array_equal(block, whole[rows])
 
 
 def test_fitted_slope_handles_degenerate_rows():
