@@ -48,6 +48,14 @@ COMMANDS = (
      "--param", "X1=1,0,0,0", "--param", "A=exp(x2_0),0,0,0"),
     ("classify", "--builtin", "hoho", "--param", "C=1,0.5j,0,0",
      "--param", "c=0.3,0.1,0,0.2", "--seed", "3"),
+    ("classify", "--builtin", "coefficient_form",
+     "--param", "W1=x2_0,0.3*x2_1,0,0", "--param", "W2=x1_0,0,x1_2^2,0",
+     "--param", "X2=0,x1_2,0,0", "--param", "Y1=0,0,0.5,x2_3",
+     "--param", "Z2=x1_0*x1_3,0,0,0"),
+    ("classify", "--builtin", "coefficient_form",
+     "--param", "Z2=0,0,0.5,0", "--param", "Y2=0.3,0,0,0",
+     "--param", "A=exp(x2_0)*cos(x2_3),x2_1,0,0",
+     "--param", "E=sin(x1_2),0,x1_0*x1_3,0"),
     ("poincare", "--builtin", "hoho"),
     ("poincare", "--builtin", "coulomb_like"),
     ("simulate", "--builtin", "hoho", "--dt", "0.1,0.05,0.025", "--T", "0.5"),
