@@ -46,8 +46,8 @@ from .clifford import (
     unit_field,
 )
 from .consistency import _cc_sups, _curvature_parts, _sup_norm
-from .dsl import BinOp, DslEvaluationError, Expr, differentiate, evaluate, \
-    is_constant, is_zero
+from .dsl import ZERO, BinOp, DslEvaluationError, Expr, coordinates, \
+    differentiate, evaluate, is_constant, is_zero
 from .potential import (
     COEFFICIENT_LAYOUT,
     CoefficientFormError,
@@ -293,8 +293,11 @@ def exponential_form_residual(coefficients: CoefficientSet,
     (branch_2) and X1_mu Z1_lam = X1_lam Z1_mu (branch_1).
 
     Each (field, mu) takes one max over its stacked (4, 4, ...) (nu, lam)
-    defects.  Raises CoefficientFormError when an alpha-sector field is
-    not constant, DomainError naming `where` when a residual is not finite.
+    defects.  Derivatives are formed only along the coordinates a slot
+    reads: any other is the literal zero, which the defect skips anyway,
+    so the values are those of the full (nu, lam) sweep.  Raises
+    CoefficientFormError when an alpha-sector field is not constant,
+    DomainError naming `where` when a residual is not finite.
     """
     _require_constant_alpha(coefficients)
     coords = stack_coords(samples)
@@ -318,9 +321,11 @@ def exponential_form_residual(coefficients: CoefficientSet,
                 base_value = (evaluate(exprs[mu], coords)
                               + (shift if mu == 0 else 0.0))
                 defect = np.multiply.outer(factor, base_value)
-                for nu in range(4):
+                used = coordinates(exprs[mu])
+                reads = [nu for nu in range(4) if (partner, nu) in used]
+                for nu in reads:
                     first = differentiate(exprs[mu], partner, nu)
-                    for lam in range(4):
+                    for lam in reads:
                         second = differentiate(first, partner, lam)
                         if not is_zero(second):  # the common zero is skipped
                             defect[nu, lam] = (evaluate(second, coords)
@@ -426,6 +431,7 @@ _SECTOR_FIELDS = {
 # _GAUSS_ULPS ulps of its largest magnitude; if none does, the checks judge
 # the last, so stopping there is no error.  _FD_TOL bounds both checks.
 _GAUSS_NODES, _GAUSS_ULPS, _FD_TOL = (8, 16, 32, 64, 128, 256), 4, 2e-2
+_GAUSS_RULES: dict[int, tuple] = {}  # count -> (s, w) on [0, 1], on first use
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,9 +483,12 @@ def classify_gauge(system: MultiTimeSystem,
     unit phase, E(1,2)'s alpha sectors cc1..cc4, read off the system's
     own field, so its guards apply (masses reach only gamma-class
     sectors).  Raises DomainError when a guard trips or a sup is not finite.
-    """
-    from numpy.polynomial.legendre import leggauss  # off the import path
 
+    Only the slots a system fills are visited: a literal-zero slot adds
+    exact zeros to the line integrals, curls and gradient rows, and a
+    derivative along a coordinate its slot does not read is the literal
+    zero, so neither is formed and every value is the dense sweep's.
+    """
     grid = grid or ConfigGrid()
     coefficients = to_coefficient_form(system)
     base, configs, n = grid.base_array(), grid.configs(), len(grid.values)
@@ -487,6 +496,9 @@ def classify_gauge(system: MultiTimeSystem,
     probe_coords = stack_coords(probes)
     sectors = {label: (coefficients.field(name1), coefficients.field(name2))
                for label, (name1, name2) in _SECTOR_FIELDS.items()}
+    # reads[label][j - 1][mu]: the coordinates that slot f_{j,mu} reads
+    reads = {label: [list(map(coordinates, exprs)) for exprs in f]
+             for label, f in sectors.items()}
 
     # --- exactness conditions -------------------------------------------
     # np.max and np.maximum keep a NaN that max() would drop
@@ -494,12 +506,16 @@ def classify_gauge(system: MultiTimeSystem,
     cc = _cc_sups(zeroth)
     cross_curl = np.max([cc[f"cc{index}"] for index in range(1, 5)])
     moved = []
-    for f in sectors.values():
-        for (own, other), exprs in zip(((1, 2), (2, 1)), f):
+    for f, read in zip(sectors.values(), reads.values()):
+        for (own, other), exprs, used in zip(((1, 2), (2, 1)), f, read):
             for mu, nu in combinations(range(4), 2):
-                curl = BinOp("-", differentiate(exprs[nu], own, mu),
-                             differentiate(exprs[mu], own, nu))
-                moved += [differentiate(curl, other, lam) for lam in range(4)]
+                # d_{own,mu} f_nu and d_{own,nu} f_mu with what each reads
+                pair = [(differentiate(exprs[b], own, a), used[b])
+                        if (own, a) in used[b] else (ZERO, frozenset())
+                        for a, b in ((mu, nu), (nu, mu))]
+                curl = BinOp("-", pair[0][0], pair[1][0])
+                moved += [differentiate(curl, other, lam) for lam in range(4)
+                          if any((other, lam) in u for _, u in pair)]
     locality = np.max([np.max(np.abs(evaluate(expr, probe_coords)))
                        for expr in moved if not is_zero(expr)], initial=0.0)
     integrability = np.maximum(cross_curl, locality)
@@ -521,14 +537,18 @@ def classify_gauge(system: MultiTimeSystem,
         at = stacks(start + np.multiply.outer(s, delta))
         integrand = sum((cross(f[j - 1][mu], j, at) * delta[..., j - 1, mu]
                          for j, mu in product((1, 2), range(4))
-                         if np.any(delta[..., j - 1, mu])),
+                         if np.any(delta[..., j - 1, mu])
+                         and not is_zero(f[j - 1][mu])),
                         np.zeros(s.shape + delta.shape[:-2], complex))
         return np.tensordot(w, integrand, axes=1)
 
     stacked = np.nan  # no estimate yet: the first comparison fails
     for count in _GAUSS_NODES:
-        nodes, weights = leggauss(count)
-        s, w = (nodes + 1) / 2, weights / 2  # from [-1, 1] to [0, 1]
+        if count not in _GAUSS_RULES:  # from [-1, 1] to [0, 1]
+            from numpy.polynomial.legendre import leggauss  # off import path
+            nodes, weights = leggauss(count)
+            _GAUSS_RULES[count] = (nodes + 1) / 2, weights / 2
+        s, w = _GAUSS_RULES[count]
         previous, stacked = stacked, np.array([
             line_integral(f, base, configs) for f in sectors.values()])
         if np.max(np.abs(stacked - previous)) <= \
@@ -550,11 +570,15 @@ def classify_gauge(system: MultiTimeSystem,
     lever = np.multiply.outer(s, points - base)  # s (x - b) at each node
     path, at_points = stacks(base + lever), stacks(points)
     gradient_match = 0.0
-    for f in sectors.values():
+    for f, read in zip(sectors.values(), reads.values()):
         for j, mu in product((1, 2), range(4)):
+            slopes = [(k, nu) for k, nu in product((1, 2), range(4))
+                      if (j, mu) in read[k - 1][nu]]
+            if is_zero(f[j - 1][mu]) and not slopes:
+                continue  # the row's h and its integrand are both zero
             integrand = np.broadcast_to(cross(f[j - 1][mu], j, path),
                                         lever.shape[:-2])
-            for k, nu in product((1, 2), range(4)):
+            for k, nu in slopes:
                 slope = differentiate(f[k - 1][nu], j, mu)
                 if not is_zero(slope):
                     value = (cross(slope, k, path) if j == k

@@ -5,7 +5,8 @@ bench/run.py drives each job of bench/workloads.py through
 exit code 0, strict JSON, the paper's invariants, and, where the report
 does not depend on the seed, every value against bench/golden.json to
 its tolerance.  Running the same jobs and checks here shows a failing job
-in tier-1 rather than first in a benchmark run.  bench/ is only read.
+in tier-1 rather than first in a benchmark run.  The classify jobs'
+count of formed derivatives is guarded as well.  bench/ is only read.
 """
 
 import contextlib
@@ -15,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from mtdirac import dsl, symmetry
 from mtdirac.cli import entry
+from mtdirac.dsl import differentiate
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 if str(BENCH) not in sys.path:
@@ -34,3 +37,26 @@ def test_benchmark_job_passes_its_checks(job, seed, tmp_path):
         code = entry([*job.argv, "--seed", str(seed), "--out", str(out)])
     text = out.read_text(encoding="utf-8") if out.exists() else None
     assert workloads.check_job(job, seed, code, text, GOLDEN) == []
+
+
+def test_classify_jobs_form_few_derivatives(monkeypatch):
+    """classify differentiates only the coefficient slots a system fills,
+    along the coordinates each reads: the benchmark's classify jobs form
+    at most 250 derivatives, where a sweep over every slot forms 2,368.
+    A count does not drift with the host, so this guard sees a return to
+    the dense sweep that the noise of wall_s hides."""
+    calls = []
+
+    def counted(expr, k, mu):
+        calls.append((k, mu))
+        return differentiate(expr, k, mu)
+
+    monkeypatch.setattr(dsl, "differentiate", counted)
+    monkeypatch.setattr(symmetry, "differentiate", counted)
+    jobs = [job for job in workloads.CLASSIFY_POINTWISE
+            if job.command == "classify"]
+    assert len(jobs) == 2
+    for job in jobs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert entry(list(job.argv)) == 0
+    assert 0 < len(calls) <= 250

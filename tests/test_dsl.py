@@ -481,3 +481,21 @@ def test_coordinates_decide_grid_dependence(expr, times):
             assume(False)
     on_grid = any(mu == 3 for _, mu in coordinates(expr))
     assert (np.ndim(value) > 0) == on_grid
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(expr=_EXPRESSIONS)
+def test_derivative_along_an_unread_coordinate_is_the_zero_const(expr):
+    """classify forms d_{k,mu} only where (k, mu) is in a slot's
+    coordinates, and a second derivative only along the slot's own: every
+    other derivative is a zero Const, and a derivative reads no coordinate
+    its expression does not."""
+    read = coordinates(expr)
+    for k in (1, 2):
+        for mu in range(4):
+            derivative = differentiate(expr, k, mu)
+            if (k, mu) in read:
+                assert coordinates(derivative) <= read
+            else:
+                assert isinstance(derivative, Const)
+                assert derivative.value == 0

@@ -27,6 +27,10 @@ leave its reports unchanged, or change them in a known way.
   with V_k = f_k 1 a pair is consistent exactly when it is a pure gauge
   of the two times plus fields of each particle's own coordinates, so
   check reads CONSISTENT exactly when classify reads GAUGE_REMOVABLE.
+* Zero-valued slots: writing empty coefficient slots as zero-valued
+  expressions that are not the literal zero (0*1, x1_0 - x1_0) leaves
+  every classify report value unchanged, so the dense sweep over all
+  slots is the oracle of classify's sparse one.
 * Exponential form: a hoho pair that check finds consistent obeys every
   exponential_form_residual condition at the same samples.
 * Holonomy against curvature: a square loop of side delta deviates from
@@ -43,7 +47,7 @@ from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtdirac.cli import _collect_params, entry
@@ -51,7 +55,7 @@ from mtdirac.clifford import IDENTITY_ELEMENT, tensor_element
 from mtdirac.consistency import CC_SECTORS, check_consistency
 from mtdirac.clifford import field_norm
 from mtdirac.dsl import ZERO, BinOp, Call, Const, Coord, differentiate, \
-    evaluate
+    evaluate, to_source
 from mtdirac.potential import (
     BUILTIN_SYSTEMS,
     COEFFICIENT_LAYOUT,
@@ -389,6 +393,53 @@ def test_gauge_removable_is_consistent_at_the_probes(system):
     if classify_interaction(system).verdict == GAUGE_REMOVABLE:
         report = check_consistency(system, ConfigGrid().probes())
         assert report.verdict == "CONSISTENT"
+
+
+@st.composite
+def _sparse_forms_with_zero_slots(draw) -> tuple[list[str], list[str]]:
+    """--param arguments of a coefficient form with one to three fields,
+    each component zero, a constant or a drawn function, and the same
+    arguments with about half of the empty slots written as zero-valued
+    expressions that are not the literal zero: 0*1 in an alpha-sector
+    slot, which keeps the sector constant, and xK_mu - xK_mu elsewhere."""
+    names = draw(st.lists(st.sampled_from(FIELD_NAMES), min_size=1,
+                          max_size=3, unique=True))
+    values = st.one_of(st.sampled_from(["1", "-0.5", "0.3j"]),
+                       _smooth_functions().map(to_source))
+    sparse = {name: ["0"] * 4 for name in FIELD_NAMES} | {
+        name: [draw(values) if draw(st.booleans()) else "0"
+               for _ in range(4)] for name in names}
+    empty = [(name, mu) for name, slots in sparse.items()
+             for mu, slot in enumerate(slots) if slot == "0"]
+    padded = {name: list(slots) for name, slots in sparse.items()}
+    pads = draw(st.lists(st.booleans(), min_size=len(empty),
+                         max_size=len(empty)).filter(any))
+    for name, mu in (slot for slot, pad in zip(empty, pads) if pad):
+        k, nu = draw(st.sampled_from((1, 2))), draw(st.integers(0, 3))
+        padded[name][mu] = ("0*1" if name in _ALPHA_FIELDS
+                            else f"x{k}_{nu} - x{k}_{nu}")
+    masses = [f"m{k}={draw(st.sampled_from(['0', '1']))}" for k in (1, 2)]
+    return tuple(masses + [f"{name}={','.join(slots)}"
+                           for name, slots in fields.items()
+                           if slots != ["0"] * 4]
+                 for fields in (sparse, padded))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(pair=_sparse_forms_with_zero_slots())
+@example(pair=(["W1=x2_0,0,0,0", "W2=x1_0,0,0,0"],
+               ["W1=x2_0,0,0,0", "W2=x1_0,0,0,0", "X1=0*1,0,0,0",
+                "Y2=0,0,0*1,0"]))
+@example(pair=(["W1=x2_1,0,0,0"], ["W1=x2_1,0,0,0", "W2=0,0*1,0,0"]))
+@example(pair=(["m1=1", "Y2=0.3,0,0,0"],
+               ["m1=1", "Y2=0.3,0,0,0", "A=x2_0 - x2_0,0,0,0"]))
+def test_zero_valued_slots_leave_the_classify_report(pair):
+    sparse, padded = (_run(["classify", "--builtin", "coefficient_form",
+                            "--nsamples", "5"]
+                           + [arg for param in params
+                              for arg in ("--param", param)])
+                      for params in pair)
+    assert padded == sparse
 
 
 def _spin_free(f1, f2, masses) -> MultiTimeSystem:
