@@ -56,6 +56,10 @@ COMMANDS = (
      "--param", "Z2=0,0,0.5,0", "--param", "Y2=0.3,0,0,0",
      "--param", "A=exp(x2_0)*cos(x2_3),x2_1,0,0",
      "--param", "E=sin(x1_2),0,x1_0*x1_3,0"),
+    ("classify", "--builtin", "coefficient_form",
+     "--param", "A=sin(x2_1),0,0,0"),
+    ("classify", "--builtin", "coefficient_form", "--param", "Y2=0,0,0,1"),
+    ("classify", "--builtin", "free"),
     ("poincare", "--builtin", "hoho"),
     ("poincare", "--builtin", "coulomb_like"),
     ("simulate", "--builtin", "hoho", "--dt", "0.1,0.05,0.025", "--T", "0.5"),
