@@ -40,7 +40,7 @@ _EXPORTS = {
         "zeroth_order_residual"),
     "symmetry": (
         "GAUGE_REMOVABLE", "INTERACTING", "UNDECIDED",
-        "ClassificationReport", "ConfigGrid", "GaugeReport",
+        "ClassificationReport", "GaugeReport",
         "PoincareTransform", "classify_gauge", "classify_interaction",
         "compose", "exponential_form_residual", "interaction_witness_hoho",
         "inverse", "make_boost", "make_rotation", "make_translation",

@@ -339,7 +339,7 @@ def _class_factors(field: OperatorField,
     factors = []
     with np.errstate(all="ignore"):
         for members in classes:
-            root = np.sqrt(sum(square_sign(b) * field[b] ** 2
+            root = np.sqrt(sum(square_sign(b) * np.square(field[b])
                                for b in members))
             weight = -1j * t * np.sinc(t * root / np.pi)
             factors.append((np.cos(t * root),

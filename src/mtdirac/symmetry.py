@@ -380,35 +380,20 @@ def _witness(system: MultiTimeSystem) -> float:
 # Gauge classification of the alpha-sector
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConfigGrid:
-    """Rectangular probe grid varying two coordinates around a base point."""
-
-    axes: tuple[tuple[int, int], tuple[int, int]] = ((1, 0), (2, 3))
-    values: tuple[float, ...] = tuple(np.linspace(-1.0, 1.0, 9))
-    base: tuple[tuple[float, ...], ...] = ((0.0, 0.0, 0.0, 0.0),
-                                           (0.0, 0.0, 0.0, 0.0))
-
-    def base_array(self) -> np.ndarray:
-        return np.asarray(self.base, float)
-
-    def configs(self) -> np.ndarray:
-        """All grid configurations, shape (n, n, 2, 4)."""
-        n = len(self.values)
-        out = np.tile(self.base_array(), (n, n, 1, 1))
-        (k1, mu1), (k2, mu2) = self.axes
-        out[:, :, k1 - 1, mu1], out[:, :, k2 - 1, mu2] = np.meshgrid(
-            self.values, self.values, indexing="ij")
-        return out
-
-    def probes(self) -> np.ndarray:
-        """The grid configurations, then 64 that vary all eight coordinates,
-        base + u with u drawn with seed 0 from [min(values), max(values)];
-        shape (n * n + 64, 2, 4)."""
-        offsets = np.random.default_rng(0).uniform(
-            min(self.values), max(self.values), size=(64, 2, 4))
-        return np.concatenate([self.configs().reshape(-1, 2, 4),
-                               self.base_array() + offsets])
+# classify's probes, read-only: PROBE_GRID (9, 9, 2, 4) varies x1_0 and x2_3
+# over 9 values in [-1, 1] around the base point _BASE, where the line
+# integrals start; PROBES (145, 2, 4) is the grid, then _BASE + u for 64
+# u drawn with seed 0 from [-1, 1]^8
+_BASE = np.zeros((2, 4))
+_VALUES = np.linspace(-1.0, 1.0, 9)
+PROBE_GRID = np.tile(_BASE, (9, 9, 1, 1))
+PROBE_GRID[..., 0, 0], PROBE_GRID[..., 1, 3] = np.meshgrid(
+    _VALUES, _VALUES, indexing="ij")
+PROBES = np.concatenate([
+    PROBE_GRID.reshape(-1, 2, 4),
+    _BASE + np.random.default_rng(0).uniform(-1.0, 1.0, size=(64, 2, 4))])
+_BASE.flags.writeable = PROBE_GRID.flags.writeable = False
+PROBES.flags.writeable = False
 
 
 def _gamma5_sector(name: str) -> str:
@@ -459,7 +444,6 @@ class GaugeReport:
 
 @np.errstate(all="ignore")
 def classify_gauge(system: MultiTimeSystem,
-                   grid: ConfigGrid | None = None,
                    tol: float = 1e-9) -> GaugeReport:
     """Decide whether the cross-particle alpha-sector is a pure gauge.
 
@@ -469,7 +453,7 @@ def classify_gauge(system: MultiTimeSystem,
     h = f - f_ext, where f_ext freezes the other particle at the grid
     base point b.  GAUGE_REMOVABLE requires the exactness conditions
     (cross curls of f, and base-point independence of the in-particle
-    curls) below tol at grid.probes(), and two checks on the grid of
+    curls) below tol at PROBES, and two checks on PROBE_GRID of
     Phi(x) = int_0^1 h(b + s (x - b)) . (x - b) ds, integrated with
     Gauss-Legendre nodes to round-off, below _FD_TOL: path independence
     across a triangle of paths, and h against grad Phi taken under the
@@ -489,11 +473,8 @@ def classify_gauge(system: MultiTimeSystem,
     derivative along a coordinate its slot does not read is the literal
     zero, so neither is formed and every value is the dense sweep's.
     """
-    grid = grid or ConfigGrid()
     coefficients = to_coefficient_form(system)
-    base, configs, n = grid.base_array(), grid.configs(), len(grid.values)
-    probes = grid.probes()
-    probe_coords = stack_coords(probes)
+    probe_coords = stack_coords(PROBES)
     sectors = {label: (coefficients.field(name1), coefficients.field(name2))
                for label, (name1, name2) in _SECTOR_FIELDS.items()}
     # reads[label][j - 1][mu]: the coordinates that slot f_{j,mu} reads
@@ -502,7 +483,7 @@ def classify_gauge(system: MultiTimeSystem,
 
     # --- exactness conditions -------------------------------------------
     # np.max and np.maximum keep a NaN that max() would drop
-    zeroth = _curvature_parts(system, probes, first=False)[1]
+    zeroth = _curvature_parts(system, PROBES, first=False)[1]
     cc = _cc_sups(zeroth)
     cross_curl = np.max([cc[f"cc{index}"] for index in range(1, 5)])
     moved = []
@@ -524,23 +505,30 @@ def classify_gauge(system: MultiTimeSystem,
     def stacks(points: np.ndarray) -> tuple:
         """points stacked, then with particle 1's, 2's partner at the base."""
         coords = stack_coords(points)
-        frozen = stack_coords(np.broadcast_to(base, points.shape))
+        frozen = stack_coords(np.broadcast_to(_BASE, points.shape))
         return coords, [coords[0], frozen[1]], [frozen[0], coords[1]]
 
     def cross(expr: Expr, k: int, at: tuple):
         """expr minus expr with particle k's partner frozen at the base."""
         return evaluate(expr, at[0]) - evaluate(expr, at[k])
 
-    def line_integral(f, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-        """Integrate h on straight segments start -> end with the rule s, w."""
+    def line_integrals(start: np.ndarray, end: np.ndarray) -> np.ndarray:
+        """Integrate h on straight segments start -> end with the rule s, w,
+        one row per sector, on one stack; a sector with no filled slot
+        along the segments stays the exact zero."""
         delta = end - start
         at = stacks(start + np.multiply.outer(s, delta))
-        integrand = sum((cross(f[j - 1][mu], j, at) * delta[..., j - 1, mu]
-                         for j, mu in product((1, 2), range(4))
-                         if np.any(delta[..., j - 1, mu])
-                         and not is_zero(f[j - 1][mu])),
-                        np.zeros(s.shape + delta.shape[:-2], complex))
-        return np.tensordot(w, integrand, axes=1)
+        out = np.zeros((len(sectors),) + delta.shape[:-2], complex)
+        for row, f in zip(out, sectors.values()):
+            slots = [(j, mu) for j, mu in product((1, 2), range(4))
+                     if np.any(delta[..., j - 1, mu])
+                     and not is_zero(f[j - 1][mu])]
+            if slots:
+                row[...] = np.tensordot(w, sum(
+                    (cross(f[j - 1][mu], j, at) * delta[..., j - 1, mu]
+                     for j, mu in slots),
+                    np.zeros(s.shape + delta.shape[:-2], complex)), axes=1)
+        return out
 
     stacked = np.nan  # no estimate yet: the first comparison fails
     for count in _GAUSS_NODES:
@@ -549,26 +537,25 @@ def classify_gauge(system: MultiTimeSystem,
             nodes, weights = leggauss(count)
             _GAUSS_RULES[count] = (nodes + 1) / 2, weights / 2
         s, w = _GAUSS_RULES[count]
-        previous, stacked = stacked, np.array([
-            line_integral(f, base, configs) for f in sectors.values()])
+        previous, stacked = stacked, line_integrals(_BASE, PROBE_GRID)
         if np.max(np.abs(stacked - previous)) <= \
                 _GAUSS_ULPS * np.finfo(float).eps * np.max(np.abs(stacked)):
             break
 
     # --- path independence (straight vs corner polyline) -----------------
-    ends = configs[[0, 0, -1, -1, n // 2], [0, -1, 0, -1, n // 2]]
+    ends = PROBE_GRID[[0, 0, -1, -1, 4], [0, -1, 0, -1, 4]]  # corners, centre
     corners = np.array(ends, copy=True)
-    corners[:, 1] = base[1]
-    triangle = np.max([np.abs(
-        line_integral(f, base, ends) - line_integral(f, base, corners)
-        - line_integral(f, corners, ends)) for f in sectors.values()])
+    corners[:, 1] = _BASE[1]
+    triangle = np.max(np.abs(
+        line_integrals(_BASE, ends) - line_integrals(_BASE, corners)
+        - line_integrals(corners, ends)))
 
     # --- gradient of the reconstruction, taken under the integral --------
     # grad Phi(x) = int_0^1 [h + grad h . s (x - b)](b + s (x - b)) ds; the
     # frozen part of h_{k nu} sees particle k alone, so only d_{k mu} moves it
-    points = configs[[n // 4, (3 * n) // 4], [(3 * n) // 4, n // 4]]
-    lever = np.multiply.outer(s, points - base)  # s (x - b) at each node
-    path, at_points = stacks(base + lever), stacks(points)
+    points = PROBE_GRID[[2, 6], [6, 2]]
+    lever = np.multiply.outer(s, points - _BASE)  # s (x - b) at each node
+    path, at_points = stacks(_BASE + lever), stacks(points)
     gradient_match = 0.0
     for f, read in zip(sectors.values(), reads.values()):
         for j, mu in product((1, 2), range(4)):
@@ -623,7 +610,6 @@ class ClassificationReport:
 
 @np.errstate(all="ignore")
 def classify_interaction(system: MultiTimeSystem,
-                         grid: ConfigGrid | None = None,
                          tol: float = 1e-9) -> ClassificationReport:
     """Classify a pair as gauge-removable, interacting, or undecided.
 
@@ -637,10 +623,8 @@ def classify_interaction(system: MultiTimeSystem,
     as for the mass obstruction of a gamma5-sector field.  Raises
     DomainError when a guard trips or a sup is not finite.
     """
-    grid = grid or ConfigGrid()
-    gauge = classify_gauge(system, grid=grid, tol=tol)
-    coefficients, configs = gauge.coefficients, grid.configs()
-    coords = stack_coords(configs)
+    gauge = classify_gauge(system, tol=tol)
+    coefficients, coords = gauge.coefficients, stack_coords(PROBE_GRID)
     gamma_sup = float(np.max(
         [np.max(np.abs(evaluate(expr, coords)))
          for name in _GAMMA_FIELDS for expr in coefficients.field(name)]))
@@ -651,7 +635,8 @@ def classify_interaction(system: MultiTimeSystem,
         verdict = UNDECIDED
         try:
             structure = exponential_form_residual(
-                coefficients, system.masses, configs, where="the probe grid")
+                coefficients, system.masses, PROBE_GRID,
+                where="the probe grid")
         except CoefficientFormError:  # alpha-sector fields not constant
             structure = None
         if structure is not None and max(structure.values()) < tol:

@@ -268,6 +268,22 @@ def reference_exponential_form(coefficients, masses, samples) -> dict:
     return out
 
 
+def reference_probes() -> tuple[np.ndarray, np.ndarray]:
+    """classify's probes built as the retired ConfigGrid() built them: the
+    (9, 9, 2, 4) grid that moves x1_0 along rows and x2_3 along columns
+    over linspace(-1, 1, 9) around the base 0, and the (145, 2, 4) probes,
+    the grid's configurations then base + u for 64 u drawn with seed 0
+    from [min(values), max(values)]."""
+    values = tuple(np.linspace(-1.0, 1.0, 9))
+    base = np.asarray(((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)), float)
+    grid = np.tile(base, (9, 9, 1, 1))
+    grid[:, :, 0, 0], grid[:, :, 1, 3] = np.meshgrid(values, values,
+                                                     indexing="ij")
+    offsets = np.random.default_rng(0).uniform(min(values), max(values),
+                                               size=(64, 2, 4))
+    return grid, np.concatenate([grid.reshape(-1, 2, 4), base + offsets])
+
+
 def reference_locality(coefficients, probes) -> float:
     """sup |d_other (d_mu f_nu - d_nu f_mu)| over every alpha sector's
     in-particle curls, one running np.maximum per derivative."""

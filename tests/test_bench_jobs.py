@@ -6,7 +6,8 @@ exit code 0, strict JSON, the paper's invariants, and, where the report
 does not depend on the seed, every value against bench/golden.json to
 its tolerance.  Running the same jobs and checks here shows a failing job
 in tier-1 rather than first in a benchmark run.  The classify jobs'
-count of formed derivatives is guarded as well.  bench/ is only read.
+counts of formed derivatives and of coordinate stacks are guarded as
+well.  bench/ is only read.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ import pytest
 from mtdirac import dsl, symmetry
 from mtdirac.cli import entry
 from mtdirac.dsl import differentiate
+from mtdirac.potential import stack_coords
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 if str(BENCH) not in sys.path:
@@ -60,3 +62,23 @@ def test_classify_jobs_form_few_derivatives(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert entry(list(job.argv)) == 0
     assert 0 < len(calls) <= 250
+
+
+def test_classify_jobs_stack_few_coordinates(monkeypatch):
+    """classify_gauge integrates the four gauge sectors on one coordinate
+    stack per point set: each benchmark classify job builds at most 25
+    stacks in symmetry (23 on hoho, 20 on W1/W2), where a stack per
+    sector built 53 and 50.  Like the derivative count, this count does
+    not drift with the host."""
+    jobs = [job for job in workloads.CLASSIFY_POINTWISE
+            if job.command == "classify"]
+    assert len(jobs) == 2
+    calls = []
+    monkeypatch.setattr(symmetry, "stack_coords",
+                        lambda points: calls.append(points)
+                        or stack_coords(points))
+    for job in jobs:
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert entry(list(job.argv)) == 0
+        assert 0 < len(calls) <= 25, job.key

@@ -1135,8 +1135,14 @@ def strict_json(text):
     # kappa^2 overflows in the free kernel on so fine a grid
     ["simulate", "--builtin", "free", "--grid-n", "16", "--box-L", "1.6e-154",
      "--dt", "1e-156", "--T", "1e-156"],
+    # a mass squares past the float range in the free step's gamma0 weight
+    ["simulate", "--builtin", "hoho", "--param", "m1=1e200",
+     "--delta", "0.1", "--grid-n", "16"],
+    ["simulate", "--builtin", "hoho", "--param", "m2=1e200",
+     "--dt", "0.1", "--T", "0.1", "--grid-n", "16"],
 ], ids=["simulate", "check", "cc", "check overflowing power",
-        "simulate overflowing free kernel"])
+        "simulate overflowing free kernel", "simulate --delta overflowing mass",
+        "simulate --dt overflowing mass"])
 def test_non_finite_numbers_exit_three_without_warnings(capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -160,8 +160,8 @@ def test_a_layer_resolves_as_a_package_attribute_on_first_access():
 
 _PUBLIC_NAMES = [
     "BUILTIN_SYSTEMS", "BasisClass", "BasisElement", "ClassificationReport",
-    "CoefficientFormError", "CoefficientSet", "ConfigGrid",
-    "ConsistencyReport", "CurvatureOperator", "DomainError", "DslError",
+    "CoefficientFormError", "CoefficientSet", "ConsistencyReport",
+    "CurvatureOperator", "DomainError", "DslError",
     "DslEvaluationError", "DslParseError", "GAUGE_REMOVABLE", "GammaRep",
     "GaugeReport", "Grid", "Guard", "HolonomyResult", "INTERACTING", "Leg",
     "MultiTimeSystem", "PathIndependenceResult", "PoincareTransform",

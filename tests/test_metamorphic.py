@@ -75,7 +75,7 @@ from mtdirac.potential import (
 )
 from mtdirac.solver import Grid, curvature_norm, holonomy_series, \
     product_state
-from mtdirac.symmetry import GAUGE_REMOVABLE, ConfigGrid, \
+from mtdirac.symmetry import GAUGE_REMOVABLE, PROBES, \
     classify_interaction, exponential_form_residual, make_translation, \
     poincare_residual
 
@@ -391,7 +391,7 @@ def _gauges_with_constant_fields(draw) -> MultiTimeSystem:
 @given(system=st.one_of(_gauges_with_constant_fields(), _coefficient_forms()))
 def test_gauge_removable_is_consistent_at_the_probes(system):
     if classify_interaction(system).verdict == GAUGE_REMOVABLE:
-        report = check_consistency(system, ConfigGrid().probes())
+        report = check_consistency(system, PROBES)
         assert report.verdict == "CONSISTENT"
 
 
@@ -469,7 +469,7 @@ _SPIN_FREE_PAIRS = {
 def test_a_spin_free_pair_is_consistent_exactly_when_gauge_removable(
         family, data):
     system = data.draw(_SPIN_FREE_PAIRS[family])
-    report = check_consistency(system, ConfigGrid().probes())
+    report = check_consistency(system, PROBES)
     removable = classify_interaction(system).verdict == GAUGE_REMOVABLE
     assert (report.verdict == "CONSISTENT") == removable
 

@@ -39,8 +39,9 @@ from mtdirac.potential import (
 from mtdirac.symmetry import (
     GAUGE_REMOVABLE,
     INTERACTING,
+    PROBE_GRID,
+    PROBES,
     UNDECIDED,
-    ConfigGrid,
     PoincareTransform,
     classify_gauge,
     classify_interaction,
@@ -63,6 +64,7 @@ from oracles import (
     reference_locality,
     reference_poincare_residual,
     reference_poincare_sweep,
+    reference_probes,
 )
 
 
@@ -630,7 +632,7 @@ def test_exponential_form_equals_the_per_index_loop(seed):
         "hoho", {"C": (1.3, 0.4j, -0.2j, 0.9j), "c": (0.8, -0.3, 0.1, 0.5)})
     for system in (make_builtin("hoho"), hoho, _random_exponential_form(rng)):
         coefficients = to_coefficient_form(system)
-        for configs in (ConfigGrid().configs(), sample_configs(100, rng)):
+        for configs in (PROBE_GRID, sample_configs(100, rng)):
             got = exponential_form_residual(coefficients, system.masses,
                                             configs)
             expected = reference_exponential_form(coefficients,
@@ -702,7 +704,7 @@ def test_gradient_pair_is_gauge_removable(gradient_report):
 
 
 def test_gradient_pair_recovers_phase_function(gradient_report):
-    values = np.asarray(ConfigGrid().values)
+    values = PROBE_GRID[:, 0, 0, 0]  # x1_0 along rows, x2_3 along columns
     total = values[:, None] + values[None, :]
     expected = (np.sin(total) - np.sin(values)[:, None]
                 - np.sin(values)[None, :])
@@ -714,7 +716,7 @@ def test_gradient_pair_recovers_phase_function(gradient_report):
         assert np.max(np.abs(gradient_report.gauge_components[sector])) < 1e-12
 
 
-# exact gauges in x2_0, which the default grid holds at 0 and the gradient
+# exact gauges in x2_0, which the probe grid holds at 0 and the gradient
 # check moves
 _EXACT_GAUGES = {
     "cos": {"W1": ("cos(x1_0 + x2_0)", 0, 0, 0),
@@ -743,24 +745,21 @@ def _crossed_phase(x):
     return x[..., 0, 0] * (np.sinc(x[..., 1, 3] / np.pi) - 1)
 
 
-@pytest.mark.parametrize("params,axes,phase", [
-    (_EXACT_GAUGES["cos"], ((1, 0), (2, 3)), _sin_sum_phase),
-    (_EXACT_GAUGES["cos"], ((1, 0), (2, 0)), _sin_sum_phase),
-    ({"W1": ("cos(x2_3)", 0, 0, 0)}, ((1, 0), (2, 3)), _crossed_phase),
-], ids=["cos pair", "cos pair on time axes", "crossed"])
-def test_gauge_components_match_closed_forms(params, axes, phase):
-    grid = ConfigGrid(axes=axes)
-    report = classify_gauge(make_builtin("coefficient_form", params),
-                            grid=grid)
+@pytest.mark.parametrize("params,phase", [
+    (_EXACT_GAUGES["cos"], _sin_sum_phase),
+    ({"W1": ("cos(x2_3)", 0, 0, 0)}, _crossed_phase),
+], ids=["cos pair", "crossed"])
+def test_gauge_components_match_closed_forms(params, phase):
+    report = classify_gauge(make_builtin("coefficient_form", params))
     recovered = report.gauge_components["unit"]
-    assert np.max(np.abs(recovered - phase(grid.configs()))) < 1e-12
+    assert np.max(np.abs(recovered - phase(PROBE_GRID))) < 1e-12
     for sector in ("gamma5_1", "gamma5_2", "gamma5_12"):
         assert np.max(np.abs(report.gauge_components[sector])) == 0.0
 
 
 def test_gauge_components_match_mpmath_quadrature():
     # no closed form: Phi(x) = int_0^1 h(s x) . x ds by tanh-sinh quadrature,
-    # on the default grid, which moves a = x1_0 and z = x2_3 away from b = 0
+    # on the probe grid, which moves a = x1_0 and z = x2_3 away from b = 0
     system = make_builtin("coefficient_form", {
         "W1": ("exp(0.5*x2_3)*cos(x1_0*x2_3)", 0, 0, 0),
         "W2": (0, 0, 0, "(1 + 0.5*i)*sin(x1_0 - x2_3)^2")})
@@ -776,8 +775,8 @@ def test_gauge_components_match_mpmath_quadrature():
             lambda s: (f1(s * a, s * z) - f1(s * a, 0)) * a
             + (f2(s * a, s * z) - f2(0, s * z)) * z, [0, 1]))
 
-    configs = ConfigGrid().configs()
-    expected = np.vectorize(phase)(configs[..., 0, 0], configs[..., 1, 3])
+    expected = np.vectorize(phase)(PROBE_GRID[..., 0, 0],
+                                   PROBE_GRID[..., 1, 3])
     report = classify_gauge(system)
     assert report.verdict == INTERACTING
     assert np.max(np.abs(report.gauge_components["unit"] - expected)) < 1e-12
@@ -833,22 +832,20 @@ def test_cross_curl_off_the_grid_plane_is_interacting():
     assert check_consistency(system, samples).verdict == "INCONSISTENT"
     report = classify_gauge(system)
     assert report.verdict == INTERACTING
-    probes = ConfigGrid().probes()
-    assert report.cross_curl_sup == np.max(np.abs(np.sin(probes[:, 1, 0])))
+    assert report.cross_curl_sup == np.max(np.abs(np.sin(PROBES[:, 1, 0])))
     assert report.cross_curl_sup > 0.5
     assert classify_interaction(system).verdict == INTERACTING
 
 
 def test_probes_are_the_grid_then_a_fixed_box_sample():
-    grid = ConfigGrid(values=(-0.5, 0.0, 2.0),
-                      base=((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, -1.0, 0.0)))
-    probes = grid.probes()
-    assert probes.shape == (9 + 64, 2, 4)
-    assert np.array_equal(probes[:9], grid.configs().reshape(-1, 2, 4))
-    offsets = probes[9:] - grid.base_array()
-    assert np.all((offsets >= -0.5) & (offsets <= 2.0))
-    assert np.all(np.ptp(probes[9:], axis=0) > 1.0)  # all eight coordinates
-    assert np.array_equal(probes, grid.probes())
+    # bit for bit the retired ConfigGrid()'s, and read-only
+    for got, expected in zip((PROBE_GRID, PROBES), reference_probes()):
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            got.reshape(-1)[-1] = 1.0
 
 
 _ALPHA_FIELDS = ("W1", "X1", "Y1", "Z1", "W2", "X2", "Y2", "Z2")
@@ -878,7 +875,6 @@ def test_cross_curl_matches_reference_on_random_systems(request, rng,
     seed draws the same systems for both representations.
     """
     rep = request.getfixturevalue(rep_name)
-    grid = ConfigGrid(values=(-0.8, 0.1, 0.9))
     for index in range(20):
         params = {name: _random_field(rng, 2) for name in _ALPHA_FIELDS}
         if index % 2:
@@ -886,12 +882,11 @@ def test_cross_curl_matches_reference_on_random_systems(request, rng,
                        if name not in _ALPHA_FIELDS}
             params |= {"m1": rng.uniform(0.5, 2.0), "m2": rng.uniform(0.5, 2.0)}
         system = make_builtin("coefficient_form", params)
-        report = classify_gauge(system, grid=grid)
-        expected = reference_cross_curl(to_coefficient_form(system),
-                                        grid.probes())
+        report = classify_gauge(system)
+        expected = reference_cross_curl(to_coefficient_form(system), PROBES)
         assert expected >= 0.1, index
         assert report.cross_curl_sup == expected, index
-        assert reference_matrix_cross_curl(system, grid.probes(), rep) \
+        assert reference_matrix_cross_curl(system, PROBES, rep) \
             == pytest.approx(expected, rel=1e-12), index
 
 
@@ -922,7 +917,7 @@ def test_locality_sup_equals_the_running_maximum(params):
     system = make_builtin("coefficient_form", params)
     report = classify_gauge(system)
     assert report.locality_sup == reference_locality(
-        report.coefficients, ConfigGrid().probes())
+        report.coefficients, PROBES)
 
 
 def test_locality_defect_detected():
@@ -1006,7 +1001,7 @@ def test_a_gamma5_sector_mass_obstruction_is_interacting(params, verdict):
     assert report.gauge.verdict == GAUGE_REMOVABLE
     assert report.gamma_sector_sup == 0.0
     assert report.verdict == verdict
-    check = check_consistency(system, ConfigGrid().probes())
+    check = check_consistency(system, PROBES)
     assert (check.verdict == "CONSISTENT") == (verdict == GAUGE_REMOVABLE)
 
 
